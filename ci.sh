@@ -86,25 +86,30 @@ rm -f serve_smoke.log
 echo "serve loopback smoke test passed"
 
 # Multi-tenant smoke gate: a small cluster scenario under a binding
-# power cap must run deterministically (identical cluster decision
-# digests across two runs) and export the arbiter's grant/denial
-# telemetry. The digest covers every tenant's sample and decision
-# stream, so this also pins counter virtualization end to end.
+# power cap must run deterministically under both arbiter policies
+# (byte-identical reports across two runs: the cluster decision digest,
+# which covers every tenant's sample and decision stream, plus the
+# per-tenant time, energy and denial counts the grants determine) and
+# export the arbiter's grant/denial telemetry.
 tenants_args="--tenants 6 --cores 2 --budget 20 --noisy 1 --length 6"
+for policy in waterfill priority; do
+    run_a=$("$cli" tenants $tenants_args --arbiter "$policy")
+    run_b=$("$cli" tenants $tenants_args --arbiter "$policy")
+    digest=$(echo "$run_a" | sed -n 's/^cluster decision digest //p')
+    [ -n "$digest" ] || { echo "tenants: no cluster decision digest in $policy output"; exit 1; }
+    [ "$run_a" = "$run_b" ] \
+        || { echo "tenants: $policy output diverged across identical runs"; exit 1; }
+    echo "tenants $policy: identical across runs (digest $digest)"
+done
+# Timing histograms vary run to run, so the telemetry run is not diffed.
 tenants_a=$("$cli" tenants $tenants_args --metrics)
-tenants_b=$("$cli" tenants $tenants_args)
-digest_a=$(echo "$tenants_a" | sed -n 's/^cluster decision digest //p')
-digest_b=$(echo "$tenants_b" | sed -n 's/^cluster decision digest //p')
-[ -n "$digest_a" ] || { echo "tenants: no cluster decision digest in output"; exit 1; }
-[ "$digest_a" = "$digest_b" ] \
-    || { echo "tenants: digests diverged across identical runs ($digest_a vs $digest_b)"; exit 1; }
 echo "$tenants_a" | grep -q '^# TYPE tenants_arbiter_grants_total counter' \
     || { echo "tenants: arbiter grant counter missing from telemetry"; exit 1; }
 echo "$tenants_a" | grep -q '^tenants_arbiter_denials_total{' \
     || { echo "tenants: a 20 W budget over 2 cores must deny someone"; exit 1; }
 echo "$tenants_a" | grep -q '^tenants_context_switches_total ' \
     || { echo "tenants: context-switch counter missing from telemetry"; exit 1; }
-echo "tenants smoke gate passed (digest $digest_a)"
+echo "tenants smoke gate passed (waterfill and priority)"
 
 # Reactor scale gate: 5000 concurrent connections through the epoll
 # reactor, every stream held open at once and bit-exact against the
@@ -163,6 +168,8 @@ echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_engine_step_man
     || { echo "bench gate: BENCH_*.json records were not written"; exit 1; }
 echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_power_model_eval.json' \
     || { echo "bench gate: the power_model_eval record was not written"; exit 1; }
+echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_tenants_arbitrate.json' \
+    || { echo "bench gate: the tenants_arbitrate record was not written"; exit 1; }
 
 # Power-model zoo gate. Three claims, each enforced by exit codes and
 # byte-level diffs rather than eyeballs:

@@ -12,12 +12,12 @@
 use crate::stats::Summary;
 use livephase_engine::{Decision, DecisionEngine, EngineConfig};
 use livephase_pmsim::{
-    AnalyticModel, LinearModel, OperatingPointTable, PowerInput, PowerModel, TrainingRecord,
-    TreeModel,
+    AnalyticModel, LinearModel, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
+    TrainingRecord, TreeModel,
 };
 use livephase_serve::wire::{encode_into, Frame, FrameDecoder};
 use livephase_telemetry::Histogram;
-use livephase_tenants::{run_scenario, ScenarioSpec};
+use livephase_tenants::{run_scenario, Arbiter, ArbiterPolicy, Request, ScenarioSpec};
 use livephase_workloads::spec;
 use std::time::Instant;
 
@@ -210,6 +210,29 @@ fn run_tenants_quantum(warmup: usize, iters: usize) -> Vec<u64> {
     })
 }
 
+/// `tenants_arbitrate`: one water-fill and one priority arbitration of
+/// 64 requests on 2 cores under a binding 18 W budget — the per-epoch
+/// power-cap decision of the `tenants_cluster` benchmark shape.
+fn run_tenants_arbitrate(warmup: usize, iters: usize) -> Vec<u64> {
+    let platform = PlatformConfig::pentium_m();
+    let requests: Vec<Request> = (0..64u32)
+        .map(|tenant| Request {
+            tenant,
+            core: tenant as usize % 2,
+            requested_op: (tenant as usize * 7) % 6,
+            // The top eight ids are the noisy neighbors.
+            priority: u8::from(tenant < 56),
+        })
+        .collect();
+    let mut waterfill = Arbiter::new(&platform, 18.0, ArbiterPolicy::WaterFill, 2);
+    let mut priority = Arbiter::new(&platform, 18.0, ArbiterPolicy::Priority, 2);
+    timed(warmup, iters, || {
+        let w = waterfill.arbitrate(&requests);
+        let p = priority.arbitrate(&requests);
+        std::hint::black_box((w, p));
+    })
+}
+
 /// Deterministic training set for the power-model area: the analytic
 /// model's output over a fixed feature sweep at every operating point.
 /// The learned backends fit this exactly well enough for the bench to
@@ -333,6 +356,12 @@ pub fn registry() -> &'static [Area] {
             what: "one 4-tenant/2-core/8-interval cluster scenario",
             expected_ratio: 0.25,
             run: run_tenants_quantum,
+        },
+        Area {
+            name: "tenants_arbitrate",
+            what: "one water-fill and one priority arbitrate, 64 requests/2 cores/18 W",
+            expected_ratio: 0.006,
+            run: run_tenants_arbitrate,
         },
         Area {
             name: "lint_full",

@@ -290,3 +290,34 @@ fn serve_bench_rejects_unknown_benchmarks_before_traffic() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("not_a_benchmark"), "{err}");
 }
+
+#[test]
+fn a_reader_closing_stdout_early_is_a_clean_exit() {
+    // ~110 KB of report: more than a pipe buffers, so the CLI is still
+    // writing when the reader goes away (`livephase-cli tenants | head`).
+    let mut child = cli()
+        .args([
+            "tenants",
+            "--tenants",
+            "1000",
+            "--cores",
+            "4",
+            "--budget",
+            "1000",
+            "--length",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    let mut head = [0u8; 16];
+    std::io::Read::read_exact(&mut stdout, &mut head).expect("report starts");
+    drop(stdout);
+    let out = child.wait_with_output().expect("binary exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(!err.contains("Broken pipe"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
+}

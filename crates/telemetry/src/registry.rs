@@ -107,12 +107,11 @@ impl std::fmt::Debug for Registry {
     }
 }
 
+// `starts_with`, not `chars().next()`: the linter's call graph resolves
+// `.next()` by name to every workspace iterator, a false panic chain from
+// each hot path that registers a metric lazily.
 fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+    name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')

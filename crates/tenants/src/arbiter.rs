@@ -27,12 +27,27 @@
 //! and repeatedly upgrades the currently worst-off tenant by one step
 //! while the budget holds, converging to the most even feasible
 //! allocation.
+//!
+//! Both run in O(n log n + levels·n·cores) per epoch without allocating
+//! beyond the returned grant vector. `worst_case` is non-increasing
+//! along the operating-point table for every backend, so upgrading a
+//! grant can only *raise* its core's maximum: the arbiter keeps the
+//! per-core maxima of the current grant vector and prices a candidate
+//! by raising one slot, instead of re-costing the whole vector.
+//! Water-filling then becomes a level sweep: every tenant starts at the
+//! slowest level, and the slowest-first, lowest-id-first pick order of
+//! the step-by-step formulation visits level `L` entirely, in tenant-id
+//! order, before any tenant reaches `L − 1`.
 
 use livephase_pmsim::{PlatformConfig, PowerModel};
-use livephase_telemetry::Histogram;
+use livephase_telemetry::{Counter, Histogram};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::fmt;
 use std::sync::Arc;
+
+/// Slack on the budget comparison, absorbing f64 rounding in the sum.
+const BUDGET_SLACK_W: f64 = 1e-9;
 
 /// How the arbiter divides headroom among competing tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -91,6 +106,20 @@ pub struct Grant {
     pub denied: bool,
 }
 
+/// Per-epoch working vectors, kept across calls so arbitration does not
+/// allocate.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Requested setting per request, clamped to the table.
+    want: Vec<usize>,
+    /// Current grant per request.
+    ops: Vec<usize>,
+    /// Request indices in visiting order.
+    order: Vec<usize>,
+    /// Per-core maximum grant cost of `ops`.
+    core_max: Vec<f64>,
+}
+
 /// The per-epoch power-cap arbiter.
 #[derive(Debug)]
 pub struct Arbiter {
@@ -102,6 +131,18 @@ pub struct Arbiter {
     grants_total: u64,
     denials_total: u64,
     starvation_us: Arc<Histogram>,
+    /// Per-setting outcome counters, registered on first use so the
+    /// exposition carries only settings actually granted or denied.
+    grant_counters: Vec<Option<Arc<Counter>>>,
+    denial_counters: Vec<Option<Arc<Counter>>>,
+    scratch: Scratch,
+}
+
+/// Raises a core's maximum to `cost` if `cost` exceeds it.
+fn raise(slot: &mut f64, cost: f64) {
+    if cost > *slot {
+        *slot = cost;
+    }
 }
 
 impl Arbiter {
@@ -132,6 +173,9 @@ impl Arbiter {
             grants_total: 0,
             denials_total: 0,
             starvation_us,
+            grant_counters: Vec::new(),
+            denial_counters: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -153,153 +197,169 @@ impl Arbiter {
     /// cannot be guaranteed by DVFS alone.
     #[must_use]
     pub fn floor_feasible(&self, requests: &[Request]) -> bool {
-        let mut ops = Vec::new();
-        ops.resize(requests.len(), self.slowest());
-        self.total_cost(requests, &ops) <= self.budget_w + 1e-9
+        let mut core_max = Vec::new();
+        self.floor_core_max(requests, &mut core_max);
+        // Slots start at 0 W and only rise, so raising one to 0 W is a
+        // no-op: this checks the floor vector itself.
+        self.fits(&core_max, 0, 0.0)
     }
 
-    /// Summed per-core maxima of the grant vector's costs.
-    fn total_cost(&self, requests: &[Request], ops: &[usize]) -> f64 {
-        let mut core_max = Vec::new();
-        core_max.resize(self.cores.max(1), 0.0f64);
-        for (i, req) in requests.iter().enumerate() {
-            let op = ops.get(i).copied().unwrap_or_else(|| self.slowest());
-            let cost = self.cost_w(op);
-            let core = req.core.min(core_max.len().saturating_sub(1));
-            if let Some(slot) = core_max.get_mut(core) {
-                if cost > *slot {
-                    *slot = cost;
-                }
+    /// The budget slot of a request's core: out-of-range cores share the
+    /// last slot.
+    fn core_slot(&self, core: usize) -> usize {
+        core.min(self.cores.max(1) - 1)
+    }
+
+    /// Fills `core_max` with the per-core maxima of the all-slowest
+    /// grant vector.
+    fn floor_core_max(&self, requests: &[Request], core_max: &mut Vec<f64>) {
+        core_max.clear();
+        core_max.resize(self.cores.max(1), 0.0);
+        let floor = self.cost_w(self.slowest());
+        for req in requests {
+            if let Some(slot) = core_max.get_mut(self.core_slot(req.core)) {
+                raise(slot, floor);
             }
         }
-        core_max.iter().sum()
     }
 
-    /// Whether replacing grant `i` with `candidate` keeps the vector
-    /// within budget.
-    fn feasible_with(
-        &self,
-        requests: &[Request],
-        ops: &[usize],
-        i: usize,
-        candidate: usize,
-    ) -> bool {
-        let mut trial = ops.to_vec();
-        if let Some(slot) = trial.get_mut(i) {
-            *slot = candidate;
-        }
-        self.total_cost(requests, &trial) <= self.budget_w + 1e-9
+    /// Whether the grant vector with per-core maxima `core_max` still
+    /// fits the budget once slot `core` is raised to `cost`. Sums in core
+    /// order, so the total is bit-identical to re-costing the vector.
+    fn fits(&self, core_max: &[f64], core: usize, cost: f64) -> bool {
+        let total: f64 = core_max
+            .iter()
+            .enumerate()
+            .map(|(k, &max)| if k == core && cost > max { cost } else { max })
+            .sum();
+        total <= self.budget_w + BUDGET_SLACK_W
     }
 
     /// Arbitrates one epoch: returns one [`Grant`] per request, in
     /// request order. Deterministic: ties break by tenant id.
     pub fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
+        let mut s = std::mem::take(&mut self.scratch);
         let slowest = self.slowest();
-        let want: Vec<usize> = requests
-            .iter()
-            .map(|r| r.requested_op.min(slowest))
-            .collect();
-        let mut ops: Vec<usize> = Vec::new();
-        ops.resize(requests.len(), slowest);
+        s.want.clear();
+        s.want
+            .extend(requests.iter().map(|r| r.requested_op.min(slowest)));
+        s.ops.clear();
+        s.ops.resize(requests.len(), slowest);
+        self.floor_core_max(requests, &mut s.core_max);
+        s.order.clear();
+        s.order.extend(0..requests.len());
 
         match self.policy {
-            ArbiterPolicy::Priority => {
-                let mut order: Vec<usize> = (0..requests.len()).collect();
-                order.sort_by(|&a, &b| {
-                    let (pa, ta) = requests
-                        .get(a)
-                        .map_or((0, u32::MAX), |r| (r.priority, r.tenant));
-                    let (pb, tb) = requests
-                        .get(b)
-                        .map_or((0, u32::MAX), |r| (r.priority, r.tenant));
-                    pb.cmp(&pa).then(ta.cmp(&tb))
-                });
-                for &i in &order {
-                    let target = want.get(i).copied().unwrap_or(slowest);
-                    let current = ops.get(i).copied().unwrap_or(slowest);
-                    // Fastest affordable setting no faster than requested.
-                    for candidate in target..=current {
-                        if self.feasible_with(requests, &ops, i, candidate) {
-                            if let Some(slot) = ops.get_mut(i) {
-                                *slot = candidate;
-                            }
-                            break;
-                        }
-                    }
+            ArbiterPolicy::Priority => self.by_priority(requests, &mut s),
+            ArbiterPolicy::WaterFill => self.water_fill(requests, &mut s),
+        }
+
+        let grants = requests
+            .iter()
+            .zip(s.ops.iter().zip(&s.want))
+            .map(|(req, (&op, &want))| {
+                let denied = op > want;
+                self.count_outcome(op, denied);
+                Grant {
+                    tenant: req.tenant,
+                    op,
+                    denied,
                 }
+            })
+            .collect();
+        self.scratch = s;
+        grants
+    }
+
+    /// `priority`: in (priority desc, tenant id) order, each request
+    /// takes the fastest affordable setting no faster than requested.
+    fn by_priority(&self, requests: &[Request], s: &mut Scratch) {
+        s.order.sort_unstable_by_key(|&i| {
+            requests.get(i).map_or((Reverse(0), u32::MAX, i), |r| {
+                (Reverse(r.priority), r.tenant, i)
+            })
+        });
+        for &i in &s.order {
+            let (Some(req), Some(&target), Some(op)) =
+                (requests.get(i), s.want.get(i), s.ops.get_mut(i))
+            else {
+                continue;
+            };
+            let core = self.core_slot(req.core);
+            let Some(granted) =
+                (target..=*op).find(|&c| self.fits(&s.core_max, core, self.cost_w(c)))
+            else {
+                continue;
+            };
+            *op = granted;
+            if let Some(slot) = s.core_max.get_mut(core) {
+                raise(slot, self.cost_w(granted));
             }
-            ArbiterPolicy::WaterFill => {
-                let mut frozen = vec![false; requests.len()];
-                loop {
-                    // The worst-off upgradable tenant: slowest current
-                    // grant, ties by tenant id.
-                    let mut pick: Option<(usize, usize, u32)> = None;
-                    for (i, req) in requests.iter().enumerate() {
-                        if frozen.get(i).copied().unwrap_or(true) {
-                            continue;
-                        }
-                        let current = ops.get(i).copied().unwrap_or(slowest);
-                        let target = want.get(i).copied().unwrap_or(slowest);
-                        if current <= target {
-                            continue;
-                        }
-                        let better = match pick {
-                            None => true,
-                            Some((_, best_op, best_tenant)) => {
-                                current > best_op
-                                    || (current == best_op && req.tenant < best_tenant)
-                            }
-                        };
-                        if better {
-                            pick = Some((i, current, req.tenant));
-                        }
-                    }
-                    let Some((i, current, _)) = pick else {
-                        break;
-                    };
-                    let candidate = current.saturating_sub(1);
-                    if self.feasible_with(requests, &ops, i, candidate) {
-                        if let Some(slot) = ops.get_mut(i) {
-                            *slot = candidate;
-                        }
-                    } else if let Some(slot) = frozen.get_mut(i) {
-                        *slot = true;
+        }
+    }
+
+    /// `waterfill`: a level sweep from the slowest setting down. At each
+    /// level every request still sitting there and wanting faster tries
+    /// one step, in tenant-id order: it either moves down a level or
+    /// freezes at this one for the rest of the epoch.
+    fn water_fill(&self, requests: &[Request], s: &mut Scratch) {
+        s.order
+            .sort_unstable_by_key(|&i| (requests.get(i).map_or(u32::MAX, |r| r.tenant), i));
+        for level in (1..=self.slowest()).rev() {
+            let cost = self.cost_w(level - 1);
+            for &i in &s.order {
+                let (Some(req), Some(&want), Some(op)) =
+                    (requests.get(i), s.want.get(i), s.ops.get_mut(i))
+                else {
+                    continue;
+                };
+                if *op != level || want >= level {
+                    continue;
+                }
+                let core = self.core_slot(req.core);
+                if self.fits(&s.core_max, core, cost) {
+                    *op = level - 1;
+                    if let Some(slot) = s.core_max.get_mut(core) {
+                        raise(slot, cost);
                     }
                 }
             }
         }
+    }
 
-        let mut grants = Vec::with_capacity(requests.len());
-        for (i, req) in requests.iter().enumerate() {
-            let op = ops.get(i).copied().unwrap_or(slowest);
-            let denied = op > want.get(i).copied().unwrap_or(slowest);
-            if denied {
-                self.denials_total += 1;
-            } else {
-                self.grants_total += 1;
-            }
+    /// Counts one grant outcome, by granted setting.
+    fn count_outcome(&mut self, op: usize, denied: bool) {
+        let cache = if denied {
+            self.denials_total += 1;
+            &mut self.denial_counters
+        } else {
+            self.grants_total += 1;
+            &mut self.grant_counters
+        };
+        if cache.len() <= op {
+            cache.resize(op + 1, None);
+        }
+        let Some(slot) = cache.get_mut(op) else {
+            return;
+        };
+        slot.get_or_insert_with(|| {
+            let registry = livephase_telemetry::global();
             let op_label = op.to_string();
-            let outcome = if denied {
-                livephase_telemetry::global().counter(
+            if denied {
+                registry.counter(
                     "tenants_arbiter_denials_total",
                     "Epoch requests granted slower than requested, by granted setting.",
                     &[("op", &op_label)],
                 )
             } else {
-                livephase_telemetry::global().counter(
+                registry.counter(
                     "tenants_arbiter_grants_total",
                     "Epoch requests granted at the requested setting, by granted setting.",
                     &[("op", &op_label)],
                 )
-            };
-            outcome.inc();
-            grants.push(Grant {
-                tenant: req.tenant,
-                op,
-                denied,
-            });
-        }
-        grants
+            }
+        })
+        .inc();
     }
 
     /// Records the simulated length of one completed denial streak.
@@ -327,7 +387,12 @@ impl Arbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use livephase_pmsim::PlatformConfig;
+    use livephase_pmsim::{
+        AnalyticModel, LinearModel, OperatingPointTable, PlatformConfig, PowerInput,
+        PowerModelKind, TrainingRecord, TreeModel,
+    };
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn requests(ops: &[(u32, usize, usize, u8)]) -> Vec<Request> {
         ops.iter()
@@ -372,14 +437,8 @@ mod tests {
             let mut a = arbiter(18.0, policy, 2);
             let reqs = requests(&[(0, 0, 0, 1), (1, 1, 0, 1), (2, 0, 0, 0), (3, 1, 0, 0)]);
             let grants = a.arbitrate(&reqs);
-            // Reconstruct the admitted cost and check it fits.
-            let ops: Vec<usize> = grants.iter().map(|g| g.op).collect();
-            let mut core_max = [0.0f64; 2];
-            for (req, &op) in reqs.iter().zip(&ops) {
-                core_max[req.core] = core_max[req.core].max(a.cost_w(op));
-            }
             assert!(
-                core_max.iter().sum::<f64>() <= 18.0 + 1e-9,
+                admitted_cost(&a, &reqs, &grants) <= 18.0 + 1e-9,
                 "{policy}: grant vector exceeds the budget"
             );
             assert!(
@@ -438,6 +497,226 @@ mod tests {
         assert!(!a.floor_feasible(&reqs));
         let generous = arbiter(100.0, ArbiterPolicy::WaterFill, 2);
         assert!(generous.floor_feasible(&reqs));
+    }
+
+    /// The original quadratic arbiter, kept verbatim as the oracle the
+    /// level sweep must match grant for grant: every feasibility check
+    /// re-costs a copy of the whole grant vector, and water-filling
+    /// rescans every request per single-step upgrade.
+    mod reference {
+        use super::super::{Arbiter, ArbiterPolicy, Grant, Request};
+
+        fn total_cost(a: &Arbiter, requests: &[Request], ops: &[usize]) -> f64 {
+            let mut core_max = vec![0.0f64; a.cores.max(1)];
+            for (i, req) in requests.iter().enumerate() {
+                let op = ops.get(i).copied().unwrap_or_else(|| a.slowest());
+                let cost = a.cost_w(op);
+                let core = req.core.min(core_max.len() - 1);
+                if cost > core_max[core] {
+                    core_max[core] = cost;
+                }
+            }
+            core_max.iter().sum()
+        }
+
+        fn feasible_with(
+            a: &Arbiter,
+            requests: &[Request],
+            ops: &[usize],
+            i: usize,
+            candidate: usize,
+        ) -> bool {
+            let mut trial = ops.to_vec();
+            trial[i] = candidate;
+            total_cost(a, requests, &trial) <= a.budget_w + 1e-9
+        }
+
+        pub(super) fn arbitrate(a: &Arbiter, requests: &[Request]) -> Vec<Grant> {
+            let slowest = a.slowest();
+            let want: Vec<usize> = requests
+                .iter()
+                .map(|r| r.requested_op.min(slowest))
+                .collect();
+            let mut ops = vec![slowest; requests.len()];
+            match a.policy {
+                ArbiterPolicy::Priority => {
+                    let mut order: Vec<usize> = (0..requests.len()).collect();
+                    order.sort_by(|&x, &y| {
+                        let (rx, ry) = (&requests[x], &requests[y]);
+                        ry.priority
+                            .cmp(&rx.priority)
+                            .then(rx.tenant.cmp(&ry.tenant))
+                    });
+                    for &i in &order {
+                        for candidate in want[i]..=ops[i] {
+                            if feasible_with(a, requests, &ops, i, candidate) {
+                                ops[i] = candidate;
+                                break;
+                            }
+                        }
+                    }
+                }
+                ArbiterPolicy::WaterFill => {
+                    let mut frozen = vec![false; requests.len()];
+                    loop {
+                        let mut pick: Option<(usize, usize, u32)> = None;
+                        for (i, req) in requests.iter().enumerate() {
+                            if frozen[i] || ops[i] <= want[i] {
+                                continue;
+                            }
+                            let better = pick.is_none_or(|(_, best_op, best_tenant)| {
+                                ops[i] > best_op || (ops[i] == best_op && req.tenant < best_tenant)
+                            });
+                            if better {
+                                pick = Some((i, ops[i], req.tenant));
+                            }
+                        }
+                        let Some((i, current, _)) = pick else {
+                            break;
+                        };
+                        if feasible_with(a, requests, &ops, i, current - 1) {
+                            ops[i] = current - 1;
+                        } else {
+                            frozen[i] = true;
+                        }
+                    }
+                }
+            }
+            requests
+                .iter()
+                .zip(ops.iter().zip(&want))
+                .map(|(req, (&op, &want))| Grant {
+                    tenant: req.tenant,
+                    op,
+                    denied: op > want,
+                })
+                .collect()
+        }
+    }
+
+    /// The pentium-M platform priced by each power backend: analytic,
+    /// and linear and tree models fitted to a jittered analytic sweep.
+    fn backend_platforms() -> &'static [PlatformConfig] {
+        static PLATFORMS: OnceLock<Vec<PlatformConfig>> = OnceLock::new();
+        PLATFORMS.get_or_init(|| {
+            let truth = AnalyticModel::pentium_m();
+            let mut records = Vec::new();
+            let mut state = 7u64;
+            for (_, opp) in OperatingPointTable::pentium_m().iter() {
+                for k in 0..8u32 {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let jitter = (state >> 40) as f64 / (1u64 << 24) as f64;
+                    let cf = 0.2 + 0.1 * f64::from(k);
+                    let input = PowerInput::new(cf, 0.04 * (1.0 - cf), 1.0 + 2.0 * cf);
+                    records.push(TrainingRecord {
+                        opp,
+                        input,
+                        measured_w: truth.power(opp, &input) * (0.97 + 0.06 * jitter),
+                    });
+                }
+            }
+            [
+                PowerModelKind::default(),
+                PowerModelKind::Linear(LinearModel::fit(&records).unwrap()),
+                PowerModelKind::Tree(TreeModel::fit(&records).unwrap()),
+            ]
+            .into_iter()
+            .map(|power| PlatformConfig {
+                power,
+                ..PlatformConfig::pentium_m()
+            })
+            .collect()
+        })
+    }
+
+    /// Summed per-core maxima of a grant vector, re-costed from scratch.
+    fn admitted_cost(a: &Arbiter, reqs: &[Request], grants: &[Grant]) -> f64 {
+        let mut core_max = vec![0.0f64; a.cores.max(1)];
+        for (req, grant) in reqs.iter().zip(grants) {
+            let core = req.core.min(core_max.len() - 1);
+            core_max[core] = core_max[core].max(a.cost_w(grant.op));
+        }
+        core_max.iter().sum()
+    }
+
+    proptest! {
+        #[test]
+        fn level_sweep_matches_the_reference_arbiter(
+            cores in 1usize..=8,
+            budget_frac in 0.0f64..1.3,
+            epochs in proptest::collection::vec(
+                proptest::collection::vec(
+                    // Duplicate tenant ids, cores past `cores`, and
+                    // requested settings past the table all occur.
+                    (0u32..12, 0usize..10, 0usize..9, 0u8..3),
+                    0..=24,
+                ),
+                1..=3,
+            ),
+        ) {
+            for platform in backend_platforms() {
+                let probe = Arbiter::new(platform, 0.0, ArbiterPolicy::WaterFill, cores);
+                for op in 1..=probe.slowest() {
+                    prop_assert!(
+                        probe.cost_w(op) <= probe.cost_w(op - 1),
+                        "the sweep needs worst_case non-increasing along the table"
+                    );
+                }
+                // From below the all-slowest floor up to every core flat out.
+                let budget = budget_frac * cores as f64 * probe.cost_w(0);
+                for policy in [ArbiterPolicy::Priority, ArbiterPolicy::WaterFill] {
+                    // One arbiter across epochs: scratch reuse must not leak.
+                    let mut a = Arbiter::new(platform, budget, policy, cores);
+                    for epoch in &epochs {
+                        let reqs = requests(epoch);
+                        let expected = reference::arbitrate(&a, &reqs);
+                        let grants = a.arbitrate(&reqs);
+                        prop_assert_eq!(
+                            &grants,
+                            &expected,
+                            "{} {}: {:?}",
+                            platform.power.kind_name(),
+                            policy,
+                            reqs
+                        );
+                        if a.floor_feasible(&reqs) {
+                            prop_assert!(
+                                admitted_cost(&a, &reqs, &grants) <= budget + 1e-9,
+                                "{} {policy}: grants exceed the budget",
+                                platform.power.kind_name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_request_sets_grant_nothing() {
+        for policy in [ArbiterPolicy::Priority, ArbiterPolicy::WaterFill] {
+            let mut a = arbiter(0.0, policy, 3);
+            assert!(a.arbitrate(&[]).is_empty());
+            assert!(a.floor_feasible(&[]), "no tenants draw nothing");
+            assert_eq!(a.grants_total() + a.denials_total(), 0);
+        }
+    }
+
+    #[test]
+    fn duplicate_tenants_and_out_of_range_fields_are_clamped() {
+        for policy in [ArbiterPolicy::Priority, ArbiterPolicy::WaterFill] {
+            let mut a = arbiter(1000.0, policy, 2);
+            // Tenant 5 twice; core 9 folds onto the last core; op 40 is
+            // past the table and means "slowest".
+            let reqs = requests(&[(5, 9, 40, 1), (5, 0, 0, 1), (1, 1, 2, 0)]);
+            let grants = a.arbitrate(&reqs);
+            let ops: Vec<usize> = grants.iter().map(|g| g.op).collect();
+            assert_eq!(ops, vec![a.slowest(), 0, 2], "{policy}");
+            assert!(grants.iter().all(|g| !g.denied), "{policy}");
+            assert_eq!(grants, reference::arbitrate(&a, &reqs), "{policy}");
+        }
     }
 
     #[test]

@@ -225,11 +225,14 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
     let mut cap_violation_s = 0.0f64;
     let mut peak_epoch_power_w = 0.0f64;
     let mut budget_feasible = true;
+    let mut requests = Vec::with_capacity(tenants.len());
+    let mut request_owner = Vec::with_capacity(tenants.len());
+    let mut epoch_marks = Vec::with_capacity(cpus.len());
 
     while tenants.iter().any(TenantRun::has_work) {
         // 1. Collect requests from live tenants and arbitrate.
-        let mut requests = Vec::new();
-        let mut request_owner = Vec::new();
+        requests.clear();
+        request_owner.clear();
         for (i, tenant) in tenants.iter().enumerate() {
             if !tenant.has_work() {
                 continue;
@@ -257,7 +260,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
         }
 
         // 2. Schedule: every core runs its residents for one quantum.
-        let epoch_marks: Vec<_> = cpus.iter().map(Cpu::totals).collect();
+        epoch_marks.clear();
+        epoch_marks.extend(cpus.iter().map(Cpu::totals));
         for (core_idx, members) in core_members.iter().enumerate() {
             let Some(cpu) = cpus.get_mut(core_idx) else {
                 continue;

@@ -3,7 +3,9 @@
 //! the arbiter's budget guarantee — the ISSUE's acceptance criteria,
 //! pinned as tests.
 
-use livephase_tenants::{run_scenario, ArbiterPolicy, ScenarioSpec};
+use livephase_tenants::{
+    fnv1a, run_scenario, ArbiterPolicy, ClusterReport, ScenarioSpec, DIGEST_SEED,
+};
 
 fn small_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new(6, 2);
@@ -157,4 +159,43 @@ fn acceptance_scenario_m64_k8_is_deterministic_and_capped() {
     assert!(a.denied_epochs() > 0, "75 W over 8 cores must throttle");
     assert_eq!(a.tenants.len(), 64);
     assert!(a.tenants.iter().all(|t| t.intervals == 4));
+}
+
+/// FNV-1a fingerprint of every tenant's arbiter-dependent outcome:
+/// denial count, execution time and energy, bit for bit. Decision
+/// digests cannot see grants (a grant floors the operating point after
+/// the decision), so this is what pins the arbiter's output end to end.
+fn outcome_fingerprint(report: &ClusterReport) -> u64 {
+    let mut h = DIGEST_SEED;
+    for t in &report.tenants {
+        h = fnv1a(h, &t.denied_epochs.to_le_bytes());
+        h = fnv1a(h, &t.time_s.to_bits().to_le_bytes());
+        h = fnv1a(h, &t.energy_j.to_bits().to_le_bytes());
+    }
+    h
+}
+
+#[test]
+fn arbiter_outcomes_are_pinned_under_a_binding_cap() {
+    // The 64-tenant/2-core/8-noisy/18 W benchmark shape, shortened. The
+    // constants were captured from the original quadratic arbiter, so
+    // any change to which tenant gets which grant shows up here.
+    for (policy, expected) in [
+        (ArbiterPolicy::WaterFill, 0x6bbe_ebcd_1d00_0ed8),
+        (ArbiterPolicy::Priority, 0xb7a1_d88c_873b_7882),
+    ] {
+        let mut spec = ScenarioSpec::new(64, 2);
+        spec.intervals = 16;
+        spec.noisy = 8;
+        spec.budget_w = 18.0;
+        spec.policy = policy;
+        let report = run_scenario(&spec).unwrap();
+        assert!(report.denied_epochs() > 0, "{policy}: 18 W must bind");
+        assert_eq!(
+            outcome_fingerprint(&report),
+            expected,
+            "{policy}: arbiter outcomes changed (got {:#018x})",
+            outcome_fingerprint(&report)
+        );
+    }
 }
