@@ -19,6 +19,14 @@ cargo clippy -p livephase-bench --all-targets -- -D warnings
 # test below).
 cargo build --release --workspace
 
+# The simplification bar (ROADMAP): a refactor must leave every published
+# artifact byte-identical. repro-all regenerates EXPERIMENTS.md and
+# results/*.csv (and exits non-zero on a shape violation); any diff
+# against the committed copies fails the gate.
+repro_out=$(target/release/repro-all) || { echo "$repro_out"; echo "repro-all failed"; exit 1; }
+git diff --exit-code -- EXPERIMENTS.md results/ \
+    || { echo "repro-all changed committed artifacts"; exit 1; }
+
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism (local and interprocedural, over the call graph), SAFETY
 # comments, telemetry naming, wire-tag uniqueness/dispatch, CLI-flag and

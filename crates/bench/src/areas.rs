@@ -11,6 +11,7 @@
 
 use crate::stats::Summary;
 use livephase_engine::{Decision, DecisionEngine, EngineConfig};
+use livephase_governor::Manager;
 use livephase_pmsim::{
     AnalyticModel, LinearModel, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
     TrainingRecord, TreeModel,
@@ -93,6 +94,20 @@ fn run_engine_step_many(warmup: usize, iters: usize) -> Vec<u64> {
         decisions.clear();
         engine.step_many(&samples, &mut decisions);
         std::hint::black_box(decisions.last().map_or(0, |d| d.op_point));
+    })
+}
+
+/// `governor_run`: one whole managed run — the deployed GPHT system over
+/// 200 applu intervals on the simulated CPU, PMI handler included.
+fn run_governor_run(warmup: usize, iters: usize) -> Vec<u64> {
+    let trace = spec::benchmark("applu_in")
+        .expect("applu_in is registered")
+        .with_length(200)
+        .generate(1);
+    let platform = PlatformConfig::pentium_m();
+    timed(warmup, iters, || {
+        let report = Manager::gpht_deployed().run(&trace, &platform);
+        std::hint::black_box(report.dvfs_transitions);
     })
 }
 
@@ -320,6 +335,12 @@ pub fn registry() -> &'static [Area] {
             what: "one DecisionEngine::step_many over 1000 samples",
             expected_ratio: 0.13,
             run: run_engine_step_many,
+        },
+        Area {
+            name: "governor_run",
+            what: "one GPHT-managed run over 200 applu intervals",
+            expected_ratio: 0.085,
+            run: run_governor_run,
         },
         Area {
             name: "wire_encode",

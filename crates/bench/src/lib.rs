@@ -8,8 +8,8 @@
 //! workload — a fixed `DecisionEngine::step_many` run over a
 //! deterministic interval stream — once per invocation (cached in a
 //! `OnceLock`); [`areas`] registers every hot path worth gating
-//! (engine stepping, wire framing, histogram math, workload
-//! generation, the tenants scheduler) and reports each as a **ratio to
+//! (engine stepping, whole managed runs, wire framing, histogram math,
+//! workload generation, the tenants scheduler) and reports each as a **ratio to
 //! that baseline**, so thresholds survive the trip between machines of
 //! different speeds; [`stats`] supplies the robust median/p90/MAD
 //! summaries; [`record`] emits the committed `BENCH_<area>.json`
@@ -28,11 +28,9 @@
 //! * `platform` — simulated-CPU interval throughput, timing/power model
 //!   evaluation and DVFS switching;
 //! * `daq` — sense-network math and 40 µs-sampling throughput;
-//! * `governor` — full management-loop cost per sampling interval for
-//!   each policy of the paper (baseline / reactive / GPHT);
 //! * `figures` — end-to-end regeneration cost of every table and figure
 //!   at reduced scale (one bench per paper artifact);
-//! * `serve`, `engine`, `telemetry` — serving-stack micro-benches.
+//! * `engine`, `telemetry` — serving-stack micro-benches.
 
 pub mod areas;
 pub mod calibrate;

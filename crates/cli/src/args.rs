@@ -203,7 +203,7 @@ impl Default for Parsed {
             target: None,
             seed: 42,
             length: None,
-            predictor: "gpht:8:128".to_owned(),
+            predictor: crate::spec::DEFAULT_PREDICTOR.to_owned(),
             policy: "gpht".to_owned(),
             out: None,
             port: 0,

@@ -520,12 +520,7 @@ fn render_run(report: &RunReport, baseline: Option<&RunReport>) -> String {
 
 fn govern_trace(parsed: &Parsed, trace: &WorkloadTrace) -> Result<String, CliError> {
     let platform = livephase_pmsim::PlatformConfig::pentium_m();
-    let manager = if parsed.policy == "gpht" && parsed.predictor != "gpht:8:128" {
-        // A custom predictor rides the standard proactive policy.
-        spec::proactive_manager(&parsed.predictor)?
-    } else {
-        spec::manager(&parsed.policy, trace)?
-    };
+    let manager = spec::manager(&parsed.policy, &parsed.predictor, trace)?;
     let report = manager.run(trace, &platform);
     if parsed.policy == "baseline" {
         Ok(render_run(&report, None))

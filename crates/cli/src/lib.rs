@@ -82,7 +82,8 @@ pub fn usage() -> String {
      \x20                       default analytic)\n\
      \x20 --predictor <spec>    lastvalue | markov | fixwindow:<n> |\n\
      \x20                       varwindow:<n>:<thr> | gpht:<depth>:<entries> |\n\
-     \x20                       hashedgpht:<depth>:<entries>\n\
+     \x20                       hashedgpht:<depth>:<entries> (govern and\n\
+     \x20                       replay take one only with --policy gpht)\n\
      \x20 --policy <name>       baseline | reactive | gpht | oracle | conservative\n\
      \x20 --out <file>          output path for `export`\n\
      \n\

@@ -1,12 +1,13 @@
 //! Textual specifications for predictors and policies.
 
 use crate::args::CliError;
-use livephase_core::Predictor;
+use livephase_core::{PhaseMap, Predictor};
 use livephase_engine::{DecisionEngine, EngineConfig};
-use livephase_governor::{
-    ConservativeDerivation, Manager, ManagerConfig, Oracle, Reactive, TranslationTable,
-};
+use livephase_governor::{ConservativeDerivation, Manager, ManagerConfig, Oracle};
 use livephase_workloads::WorkloadTrace;
+
+/// The `--predictor` default: the deployed GPHT(8, 128).
+pub const DEFAULT_PREDICTOR: &str = "gpht:8:128";
 
 /// Builds a predictor from a spec string such as `gpht:8:128`.
 ///
@@ -17,55 +18,47 @@ pub fn predictor(spec: &str) -> Result<Box<dyn Predictor>, CliError> {
     livephase_core::predictor_from_spec(spec).map_err(|e| CliError::new(e.to_string()))
 }
 
-/// Builds a manager from a policy name, for a given workload (the oracle
-/// needs the trace up front).
+/// Builds a manager from a policy name and a predictor spec, for a given
+/// workload (the oracle needs the trace up front). Only `gpht` runs the
+/// spec; it is validated whatever the policy, and every other policy
+/// refuses a non-default one rather than silently ignore it.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] listing the accepted names on mismatch.
-pub fn manager(policy: &str, trace: &WorkloadTrace) -> Result<Manager, CliError> {
-    match policy {
-        "baseline" => Ok(Manager::baseline()),
-        "reactive" => Ok(Manager::reactive()),
-        "gpht" => Ok(Manager::gpht_deployed()),
-        "oracle" => {
-            let map = livephase_core::PhaseMap::pentium_m();
-            Ok(Manager::new(
-                Box::new(Oracle::from_trace(
-                    trace,
-                    &map,
-                    TranslationTable::pentium_m(),
-                )),
-                ManagerConfig::pentium_m(),
-            ))
-        }
-        "conservative" => Ok(ConservativeDerivation::pentium_m().manager(0.05)),
-        other => Err(CliError::new(format!(
-            "unknown policy {other:?}; accepted: baseline | reactive | gpht | \
-             oracle | conservative"
-        ))),
-    }
-}
-
-/// Builds a manager around an arbitrary predictor spec (used by `govern`
-/// when `--predictor` is given alongside `--policy gpht`).
-///
-/// # Errors
-///
-/// Propagates predictor-spec errors.
-pub fn proactive_manager(pred_spec: &str) -> Result<Manager, CliError> {
-    let engine = DecisionEngine::from_spec(EngineConfig::pentium_m(), pred_spec)
+/// Returns a [`CliError`] for a malformed spec, an unknown policy, or a
+/// non-default spec given to a policy that takes none.
+pub fn manager(
+    policy: &str,
+    predictor_spec: &str,
+    trace: &WorkloadTrace,
+) -> Result<Manager, CliError> {
+    let engine = DecisionEngine::from_spec(EngineConfig::pentium_m(), predictor_spec)
         .map_err(|e| CliError::new(e.to_string()))?;
-    Ok(Manager::with_engine(engine, ManagerConfig::pentium_m()))
-}
-
-/// Convenience: also accept `reactive`-style names through one entry.
-///
-/// # Errors
-///
-/// Propagates the underlying spec errors.
-pub fn reactive_manager() -> Reactive {
-    Reactive::new(TranslationTable::pentium_m())
+    let manager = match policy {
+        "gpht" => return Ok(Manager::with_engine(engine, ManagerConfig::pentium_m())),
+        "baseline" => Manager::baseline(),
+        "reactive" => Manager::reactive(),
+        "oracle" => {
+            let oracle = Oracle::from_trace(trace, &PhaseMap::pentium_m());
+            let engine =
+                DecisionEngine::new(EngineConfig::pentium_m(), move || Box::new(oracle.clone()))
+                    .with_name("Oracle");
+            Manager::with_engine(engine, ManagerConfig::pentium_m())
+        }
+        "conservative" => ConservativeDerivation::pentium_m().manager(0.05),
+        other => {
+            return Err(CliError::new(format!(
+                "unknown policy {other:?}; accepted: baseline | reactive | gpht | \
+                 oracle | conservative"
+            )))
+        }
+    };
+    if predictor_spec != DEFAULT_PREDICTOR {
+        return Err(CliError::new(format!(
+            "--policy {policy} takes no --predictor (only gpht does), got {predictor_spec:?}"
+        )));
+    }
+    Ok(manager)
 }
 
 #[cfg(test)]
@@ -111,15 +104,23 @@ mod tests {
             .with_length(5)
             .generate(1);
         for name in ["baseline", "reactive", "gpht", "oracle", "conservative"] {
-            assert!(manager(name, &trace).is_ok(), "{name}");
+            assert!(manager(name, DEFAULT_PREDICTOR, &trace).is_ok(), "{name}");
+            assert!(manager(name, "nope:1", &trace).is_err(), "{name}");
         }
-        assert!(manager("turbo", &trace).is_err());
+        assert!(manager("turbo", DEFAULT_PREDICTOR, &trace).is_err());
     }
 
     #[test]
-    fn proactive_manager_builds() {
-        assert!(proactive_manager("markov").is_ok());
-        assert!(proactive_manager("bogus").is_err());
-        let _ = reactive_manager();
+    fn only_gpht_takes_a_predictor() {
+        let trace = wspec::benchmark("swim_in")
+            .unwrap()
+            .with_length(5)
+            .generate(1);
+        let gpht = manager("gpht", "markov", &trace).unwrap();
+        assert_eq!(gpht.policy_name(), "Proactive(Markov1)");
+        for name in ["baseline", "reactive", "oracle", "conservative"] {
+            let err = manager(name, "markov", &trace).unwrap_err();
+            assert!(err.to_string().contains("takes no --predictor"), "{name}");
+        }
     }
 }

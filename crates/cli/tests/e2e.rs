@@ -321,3 +321,38 @@ fn a_reader_closing_stdout_early_is_a_clean_exit() {
     assert!(!err.contains("Broken pipe"), "{err}");
     assert_eq!(out.status.code(), Some(0), "{err}");
 }
+
+/// `govern` (and `replay`, which shares its path) validates `--predictor`
+/// under every policy, and refuses a non-default one where the policy
+/// would not run it — a one-line error and exit 2, never a silent run of
+/// something other than what was asked.
+#[test]
+fn govern_refuses_predictors_it_would_not_run() {
+    let govern = |policy: &str, predictor: &str| {
+        cli()
+            .args(["govern", "applu_in", "--length", "10", "--policy", policy])
+            .args(["--predictor", predictor])
+            .output()
+            .unwrap()
+    };
+    for policy in ["baseline", "reactive", "gpht", "oracle", "conservative"] {
+        let out = govern(policy, "nope:1");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{policy} accepted a malformed spec"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{policy}: {err}");
+        assert!(err.starts_with("error: "), "{policy}: {err}");
+    }
+    for policy in ["baseline", "reactive", "oracle", "conservative"] {
+        let out = govern(policy, "markov");
+        assert_eq!(out.status.code(), Some(2), "{policy} ignored --predictor");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("takes no --predictor"), "{policy}: {err}");
+    }
+    let out = govern("gpht", "markov");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Proactive(Markov1)"));
+}

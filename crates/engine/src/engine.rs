@@ -65,7 +65,7 @@ pub struct Decision {
 /// whether decisions come from an in-process run, a serve shard, or a
 /// bare engine — so every consumer is instrumented identically.
 #[derive(Debug, Clone)]
-pub struct EngineMetrics {
+pub(crate) struct EngineMetrics {
     decisions_total: Arc<Counter>,
     decision_us: Arc<Histogram>,
     hits_total: Arc<Counter>,
@@ -138,22 +138,6 @@ impl EngineMetrics {
             self.misses_total.inc();
         }
     }
-
-    /// Records a whole run's scoring totals at once (used by paths that
-    /// accumulate locally and flush at run end).
-    pub fn record_scored_totals(&self, stats: PredictionStats) {
-        if stats.total == 0 {
-            return;
-        }
-        self.hits_total.add(stats.correct);
-        self.misses_total.add(stats.mispredictions());
-    }
-}
-
-impl Default for EngineMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Accumulates DVFS transitions by `(from, to)` operating-point pair and
@@ -165,7 +149,7 @@ impl Default for EngineMetrics {
 /// one add: no hashing on the per-decision path. The matrix grows on
 /// demand if a platform has more settings.
 #[derive(Debug, Default)]
-pub struct TransitionTracker {
+pub(crate) struct TransitionTracker {
     dim: usize,
     counts: Vec<u64>,
 }
@@ -191,10 +175,10 @@ impl TransitionTracker {
     }
 
     /// Count recorded for one `(from, to)` pair since the last flush.
-    #[must_use]
-    pub fn count(&self, from: usize, to: usize) -> u64 {
+    #[cfg(test)]
+    fn count(&self, from: usize, to: usize) -> u64 {
         if from.max(to) < self.dim {
-            self.counts[from * self.dim + to] // lint:allow(no-panic-path): from, to < dim checked on the line above
+            self.counts[from * self.dim + to]
         } else {
             0
         }
@@ -383,9 +367,32 @@ impl std::fmt::Debug for DecisionEngine {
 }
 
 impl DecisionEngine {
+    /// Creates an engine whose per-pid predictors come from `factory`,
+    /// one fresh instance per pid stream — any [`Predictor`], including
+    /// wrappers and replays the spec grammar does not name. The display
+    /// name defaults to `Proactive(<predictor>)`: management driven by the
+    /// *predicted* next phase, the paper's proposal.
+    #[must_use]
+    pub fn new(
+        config: EngineConfig,
+        factory: impl Fn() -> Box<dyn Predictor> + Send + 'static,
+    ) -> Self {
+        let name = format!("Proactive({})", factory().name());
+        Self {
+            config,
+            factory: Box::new(factory),
+            pids: PidMap::default(),
+            lru: BTreeMap::new(),
+            next_stamp: 0,
+            max_pids: DEFAULT_MAX_PIDS,
+            name,
+            metrics: EngineMetrics::new(),
+            transitions: TransitionTracker::new(),
+        }
+    }
+
     /// Creates an engine whose per-pid predictors are built from
-    /// `predictor_spec` (e.g. `gpht:8:128`). The display name defaults to
-    /// `Proactive(<predictor>)`, matching the governor's policy naming.
+    /// `predictor_spec` (e.g. `gpht:8:128`).
     ///
     /// # Errors
     ///
@@ -395,26 +402,16 @@ impl DecisionEngine {
         config: EngineConfig,
         predictor_spec: &str,
     ) -> Result<Self, PredictorSpecError> {
-        let probe = predictor_from_spec(predictor_spec)?;
-        let name = format!("Proactive({})", probe.name());
+        predictor_from_spec(predictor_spec)?;
         let spec = predictor_spec.to_owned();
-        let factory: BoxedPredictorFactory = Box::new(move || match predictor_from_spec(&spec) {
-            Ok(p) => p,
-            // The spec parsed when the engine was built and the grammar
-            // is deterministic, so a re-parse cannot fail.
-            Err(_) => unreachable!("predictor spec validated at engine construction"),
-        });
-        Ok(Self {
-            config,
-            factory,
-            pids: PidMap::default(),
-            lru: BTreeMap::new(),
-            next_stamp: 0,
-            max_pids: DEFAULT_MAX_PIDS,
-            name,
-            metrics: EngineMetrics::new(),
-            transitions: TransitionTracker::new(),
-        })
+        Ok(Self::new(config, move || {
+            match predictor_from_spec(&spec) {
+                Ok(p) => p,
+                // The spec parsed when the engine was built and the grammar
+                // is deterministic, so a re-parse cannot fail.
+                Err(_) => unreachable!("predictor spec validated at engine construction"),
+            }
+        }))
     }
 
     /// Bounds the per-pid state map to `max_pids` streams (builder style);
@@ -437,7 +434,7 @@ impl DecisionEngine {
 
     /// Overrides the display name (e.g. `Reactive(LastValue)` for the
     /// prior-work reactive system, which is a last-value engine by
-    /// another name).
+    /// another name, or `Oracle` for a trace replay).
     #[must_use]
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -659,6 +656,18 @@ mod tests {
         assert!(DecisionEngine::from_spec(EngineConfig::pentium_m(), "gpht:0:128").is_err());
         assert!(DecisionEngine::from_spec(EngineConfig::pentium_m(), "frobnicate").is_err());
         assert!(DecisionEngine::from_spec(EngineConfig::pentium_m(), "gpht:8:128").is_ok());
+    }
+
+    #[test]
+    fn factory_engines_match_their_spec_engines() {
+        let mut built = DecisionEngine::new(EngineConfig::pentium_m(), || {
+            Box::new(livephase_core::LastValue::new())
+        });
+        let mut parsed = engine("lastvalue");
+        assert_eq!(built.name(), parsed.name());
+        for s in [P1, P6, P3, P3, P1] {
+            assert_eq!(built.step(&s), parsed.step(&s));
+        }
     }
 
     #[test]

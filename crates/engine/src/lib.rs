@@ -5,10 +5,10 @@
 //! per-process predictor, predict the next phase, translate it to an
 //! operating point. One implementation, three consumers:
 //!
-//! * the **governor**'s [`Manager`] delegates every PMI decision here and
-//!   keeps only simulated-CPU, interrupt-overhead, dwell and
-//!   transition-latency concerns;
-//! * the **serve** shards wrap an engine per session and drain their
+//! * the **governor**'s [`Manager`] steps one engine per run — every
+//!   predictive system, reactive to oracle — and keeps only simulated-CPU,
+//!   interrupt-overhead, thermal and adaptive-sampling concerns;
+//! * the **serve** shards hold an engine per session and drain their
 //!   queues through the batched [`DecisionEngine::step_many`];
 //! * the **experiment** harness scores predictor families through the
 //!   same path it deploys them on.
@@ -35,7 +35,5 @@ pub mod engine;
 pub mod table;
 
 pub use config::{EngineConfig, EngineConfigError};
-pub use engine::{
-    Decision, DecisionEngine, EngineMetrics, Sample, TransitionTracker, DEFAULT_MAX_PIDS,
-};
+pub use engine::{Decision, DecisionEngine, Sample, DEFAULT_MAX_PIDS};
 pub use table::{TranslationTable, TranslationTableError};

@@ -10,7 +10,8 @@ use crate::format::{num, pct, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
 use livephase_core::{ConfidentPredictor, Gpht, GphtConfig};
-use livephase_governor::{par_map, Proactive, Session, TranslationTable};
+use livephase_engine::{DecisionEngine, EngineConfig};
+use livephase_governor::{par_map, Manager, Session};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::spec;
 use std::fmt;
@@ -46,11 +47,15 @@ pub fn run(seed: u64) -> ConfidenceAblation {
         let bench = require_benchmark(name);
         let baseline = session.baseline(bench.stream(seed));
         let plain = session.gpht(bench.stream(seed));
-        let gated = session.run_policy(
-            Box::new(Proactive::new(
-                ConfidentPredictor::new(Gpht::new(GphtConfig::DEPLOYED), 2, 2),
-                TranslationTable::pentium_m(),
-            )),
+        let gated = DecisionEngine::new(EngineConfig::pentium_m(), || {
+            Box::new(ConfidentPredictor::new(
+                Gpht::new(GphtConfig::DEPLOYED),
+                2,
+                2,
+            ))
+        });
+        let gated = session.run(
+            Manager::with_engine(gated, session.config().clone()),
             bench.stream(seed),
         );
         ConfidenceRow {

@@ -8,7 +8,8 @@ use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
 use livephase_core::PhaseMap;
-use livephase_governor::{par_map, Oracle, Session, TranslationTable};
+use livephase_engine::{DecisionEngine, EngineConfig};
+use livephase_governor::{par_map, Manager, Oracle, Session};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::spec;
 use std::fmt;
@@ -56,12 +57,12 @@ pub fn run(seed: u64) -> OracleGap {
         let trace = bench.generate(seed);
         let baseline = session.baseline(&trace);
         let gpht = session.gpht(&trace);
-        let oracle = session.run_policy(
-            Box::new(Oracle::from_trace(
-                &trace,
-                &map,
-                TranslationTable::pentium_m(),
-            )),
+        let oracle = Oracle::from_trace(&trace, &map);
+        let oracle =
+            DecisionEngine::new(EngineConfig::pentium_m(), move || Box::new(oracle.clone()))
+                .with_name("Oracle");
+        let oracle = session.run(
+            Manager::with_engine(oracle, session.config().clone()),
             &trace,
         );
         OracleRow {

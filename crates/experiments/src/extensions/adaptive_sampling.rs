@@ -62,10 +62,7 @@ pub fn run(seed: u64) -> AdaptiveSamplingExperiment {
         let bench = require_benchmark(name).with_length(600);
         let baseline = session.baseline(bench.stream(seed));
         let plain = session.gpht(bench.stream(seed));
-        let adaptive = adaptive_session.run_policy(
-            Box::new(livephase_governor::Proactive::gpht_deployed()),
-            bench.stream(seed),
-        );
+        let adaptive = adaptive_session.gpht(bench.stream(seed));
         SamplingRow {
             name: (*name).to_owned(),
             plain_pmis: plain.intervals.len(),

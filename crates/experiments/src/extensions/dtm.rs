@@ -2,14 +2,13 @@
 //!
 //! Runs a hot (CPU-bound) workload three ways: unmanaged, energy-managed
 //! (the Table 2 mapping, which barely slows CPU-bound code and therefore
-//! barely cools it), and under the predictive [`ThermalAware`] policy with
+//! barely cools it), and under the predictive [`ThermalAware`] hook with
 //! a 65 °C junction limit.
 
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::{Gpht, GphtConfig};
-use livephase_governor::{ManagerConfig, PowerEstimator, Session, ThermalAware, TranslationTable};
+use livephase_governor::{Manager, ManagerConfig, PowerEstimator, Session, ThermalAware};
 use livephase_pmsim::{PlatformConfig, ThermalModel};
 use std::fmt;
 
@@ -46,27 +45,15 @@ pub fn run(seed: u64) -> DtmExperiment {
         ..ManagerConfig::pentium_m()
     });
 
-    let unmanaged = session.run_policy(
-        Box::new(livephase_governor::Baseline::new()),
-        bench.stream(seed),
+    let unmanaged = session.baseline(bench.stream(seed));
+    let energy = session.gpht(bench.stream(seed));
+    let guard = ThermalAware::new(
+        PowerEstimator::pentium_m(),
+        ThermalModel::pentium_m(),
+        limit_c,
     );
-
-    let energy = session.run_policy(
-        Box::new(livephase_governor::Proactive::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
-        )),
-        bench.stream(seed),
-    );
-
-    let dtm = session.run_policy(
-        Box::new(ThermalAware::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
-            PowerEstimator::pentium_m(),
-            ThermalModel::pentium_m(),
-            limit_c,
-        )),
+    let dtm = session.run(
+        Manager::gpht_deployed_with(session.config().clone()).with_hook(Box::new(guard)),
         bench.stream(seed),
     );
 

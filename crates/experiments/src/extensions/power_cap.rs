@@ -6,8 +6,7 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::{Gpht, GphtConfig};
-use livephase_governor::{par_map, PowerCap, PowerEstimator, Session};
+use livephase_governor::{par_map, Manager, PowerCap, PowerEstimator, Session};
 use livephase_pmsim::{PlatformConfig, PowerModelKind};
 use std::fmt;
 
@@ -58,15 +57,12 @@ pub fn run_with_model(seed: u64, model: &PowerModelKind) -> PowerCapExperiment {
     let baseline = session.baseline(&trace);
 
     let rows = par_map(&CAPS, |&cap_w| {
-        let report = session.run_policy(
-            Box::new(PowerCap::new(
-                Gpht::new(GphtConfig::DEPLOYED),
-                PowerEstimator::for_platform(&PlatformConfig {
-                    power: model.clone(),
-                    ..PlatformConfig::pentium_m()
-                }),
-                cap_w,
-            )),
+        let estimator = PowerEstimator::for_platform(&PlatformConfig {
+            power: model.clone(),
+            ..PlatformConfig::pentium_m()
+        });
+        let report = session.run(
+            Manager::gpht_deployed().with_hook(Box::new(PowerCap::new(estimator, cap_w))),
             &trace,
         );
         let peak = report

@@ -18,9 +18,8 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::{Gpht, GphtConfig};
 use livephase_daq::DaqSystem;
-use livephase_governor::{par_map, PowerCap, PowerEstimator, Session};
+use livephase_governor::{par_map, Manager, PowerCap, PowerEstimator, Session};
 use livephase_pmsim::{
     LinearModel, OperatingPointTable, PlatformConfig, PowerInput, PowerModel, PowerModelKind,
     TrainingRecord, TreeModel,
@@ -193,12 +192,8 @@ fn race_edp(kind: &PowerModelKind, seed: u64) -> (f64, f64) {
         power: kind.clone(),
         ..PlatformConfig::pentium_m()
     });
-    let report = session.run_policy(
-        Box::new(PowerCap::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            estimator,
-            RACE_CAP_W,
-        )),
+    let report = session.run(
+        Manager::gpht_deployed().with_hook(Box::new(PowerCap::new(estimator, RACE_CAP_W))),
         &trace,
     );
     (report.edp(), report.average_power_w())

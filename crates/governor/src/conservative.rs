@@ -15,9 +15,9 @@
 //! slowdown stays within the bound.
 
 use crate::manager::{Manager, ManagerConfig};
-use crate::policy::Proactive;
 use crate::table::TranslationTable;
 use livephase_core::{Gpht, GphtConfig, PhaseMap};
+use livephase_engine::{DecisionEngine, EngineConfig};
 use livephase_pmsim::opp::OperatingPointTable;
 use livephase_pmsim::timing::TimingModel;
 use livephase_workloads::PhaseLevel;
@@ -131,18 +131,21 @@ impl ConservativeDerivation {
         (map, table)
     }
 
-    /// A ready-to-run GPHT manager over the derived conservative
-    /// definitions.
+    /// A ready-to-run GPHT manager whose engine decides under the derived
+    /// conservative definitions.
+    ///
+    /// # Panics
+    ///
+    /// As [`derive`](Self::derive).
     #[must_use]
     pub fn manager(&self, target: f64) -> Manager {
         let (map, table) = self.derive(target);
-        Manager::new(
-            Box::new(Proactive::new(Gpht::new(GphtConfig::DEPLOYED), table)),
-            ManagerConfig {
-                phase_map: map,
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        let config = match EngineConfig::new("pentium_m", map, table) {
+            Ok(config) => config,
+            Err(_) => unreachable!("derived settings index the platform's few operating points"),
+        };
+        let engine = DecisionEngine::new(config, || Box::new(Gpht::new(GphtConfig::DEPLOYED)));
+        Manager::with_engine(engine, ManagerConfig::pentium_m())
     }
 
     /// The smallest swept Mem/Uop from which `setting`'s slowdown stays

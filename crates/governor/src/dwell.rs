@@ -1,46 +1,39 @@
-//! Transition-rate control: a minimum-dwell decorator for any policy.
+//! Transition-rate control: a minimum-dwell hook over the engine's
+//! decisions.
 //!
 //! Every real voltage/frequency switch costs a stall and regulator wear;
-//! a policy that flips settings each interval on a noisy workload pays
-//! that cost continuously. [`MinDwell`] wraps any [`Policy`] and holds
-//! each applied setting for at least *N* sampling intervals before
-//! honouring a change request — the standard governor hysteresis knob
-//! (cf. Linux cpufreq's `sampling_down_factor`).
+//! a manager that flips settings each interval on a noisy workload pays
+//! that cost continuously. [`MinDwell`] holds each applied setting for at
+//! least *N* sampling intervals before honouring a change request — the
+//! standard governor hysteresis knob (cf. Linux cpufreq's
+//! `sampling_down_factor`).
 
-use crate::policy::{Environment, Policy};
-use livephase_core::{PhaseId, PhaseSample};
+use crate::policy::{DecisionHook, Environment};
+use livephase_engine::Decision;
 
-/// Holds the wrapped policy's setting for at least `min_dwell` intervals.
+/// Holds the engine's decided setting for at least `min_dwell` intervals.
 #[derive(Debug)]
-pub struct MinDwell<P> {
-    inner: P,
+pub struct MinDwell {
     min_dwell: u32,
     current: Option<usize>,
     held_for: u32,
 }
 
-impl<P: Policy> MinDwell<P> {
-    /// Wraps `inner`, enforcing at least `min_dwell` intervals per setting.
+impl MinDwell {
+    /// Enforces at least `min_dwell` intervals per setting.
     ///
     /// # Panics
     ///
     /// Panics if `min_dwell` is zero (that would be a no-op; express it by
-    /// not wrapping).
+    /// not attaching the hook).
     #[must_use]
-    pub fn new(inner: P, min_dwell: u32) -> Self {
+    pub fn new(min_dwell: u32) -> Self {
         assert!(min_dwell >= 1, "minimum dwell must be at least 1 interval");
         Self {
-            inner,
             min_dwell,
             current: None,
             held_for: 0,
         }
-    }
-
-    /// The wrapped policy.
-    #[must_use]
-    pub fn inner(&self) -> &P {
-        &self.inner
     }
 
     /// The configured minimum dwell, in sampling intervals.
@@ -69,64 +62,39 @@ impl<P: Policy> MinDwell<P> {
     }
 }
 
-impl<P: Policy> Policy for MinDwell<P> {
-    fn decide(&mut self, sample: PhaseSample) -> usize {
-        let wanted = self.inner.decide(sample);
-        self.gate(wanted)
+impl DecisionHook for MinDwell {
+    fn setting(&mut self, decision: &Decision, _env: &Environment) -> usize {
+        self.gate(usize::from(decision.op_point))
     }
 
-    fn decide_with_env(&mut self, sample: PhaseSample, env: &Environment) -> usize {
-        let wanted = self.inner.decide_with_env(sample, env);
-        self.gate(wanted)
-    }
-
-    fn predicted_phase(&self) -> Option<PhaseId> {
-        self.inner.predicted_phase()
-    }
-
-    fn name(&self) -> String {
-        format!("MinDwell_{}({})", self.min_dwell, self.inner.name())
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.current = None;
-        self.held_for = 0;
+    fn name(&self, engine: &str) -> String {
+        format!("MinDwell_{}({engine})", self.min_dwell)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::{Manager, ManagerConfig};
-    use crate::policy::Proactive;
-    use crate::table::TranslationTable;
-    use livephase_core::{Gpht, GphtConfig};
+    use crate::manager::Manager;
     use livephase_pmsim::PlatformConfig;
     use livephase_workloads::spec;
 
-    fn sample(phase: u8) -> PhaseSample {
-        PhaseSample::new(f64::from(phase) * 0.005, PhaseId::new(phase))
-    }
-
     #[test]
     fn holds_the_setting_for_the_dwell() {
-        let inner = crate::policy::Reactive::new(TranslationTable::pentium_m());
-        let mut p = MinDwell::new(inner, 3);
-        assert_eq!(p.decide(sample(6)), 5);
+        let mut p = MinDwell::new(3);
+        assert_eq!(p.gate(5), 5);
         // Flapping requests are suppressed while held_for < 3.
-        assert_eq!(p.decide(sample(1)), 5);
-        assert_eq!(p.decide(sample(1)), 5);
+        assert_eq!(p.gate(0), 5);
+        assert_eq!(p.gate(0), 5);
         // Dwell satisfied: the change goes through.
-        assert_eq!(p.decide(sample(1)), 0);
+        assert_eq!(p.gate(0), 0);
     }
 
     #[test]
     fn steady_requests_pass_through() {
-        let inner = crate::policy::Reactive::new(TranslationTable::pentium_m());
-        let mut p = MinDwell::new(inner, 5);
+        let mut p = MinDwell::new(5);
         for _ in 0..10 {
-            assert_eq!(p.decide(sample(3)), 2);
+            assert_eq!(p.gate(2), 2);
         }
     }
 
@@ -138,17 +106,9 @@ mod tests {
             .generate(3);
         let platform = PlatformConfig::pentium_m();
         let plain = Manager::gpht_deployed().run(&trace, &platform);
-        let damped = Manager::new(
-            Box::new(MinDwell::new(
-                Proactive::new(
-                    Gpht::new(GphtConfig::DEPLOYED),
-                    TranslationTable::pentium_m(),
-                ),
-                2,
-            )),
-            ManagerConfig::pentium_m(),
-        )
-        .run(&trace, &platform);
+        let damped = Manager::gpht_deployed()
+            .with_hook(Box::new(MinDwell::new(2)))
+            .run(&trace, &platform);
         assert!(
             damped.dvfs_transitions < plain.dvfs_transitions,
             "dwell {} vs plain {}",
@@ -160,26 +120,20 @@ mod tests {
             damped.totals.edp() < plain.totals.edp() * 1.15,
             "damping should not wreck efficiency"
         );
+        // Damping changes what is applied, never what is predicted.
+        assert_eq!(damped.prediction, plain.prediction);
     }
 
     #[test]
-    fn name_and_reset() {
-        let inner = crate::policy::Reactive::new(TranslationTable::pentium_m());
-        let mut p = MinDwell::new(inner, 4);
-        assert_eq!(p.name(), "MinDwell_4(Reactive(LastValue))");
-        assert_eq!(p.min_dwell(), 4);
-        let _ = p.decide(sample(6));
-        p.reset();
-        assert_eq!(p.decide(sample(2)), 1, "fresh after reset");
-        let _ = p.inner();
+    fn names_wrap_the_engine() {
+        let manager = Manager::reactive().with_hook(Box::new(MinDwell::new(4)));
+        assert_eq!(manager.policy_name(), "MinDwell_4(Reactive(LastValue))");
+        assert_eq!(MinDwell::new(4).min_dwell(), 4);
     }
 
     #[test]
     #[should_panic(expected = "minimum dwell")]
     fn zero_dwell_rejected() {
-        let _ = MinDwell::new(
-            crate::policy::Reactive::new(TranslationTable::pentium_m()),
-            0,
-        );
+        let _ = MinDwell::new(0);
     }
 }

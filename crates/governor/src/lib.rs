@@ -6,14 +6,19 @@
 //! * [`table`] — the phase → DVFS look-up table (the paper's Table 2),
 //!   re-exported from `livephase-engine`, where the shared decision
 //!   pipeline lives;
-//! * [`policy`] — the management policies compared in Section 6:
-//!   [`policy::Baseline`] (unmanaged, always full speed),
-//!   [`policy::Reactive`] (respond to the *last observed* phase —
-//!   the prior-work approach) and [`policy::Proactive`] (respond
-//!   to the *predicted next* phase, GPHT by default);
 //! * [`manager`] — the interval loop + interrupt handler that ties a
-//!   workload (any streaming `IntervalSource`, or a buffered trace), the
-//!   simulated CPU, a phase map and a policy together;
+//!   workload (any streaming `IntervalSource`, or a buffered trace) and
+//!   the simulated CPU to one `DecisionEngine`, the pipeline that
+//!   classifies, predicts and translates. The systems Section 6 compares
+//!   are managers: [`Manager::baseline`] (no engine, always full speed),
+//!   [`Manager::reactive`] (a last-value engine: respond to the *last
+//!   observed* phase, the prior-work approach) and
+//!   [`Manager::gpht_deployed`] (respond to the *predicted next* phase);
+//! * [`policy`] — the [`DecisionHook`] that may reshape an engine
+//!   decision with the platform state in view, and the [`Oracle`]
+//!   predictor that replays a trace's actual phases;
+//! * [`thermal`], [`dwell`] — the shipped hooks: thermal guard, power
+//!   cap, minimum dwell;
 //! * [`session`] — shared-platform experiment sessions, per-interval
 //!   observers, and the order-preserving parallel sweep primitive;
 //! * [`conservative`] — Section 6.3: deriving alternative phase
@@ -54,7 +59,7 @@ pub use conservative::ConservativeDerivation;
 pub use dwell::MinDwell;
 pub use estimate::PowerEstimator;
 pub use manager::{AdaptiveSampling, Manager, ManagerConfig};
-pub use policy::{Baseline, Environment, Oracle, Policy, Proactive, Reactive};
+pub use policy::{DecisionHook, Environment, Oracle};
 pub use report::{IntervalLog, NormalizedComparison, RunReport};
 pub use session::{par_map, IntervalObserver, Session};
 pub use table::{TranslationTable, TranslationTableError};

@@ -15,9 +15,9 @@
 //! serve shards and the experiment harness run. The manager contributes
 //! what only an in-process run has: the simulated CPU, the PMI cadence,
 //! handler and DVFS-transition overhead accounting, thermal integration
-//! and adaptive sampling. (Policies that are *not* the paper's pipeline
-//! — the unmanaged baseline, the oracle, thermally-aware wrappers — plug
-//! in through the [`Policy`] trait instead.)
+//! and adaptive sampling. A manager without an engine is the unmanaged
+//! baseline; a [`DecisionHook`] (thermal guard, power cap, minimum
+//! dwell) may reshape the engine's decision before it is applied.
 //!
 //! The handler's own execution cost (≈ 10 µs) and any DVFS transition
 //! (≈ 50 µs) are charged to the simulated CPU, so overheads — invisible at
@@ -26,29 +26,24 @@
 //!
 //! [`DecisionEngine`]: livephase_engine::DecisionEngine
 
-use crate::policy::{Baseline, Policy};
+use crate::policy::{DecisionHook, Environment};
 use crate::report::{IntervalLog, RunReport};
 use crate::session::IntervalObserver;
-use crate::table::TranslationTable;
-use livephase_core::{
-    DurationPredictor, DurationScheme, PhaseId, PhaseMap, PhaseSample, StreamScorer,
-};
-use livephase_engine::{DecisionEngine, EngineConfig, EngineMetrics, Sample, TransitionTracker};
+use livephase_core::{DurationPredictor, DurationScheme, PhaseId, PhaseMap, PredictionStats};
+use livephase_engine::{DecisionEngine, EngineConfig, Sample};
 use livephase_pmsim::cpu::{Cpu, PmiRecord};
 use livephase_pmsim::trace::pport;
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::{IntervalSource, IntoIntervalSource};
-use std::time::Instant; // lint:allow(determinism): Instant feeds decision-latency telemetry only, never a decision input
 
-/// Handler-side configuration.
+/// Handler-side configuration. The phase map and translation table are
+/// the engine's ([`EngineConfig`]), so there is one place to set them.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    /// The Mem/Uop → phase classification in force.
-    pub phase_map: PhaseMap,
     /// Execution cost charged per PMI invocation, in seconds.
     pub handler_overhead_s: f64,
     /// When set, the manager integrates junction temperature over the run
-    /// and exposes it to environment-aware policies (dynamic thermal
+    /// and exposes it to decision hooks (dynamic thermal
     /// management, Section 8 of the paper).
     pub thermal: Option<livephase_pmsim::ThermalModel>,
     /// When set, the handler stretches the PMI window through phases it
@@ -85,30 +80,14 @@ impl AdaptiveSampling {
 }
 
 impl ManagerConfig {
-    /// The deployed configuration: Table 1 phases, 10 µs handler cost, no
-    /// thermal tracking.
+    /// The deployed configuration: 10 µs handler cost, no thermal
+    /// tracking, fixed 100 M-uop sampling.
     #[must_use]
     pub fn pentium_m() -> Self {
         Self {
-            phase_map: PhaseMap::pentium_m(),
             handler_overhead_s: 10e-6,
             thermal: None,
             adaptive_sampling: None,
-        }
-    }
-
-    /// The engine deployment context matching this handler configuration:
-    /// its phase map over the paper's Table 2 translation, on the Pentium
-    /// M platform — the one constructor serve and the experiment drivers
-    /// also derive from.
-    fn engine_config(&self) -> EngineConfig {
-        match EngineConfig::new(
-            "pentium_m",
-            self.phase_map.clone(),
-            TranslationTable::pentium_m(),
-        ) {
-            Ok(config) => config,
-            Err(_) => unreachable!("the Table 2 mapping encodes as one-byte op points"),
         }
     }
 
@@ -133,55 +112,28 @@ impl Default for ManagerConfig {
 /// state is keyed by pid, and a manager-driven run has exactly one.
 const RUN_PID: u32 = 0;
 
-/// What computes the per-interval decision: the shared
-/// [`DecisionEngine`] (the paper's pipeline — reactive and proactive
-/// systems alike), or a custom [`Policy`] for decision makers outside
-/// that pipeline (baseline, oracle, thermal wrappers, conservative
-/// derivations).
-enum Decider {
-    Policy(Box<dyn Policy>),
-    Engine(Box<DecisionEngine>),
-}
-
-impl Decider {
-    fn name(&self) -> String {
-        match self {
-            Self::Policy(p) => p.name(),
-            Self::Engine(e) => e.name().to_owned(),
-        }
-    }
-}
-
-/// Drives a workload through the simulated CPU under a management policy.
+/// Drives a workload through the simulated CPU, deciding every interval
+/// on a [`DecisionEngine`] — or, without one, running unmanaged.
 pub struct Manager {
-    decider: Decider,
+    /// `None` is the unmanaged baseline: setting 0, no prediction, no
+    /// scoring.
+    engine: Option<DecisionEngine>,
+    /// Reshapes the engine's decision before it is applied; `None`
+    /// applies `decision.op_point`.
+    hook: Option<Box<dyn DecisionHook>>,
     config: ManagerConfig,
 }
 
 impl std::fmt::Debug for Manager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Manager")
-            .field("policy", &self.decider.name())
+            .field("policy", &self.policy_name())
             .field("config", &self.config)
             .finish()
     }
 }
 
 impl Manager {
-    /// Creates a manager with an arbitrary policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    #[must_use]
-    pub fn new(policy: Box<dyn Policy>, config: ManagerConfig) -> Self {
-        config.validate();
-        Self {
-            decider: Decider::Policy(policy),
-            config,
-        }
-    }
-
     /// Creates a manager that delegates every decision to a
     /// [`DecisionEngine`] — the same pipeline the serve shards run.
     ///
@@ -190,11 +142,25 @@ impl Manager {
     /// Panics if the configuration is invalid.
     #[must_use]
     pub fn with_engine(engine: DecisionEngine, config: ManagerConfig) -> Self {
+        Self::from_parts(Some(engine), config)
+    }
+
+    fn from_parts(engine: Option<DecisionEngine>, config: ManagerConfig) -> Self {
         config.validate();
         Self {
-            decider: Decider::Engine(Box::new(engine)),
+            engine,
+            hook: None,
             config,
         }
+    }
+
+    /// Attaches a [`DecisionHook`] that turns each engine decision into
+    /// the setting applied (builder style). The unmanaged baseline makes
+    /// no decisions, so a hook attached to it never runs.
+    #[must_use]
+    pub fn with_hook(mut self, hook: Box<dyn DecisionHook>) -> Self {
+        self.hook = Some(hook);
+        self
     }
 
     /// The unmanaged baseline system (always full speed).
@@ -204,9 +170,13 @@ impl Manager {
     }
 
     /// The baseline system under a custom handler configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid.
     #[must_use]
     pub fn baseline_with(config: ManagerConfig) -> Self {
-        Self::new(Box::new(Baseline::new()), config)
+        Self::from_parts(None, config)
     }
 
     /// The reactive (last-value) manager of prior work, over the paper's
@@ -219,7 +189,7 @@ impl Manager {
     /// The reactive manager under a custom handler configuration.
     #[must_use]
     pub fn reactive_with(config: ManagerConfig) -> Self {
-        let engine = match DecisionEngine::from_spec(config.engine_config(), "lastvalue") {
+        let engine = match DecisionEngine::from_spec(EngineConfig::pentium_m(), "lastvalue") {
             Ok(engine) => engine.with_name("Reactive(LastValue)"),
             Err(_) => unreachable!("lastvalue is a valid predictor spec"),
         };
@@ -236,17 +206,22 @@ impl Manager {
     /// The deployed GPHT system under a custom handler configuration.
     #[must_use]
     pub fn gpht_deployed_with(config: ManagerConfig) -> Self {
-        let engine = match DecisionEngine::from_spec(config.engine_config(), "gpht:8:128") {
+        let engine = match DecisionEngine::from_spec(EngineConfig::pentium_m(), "gpht:8:128") {
             Ok(engine) => engine,
             Err(_) => unreachable!("the deployed GPHT spec is valid"),
         };
         Self::with_engine(engine, config)
     }
 
-    /// The policy's display name.
+    /// The run's display name: `Baseline`, the engine's name, or the
+    /// hook's name for it.
     #[must_use]
     pub fn policy_name(&self) -> String {
-        self.decider.name()
+        match (&self.engine, &self.hook) {
+            (None, _) => "Baseline".to_owned(),
+            (Some(engine), None) => engine.name().to_owned(),
+            (Some(engine), Some(hook)) => hook.name(engine.name()),
+        }
     }
 
     /// Runs `workload` to completion on a fresh CPU sharing `platform`,
@@ -260,8 +235,9 @@ impl Manager {
     ///
     /// # Panics
     ///
-    /// Panics if the policy returns a DVFS setting the platform does not
-    /// have (a [`TranslationTable`] validated against the platform cannot).
+    /// Panics if the engine or hook returns a DVFS setting the platform
+    /// does not have (a translation table validated against the platform
+    /// cannot).
     #[must_use]
     pub fn run(self, workload: impl IntoIntervalSource, platform: &PlatformConfig) -> RunReport {
         self.run_observed(workload, platform, &mut ())
@@ -288,50 +264,46 @@ impl Manager {
             thermal: self.config.thermal.map(livephase_pmsim::ThermalState::new),
             ..RunState::default()
         };
-        let metrics = EngineMetrics::new();
+        // The baseline classifies only for its interval log, under the
+        // paper's Table 1 phases.
+        let map = self
+            .engine
+            .as_ref()
+            .map_or_else(PhaseMap::pentium_m, |e| e.config().phase_map().clone());
         cpu.set_pport_bits(pport::APP_RUNNING);
 
         while let Some(pmi) = cpu.run_to_pmi_with(|| source.next_interval()) {
-            self.handle_pmi(&mut cpu, &pmi, &mut state, &metrics);
+            self.handle_pmi(&mut cpu, &pmi, &map, &mut state);
             if let Some(last) = state.intervals.last() {
                 observer.on_interval(last);
             }
         }
         // A run that ends off the sampling grid leaves a partial interval:
         // log it (its Mem/Uop ratio is still meaningful) and score the
-        // prediction that stood for it, without a policy action —
-        // execution is over.
+        // prediction that stood for it, without a decision — execution is
+        // over.
         if let Some(pmi) = cpu.flush_partial_interval() {
-            let phase = self.config.phase_map.classify_rate(pmi.metrics.mem_uop());
-            let standing = match &mut self.decider {
-                Decider::Policy(_) => {
-                    let standing = state.scorer.pending();
-                    if let Some((_, correct)) = state.scorer.score(phase) {
-                        metrics.record_scored(correct);
-                    }
-                    standing
-                }
-                Decider::Engine(engine) => {
-                    let standing = engine.pending(RUN_PID);
-                    let _ = engine.score_tail(RUN_PID, phase);
-                    standing
-                }
-            };
+            let phase = map.classify_rate(pmi.metrics.mem_uop());
+            let standing = self.engine.as_mut().and_then(|engine| {
+                let standing = engine.pending(RUN_PID);
+                let _ = engine.score_tail(RUN_PID, phase);
+                standing
+            });
             state.log_interval(&pmi, phase, standing);
             if let Some(last) = state.intervals.last() {
                 observer.on_interval(last);
             }
         }
         cpu.set_pport_bits(0);
-        state.transitions.flush();
 
-        let (policy, prediction) = match &mut self.decider {
-            Decider::Policy(p) => (p.name(), state.scorer.stats()),
-            Decider::Engine(e) => {
+        let policy = self.policy_name();
+        let prediction = self
+            .engine
+            .as_mut()
+            .map_or_else(PredictionStats::default, |e| {
                 e.flush_metrics();
-                (e.name().to_owned(), e.stats())
-            }
-        };
+                e.stats()
+            });
         let report = RunReport {
             workload: workload_name,
             policy,
@@ -356,10 +328,10 @@ impl Manager {
         &mut self,
         cpu: &mut Cpu<'_>,
         pmi: &PmiRecord,
+        map: &PhaseMap,
         state: &mut RunState,
-        metrics: &EngineMetrics,
     ) {
-        let phase = self.config.phase_map.classify_rate(pmi.metrics.mem_uop());
+        let phase = map.classify_rate(pmi.metrics.mem_uop());
 
         // Integrate the thermal model through the elapsed interval.
         let interval_power_w = if pmi.interval_seconds > 0.0 {
@@ -375,56 +347,37 @@ impl Manager {
         let toggled = cpu.pport_bits() ^ pport::PHASE_TOGGLE;
         cpu.set_pport_bits(toggled);
 
-        let (setting, standing) = match &mut self.decider {
-            Decider::Policy(policy) => {
-                // The pipeline the engine runs for its streams, inlined
-                // for decision makers outside it: score the standing
-                // prediction, decide, stand the next prediction.
-                let standing = state.scorer.pending();
-                if let Some((_, correct)) = state.scorer.score(phase) {
-                    metrics.record_scored(correct);
-                }
-                let sample = PhaseSample {
-                    rate: pmi.metrics.mem_uop(),
-                    phase,
-                };
-                let env = crate::policy::Environment {
-                    temperature_c: state.thermal.as_ref().map(|t| t.temperature_c()),
-                    current_setting: pmi.dvfs_index,
-                    interval_power_w,
-                };
-                let decide_started = Instant::now(); // lint:allow(determinism): decision-latency histogram only
-                let setting = policy.decide_with_env(sample, &env);
-                metrics.record_decision(decide_started.elapsed());
-                state.transitions.record(env.current_setting, setting);
-                match policy.predicted_phase() {
-                    Some(p) => state.scorer.predict(p),
-                    None => state.scorer.clear_pending(),
-                }
-                (setting, standing)
-            }
-            Decider::Engine(engine) => {
+        let (setting, standing) = match &mut self.engine {
+            None => (0, None),
+            Some(engine) => {
                 let standing = engine.pending(RUN_PID);
                 let decision = engine.step(&Sample {
                     pid: RUN_PID,
                     uops: pmi.metrics.uops_retired,
                     mem_transactions: pmi.metrics.mem_transactions,
                 });
-                debug_assert_eq!(
-                    decision.phase, phase,
-                    "engine classification must match the handler's"
-                );
-                (usize::from(decision.op_point), standing)
+                let setting = match &mut self.hook {
+                    None => usize::from(decision.op_point),
+                    Some(hook) => hook.setting(
+                        &decision,
+                        &Environment {
+                            temperature_c: state.thermal.as_ref().map(|t| t.temperature_c()),
+                            current_setting: pmi.dvfs_index,
+                            interval_power_w,
+                        },
+                    ),
+                };
+                (setting, standing)
             }
         };
         state.log_interval(pmi, phase, standing);
 
         cpu.service_pmi_overhead(self.config.handler_overhead_s);
         if cpu.set_dvfs(setting).is_err() {
-            // lint:allow(no-panic-path): a policy returning an out-of-range
-            // setting is a programming error that must not be masked; every
-            // shipped policy clamps to the platform table
-            panic!("policy must return a platform-valid DVFS setting, got {setting}");
+            // lint:allow(no-panic-path): an engine or hook returning an
+            // out-of-range setting is a programming error that must not be
+            // masked; every shipped table and hook clamps to the platform's
+            panic!("decisions must name a platform-valid DVFS setting, got {setting}");
         }
 
         // Duration-guided sampling: stretch the next PMI window while the
@@ -447,15 +400,8 @@ impl Manager {
 #[derive(Default)]
 struct RunState {
     intervals: Vec<IntervalLog>,
-    /// Prediction scoring for the policy path; engine-backed runs score
-    /// inside the engine instead.
-    scorer: StreamScorer,
     thermal: Option<livephase_pmsim::ThermalState>,
     durations: Option<DurationPredictor>,
-    /// DVFS transitions decided by the policy path, flushed to the
-    /// registry once at run end so the PMI path never formats a label.
-    /// Engine-backed runs account transitions inside the engine.
-    transitions: TransitionTracker,
 }
 
 impl RunState {
@@ -479,7 +425,6 @@ impl RunState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Proactive, Reactive};
     use livephase_workloads::{spec, WorkloadTrace};
 
     fn short_trace(name: &str, len: usize) -> WorkloadTrace {
@@ -571,44 +516,5 @@ mod tests {
             proactive.prediction.accuracy(),
             reactive.prediction.accuracy()
         );
-    }
-
-    /// The engine-backed constructors must be drop-in replacements for
-    /// the policy objects they retired: same decisions, same scoring,
-    /// same report, interval for interval.
-    #[test]
-    fn engine_backed_managers_match_their_policy_equivalents() {
-        let cases: [(Manager, Manager); 2] = [
-            (
-                Manager::reactive(),
-                Manager::new(
-                    Box::new(Reactive::new(TranslationTable::pentium_m())),
-                    ManagerConfig::pentium_m(),
-                ),
-            ),
-            (
-                Manager::gpht_deployed(),
-                Manager::new(
-                    Box::new(Proactive::gpht_deployed()),
-                    ManagerConfig::pentium_m(),
-                ),
-            ),
-        ];
-        for (engine_backed, policy_backed) in cases {
-            let trace = short_trace("applu_in", 120);
-            let platform = PlatformConfig::pentium_m();
-            let a = engine_backed.run(&trace, &platform);
-            let b = policy_backed.run(&trace, &platform);
-            assert_eq!(a.policy, b.policy, "names agree");
-            assert_eq!(a.prediction, b.prediction, "scoring agrees");
-            assert_eq!(a.decision_trace(), b.decision_trace(), "decisions agree");
-            assert_eq!(a.dvfs_transitions, b.dvfs_transitions);
-            assert_eq!(a.intervals.len(), b.intervals.len());
-            for (x, y) in a.intervals.iter().zip(&b.intervals) {
-                assert_eq!(x.phase, y.phase);
-                assert_eq!(x.predicted, y.predicted);
-                assert_eq!(x.dvfs_index, y.dvfs_index);
-            }
-        }
     }
 }

@@ -1,14 +1,16 @@
-//! Management policies: how the handler chooses the next DVFS setting.
+//! What the manager applies after the engine decides: the post-decision
+//! hook, the platform state it sees, and the oracle's perfect-knowledge
+//! predictor.
 
-use crate::table::TranslationTable;
-use livephase_core::{Gpht, GphtConfig, LastValue, PhaseSample, Predictor};
-use std::fmt;
+use livephase_core::{PhaseId, PhaseMap, PhaseSample, Predictor};
+use livephase_engine::Decision;
+use livephase_workloads::WorkloadTrace;
 
-/// Runtime feedback available to environment-aware policies at each PMI.
+/// Runtime feedback available to a [`DecisionHook`] at each PMI.
 ///
-/// Plain power management needs only the phase sample; thermal management
-/// and power capping (the paper's other named applications) additionally
-/// read back platform state.
+/// Plain power management needs only the engine's decision; thermal
+/// management and power capping (the paper's other named applications)
+/// additionally read back platform state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Environment {
     /// Junction temperature at the interrupt, when the manager tracks a
@@ -20,310 +22,103 @@ pub struct Environment {
     pub interval_power_w: f64,
 }
 
-/// A dynamic power-management policy, consulted once per PMI with the
-/// observed sample of the elapsed interval; returns the DVFS setting index
-/// to apply for the next interval.
-pub trait Policy {
-    /// Decides the next interval's DVFS setting.
-    fn decide(&mut self, sample: PhaseSample) -> usize;
+/// The manager's one extension point: turns the engine's [`Decision`] for
+/// the next interval into the DVFS setting to apply, with the platform's
+/// [`Environment`] in view.
+///
+/// Classification, prediction and translation stay in the engine; a hook
+/// only reshapes the outcome (throttle for temperature, cap power, hold a
+/// setting). Without a hook the manager applies `decision.op_point`.
+pub trait DecisionHook {
+    /// The DVFS setting index to apply for the next interval.
+    fn setting(&mut self, decision: &Decision, env: &Environment) -> usize;
 
-    /// Environment-aware variant; the default ignores the environment and
-    /// defers to [`decide`](Self::decide). The manager always calls this
-    /// method.
-    fn decide_with_env(&mut self, sample: PhaseSample, env: &Environment) -> usize {
-        let _ = env;
-        self.decide(sample)
-    }
-
-    /// The phase the policy expects next (for prediction-accuracy
-    /// accounting); `None` for policies that do not predict (baseline).
-    fn predicted_phase(&self) -> Option<livephase_core::PhaseId>;
-
-    /// Short display name, e.g. `GPHT_8_128`.
-    fn name(&self) -> String;
-
-    /// Clears accumulated state.
-    fn reset(&mut self);
+    /// The run's display name, given the engine's (e.g. `MinDwell_2(…)`).
+    fn name(&self, engine: &str) -> String;
 }
 
-impl fmt::Debug for dyn Policy + '_ {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Policy({})", self.name())
-    }
-}
-
-/// The unmanaged baseline: always run at the fastest setting. This is the
-/// reference every result in Figures 11–13 is normalized against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Baseline;
-
-impl Baseline {
-    /// Creates the baseline policy.
-    #[must_use]
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Policy for Baseline {
-    fn decide(&mut self, _sample: PhaseSample) -> usize {
-        0
-    }
-
-    fn predicted_phase(&self) -> Option<livephase_core::PhaseId> {
-        None
-    }
-
-    fn name(&self) -> String {
-        "Baseline".to_owned()
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// The reactive policy of prior work (Section 6.2): configure the next
-/// interval for the *last observed* phase. Identical to proactive
-/// management with a last-value predictor.
-#[derive(Debug, Clone)]
-pub struct Reactive {
-    table: TranslationTable,
-    last: LastValue,
-}
-
-impl Reactive {
-    /// Creates a reactive policy over the given translation table.
-    #[must_use]
-    pub fn new(table: TranslationTable) -> Self {
-        Self {
-            table,
-            last: LastValue::new(),
-        }
-    }
-}
-
-impl Policy for Reactive {
-    fn decide(&mut self, sample: PhaseSample) -> usize {
-        self.table.setting_for(self.last.next(sample))
-    }
-
-    fn predicted_phase(&self) -> Option<livephase_core::PhaseId> {
-        Some(self.last.predict())
-    }
-
-    fn name(&self) -> String {
-        "Reactive(LastValue)".to_owned()
-    }
-
-    fn reset(&mut self) {
-        self.last.reset();
-    }
-}
-
-/// The paper's proposal: configure the next interval for the *predicted*
-/// next phase, using any [`Predictor`] (the deployed system uses a GPHT
-/// with depth 8 and 128 PHT entries).
-#[derive(Debug)]
-pub struct Proactive<P> {
-    predictor: P,
-    table: TranslationTable,
-}
-
-impl Proactive<Gpht> {
-    /// The deployed configuration: GPHT(8, 128) over the Table 2 mapping.
-    #[must_use]
-    pub fn gpht_deployed() -> Self {
-        Self::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
-        )
-    }
-}
-
-impl<P: Predictor> Proactive<P> {
-    /// Creates a proactive policy from a predictor and a translation table.
-    #[must_use]
-    pub fn new(predictor: P, table: TranslationTable) -> Self {
-        Self { predictor, table }
-    }
-
-    /// The underlying predictor.
-    #[must_use]
-    pub fn predictor(&self) -> &P {
-        &self.predictor
-    }
-}
-
-impl<P: Predictor> Policy for Proactive<P> {
-    fn decide(&mut self, sample: PhaseSample) -> usize {
-        self.table.setting_for(self.predictor.next(sample))
-    }
-
-    fn predicted_phase(&self) -> Option<livephase_core::PhaseId> {
-        Some(self.predictor.predict())
-    }
-
-    fn name(&self) -> String {
-        format!("Proactive({})", self.predictor.name())
-    }
-
-    fn reset(&mut self) {
-        self.predictor.reset();
-    }
-}
-
-/// A perfect-knowledge upper bound: replays the workload's *actual* phase
-/// sequence, so every interval runs at the setting its phase deserves.
+/// A perfect-knowledge upper bound: a [`Predictor`] that replays the
+/// workload's *actual* phase sequence, so every interval runs at the
+/// setting its phase deserves.
 ///
 /// Not implementable on a real system — it exists to measure how much of
 /// the oracle headroom the GPHT captures (an ablation the paper's
-/// framework invites but does not run).
+/// framework invites but does not run). It runs on the engine like any
+/// predictor, labelled `Oracle`.
 #[derive(Debug, Clone)]
 pub struct Oracle {
-    phases: Vec<livephase_core::PhaseId>,
-    table: TranslationTable,
+    phases: Vec<PhaseId>,
+    /// Index of the interval whose sample arrives next.
     cursor: usize,
 }
 
 impl Oracle {
-    /// Builds the oracle for a workload under a phase map and table.
+    /// Builds the oracle for a workload under a phase map.
     #[must_use]
-    pub fn from_trace(
-        trace: &livephase_workloads::WorkloadTrace,
-        map: &livephase_core::PhaseMap,
-        table: TranslationTable,
-    ) -> Self {
+    pub fn from_trace(trace: &WorkloadTrace, map: &PhaseMap) -> Self {
         let phases = trace.iter().map(|w| map.classify(w.mem_uop())).collect();
-        Self {
-            phases,
-            table,
-            cursor: 0,
-        }
+        Self { phases, cursor: 0 }
     }
 }
 
-impl Policy for Oracle {
-    fn decide(&mut self, _sample: PhaseSample) -> usize {
-        // At the PMI ending interval `cursor`, the next interval is
-        // `cursor + 1`; past the end, hold the last known phase.
-        let next = self
-            .phases
-            .get(self.cursor + 1)
-            .or_else(|| self.phases.last())
-            .copied()
-            .unwrap_or(livephase_core::PhaseId::CPU_BOUND);
+impl Predictor for Oracle {
+    fn observe(&mut self, _sample: PhaseSample) {
         self.cursor += 1;
-        self.table.setting_for(next)
     }
 
-    fn predicted_phase(&self) -> Option<livephase_core::PhaseId> {
+    /// The phase of interval `cursor` — after the sample ending interval
+    /// `cursor - 1`, that is the next one; past the end, the last known
+    /// phase.
+    fn predict(&self) -> PhaseId {
         self.phases
             .get(self.cursor)
             .or_else(|| self.phases.last())
             .copied()
-    }
-
-    fn name(&self) -> String {
-        "Oracle".to_owned()
+            .unwrap_or(PhaseId::CPU_BOUND)
     }
 
     fn reset(&mut self) {
         self.cursor = 0;
+    }
+
+    fn name(&self) -> String {
+        "Oracle".to_owned()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use livephase_core::PhaseId;
-
-    fn sample(phase: u8) -> PhaseSample {
-        PhaseSample::new(0.001 * f64::from(phase), PhaseId::new(phase))
-    }
-
-    #[test]
-    fn baseline_always_full_speed() {
-        let mut b = Baseline::new();
-        assert_eq!(b.decide(sample(6)), 0);
-        assert_eq!(b.decide(sample(1)), 0);
-        assert_eq!(b.predicted_phase(), None);
-        b.reset();
-    }
-
-    #[test]
-    fn reactive_follows_last_phase() {
-        let mut r = Reactive::new(TranslationTable::pentium_m());
-        assert_eq!(r.decide(sample(6)), 5);
-        assert_eq!(r.decide(sample(2)), 1);
-        assert_eq!(r.predicted_phase().unwrap().get(), 2);
-    }
-
-    #[test]
-    fn proactive_uses_prediction_not_observation() {
-        // Periodic 1-6-1-6 stream: a GPHT learns to anticipate the flip,
-        // so after observing 1 it requests the setting for 6.
-        let mut p = Proactive::gpht_deployed();
-        for _ in 0..100 {
-            let _ = p.decide(sample(1));
-            let _ = p.decide(sample(6));
-        }
-        let decision_after_one = p.decide(sample(1));
-        assert_eq!(decision_after_one, 5, "anticipates the 6 that follows 1");
-        let decision_after_six = p.decide(sample(6));
-        assert_eq!(decision_after_six, 0, "anticipates the 1 that follows 6");
-    }
-
-    #[test]
-    fn reactive_lags_on_the_same_stream() {
-        let mut r = Reactive::new(TranslationTable::pentium_m());
-        for _ in 0..100 {
-            let _ = r.decide(sample(1));
-            let _ = r.decide(sample(6));
-        }
-        assert_eq!(r.decide(sample(1)), 0, "reacts to the observed 1");
-    }
+    use crate::manager::{Manager, ManagerConfig};
+    use livephase_engine::{DecisionEngine, EngineConfig};
+    use livephase_pmsim::PlatformConfig;
+    use livephase_workloads::spec;
 
     #[test]
     fn oracle_predicts_perfectly() {
-        use livephase_pmsim::PlatformConfig;
-        use livephase_workloads::spec;
         let trace = spec::benchmark("applu_in")
             .unwrap()
             .with_length(120)
             .generate(3);
-        let map = livephase_core::PhaseMap::pentium_m();
-        let oracle = Oracle::from_trace(&trace, &map, TranslationTable::pentium_m());
-        let report = crate::manager::Manager::new(
-            Box::new(oracle),
-            crate::manager::ManagerConfig::pentium_m(),
-        )
-        .run(&trace, &PlatformConfig::pentium_m());
+        let oracle = Oracle::from_trace(&trace, &PhaseMap::pentium_m());
+        let engine =
+            DecisionEngine::new(EngineConfig::pentium_m(), move || Box::new(oracle.clone()))
+                .with_name("Oracle");
+        let report = Manager::with_engine(engine, ManagerConfig::pentium_m())
+            .run(&trace, &PlatformConfig::pentium_m());
+        assert_eq!(report.policy, "Oracle");
         assert_eq!(
             report.prediction.correct, report.prediction.total,
             "the oracle never mispredicts"
         );
         // And it dominates GPHT on EDP for the same workload.
-        let baseline =
-            crate::manager::Manager::baseline().run(&trace, &PlatformConfig::pentium_m());
-        let gpht =
-            crate::manager::Manager::gpht_deployed().run(&trace, &PlatformConfig::pentium_m());
+        let baseline = Manager::baseline().run(&trace, &PlatformConfig::pentium_m());
+        let gpht = Manager::gpht_deployed().run(&trace, &PlatformConfig::pentium_m());
         let oracle_edp = report.compare_to(&baseline).edp_improvement_pct();
         let gpht_edp = gpht.compare_to(&baseline).edp_improvement_pct();
         assert!(
             oracle_edp >= gpht_edp - 0.5,
             "oracle {oracle_edp:.1}% vs GPHT {gpht_edp:.1}%"
-        );
-    }
-
-    #[test]
-    fn names_and_reset() {
-        let mut p = Proactive::gpht_deployed();
-        assert_eq!(p.name(), "Proactive(GPHT_8_128)");
-        let _ = p.decide(sample(3));
-        p.reset();
-        assert_eq!(p.predictor().history().len(), 0);
-        assert_eq!(
-            Reactive::new(TranslationTable::pentium_m()).name(),
-            "Reactive(LastValue)"
         );
     }
 }

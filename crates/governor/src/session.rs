@@ -5,7 +5,7 @@
 //! paper's platform once, run one workload under a handful of managed
 //! systems, and collect the reports. [`Session`] captures that skeleton —
 //! it borrows one [`PlatformConfig`] for its whole lifetime (no
-//! clone-per-run) and hands out runs under the standard policies or any
+//! clone-per-run) and hands out runs under the standard managers or any
 //! custom [`Manager`].
 //!
 //! [`IntervalObserver`] is the streaming tap: attached to a run it sees
@@ -20,7 +20,6 @@
 //! only wall-clock time changes.
 
 use crate::manager::{Manager, ManagerConfig};
-use crate::policy::Policy;
 use crate::report::{IntervalLog, RunReport};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::IntoIntervalSource;
@@ -115,17 +114,6 @@ impl<'p> Session<'p> {
     #[must_use]
     pub fn gpht(&self, workload: impl IntoIntervalSource) -> RunReport {
         self.run(Manager::gpht_deployed_with(self.config.clone()), workload)
-    }
-
-    /// Runs `workload` under an arbitrary policy with this session's
-    /// handler configuration.
-    #[must_use]
-    pub fn run_policy(
-        &self,
-        policy: Box<dyn Policy>,
-        workload: impl IntoIntervalSource,
-    ) -> RunReport {
-        self.run(Manager::new(policy, self.config.clone()), workload)
     }
 
     /// Runs `workload` under a fully custom manager on the shared platform.

@@ -3,10 +3,10 @@
 //! (Sections 1 and 8: "dynamic thermal management or bounding power
 //! consumption").
 //!
-//! Both policies reuse the identical monitoring/prediction machinery and
-//! differ only in how the predicted phase is translated into a setting:
+//! Both are [`DecisionHook`]s over the identical monitoring/prediction
+//! pipeline and differ only in how the predicted phase becomes a setting:
 //!
-//! * [`ThermalAware`] applies the normal Table 2 translation, then
+//! * [`ThermalAware`] keeps the engine's Table 2 translation, then
 //!   *throttles further* whenever the projected junction temperature under
 //!   the predicted phase's power would cross the limit — proactively,
 //!   before the hot phase begins;
@@ -15,16 +15,14 @@
 //!   under the cap.
 
 use crate::estimate::PowerEstimator;
-use crate::policy::{Environment, Policy};
-use crate::table::TranslationTable;
-use livephase_core::{PhaseId, PhaseSample, Predictor};
+use crate::policy::{DecisionHook, Environment};
+use livephase_core::PhaseId;
+use livephase_engine::Decision;
 use livephase_pmsim::ThermalModel;
 
-/// Predictive dynamic thermal management on top of any phase predictor.
+/// Predictive dynamic thermal management on top of any engine.
 #[derive(Debug)]
-pub struct ThermalAware<P> {
-    predictor: P,
-    table: TranslationTable,
+pub struct ThermalAware {
     estimator: PowerEstimator,
     model: ThermalModel,
     /// Junction temperature limit, in °C.
@@ -35,28 +33,19 @@ pub struct ThermalAware<P> {
     horizon_s: f64,
 }
 
-impl<P: Predictor> ThermalAware<P> {
-    /// Creates a thermally-guarded policy.
+impl ThermalAware {
+    /// Creates a thermal guard.
     ///
     /// # Panics
     ///
-    /// Panics if the limit is not above ambient or the guard/horizon are
-    /// negative.
+    /// Panics if the limit is not above ambient.
     #[must_use]
-    pub fn new(
-        predictor: P,
-        table: TranslationTable,
-        estimator: PowerEstimator,
-        model: ThermalModel,
-        limit_c: f64,
-    ) -> Self {
+    pub fn new(estimator: PowerEstimator, model: ThermalModel, limit_c: f64) -> Self {
         assert!(
             limit_c > model.t_ambient,
             "thermal limit must exceed ambient"
         );
         Self {
-            predictor,
-            table,
             estimator,
             model,
             limit_c,
@@ -80,60 +69,42 @@ impl<P: Predictor> ThermalAware<P> {
     }
 }
 
-impl<P: Predictor> Policy for ThermalAware<P> {
-    fn decide(&mut self, sample: PhaseSample) -> usize {
+impl DecisionHook for ThermalAware {
+    fn setting(&mut self, decision: &Decision, env: &Environment) -> usize {
+        let mut setting = usize::from(decision.op_point);
         // Without temperature feedback, behave as plain proactive DVFS.
-        self.table.setting_for(self.predictor.next(sample))
-    }
-
-    fn decide_with_env(&mut self, sample: PhaseSample, env: &Environment) -> usize {
-        let phase = self.predictor.next(sample);
-        let mut setting = self.table.setting_for(phase);
         if let Some(t_now) = env.temperature_c {
             let slowest = self.estimator.settings().saturating_sub(1);
-            while setting < slowest && self.would_overheat(t_now, phase, setting) {
+            while setting < slowest && self.would_overheat(t_now, decision.predicted, setting) {
                 setting += 1;
             }
         }
         setting
     }
 
-    fn predicted_phase(&self) -> Option<PhaseId> {
-        Some(self.predictor.predict())
-    }
-
-    fn name(&self) -> String {
-        format!("ThermalAware_{}C({})", self.limit_c, self.predictor.name())
-    }
-
-    fn reset(&mut self) {
-        self.predictor.reset();
+    fn name(&self, engine: &str) -> String {
+        format!("ThermalAware_{}C({engine})", self.limit_c)
     }
 }
 
 /// Bounds predicted power consumption: the fastest setting whose estimated
 /// power for the predicted phase stays under the cap.
 #[derive(Debug)]
-pub struct PowerCap<P> {
-    predictor: P,
+pub struct PowerCap {
     estimator: PowerEstimator,
     cap_w: f64,
 }
 
-impl<P: Predictor> PowerCap<P> {
-    /// Creates a power-capping policy.
+impl PowerCap {
+    /// Creates a power cap.
     ///
     /// # Panics
     ///
     /// Panics if the cap is not positive.
     #[must_use]
-    pub fn new(predictor: P, estimator: PowerEstimator, cap_w: f64) -> Self {
+    pub fn new(estimator: PowerEstimator, cap_w: f64) -> Self {
         assert!(cap_w > 0.0 && cap_w.is_finite(), "cap must be positive");
-        Self {
-            predictor,
-            estimator,
-            cap_w,
-        }
+        Self { estimator, cap_w }
     }
 
     /// The configured cap, in watts.
@@ -143,22 +114,14 @@ impl<P: Predictor> PowerCap<P> {
     }
 }
 
-impl<P: Predictor> Policy for PowerCap<P> {
-    fn decide(&mut self, sample: PhaseSample) -> usize {
-        let phase = self.predictor.next(sample);
-        self.estimator.fastest_under_cap(phase, self.cap_w)
+impl DecisionHook for PowerCap {
+    fn setting(&mut self, decision: &Decision, _env: &Environment) -> usize {
+        self.estimator
+            .fastest_under_cap(decision.predicted, self.cap_w)
     }
 
-    fn predicted_phase(&self) -> Option<PhaseId> {
-        Some(self.predictor.predict())
-    }
-
-    fn name(&self) -> String {
-        format!("PowerCap_{}W({})", self.cap_w, self.predictor.name())
-    }
-
-    fn reset(&mut self) {
-        self.predictor.reset();
+    fn name(&self, engine: &str) -> String {
+        format!("PowerCap_{}W({engine})", self.cap_w)
     }
 }
 
@@ -166,25 +129,23 @@ impl<P: Predictor> Policy for PowerCap<P> {
 mod tests {
     use super::*;
     use crate::manager::{Manager, ManagerConfig};
-    use livephase_core::{Gpht, GphtConfig};
     use livephase_pmsim::PlatformConfig;
     use livephase_workloads::spec;
 
+    fn thermal_config() -> ManagerConfig {
+        ManagerConfig {
+            thermal: Some(ThermalModel::pentium_m()),
+            ..ManagerConfig::pentium_m()
+        }
+    }
+
     fn thermal_manager(limit_c: f64) -> Manager {
-        let policy = ThermalAware::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
+        let guard = ThermalAware::new(
             PowerEstimator::pentium_m(),
             ThermalModel::pentium_m(),
             limit_c,
         );
-        Manager::new(
-            Box::new(policy),
-            ManagerConfig {
-                thermal: Some(ThermalModel::pentium_m()),
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        Manager::gpht_deployed_with(thermal_config()).with_hook(Box::new(guard))
     }
 
     #[test]
@@ -194,14 +155,8 @@ mod tests {
             .unwrap()
             .with_length(800)
             .generate(1);
-        let baseline = Manager::new(
-            Box::new(crate::policy::Baseline::new()),
-            ManagerConfig {
-                thermal: Some(ThermalModel::pentium_m()),
-                ..ManagerConfig::pentium_m()
-            },
-        )
-        .run(&trace, &PlatformConfig::pentium_m());
+        let baseline =
+            Manager::baseline_with(thermal_config()).run(&trace, &PlatformConfig::pentium_m());
         let peak = baseline.peak_temperature_c.expect("thermal tracked");
         assert!(peak > 70.0, "baseline peak {peak}");
     }
@@ -243,12 +198,8 @@ mod tests {
             .with_length(300)
             .generate(1);
         let cap = 8.0;
-        let policy = PowerCap::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            PowerEstimator::pentium_m(),
-            cap,
-        );
-        let report = Manager::new(Box::new(policy), ManagerConfig::pentium_m())
+        let report = Manager::gpht_deployed()
+            .with_hook(Box::new(PowerCap::new(PowerEstimator::pentium_m(), cap)))
             .run(&trace, &PlatformConfig::pentium_m());
         assert!(
             report.average_power_w() <= cap * 1.05,
@@ -259,43 +210,26 @@ mod tests {
 
     #[test]
     fn names_are_descriptive() {
-        let t = ThermalAware::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
-            PowerEstimator::pentium_m(),
-            ThermalModel::pentium_m(),
-            70.0,
+        assert_eq!(
+            thermal_manager(70.0).policy_name(),
+            "ThermalAware_70C(Proactive(GPHT_8_128))"
         );
-        assert_eq!(t.name(), "ThermalAware_70C(GPHT_8_128)");
+        let t = ThermalAware::new(PowerEstimator::pentium_m(), ThermalModel::pentium_m(), 70.0);
         assert_eq!(t.limit_c(), 70.0);
-        let c = PowerCap::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            PowerEstimator::pentium_m(),
-            9.0,
-        );
-        assert_eq!(c.name(), "PowerCap_9W(GPHT_8_128)");
+        let c = PowerCap::new(PowerEstimator::pentium_m(), 9.0);
+        assert_eq!(c.name("GPHT_8_128"), "PowerCap_9W(GPHT_8_128)");
         assert_eq!(c.cap_w(), 9.0);
     }
 
     #[test]
     #[should_panic(expected = "thermal limit")]
     fn limit_below_ambient_rejected() {
-        let _ = ThermalAware::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
-            PowerEstimator::pentium_m(),
-            ThermalModel::pentium_m(),
-            20.0,
-        );
+        let _ = ThermalAware::new(PowerEstimator::pentium_m(), ThermalModel::pentium_m(), 20.0);
     }
 
     #[test]
     #[should_panic(expected = "cap must be positive")]
     fn zero_cap_rejected() {
-        let _ = PowerCap::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            PowerEstimator::pentium_m(),
-            0.0,
-        );
+        let _ = PowerCap::new(PowerEstimator::pentium_m(), 0.0);
     }
 }

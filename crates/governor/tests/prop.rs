@@ -1,9 +1,11 @@
-//! Property-based tests for the governor: translation tables, policies,
-//! the conservative derivation and run comparisons.
+//! Property-based tests for the governor: translation tables, engine
+//! decisions under them, hooks, the conservative derivation and run
+//! comparisons.
 
-use livephase_core::{PhaseId, PhaseSample};
+use livephase_core::{PhaseId, PhaseMap};
+use livephase_engine::{Decision, DecisionEngine, EngineConfig, Sample};
 use livephase_governor::{
-    ConservativeDerivation, Manager, Policy, Proactive, Reactive, TranslationTable,
+    ConservativeDerivation, DecisionHook, Environment, Manager, MinDwell, TranslationTable,
 };
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::{registry, PhaseLevel, WorkloadTrace};
@@ -14,6 +16,28 @@ fn arb_table() -> impl Strategy<Value = TranslationTable> {
         v.sort_unstable();
         TranslationTable::new(v, 6).expect("sorted => monotonic")
     })
+}
+
+/// An engine over the Table 1 phases and `table`, predicting with `spec`.
+fn engine(table: &TranslationTable, spec: &str) -> DecisionEngine {
+    let config = EngineConfig::new("test", PhaseMap::pentium_m(), table.clone()).unwrap();
+    DecisionEngine::from_spec(config, spec).unwrap()
+}
+
+/// A 100 M-uop sample whose Mem/Uop rate sits inside Table 1 phase `p`.
+fn sample_in(p: u8) -> Sample {
+    let bounds = PhaseMap::pentium_m().boundaries().to_vec();
+    let i = usize::from(p) - 1;
+    let rate = match i {
+        0 => 0.0,
+        _ if i < bounds.len() => (bounds[i - 1] + bounds[i]) / 2.0,
+        _ => bounds[i - 1] + 0.01,
+    };
+    Sample {
+        pid: 0,
+        uops: 100_000_000,
+        mem_transactions: (rate * 1e8).round() as u64,
+    }
 }
 
 proptest! {
@@ -31,13 +55,14 @@ proptest! {
         prop_assert_eq!(beyond, *table.settings().last().unwrap());
     }
 
-    /// A reactive policy is pure table lookup of the observed phase.
+    /// A last-value engine is pure table lookup of the observed phase.
     #[test]
     fn reactive_is_table_of_last(table in arb_table(), phases in proptest::collection::vec(1u8..=6, 1..50)) {
-        let mut r = Reactive::new(table.clone());
+        let mut r = engine(&table, "lastvalue");
         for &p in &phases {
-            let got = r.decide(PhaseSample::new(0.01, PhaseId::new(p)));
-            prop_assert_eq!(got, table.setting_for(PhaseId::new(p)));
+            let got = r.step(&sample_in(p));
+            prop_assert_eq!(got.phase, PhaseId::new(p));
+            prop_assert_eq!(usize::from(got.op_point), table.setting_for(PhaseId::new(p)));
         }
     }
 
@@ -66,16 +91,12 @@ proptest! {
         prop_assert!(strict <= loose, "strict {strict} vs loose {loose} at {probe}");
     }
 
-    /// A proactive policy with any predictor only ever emits settings from
-    /// its table.
+    /// A GPHT engine only ever emits settings from its table.
     #[test]
     fn proactive_stays_in_table(table in arb_table(), phases in proptest::collection::vec(1u8..=6, 1..60)) {
-        let mut p = Proactive::new(
-            livephase_core::Gpht::new(livephase_core::GphtConfig::DEPLOYED),
-            table.clone(),
-        );
+        let mut p = engine(&table, "gpht:8:128");
         for &ph in &phases {
-            let got = p.decide(PhaseSample::new(f64::from(ph) * 0.004, PhaseId::new(ph)));
+            let got = usize::from(p.step(&sample_in(ph)).op_point);
             prop_assert!(table.settings().contains(&got));
         }
     }
@@ -102,15 +123,23 @@ proptest! {
         phases in proptest::collection::vec(1u8..=6, 10..200),
         dwell in 1u32..8,
     ) {
-        use livephase_governor::MinDwell;
-        let mut p = MinDwell::new(
-            Reactive::new(TranslationTable::pentium_m()),
-            dwell,
-        );
+        let mut p = MinDwell::new(dwell);
+        let env = Environment {
+            temperature_c: None,
+            current_setting: 0,
+            interval_power_w: 0.0,
+        };
         let mut last = None;
         let mut switches = 0u32;
         for &ph in &phases {
-            let got = p.decide(PhaseSample::new(0.01, PhaseId::new(ph)));
+            let decision = Decision {
+                pid: 0,
+                phase: PhaseId::new(ph),
+                predicted: PhaseId::new(ph),
+                op_point: ph - 1,
+                confidence: 0,
+            };
+            let got = p.setting(&decision, &env);
             if last.is_some_and(|l| l != got) {
                 switches += 1;
             }
@@ -136,23 +165,20 @@ proptest! {
         let trace = spec.generate(7);
         let platform = PlatformConfig::pentium_m();
         let fixed = Manager::gpht_deployed().run(&trace, &platform);
-        let adaptive = Manager::new(
-            Box::new(livephase_governor::Proactive::gpht_deployed()),
-            ManagerConfig {
-                adaptive_sampling: Some(AdaptiveSampling {
-                    base_uops: 100_000_000,
-                    max_multiplier,
-                }),
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        let adaptive = Manager::gpht_deployed_with(ManagerConfig {
+            adaptive_sampling: Some(AdaptiveSampling {
+                base_uops: 100_000_000,
+                max_multiplier,
+            }),
+            ..ManagerConfig::pentium_m()
+        })
         .run(&trace, &platform);
         prop_assert_eq!(adaptive.totals.uops, fixed.totals.uops);
         prop_assert_eq!(adaptive.totals.instructions, fixed.totals.instructions);
         prop_assert!(adaptive.intervals.len() <= fixed.intervals.len());
     }
 
-    /// The thermal-aware policy respects any feasible junction limit on
+    /// The thermal-aware hook respects any feasible junction limit on
     /// any benchmark (the platform's coolest steady state bounds
     /// feasibility from below).
     #[test]
@@ -160,24 +186,16 @@ proptest! {
         idx in 0usize..33,
         limit in 55.0f64..90.0,
     ) {
-        use livephase_core::{Gpht, GphtConfig};
         use livephase_governor::{ManagerConfig, PowerEstimator, ThermalAware};
         use livephase_pmsim::ThermalModel;
         let spec = registry().swap_remove(idx).with_length(120);
         let trace = spec.generate(3);
-        let report = Manager::new(
-            Box::new(ThermalAware::new(
-                Gpht::new(GphtConfig::DEPLOYED),
-                TranslationTable::pentium_m(),
-                PowerEstimator::pentium_m(),
-                ThermalModel::pentium_m(),
-                limit,
-            )),
-            ManagerConfig {
-                thermal: Some(ThermalModel::pentium_m()),
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        let guard = ThermalAware::new(PowerEstimator::pentium_m(), ThermalModel::pentium_m(), limit);
+        let report = Manager::gpht_deployed_with(ManagerConfig {
+            thermal: Some(ThermalModel::pentium_m()),
+            ..ManagerConfig::pentium_m()
+        })
+        .with_hook(Box::new(guard))
         .run(&trace, &PlatformConfig::pentium_m());
         let peak = report.peak_temperature_c.expect("tracked");
         prop_assert!(

@@ -19,7 +19,7 @@ use std::path::Path;
 const REPRESENTATIVES: &[(&str, &str)] = &[
     ("core", "crates/core/src/lib.rs"),
     ("engine", "crates/engine/src/config.rs"),
-    ("serve", "crates/serve/src/engine.rs"),
+    ("serve", "crates/serve/src/server.rs"),
     ("governor", "crates/governor/src/lib.rs"),
     ("pmsim", "crates/pmsim/src/lib.rs"),
     ("tenants", "crates/tenants/src/report.rs"),

@@ -6,9 +6,9 @@
 //! events arrive. It is driven entirely by its shard's event loop (see
 //! [`crate::shard`]): `on_readable` pulls bytes into the decoder and
 //! walks complete frames, `flush_run` pushes a coalesced run of samples
-//! through [`SessionState::apply_batch`] and encodes the decisions
-//! in-place with [`wire::encode_into`], and `try_flush` drains the
-//! outbound queue until the socket pushes back.
+//! through the session's [`DecisionEngine::step_many`] and encodes the
+//! decisions in-place with [`wire::encode_into`], and `try_flush` drains
+//! the outbound queue until the socket pushes back.
 //!
 //! The frame-level behavior mirrors the blocking path exactly — same
 //! handshake refusals, same poisoning rules, same counters — so the two
@@ -23,10 +23,10 @@
 //! buffer, and decisions are appended to the connection's reused
 //! outbound `Vec` without intermediate encode allocations.
 
-use crate::engine::{Decision, EngineConfig, Sample, SessionState};
 use crate::server::{frame_name, Shared};
 use crate::shard::ReactorMetrics;
 use crate::wire::{self, ErrorCode, Frame, FrameDecoder, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use livephase_engine::{Decision, DecisionEngine, EngineConfig, Sample};
 use livephase_telemetry::{trace_event, Level};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -112,7 +112,9 @@ pub(crate) struct Conn {
     outbound: Vec<u8>,
     sent: usize,
     version: u16,
-    session: Option<SessionState>,
+    /// The session's decision engine: per-pid predictors and scoring,
+    /// created at `Hello`.
+    session: Option<DecisionEngine>,
     phase: Phase,
     peer_gone: bool,
     fin_sent: bool,
@@ -396,7 +398,7 @@ impl Conn {
             self.start_closing(cx.now);
             return;
         }
-        match SessionState::new(cx.engine, &predictor) {
+        match DecisionEngine::from_spec(cx.engine.clone(), &predictor) {
             Ok(session) => {
                 self.session = Some(session);
                 self.version = version;
@@ -487,7 +489,7 @@ impl Conn {
     }
 
     /// Pushes the accumulated sample run through the session's
-    /// `apply_batch` and encodes the decisions straight onto the
+    /// `step_many` and encodes the decisions straight onto the
     /// outbound queue — the reactor's equivalent of the blocking
     /// shard's `serve_sample_run`, with identical counter accounting.
     fn flush_run(&mut self, cx: &mut Cx<'_>) {
@@ -502,7 +504,7 @@ impl Conn {
         let before = session.processes();
         let started = Instant::now(); // lint:allow(determinism): decision-latency histogram only
         cx.decisions.clear();
-        session.apply_batch(cx.samples, cx.decisions);
+        session.step_many(cx.samples, cx.decisions);
         // One histogram entry per decision at the batch-amortized cost,
         // so the count still equals the decision count.
         let per_decision_us = started.elapsed().as_micros() / u128::from(n.max(1));

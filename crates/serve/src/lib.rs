@@ -6,18 +6,16 @@
 //! machines (or many processes) and returns DVFS decisions — phase
 //! prediction as infrastructure rather than a kernel module.
 //!
-//! The crate stacks four layers, std-only (no async runtime, no
-//! networking dependencies):
+//! The crate stacks three layers, std-only (no async runtime, no
+//! networking dependencies), over the shared `livephase-engine`
+//! decision pipeline:
 //!
 //! - [`wire`] — the versioned, length-prefixed binary frame protocol:
 //!   `Hello`/`HelloAck` handshake, `Sample` → `Decision` streaming,
 //!   `Stats`, explicit `Error` frames.
-//! - [`engine`] — the shard-local session layer: per-client
-//!   [`SessionState`](engine::SessionState), a thin adapter over the
-//!   shared `livephase-engine` decision pipeline (bit-identical to the
-//!   in-process manager's decision path) with batched queue draining.
 //! - [`server`] — the sharded daemon: N shard owner threads exclusively
-//!   holding predictor state, timeouts, a `max_conns` accept gate,
+//!   holding predictor state (one `DecisionEngine` per session, its
+//!   queued samples drained through the batched `step_many`), timeouts, a `max_conns` accept gate,
 //!   poison-one-connection error handling and flag-based draining
 //!   shutdown. Connections are driven by a nonblocking epoll **reactor**
 //!   (the [`reactor`] syscall layer plus the private `conn` and `shard`
@@ -41,7 +39,6 @@
 
 pub mod client;
 pub(crate) mod conn;
-pub mod engine;
 pub mod loadgen;
 pub mod reactor;
 pub mod server;
@@ -49,7 +46,7 @@ pub(crate) mod shard;
 pub mod wire;
 
 pub use client::{Client, ClientError, ServedDecision};
-pub use engine::{shard_for, Decision, EngineConfig, EngineConfigError, Sample, SessionState};
+pub use livephase_engine::{Decision, EngineConfig, EngineConfigError, Sample};
 pub use loadgen::{Agreement, LoadGenConfig, LoadGenError, LoadReport};
 pub use server::{spawn, ServerConfig, ServerHandle, ServerSummary};
 pub use wire::{ErrorCode, Frame, StatsSnapshot, MAX_FRAME_BYTES, PROTOCOL_VERSION};

@@ -24,11 +24,10 @@
 //! carry, so a correct server cannot disagree with the oracle even once.
 
 use crate::client::{Client, ClientError, ConnDriver};
-use crate::engine::EngineConfig;
 use crate::reactor::{Epoll, Events, Interest};
 use crate::wire::Frame;
 use livephase_core::predictor_from_spec;
-use livephase_engine::DecisionEngine;
+use livephase_engine::{DecisionEngine, EngineConfig};
 use livephase_governor::{par_map, Manager, ManagerConfig};
 use livephase_pmsim::PlatformConfig;
 use livephase_telemetry::Histogram;

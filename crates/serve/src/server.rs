@@ -5,11 +5,9 @@
 //! every connection it accepted (see [`crate::shard`] and
 //! [`crate::conn`]). One thread owns thousands of sockets; sessions
 //! never cross threads, so each shard exclusively owns the predictor
-//! state of the sessions hashed onto it — there is no lock around any
-//! GPHT. (The original thread-per-connection blocking engine served one
-//! release as the reactor's equivalence oracle and has been removed;
-//! the reactor tests now check bit-exactness directly against the
-//! in-process [`crate::engine::SessionState`] decision path.)
+//! state of the sessions it accepted — there is no lock around any
+//! GPHT. (The reactor tests check bit-exactness directly against an
+//! in-process `DecisionEngine` fed the same samples.)
 //!
 //! Robustness: every connection carries read/write timeouts; a
 //! malformed or oversized frame earns the sender a terminal
@@ -22,8 +20,8 @@
 //! connect; connections are drained — in-flight samples still get their
 //! decisions and queued frames flush — before sockets close.
 
-use crate::engine::EngineConfig;
 use crate::wire::{Frame, StatsSnapshot};
+use livephase_engine::EngineConfig;
 use livephase_telemetry::{trace_event, Counter, Gauge, Histogram, Level};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -106,7 +104,7 @@ impl ShardMetrics {
             ),
             // The governor-level decision series (governor_decisions_total,
             // governor_decision_us, predictor hits/misses) are recorded by
-            // the DecisionEngine inside each SessionState — the shard
+            // each session's DecisionEngine — the shard
             // pipeline IS the governor decision path — so only the
             // shard-labeled view lives here.
             decision_us: reg.histogram(

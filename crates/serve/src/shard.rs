@@ -6,21 +6,19 @@
 //! and runs a level-triggered readiness loop over every connection it
 //! accepted: accepts are drained in bounded bursts, readable sockets
 //! feed their [`Conn`]'s incremental decoder, decoded sample runs go
-//! through `SessionState::apply_batch` (the engine's `step_many`)
-//! exactly as the blocking shard loop does, and writable sockets drain
+//! through the session engine's `step_many`, and writable sockets drain
 //! their bounded outbound queues. A coarse tick — a fraction of the
 //! configured read timeout — drives idle reaping and bounds how late a
 //! shard notices the shutdown flag.
 //!
-//! Unlike the blocking path, where a connection's *placement* hashes its
-//! client id onto a shard, here the shard that wins the accept owns the
-//! connection outright: predictor state never crosses a thread, so the
-//! no-lock-around-any-GPHT property is preserved, and decisions are
-//! bit-identical either way because every session is independent.
+//! The shard that wins the accept owns the connection outright:
+//! predictor state never crosses a thread, so there is no lock around
+//! any GPHT, and which shard serves a session never changes its
+//! decisions because every session is independent.
 
 use crate::conn::{Conn, Cx};
-use crate::engine::{Decision, EngineConfig, Sample};
 use crate::server::{ServerConfig, ShardMetrics, Shared};
+use livephase_engine::{Decision, EngineConfig, Sample};
 use livephase_pmsim::{OperatingPointTable, PowerModel};
 use livephase_telemetry::{trace_event, Counter, Gauge, Histogram, Level};
 use std::collections::BTreeMap;

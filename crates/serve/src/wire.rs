@@ -162,11 +162,12 @@ pub struct StatsSnapshot {
 pub enum Frame {
     /// Client → server, first frame: version handshake plus the session
     /// configuration (platform name and predictor spec, e.g.
-    /// `"pentium_m"` / `"gpht:8:128"`). `client_id` selects the shard.
+    /// `"pentium_m"` / `"gpht:8:128"`). The shard that accepts the
+    /// connection serves it, whatever the `client_id`.
     Hello {
         /// Protocol version the client speaks.
         version: u16,
-        /// Stable client identity; shard assignment hashes this.
+        /// Stable client identity, for the client's own bookkeeping.
         client_id: u64,
         /// Platform the client's counters come from.
         platform: String,

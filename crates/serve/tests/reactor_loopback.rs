@@ -6,12 +6,13 @@
 //! blocking engine as an equivalence oracle; the in-process decision
 //! path is the oracle now.)
 
+use livephase_engine::DecisionEngine;
 use livephase_serve::client::Client;
-use livephase_serve::engine::{EngineConfig, SessionState};
 use livephase_serve::loadgen::{self, LoadGenConfig};
 use livephase_serve::reactor;
 use livephase_serve::server::{spawn, ServerConfig};
 use livephase_serve::wire::{self, ErrorCode, Frame, PROTOCOL_VERSION};
+use livephase_serve::EngineConfig;
 use std::io::Write;
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
@@ -184,7 +185,7 @@ fn slow_consumer_is_shed_without_disturbing_its_shard_siblings() {
 
 /// The in-process session engine is the reactor's equivalence oracle:
 /// the same counter stream served over the wire yields the decision
-/// stream `SessionState` computes directly — operating point and
+/// stream a `DecisionEngine` computes directly — operating point and
 /// confidence alike, bit for bit.
 #[test]
 fn reactor_decides_identically_to_the_in_process_engine() {
@@ -200,8 +201,8 @@ fn reactor_decides_identically_to_the_in_process_engine() {
     .collect();
 
     // The oracle: the exact decision path the shards run, in process.
-    let config = EngineConfig::pentium_m();
-    let mut oracle = SessionState::new(&config, "gpht:8:128").expect("oracle session");
+    let mut oracle =
+        DecisionEngine::from_spec(EngineConfig::pentium_m(), "gpht:8:128").expect("oracle engine");
     let oracle_samples: Vec<Sample> = samples
         .iter()
         .map(|&(uops, mem)| Sample {
@@ -211,7 +212,7 @@ fn reactor_decides_identically_to_the_in_process_engine() {
         })
         .collect();
     let mut oracle_decisions = Vec::new();
-    oracle.apply_batch(&oracle_samples, &mut oracle_decisions);
+    oracle.step_many(&oracle_samples, &mut oracle_decisions);
     let expected: Vec<(u8, u16)> = oracle_decisions
         .iter()
         .map(|d| (d.op_point, d.confidence))

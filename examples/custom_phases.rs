@@ -12,9 +12,8 @@
 //! predictor or the platform.
 
 use livephase::core::{Gpht, GphtConfig, PhaseMap};
-use livephase::governor::{
-    ConservativeDerivation, Manager, ManagerConfig, Proactive, TranslationTable,
-};
+use livephase::engine::{DecisionEngine, EngineConfig};
+use livephase::governor::{ConservativeDerivation, Manager, ManagerConfig, TranslationTable};
 use livephase::pmsim::PlatformConfig;
 use livephase::workloads::spec;
 
@@ -31,17 +30,10 @@ fn main() {
     //     0.02 Mem/Uop, mapped to 1500 MHz / 800 MHz.
     let coarse_map = PhaseMap::new(vec![0.02]).expect("one boundary");
     let coarse_table = TranslationTable::new(vec![0, 4], 6).expect("valid");
-    let coarse = Manager::new(
-        Box::new(Proactive::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            coarse_table,
-        )),
-        ManagerConfig {
-            phase_map: coarse_map,
-            ..ManagerConfig::pentium_m()
-        },
-    )
-    .run(&trace, &platform);
+    let coarse_config =
+        EngineConfig::new("pentium_m", coarse_map, coarse_table).expect("one-byte settings");
+    let engine = DecisionEngine::new(coarse_config, || Box::new(Gpht::new(GphtConfig::DEPLOYED)));
+    let coarse = Manager::with_engine(engine, ManagerConfig::pentium_m()).run(&trace, &platform);
 
     // (c) Conservative definitions derived from the IPCxMEM
     //     characterization to bound slowdown by 5 %.

@@ -5,10 +5,7 @@
 //! cargo run --release --example thermal_manager
 //! ```
 
-use livephase::core::{Gpht, GphtConfig};
-use livephase::governor::{
-    Manager, ManagerConfig, PowerCap, PowerEstimator, ThermalAware, TranslationTable,
-};
+use livephase::governor::{Manager, ManagerConfig, PowerCap, PowerEstimator, ThermalAware};
 use livephase::pmsim::{PlatformConfig, ThermalModel};
 use livephase::workloads::spec;
 
@@ -25,35 +22,23 @@ fn main() {
         ..ManagerConfig::pentium_m()
     };
 
-    let unmanaged = Manager::new(
-        Box::new(livephase::governor::Baseline::new()),
-        thermal_cfg.clone(),
-    )
-    .run(&trace, &platform);
+    let unmanaged = Manager::baseline_with(thermal_cfg.clone()).run(&trace, &platform);
 
+    // Both guards reshape the deployed GPHT engine's decisions.
     let limit_c = 65.0;
-    let dtm = Manager::new(
-        Box::new(ThermalAware::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::pentium_m(),
-            PowerEstimator::pentium_m(),
-            ThermalModel::pentium_m(),
-            limit_c,
-        )),
-        thermal_cfg.clone(),
-    )
-    .run(&trace, &platform);
+    let guard = ThermalAware::new(
+        PowerEstimator::pentium_m(),
+        ThermalModel::pentium_m(),
+        limit_c,
+    );
+    let dtm = Manager::gpht_deployed_with(thermal_cfg.clone())
+        .with_hook(Box::new(guard))
+        .run(&trace, &platform);
 
     let cap_w = 7.0;
-    let capped = Manager::new(
-        Box::new(PowerCap::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            PowerEstimator::pentium_m(),
-            cap_w,
-        )),
-        thermal_cfg,
-    )
-    .run(&trace, &platform);
+    let capped = Manager::gpht_deployed_with(thermal_cfg)
+        .with_hook(Box::new(PowerCap::new(PowerEstimator::pentium_m(), cap_w)))
+        .run(&trace, &platform);
 
     println!(
         "{:<26} {:>9} {:>10} {:>7}",

@@ -128,7 +128,8 @@ fn online_and_offline_prediction_scores_agree() {
 #[test]
 fn phase_map_reconfiguration_is_isolated() {
     use livephase::core::{Gpht, GphtConfig};
-    use livephase::governor::{Proactive, TranslationTable};
+    use livephase::engine::{DecisionEngine, EngineConfig};
+    use livephase::governor::TranslationTable;
 
     let trace = spec::benchmark("swim_in")
         .unwrap()
@@ -138,17 +139,15 @@ fn phase_map_reconfiguration_is_isolated() {
 
     // Single-phase map: everything is "phase 1" -> setting 0: must behave
     // exactly like the baseline modulo handler overhead.
-    let degenerate = Manager::new(
-        Box::new(Proactive::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            TranslationTable::new(vec![0, 0], 6).unwrap(),
-        )),
-        ManagerConfig {
-            phase_map: PhaseMap::new(vec![1.0]).unwrap(),
-            ..ManagerConfig::pentium_m()
-        },
+    let config = EngineConfig::new(
+        "pentium_m",
+        PhaseMap::new(vec![1.0]).unwrap(),
+        TranslationTable::new(vec![0, 0], 6).unwrap(),
     )
-    .run(&trace, &platform);
+    .unwrap();
+    let engine = DecisionEngine::new(config, || Box::new(Gpht::new(GphtConfig::DEPLOYED)));
+    let degenerate =
+        Manager::with_engine(engine, ManagerConfig::pentium_m()).run(&trace, &platform);
     assert_eq!(degenerate.dvfs_transitions, 0);
 
     let baseline = Manager::baseline().run(&trace, &platform);

@@ -1,14 +1,13 @@
-//! Engine equivalence: the three former copies of the decision pipeline —
-//! the governor's in-process loop, the serve shard's session adapter, and
-//! the experiment harness — now all delegate to one `DecisionEngine`.
-//! These tests prove the delegation is bit-exact: the same counter stream
-//! produces identical phases, predictions, operating points, and
-//! confidence basis points through every entry point.
+//! Engine equivalence: the former copies of the decision pipeline — the
+//! governor's in-process loop, the serve shard's sessions, and the
+//! experiment harness — all run one `DecisionEngine`. These tests prove
+//! the entry points are bit-exact: the same counter stream produces
+//! identical phases, predictions, operating points, and confidence basis
+//! points through each of them.
 
 use livephase::engine::{Decision, DecisionEngine, EngineConfig, Sample};
 use livephase::governor::Manager;
 use livephase::pmsim::PlatformConfig;
-use livephase::serve::SessionState;
 use livephase::workloads::{counter_samples, spec, WorkloadTrace};
 
 const PREDICTOR: &str = "gpht:8:128";
@@ -34,9 +33,11 @@ fn engine() -> DecisionEngine {
     DecisionEngine::from_spec(EngineConfig::pentium_m(), PREDICTOR).unwrap()
 }
 
-/// `step`, `step_many`, and the serve session adapter emit identical
-/// decision streams — including the per-decision confidence basis points,
-/// which `Decision`'s `Eq` compares field by field.
+/// `step`, `step_many`, and a serve session (an engine built from the
+/// spec a client's `Hello` names, draining whatever run of samples its
+/// socket delivered — here one at a time) emit identical decision
+/// streams, including the per-decision confidence basis points, which
+/// `Decision`'s `Eq` compares field by field.
 #[test]
 fn step_step_many_and_session_are_bit_exact() {
     let trace = trace();
@@ -50,11 +51,12 @@ fn step_step_many_and_session_are_bit_exact() {
     batched_engine.step_many(&samples, &mut batched);
     assert_eq!(batched, stepped, "step_many diverged from step");
 
-    let mut session = SessionState::new(&EngineConfig::pentium_m(), PREDICTOR).unwrap();
-    let served: Vec<Decision> = samples
-        .iter()
-        .map(|s| session.apply(s.pid, s.uops, s.mem_transactions))
-        .collect();
+    let mut session =
+        DecisionEngine::from_spec(livephase::serve::EngineConfig::pentium_m(), PREDICTOR).unwrap();
+    let mut served = Vec::new();
+    for s in &samples {
+        session.step_many(std::slice::from_ref(s), &mut served);
+    }
     assert_eq!(served, stepped, "serve session diverged from step");
 
     // The two engines also agree on the aggregate score.
@@ -118,9 +120,9 @@ fn multiplexed_pids_match_dedicated_engines() {
         }
     }
 
-    let mut session = SessionState::new(&EngineConfig::pentium_m(), PREDICTOR).unwrap();
+    let mut session = engine();
     let mut decisions = Vec::new();
-    session.apply_batch(&interleaved, &mut decisions);
+    session.step_many(&interleaved, &mut decisions);
 
     for &pid in &pids {
         let mut dedicated = engine();

@@ -12,14 +12,15 @@
 //! were merged onto the engine; any drift in any run fails here with its
 //! name.
 
-use livephase::core::{ConfidentPredictor, Gpht, GphtConfig, PhaseMap};
+use livephase::core::{ConfidentPredictor, Gpht, GphtConfig, LastValue, PhaseMap, Predictor};
+use livephase::engine::{DecisionEngine, EngineConfig};
 use livephase::experiments::ablations::overheads::SWEEP;
 use livephase::experiments::extensions::adaptive_sampling::BENCHMARKS as SAMPLING_SET;
 use livephase::experiments::extensions::power_cap::CAPS;
 use livephase::experiments::power_zoo;
 use livephase::governor::{
-    AdaptiveSampling, Baseline, ConservativeDerivation, Manager, ManagerConfig, MinDwell, Oracle,
-    PowerCap, PowerEstimator, Proactive, Reactive, RunReport, ThermalAware, TranslationTable,
+    AdaptiveSampling, ConservativeDerivation, Manager, ManagerConfig, MinDwell, Oracle, PowerCap,
+    PowerEstimator, RunReport, ThermalAware, TranslationTable,
 };
 use livephase::pmsim::{PlatformConfig, ThermalModel};
 use livephase::workloads::{spec, WorkloadTrace};
@@ -66,10 +67,14 @@ fn full_trace(name: &str) -> WorkloadTrace {
     spec::benchmark(name).unwrap().generate(SEED)
 }
 
-fn deployed_gpht() -> Proactive<Gpht> {
-    Proactive::new(
-        Gpht::new(GphtConfig::DEPLOYED),
-        TranslationTable::pentium_m(),
+/// A manager over an engine whose per-pid predictors `factory` builds.
+fn on_engine(
+    config: EngineConfig,
+    factory: impl Fn() -> Box<dyn Predictor> + Send + 'static,
+) -> Manager {
+    Manager::with_engine(
+        DecisionEngine::new(config, factory),
+        ManagerConfig::pentium_m(),
     )
 }
 
@@ -85,22 +90,19 @@ fn runs() -> Vec<(String, RunReport)> {
     let pentium_m = PlatformConfig::pentium_m();
     let mut runs: Vec<(String, RunReport)> = Vec::new();
 
-    // The prior-work reactive system and the deployed proactive one.
+    // The prior-work reactive system and the deployed proactive one: a
+    // last-value and a GPHT predictor over the Table 2 translation.
     let applu_120 = trace("applu_in", 120, 11);
     runs.push((
         "reactive".into(),
-        Manager::new(
-            Box::new(Reactive::new(TranslationTable::pentium_m())),
-            ManagerConfig::pentium_m(),
-        )
-        .run(&applu_120, &pentium_m),
+        on_engine(EngineConfig::pentium_m(), || Box::new(LastValue::new()))
+            .run(&applu_120, &pentium_m),
     ));
     runs.push((
         "proactive".into(),
-        Manager::new(
-            Box::new(Proactive::gpht_deployed()),
-            ManagerConfig::pentium_m(),
-        )
+        on_engine(EngineConfig::pentium_m(), || {
+            Box::new(Gpht::new(GphtConfig::DEPLOYED))
+        })
         .run(&applu_120, &pentium_m),
     ));
 
@@ -108,13 +110,10 @@ fn runs() -> Vec<(String, RunReport)> {
     let applu_400 = trace("applu_in", 400, SEED);
     runs.push((
         "overheads/baseline".into(),
-        Manager::new(
-            Box::new(Baseline::new()),
-            ManagerConfig {
-                handler_overhead_s: 0.0,
-                ..ManagerConfig::pentium_m()
-            },
-        )
+        Manager::baseline_with(ManagerConfig {
+            handler_overhead_s: 0.0,
+            ..ManagerConfig::pentium_m()
+        })
         .run(
             &applu_400,
             &PlatformConfig {
@@ -134,61 +133,52 @@ fn runs() -> Vec<(String, RunReport)> {
         };
         runs.push((
             format!("overheads/{handler_s}/{transition_s}"),
-            Manager::new(Box::new(deployed_gpht()), config).run(&applu_400, &platform),
+            Manager::gpht_deployed_with(config).run(&applu_400, &platform),
         ));
     }
 
     // Confidence gating and the oracle, over the Figure 12 set.
     for name in spec::figure12_set() {
         let full = full_trace(name);
-        let gated = Proactive::new(
-            ConfidentPredictor::new(Gpht::new(GphtConfig::DEPLOYED), 2, 2),
-            TranslationTable::pentium_m(),
-        );
-        runs.push((
-            format!("confidence/{name}"),
-            Manager::new(Box::new(gated), ManagerConfig::pentium_m()).run(&full, &pentium_m),
-        ));
-        let oracle =
-            Oracle::from_trace(&full, &PhaseMap::pentium_m(), TranslationTable::pentium_m());
-        runs.push((
-            format!("oracle/{name}"),
-            Manager::new(Box::new(oracle), ManagerConfig::pentium_m()).run(&full, &pentium_m),
-        ));
+        let gated = on_engine(EngineConfig::pentium_m(), || {
+            Box::new(ConfidentPredictor::new(
+                Gpht::new(GphtConfig::DEPLOYED),
+                2,
+                2,
+            ))
+        });
+        runs.push((format!("confidence/{name}"), gated.run(&full, &pentium_m)));
+        let oracle = Oracle::from_trace(&full, &PhaseMap::pentium_m());
+        let oracle = on_engine(EngineConfig::pentium_m(), move || Box::new(oracle.clone()));
+        runs.push((format!("oracle/{name}"), oracle.run(&full, &pentium_m)));
     }
 
     // Dynamic thermal management: unmanaged, energy-managed, thermal-aware.
     let crafty_900 = trace("crafty_in", 900, SEED);
     runs.push((
         "dtm/unmanaged".into(),
-        Manager::new(Box::new(Baseline::new()), thermal_config()).run(&crafty_900, &pentium_m),
+        Manager::baseline_with(thermal_config()).run(&crafty_900, &pentium_m),
     ));
     runs.push((
         "dtm/energy".into(),
-        Manager::new(Box::new(deployed_gpht()), thermal_config()).run(&crafty_900, &pentium_m),
+        Manager::gpht_deployed_with(thermal_config()).run(&crafty_900, &pentium_m),
     ));
-    let thermal = ThermalAware::new(
-        Gpht::new(GphtConfig::DEPLOYED),
-        TranslationTable::pentium_m(),
-        PowerEstimator::pentium_m(),
-        ThermalModel::pentium_m(),
-        65.0,
-    );
+    let guard = ThermalAware::new(PowerEstimator::pentium_m(), ThermalModel::pentium_m(), 65.0);
     runs.push((
         "dtm/thermal".into(),
-        Manager::new(Box::new(thermal), thermal_config()).run(&crafty_900, &pentium_m),
+        Manager::gpht_deployed_with(thermal_config())
+            .with_hook(Box::new(guard))
+            .run(&crafty_900, &pentium_m),
     ));
 
     // Power capping, and the power-model zoo's capped race run.
     for cap_w in CAPS {
-        let capped = PowerCap::new(
-            Gpht::new(GphtConfig::DEPLOYED),
-            PowerEstimator::pentium_m(),
-            cap_w,
-        );
+        let capped = PowerCap::new(PowerEstimator::pentium_m(), cap_w);
         runs.push((
             format!("power_cap/{cap_w}"),
-            Manager::new(Box::new(capped), ManagerConfig::pentium_m()).run(&applu_400, &pentium_m),
+            Manager::gpht_deployed()
+                .with_hook(Box::new(capped))
+                .run(&applu_400, &pentium_m),
         ));
     }
     let linear = power_zoo::model("linear", SEED).unwrap();
@@ -196,14 +186,11 @@ fn runs() -> Vec<(String, RunReport)> {
         power: linear,
         ..PlatformConfig::pentium_m()
     });
-    let zoo_capped = PowerCap::new(
-        Gpht::new(GphtConfig::DEPLOYED),
-        zoo_estimator,
-        ZOO_RACE_CAP_W,
-    );
     runs.push((
         "power_zoo/linear".into(),
-        Manager::new(Box::new(zoo_capped), ManagerConfig::pentium_m()).run(&applu_400, &pentium_m),
+        Manager::gpht_deployed()
+            .with_hook(Box::new(PowerCap::new(zoo_estimator, ZOO_RACE_CAP_W)))
+            .run(&applu_400, &pentium_m),
     ));
 
     // Duration-guided adaptive sampling.
@@ -215,7 +202,7 @@ fn runs() -> Vec<(String, RunReport)> {
         };
         runs.push((
             format!("adaptive_sampling/{name}"),
-            Manager::new(Box::new(Proactive::gpht_deployed()), config).run(&workload, &pentium_m),
+            Manager::gpht_deployed_with(config).run(&workload, &pentium_m),
         ));
     }
 
@@ -223,29 +210,22 @@ fn runs() -> Vec<(String, RunReport)> {
     let equake_400 = trace("equake_in", 400, 3);
     runs.push((
         "min_dwell/equake".into(),
-        Manager::new(
-            Box::new(MinDwell::new(deployed_gpht(), 2)),
-            ManagerConfig::pentium_m(),
-        )
-        .run(&equake_400, &pentium_m),
+        Manager::gpht_deployed()
+            .with_hook(Box::new(MinDwell::new(2)))
+            .run(&equake_400, &pentium_m),
     ));
 
     // A user-defined coarse phase map, and the derived conservative one.
     let equake_42 = trace("equake_in", 400, SEED);
-    let coarse = Proactive::new(
-        Gpht::new(GphtConfig::DEPLOYED),
+    let coarse = EngineConfig::new(
+        "pentium_m",
+        PhaseMap::new(vec![0.02]).unwrap(),
         TranslationTable::new(vec![0, 4], 6).unwrap(),
-    );
+    )
+    .unwrap();
     runs.push((
         "custom_map/coarse".into(),
-        Manager::new(
-            Box::new(coarse),
-            ManagerConfig {
-                phase_map: PhaseMap::new(vec![0.02]).unwrap(),
-                ..ManagerConfig::pentium_m()
-            },
-        )
-        .run(&equake_42, &pentium_m),
+        on_engine(coarse, || Box::new(Gpht::new(GphtConfig::DEPLOYED))).run(&equake_42, &pentium_m),
     ));
     runs.push((
         "custom_map/conservative".into(),
@@ -256,7 +236,8 @@ fn runs() -> Vec<(String, RunReport)> {
     runs
 }
 
-/// `(run name, fingerprint)`, captured on the policy-object governor.
+/// `(run name, fingerprint)`, captured when these runs still went through
+/// per-policy decision code outside the engine.
 const PINNED: &[(&str, u64)] = &[
     ("reactive", 0x4a8e4fec8d6e5518),
     ("proactive", 0xd065170ac228717c),
