@@ -178,6 +178,8 @@ echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_power_model_eva
     || { echo "bench gate: the power_model_eval record was not written"; exit 1; }
 echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_tenants_arbitrate.json' \
     || { echo "bench gate: the tenants_arbitrate record was not written"; exit 1; }
+echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_daq_measure.json' \
+    || { echo "bench gate: the daq_measure record was not written"; exit 1; }
 
 # Power-model zoo gate. Three claims, each enforced by exit codes and
 # byte-level diffs rather than eyeballs:

@@ -10,8 +10,9 @@
 //! the committed constants are machine-independent by construction.
 
 use crate::stats::Summary;
+use livephase_daq::{DaqLog, DaqSystem};
 use livephase_engine::{Decision, DecisionEngine, EngineConfig};
-use livephase_governor::Manager;
+use livephase_governor::{Manager, Session};
 use livephase_pmsim::{
     AnalyticModel, LinearModel, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
     TrainingRecord, TreeModel,
@@ -108,6 +109,29 @@ fn run_governor_run(warmup: usize, iters: usize) -> Vec<u64> {
     timed(warmup, iters, || {
         let report = Manager::gpht_deployed().run(&trace, &platform);
         std::hint::black_box(report.dvfs_transitions);
+    })
+}
+
+/// `daq_measure`: one `measure_all` pass of the DAQ chain over a
+/// Figure 10-shaped pair of waveforms — applu unmanaged and
+/// GPHT-managed, 8 intervals each (≈ 50k samples at 40 µs).
+fn run_daq_measure(warmup: usize, iters: usize) -> Vec<u64> {
+    let bench = spec::benchmark("applu_in")
+        .expect("applu_in is registered")
+        .with_length(8);
+    let platform = PlatformConfig::pentium_m().with_power_trace();
+    let session = Session::new(&platform);
+    let reports = [
+        session.baseline(bench.stream(1)),
+        session.gpht(bench.stream(1)),
+    ];
+    let waveforms = reports
+        .each_ref()
+        .map(|r| r.power_trace.as_ref().expect("waveform recorded"));
+    let daq = DaqSystem::pentium_m(1);
+    timed(warmup, iters, || {
+        let logs = daq.measure_all(&waveforms);
+        std::hint::black_box(logs.iter().map(DaqLog::samples_taken).sum::<u64>());
     })
 }
 
@@ -341,6 +365,12 @@ pub fn registry() -> &'static [Area] {
             what: "one GPHT-managed run over 200 applu intervals",
             expected_ratio: 0.085,
             run: run_governor_run,
+        },
+        Area {
+            name: "daq_measure",
+            what: "one DaqSystem::measure_all over an 8-interval applu baseline/GPHT pair",
+            expected_ratio: 4.6,
+            run: run_daq_measure,
         },
         Area {
             name: "wire_encode",

@@ -27,7 +27,6 @@
 //!   to PHT size (the performance side of Figure 5);
 //! * `platform` — simulated-CPU interval throughput, timing/power model
 //!   evaluation and DVFS switching;
-//! * `daq` — sense-network math and 40 µs-sampling throughput;
 //! * `figures` — end-to-end regeneration cost of every table and figure
 //!   at reduced scale (one bench per paper artifact);
 //! * `engine`, `telemetry` — serving-stack micro-benches.

@@ -12,15 +12,14 @@ use crate::sampler::DaqSample;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Per-channel noise + single-pole low-pass conditioning.
+/// Per-channel noise + single-pole low-pass conditioning. The noise draw
+/// and the filter step are separate halves so that several captures can
+/// share one draw per sample instant while each keeps its own filter
+/// state (`DaqSystem::measure_all`).
 #[derive(Debug, Clone)]
 pub struct SignalConditioner {
-    /// Standard deviation of the additive Gaussian channel noise, in volts.
-    noise_sigma_v: f64,
-    /// Filter smoothing coefficient in `(0, 1]`; 1 = no filtering.
-    alpha: f64,
-    rng: StdRng,
-    state: Option<[f64; 3]>,
+    pub(crate) noise: ChannelNoise,
+    pub(crate) filter: LowPass,
 }
 
 impl SignalConditioner {
@@ -54,10 +53,11 @@ impl SignalConditioner {
             "filter alpha must be in (0, 1], got {alpha}"
         );
         Self {
-            noise_sigma_v,
-            alpha,
-            rng: StdRng::seed_from_u64(seed),
-            state: None,
+            noise: ChannelNoise {
+                sigma_v: noise_sigma_v,
+                rng: StdRng::seed_from_u64(seed),
+            },
+            filter: LowPass { alpha, state: None },
         }
     }
 
@@ -65,10 +65,52 @@ impl SignalConditioner {
     /// through untouched (the parallel-port lines are logic-level).
     #[must_use]
     pub fn process(&mut self, sample: DaqSample) -> DaqSample {
+        let noise = self.noise.draw();
+        self.filter.apply(sample, noise)
+    }
+}
+
+/// The additive Gaussian channel noise: one draw per channel per sample
+/// instant, from a deterministic seeded stream.
+#[derive(Debug, Clone)]
+pub(crate) struct ChannelNoise {
+    /// Standard deviation of the noise, in volts.
+    sigma_v: f64,
+    rng: StdRng,
+}
+
+impl ChannelNoise {
+    /// The noise on `[v1, v2, vcpu]` at the next sample instant.
+    pub(crate) fn draw(&mut self) -> [f64; 3] {
+        [self.gaussian(), self.gaussian(), self.gaussian()]
+    }
+
+    /// One Gaussian draw (Box–Muller).
+    fn gaussian(&mut self) -> f64 {
+        if self.sigma_v == 0.0 {
+            return 0.0;
+        }
+        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = self.rng.gen_range(0.0..1.0);
+        self.sigma_v * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    }
+}
+
+/// The single-pole low-pass over the three analog channels.
+#[derive(Debug, Clone)]
+pub(crate) struct LowPass {
+    /// Smoothing coefficient in `(0, 1]`; 1 = no filtering.
+    alpha: f64,
+    state: Option<[f64; 3]>,
+}
+
+impl LowPass {
+    /// Adds `noise` to the sample's channels and filters the result.
+    pub(crate) fn apply(&mut self, sample: DaqSample, [n1, n2, n3]: [f64; 3]) -> DaqSample {
         let noisy = [
-            sample.channels.v1 + self.noise(),
-            sample.channels.v2 + self.noise(),
-            sample.channels.vcpu + self.noise(),
+            sample.channels.v1 + n1,
+            sample.channels.v2 + n2,
+            sample.channels.vcpu + n3,
         ];
         let filtered = match &mut self.state {
             None => {
@@ -90,16 +132,6 @@ impl SignalConditioner {
             },
             ..sample
         }
-    }
-
-    /// One Gaussian draw (Box–Muller).
-    fn noise(&mut self) -> f64 {
-        if self.noise_sigma_v == 0.0 {
-            return 0.0;
-        }
-        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
-        self.noise_sigma_v * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 }
 

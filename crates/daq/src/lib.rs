@@ -50,12 +50,15 @@ pub use sense::SenseCircuit;
 
 use livephase_pmsim::PowerTrace;
 
+/// The DAQPad's sampling period, in seconds. The conditioner's filter
+/// coefficient (α = 0.2, a ≈ 160 µs time constant) is tuned for it.
+const SAMPLING_PERIOD_S: f64 = 40e-6;
+
 /// The complete measurement chain, configured like the paper's rig.
 #[derive(Debug, Clone)]
 pub struct DaqSystem {
     circuit: SenseCircuit,
     conditioner: SignalConditioner,
-    sampling_period_s: f64,
 }
 
 impl DaqSystem {
@@ -67,7 +70,6 @@ impl DaqSystem {
         Self {
             circuit: SenseCircuit::pentium_m(),
             conditioner: SignalConditioner::ni_unit(seed),
-            sampling_period_s: 40e-6,
         }
     }
 
@@ -78,44 +80,71 @@ impl DaqSystem {
         Self {
             circuit: SenseCircuit::pentium_m(),
             conditioner: SignalConditioner::ideal(),
-            sampling_period_s: 40e-6,
         }
     }
 
     /// The sampling period in seconds.
     #[must_use]
     pub fn sampling_period_s(&self) -> f64 {
-        self.sampling_period_s
-    }
-
-    /// Overrides the sampling period (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_s` is not positive and finite.
-    #[must_use]
-    pub fn with_sampling_period(mut self, period_s: f64) -> Self {
-        assert!(
-            period_s.is_finite() && period_s > 0.0,
-            "sampling period must be positive"
-        );
-        self.sampling_period_s = period_s;
-        self
+        SAMPLING_PERIOD_S
     }
 
     /// Runs the full chain over a power waveform and returns the
-    /// phase-aligned measurement log.
+    /// phase-aligned measurement log; the same as `measure_all(&[trace])`.
     #[must_use]
     pub fn measure(&self, trace: &PowerTrace) -> DaqLog {
-        let mut conditioner = self.conditioner.clone();
-        let sampler = Sampler::new(self.sampling_period_s);
-        let mut log = DaqLog::new(self.sampling_period_s);
-        for raw in sampler.samples(trace, &self.circuit) {
-            let conditioned = conditioner.process(raw);
-            log.record(&conditioned, &self.circuit);
+        self.measure_all(&[trace])
+            .pop()
+            .expect("measure_all returns one log per trace")
+    }
+
+    /// Runs the full chain over several waveforms, one log per trace in
+    /// input order.
+    ///
+    /// Every capture from one `DaqSystem` sees the same noise realisation:
+    /// sample `k` of each trace carries the `k`-th draw of the seeded
+    /// stream. So the draw is made once per sample instant and fed to
+    /// every trace still running at that instant, while each trace keeps
+    /// its own sampler cursor, low-pass state and log. Each returned log
+    /// equals what a lone `measure` call on its trace returns.
+    #[must_use]
+    pub fn measure_all(&self, traces: &[&PowerTrace]) -> Vec<DaqLog> {
+        let sampler = Sampler::new(SAMPLING_PERIOD_S);
+        let mut noise = self.conditioner.noise.clone();
+        // Per trace: the sampler cursor (`None` once the trace has ended),
+        // the low-pass state and the log.
+        let mut captures: Vec<_> = traces
+            .iter()
+            .map(|trace| {
+                (
+                    Some(sampler.samples(trace, &self.circuit)),
+                    self.conditioner.filter.clone(),
+                    DaqLog::new(SAMPLING_PERIOD_S),
+                )
+            })
+            .collect();
+        loop {
+            // Drawn when the first still-running trace yields a sample.
+            let mut instant_noise = None;
+            for (cursor, filter, log) in &mut captures {
+                let Some(raw) = cursor.as_mut().and_then(Iterator::next) else {
+                    *cursor = None;
+                    continue;
+                };
+                let n = *instant_noise.get_or_insert_with(|| noise.draw());
+                log.record(&filter.apply(raw, n), &self.circuit);
+            }
+            if instant_noise.is_none() {
+                break;
+            }
         }
-        log.finish();
-        log
+        captures
+            .into_iter()
+            .map(|(_, _, mut log)| {
+                log.finish();
+                log
+            })
+            .collect()
     }
 }
 
@@ -166,14 +195,6 @@ mod tests {
         assert!((phases[1].duration_s - 0.12).abs() < 1e-3);
         assert!(phases[0].avg_power_w > 12.0);
         assert!(phases[1].avg_power_w < 4.0);
-    }
-
-    #[test]
-    fn custom_sampling_period() {
-        let mut t = PowerTrace::new();
-        t.push(seg(0.001, 10.0, 0));
-        let log = DaqSystem::ideal().with_sampling_period(100e-6).measure(&t);
-        assert_eq!(log.samples_taken(), 10);
     }
 
     #[test]

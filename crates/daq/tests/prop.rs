@@ -1,6 +1,6 @@
 //! Property-based tests for the DAQ measurement chain.
 
-use livephase_daq::{DaqSystem, SenseCircuit};
+use livephase_daq::{DaqLog, DaqSystem, Sampler, SenseCircuit, SignalConditioner};
 use livephase_pmsim::trace::{PowerSegment, PowerTrace};
 use proptest::prelude::*;
 
@@ -17,7 +17,62 @@ fn arb_trace() -> impl Strategy<Value = PowerTrace> {
     })
 }
 
+/// A trace for the shared-noise property: empty, shorter than one
+/// sampling period, or an arbitrary segment list of a few milliseconds.
+fn arb_capture() -> impl Strategy<Value = PowerTrace> {
+    let segment = |duration| {
+        (duration, 0.5f64..15.0, 0u8..8).prop_map(|(duration_s, power_w, pport_bits)| {
+            PowerSegment {
+                duration_s,
+                power_w,
+                voltage_v: 1.2,
+                pport_bits,
+            }
+        })
+    };
+    prop_oneof![
+        Just(PowerTrace::new()),
+        segment(1e-6f64..39e-6).prop_map(|s| std::iter::once(s).collect::<PowerTrace>()),
+        proptest::collection::vec(segment(1e-5f64..4e-3), 1..8)
+            .prop_map(|v| v.into_iter().collect::<PowerTrace>()),
+    ]
+}
+
+/// The chain as one trace at a time, sample by sample: the oracle
+/// `measure_all` must reproduce for every trace it is handed.
+fn measure_alone(conditioner: &SignalConditioner, trace: &PowerTrace) -> DaqLog {
+    let circuit = SenseCircuit::pentium_m();
+    let mut conditioner = conditioner.clone();
+    let mut log = DaqLog::new(40e-6);
+    for raw in Sampler::new(40e-6).samples(trace, &circuit) {
+        log.record(&conditioner.process(raw), &circuit);
+    }
+    log.finish();
+    log
+}
+
 proptest! {
+    /// Measuring traces together shares one noise draw per sample
+    /// instant without changing any trace's log: each equals the
+    /// one-trace-at-a-time oracle, for noisy and ideal chains alike.
+    #[test]
+    fn measure_all_equals_one_trace_at_a_time(
+        traces in proptest::collection::vec(arb_capture(), 0..5),
+        seed in 0u64..1000,
+    ) {
+        let refs: Vec<&PowerTrace> = traces.iter().collect();
+        for (system, conditioner) in [
+            (DaqSystem::pentium_m(seed), SignalConditioner::ni_unit(seed)),
+            (DaqSystem::ideal(), SignalConditioner::ideal()),
+        ] {
+            let logs = system.measure_all(&refs);
+            prop_assert_eq!(logs.len(), traces.len());
+            for (log, trace) in logs.iter().zip(&traces) {
+                prop_assert_eq!(log, &measure_alone(&conditioner, trace));
+            }
+        }
+    }
+
     /// The sense network's forward and inverse models are exact inverses
     /// for any physical operating point.
     #[test]

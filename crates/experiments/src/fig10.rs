@@ -10,7 +10,7 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_daq::DaqSystem;
+use livephase_daq::{DaqLog, DaqSystem};
 use livephase_governor::{RunReport, Session};
 use livephase_pmsim::PlatformConfig;
 use std::fmt;
@@ -23,9 +23,9 @@ pub struct Figure10 {
     /// GPHT-managed run.
     pub managed: RunReport,
     /// DAQ-measured per-phase power for the baseline run.
-    pub baseline_daq: livephase_daq::DaqLog,
+    pub baseline_daq: DaqLog,
     /// DAQ-measured per-phase power for the managed run.
-    pub managed_daq: livephase_daq::DaqLog,
+    pub managed_daq: DaqLog,
 }
 
 /// Runs `applu` under both systems with waveform recording and measures
@@ -43,9 +43,13 @@ pub fn run(seed: u64) -> Figure10 {
     let session = Session::new(&platform);
     let baseline = session.baseline(bench.stream(seed));
     let managed = session.gpht(bench.stream(seed));
-    let daq = DaqSystem::pentium_m(seed);
-    let baseline_daq = daq.measure(baseline.power_trace.as_ref().expect("recorded"));
-    let managed_daq = daq.measure(managed.power_trace.as_ref().expect("recorded"));
+    // One pass for both captures: they share the noise realisation, so
+    // the channel noise is drawn once per sample instant.
+    let waveforms = [&baseline, &managed].map(|r| r.power_trace.as_ref().expect("recorded"));
+    let [baseline_daq, managed_daq]: [DaqLog; 2] = DaqSystem::pentium_m(seed)
+        .measure_all(&waveforms)
+        .try_into()
+        .expect("one log per trace");
     Figure10 {
         baseline,
         managed,

@@ -21,8 +21,8 @@ use crate::ShapeViolations;
 use livephase_daq::DaqSystem;
 use livephase_governor::{par_map, Manager, PowerCap, PowerEstimator, Session};
 use livephase_pmsim::{
-    LinearModel, OperatingPointTable, PlatformConfig, PowerInput, PowerModel, PowerModelKind,
-    TrainingRecord, TreeModel,
+    LinearModel, OperatingPoint, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
+    PowerModelKind, PowerTrace, TrainingRecord, TreeModel,
 };
 use std::fmt;
 
@@ -90,34 +90,37 @@ pub struct PowerZoo {
     pub tree: TreeModel,
 }
 
-/// Harvests labelled training records from one benchmark: run it under
-/// GPHT management with waveform recording, measure the waveform through
-/// the DAQ chain, and zip the per-interval PMC features with the
-/// phase-aligned power measurements.
-fn harvest(name: &str, seed: u64) -> Vec<TrainingRecord> {
-    let bench = require_benchmark(name).with_length(INTERVALS);
-    let platform = PlatformConfig::pentium_m().with_power_trace();
-    let session = Session::new(&platform);
-    let report = session.gpht(bench.stream(seed));
-    let trace = report.power_trace.as_ref().expect("waveform recorded");
-    let log = DaqSystem::pentium_m(seed).measure(trace);
-    let features: Vec<(livephase_pmsim::OperatingPoint, PowerInput)> = report
-        .intervals
-        .iter()
-        .filter_map(|iv| {
-            let opp = platform.opp_table.get(iv.dvfs_index)?;
-            Some((opp, PowerInput::from_counters(iv.mem_uop, iv.upc)))
-        })
-        .collect();
-    log.training_records(&features).collect()
-}
-
-/// Harvests and concatenates records for a benchmark set, in set order.
+/// Harvests labelled training records from a benchmark set, in set
+/// order: run each benchmark under GPHT management with waveform
+/// recording, measure every waveform through the DAQ chain in one pass,
+/// and zip each run's per-interval PMC features with its phase-aligned
+/// power measurements.
 fn harvest_set(names: &[&str], seed: u64) -> Vec<TrainingRecord> {
-    par_map(names, |name| harvest(name, seed))
-        .into_iter()
-        .flatten()
-        .collect()
+    let platform = PlatformConfig::pentium_m().with_power_trace();
+    let reports = par_map(names, |name| {
+        let bench = require_benchmark(name).with_length(INTERVALS);
+        Session::new(&platform).gpht(bench.stream(seed))
+    });
+    let waveforms: Vec<&PowerTrace> = reports
+        .iter()
+        .map(|r| r.power_trace.as_ref().expect("waveform recorded"))
+        .collect();
+    // Every harvest measures with the same seed, so one pass draws the
+    // shared channel noise once per sample instant.
+    let logs = DaqSystem::pentium_m(seed).measure_all(&waveforms);
+    let mut records = Vec::new();
+    for (report, log) in reports.iter().zip(&logs) {
+        let features: Vec<(OperatingPoint, PowerInput)> = report
+            .intervals
+            .iter()
+            .filter_map(|iv| {
+                let opp = platform.opp_table.get(iv.dvfs_index)?;
+                Some((opp, PowerInput::from_counters(iv.mem_uop, iv.upc)))
+            })
+            .collect();
+        records.extend(log.training_records(&features));
+    }
+    records
 }
 
 /// The naive frequency-only baseline: predicts the training set's mean

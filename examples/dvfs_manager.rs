@@ -11,7 +11,7 @@
 //! paper's Figure 10, followed by whole-run numbers from both the ground
 //! truth and the measurement path.
 
-use livephase::daq::DaqSystem;
+use livephase::daq::{DaqLog, DaqSystem};
 use livephase::governor::Manager;
 use livephase::pmsim::PlatformConfig;
 use livephase::workloads::spec;
@@ -22,8 +22,9 @@ fn main() {
         eprintln!("unknown benchmark {name:?} — try `applu_in`, `swim_in`, `mcf_inp`");
         std::process::exit(2);
     });
-    // Keep the DAQ stream small enough for a demo: 300 intervals ≈ 30 s of
-    // simulated execution ≈ 750k DAQ samples.
+    // Keep the DAQ stream small enough for a demo: 300 applu intervals are
+    // ≈ 38.5 s of simulated execution unmanaged (≈ 963k DAQ samples) and
+    // ≈ 41 s managed (≈ 1.03M samples).
     let trace = bench.with_length(300).generate(42);
 
     let platform = PlatformConfig::pentium_m().with_power_trace();
@@ -33,9 +34,11 @@ fn main() {
     let managed = Manager::gpht_deployed().run(&trace, &platform);
 
     println!("measuring both runs through the DAQ chain (40 us sampling) ...");
-    let daq = DaqSystem::pentium_m(42);
-    let base_log = daq.measure(baseline.power_trace.as_ref().expect("recorded"));
-    let mgd_log = daq.measure(managed.power_trace.as_ref().expect("recorded"));
+    let waveforms = [&baseline, &managed].map(|r| r.power_trace.as_ref().expect("recorded"));
+    let [base_log, mgd_log]: [DaqLog; 2] = DaqSystem::pentium_m(42)
+        .measure_all(&waveforms)
+        .try_into()
+        .expect("one log per waveform");
 
     println!("\ninterval  phase  pred   f[idx]  P_base[W]  P_gpht[W]");
     println!("{}", "-".repeat(56));
