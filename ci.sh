@@ -174,6 +174,8 @@ echo "$bench_out" | grep -Eq 'bench gate: (PASS|SKIP)' \
     || { echo "bench gate: no verdict in output"; exit 1; }
 echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_engine_step_many.json' \
     || { echo "bench gate: BENCH_*.json records were not written"; exit 1; }
+echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_engine_step.json' \
+    || { echo "bench gate: the engine_step record was not written"; exit 1; }
 echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_power_model_eval.json' \
     || { echo "bench gate: the power_model_eval record was not written"; exit 1; }
 echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_tenants_arbitrate.json' \

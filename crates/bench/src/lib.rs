@@ -29,7 +29,7 @@
 //!   evaluation and DVFS switching;
 //! * `figures` — end-to-end regeneration cost of every table and figure
 //!   at reduced scale (one bench per paper artifact);
-//! * `engine`, `telemetry` — serving-stack micro-benches.
+//! * `telemetry` — the telemetry hot-path micro-bench.
 
 pub mod areas;
 pub mod calibrate;

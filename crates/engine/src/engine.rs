@@ -13,9 +13,10 @@
 //!   (consecutive samples for one pid resolve their state once) and
 //!   output allocation — the serve shard loop's batching win.
 //!
-//! The module is pure compute plus lock-free telemetry — no sockets, no
-//! threads, no clocks beyond decision-latency timing — so the decision
-//! path stays unit-testable and benchmarkable in isolation. Phase
+//! The module is pure compute plus bulk-published telemetry — no
+//! sockets, no threads, no clocks beyond sampled decision-latency
+//! timing — so the decision path stays unit-testable and benchmarkable
+//! in isolation. Phase
 //! classification depends only on the DVFS-invariant
 //! `mem_transactions / uops` ratio, which is why an engine fed the
 //! counter stream of an in-process run makes **bit-identical** decisions
@@ -27,9 +28,9 @@ use livephase_core::{
     PredictorSpecError, StreamScorer,
 };
 use livephase_telemetry::{Counter, Histogram};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant}; // lint:allow(determinism): Instant feeds decision-latency telemetry only, never a decision input
+use std::time::Instant; // lint:allow(determinism): Instant feeds decision-latency telemetry only, never a decision input
 
 /// One performance-counter reading: what the PMI handler stops and reads
 /// at the end of a sampling interval, attributed to a process.
@@ -59,18 +60,40 @@ pub struct Decision {
     pub confidence: u16,
 }
 
-/// Handles into the process-global registry for the decision hot path,
-/// fetched once per engine; every record after that is a lock-free
-/// atomic. These are the *governor-level* series — the same names
-/// whether decisions come from an in-process run, a serve shard, or a
-/// bare engine — so every consumer is instrumented identically.
-#[derive(Debug, Clone)]
+/// Decisions between two publishes of the engine's local tallies to the
+/// registry — and, on the `step` path, between two decision-latency
+/// clock reads.
+const PUBLISH_EVERY: u64 = 64;
+
+/// The engine's telemetry: plain local tallies on the decision path,
+/// published to the process-global registry in bulk. These are the
+/// *governor-level* series — the same names whether decisions come from
+/// an in-process run, a serve shard, or a bare engine — so every
+/// consumer is instrumented identically.
+///
+/// A decision, a scored prediction or an eviction is one integer add
+/// here. [`publish`](Self::publish) moves the tallies into the registry
+/// atomics every [`PUBLISH_EVERY`] `step` decisions, at the end of every
+/// `step_many` call, on `flush_metrics`, and on drop, so the registry is
+/// exact whenever an engine is idle or gone. The published decisions
+/// enter `governor_decision_us` with one weighted `record_n`, keeping
+/// its count equal to `governor_decisions_total` after every publish.
+#[derive(Debug)]
 pub(crate) struct EngineMetrics {
     decisions_total: Arc<Counter>,
     decision_us: Arc<Histogram>,
     hits_total: Arc<Counter>,
     misses_total: Arc<Counter>,
     pids_evicted_total: Arc<Counter>,
+    /// Decisions since the last publish.
+    decisions: u64,
+    /// Scored hits, misses and evictions since the last publish.
+    hits: u64,
+    misses: u64,
+    evicted: u64,
+    /// Latest sampled per-decision latency in microseconds (0 before
+    /// the first sample), attributed to every decision published.
+    latency_us: u128,
 }
 
 impl EngineMetrics {
@@ -104,39 +127,58 @@ impl EngineMetrics {
                 "Per-pid predictor states evicted by the LRU capacity bound.",
                 &[],
             ),
+            decisions: 0,
+            hits: 0,
+            misses: 0,
+            evicted: 0,
+            latency_us: 0,
         }
     }
 
     /// Records one per-pid state eviction.
-    pub fn record_pid_evicted(&self) {
-        self.pids_evicted_total.inc();
-    }
-
-    /// Records `n` decisions computed in `elapsed` total: the counter
-    /// advances by `n` and the latency histogram receives one sample per
-    /// decision at the batch-amortized per-decision cost (a single
-    /// bulk `record_n`, not `n` round trips).
-    pub fn record_decisions(&self, n: u64, elapsed: Duration) {
-        if n == 0 {
-            return;
-        }
-        self.decisions_total.add(n);
-        self.decision_us
-            .record_n_saturating(elapsed.as_micros() / u128::from(n), n);
-    }
-
-    /// Records one decision computed in `elapsed`.
-    pub fn record_decision(&self, elapsed: Duration) {
-        self.record_decisions(1, elapsed);
+    fn record_pid_evicted(&mut self) {
+        self.evicted += 1;
     }
 
     /// Records one scored prediction outcome.
-    pub fn record_scored(&self, correct: bool) {
+    fn record_scored(&mut self, correct: bool) {
         if correct {
-            self.hits_total.inc();
+            self.hits += 1;
         } else {
-            self.misses_total.inc();
+            self.misses += 1;
         }
+    }
+
+    /// Publishes every pending tally to the registry and clears it, so
+    /// publishing twice never double-counts. The pending decisions are
+    /// recorded at `sampled_us` (a fresh per-decision latency sample) or,
+    /// without one, at the latest sample taken.
+    fn publish(&mut self, sampled_us: Option<u128>) {
+        if let Some(us) = sampled_us {
+            self.latency_us = us;
+        }
+        let decisions = std::mem::take(&mut self.decisions);
+        if decisions > 0 {
+            self.decisions_total.add(decisions);
+            self.decision_us
+                .record_n_saturating(self.latency_us, decisions);
+        }
+        for (tally, counter) in [
+            (&mut self.hits, &self.hits_total),
+            (&mut self.misses, &self.misses_total),
+            (&mut self.evicted, &self.pids_evicted_total),
+        ] {
+            let n = std::mem::take(tally);
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
+}
+
+impl Drop for EngineMetrics {
+    fn drop(&mut self) {
+        self.publish(None);
     }
 }
 
@@ -269,17 +311,19 @@ type PidMap = HashMap<u32, PidState, FnvBuild>;
 type BoxedPredictorFactory = Box<dyn Fn() -> Box<dyn Predictor> + Send>;
 
 /// Everything the engine keeps per process: the predictor instance, the
-/// streaming scorer, and the operating point last decided for it (for
-/// transition accounting).
+/// streaming scorer, the operating point last decided for it (for
+/// transition accounting), and its links in the recency list.
 struct PidState {
     predictor: Box<dyn Predictor>,
     scorer: StreamScorer,
     /// Operating point of the previous decision; 0 (the fastest setting)
     /// initially, matching the simulated CPU's starting DVFS index.
     last_op: u8,
-    /// Recency stamp for LRU eviction; 0 = freshly created, never yet in
-    /// the recency index (stamps handed out start at 1).
-    stamp: u64,
+    /// The pid stepped next after this one (`None`: this is the newest).
+    newer: Option<u32>,
+    /// The pid stepped last before this one (`None`: this is the oldest,
+    /// the next eviction victim).
+    older: Option<u32>,
 }
 
 impl PidState {
@@ -288,7 +332,8 @@ impl PidState {
             predictor: factory(),
             scorer: StreamScorer::new(),
             last_op: 0,
-            stamp: 0,
+            newer: None,
+            older: None,
         }
     }
 }
@@ -298,43 +343,86 @@ impl PidState {
 /// still bounding a long-lived serve shard against pid churn.
 pub const DEFAULT_MAX_PIDS: usize = 65_536;
 
-/// Resolves (creating if needed) the state for `pid`, evicting the
-/// least-recently-used pid first when the map is at capacity, and marks
-/// `pid` most-recently-used. Free-standing so `step_many` can call it
-/// with the engine's fields individually borrowed.
-fn touch_pid_state<'m>(
-    pids: &'m mut PidMap,
-    lru: &mut BTreeMap<u64, u32>,
-    next_stamp: &mut u64,
-    max_pids: usize,
-    factory: &BoxedPredictorFactory,
-    metrics: &EngineMetrics,
-    pid: u32,
-) -> &'m mut PidState {
-    let cap = max_pids.max(1);
-    if !pids.contains_key(&pid) {
-        while pids.len() >= cap {
-            // lint:allow(panic-reachable): `.next()` here advances a BTreeMap
-            // iterator; the resolver's name+arity fan-out to
-            // `workloads::CounterSamples::next` is a false edge.
-            let Some((&oldest, &victim)) = lru.iter().next() else {
-                break;
-            };
-            lru.remove(&oldest);
-            if pids.remove(&victim).is_some() {
-                metrics.record_pid_evicted();
-            }
+/// Recency order over the live pids, least- to most-recently stepped: a
+/// doubly linked list threaded through the pid map by the `newer`/`older`
+/// links in [`PidState`]. Every live pid is on it exactly once; moving a
+/// pid to the newest end and evicting the oldest are each a handful of
+/// map lookups, whatever the number of pids.
+#[derive(Debug, Default)]
+struct Recency {
+    newest: Option<u32>,
+    oldest: Option<u32>,
+}
+
+impl Recency {
+    /// Closes the gap a pid leaves when it is unlinked (or removed from
+    /// the map): its former neighbours, `newer` and `older`, point at
+    /// each other, or the list ends move inward.
+    fn close_gap(&mut self, pids: &mut PidMap, newer: Option<u32>, older: Option<u32>) {
+        match newer.and_then(|n| pids.get_mut(&n)) {
+            Some(s) => s.older = older,
+            None => self.newest = older,
+        }
+        match older.and_then(|o| pids.get_mut(&o)) {
+            Some(s) => s.newer = newer,
+            None => self.oldest = newer,
         }
     }
-    *next_stamp += 1;
-    let stamp = *next_stamp;
-    let state = pids.entry(pid).or_insert_with(|| PidState::new(factory));
-    if state.stamp != 0 {
-        lru.remove(&state.stamp);
+
+    /// Makes `pid` the newest: unlinks it if it is live, or creates its
+    /// state — evicting from the oldest end first while the map is at
+    /// `max_pids` — and links it in at the newest end.
+    fn make_newest(
+        &mut self,
+        pids: &mut PidMap,
+        max_pids: usize,
+        factory: &BoxedPredictorFactory,
+        metrics: &mut EngineMetrics,
+        pid: u32,
+    ) {
+        match pids.get_mut(&pid) {
+            Some(state) => {
+                let (newer, older) = (state.newer.take(), state.older.take());
+                self.close_gap(pids, newer, older);
+            }
+            None => {
+                while pids.len() >= max_pids.max(1) {
+                    let Some(victim) = self.oldest.and_then(|o| pids.remove(&o)) else {
+                        break;
+                    };
+                    self.close_gap(pids, victim.newer, victim.older);
+                    metrics.record_pid_evicted();
+                }
+                pids.insert(pid, PidState::new(factory));
+            }
+        }
+        let older = self.newest.replace(pid);
+        match older.and_then(|o| pids.get_mut(&o)) {
+            Some(s) => s.newer = Some(pid),
+            None => self.oldest = Some(pid),
+        }
+        if let Some(state) = pids.get_mut(&pid) {
+            state.older = older;
+        }
     }
-    state.stamp = stamp;
-    lru.insert(stamp, pid);
-    state
+}
+
+/// Resolves (creating if needed) the state for `pid` and marks `pid`
+/// most-recently-used — a no-op on the recency list when it already is.
+/// Free-standing so `step_many` can call it with the engine's fields
+/// individually borrowed.
+fn touch_pid_state<'m>(
+    pids: &'m mut PidMap,
+    recency: &mut Recency,
+    max_pids: usize,
+    factory: &BoxedPredictorFactory,
+    metrics: &mut EngineMetrics,
+    pid: u32,
+) -> &'m mut PidState {
+    if recency.newest != Some(pid) {
+        recency.make_newest(pids, max_pids, factory, metrics, pid);
+    }
+    pids.entry(pid).or_insert_with(|| PidState::new(factory))
 }
 
 /// The canonical decision pipeline: per-pid predictor family, prediction
@@ -343,11 +431,8 @@ pub struct DecisionEngine {
     config: EngineConfig,
     factory: BoxedPredictorFactory,
     pids: PidMap,
-    /// Recency index: stamp → pid, oldest stamp first. Every live pid has
-    /// exactly one entry; the map's first entry is the eviction victim.
-    lru: BTreeMap<u64, u32>,
-    /// Monotonic recency clock; the last stamp handed out.
-    next_stamp: u64,
+    /// Recency list over `pids`; its oldest end is the eviction victim.
+    recency: Recency,
     /// Capacity bound on `pids`; least-recently-used streams are evicted
     /// (with their predictor history) once it is reached.
     max_pids: usize,
@@ -382,8 +467,7 @@ impl DecisionEngine {
             config,
             factory: Box::new(factory),
             pids: PidMap::default(),
-            lru: BTreeMap::new(),
-            next_stamp: 0,
+            recency: Recency::default(),
             max_pids: DEFAULT_MAX_PIDS,
             name,
             metrics: EngineMetrics::new(),
@@ -456,24 +540,29 @@ impl DecisionEngine {
     /// Ingests one sample and returns the decision for that pid's next
     /// interval — the PMI handler's steps 2–4: classify the observed
     /// rate, score and update the predictor, translate the prediction.
+    ///
+    /// Telemetry costs plain integer adds here: only the call that
+    /// completes a [`PUBLISH_EVERY`]-decision batch reads the clock, and
+    /// its latency is recorded once for the whole batch.
     pub fn step(&mut self, sample: &Sample) -> Decision {
-        let started = Instant::now(); // lint:allow(determinism): decision-latency histogram only
+        // lint:allow(determinism): decision-latency histogram only
+        let started = (self.metrics.decisions + 1 >= PUBLISH_EVERY).then(Instant::now);
         let Self {
             config,
             factory,
             pids,
-            lru,
-            next_stamp,
+            recency,
             max_pids,
             transitions,
             metrics,
             ..
         } = self;
-        let state = touch_pid_state(
-            pids, lru, next_stamp, *max_pids, factory, metrics, sample.pid,
-        );
+        let state = touch_pid_state(pids, recency, *max_pids, factory, metrics, sample.pid);
         let d = step_pid(config, metrics, transitions, state, sample);
-        metrics.record_decision(started.elapsed());
+        metrics.decisions += 1;
+        if let Some(started) = started {
+            metrics.publish(Some(started.elapsed().as_micros()));
+        }
         d
     }
 
@@ -496,8 +585,7 @@ impl DecisionEngine {
             config,
             factory,
             pids,
-            lru,
-            next_stamp,
+            recency,
             max_pids,
             transitions,
             metrics,
@@ -506,15 +594,18 @@ impl DecisionEngine {
         let mut i = 0;
         while i < samples.len() {
             let pid = samples[i].pid; // lint:allow(no-panic-path): i < samples.len() by the loop guard
-            let state = touch_pid_state(pids, lru, next_stamp, *max_pids, factory, metrics, pid);
+            let state = touch_pid_state(pids, recency, *max_pids, factory, metrics, pid);
             // lint:allow(no-panic-path): i < samples.len() by the inner guard
             while i < samples.len() && samples[i].pid == pid {
                 out.push(step_pid(config, metrics, transitions, state, &samples[i])); // lint:allow(no-panic-path): i < samples.len() by the inner guard
                 i += 1;
             }
         }
-        self.metrics
-            .record_decisions(samples.len() as u64, started.elapsed());
+        // One clock pair per call: every pending decision is published
+        // at this batch's amortized per-decision cost.
+        let per_decision_us = started.elapsed().as_micros() / samples.len() as u128;
+        metrics.decisions += samples.len() as u64;
+        metrics.publish(Some(per_decision_us));
     }
 
     /// The prediction currently standing for `pid`, if any — what the
@@ -570,7 +661,8 @@ impl DecisionEngine {
     pub fn retire(&mut self, pid: u32) -> bool {
         match self.pids.remove(&pid) {
             Some(state) => {
-                self.lru.remove(&state.stamp);
+                self.recency
+                    .close_gap(&mut self.pids, state.newer, state.older);
                 true
             }
             None => false,
@@ -581,12 +673,14 @@ impl DecisionEngine {
     /// baselines); accumulated telemetry is left alone.
     pub fn reset(&mut self) {
         self.pids.clear();
-        self.lru.clear();
+        self.recency = Recency::default();
     }
 
-    /// Flushes label-formatted telemetry (the DVFS transition pairs).
-    /// Also runs on drop; flushing is idempotent.
+    /// Publishes every pending telemetry tally (decisions, scored
+    /// predictions, evictions) and the label-formatted DVFS transition
+    /// pairs. Also runs on drop; flushing is idempotent.
     pub fn flush_metrics(&mut self) {
+        self.metrics.publish(None);
         self.transitions.flush();
     }
 }
@@ -596,7 +690,7 @@ impl DecisionEngine {
 /// the engine's other fields stay borrowed.
 fn step_pid(
     config: &EngineConfig,
-    metrics: &EngineMetrics,
+    metrics: &mut EngineMetrics,
     transitions: &mut TransitionTracker,
     state: &mut PidState,
     sample: &Sample,
@@ -846,6 +940,157 @@ mod tests {
             let _ = churned.step(&with_pid(P3, 1000 + round));
         }
         assert_eq!(got, expected);
+    }
+
+    /// The stamp-indexed LRU the recency list replaced, kept as its
+    /// oracle: every touch hands out a fresh monotonic stamp, and the
+    /// smallest stamp in the `BTreeMap` index is the eviction victim.
+    #[derive(Default)]
+    struct StampLru {
+        index: std::collections::BTreeMap<u64, u32>,
+        stamps: HashMap<u32, u64>,
+        next_stamp: u64,
+    }
+
+    impl StampLru {
+        /// Marks `pid` most-recently-used, first evicting the
+        /// least-recently-used pids while a new pid finds `cap` live
+        /// ones; returns the victims.
+        fn touch(&mut self, pid: u32, cap: usize) -> Vec<u32> {
+            let mut victims = Vec::new();
+            if !self.stamps.contains_key(&pid) {
+                while self.stamps.len() >= cap {
+                    let Some((&oldest, &victim)) = self.index.iter().next() else {
+                        break;
+                    };
+                    self.index.remove(&oldest);
+                    self.stamps.remove(&victim);
+                    victims.push(victim);
+                }
+            }
+            self.next_stamp += 1;
+            if let Some(old) = self.stamps.insert(pid, self.next_stamp) {
+                self.index.remove(&old);
+            }
+            self.index.insert(self.next_stamp, pid);
+            victims
+        }
+
+        fn retire(&mut self, pid: u32) -> bool {
+            let stamp = self.stamps.remove(&pid);
+            if let Some(stamp) = stamp {
+                self.index.remove(&stamp);
+            }
+            stamp.is_some()
+        }
+    }
+
+    /// The reference engine: the stamp LRU decides which pids are live,
+    /// and one dedicated unbounded engine per live pid decides for it,
+    /// so an eviction shows up as a fresh predictor on the pid's return.
+    struct OracleEngine {
+        lru: StampLru,
+        solo: HashMap<u32, DecisionEngine>,
+        cap: usize,
+    }
+
+    impl OracleEngine {
+        fn new(max_pids: usize) -> Self {
+            Self {
+                lru: StampLru::default(),
+                solo: HashMap::new(),
+                cap: max_pids.max(1),
+            }
+        }
+
+        fn step(&mut self, s: &Sample) -> (Decision, Vec<u32>) {
+            let victims = self.lru.touch(s.pid, self.cap);
+            for v in &victims {
+                self.solo.remove(v);
+            }
+            let solo = self
+                .solo
+                .entry(s.pid)
+                .or_insert_with(|| engine("gpht:8:128"));
+            (solo.step(s), victims)
+        }
+
+        fn retire(&mut self, pid: u32) -> bool {
+            self.solo.remove(&pid);
+            self.lru.retire(pid)
+        }
+
+        fn reset(&mut self) {
+            self.lru = StampLru::default();
+            self.solo.clear();
+        }
+    }
+
+    const MAX_PID: u32 = 12;
+
+    fn live_pids(e: &DecisionEngine) -> Vec<u32> {
+        (1..=MAX_PID)
+            .filter(|&p| e.pid_stats(p).is_some())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn recency_list_matches_the_stamp_lru(
+            max_pids in 0usize..=4,
+            n_pids in 1u32..=MAX_PID,
+            ops in proptest::collection::vec(
+                (
+                    0u8..20,
+                    0u32..MAX_PID,
+                    0usize..3,
+                    proptest::collection::vec((0u32..MAX_PID, 0usize..3), 0..=8),
+                ),
+                0..=80,
+            ),
+        ) {
+            let sample = |raw: u32, shape: usize| with_pid([P1, P3, P6][shape], raw % n_pids + 1);
+            let mut e = engine("gpht:8:128").with_max_pids(max_pids);
+            let mut oracle = OracleEngine::new(max_pids);
+            for (kind, raw, shape, batch) in &ops {
+                match kind {
+                    0..=11 => {
+                        let s = sample(*raw, *shape);
+                        let before = live_pids(&e);
+                        let (expected, victims) = oracle.step(&s);
+                        proptest::prop_assert_eq!(e.step(&s), expected, "step {:?}", s);
+                        let after = live_pids(&e);
+                        let evicted: Vec<u32> =
+                            before.into_iter().filter(|p| !after.contains(p)).collect();
+                        let mut victims = victims;
+                        victims.sort_unstable();
+                        proptest::prop_assert_eq!(evicted, victims, "victims of {:?}", s);
+                    }
+                    12..=16 => {
+                        let samples: Vec<Sample> =
+                            batch.iter().map(|&(raw, shape)| sample(raw, shape)).collect();
+                        let expected: Vec<Decision> =
+                            samples.iter().map(|s| oracle.step(s).0).collect();
+                        let mut got = Vec::new();
+                        e.step_many(&samples, &mut got);
+                        proptest::prop_assert_eq!(got, expected, "step_many {:?}", samples);
+                    }
+                    17 | 18 => {
+                        let pid = raw % n_pids + 1;
+                        proptest::prop_assert_eq!(e.retire(pid), oracle.retire(pid));
+                    }
+                    _ => {
+                        e.reset();
+                        oracle.reset();
+                    }
+                }
+                proptest::prop_assert_eq!(e.processes(), oracle.lru.stamps.len());
+                for pid in 1..=MAX_PID {
+                    let expected = oracle.solo.get(&pid).and_then(|o| o.pid_stats(pid));
+                    proptest::prop_assert_eq!(e.pid_stats(pid), expected, "pid {}", pid);
+                }
+            }
+        }
     }
 
     #[test]

@@ -204,12 +204,25 @@ impl VcpuContext {
     }
 }
 
+/// PMIs between two publishes of a CPU's PMI tally (and throughput
+/// gauge) to the registry.
+const PUBLISH_EVERY_PMIS: u64 = 64;
+
 /// Handles into the global telemetry registry, resolved once per CPU so
-/// the PMI path never takes the registry lock.
-#[derive(Debug, Clone)]
+/// the PMI path never takes the registry lock, plus the CPU's local PMI
+/// tally: a PMI is one integer add, published in bulk every
+/// [`PUBLISH_EVERY_PMIS`] PMIs and when the CPU is dropped.
+#[derive(Debug)]
 struct CpuMetrics {
     pmi_total: Arc<Counter>,
+    /// Resolved on the CPU's first adaptive re-arm, so runs that never
+    /// re-arm leave the series unregistered.
+    pmi_rearm_total: Option<Arc<Counter>>,
     sim_cycles_per_wall_second: Arc<Gauge>,
+    /// PMIs delivered since the last publish.
+    pmis: u64,
+    /// Wall-clock construction time, for the throughput gauge.
+    wall_start: Instant, // lint:allow(determinism): throughput telemetry only
 }
 
 impl CpuMetrics {
@@ -221,11 +234,55 @@ impl CpuMetrics {
                 "Performance-monitoring interrupts delivered by the simulator.",
                 &[],
             ),
+            pmi_rearm_total: None,
             sim_cycles_per_wall_second: reg.gauge(
                 "pmsim_sim_cycles_per_wall_second",
                 "Simulation throughput: simulated core cycles per wall-clock second.",
                 &[],
             ),
+            pmis: 0,
+            wall_start: Instant::now(), // lint:allow(determinism): throughput telemetry only
+        }
+    }
+
+    /// Counts one adaptive re-arm of the PMI threshold.
+    fn record_rearm(&mut self) {
+        self.pmi_rearm_total
+            .get_or_insert_with(|| {
+                livephase_telemetry::global().counter(
+                    "pmsim_pmi_rearm_total",
+                    "Adaptive re-arms of the uop-overflow PMI threshold.",
+                    &[],
+                )
+            })
+            .inc();
+    }
+
+    /// Publishes the pending PMI tally and, with it, the throughput gauge
+    /// at `tsc` simulated cycles — the gauge's only clock read.
+    fn publish(&mut self, tsc: f64) {
+        let pmis = std::mem::take(&mut self.pmis);
+        if pmis == 0 {
+            return;
+        }
+        self.pmi_total.add(pmis);
+        let wall_s = self.wall_start.elapsed().as_secs_f64();
+        if wall_s > 0.0 {
+            self.sim_cycles_per_wall_second.set((tsc / wall_s) as i64);
+        }
+    }
+}
+
+/// A cloned CPU shares the registry handles but starts with an empty
+/// tally: PMIs the original delivered are the original's to publish.
+impl Clone for CpuMetrics {
+    fn clone(&self) -> Self {
+        Self {
+            pmi_total: Arc::clone(&self.pmi_total),
+            pmi_rearm_total: self.pmi_rearm_total.clone(),
+            sim_cycles_per_wall_second: Arc::clone(&self.sim_cycles_per_wall_second),
+            pmis: 0,
+            wall_start: self.wall_start,
         }
     }
 }
@@ -247,8 +304,6 @@ pub struct Cpu<'a> {
     trace: PowerTrace,
     pport_bits: u8,
     metrics: CpuMetrics,
-    /// Wall-clock construction time, for the throughput gauge.
-    wall_start: Instant, // lint:allow(determinism): throughput telemetry only
 }
 
 impl<'a> Cpu<'a> {
@@ -274,7 +329,6 @@ impl<'a> Cpu<'a> {
             trace: PowerTrace::new(),
             pport_bits: 0,
             metrics: CpuMetrics::new(),
-            wall_start: Instant::now(), // lint:allow(determinism): throughput telemetry only
         }
     }
 
@@ -405,6 +459,7 @@ impl<'a> Cpu<'a> {
     /// Panics if `uops` is zero.
     pub fn set_pmi_granularity(&mut self, uops: u64) {
         self.counters.rearm_overflow(uops);
+        self.metrics.record_rearm();
     }
 
     /// Sets the parallel-port output bits (evaluation support, Section 5.4).
@@ -433,8 +488,8 @@ impl<'a> Cpu<'a> {
 
     /// Consumes the CPU, returning the recorded power waveform.
     #[must_use]
-    pub fn into_power_trace(self) -> PowerTrace {
-        self.trace
+    pub fn into_power_trace(mut self) -> PowerTrace {
+        std::mem::take(&mut self.trace)
     }
 
     /// The platform configuration.
@@ -545,14 +600,17 @@ impl<'a> Cpu<'a> {
         self.counters.reset_interval();
         self.interval_start_time_s = self.totals.time_s;
         self.interval_start_energy_j = self.totals.energy_j;
-        self.metrics.pmi_total.inc();
-        let wall_s = self.wall_start.elapsed().as_secs_f64();
-        if wall_s > 0.0 {
-            self.metrics
-                .sim_cycles_per_wall_second
-                .set((self.counters.tsc() / wall_s) as i64);
+        self.metrics.pmis += 1;
+        if self.metrics.pmis >= PUBLISH_EVERY_PMIS {
+            self.metrics.publish(self.counters.tsc());
         }
         record
+    }
+}
+
+impl Drop for Cpu<'_> {
+    fn drop(&mut self) {
+        self.metrics.publish(self.counters.tsc());
     }
 }
 

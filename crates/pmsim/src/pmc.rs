@@ -225,15 +225,6 @@ impl CounterFile {
     /// Panics if `uops` is zero.
     pub fn rearm_overflow(&mut self, uops: u64) {
         assert!(uops > 0, "PMI granularity must be positive");
-        // At most once per sampling interval (adaptive re-arm), so the
-        // registry's read-lock fast path is cheap enough here.
-        livephase_telemetry::global()
-            .counter(
-                "pmsim_pmi_rearm_total",
-                "Adaptive re-arms of the uop-overflow PMI threshold.",
-                &[],
-            )
-            .inc();
         for c in &mut self.counters {
             if c.event == Event::UopsRetired {
                 c.overflow_at = Some(c.value + uops);

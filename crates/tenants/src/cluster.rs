@@ -22,37 +22,10 @@ use crate::report::{fnv1a, ClusterReport, TenantReport, DIGEST_SEED};
 use crate::scenario::{ScenarioError, ScenarioSpec};
 use livephase_engine::{DecisionEngine, EngineConfig, Sample};
 use livephase_pmsim::{Cpu, IntervalWork, PlatformConfig, PmiRecord, VcpuContext};
-use livephase_telemetry::{Counter, Gauge};
-use std::sync::Arc;
 
 /// Tolerance on the measured-power budget comparison: measurement is a
 /// ratio of accumulated f64 sums, so give it a whisker of slack.
 const BUDGET_EPS_W: f64 = 1e-6;
-
-/// Cluster-level telemetry handles, resolved once per run.
-#[derive(Debug)]
-struct ClusterMetrics {
-    switches_total: Arc<Counter>,
-    switch_rate: Arc<Gauge>,
-}
-
-impl ClusterMetrics {
-    fn new() -> Self {
-        let reg = livephase_telemetry::global();
-        Self {
-            switches_total: reg.counter(
-                "tenants_context_switches_total",
-                "vCPU context switches performed by the tenant scheduler.",
-                &[],
-            ),
-            switch_rate: reg.gauge(
-                "tenants_switch_rate",
-                "Context switches per simulated core-second, last completed run.",
-                &[],
-            ),
-        }
-    }
-}
 
 /// One tenant's live scheduling state.
 struct TenantRun {
@@ -79,7 +52,6 @@ struct TenantRun {
     streak_s: f64,
     decision_digest: u64,
     sample_digest: u64,
-    intervals_total: Arc<Counter>,
 }
 
 impl TenantRun {
@@ -154,7 +126,6 @@ fn step_decision(
     );
     tenant.decision_digest = fnv1a(tenant.decision_digest, &decision.confidence.to_le_bytes());
     tenant.intervals += 1;
-    tenant.intervals_total.inc();
     tenant.requested_op = usize::from(decision.op_point);
     apply_op(cpu, tenant.requested_op.max(tenant.grant));
 }
@@ -175,14 +146,11 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
     let mut engine = DecisionEngine::from_spec(EngineConfig::pentium_m(), &spec.predictor)
         .map_err(|e| ScenarioError::BadPredictor(e.to_string()))?;
     let mut arbiter = Arbiter::new(&platform, spec.budget_w, spec.policy, spec.cores);
-    let metrics = ClusterMetrics::new();
-    let registry = livephase_telemetry::global();
 
     let mut tenants = Vec::with_capacity(spec.tenants);
     for id in 0..u32::try_from(spec.tenants).unwrap_or(u32::MAX) {
         let trace = spec.tenant_trace(id)?;
         let (benchmark, work) = trace.into_parts();
-        let tenant_label = id.to_string();
         tenants.push(TenantRun {
             id,
             benchmark,
@@ -203,11 +171,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
             streak_s: 0.0,
             decision_digest: DIGEST_SEED,
             sample_digest: DIGEST_SEED,
-            intervals_total: registry.counter(
-                "tenants_intervals_total",
-                "Sampling intervals completed, per tenant.",
-                &[("tenant", &tenant_label)],
-            ),
         });
     }
 
@@ -276,7 +239,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
                 let previous = loaded.get(core_idx).copied().flatten();
                 if previous != Some(tenant.id) {
                     switches += 1;
-                    metrics.switches_total.inc();
                     if let Some(slot) = loaded.get_mut(core_idx) {
                         *slot = Some(tenant.id);
                     }
@@ -343,11 +305,32 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
             tenant.streak_s = 0.0;
         }
     }
+    // Cluster telemetry, published once from the counts the run kept.
+    let registry = livephase_telemetry::global();
+    registry
+        .counter(
+            "tenants_context_switches_total",
+            "vCPU context switches performed by the tenant scheduler.",
+            &[],
+        )
+        .add(switches);
+    for tenant in &tenants {
+        registry
+            .counter(
+                "tenants_intervals_total",
+                "Sampling intervals completed, per tenant.",
+                &[("tenant", &tenant.id.to_string())],
+            )
+            .add(tenant.intervals);
+    }
+    let switch_rate = registry.gauge(
+        "tenants_switch_rate",
+        "Context switches per simulated core-second, last completed run.",
+        &[],
+    );
     let core_seconds: f64 = cpus.iter().map(|c| c.totals().time_s).sum();
     if core_seconds > 0.0 {
-        metrics
-            .switch_rate
-            .set((switches as f64 / core_seconds) as i64);
+        switch_rate.set((switches as f64 / core_seconds) as i64);
     }
     let total_time_s = cpus
         .iter()
@@ -450,11 +433,6 @@ mod tests {
             streak_s: 0.0,
             decision_digest: DIGEST_SEED,
             sample_digest: DIGEST_SEED,
-            intervals_total: livephase_telemetry::global().counter(
-                "tenants_intervals_total",
-                "Sampling intervals completed, per tenant.",
-                &[("tenant", "test")],
-            ),
         };
         let mut uops = 0u64;
         let mut mem = 0u64;
