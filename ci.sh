@@ -19,13 +19,15 @@ cargo clippy -p livephase-bench --all-targets -- -D warnings
 # test below).
 cargo build --release --workspace
 
+cli=target/release/livephase-cli
+
 # The simplification bar (ROADMAP): a refactor must leave every published
-# artifact byte-identical. repro-all regenerates EXPERIMENTS.md and
-# results/*.csv (and exits non-zero on a shape violation); any diff
-# against the committed copies fails the gate.
-repro_out=$(target/release/repro-all) || { echo "$repro_out"; echo "repro-all failed"; exit 1; }
+# artifact byte-identical. `repro all` regenerates EXPERIMENTS.md and
+# results/*.csv (and exits 1 on a shape violation); any diff against the
+# committed copies fails the gate.
+repro_out=$("$cli" repro all) || { echo "$repro_out"; echo "repro all failed"; exit 1; }
 git diff --exit-code -- EXPERIMENTS.md results/ \
-    || { echo "repro-all changed committed artifacts"; exit 1; }
+    || { echo "repro all changed committed artifacts"; exit 1; }
 
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism (local and interprocedural, over the call graph), SAFETY
@@ -53,7 +55,6 @@ cargo test -q --test engine_equivalence
 # Loopback smoke test: a real server process, a real load generator, a
 # bit-exactness check against the in-process manager, and a telemetry
 # scrape over the same wire protocol.
-cli=target/release/livephase-cli
 "$cli" serve --port 0 --shards 2 --exit-after-conns 2 --read-timeout-ms 2000 \
     > serve_smoke.log &
 serve_pid=$!
@@ -182,6 +183,10 @@ echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_tenants_arbitra
     || { echo "bench gate: the tenants_arbitrate record was not written"; exit 1; }
 echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_daq_measure.json' \
     || { echo "bench gate: the daq_measure record was not written"; exit 1; }
+echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_gpht_observe.json' \
+    || { echo "bench gate: the gpht_observe record was not written"; exit 1; }
+echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_pmsim_run_to_pmi.json' \
+    || { echo "bench gate: the pmsim_run_to_pmi record was not written"; exit 1; }
 
 # Power-model zoo gate. Three claims, each enforced by exit codes and
 # byte-level diffs rather than eyeballs:

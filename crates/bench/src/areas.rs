@@ -10,12 +10,13 @@
 //! the committed constants are machine-independent by construction.
 
 use crate::stats::Summary;
+use livephase_core::{Gpht, GphtConfig, PhaseId, PhaseSample, Predictor};
 use livephase_daq::{DaqLog, DaqSystem};
 use livephase_engine::{Decision, DecisionEngine, EngineConfig};
 use livephase_governor::{Manager, Session};
 use livephase_pmsim::{
-    AnalyticModel, LinearModel, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
-    TrainingRecord, TreeModel,
+    AnalyticModel, Cpu, IntervalWork, LinearModel, OperatingPointTable, PlatformConfig, PowerInput,
+    PowerModel, TrainingRecord, TreeModel,
 };
 use livephase_serve::wire::{encode_into, Frame, FrameDecoder};
 use livephase_telemetry::Histogram;
@@ -98,6 +99,32 @@ fn run_engine_step_many(warmup: usize, iters: usize) -> Vec<u64> {
     })
 }
 
+/// `gpht_observe`: 1000 observe-and-predict calls on each of a warm
+/// GPHT(8,128), the deployed size, and GPHT(8,1024), the reference
+/// size Figures 2, 4 and 5 sweep — the predictor inside the PMI handler.
+fn run_gpht_observe(warmup: usize, iters: usize) -> Vec<u64> {
+    let samples: Vec<PhaseSample> = crate::synthetic_phase_pattern(1000)
+        .into_iter()
+        .map(|p| PhaseSample::new(f64::from(p) * 0.005, PhaseId::new(p)))
+        .collect();
+    let mut tables = [GphtConfig::DEPLOYED, GphtConfig::REFERENCE].map(Gpht::new);
+    // Warm the tables so the steady-state search cost is measured.
+    for gpht in &mut tables {
+        for &s in &samples {
+            gpht.observe(s);
+        }
+    }
+    timed(warmup, iters, || {
+        let mut acc = 0u32;
+        for gpht in &mut tables {
+            for &s in &samples {
+                acc = acc.wrapping_add(u32::from(gpht.next(s).get()));
+            }
+        }
+        std::hint::black_box(acc);
+    })
+}
+
 /// `governor_run`: one whole managed run — the deployed GPHT system over
 /// 200 applu intervals on the simulated CPU, PMI handler included.
 fn run_governor_run(warmup: usize, iters: usize) -> Vec<u64> {
@@ -109,6 +136,26 @@ fn run_governor_run(warmup: usize, iters: usize) -> Vec<u64> {
     timed(warmup, iters, || {
         let report = Manager::gpht_deployed().run(&trace, &platform);
         std::hint::black_box(report.dvfs_transitions);
+    })
+}
+
+/// `pmsim_run_to_pmi`: 1000 simulated 100 M-uop sampling intervals,
+/// each queued with `push_work` and run to its PMI with `run_to_pmi`,
+/// flipping the DVFS setting between the extremes on every interval.
+fn run_pmsim_run_to_pmi(warmup: usize, iters: usize) -> Vec<u64> {
+    let platform = PlatformConfig::pentium_m();
+    let mut cpu = Cpu::new(&platform);
+    let work = IntervalWork::new(100_000_000, 80_000_000, 1_200_000, 0.8, 2.0);
+    let slowest = platform.opp_table.len() - 1;
+    let mut flip = false;
+    timed(warmup, iters, || {
+        for _ in 0..1000 {
+            flip = !flip;
+            cpu.set_dvfs(usize::from(flip) * slowest)
+                .expect("both extremes are valid settings");
+            cpu.push_work(work);
+            std::hint::black_box(cpu.run_to_pmi());
+        }
     })
 }
 
@@ -367,10 +414,22 @@ pub fn registry() -> &'static [Area] {
             run: run_engine_step_many,
         },
         Area {
+            name: "gpht_observe",
+            what: "1000 Gpht::next calls on each of a warm GPHT(8,128) and GPHT(8,1024)",
+            expected_ratio: 0.085,
+            run: run_gpht_observe,
+        },
+        Area {
             name: "governor_run",
             what: "one GPHT-managed run over 200 applu intervals",
             expected_ratio: 0.06,
             run: run_governor_run,
+        },
+        Area {
+            name: "pmsim_run_to_pmi",
+            what: "1000 push_work + run_to_pmi intervals with a set_dvfs flip on each",
+            expected_ratio: 0.098,
+            run: run_pmsim_run_to_pmi,
         },
         Area {
             name: "daq_measure",

@@ -73,7 +73,7 @@ pub enum Command {
     Export,
     /// `replay <file.csv>`
     Replay,
-    /// `repro <artifact>`
+    /// `repro <artifact>` — one artifact, `ablations`, `extensions` or `all`
     Repro,
     /// `serve` — run the phase-prediction TCP daemon
     Serve,

@@ -560,8 +560,12 @@ fn replay(parsed: &Parsed) -> Result<String, CliError> {
     govern_trace(parsed, &trace)
 }
 
+/// Regenerates one artifact, a group (`ablations`, `extensions`), or
+/// the whole paper (`all`, which also rewrites `EXPERIMENTS.md` and
+/// `results/*.csv` at the workspace root). A violated shape claim is a
+/// gate failure: exit 1 with the report on stdout.
 fn repro(parsed: &Parsed) -> Result<String, CliError> {
-    use livephase_experiments as exp;
+    use livephase_experiments::repro::{self, ABLATIONS, EXTENSIONS, PAPER};
     let artifact = parsed.target.as_deref().expect("validated by the parser");
     let seed = parsed.seed;
     // Only the power_cap extension races alternative estimator backends;
@@ -574,137 +578,92 @@ fn repro(parsed: &Parsed) -> Result<String, CliError> {
             parsed.power_model
         )));
     }
-    let (body, violations): (String, Vec<String>) = match artifact {
-        "table1" => {
-            let t = exp::table1::run();
-            (t.to_string(), exp::table1::check(&t))
+    let mut report = String::new();
+    let mut held = true;
+    if artifact == "all" {
+        let record = repro::paper_record(seed);
+        for (name, outcome) in &record.artifacts {
+            held &= shape_section(&mut report, name, outcome);
         }
-        "table2" => {
-            let t = exp::table2::run();
-            (t.to_string(), exp::table2::check(&t))
-        }
-        "fig02" => {
-            let f = exp::fig02::run(seed);
-            (f.to_string(), exp::fig02::check(&f))
-        }
-        "fig03" => {
-            let f = exp::fig03::run(seed);
-            (f.to_string(), exp::fig03::check(&f))
-        }
-        "fig04" => {
-            let f = exp::fig04::run(seed);
-            (f.to_string(), exp::fig04::check(&f))
-        }
-        "fig05" => {
-            let f = exp::fig05::run(seed);
-            (f.to_string(), exp::fig05::check(&f))
-        }
-        "fig06" => {
-            let f = exp::fig06::run(seed);
-            (f.to_string(), exp::fig06::check(&f))
-        }
-        "fig07" => {
-            let f = exp::fig07::run(seed);
-            (f.to_string(), exp::fig07::check(&f))
-        }
-        "fig10" => {
-            let f = exp::fig10::run(seed);
-            (f.to_string(), exp::fig10::check(&f))
-        }
-        "fig11" => {
-            let f = exp::fig11::run(seed);
-            (f.to_string(), exp::fig11::check(&f))
-        }
-        "fig12" => {
-            let f = exp::fig12::run(seed);
-            (f.to_string(), exp::fig12::check(&f))
-        }
-        "fig13" => {
-            let f = exp::fig13::run(seed);
-            (f.to_string(), exp::fig13::check(&f))
-        }
-        // Ablations (design-choice probes beyond the published figures).
-        "gphr_depth" => {
-            let a = exp::ablations::gphr_depth::run(seed);
-            (a.to_string(), exp::ablations::gphr_depth::check(&a))
-        }
-        "upc_pitfall" => {
-            let a = exp::ablations::upc_pitfall::run(seed);
-            (a.to_string(), exp::ablations::upc_pitfall::check(&a))
-        }
-        "oracle_gap" => {
-            let a = exp::ablations::oracle_gap::run(seed);
-            (a.to_string(), exp::ablations::oracle_gap::check(&a))
-        }
-        "overheads" => {
-            let a = exp::ablations::overheads::run(seed);
-            (a.to_string(), exp::ablations::overheads::check(&a))
-        }
-        "granularity" => {
-            let a = exp::ablations::granularity::run(seed);
-            (a.to_string(), exp::ablations::granularity::check(&a))
-        }
-        "selector" => {
-            let a = exp::ablations::selector::run(seed);
-            (a.to_string(), exp::ablations::selector::check(&a))
-        }
-        "pht_organization" => {
-            let a = exp::ablations::pht_organization::run(seed);
-            (a.to_string(), exp::ablations::pht_organization::check(&a))
-        }
-        "confidence" => {
-            let a = exp::ablations::confidence::run(seed);
-            (a.to_string(), exp::ablations::confidence::check(&a))
-        }
-        "family_tour" => {
-            let a = exp::ablations::family_tour::run(seed);
-            (a.to_string(), exp::ablations::family_tour::check(&a))
-        }
-        // Extensions (the paper's Section 8 claims, built out).
-        "dtm" => {
-            let e = exp::extensions::dtm::run(seed);
-            (e.to_string(), exp::extensions::dtm::check(&e))
-        }
-        "power_cap" => {
-            let e = exp::extensions::power_cap::run_with_model(seed, &power_model(parsed)?);
-            (e.to_string(), exp::extensions::power_cap::check(&e))
-        }
-        "multiprogram" => {
-            let e = exp::extensions::multiprogram::run(seed);
-            (e.to_string(), exp::extensions::multiprogram::check(&e))
-        }
-        "duration" => {
-            let e = exp::extensions::duration::run(seed);
-            (e.to_string(), exp::extensions::duration::check(&e))
-        }
-        "adaptive_sampling" => {
-            let e = exp::extensions::adaptive_sampling::run(seed);
-            (e.to_string(), exp::extensions::adaptive_sampling::check(&e))
-        }
-        "tenants" => {
-            let e = exp::extensions::tenants::run(seed);
-            (e.to_string(), exp::extensions::tenants::check(&e))
-        }
-        other => {
-            return Err(CliError::new(format!(
-                "unknown artifact {other:?}; accepted: table1 table2 fig02 fig03 \
-                 fig04 fig05 fig06 fig07 fig10 fig11 fig12 fig13, ablations \
-                 (gphr_depth upc_pitfall oracle_gap overheads granularity \
-                 selector pht_organization confidence family_tour) and \
-                 extensions (dtm power_cap multiprogram duration \
-                 adaptive_sampling tenants)"
-            )))
-        }
-    };
-    let mut out = body;
-    if violations.is_empty() {
-        let _ = writeln!(out, "\n[{artifact}] all of the paper's shape claims hold");
-    } else {
-        for v in &violations {
-            let _ = writeln!(out, "\n[{artifact}] SHAPE VIOLATION: {v}");
-        }
+        report.push_str(&write_paper_record(&record)?);
+        return shape_verdict(report, held);
     }
-    Ok(out)
+    let group: &[(&str, repro::Driver)] = match artifact {
+        "ablations" => &ABLATIONS,
+        "extensions" => &EXTENSIONS,
+        name => std::slice::from_ref(repro::find(name).ok_or_else(|| {
+            let names = |group: &[(&str, repro::Driver)]| {
+                group.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ")
+            };
+            CliError::new(format!(
+                "unknown artifact {name:?}; accepted: all, {}, ablations ({}) and \
+                 extensions ({})",
+                names(&PAPER),
+                names(&ABLATIONS),
+                names(&EXTENSIONS)
+            ))
+        })?),
+    };
+    let model = power_model(parsed)?;
+    for (name, driver) in group {
+        held &= shape_section(&mut report, name, &driver(seed, &model));
+    }
+    shape_verdict(report, held)
+}
+
+/// Appends an artifact's body and its shape-check status to `report`:
+/// one "all hold" line, or one `SHAPE VIOLATION` line per violated
+/// claim. Returns whether every claim held.
+fn shape_section(
+    report: &mut String,
+    artifact: &str,
+    outcome: &livephase_experiments::repro::Outcome,
+) -> bool {
+    report.push_str(&outcome.body);
+    if outcome.violations.is_empty() {
+        let _ = writeln!(
+            report,
+            "\n[{artifact}] all of the paper's shape claims hold"
+        );
+    }
+    for v in &outcome.violations {
+        let _ = writeln!(report, "\n[{artifact}] SHAPE VIOLATION: {v}");
+    }
+    outcome.violations.is_empty()
+}
+
+/// The report when every claim held; otherwise a gate failure carrying
+/// it, so `repro` exits 1 with the report on stdout.
+fn shape_verdict(report: String, held: bool) -> Result<String, CliError> {
+    if held {
+        Ok(report)
+    } else {
+        Err(CliError::gate(report))
+    }
+}
+
+/// Writes `EXPERIMENTS.md` and `results/*.csv` at the workspace root,
+/// returning the lines that say so.
+fn write_paper_record(
+    record: &livephase_experiments::repro::PaperRecord,
+) -> Result<String, CliError> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let write = |path: &std::path::Path, contents: &str| {
+        std::fs::write(path, contents)
+            .map_err(|e| CliError::new(format!("cannot write {}: {e}", path.display())))
+    };
+    let md = root.join("EXPERIMENTS.md");
+    write(&md, &record.markdown)?;
+    let results = root.join("results");
+    std::fs::create_dir_all(&results)
+        .map_err(|e| CliError::new(format!("cannot create {}: {e}", results.display())))?;
+    for (name, csv) in &record.csvs {
+        write(&results.join(name), csv)?;
+    }
+    Ok(format!(
+        "\nwrote {}\nwrote results/fig{{03,04,05,11,12,13}}.csv",
+        md.display()
+    ))
 }
 
 #[cfg(test)]
@@ -780,10 +739,40 @@ mod tests {
 
     #[test]
     fn repro_runs_an_ablation_and_an_extension() {
-        let out = run("repro upc_pitfall").unwrap();
-        assert!(out.contains("shape claims hold"), "{out}");
-        let out = run("repro duration").unwrap();
-        assert!(out.contains("shape claims hold"), "{out}");
+        for line in [
+            "repro upc_pitfall",
+            "repro duration",
+            "repro sampling_domain",
+        ] {
+            let out = run(line).unwrap();
+            assert!(out.contains("shape claims hold"), "{line}: {out}");
+        }
+    }
+
+    #[test]
+    fn shape_violations_fail_the_gate_with_the_report() {
+        use livephase_experiments::repro::Outcome;
+        let held = Outcome {
+            body: "body a".into(),
+            violations: vec![],
+        };
+        let broken = Outcome {
+            body: "body b".into(),
+            violations: vec!["claim one".into(), "claim two".into()],
+        };
+
+        let mut report = String::new();
+        assert!(shape_section(&mut report, "a", &held));
+        assert_eq!(report, "body a\n[a] all of the paper's shape claims hold\n");
+        assert_eq!(shape_verdict(report.clone(), true).unwrap(), report);
+
+        assert!(!shape_section(&mut report, "b", &broken));
+        assert!(report.ends_with(
+            "body b\n[b] SHAPE VIOLATION: claim one\n\n[b] SHAPE VIOLATION: claim two\n"
+        ));
+        let err = shape_verdict(report.clone(), false).unwrap_err();
+        assert_eq!(err.code(), 1, "a violation is a gate failure, not an error");
+        assert_eq!(err.message(), report, "the whole report goes to stdout");
     }
 
     #[test]
@@ -872,10 +861,13 @@ mod tests {
             .unwrap_err()
             .message()
             .contains("unknown benchmark"));
-        assert!(run("repro fig99")
-            .unwrap_err()
-            .message()
-            .contains("unknown artifact"));
+        let unknown = run("repro fig99").unwrap_err();
+        assert!(unknown.message().contains("unknown artifact"));
+        assert!(
+            unknown.message().contains("sampling_domain"),
+            "the message lists every artifact: {}",
+            unknown.message()
+        );
         assert!(run("replay /nonexistent.csv")
             .unwrap_err()
             .message()

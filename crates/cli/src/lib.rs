@@ -12,6 +12,7 @@
 //! livephase export applu_in --out applu.csv
 //! livephase replay applu.csv --policy reactive
 //! livephase repro fig04
+//! livephase repro all
 //! livephase tenants --tenants 64 --cores 8 --budget 75 --noisy 8
 //! livephase serve --port 9626 --shards 4
 //! livephase serve-bench 127.0.0.1:9626 --conns 8
@@ -59,7 +60,11 @@ pub fn usage() -> String {
      \x20 govern <bench>                run DVFS management, report EDP\n\
      \x20 export <bench> --out <file>   write the trace as CSV\n\
      \x20 replay <file.csv>             govern a replayed counter log\n\
-     \x20 repro <artifact>              regenerate a paper table/figure\n\
+     \x20 repro <artifact>              regenerate a paper table/figure, ablation\n\
+     \x20                               or extension; `ablations`/`extensions` run\n\
+     \x20                               each group, `all` the paper and rewrites\n\
+     \x20                               EXPERIMENTS.md + results/*.csv\n\
+     \x20                               (exit 0 claims hold, 1 violations)\n\
      \x20 tenants                       run a multi-tenant cluster under a power cap\n\
      \x20 serve                         run the phase-prediction TCP daemon\n\
      \x20 serve-bench <addr>            load-test a running daemon\n\

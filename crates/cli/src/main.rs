@@ -1,7 +1,8 @@
 //! The `livephase` command-line entry point.
 //!
-//! Exit codes: 0 on success; 1 when a gate command (`lint`) completed
-//! and found violations, with the report on stdout; 2 for usage, I/O,
+//! Exit codes: 0 on success; 1 when a gate command (`lint`, `repro`,
+//! `power-zoo`, `bench --gate`, `bench --compare`) completed and found
+//! violations, with the report on stdout; 2 for usage, I/O,
 //! and other operational errors, reported on stderr. A reader that
 //! closes stdout early (`livephase-cli ... | head`) is not an error: the
 //! command exits with the code it would have had.

@@ -7,7 +7,7 @@
 //! table index and keep only a tag check — O(1) per sample regardless of
 //! table size, at the cost of conflict misses. [`HashedGpht`] implements
 //! that design so the trade-off can be measured (see the
-//! `pht_organization` ablation and the Criterion benches).
+//! `pht_organization` ablation).
 
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;

@@ -3,7 +3,7 @@
 //!
 //! Too shallow a register cannot disambiguate positions inside repetitive
 //! patterns; too deep a register dilutes the PHT with long tags that
-//! rarely recur (and costs tag-compare time, see the Criterion bench).
+//! rarely recur (and costs tag-compare time).
 
 use crate::format::{pct, Table};
 use crate::predictors::accuracy_on;

@@ -3,8 +3,7 @@
 //! The paper flags the cost of "associatively searching through a 1024
 //! entry PHT" and answers by shrinking the table. The hardware-classic
 //! alternative keeps the table and drops the search: hash the pattern to
-//! one slot. This ablation measures the accuracy cost of conflict misses
-//! (the Criterion `predictors` bench measures the latency win).
+//! one slot. This ablation measures the accuracy cost of conflict misses.
 
 use crate::format::{pct, Table};
 use crate::predictors::accuracy_on;

@@ -5,8 +5,9 @@
 //! `Display` output mirrors the rows/series the paper reports, plus a
 //! `check(..)` routine asserting the *shape* claims the paper makes about
 //! that artifact (who wins, by roughly what factor, where the crossovers
-//! fall). The `repro-all` binary executes everything and regenerates the
-//! data behind `EXPERIMENTS.md`.
+//! fall). [`repro`] names every driver for `livephase-cli repro
+//! <artifact>` and renders the full record behind `EXPERIMENTS.md` and
+//! `results/*.csv` (`repro all`).
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -42,6 +43,7 @@ pub mod fig13;
 pub mod format;
 pub mod power_zoo;
 pub mod predictors;
+pub mod repro;
 pub mod runs;
 pub mod table1;
 pub mod table2;
@@ -53,35 +55,3 @@ pub const DEFAULT_SEED: u64 = 42;
 /// Outcome of an experiment's shape checks: the list of violated claims
 /// (empty = all of the paper's qualitative claims hold).
 pub type ShapeViolations = Vec<String>;
-
-/// Seed for an experiment binary: the first CLI argument if present,
-/// otherwise [`DEFAULT_SEED`].
-///
-/// # Panics
-///
-/// Panics with a usage message when the argument is not an integer.
-#[must_use]
-pub fn seed_from_args() -> u64 {
-    match std::env::args().nth(1) {
-        None => DEFAULT_SEED,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("usage: <bin> [seed]; got {s:?}")),
-    }
-}
-
-/// Prints an experiment's shape-check outcome and returns the exit code
-/// (0 = every claim held), letting each binary double as an acceptance
-/// test.
-#[must_use]
-pub fn report_violations(artifact: &str, violations: &[String]) -> i32 {
-    if violations.is_empty() {
-        println!("[{artifact}] all of the paper's shape claims hold");
-        0
-    } else {
-        for v in violations {
-            eprintln!("[{artifact}] SHAPE VIOLATION: {v}");
-        }
-        1
-    }
-}

@@ -1,24 +1,130 @@
-//! Runs every table/figure driver, verifies every shape claim, and writes
-//! `EXPERIMENTS.md` (paper-vs-measured record) to the repository root.
+//! Every way of regenerating a result, by name: one artifact, a named
+//! group of them, or the full paper-vs-measured record behind
+//! `EXPERIMENTS.md` and `results/*.csv`.
 //!
-//! Exit code 0 means every qualitative claim of the paper held on this
-//! run; any violation is listed and the exit code is 1.
+//! `livephase-cli repro <artifact>` is the only front end; this module
+//! renders and checks, and leaves printing and file writes to it.
 
-use livephase_experiments::{
-    fig02, fig03, fig04, fig05, fig06, fig07, fig10, fig11, fig12, fig13, report_violations,
-    seed_from_args, table1, table2,
+use crate::extensions::{adaptive_sampling, dtm, duration, multiprogram, power_cap, tenants};
+use crate::{
+    ablations::{
+        confidence, family_tour, gphr_depth, granularity, oracle_gap, overheads, pht_organization,
+        sampling_domain, selector, upc_pitfall,
+    },
+    fig02, fig03, fig04, fig05, fig06, fig07, fig10, fig11, fig12, fig13, table1, table2,
+    ShapeViolations,
 };
-use std::fmt::Write as _;
+use livephase_pmsim::PowerModelKind;
+use std::fmt::{self, Write as _};
 
-fn main() {
-    let seed = seed_from_args();
-    let mut failures = 0;
+/// One artifact's printable result and the shape claims it violated.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// The rendered table or figure.
+    pub body: String,
+    /// Violated claims; empty when every claim held.
+    pub violations: ShapeViolations,
+}
+
+fn outcome<T: fmt::Display>(result: &T, check: fn(&T) -> ShapeViolations) -> Outcome {
+    Outcome {
+        body: result.to_string(),
+        violations: check(result),
+    }
+}
+
+/// Runs one artifact at a seed. The power backend prices the
+/// `power_cap` extension's policy; every other artifact ignores it.
+pub type Driver = fn(u64, &PowerModelKind) -> Outcome;
+
+/// `(name, driver)` for an artifact module whose `run(seed)` result its
+/// `check` judges.
+macro_rules! seeded {
+    ($module:ident) => {
+        (stringify!($module), |seed, _| {
+            outcome(&$module::run(seed), $module::check)
+        })
+    };
+}
+
+/// The paper's tables and figures, in paper order.
+pub static PAPER: [(&str, Driver); 12] = [
+    ("table1", |_, _| outcome(&table1::run(), table1::check)),
+    ("table2", |_, _| outcome(&table2::run(), table2::check)),
+    seeded!(fig02),
+    seeded!(fig03),
+    seeded!(fig04),
+    seeded!(fig05),
+    seeded!(fig06),
+    seeded!(fig07),
+    seeded!(fig10),
+    seeded!(fig11),
+    seeded!(fig12),
+    seeded!(fig13),
+];
+
+/// The ablation studies (design-choice probes beyond the published
+/// figures), in report order.
+pub static ABLATIONS: [(&str, Driver); 10] = [
+    seeded!(gphr_depth),
+    seeded!(upc_pitfall),
+    seeded!(oracle_gap),
+    seeded!(overheads),
+    seeded!(granularity),
+    seeded!(selector),
+    seeded!(pht_organization),
+    seeded!(confidence),
+    seeded!(sampling_domain),
+    seeded!(family_tour),
+];
+
+/// The extension experiments (the paper's Section 8 claims, built out),
+/// in report order.
+pub static EXTENSIONS: [(&str, Driver); 6] = [
+    seeded!(dtm),
+    ("power_cap", |seed, model| {
+        outcome(&power_cap::run_with_model(seed, model), power_cap::check)
+    }),
+    seeded!(multiprogram),
+    seeded!(duration),
+    seeded!(adaptive_sampling),
+    seeded!(tenants),
+];
+
+/// Looks a single artifact up by name across [`PAPER`], [`ABLATIONS`]
+/// and [`EXTENSIONS`].
+#[must_use]
+pub fn find(name: &str) -> Option<&'static (&'static str, Driver)> {
+    PAPER
+        .iter()
+        .chain(&ABLATIONS)
+        .chain(&EXTENSIONS)
+        .find(|(n, _)| *n == name)
+}
+
+/// The full paper reproduction: every table and figure, the
+/// `EXPERIMENTS.md` record built from them, and the CSV data behind the
+/// plotted figures.
+#[derive(Debug, Clone)]
+pub struct PaperRecord {
+    /// Each artifact of [`PAPER`] with its outcome, in paper order.
+    pub artifacts: Vec<(&'static str, Outcome)>,
+    /// The `EXPERIMENTS.md` text.
+    pub markdown: String,
+    /// `(file name, contents)` of each `results/*.csv`.
+    pub csvs: [(&'static str, String); 6],
+}
+
+/// Runs every table and figure driver and checks every shape claim.
+#[must_use]
+pub fn paper_record(seed: u64) -> PaperRecord {
+    let mut artifacts = Vec::with_capacity(PAPER.len());
     let mut md = String::new();
     let _ = writeln!(
         md,
         "# EXPERIMENTS — paper vs. measured\n\n\
          Every table and figure of *Isci, Contreras & Martonosi, MICRO 2006* \
-         regenerated by `cargo run -p livephase-experiments --release --bin repro-all` \
+         regenerated by `cargo run --release -p livephase-cli -- repro all` \
          (seed {seed}). Absolute numbers come from the simulated platform, so the \
          record compares *shapes*: the paper's qualitative claims, each checked \
          mechanically by the corresponding `check()` routine. See `DESIGN.md` \
@@ -27,8 +133,7 @@ fn main() {
 
     // ------------------------------------------------------------ tables
     let t1 = table1::run();
-    println!("{t1}");
-    failures += report_violations("table1", &table1::check(&t1));
+    artifacts.push(("table1", outcome(&t1, table1::check)));
     let _ = writeln!(
         md,
         "## Table 1 — phase definitions\n\n\
@@ -40,8 +145,7 @@ fn main() {
     );
 
     let t2 = table2::run();
-    println!("{t2}");
-    failures += report_violations("table2", &table2::check(&t2));
+    artifacts.push(("table2", outcome(&t2, table2::check)));
     let _ = writeln!(
         md,
         "## Table 2 — phase → DVFS translation\n\n\
@@ -52,8 +156,7 @@ fn main() {
 
     // ----------------------------------------------------------- figure 2
     let f2 = fig02::run(seed);
-    println!("{f2}");
-    failures += report_violations("fig02", &fig02::check(&f2));
+    artifacts.push(("fig02", outcome(&f2, fig02::check)));
     let _ = writeln!(
         md,
         "## Figure 2 — applu: actual vs predicted phases\n\n\
@@ -68,8 +171,7 @@ fn main() {
 
     // ----------------------------------------------------------- figure 3
     let f3 = fig03::run(seed);
-    println!("{f3}");
-    failures += report_violations("fig03", &fig03::check(&f3));
+    artifacts.push(("fig03", outcome(&f3, fig03::check)));
     let coord = |name: &str| {
         f3.points
             .iter()
@@ -94,8 +196,7 @@ fn main() {
 
     // ----------------------------------------------------------- figure 4
     let f4 = fig04::run(seed);
-    println!("{f4}");
-    failures += report_violations("fig04", &fig04::check(&f4));
+    artifacts.push(("fig04", outcome(&f4, fig04::check)));
     let acc = |name: &str, p: &str| {
         f4.row(name)
             .and_then(|r| r.accuracy_of(p))
@@ -121,8 +222,7 @@ fn main() {
 
     // ----------------------------------------------------------- figure 5
     let f5 = fig05::run(seed);
-    println!("{f5}");
-    failures += report_violations("fig05", &fig05::check(&f5));
+    artifacts.push(("fig05", outcome(&f5, fig05::check)));
     let at = |name: &str, n: usize| {
         f5.rows
             .iter()
@@ -150,8 +250,7 @@ fn main() {
 
     // ----------------------------------------------------------- figure 6
     let f6 = fig06::run(seed);
-    println!("{f6}");
-    failures += report_violations("fig06", &fig06::check(&f6));
+    artifacts.push(("fig06", outcome(&f6, fig06::check)));
     let _ = writeln!(
         md,
         "## Figure 6 — (UPC, Mem/Uop) exploration space\n\n\
@@ -165,8 +264,7 @@ fn main() {
 
     // ----------------------------------------------------------- figure 7
     let f7 = fig07::run(seed);
-    println!("{f7}");
-    failures += report_violations("fig07", &fig07::check(&f7));
+    artifacts.push(("fig07", outcome(&f7, fig07::check)));
     let worst = f7
         .sweeps
         .iter()
@@ -190,8 +288,7 @@ fn main() {
 
     // ---------------------------------------------------------- figure 10
     let f10 = fig10::run(seed);
-    println!("{f10}");
-    failures += report_violations("fig10", &fig10::check(&f10));
+    artifacts.push(("fig10", outcome(&f10, fig10::check)));
     let c10 = f10.managed.compare_to(&f10.baseline);
     let _ = writeln!(
         md,
@@ -214,8 +311,7 @@ fn main() {
 
     // ---------------------------------------------------------- figure 11
     let f11 = fig11::run(seed);
-    println!("{f11}");
-    failures += report_violations("fig11", &fig11::check(&f11));
+    artifacts.push(("fig11", outcome(&f11, fig11::check)));
     let e = |n: &str| {
         f11.outcome(n)
             .map_or(0.0, |o| o.gpht_vs_baseline().edp_improvement_pct())
@@ -238,8 +334,7 @@ fn main() {
 
     // ---------------------------------------------------------- figure 12
     let f12 = fig12::run(seed);
-    println!("{f12}");
-    failures += report_violations("fig12", &fig12::check(&f12));
+    artifacts.push(("fig12", outcome(&f12, fig12::check)));
     let n12 = f12.rows.len() as f64;
     let avg_g = f12.rows.iter().map(|r| r.gpht_edp_pct).sum::<f64>() / n12;
     let avg_r = f12.rows.iter().map(|r| r.reactive_edp_pct).sum::<f64>() / n12;
@@ -264,8 +359,7 @@ fn main() {
 
     // ---------------------------------------------------------- figure 13
     let f13 = fig13::run(seed);
-    println!("{f13}");
-    failures += report_violations("fig13", &fig13::check(&f13));
+    artifacts.push(("fig13", outcome(&f13, fig13::check)));
     let _ = writeln!(
         md,
         "## Figure 13 — conservative, performance-bounded phase definitions\n\n\
@@ -299,6 +393,10 @@ fn main() {
         f13.table.settings(),
     );
 
+    let failures = artifacts
+        .iter()
+        .filter(|(_, o)| !o.violations.is_empty())
+        .count();
     let _ = writeln!(
         md,
         "---\n\nShape-check outcome: **{}**.\n",
@@ -309,24 +407,37 @@ fn main() {
         }
     );
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = root.join("EXPERIMENTS.md");
-    std::fs::write(&path, md).expect("write EXPERIMENTS.md");
-    println!("\nwrote {}", path.display());
-
-    // Machine-readable artifacts for downstream plotting.
-    let results = root.join("results");
-    std::fs::create_dir_all(&results).expect("create results/");
-    for (name, csv) in [
-        ("fig03.csv", f3.table().to_csv()),
-        ("fig04.csv", f4.table().to_csv()),
-        ("fig05.csv", f5.table().to_csv()),
-        ("fig11.csv", f11.table().to_csv()),
-        ("fig12.csv", f12.table().to_csv()),
-        ("fig13.csv", f13.results_table().to_csv()),
-    ] {
-        std::fs::write(results.join(name), csv).expect("write results CSV");
+    PaperRecord {
+        artifacts,
+        markdown: md,
+        csvs: [
+            ("fig03.csv", f3.table().to_csv()),
+            ("fig04.csv", f4.table().to_csv()),
+            ("fig05.csv", f5.table().to_csv()),
+            ("fig11.csv", f11.table().to_csv()),
+            ("fig12.csv", f12.table().to_csv()),
+            ("fig13.csv", f13.results_table().to_csv()),
+        ],
     }
-    println!("wrote results/fig{{03,04,05,11,12,13}}.csv");
-    std::process::exit(i32::from(failures > 0));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_are_unique_and_findable() {
+        let all: Vec<&str> = PAPER
+            .iter()
+            .chain(&ABLATIONS)
+            .chain(&EXTENSIONS)
+            .map(|(n, _)| *n)
+            .collect();
+        for (i, name) in all.iter().enumerate() {
+            assert!(!all[..i].contains(name), "duplicate artifact {name}");
+            assert_eq!(find(name).map(|(n, _)| *n), Some(*name));
+        }
+        assert!(find("fig99").is_none());
+        assert!(find("all").is_none(), "group names are not artifacts");
+    }
 }

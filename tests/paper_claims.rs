@@ -3,7 +3,7 @@
 //! Each test quotes one sentence from Isci, Contreras & Martonosi
 //! (MICRO 2006) and asserts it end to end on this reproduction, at a
 //! reduced scale suitable for `cargo test` (the full-scale equivalents run
-//! in `repro-all`).
+//! in `livephase-cli repro all`).
 
 use livephase::core::{evaluate, Gpht, GphtConfig, LastValue, PhaseMap, PhaseSample};
 use livephase::governor::Manager;

@@ -1,7 +1,7 @@
 //! Pinned fingerprints of the managed runs behind the ablations, the
 //! extensions, the examples and the CLI's policy menu.
 //!
-//! `repro-all` pins Figures 12 and 13 byte for byte, but the other
+//! `repro all` pins Figures 12 and 13 byte for byte, but the other
 //! experiment drivers print rounded aggregates, so a change to how their
 //! managers are built could shift a decision without moving a printed
 //! digit. Each run here is reduced to one FNV-1a fingerprint over
