@@ -209,11 +209,11 @@ impl PhaseMap {
             "{phase} is out of range for a {}-phase map",
             self.phase_count()
         );
-        let low = if i == 0 { 0.0 } else { self.boundaries[i - 1] }; // lint:allow(no-panic-path): 0 < i < phase_count asserted above
+        let low = if i == 0 { 0.0 } else { self.boundaries[i - 1] }; // 0 < i < phase_count asserted above
         let high = if i == self.boundaries.len() {
             f64::INFINITY
         } else {
-            self.boundaries[i] // lint:allow(no-panic-path): i < boundaries.len() in this branch
+            self.boundaries[i] // i < boundaries.len() in this branch
         };
         (low, high)
     }

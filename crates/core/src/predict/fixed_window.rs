@@ -108,14 +108,14 @@ impl FixedWindow {
                 // occurrence (scan from oldest, later >= wins).
                 let mut counts = [0u32; 256];
                 for p in &self.history {
-                    counts[p.index()] += 1; // lint:allow(no-panic-path): PhaseId::index() < 255 by construction
+                    counts[p.index()] += 1; // lint:allow(panic-reachable): PhaseId::index() < 255 by construction
                 }
                 let mut best: Option<PhaseId> = None;
                 for &p in &self.history {
                     match best {
                         None => best = Some(p),
                         Some(b) => {
-                            // lint:allow(no-panic-path): PhaseId::index() < 255 by construction
+                            // lint:allow(panic-reachable): PhaseId::index() < 255 by construction
                             if counts[p.index()] >= counts[b.index()] {
                                 best = Some(p);
                             }

@@ -133,7 +133,7 @@ impl Predictor for HashedGpht {
 
         let tag = self.fingerprint();
         let index = (tag % self.slots.len() as u64) as usize;
-        // lint:allow(no-panic-path): index < slots.len() by the modulo above
+        // lint:allow(panic-reachable): index < slots.len() by the modulo above
         match &mut self.slots[index] {
             Some(slot) if slot.tag == tag => {
                 self.hits += 1;

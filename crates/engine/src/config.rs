@@ -144,7 +144,7 @@ impl EngineConfig {
     #[must_use]
     pub fn op_point_for(&self, phase: PhaseId) -> u8 {
         let i = phase.index().min(self.op_table.len() - 1);
-        self.op_table[i] // lint:allow(no-panic-path): i < op_table.len() by the min; the table is non-empty by construction
+        self.op_table[i] // lint:allow(panic-reachable): i < op_table.len() by the min; the table is non-empty by construction
     }
 }
 

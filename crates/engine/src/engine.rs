@@ -30,7 +30,7 @@ use livephase_core::{
 use livephase_telemetry::{Counter, Histogram};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant; // lint:allow(determinism): Instant feeds decision-latency telemetry only, never a decision input
+use std::time::Instant;
 
 /// One performance-counter reading: what the PMI handler stops and reads
 /// at the end of a sampling interval, attributed to a process.
@@ -213,7 +213,7 @@ impl TransitionTracker {
         if needed > self.dim {
             self.grow(needed);
         }
-        self.counts[from * self.dim + to] += 1; // lint:allow(no-panic-path): from, to < dim after grow; counts has dim*dim cells
+        self.counts[from * self.dim + to] += 1; // lint:allow(panic-reachable): from, to < dim after grow; counts has dim*dim cells
     }
 
     /// Count recorded for one `(from, to)` pair since the last flush.
@@ -232,7 +232,7 @@ impl TransitionTracker {
         let mut counts = vec![0u64; new_dim * new_dim];
         for from in 0..self.dim {
             for to in 0..self.dim {
-                // lint:allow(no-panic-path): from, to < dim <= new_dim; both buffers are dim²-sized
+                // lint:allow(panic-reachable): from, to < dim <= new_dim; both buffers are dim²-sized
                 counts[from * new_dim + to] = self.counts[from * self.dim + to];
             }
         }
@@ -246,7 +246,7 @@ impl TransitionTracker {
         let reg = livephase_telemetry::global();
         for from in 0..self.dim {
             for to in 0..self.dim {
-                let n = std::mem::take(&mut self.counts[from * self.dim + to]); // lint:allow(no-panic-path): from, to < dim by the loop bounds
+                let n = std::mem::take(&mut self.counts[from * self.dim + to]); // from, to < dim by the loop bounds
                 if n == 0 {
                     continue;
                 }
@@ -545,7 +545,7 @@ impl DecisionEngine {
     /// completes a [`PUBLISH_EVERY`]-decision batch reads the clock, and
     /// its latency is recorded once for the whole batch.
     pub fn step(&mut self, sample: &Sample) -> Decision {
-        // lint:allow(determinism): decision-latency histogram only
+        // lint:allow(determinism-taint): decision-latency histogram only
         let started = (self.metrics.decisions + 1 >= PUBLISH_EVERY).then(Instant::now);
         let Self {
             config,
@@ -579,7 +579,7 @@ impl DecisionEngine {
         if samples.is_empty() {
             return;
         }
-        let started = Instant::now(); // lint:allow(determinism): decision-latency histogram only
+        let started = Instant::now(); // lint:allow(determinism-taint): decision-latency histogram only
         out.reserve(samples.len());
         let Self {
             config,
@@ -593,11 +593,11 @@ impl DecisionEngine {
         } = self;
         let mut i = 0;
         while i < samples.len() {
-            let pid = samples[i].pid; // lint:allow(no-panic-path): i < samples.len() by the loop guard
+            let pid = samples[i].pid; // lint:allow(panic-reachable): i < samples.len() by the loop guard
             let state = touch_pid_state(pids, recency, *max_pids, factory, metrics, pid);
-            // lint:allow(no-panic-path): i < samples.len() by the inner guard
+            // lint:allow(panic-reachable): i < samples.len() by the inner guard
             while i < samples.len() && samples[i].pid == pid {
-                out.push(step_pid(config, metrics, transitions, state, &samples[i])); // lint:allow(no-panic-path): i < samples.len() by the inner guard
+                out.push(step_pid(config, metrics, transitions, state, &samples[i])); // lint:allow(panic-reachable): i < samples.len() by the inner guard
                 i += 1;
             }
         }
@@ -632,8 +632,8 @@ impl DecisionEngine {
     /// Aggregate prediction statistics across every pid stream.
     #[must_use]
     pub fn stats(&self) -> PredictionStats {
-        // lint:allow(determinism): the fold is a commutative sum, so the
-        // FNV iteration order cannot change the result
+        // The fold is a commutative sum, so the FNV iteration order
+        // cannot change the result.
         self.pids
             .values()
             .fold(PredictionStats::default(), |acc, s| {

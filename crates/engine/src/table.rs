@@ -93,7 +93,7 @@ impl TranslationTable {
             }
         }
         for (i, w) in settings.windows(2).enumerate() {
-            // lint:allow(no-panic-path): windows(2) yields exactly two elements
+            // windows(2) yields exactly two elements
             if w[1] < w[0] {
                 return Err(TranslationTableError::NotMonotonic {
                     phase: u8::try_from(i + 2).unwrap_or(u8::MAX),
@@ -121,7 +121,7 @@ impl TranslationTable {
     #[must_use]
     pub fn setting_for(&self, phase: PhaseId) -> usize {
         let i = phase.index().min(self.settings.len() - 1);
-        self.settings[i] // lint:allow(no-panic-path): i < settings.len() by the min; the table is non-empty by construction
+        self.settings[i] // i < settings.len() by the min; the table is non-empty by construction
     }
 
     /// Number of phases covered.

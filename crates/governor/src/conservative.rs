@@ -62,8 +62,6 @@ impl ConservativeDerivation {
     #[must_use]
     pub fn degradation(&self, mem_uop: f64, setting: usize) -> f64 {
         let Some(opp) = self.opps.get(setting) else {
-            // lint:allow(no-panic-path): documented panic contract of a
-            // derivation-time API; runs at construction, never per-sample
             panic!("setting {setting} is out of range for the platform table");
         };
         let fastest = self.opps.fastest();

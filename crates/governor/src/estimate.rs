@@ -87,8 +87,8 @@ impl PowerEstimator {
     /// platform clamp to the slowest.
     #[must_use]
     pub fn power_w(&self, phase: PhaseId, setting: usize) -> f64 {
-        let row = &self.table[phase.index().min(self.table.len() - 1)]; // lint:allow(no-panic-path): index clamped below len; the table is non-empty by construction
-        row[setting.min(row.len() - 1)] // lint:allow(no-panic-path): index clamped below len; rows are non-empty by construction
+        let row = &self.table[phase.index().min(self.table.len() - 1)]; // index clamped below len; the table is non-empty by construction
+        row[setting.min(row.len() - 1)] // index clamped below len; rows are non-empty by construction
     }
 
     /// Number of settings per phase.
@@ -102,7 +102,7 @@ impl PowerEstimator {
     /// setting when even that exceeds the cap.
     #[must_use]
     pub fn fastest_under_cap(&self, phase: PhaseId, cap_w: f64) -> usize {
-        let row = &self.table[phase.index().min(self.table.len() - 1)]; // lint:allow(no-panic-path): index clamped below len; the table is non-empty by construction
+        let row = &self.table[phase.index().min(self.table.len() - 1)]; // index clamped below len; the table is non-empty by construction
         row.iter()
             .position(|&p| p <= cap_w)
             .unwrap_or(row.len() - 1)

@@ -374,9 +374,9 @@ impl Manager {
 
         cpu.service_pmi_overhead(self.config.handler_overhead_s);
         if cpu.set_dvfs(setting).is_err() {
-            // lint:allow(no-panic-path): an engine or hook returning an
-            // out-of-range setting is a programming error that must not be
-            // masked; every shipped table and hook clamps to the platform's
+            // An engine or hook returning an out-of-range setting is a
+            // programming error that must not be masked; every shipped
+            // table and hook clamps to the platform's table.
             panic!("decisions must name a platform-valid DVFS setting, got {setting}");
         }
 

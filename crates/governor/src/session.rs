@@ -171,7 +171,7 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
                 if i >= n {
                     break;
                 }
-                // lint:allow(no-panic-path): i < n = items.len() by the break above
+                // i < n = items.len() by the break above
                 if tx.send((i, f(&items[i]))).is_err() {
                     break;
                 }

@@ -454,6 +454,20 @@ mod tests {
     }
 
     #[test]
+    fn wrapped_method_call_with_trailing_comma_gets_an_edge() {
+        let (_, g) = build(&[(
+            "crates/a/src/lib.rs",
+            "a",
+            "struct S;\n\
+             impl S { fn m(&self, a: u8, b: u8) {} }\n\
+             fn driver(x: S) {\n    x.m(\n        1,\n        2,\n    );\n}",
+        )]);
+        let (driver, m) = (id(&g, "driver"), id(&g, "m"));
+        let callees: Vec<usize> = g.fns[driver].edges.iter().map(|e| e.callee).collect();
+        assert_eq!(callees, vec![m]);
+    }
+
+    #[test]
     fn qualified_and_bare_calls_resolve_within_crate() {
         let (_, g) = build(&[
             (

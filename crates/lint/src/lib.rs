@@ -2,9 +2,10 @@
 //!
 //! `clippy` checks Rust; this crate checks *livephase*. It encodes the
 //! workspace invariants that keep the phase-monitoring pipeline
-//! reproducible and crash-free — panic-freedom and determinism on the
-//! decision path, `SAFETY:` discipline around `unsafe`, metric-naming
-//! hygiene, and wire-tag uniqueness — as machine-checked rules over a
+//! reproducible and crash-free — panic-freedom and determinism of
+//! everything the hot-path roots reach over the workspace call graph,
+//! `SAFETY:` discipline around `unsafe`, metric-naming hygiene, and
+//! wire-tag uniqueness — as machine-checked rules over a
 //! hand-rolled token stream (no `syn`, no `rustc` internals, no
 //! dependencies at all). It runs as `livephase-cli lint [--json]` and
 //! gates `ci.sh`.
@@ -162,10 +163,12 @@ mod tests {
         vec![SourceFile::analyze(path, crate_name, src.to_owned())]
     }
 
+    // `step_decision` is a tenants hot-path root, so its body is what
+    // the chain rules report on.
     #[test]
     fn justified_allow_suppresses_and_counts() {
-        let src = "fn f(v: &[u8]) { let x = v[0]; } // lint:allow(no-panic-path): caller guarantees non-empty";
-        let report = lint_files(&one("a.rs", "core", src), None);
+        let src = "pub fn step_decision(v: &[u8]) -> u8 { v[0] } // lint:allow(panic-reachable): caller guarantees non-empty";
+        let report = lint_files(&one("a.rs", "tenants", src), None);
         assert!(report.is_clean(), "{}", report.render_text());
         assert_eq!(report.suppressed, 1);
         assert!(report.findings.is_empty());
@@ -173,18 +176,18 @@ mod tests {
 
     #[test]
     fn unjustified_allow_is_a_deny_finding_and_does_not_suppress() {
-        let src = "fn f(v: &[u8]) { let x = v[0]; } // lint:allow(no-panic-path)";
-        let report = lint_files(&one("a.rs", "core", src), None);
+        let src = "pub fn step_decision(v: &[u8]) -> u8 { v[0] } // lint:allow(panic-reachable)";
+        let report = lint_files(&one("a.rs", "tenants", src), None);
         assert!(!report.is_clean());
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&"no-panic-path"), "{rules:?}");
+        assert!(rules.contains(&"panic-reachable"), "{rules:?}");
         assert!(rules.contains(&RULE_ALLOW_JUSTIFICATION), "{rules:?}");
     }
 
     #[test]
     fn unused_allow_warns_without_gating() {
-        let src = "// lint:allow(no-panic-path): nothing here actually panics\nfn f() {}";
-        let report = lint_files(&one("a.rs", "core", src), None);
+        let src = "// lint:allow(panic-reachable): nothing here actually panics\nfn f() {}";
+        let report = lint_files(&one("a.rs", "tenants", src), None);
         assert!(report.is_clean());
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, RULE_UNUSED_SUPPRESSION);
@@ -193,16 +196,16 @@ mod tests {
 
     #[test]
     fn allow_for_one_rule_does_not_hide_another() {
-        let src = "fn f(v: Vec<u8>) { let t = Instant::now(); let x = v[0]; } // lint:allow(no-panic-path): v is seeded with one element";
-        let report = lint_files(&one("a.rs", "engine", src), None);
+        let src = "pub fn step_decision(v: Vec<u8>) { let t = Instant::now(); let x = v[0]; } // lint:allow(panic-reachable): v is seeded with one element";
+        let report = lint_files(&one("a.rs", "tenants", src), None);
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec!["determinism"], "{rules:?}");
+        assert_eq!(rules, vec!["determinism-taint"], "{rules:?}");
     }
 
     #[test]
     fn standalone_allow_covers_the_next_code_line() {
-        let src = "// lint:allow(determinism): latency telemetry only, never a decision input\nlet t = Instant::now();";
-        let report = lint_files(&one("a.rs", "telemetry", src), None);
+        let src = "pub fn step_decision() {\n    // lint:allow(determinism-taint): latency telemetry only, never a decision input\n    let t = Instant::now();\n}";
+        let report = lint_files(&one("a.rs", "tenants", src), None);
         assert!(report.is_clean(), "{}", report.render_text());
         assert_eq!(report.suppressed, 1);
     }
@@ -210,8 +213,12 @@ mod tests {
     #[test]
     fn report_is_sorted_across_files() {
         let files = vec![
-            SourceFile::analyze("b.rs", "core", "fn f(v: &[u8]) { v[0]; }".to_owned()),
-            SourceFile::analyze("a.rs", "core", "fn g() { panic!(\"x\"); }".to_owned()),
+            SourceFile::analyze(
+                "b.rs",
+                "tenants",
+                "pub fn step_decision(v: &[u8]) { g(); v[0]; }".to_owned(),
+            ),
+            SourceFile::analyze("a.rs", "tenants", "fn g() { panic!(\"x\"); }".to_owned()),
         ];
         let report = lint_files(&files, None);
         assert_eq!(report.findings.len(), 2);

@@ -876,7 +876,9 @@ impl<'a> Parser<'a> {
             match self.txt(i) {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
-                "<" if depth == 1 => angle += 1,
+                // Generics open only in a turbofish (`::<`) or nested in
+                // one; any other `<` at depth 1 is a comparison.
+                "<" if depth == 1 && (angle > 0 || self.txt(i - 1) == ":") => angle += 1,
                 ">" if depth == 1 => {
                     let arrow = self.txt(i - 1) == "-" && self.adjacent(i - 1);
                     if !arrow && angle > 0 {
@@ -892,10 +894,13 @@ impl<'a> Parser<'a> {
             i += 1;
         }
         if !any {
-            (0, opaque)
-        } else {
-            (commas + 1, opaque)
+            return (0, opaque);
         }
+        // A trailing comma (rustfmt's wrapped calls) leaves an empty
+        // final segment, as in `fn_params`.
+        let trailing_comma = close > 0 && self.txt(close - 1) == ",";
+        let segments = commas + 1 - usize::from(trailing_comma && commas > 0);
+        (segments, opaque)
     }
 
     /// At a `match` keyword (index `at`, inside a body bounded by
@@ -1018,6 +1023,9 @@ mod tests {
         let ast = ast_of("fn one(map: HashMap<K, V>) {}");
         let f = only_fn(&ast);
         assert_eq!((f.params, f.has_self), (1, false));
+        let ast = ast_of("fn wrapped(\n    a: u8,\n    b: u8,\n) {}");
+        let f = only_fn(&ast);
+        assert_eq!((f.params, f.has_self), (2, false));
     }
 
     #[test]
@@ -1042,6 +1050,27 @@ mod tests {
         );
         assert_eq!(f.calls[2].args, 2);
         assert_eq!(f.calls[3].args, 2);
+    }
+
+    #[test]
+    fn trailing_comma_is_not_an_argument() {
+        let ast = ast_of("fn go() { x.m(\n    a,\n    b,\n); f(a, b,); g(a); }");
+        let f = only_fn(&ast);
+        let args: Vec<usize> = f.calls.iter().map(|c| c.args).collect();
+        assert_eq!(args, vec![2, 2, 1]);
+    }
+
+    #[test]
+    fn comparisons_do_not_hide_commas() {
+        let ast = ast_of("fn go() { f(a < b, c); g(Vec::<(u8, u8)>::new(), d > e, h); }");
+        let f = only_fn(&ast);
+        let args: Vec<(String, usize)> = f
+            .calls
+            .iter()
+            .map(|c| (c.display(), c.args))
+            .filter(|(n, _)| n.len() == 1)
+            .collect();
+        assert_eq!(args, vec![("f".to_owned(), 2), ("g".to_owned(), 3)]);
     }
 
     #[test]

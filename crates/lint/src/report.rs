@@ -29,7 +29,7 @@ impl Severity {
 /// One rule violation at a specific location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `no-panic-path`.
+    /// Rule id, e.g. `panic-reachable`.
     pub rule: &'static str,
     /// Whether it gates.
     pub severity: Severity,

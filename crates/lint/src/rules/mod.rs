@@ -3,10 +3,8 @@
 //!
 //! | rule                       | scope                  | invariant |
 //! |----------------------------|------------------------|-----------|
-//! | `no-panic-path`            | decision-path crates   | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`[...]` indexing in non-test code |
-//! | `determinism`              | decision-path crates   | no `Instant`/`SystemTime`/`std::env`, no `HashMap`/`HashSet` iteration in non-test code |
-//! | `panic-reachable`          | whole workspace        | no panic construct is transitively reachable from the deployed hot-path roots (call graph) |
-//! | `determinism-taint`        | whole workspace        | no nondeterminism source is transitively reachable from the hot-path roots (call graph) |
+//! | `panic-reachable`          | whole workspace        | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`[...]` indexing is transitively reachable from the deployed hot-path roots (call graph) |
+//! | `determinism-taint`        | whole workspace        | no `Instant`/`SystemTime`/`std::env` read or `HashMap`/`HashSet` iteration is transitively reachable from the hot-path roots (call graph) |
 //! | `safety-comment`           | whole workspace        | every `unsafe` is preceded by a `// SAFETY:` comment |
 //! | `telemetry-naming`         | whole workspace        | metric names are snake_case, kind-suffixed, consistent, and cover what `ci.sh` scrapes |
 //! | `doc-metric-names`         | README                 | metric names the docs mention are actually registered |
@@ -14,22 +12,15 @@
 //! | `wire-dispatch-exhaustive` | `serve`                | every declared `TAG_*` constant is handled by a decoder dispatch `match` arm |
 //! | `cli-flag-docs`            | `cli` + README         | parsed `--flags` and documented `--flags` agree in both directions |
 //!
-//! The *decision-path crates* are the ones whose code can run between a
-//! counter sample arriving and a DVFS decision leaving: `core`,
-//! `engine`, `serve`, `governor`, `pmsim`, `tenants` (its scheduler and
-//! arbiter sit between every tenant's samples and their DVFS grants),
-//! and `telemetry` (its instruments run inside the decision loop even
-//! though they never influence it). The interprocedural rules go
-//! further: they start from the *hot-path roots* (see
+//! The two call-graph rules start from the *hot-path roots* (see
 //! [`crate::taint::HOT_PATH_ROOTS`]) and follow the workspace call
-//! graph, so a helper crate outside the decision perimeter can no
-//! longer launder a panic or a wall-clock read into the decision path.
+//! graph across crates, so a helper crate cannot launder a panic or a
+//! wall-clock read into the decision path, and code no root reaches
+//! needs no annotation.
 
 pub mod cli_docs;
-pub mod determinism;
 pub mod determinism_taint;
 pub mod doc_metrics;
-pub mod panic_path;
 pub mod panic_reachable;
 pub mod safety;
 pub mod telemetry_names;
@@ -40,18 +31,6 @@ use crate::ast::Ast;
 use crate::callgraph::CallGraph;
 use crate::report::{Finding, Severity};
 use crate::source::SourceFile;
-
-/// Crates whose non-test code sits on (or inside) the per-sample
-/// decision path and therefore must be panic-free and deterministic.
-pub const DECISION_CRATES: [&str; 7] = [
-    "core",
-    "engine",
-    "serve",
-    "governor",
-    "pmsim",
-    "tenants",
-    "telemetry",
-];
 
 /// The CI driver script, scanned by the telemetry-naming rule so the
 /// metric names it greps for cannot drift from the ones the code
@@ -119,8 +98,6 @@ pub trait Rule {
 #[must_use]
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(panic_path::NoPanicPath),
-        Box::new(determinism::Determinism),
         Box::new(panic_reachable::PanicReachable),
         Box::new(determinism_taint::DeterminismTaint),
         Box::new(safety::SafetyComment),
@@ -173,12 +150,3 @@ pub(crate) fn finding_at(
         message,
     }
 }
-
-/// Rust keywords that can legitimately precede a `[` without the bracket
-/// being an index expression (slice patterns, array types, and friends).
-pub(crate) const KEYWORDS_BEFORE_BRACKET: [&str; 37] = [
-    "as", "await", "become", "box", "break", "const", "continue", "crate", "do", "dyn", "else",
-    "enum", "extern", "fn", "for", "if", "impl", "in", "let", "loop", "macro", "match", "mod",
-    "move", "mut", "pub", "ref", "return", "static", "struct", "trait", "type", "union", "unsafe",
-    "use", "where", "yield",
-];

@@ -1,25 +1,87 @@
-//! `panic-reachable`: the interprocedural upgrade of `no-panic-path`.
-//! Instead of asking "is this construct in a decision crate?", it asks
-//! the question the fleet actually cares about: *can the deployed hot
-//! paths reach a panic?* Sources are the same panicky constructs
-//! (`unwrap`/`expect`/`panic!`-family/indexing) in any crate's non-test
-//! code; reachability runs over the workspace call graph from
+//! `panic-reachable`: the deployed hot paths must not be able to
+//! panic. Sources are the panicky constructs in any crate's non-test
+//! code: `.unwrap()`, `.expect(...)`, the `panic!`/`todo!`/
+//! `unimplemented!` macros, and slice/array indexing with `[...]`
+//! (which hides a bounds panic). `unreachable!` stays legal: the
+//! workspace idiom for construction-time impossibilities (validated
+//! static configuration) is an explicit `unreachable!` with the
+//! invariant named, and those sites run before any sample is in flight.
+//! Reachability runs over the workspace call graph from
 //! [`crate::taint::HOT_PATH_ROOTS`]; each violation prints the full
 //! shortest call chain from the root to the site.
 //!
-//! Suppression: a justified `lint:allow(panic-reachable)` on the call
-//! site cuts that edge; on the source line it exempts the site (via the
-//! ordinary suppression pass); and a site's existing justified
-//! `lint:allow(no-panic-path)` lifts to chain level so PR 5's triage is
-//! not re-litigated.
+//! Suppression: a justified `lint:allow(panic-reachable)` on a call-site
+//! line cuts the edges on that line; on the source line it exempts the
+//! site (via the ordinary suppression pass).
 
-use super::{panic_path, Rule, Workspace};
+use super::{Rule, Workspace};
+use crate::lexer::TokenKind;
 use crate::report::Finding;
-use crate::taint;
+use crate::source::SourceFile;
+use crate::taint::{self, Source};
 
 /// See the module docs.
 #[derive(Debug)]
 pub struct PanicReachable;
+
+const METHODS: [&str; 2] = ["unwrap", "expect"];
+const MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
+
+/// Rust keywords that can legitimately precede a `[` without the bracket
+/// being an index expression (slice patterns, array types, and friends).
+const KEYWORDS_BEFORE_BRACKET: [&str; 37] = [
+    "as", "await", "become", "box", "break", "const", "continue", "crate", "do", "dyn", "else",
+    "enum", "extern", "fn", "for", "if", "impl", "in", "let", "loop", "macro", "match", "mod",
+    "move", "mut", "pub", "ref", "return", "static", "struct", "trait", "type", "union", "unsafe",
+    "use", "where", "yield",
+];
+
+/// Scans one file for panicky constructs in non-test, non-attr code.
+/// The site's `what` names the construct: `` `.unwrap()` ``,
+/// `` `panic!` ``, `` indexing `[...]` ``.
+pub(crate) fn panic_sites(file: &SourceFile) -> Vec<Source> {
+    let toks: Vec<_> = file.code_tokens().collect();
+    let text = |k: usize| toks.get(k).map_or("", |t| file.tok_text(t));
+    let mut out = Vec::new();
+    for k in 0..toks.len() {
+        let t = toks[k];
+        if file.in_test(t.start) || file.in_attr(t.start) {
+            continue;
+        }
+        // `.unwrap(` / `.expect(`
+        if text(k) == "."
+            && METHODS.contains(&text(k + 1))
+            && text(k + 2) == "("
+            && !file.in_test(toks[k + 1].start)
+        {
+            out.push(Source::at(toks[k + 1], format!("`.{}()`", text(k + 1))));
+        }
+        // `panic!` / `todo!` / `unimplemented!`
+        if t.kind == TokenKind::Ident && MACROS.contains(&text(k)) && text(k + 1) == "!" {
+            out.push(Source::at(t, format!("`{}!`", text(k))));
+        }
+        // Index expressions: `expr[...]`. A `[` is an index when the
+        // previous code token can end an expression (identifier that
+        // is not a keyword, `)`, `]`, or `?`) and is not the tail of
+        // an attribute.
+        if text(k) == "[" && k > 0 {
+            let prev = toks[k - 1];
+            if file.in_attr(prev.start) {
+                continue;
+            }
+            let prev_text = file.tok_text(prev);
+            let indexes = match prev.kind {
+                TokenKind::Ident => !KEYWORDS_BEFORE_BRACKET.contains(&prev_text),
+                TokenKind::Punct => matches!(prev_text, ")" | "]" | "?"),
+                _ => false,
+            };
+            if indexes {
+                out.push(Source::at(t, "indexing `[...]`".to_owned()));
+            }
+        }
+    }
+    out
+}
 
 impl Rule for PanicReachable {
     fn id(&self) -> &'static str {
@@ -35,28 +97,12 @@ impl Rule for PanicReachable {
                 taint::HOT_PATH_ROOTS,
             ));
         }
-        let sources: Vec<Vec<taint::Source>> = ws
-            .files
-            .iter()
-            .map(|f| {
-                panic_path::panic_sites(f)
-                    .into_iter()
-                    .map(|s| taint::Source {
-                        byte: s.byte,
-                        line: s.line,
-                        col: s.col,
-                        what: s.what,
-                    })
-                    .collect()
-            })
-            .collect();
+        let sources: Vec<Vec<Source>> = ws.files.iter().map(panic_sites).collect();
         out.extend(taint::analyze_reachable(
             self.id(),
             ws.files,
             ws.graph,
             &sources,
-            &["panic-reachable"],
-            &["no-panic-path"],
         ));
     }
 }
@@ -113,8 +159,8 @@ mod tests {
 
     #[test]
     fn cross_crate_laundering_is_caught() {
-        // A helper crate outside the decision perimeter unwraps; the
-        // tenants hot path calls into it.
+        // A helper crate with no root of its own unwraps; the tenants
+        // hot path calls into it.
         let got = check(&[
             (
                 "crates/tenants/src/cluster.rs",
@@ -161,15 +207,70 @@ mod tests {
     }
 
     #[test]
-    fn local_no_panic_path_allow_lifts_to_chain_level() {
+    fn call_site_cut_severs_only_its_own_line() {
+        // The cut sits on `cold(r)`'s line; `hot(r)` on the next line is
+        // a sibling call from the same root and must stay reachable.
         let got = check(&[(
             "crates/tenants/src/cluster.rs",
             "tenants",
-            &format!(
-                "{TENANTS_ROOTS}fn helper(r: u32) -> u32 {{ TABLE[(r % 4) as usize] }} // lint:allow(no-panic-path): index is r % 4, always in bounds\nconst TABLE: [u32; 4] = [0, 1, 2, 3];\n"
-            ),
+            "pub struct Arbiter;\n\
+             impl Arbiter { pub fn arbitrate(&mut self, r: u32) -> u32 { r } }\n\
+             pub fn step_decision(r: u32) -> u32 {\n\
+                 // lint:allow(panic-reachable): cold is entered only at startup\n\
+                 let a = cold(r);\n\
+                 a + hot(r)\n\
+             }\n\
+             fn cold(r: u32) -> u32 { panic!(\"boom\") }\n\
+             fn hot(r: u32) -> u32 { TABLE[r as usize] }\n\
+             const TABLE: [u32; 4] = [0, 1, 2, 3];\n",
         )]);
-        assert!(got.is_empty(), "{got:?}");
+        let lines: Vec<u32> = got.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![9], "{got:?}");
+        assert!(
+            got[0].message.contains("tenants::hot"),
+            "{}",
+            got[0].message
+        );
+    }
+
+    fn site_lines(src: &str) -> Vec<u32> {
+        let f = SourceFile::analyze("x.rs", "core", src.to_owned());
+        panic_sites(&f).iter().map(|s| s.line).collect()
+    }
+
+    #[test]
+    fn sites_cover_every_forbidden_construct() {
+        let src = "fn f(v: Vec<u8>) {\n    v.unwrap();\n    v.expect(\"x\");\n    panic!(\"no\");\n    todo!();\n    unimplemented!();\n    let _ = v[0];\n}";
+        assert_eq!(site_lines(src), vec![2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn test_code_is_exempt() {
+        let src = "#[cfg(test)]\nmod tests { fn f(v: Vec<u8>) { v.unwrap(); let _ = v[0]; } }";
+        assert!(site_lines(src).is_empty());
+    }
+
+    #[test]
+    fn non_index_brackets_are_not_sites() {
+        let src = "#[derive(Debug)]\n#[repr(u8)]\nstruct S;\nfn f() {\n    let a: [u8; 2] = [0, 1];\n    let v = vec![1];\n    let [x, y] = a;\n    let s: &[u8] = &a;\n    let _ = (x, y, v, s);\n}";
+        assert!(site_lines(src).is_empty());
+    }
+
+    #[test]
+    fn index_after_call_or_question_mark_is_a_site() {
+        let src = "fn f() { g()[0]; h?[1]; m[0][1]; }";
+        assert_eq!(site_lines(src).len(), 4, "g()[0], h?[1], m[0], [1]");
+    }
+
+    #[test]
+    fn unreachable_is_legal() {
+        assert!(site_lines("fn f() { unreachable!(\"static config is valid\") }").is_empty());
+    }
+
+    #[test]
+    fn comments_and_strings_are_not_sites() {
+        let src = "// v.unwrap() in a comment\nfn f() { let s = \"v.unwrap()\"; let _ = s; }";
+        assert!(site_lines(src).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::lexer::{lex, Token, TokenKind};
 /// An inline suppression comment, `// lint:allow(rule-a, rule-b): why`.
 ///
 /// A suppression applies to findings on its own line when it trails code
-/// (`foo[i] // lint:allow(no-panic-path): i < len by construction`), or
+/// (`foo[i] // lint:allow(panic-reachable): i < len by construction`), or
 /// to the next line carrying any code token when it stands alone. The
 /// justification after the closing parenthesis is mandatory: an allow
 /// without one does not suppress anything and is itself reported.
@@ -369,15 +369,15 @@ mod tests {
 
     #[test]
     fn suppressions_parse_and_resolve_lines() {
-        let src = "let a = v[i]; // lint:allow(no-panic-path): i is bounded above\n\
-                   // lint:allow(determinism): telemetry only\n\
+        let src = "let a = v[i]; // lint:allow(panic-reachable): i is bounded above\n\
+                   // lint:allow(determinism-taint): telemetry only\n\
                    let t = Instant::now();\n\
-                   // lint:allow(no-panic-path)\n\
+                   // lint:allow(panic-reachable)\n\
                    let b = v[j];";
         let f = file(src);
         assert_eq!(f.suppressions.len(), 3);
         let s = &f.suppressions[0];
-        assert_eq!(s.rules, vec!["no-panic-path"]);
+        assert_eq!(s.rules, vec!["panic-reachable"]);
         assert_eq!((s.line, s.applies_line, s.justified), (1, 1, true));
         let s = &f.suppressions[1];
         assert_eq!((s.line, s.applies_line, s.justified), (2, 3, true));

@@ -13,18 +13,18 @@
 //!
 //! Suppression is chain-aware, at two levels:
 //! - **edge cuts** — a justified `lint:allow(<rule>)` on a *call-site*
-//!   line severs that edge for the walk. Use it where the resolver's
-//!   conservative fan-out picked an impossible callee, or where the
-//!   callee is provably not entered on the hot path.
-//! - **source lifts** — a justified allow on the *source* line exempts
-//!   the site. The rule's own id works there via the ordinary
-//!   suppression machinery; additionally the corresponding *local*
-//!   rule's allow (`no-panic-path`, `determinism`) lifts to chain
-//!   level, so the sites triaged in PR 5 don't need a second comment.
+//!   line severs every call edge on that line for the walk (and only
+//!   those: a call on the next line stays live). Use it where the
+//!   resolver's conservative fan-out picked an impossible callee, or
+//!   where the callee is provably not entered on the hot path.
+//! - **site exemptions** — a justified allow of the rule's own id on
+//!   the *source* line exempts the site, via the ordinary suppression
+//!   pass.
 
 use crate::callgraph::CallGraph;
+use crate::lexer::Token;
 use crate::report::{Finding, Severity};
-use crate::source::SourceFile;
+use crate::source::{SourceFile, Suppression};
 
 /// How a hot-path root function is anchored.
 #[derive(Debug, Clone, Copy)]
@@ -166,31 +166,40 @@ pub(crate) struct Source {
     pub what: String,
 }
 
+impl Source {
+    /// A site anchored at `tok`.
+    pub(crate) fn at(tok: &Token, what: String) -> Self {
+        Self {
+            byte: tok.start,
+            line: tok.line,
+            col: tok.col,
+            what,
+        }
+    }
+}
+
 /// Runs one chain analysis and returns its findings (unsorted; the
 /// report sorts globally).
 ///
-/// `sources_by_file[i]` are the source sites of `files[i]`.
-/// `edge_rules` are the allow ids that cut a call edge at the call-site
-/// line; `lift_rules` are the *local* allow ids that exempt a source at
-/// its own line (the analysis rule's own id is handled by the generic
-/// suppression pass and needs no listing here). Both mark matched
-/// suppressions used.
+/// `sources_by_file[i]` are the source sites of `files[i]`. A justified
+/// `lint:allow(<rule>)` on a call-site line cuts the edges on that line
+/// (and is marked used); one on a source line is left to the generic
+/// suppression pass.
 pub(crate) fn analyze_reachable(
     rule: &'static str,
     files: &[SourceFile],
     graph: &CallGraph,
     sources_by_file: &[Vec<Source>],
-    edge_rules: &[&str],
-    lift_rules: &[&str],
 ) -> Vec<Finding> {
     let roots = root_ids(graph, HOT_PATH_ROOTS);
+    let cuts = |s: &Suppression, line: u32| {
+        s.justified && s.applies_line == line && s.rules.iter().any(|r| r == rule)
+    };
     let reach = graph.reach(&roots, |caller, edge| {
-        let file = &files[caller.file];
-        !file.suppressions.iter().any(|s| {
-            s.justified
-                && s.applies_line == edge.line
-                && s.rules.iter().any(|r| edge_rules.contains(&r.as_str()))
-        })
+        !files[caller.file]
+            .suppressions
+            .iter()
+            .any(|s| cuts(s, edge.line))
     });
     // Mark edge-cut allows used: any justified edge allow sitting on a
     // call-site line of a *reachable* caller did real work, whether or
@@ -199,13 +208,9 @@ pub(crate) fn analyze_reachable(
         if !reach.visited[id] {
             continue;
         }
-        let file = &files[node.file];
         for edge in &node.edges {
-            for s in &file.suppressions {
-                if s.justified
-                    && s.applies_line == edge.line
-                    && s.rules.iter().any(|r| edge_rules.contains(&r.as_str()))
-                {
+            for s in &files[node.file].suppressions {
+                if cuts(s, edge.line) {
                     s.used.set(true);
                 }
             }
@@ -219,17 +224,6 @@ pub(crate) fn analyze_reachable(
                 continue; // module-level site: no fn to attribute to
             };
             if !reach.visited[owner] || graph.fns[owner].in_test {
-                continue;
-            }
-            // Local-rule allows lift to chain level: the site was
-            // already triaged.
-            let lifted = file.suppressions.iter().find(|s| {
-                s.justified
-                    && s.applies_line == src.line
-                    && s.rules.iter().any(|r| lift_rules.contains(&r.as_str()))
-            });
-            if let Some(s) = lifted {
-                s.used.set(true);
                 continue;
             }
             let chain = graph.chain(&reach, owner);

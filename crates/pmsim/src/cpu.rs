@@ -32,7 +32,7 @@ use livephase_telemetry::{Counter, Gauge};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant; // lint:allow(determinism): wall clock feeds the throughput gauge only, never simulated time
+use std::time::Instant;
 
 /// Static configuration of the simulated platform.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -222,7 +222,7 @@ struct CpuMetrics {
     /// PMIs delivered since the last publish.
     pmis: u64,
     /// Wall-clock construction time, for the throughput gauge.
-    wall_start: Instant, // lint:allow(determinism): throughput telemetry only
+    wall_start: Instant,
 }
 
 impl CpuMetrics {
@@ -241,7 +241,7 @@ impl CpuMetrics {
                 &[],
             ),
             pmis: 0,
-            wall_start: Instant::now(), // lint:allow(determinism): throughput telemetry only
+            wall_start: Instant::now(),
         }
     }
 

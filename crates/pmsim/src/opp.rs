@@ -228,7 +228,7 @@ impl OperatingPointTable {
     /// unmanaged system* always runs here.
     #[must_use]
     pub fn fastest(&self) -> OperatingPoint {
-        self.points[0] // lint:allow(no-panic-path): `new` rejects empty tables
+        self.points[0] // lint:allow(panic-reachable): `new` rejects empty tables
     }
 
     /// The lowest-frequency point.

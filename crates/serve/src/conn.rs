@@ -31,8 +31,6 @@ use livephase_telemetry::{trace_event, Level};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
-// lint:allow(determinism): Instant feeds idle reaping and latency telemetry; the
-// decision path itself is a pure function of the sample stream.
 use std::time::{Duration, Instant};
 
 use crate::reactor::Interest;
@@ -95,7 +93,7 @@ pub(crate) struct Cx<'a> {
     /// configured power backend so flushing a run costs one table lookup.
     pub(crate) power_mw: &'a [i64],
     /// The event loop's notion of now (one clock read per wake).
-    pub(crate) now: Instant, // lint:allow(determinism): I/O timeouts and telemetry only, never a decision input
+    pub(crate) now: Instant,
 }
 
 /// One reactor-owned connection.
@@ -118,13 +116,12 @@ pub(crate) struct Conn {
     phase: Phase,
     peer_gone: bool,
     fin_sent: bool,
-    last_activity: Instant, // lint:allow(determinism): idle-reap bookkeeping, not a decision input
-    closing_since: Option<Instant>, // lint:allow(determinism): flush-deadline bookkeeping, not a decision input
+    last_activity: Instant,
+    closing_since: Option<Instant>,
 }
 
 impl Conn {
     /// A connection admitted past the accept gate, awaiting its `Hello`.
-    // lint:allow(determinism): the timestamp seeds idle-reap bookkeeping only
     pub(crate) fn admitted(stream: TcpStream, conn_id: u64, now: Instant) -> Self {
         Self {
             stream,
@@ -146,7 +143,6 @@ impl Conn {
 
     /// A connection refused at the accept gate: its only business is
     /// flushing the queued `Error{Busy}` and closing.
-    // lint:allow(determinism): the timestamp seeds flush-deadline bookkeeping only
     pub(crate) fn refused(stream: TcpStream, now: Instant) -> Self {
         let mut conn = Self {
             stream,
@@ -260,14 +256,12 @@ impl Conn {
     }
 
     /// Handles a writable event.
-    // lint:allow(determinism): the timestamp feeds activity bookkeeping only
     pub(crate) fn on_writable(&mut self, now: Instant) {
         self.try_flush(now);
     }
 
     /// Writes queued outbound bytes until the socket pushes back, then
     /// compacts the queue.
-    // lint:allow(determinism): the timestamp feeds activity bookkeeping only
     pub(crate) fn try_flush(&mut self, now: Instant) {
         while self.sent < self.outbound.len() {
             let Some(chunk) = self.outbound.get(self.sent..) else {
@@ -313,7 +307,7 @@ impl Conn {
             if self.phase == Phase::Closing {
                 break;
             }
-            let started = Instant::now(); // lint:allow(determinism): decode-latency histogram only
+            let started = Instant::now(); // lint:allow(determinism-taint): decode-latency histogram only
             match self.decoder.next_frame() {
                 Ok(Some(frame)) => {
                     cx.metrics
@@ -464,11 +458,9 @@ impl Conn {
                     self.poison(cx);
                     self.start_closing(cx.now);
                 } else {
-                    // lint:allow(panic-reachable): `.render()` is the telemetry
-                    // Registry's; the fan-out to `experiments::Table::render`
-                    // is a false edge.
-                    let text = wire::truncate_metrics_text(&livephase_telemetry::global().render())
-                        .to_owned();
+                    let rendered =
+                        livephase_telemetry::Registry::render(livephase_telemetry::global());
+                    let text = wire::truncate_metrics_text(&rendered).to_owned();
                     self.queue_frame(&Frame::Metrics { text });
                 }
             }
@@ -502,7 +494,7 @@ impl Conn {
         };
         let n = cx.samples.len() as u64;
         let before = session.processes();
-        let started = Instant::now(); // lint:allow(determinism): decision-latency histogram only
+        let started = Instant::now(); // lint:allow(determinism-taint): decision-latency histogram only
         cx.decisions.clear();
         session.step_many(cx.samples, cx.decisions);
         // One histogram entry per decision at the batch-amortized cost,
@@ -518,7 +510,7 @@ impl Conn {
         if grown > 0 {
             cx.shared.processes.fetch_add(grown, Ordering::Relaxed);
         }
-        let enc_started = Instant::now(); // lint:allow(determinism): encode-latency histogram only
+        let enc_started = Instant::now(); // lint:allow(determinism-taint): encode-latency histogram only
         for d in cx.decisions.iter() {
             wire::encode_into(
                 &Frame::Decision {
@@ -681,7 +673,6 @@ impl Conn {
         );
     }
 
-    // lint:allow(determinism): the timestamp seeds the flush deadline only
     fn start_closing(&mut self, now: Instant) {
         self.phase = Phase::Closing;
         if self.closing_since.is_none() {

@@ -37,8 +37,6 @@ use std::fmt;
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::Arc;
-// lint:allow(determinism): Instant times wall-clock throughput and latency for the
-// load report; decision streams come from the server and never read the clock.
 use std::time::{Duration, Instant};
 
 /// What to replay, where, and how hard.
@@ -318,7 +316,7 @@ pub fn run(config: &LoadGenConfig) -> Result<LoadReport, LoadGenError> {
 
     let mut plans: Vec<Vec<StreamPlan>> = vec![Vec::new(); config.connections];
     for (i, spec) in specs.into_iter().enumerate() {
-        // lint:allow(no-panic-path): i % connections < connections = plans.len()
+        // i % connections < connections = plans.len()
         plans[i % config.connections].push(StreamPlan {
             spec,
             pid: u32::try_from(i).unwrap_or(u32::MAX - 1) + 1,
@@ -326,7 +324,7 @@ pub fn run(config: &LoadGenConfig) -> Result<LoadReport, LoadGenError> {
     }
 
     let indexed: Vec<(usize, Vec<StreamPlan>)> = plans.into_iter().enumerate().collect();
-    let started = Instant::now(); // lint:allow(determinism): wall-clock for the load report only
+    let started = Instant::now();
     let results = par_map(&indexed, |(conn, plan)| run_connection(config, *conn, plan));
     let elapsed = started.elapsed();
 
@@ -407,7 +405,7 @@ fn run_connection(config: &LoadGenConfig, conn: usize, plan: &[StreamPlan]) -> C
         let mut sent = 0usize;
         while decisions.len() < samples.len() {
             let batch_end = (sent + config.window).min(samples.len());
-            // lint:allow(no-panic-path): sent <= batch_end <= samples.len() by the min above
+            // sent <= batch_end <= samples.len() by the min above
             for s in &samples[sent..batch_end] {
                 client
                     .queue_sample(stream.pid, s.uops, s.mem_transactions, s.core_cycles)
@@ -415,7 +413,7 @@ fn run_connection(config: &LoadGenConfig, conn: usize, plan: &[StreamPlan]) -> C
             }
             sent = batch_end;
             client.flush().map_err(client_err)?;
-            let flushed_at = Instant::now(); // lint:allow(determinism): latency histogram only
+            let flushed_at = Instant::now();
             while decisions.len() < sent {
                 let d = client.read_decision().map_err(client_err)?;
                 latencies_us.record_saturating(flushed_at.elapsed().as_micros());
@@ -544,7 +542,7 @@ mod many {
         matched: u64,
         stage: Stage,
         interest: Interest,
-        flushed_at: Instant, // lint:allow(determinism): latency-report bookkeeping only
+        flushed_at: Instant,
         track_latency: bool,
     }
 
@@ -594,7 +592,7 @@ mod many {
         let mut streaming = false;
         let mut peak = 0usize;
         let mut to_close: Vec<RawFd> = Vec::new();
-        let started = Instant::now(); // lint:allow(determinism): wall-clock for the load report only
+        let started = Instant::now();
         let mut last_progress = started;
 
         while !(next_conn == total && conns.is_empty()) {
@@ -642,7 +640,7 @@ mod many {
                 // Every session is open and acked: the concurrency bar
                 // is held; start the replay everywhere.
                 streaming = true;
-                let now = Instant::now(); // lint:allow(determinism): flush-latency reference only
+                let now = Instant::now();
                 for (fd, st) in conns.iter_mut() {
                     st.stage = Stage::Streaming;
                     top_up(st, &data, config.window, now);
@@ -654,7 +652,7 @@ mod many {
             epoll
                 .wait(&mut events, Some(WAIT_TICK))
                 .map_err(|e| io_err(0, e))?;
-            let now = Instant::now(); // lint:allow(determinism): one clock read per wake
+            let now = Instant::now();
             if !events.is_empty() {
                 last_progress = now;
             }
@@ -774,7 +772,6 @@ mod many {
 
     /// Keeps `window` samples in flight: queues and flushes the next
     /// slice of the spec's precomputed sample vector.
-    // lint:allow(determinism): the timestamp feeds the latency report only
     fn top_up(st: &mut ManyConn, data: &[SpecData], window: usize, now: Instant) {
         let Some(samples) = data.get(st.spec_idx).map(|d| &d.samples) else {
             unreachable!("spec_idx is always constructed modulo data.len()")

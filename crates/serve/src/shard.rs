@@ -28,8 +28,6 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-// lint:allow(determinism): Instant feeds the reaping tick and latency telemetry;
-// the decision path itself is a pure function of the sample stream.
 use std::time::{Duration, Instant};
 
 use crate::reactor::{self, Epoll, Events, Interest};
@@ -231,13 +229,13 @@ fn shard_reactor_loop(
     let mut decisions: Vec<Decision> = Vec::new();
     let mut to_close: Vec<RawFd> = Vec::new();
     let mut listener_live = true;
-    let mut last_reap = Instant::now(); // lint:allow(determinism): reaping cadence only
+    let mut last_reap = Instant::now(); // lint:allow(determinism-taint): reaping cadence only
     loop {
         if epoll.wait(&mut events, Some(tick)).is_err() {
             trace_event!(Level::Warn, TRACE, "epoll wait failed", shard = index);
             break;
         }
-        let now = Instant::now(); // lint:allow(determinism): one clock read per wake
+        let now = Instant::now(); // lint:allow(determinism-taint): one clock read per wake
         metrics
             .ready_depth
             .set(i64::try_from(events.len()).unwrap_or(i64::MAX));
@@ -358,7 +356,7 @@ fn accept_burst(
     config: &ServerConfig,
     shared: &Shared,
     conns: &mut BTreeMap<RawFd, Conn>,
-    now: Instant, // lint:allow(determinism): seeds idle-reap bookkeeping only, never a decision input
+    now: Instant,
 ) {
     for _ in 0..ACCEPTS_PER_EVENT {
         let stream = match listener.accept() {

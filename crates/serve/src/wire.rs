@@ -332,7 +332,7 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
         while end > 0 && !s.is_char_boundary(end) {
             end -= 1;
         }
-        bytes = &bytes[..end]; // lint:allow(no-panic-path): end <= u16::MAX < bytes.len() here
+        bytes = &bytes[..end]; // lint:allow(panic-reachable): end <= u16::MAX < bytes.len() here
     }
     let len = u16::try_from(bytes.len()).unwrap_or(u16::MAX);
     buf.extend_from_slice(&len.to_le_bytes());
@@ -473,7 +473,7 @@ impl<'a> Fields<'a> {
     }
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0]) // lint:allow(no-panic-path): take(1) returned exactly one byte
+        Ok(self.take(1)?[0]) // lint:allow(panic-reachable): take(1) returned exactly one byte
     }
 
     fn u16(&mut self) -> Result<u16, DecodeError> {
@@ -620,7 +620,6 @@ pub fn read_frame_timed(r: &mut impl Read) -> Result<(Frame, std::time::Duration
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    // lint:allow(determinism): times decode for the latency histogram only
     let started = std::time::Instant::now();
     let frame = decode_payload(&payload)?;
     Ok((frame, started.elapsed()))
@@ -758,13 +757,14 @@ pub fn truncate_metrics_text(text: &str) -> &str {
     }
     // Scan bytes so the cut never lands inside a multi-byte character
     // ('\n' is ASCII, so byte position == char boundary).
-    // lint:allow(no-panic-path): the early return above guarantees
-    // text.len() > MAX_METRICS_TEXT_BYTES, so both slices are in range.
-    let cut = text.as_bytes()[..MAX_METRICS_TEXT_BYTES]
+    let cut = text
+        .as_bytes()
+        .get(..MAX_METRICS_TEXT_BYTES)
+        .unwrap_or_default()
         .iter()
         .rposition(|&b| b == b'\n')
         .map_or(0, |i| i + 1);
-    &text[..cut] // lint:allow(no-panic-path): cut <= MAX_METRICS_TEXT_BYTES < text.len()
+    text.get(..cut).unwrap_or_default()
 }
 
 #[cfg(test)]

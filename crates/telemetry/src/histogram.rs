@@ -126,7 +126,7 @@ impl Histogram {
     /// or locks.
     #[inline]
     pub fn record(&self, value: u64) {
-        // lint:allow(no-panic-path): bucket_index is total over u64 and < BUCKETS
+        // lint:allow(panic-reachable): bucket_index is total over u64 and < BUCKETS
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -160,7 +160,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        // lint:allow(no-panic-path): bucket_index is total over u64 and < BUCKETS
+        // lint:allow(panic-reachable): bucket_index is total over u64 and < BUCKETS
         self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
         self.count.fetch_add(n, Ordering::Relaxed);
         self.sum

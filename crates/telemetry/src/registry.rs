@@ -129,6 +129,20 @@ fn normalize_labels(labels: &[(&str, &str)]) -> Labels {
     out
 }
 
+/// The existing series `ins` of `name` as the kind `get` wants.
+fn same_kind(
+    name: &str,
+    ins: &Instrument,
+    get: impl Fn(&Instrument) -> Option<Instrument>,
+) -> Instrument {
+    get(ins).unwrap_or_else(|| {
+        // lint:allow(panic-reachable): documented registration-time contract —
+        // re-registering a name as a different kind is a programming error; the
+        // hot paths register their static names once, before serving a sample.
+        panic!("metric {name} already registered as a {}", ins.kind())
+    })
+}
+
 impl Registry {
     /// Creates an empty registry (mostly for tests; production code
     /// uses [`global`]).
@@ -155,14 +169,7 @@ impl Registry {
             if let Some(found) = families
                 .get(name)
                 .and_then(|fam| fam.series.get(&labels))
-                .map(|ins| {
-                    get(ins).unwrap_or_else(|| {
-                        // lint:allow(no-panic-path): documented registration-time contract —
-                        // re-registering a name as a different kind is a programming error
-                        // caught at startup, never reachable from the sample path.
-                        panic!("metric {name} already registered as a {}", ins.kind())
-                    })
-                })
+                .map(|ins| same_kind(name, ins, &get))
             {
                 return found;
             }
@@ -176,8 +183,7 @@ impl Registry {
             series: BTreeMap::new(),
         });
         let ins = family.series.entry(labels).or_insert_with(make);
-        // lint:allow(no-panic-path): documented registration-time contract (see above)
-        get(ins).unwrap_or_else(|| panic!("metric {name} already registered as a {}", ins.kind()))
+        same_kind(name, ins, &get)
     }
 
     /// Returns (creating on first use) the counter series `name{labels}`.
@@ -261,9 +267,8 @@ impl Registry {
         for (name, family) in families.iter() {
             let kind = family
                 .series
-                .values()
-                .next()
-                .map_or("counter", Instrument::kind);
+                .first_key_value()
+                .map_or("counter", |(_, ins)| ins.kind());
             if !family.help.is_empty() {
                 let _ = writeln!(out, "# HELP {name} {}", escape_help(&family.help));
             }

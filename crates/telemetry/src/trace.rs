@@ -12,8 +12,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
-// lint:allow(determinism): wall-clock only stamps trace events; nothing decision-
-// relevant ever reads it back.
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Event severity, ordered from most to least verbose.
@@ -215,7 +213,7 @@ impl Tracer {
         }
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = usize::try_from(seq).unwrap_or(usize::MAX) % RING_CAPACITY;
-        // lint:allow(no-panic-path): slot < RING_CAPACITY = ring.len() by the modulo
+        // slot < RING_CAPACITY = ring.len() by the modulo
         match self.ring[slot].try_lock() {
             Ok(mut guard) => *guard = Some((seq, event)),
             Err(_) => {
@@ -249,7 +247,6 @@ pub fn tracer() -> &'static Tracer {
 /// Milliseconds since the Unix epoch, saturating at zero on clock skew.
 #[must_use]
 pub fn now_unix_ms() -> u64 {
-    // lint:allow(determinism): event timestamps are exposition-only metadata
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
@@ -313,7 +310,6 @@ pub fn record_span(target: &'static str, name: &'static str, elapsed: std::time:
 #[macro_export]
 macro_rules! timed_span {
     ($target:expr, $name:expr, $body:block) => {{
-        // lint:allow(determinism): timed_span measures wall-clock for telemetry only
         let started = ::std::time::Instant::now();
         let value = $body;
         let elapsed = started.elapsed();

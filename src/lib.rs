@@ -27,9 +27,9 @@
 //!   metrics registry with Prometheus-style exposition and leveled
 //!   structured tracing.
 //! * [`lint`] — the workspace invariant linter: panic-freedom and
-//!   determinism on the decision path, `SAFETY:` discipline, telemetry
-//!   naming, and wire-tag uniqueness, checked over a hand-rolled token
-//!   stream and gated in CI.
+//!   determinism of everything the hot paths reach over the call graph,
+//!   `SAFETY:` discipline, telemetry naming, and wire-tag uniqueness,
+//!   checked over a hand-rolled token stream and gated in CI.
 //!
 //! See the repository `README.md` for a tour and `DESIGN.md` for the
 //! paper-to-crate mapping.
