@@ -23,6 +23,14 @@ repro_out=$("$cli" repro all) || { echo "$repro_out"; echo "repro all failed"; e
 git diff --exit-code -- EXPERIMENTS.md results/ \
     || { echo "repro all changed committed artifacts"; exit 1; }
 
+# Predictor specs arrive from network clients: a size too large to
+# build is a typed error (exit 2, `bad predictor spec`), never an
+# allocation that aborts the process.
+spec_rc=0
+spec_out=$("$cli" predict applu_in --length 20 --predictor gpht:8:100000000000 2>&1) || spec_rc=$?
+[ "$spec_rc" -eq 2 ] && echo "$spec_out" | grep -q 'bad predictor spec' \
+    || { echo "$spec_out"; echo "oversized predictor spec: expected exit 2, got $spec_rc"; exit 1; }
+
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism of everything the hot-path roots reach over the call
 # graph, SAFETY comments, telemetry naming, wire-tag uniqueness/dispatch, CLI-flag and

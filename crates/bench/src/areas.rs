@@ -102,6 +102,10 @@ fn run_engine_step_many(warmup: usize, iters: usize) -> Vec<u64> {
 /// `gpht_observe`: 1000 observe-and-predict calls on each of a warm
 /// GPHT(8,128), the deployed size, and GPHT(8,1024), the reference
 /// size Figures 2, 4 and 5 sweep — the predictor inside the PMI handler.
+/// The period-14 stream fills 14 rows and then only hits them, which
+/// was the best case of the linear tag scan the indexed table replaced
+/// (every match within the first 14 rows, no victim scan, no tag
+/// allocation), so this area understates that change.
 fn run_gpht_observe(warmup: usize, iters: usize) -> Vec<u64> {
     let samples: Vec<PhaseSample> = crate::synthetic_phase_pattern(1000)
         .into_iter()
@@ -404,91 +408,91 @@ pub fn registry() -> &'static [Area] {
         Area {
             name: "engine_step",
             what: "1000 single-sample DecisionEngine::step calls",
-            expected_ratio: 0.12,
+            expected_ratio: 0.15,
             run: run_engine_step,
         },
         Area {
             name: "engine_step_many",
             what: "one DecisionEngine::step_many over 1000 samples",
-            expected_ratio: 0.12,
+            expected_ratio: 0.15,
             run: run_engine_step_many,
         },
         Area {
             name: "gpht_observe",
             what: "1000 Gpht::next calls on each of a warm GPHT(8,128) and GPHT(8,1024)",
-            expected_ratio: 0.085,
+            expected_ratio: 0.07,
             run: run_gpht_observe,
         },
         Area {
             name: "governor_run",
             what: "one GPHT-managed run over 200 applu intervals",
-            expected_ratio: 0.06,
+            expected_ratio: 0.076,
             run: run_governor_run,
         },
         Area {
             name: "pmsim_run_to_pmi",
             what: "1000 push_work + run_to_pmi intervals with a set_dvfs flip on each",
-            expected_ratio: 0.098,
+            expected_ratio: 0.125,
             run: run_pmsim_run_to_pmi,
         },
         Area {
             name: "daq_measure",
             what: "one DaqSystem::measure_all over an 8-interval applu baseline/GPHT pair",
-            expected_ratio: 6.1,
+            expected_ratio: 7.8,
             run: run_daq_measure,
         },
         Area {
             name: "wire_encode",
             what: "encode 1000 sample/decision frames into a reused buffer",
-            expected_ratio: 0.015,
+            expected_ratio: 0.019,
             run: run_wire_encode,
         },
         Area {
             name: "wire_decode",
             what: "FrameDecoder over a 1000-frame buffer, drained",
-            expected_ratio: 0.045,
+            expected_ratio: 0.057,
             run: run_wire_decode,
         },
         Area {
             name: "telemetry_record",
             what: "4000 varied-magnitude Histogram::record calls",
-            expected_ratio: 0.12,
+            expected_ratio: 0.15,
             run: run_telemetry_record,
         },
         Area {
             name: "telemetry_quantile",
             what: "merge a 10k-sample histogram and read p50/p90/p99",
-            expected_ratio: 0.0052,
+            expected_ratio: 0.0066,
             run: run_telemetry_quantile,
         },
         Area {
             name: "workload_gen",
             what: "synthesize a 256-interval applu_in counter trace",
-            expected_ratio: 0.038,
+            expected_ratio: 0.048,
             run: run_workload_gen,
         },
         Area {
             name: "tenants_quantum",
             what: "one 4-tenant/2-core/8-interval cluster scenario",
-            expected_ratio: 0.25,
+            expected_ratio: 0.26,
             run: run_tenants_quantum,
         },
         Area {
             name: "tenants_arbitrate",
             what: "one water-fill and one priority arbitrate, 64 requests/2 cores/18 W",
-            expected_ratio: 0.006,
+            expected_ratio: 0.0075,
             run: run_tenants_arbitrate,
         },
         Area {
             name: "lint_full",
             what: "full-workspace lint: lex, parse, call graph, all rules",
-            expected_ratio: 140.0,
+            expected_ratio: 170.0,
             run: run_lint_full,
         },
         Area {
             name: "power_model_eval",
             what: "1000 sweeps of analytic/linear/tree power inference over 6 opps",
-            expected_ratio: 0.60,
+            expected_ratio: 0.76,
             run: run_power_model_eval,
         },
     ]

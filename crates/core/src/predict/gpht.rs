@@ -9,7 +9,7 @@
 //! Per Section 3 of the paper, each PMI the predictor:
 //!
 //! 1. shifts the newly observed phase into the GPHR;
-//! 2. associatively compares the GPHR against the stored PHT tags;
+//! 2. looks the GPHR up among the stored PHT tags;
 //! 3. on a **match**, emits the stored next-phase prediction and, at the
 //!    *next* sampling period, updates that entry's prediction with the
 //!    actually observed phase;
@@ -18,14 +18,24 @@
 //!    recently used entry when the table is full (an `Age/Invalid` field
 //!    tracks both validity and recency).
 //!
+//! The paper compares the GPHR against every tag associatively, which is
+//! why it shrank the table from 1024 to 128 entries. Here a hash index
+//! over the packed GPHR finds the same row in O(1): tags are unique (a row
+//! is only allocated on a miss), so at most one row can match. Rows are
+//! never invalidated before a reset, so "first invalid row, else LRU" is
+//! the next unused row while the table fills and the oldest row of a
+//! recency list after that; ages are unique (each observation touches one
+//! row), so the list orders rows exactly as the age field would. Hits,
+//! misses, victims and predictions are those of the associative table.
+//!
 //! With a PHT of one entry the predictor degenerates to last-value (nearly
 //! 100 % tag mismatches), which the paper observes in Figure 5 and which is
 //! enforced here by a property test.
 
+use super::gphr::Gphr;
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Sizing of a [`Gpht`] predictor.
 ///
@@ -57,9 +67,24 @@ impl GphtConfig {
         pht_entries: 1024,
     };
 
-    fn validate(self) {
-        assert!(self.gphr_depth >= 1, "GPHR depth must be at least 1");
-        assert!(self.pht_entries >= 1, "PHT must have at least 1 entry");
+    /// The deepest GPHR either GPHT organization is built with: twice
+    /// the deepest point of the `gphr_depth` ablation.
+    pub const MAX_DEPTH: usize = 64;
+
+    /// The largest PHT either GPHT organization is built with: 16 times
+    /// the reference table.
+    pub const MAX_ENTRIES: usize = 16_384;
+
+    pub(super) fn validate(gphr_depth: usize, pht_entries: usize) {
+        assert!(gphr_depth >= 1, "GPHR depth must be at least 1");
+        assert!(pht_entries >= 1, "PHT must have at least 1 entry");
+        assert!(
+            gphr_depth <= Self::MAX_DEPTH && pht_entries <= Self::MAX_ENTRIES,
+            "GPHR depth {gphr_depth} / {pht_entries} PHT entries exceed the \
+             limits {} / {}",
+            Self::MAX_DEPTH,
+            Self::MAX_ENTRIES
+        );
     }
 }
 
@@ -69,16 +94,22 @@ impl Default for GphtConfig {
     }
 }
 
-/// A valid pattern-history-table row: a GPHR-pattern tag, the phase that is
-/// predicted to follow it, and an age stamp for LRU replacement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PhtEntry {
-    /// The phase pattern this row matches (most recent phase first).
-    tag: Box<[PhaseId]>,
+/// Row link meaning "none".
+const NIL: u32 = u32::MAX;
+
+/// A valid pattern-history-table row. Its tag is kept apart, in
+/// `Gpht::tags`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
     /// The next-phase prediction associated with the tag.
     prediction: PhaseId,
-    /// Logical timestamp of the last touch, for LRU replacement.
-    age: u64,
+    /// The next row in the same bucket.
+    chain: u32,
+    /// The row touched next after this one (`NIL`: this is the newest).
+    newer: u32,
+    /// The row touched last before this one (`NIL`: this is the least
+    /// recently used, the next victim).
+    older: u32,
 }
 
 /// The Global Phase History Table predictor.
@@ -106,15 +137,23 @@ struct PhtEntry {
 #[derive(Debug, Clone)]
 pub struct Gpht {
     config: GphtConfig,
-    /// Most recent phase at the front (`GPHR[0]`).
-    gphr: VecDeque<PhaseId>,
-    /// `None` = invalid row (the paper's `-1` age marker).
-    pht: Vec<Option<PhtEntry>>,
-    /// Logical clock driving LRU ages.
-    tick: u64,
+    gphr: Gphr,
+    /// The valid rows. They fill in order, one per missed pattern, until
+    /// the table is full; then each miss replaces the least recently used.
+    rows: Vec<Row>,
+    /// Row tags back to back, `gphr.words().len()` words per row.
+    tags: Vec<u64>,
+    /// First row of each bucket's chain; a power of two of them.
+    buckets: Vec<u32>,
+    /// Right shift taking a tag's hash to its bucket.
+    bucket_shift: u32,
+    /// Most and least recently touched rows (`NIL` while the table is
+    /// empty).
+    newest: u32,
+    oldest: u32,
     /// Row used (matched or inserted) in the previous period, whose
     /// prediction is trained by the next observed phase.
-    pending_update: Option<usize>,
+    pending_update: Option<u32>,
     /// The prediction emitted for the upcoming interval.
     prediction: PhaseId,
     /// Running count of PHT tag hits (for diagnostics / ablations).
@@ -124,19 +163,28 @@ pub struct Gpht {
 }
 
 impl Gpht {
-    /// Creates a GPHT predictor with the given sizing.
+    /// Creates a GPHT predictor with the given sizing. All of its storage
+    /// is allocated here: observing never allocates.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or above
+    /// [`GphtConfig::MAX_DEPTH`] / [`GphtConfig::MAX_ENTRIES`].
     #[must_use]
     pub fn new(config: GphtConfig) -> Self {
-        config.validate();
+        GphtConfig::validate(config.gphr_depth, config.pht_entries);
+        let gphr = Gphr::new(config.gphr_depth);
+        // At most one row per two buckets keeps chains short.
+        let buckets = (2 * config.pht_entries).next_power_of_two();
         Self {
             config,
-            gphr: VecDeque::with_capacity(config.gphr_depth),
-            pht: vec![None; config.pht_entries],
-            tick: 0,
+            rows: Vec::with_capacity(config.pht_entries),
+            tags: vec![0; config.pht_entries * gphr.words().len()],
+            gphr,
+            buckets: vec![NIL; buckets],
+            bucket_shift: 64 - buckets.trailing_zeros(),
+            newest: NIL,
+            oldest: NIL,
             pending_update: None,
             prediction: PhaseId::CPU_BOUND,
             hits: 0,
@@ -153,7 +201,7 @@ impl Gpht {
     /// Number of currently valid PHT rows.
     #[must_use]
     pub fn valid_entries(&self) -> usize {
-        self.pht.iter().filter(|e| e.is_some()).count()
+        self.rows.len()
     }
 
     /// PHT tag hits since construction or [`reset`](Predictor::reset).
@@ -171,88 +219,175 @@ impl Gpht {
     /// The current GPHR contents, most recent phase first.
     #[must_use]
     pub fn history(&self) -> Vec<PhaseId> {
-        self.gphr.iter().copied().collect()
+        self.gphr.bytes().map(PhaseId::new).collect()
     }
 
-    fn gphr_matches(&self, entry: &PhtEntry) -> bool {
-        entry.tag.len() == self.gphr.len()
-            && entry.tag.iter().zip(self.gphr.iter()).all(|(a, b)| a == b)
+    /// The index bucket of a tag: the top bits of a multiplicative mix
+    /// of its words. A stream crafted to put every pattern in one bucket
+    /// costs a walk over the whole table per lookup, as the associative
+    /// search did.
+    fn bucket(&self, tag: &[u64]) -> usize {
+        let hash = tag.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(29) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        });
+        (hash >> self.bucket_shift) as usize
     }
 
-    /// Index of the row to victimize: an invalid row if any, else the LRU.
-    fn victim(&self) -> usize {
-        let mut lru = 0;
-        let mut lru_age = u64::MAX;
-        for (i, row) in self.pht.iter().enumerate() {
-            match row {
-                None => return i,
-                Some(e) => {
-                    if e.age < lru_age {
-                        lru_age = e.age;
-                        lru = i;
-                    }
-                }
+    /// Row `r`'s tag.
+    fn tag(&self, r: u32) -> Option<&[u64]> {
+        let n = self.gphr.words().len();
+        let start = r as usize * n;
+        self.tags.get(start..start + n)
+    }
+
+    /// The row in bucket `b` whose tag is the current GPHR, if any.
+    fn find(&self, b: usize) -> Option<u32> {
+        let mut r = self.buckets.get(b).copied().unwrap_or(NIL);
+        while let Some(row) = self.rows.get(r as usize) {
+            if self.tag(r) == Some(self.gphr.words()) {
+                return Some(r);
+            }
+            r = row.chain;
+        }
+        None
+    }
+
+    /// Closes the gap row `r` leaves in the recency list: its neighbours
+    /// point at each other, or the list ends move inward.
+    fn unlink(&mut self, r: u32) {
+        let Some(&Row { newer, older, .. }) = self.rows.get(r as usize) else {
+            return;
+        };
+        match self.rows.get_mut(newer as usize) {
+            Some(n) => n.older = older,
+            None => self.newest = older,
+        }
+        match self.rows.get_mut(older as usize) {
+            Some(o) => o.newer = newer,
+            None => self.oldest = newer,
+        }
+    }
+
+    /// Links row `r`, which is on no list, in at the newest end.
+    fn link_newest(&mut self, r: u32) {
+        let older = std::mem::replace(&mut self.newest, r);
+        match self.rows.get_mut(older as usize) {
+            Some(o) => o.newer = r,
+            None => self.oldest = r,
+        }
+        if let Some(row) = self.rows.get_mut(r as usize) {
+            row.newer = NIL;
+            row.older = older;
+        }
+    }
+
+    /// Takes row `r` out of its bucket's chain.
+    fn unchain(&mut self, r: u32) {
+        let (Some(&Row { chain, .. }), Some(tag)) = (self.rows.get(r as usize), self.tag(r)) else {
+            return;
+        };
+        let b = self.bucket(tag);
+        let Some(head) = self.buckets.get_mut(b) else {
+            return;
+        };
+        let mut cur = *head;
+        if cur == r {
+            *head = chain;
+            return;
+        }
+        while let Some(row) = self.rows.get_mut(cur as usize) {
+            if row.chain == r {
+                row.chain = chain;
+                return;
+            }
+            cur = row.chain;
+        }
+    }
+
+    /// Stores the current GPHR, whose bucket is `b`, as the tag of a new
+    /// row predicting `prediction`: the next unused row, else the least
+    /// recently used one. Returns the row, not yet on the recency list.
+    fn insert(&mut self, b: usize, prediction: PhaseId) -> u32 {
+        let r = if self.rows.len() < self.config.pht_entries {
+            // Fits: rows.len() < MAX_ENTRIES < NIL.
+            let r = self.rows.len() as u32;
+            self.rows.push(Row {
+                prediction,
+                chain: NIL,
+                newer: NIL,
+                older: NIL,
+            });
+            r
+        } else {
+            let victim = self.oldest;
+            self.unlink(victim);
+            self.unchain(victim);
+            if let Some(row) = self.rows.get_mut(victim as usize) {
+                row.prediction = prediction;
+            }
+            victim
+        };
+        if let Some(head) = self.buckets.get_mut(b) {
+            let next = std::mem::replace(head, r);
+            if let Some(row) = self.rows.get_mut(r as usize) {
+                row.chain = next;
             }
         }
-        lru
+        let words = self.gphr.words();
+        let start = r as usize * words.len();
+        if let Some(tag) = self.tags.get_mut(start..start + words.len()) {
+            tag.copy_from_slice(words);
+        }
+        r
     }
 }
 
 impl Predictor for Gpht {
     fn observe(&mut self, sample: PhaseSample) {
-        self.tick += 1;
-
         // (3)/(4): train the row used last period with the actual outcome.
-        if let Some(i) = self.pending_update.take() {
-            if let Some(entry) = self.pht.get_mut(i).and_then(Option::as_mut) {
-                entry.prediction = sample.phase;
-            }
+        if let Some(row) = self
+            .pending_update
+            .take()
+            .and_then(|r| self.rows.get_mut(r as usize))
+        {
+            row.prediction = sample.phase;
         }
 
         // (1) Shift the observed phase into the GPHR.
-        if self.gphr.len() == self.config.gphr_depth {
-            self.gphr.pop_back();
-        }
-        self.gphr.push_front(sample.phase);
+        self.gphr.push(sample.phase);
 
-        if self.gphr.len() < self.config.gphr_depth {
+        if !self.gphr.is_full() {
             // Warm-up: no full pattern yet; behave as last-value and do not
             // pollute the PHT with short tags.
             self.prediction = sample.phase;
             return;
         }
 
-        // (2) Associative tag search.
-        let hit = self
-            .pht
-            .iter()
-            .position(|slot| slot.as_ref().is_some_and(|e| self.gphr_matches(e)));
-
-        match hit {
-            Some(i) => {
+        // (2) Tag lookup through the index.
+        let b = self.bucket(self.gphr.words());
+        let r = match self.find(b) {
+            Some(r) => {
                 self.hits += 1;
-                if let Some(entry) = self.pht.get_mut(i).and_then(Option::as_mut) {
-                    entry.age = self.tick;
-                    self.prediction = entry.prediction;
+                if let Some(row) = self.rows.get(r as usize) {
+                    self.prediction = row.prediction;
                 }
-                self.pending_update = Some(i);
+                if r != self.newest {
+                    self.unlink(r);
+                    self.link_newest(r);
+                }
+                r
             }
             None => {
                 self.misses += 1;
-                // Fall back to last value and allocate the pattern.
+                // Fall back to last value and allocate the pattern, seeded
+                // with last value until trained next period.
                 self.prediction = sample.phase;
-                let i = self.victim();
-                if let Some(slot) = self.pht.get_mut(i) {
-                    *slot = Some(PhtEntry {
-                        tag: self.gphr.iter().copied().collect(),
-                        // Seed with last value until trained next period.
-                        prediction: sample.phase,
-                        age: self.tick,
-                    });
-                }
-                self.pending_update = Some(i);
+                let r = self.insert(b, sample.phase);
+                self.link_newest(r);
+                r
             }
-        }
+        };
+        self.pending_update = Some(r);
     }
 
     fn predict(&self) -> PhaseId {
@@ -261,8 +396,10 @@ impl Predictor for Gpht {
 
     fn reset(&mut self) {
         self.gphr.clear();
-        self.pht.iter_mut().for_each(|e| *e = None);
-        self.tick = 0;
+        self.rows.clear();
+        self.buckets.fill(NIL);
+        self.newest = NIL;
+        self.oldest = NIL;
         self.pending_update = None;
         self.prediction = PhaseId::CPU_BOUND;
         self.hits = 0;
@@ -464,5 +601,153 @@ mod tests {
         }
         let h: Vec<u8> = g.history().iter().map(|p| p.get()).collect();
         assert_eq!(h, vec![4, 3, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the limits")]
+    fn oversized_table_rejected() {
+        let _ = Gpht::new(GphtConfig {
+            gphr_depth: 8,
+            pht_entries: GphtConfig::MAX_ENTRIES + 1,
+        });
+    }
+
+    /// The associative table the index replaced, kept as its oracle: a
+    /// linear search over the tags, and a victim scan for the first
+    /// invalid row, else the row with the smallest age.
+    struct AssocGpht {
+        depth: usize,
+        /// Most recent phase at the front (`GPHR[0]`).
+        gphr: std::collections::VecDeque<PhaseId>,
+        /// `None` = invalid row: `(tag, prediction, age)`.
+        pht: Vec<Option<(Vec<PhaseId>, PhaseId, u64)>>,
+        tick: u64,
+        pending_update: Option<usize>,
+        prediction: PhaseId,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl AssocGpht {
+        fn new(depth: usize, entries: usize) -> Self {
+            Self {
+                depth,
+                gphr: std::collections::VecDeque::new(),
+                pht: vec![None; entries],
+                tick: 0,
+                pending_update: None,
+                prediction: PhaseId::CPU_BOUND,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn valid_entries(&self) -> usize {
+            self.pht.iter().filter(|e| e.is_some()).count()
+        }
+
+        fn victim(&self) -> usize {
+            let mut lru = 0;
+            let mut lru_age = u64::MAX;
+            for (i, row) in self.pht.iter().enumerate() {
+                match row {
+                    None => return i,
+                    Some((_, _, age)) if *age < lru_age => {
+                        lru_age = *age;
+                        lru = i;
+                    }
+                    Some(_) => {}
+                }
+            }
+            lru
+        }
+
+        fn next(&mut self, phase: PhaseId) -> PhaseId {
+            self.tick += 1;
+            if let Some(i) = self.pending_update.take() {
+                if let Some((_, prediction, _)) = self.pht[i].as_mut() {
+                    *prediction = phase;
+                }
+            }
+            if self.gphr.len() == self.depth {
+                self.gphr.pop_back();
+            }
+            self.gphr.push_front(phase);
+            if self.gphr.len() < self.depth {
+                self.prediction = phase;
+                return phase;
+            }
+            let hit = self.pht.iter().position(|slot| {
+                slot.as_ref()
+                    .is_some_and(|(tag, _, _)| tag.iter().eq(self.gphr.iter()))
+            });
+            let i = match hit {
+                Some(i) => {
+                    self.hits += 1;
+                    let (_, prediction, age) = self.pht[i].as_mut().expect("hit row is valid");
+                    *age = self.tick;
+                    self.prediction = *prediction;
+                    i
+                }
+                None => {
+                    self.misses += 1;
+                    self.prediction = phase;
+                    let i = self.victim();
+                    self.pht[i] = Some((self.gphr.iter().copied().collect(), phase, self.tick));
+                    i
+                }
+            };
+            self.pending_update = Some(i);
+            self.prediction
+        }
+
+        fn reset(&mut self) {
+            *self = Self::new(self.depth, self.pht.len());
+        }
+    }
+
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The indexed table is the associative one, observation by
+            /// observation: every prediction, the hit and miss counts,
+            /// the valid rows and the GPHR agree, across the packed
+            /// GPHR's word boundaries, from one row to the reference
+            /// size, over phase ids up to 255, and through resets. The
+            /// stream repeats a motif (so patterns recur and hit) with a
+            /// per-case rate of noise (so tables fill and evict).
+            #[test]
+            fn indexed_table_matches_the_associative_search(
+                depth in prop_oneof![Just(8usize), Just(9), Just(16), Just(17), 1usize..=32],
+                entries in prop_oneof![1usize..=8, 1usize..=1024],
+                lo in 1u8..=255,
+                span in 1u8..=6,
+                noise_per_64 in 0u8..=16,
+                motif in prop_oneof![
+                    proptest::collection::vec(0u8..=255, 1..=6),
+                    proptest::collection::vec(0u8..=255, 1..=40),
+                ],
+                ops in proptest::collection::vec((0u8..=255, 0u8..64, 0u16..400), 0..=1500),
+            ) {
+                let mut g = Gpht::new(GphtConfig { gphr_depth: depth, pht_entries: entries });
+                let mut oracle = AssocGpht::new(depth, entries);
+                for (i, &(noise, roll, reset)) in ops.iter().enumerate() {
+                    if reset == 0 {
+                        g.reset();
+                        oracle.reset();
+                        prop_assert_eq!(g.predict(), oracle.prediction);
+                    }
+                    let byte = if roll < noise_per_64 { noise } else { motif[i % motif.len()] };
+                    let phase = PhaseId::new(lo.saturating_add(byte % span));
+                    let want = oracle.next(phase);
+                    prop_assert_eq!(g.next(s(phase.get())), want, "prediction at {}", i);
+                    prop_assert_eq!((g.hits(), g.misses()), (oracle.hits, oracle.misses));
+                    prop_assert_eq!(g.valid_entries(), oracle.valid_entries());
+                    prop_assert!(g.history().iter().eq(oracle.gphr.iter()));
+                }
+            }
+        }
     }
 }

@@ -4,15 +4,18 @@
 //! 1024 entry PHT may be undesirable" on a real system and answers by
 //! shrinking the table to 128 entries. The classic hardware alternative
 //! is to drop associativity instead: hash the GPHR pattern to a single
-//! table index and keep only a tag check — O(1) per sample regardless of
-//! table size, at the cost of conflict misses. [`HashedGpht`] implements
-//! that design so the trade-off can be measured (see the
-//! `pht_organization` ablation).
+//! table index and keep only a tag check. That saves the comparators and
+//! the LRU state a hardware table would need, at the cost of conflict
+//! misses. It buys no speed in software, where [`Gpht`](super::gpht::Gpht)
+//! finds its row through an index in O(1) as well. [`HashedGpht`]
+//! implements the design so the accuracy lost to conflict misses can be
+//! measured (see the `pht_organization` ablation).
 
+use super::gphr::Gphr;
+use super::gpht::GphtConfig;
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Sizing of a [`HashedGpht`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,11 +33,6 @@ impl HashedGphtConfig {
         gphr_depth: 8,
         pht_entries: 128,
     };
-
-    fn validate(self) {
-        assert!(self.gphr_depth >= 1, "GPHR depth must be at least 1");
-        assert!(self.pht_entries >= 1, "PHT must have at least 1 entry");
-    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +47,7 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct HashedGpht {
     config: HashedGphtConfig,
-    gphr: VecDeque<PhaseId>,
+    gphr: Gphr,
     slots: Vec<Option<Slot>>,
     pending_update: Option<usize>,
     prediction: PhaseId,
@@ -62,13 +60,14 @@ impl HashedGpht {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or above
+    /// [`GphtConfig::MAX_DEPTH`] / [`GphtConfig::MAX_ENTRIES`].
     #[must_use]
     pub fn new(config: HashedGphtConfig) -> Self {
-        config.validate();
+        GphtConfig::validate(config.gphr_depth, config.pht_entries);
         Self {
             config,
-            gphr: VecDeque::with_capacity(config.gphr_depth),
+            gphr: Gphr::new(config.gphr_depth),
             slots: vec![None; config.pht_entries],
             pending_update: None,
             prediction: PhaseId::CPU_BOUND,
@@ -100,8 +99,8 @@ impl HashedGpht {
     /// inputs, which is exactly what `tag % entries` indexes on.
     fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for p in &self.gphr {
-            h ^= u64::from(p.get());
+        for p in self.gphr.bytes() {
+            h ^= u64::from(p);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h ^= h >> 33;
@@ -121,12 +120,9 @@ impl Predictor for HashedGpht {
             }
         }
 
-        if self.gphr.len() == self.config.gphr_depth {
-            self.gphr.pop_back();
-        }
-        self.gphr.push_front(sample.phase);
+        self.gphr.push(sample.phase);
 
-        if self.gphr.len() < self.config.gphr_depth {
+        if !self.gphr.is_full() {
             self.prediction = sample.phase;
             return;
         }

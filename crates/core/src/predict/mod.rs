@@ -16,6 +16,7 @@
 pub mod confidence;
 pub mod duration;
 pub mod fixed_window;
+mod gphr;
 pub mod gpht;
 pub mod hashed_gpht;
 pub mod last_value;

@@ -92,8 +92,8 @@ proptest! {
     #[test]
     fn gpht_capacity_and_accounting(
         stream in arb_stream(6),
-        depth in 1usize..8,
-        entries in 1usize..32,
+        depth in 1usize..=32,
+        entries in 1usize..=1024,
     ) {
         let mut g = Gpht::new(GphtConfig { gphr_depth: depth, pht_entries: entries });
         for &s in &stream {

@@ -3,7 +3,10 @@
 //! The paper flags the cost of "associatively searching through a 1024
 //! entry PHT" and answers by shrinking the table. The hardware-classic
 //! alternative keeps the table and drops the search: hash the pattern to
-//! one slot. This ablation measures the accuracy cost of conflict misses.
+//! one slot, saving the comparators and LRU state. This ablation
+//! measures the accuracy cost of conflict misses. (In software both
+//! organizations find their row in O(1); the associative `Gpht` does it
+//! through an index with exactly the associative search's result.)
 
 use crate::format::{pct, Table};
 use crate::predictors::accuracy_on;
@@ -22,8 +25,8 @@ pub struct OrganizationRow {
     pub associative: f64,
     /// Direct-mapped (hashed) accuracy at equal storage (128 slots).
     pub hashed_equal: f64,
-    /// Direct-mapped accuracy with 4x slots (512) — still far cheaper per
-    /// sample than the associative search.
+    /// Direct-mapped accuracy with 4x slots (512) — in hardware, the
+    /// storage the saved comparators and LRU state could buy.
     pub hashed_4x: f64,
 }
 
@@ -65,8 +68,8 @@ pub fn run(seed: u64) -> PhtOrganizationAblation {
 
 /// The trade-off, quantified: at equal storage, direct mapping pays a
 /// visible conflict-miss tax on working sets near capacity; spending the
-/// saved comparators on 4x slots recovers associative accuracy while
-/// staying O(1) per sample.
+/// saved comparators on 4x slots recovers associative accuracy with a
+/// single tag check per sample.
 #[must_use]
 pub fn check(a: &PhtOrganizationAblation) -> ShapeViolations {
     let mut v = Vec::new();

@@ -245,6 +245,96 @@ fn reactor_decides_identically_to_the_in_process_engine() {
     );
 }
 
+/// A `Hello` whose predictor spec asks for a table too large to build
+/// is refused with `Error{BadConfig}` before anything is allocated —
+/// the server neither aborts nor panics — and a sibling session on the
+/// same shard, streaming before and after the refusals, keeps the
+/// in-process engine's decisions bit for bit.
+#[test]
+fn oversized_predictor_specs_are_refused_without_disturbing_the_shard() {
+    use livephase_serve::Sample;
+    use livephase_workloads::{counter_samples, spec};
+    let samples: Vec<Sample> = counter_samples(
+        spec::benchmark("applu_in")
+            .expect("known benchmark")
+            .with_length(120)
+            .stream(7),
+    )
+    .map(|s| Sample {
+        pid: 1,
+        uops: s.uops,
+        mem_transactions: s.mem_transactions,
+    })
+    .collect();
+    let mut oracle =
+        DecisionEngine::from_spec(EngineConfig::pentium_m(), "gpht:8:128").expect("oracle engine");
+    let mut expected = Vec::new();
+    oracle.step_many(&samples, &mut expected);
+
+    // One shard, so the sibling and every refused session share it.
+    let handle = spawn(ServerConfig {
+        shards: 1,
+        read_timeout: Duration::from_secs(10),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut sibling = connect(&handle, 1);
+    let mut served = Vec::new();
+    let mut stream = |client: &mut Client, part: &[Sample]| {
+        for s in part {
+            client
+                .queue_sample(s.pid, s.uops, s.mem_transactions, 0)
+                .expect("queue");
+        }
+        client.flush().expect("flush");
+        for _ in part {
+            let d = client.read_decision().expect("decision");
+            served.push((d.op_point, d.confidence));
+        }
+    };
+    let (first, rest) = samples.split_at(samples.len() / 2);
+    stream(&mut sibling, first);
+
+    let max = usize::MAX;
+    for (i, predictor) in [
+        "gpht:8:100000000000".to_owned(),
+        format!("gpht:{max}:128"),
+        format!("hashedgpht:8:{max}"),
+        format!("fixwindow:{max}"),
+        format!("varwindow:{max}:0.005"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        match Client::connect(
+            handle.local_addr(),
+            100 + i as u64,
+            "pentium_m",
+            &predictor,
+            Duration::from_secs(5),
+        ) {
+            Err(livephase_serve::ClientError::Refused { code, message }) => {
+                assert_eq!(code, ErrorCode::BadConfig, "{predictor}");
+                assert!(message.contains("bad predictor spec"), "{message}");
+            }
+            other => panic!("{predictor}: expected Refused(BadConfig), got {other:?}"),
+        }
+    }
+
+    stream(&mut sibling, rest);
+    sibling.goodbye().expect("close");
+    let summary = handle.shutdown();
+    assert_eq!(summary.poisoned, 0, "a bad spec is refused, not poisoned");
+    assert_eq!(
+        served,
+        expected
+            .iter()
+            .map(|d| (d.op_point, d.confidence))
+            .collect::<Vec<_>>(),
+        "the sibling's stream is the in-process decision path, bit for bit"
+    );
+}
+
 /// Idle reaping and graceful drain: an idle session earns
 /// `Error{IdleTimeout}`, queued decisions survive a shutdown (flushed
 /// before the close), and the poison accounting charges exactly the
