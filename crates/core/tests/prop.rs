@@ -1,8 +1,9 @@
 //! Property-based tests for the phase classification and predictors.
 
+use livephase_core::predict::spec::MAX_WINDOW;
 use livephase_core::{
-    evaluate, FixedWindow, Gpht, GphtConfig, LastValue, PhaseId, PhaseMap, PhaseSample, Predictor,
-    Selector, VariableWindow,
+    evaluate, predictor_from_spec, FixedWindow, Gpht, GphtConfig, LastValue, PhaseId, PhaseMap,
+    PhaseSample, Predictor, Selector, VariableWindow,
 };
 use proptest::prelude::*;
 
@@ -240,5 +241,206 @@ proptest! {
             stream,
         );
         prop_assert_eq!(stats.correct, stats.total);
+    }
+}
+
+/// The spec grammar's families: the kind, then each field's size limit
+/// (`None` marks `varwindow`'s threshold).
+const FAMILIES: [(&str, &[Option<usize>]); 6] = [
+    ("lastvalue", &[]),
+    ("markov", &[]),
+    ("fixwindow", &[Some(MAX_WINDOW)]),
+    ("varwindow", &[Some(MAX_WINDOW), None]),
+    (
+        "gpht",
+        &[Some(GphtConfig::MAX_DEPTH), Some(GphtConfig::MAX_ENTRIES)],
+    ),
+    (
+        "hashedgpht",
+        &[Some(GphtConfig::MAX_DEPTH), Some(GphtConfig::MAX_ENTRIES)],
+    ),
+];
+
+/// A valid spec as its family's field limits and its `:`-separated
+/// fields: the kind, sizes spread over `1..=limit`, a threshold in
+/// `[0, 0.1)`.
+fn arb_valid_spec() -> impl Strategy<Value = (&'static [Option<usize>], Vec<String>)> {
+    (0..FAMILIES.len(), 0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.1).prop_map(|(f, a, b, thr)| {
+        let (kind, limits) = FAMILIES[f];
+        let mut fractions = [a, b].into_iter();
+        let fields = std::iter::once(kind.to_owned())
+            .chain(limits.iter().map(|limit| match limit {
+                Some(max) => {
+                    let frac = fractions.next().unwrap_or(0.0);
+                    (1 + (frac * (*max - 1) as f64) as usize).to_string()
+                }
+                None => thr.to_string(),
+            }))
+            .collect();
+        (limits, fields)
+    })
+}
+
+/// Every single-field mutation of a valid spec: each size at 0, at its
+/// limit ±1, at `u64::MAX`, signed, padded, emptied or fractional; the
+/// threshold negative, non-finite or padded; a field dropped or added;
+/// the kind unknown or miscased.
+fn mutations(limits: &[Option<usize>], fields: &[String]) -> Vec<String> {
+    let mut out = Vec::new();
+    let with = |i: usize, value: String| {
+        let mut f = fields.to_vec();
+        f[i] = value;
+        f.join(":")
+    };
+    for (i, limit) in limits.iter().enumerate() {
+        let v = &fields[i + 1];
+        let values = match limit {
+            Some(max) => vec![
+                "0".to_owned(),
+                "1".to_owned(),
+                (max - 1).to_string(),
+                max.to_string(),
+                (max + 1).to_string(),
+                u64::MAX.to_string(),
+                format!("{}0", u64::MAX),
+                format!("-{v}"),
+                format!("+{v}"),
+                format!(" {v}"),
+                format!("{v} "),
+                format!("{v}\t"),
+                String::new(),
+                format!("{v}.0"),
+                "1e3".to_owned(),
+            ],
+            None => vec![
+                "0".to_owned(),
+                format!("-{v}"),
+                format!("+{v}"),
+                "-0".to_owned(),
+                "nan".to_owned(),
+                "inf".to_owned(),
+                "-inf".to_owned(),
+                "1e309".to_owned(),
+                format!(" {v}"),
+                String::new(),
+            ],
+        };
+        out.extend(values.into_iter().map(|value| with(i + 1, value)));
+    }
+    let joined = fields.join(":");
+    out.push(fields[..fields.len() - 1].join(":"));
+    out.push(format!("{joined}:1"));
+    out.push(format!("{joined}:"));
+    out.push(format!(":{joined}"));
+    out.push(format!(" {joined}"));
+    for unknown in ["", "GPHT", "gpht2", "frobnicate", "gpht\u{0}"] {
+        out.push(with(0, unknown.to_owned()));
+    }
+    out
+}
+
+/// Fragments arbitrary specs are glued from: every kind, separators,
+/// numbers at and around the limits, signs, spaces, non-ASCII.
+const FRAGMENTS: [&str; 24] = [
+    "gpht",
+    "hashedgpht",
+    "fixwindow",
+    "varwindow",
+    "markov",
+    "lastvalue",
+    ":",
+    ":",
+    "0",
+    "1",
+    "8",
+    "64",
+    "65",
+    "16384",
+    "16385",
+    "18446744073709551615",
+    "-",
+    "+",
+    " ",
+    ".",
+    "e9",
+    "nan",
+    "\u{e9}",
+    "\u{1f600}",
+];
+
+fn arb_soup() -> impl Strategy<Value = String> {
+    prop_oneof![
+        proptest::collection::vec(0..FRAGMENTS.len(), 0..10)
+            .prop_map(|v| v.into_iter().map(|i| FRAGMENTS[i]).collect::<String>()),
+        proptest::collection::vec(0u32..0x300, 0..24)
+            .prop_map(|v| v.into_iter().filter_map(char::from_u32).collect::<String>()),
+    ]
+}
+
+/// The oracle: the name of the predictor a spec within the grammar and
+/// its limits builds, `None` for every other string. A size is an
+/// optional `+` then ASCII digits, as `usize`'s parser reads it.
+fn accepted_name(spec: &str) -> Option<String> {
+    let size = |s: &str, max: usize| {
+        let digits = s.strip_prefix('+').unwrap_or(s);
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let n: u128 = digits.parse().ok()?;
+        (1..=max as u128).contains(&n).then_some(n)
+    };
+    let parts: Vec<&str> = spec.split(':').collect();
+    let (depth, entries) = (GphtConfig::MAX_DEPTH, GphtConfig::MAX_ENTRIES);
+    match parts.as_slice() {
+        ["lastvalue"] => Some("LastValue".to_owned()),
+        ["markov"] => Some("Markov1".to_owned()),
+        ["fixwindow", n] => Some(format!("FixWindow_{}", size(n, MAX_WINDOW)?)),
+        ["varwindow", n, thr] => {
+            let n = size(n, MAX_WINDOW)?;
+            let thr: f64 = thr.parse().ok()?;
+            (thr.is_finite() && thr >= 0.0).then(|| format!("VarWindow_{n}_{thr}"))
+        }
+        ["gpht", d, e] => Some(format!("GPHT_{}_{}", size(d, depth)?, size(e, entries)?)),
+        ["hashedgpht", d, e] => Some(format!(
+            "HashedGPHT_{}_{}",
+            size(d, depth)?,
+            size(e, entries)?
+        )),
+        _ => None,
+    }
+}
+
+/// `from_spec` on one input: no panic, and either the oracle's
+/// predictor or a typed error naming the input.
+fn check_spec(spec: &str) {
+    let built = std::panic::catch_unwind(|| predictor_from_spec(spec).map(|p| p.name()))
+        .unwrap_or_else(|_| panic!("from_spec panicked on {spec:?}"));
+    match built {
+        Ok(name) => assert_eq!(Some(name), accepted_name(spec), "{spec:?} was accepted"),
+        Err(e) => {
+            assert_eq!(accepted_name(spec), None, "{spec:?} was refused: {e}");
+            assert_eq!(e.spec(), spec);
+        }
+    }
+}
+
+proptest! {
+    /// Specs arrive from network clients, so every string must build a
+    /// predictor within `GphtConfig::MAX_*` and `MAX_WINDOW` or be a
+    /// typed `PredictorSpecError`, never a panic or an oversized table:
+    /// a valid spec, each of its single-field mutations, and arbitrary
+    /// strings glued from spec fragments or drawn char by char.
+    #[test]
+    fn predictor_specs_build_within_limits_or_fail_typed(
+        (limits, fields) in arb_valid_spec(),
+        soup in arb_soup(),
+    ) {
+        let valid = fields.join(":");
+        prop_assert!(accepted_name(&valid).is_some(), "{} is valid", valid);
+        check_spec(&valid);
+        for spec in mutations(limits, &fields) {
+            check_spec(&spec);
+        }
+        check_spec(&soup);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::sampler::DaqSample;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Per-channel noise + single-pole low-pass conditioning. The noise draw
 /// and the filter step are separate halves so that several captures can
@@ -85,9 +85,29 @@ impl ChannelNoise {
         [self.gaussian(), self.gaussian(), self.gaussian()]
     }
 
+    /// Whether every draw is zero (σ = 0): such a stream never advances.
+    pub(crate) fn is_silent(&self) -> bool {
+        self.sigma_v == 0.0
+    }
+
+    /// Advances past `instants` sample instants without computing their
+    /// noise: the state afterwards is what `instants` calls to [`draw`]
+    /// leave, since each draw consumes exactly six raw `u64`s (two per
+    /// channel) and a silent stream consumes none.
+    ///
+    /// [`draw`]: ChannelNoise::draw
+    pub(crate) fn skip(&mut self, instants: usize) {
+        if self.is_silent() {
+            return;
+        }
+        for _ in 0..instants * 6 {
+            self.rng.next_u64();
+        }
+    }
+
     /// One Gaussian draw (Box–Muller).
     fn gaussian(&mut self) -> f64 {
-        if self.sigma_v == 0.0 {
+        if self.is_silent() {
             return 0.0;
         }
         let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -195,6 +215,30 @@ mod tests {
         let spread = tail.iter().cloned().fold(f64::MIN, f64::max)
             - tail.iter().cloned().fold(f64::MAX, f64::min);
         assert!(spread < 0.25, "filtered ripple {spread} << input swing 1.0");
+    }
+
+    #[test]
+    fn skip_lands_where_the_draws_would() {
+        let seeded = SignalConditioner::ni_unit(9).noise;
+        for n in [0, 1, 2, 7, 4096] {
+            let mut skipped = seeded.clone();
+            skipped.skip(n);
+            let mut drawn = seeded.clone();
+            for _ in 0..n {
+                let _ = drawn.draw();
+            }
+            assert_eq!(skipped.rng, drawn.rng, "state after {n} instants");
+            assert_eq!(skipped.draw(), drawn.draw(), "draw {}", n + 1);
+        }
+    }
+
+    #[test]
+    fn skip_is_a_no_op_without_noise() {
+        let seeded = SignalConditioner::new(0.0, 0.2, 9).noise;
+        let mut skipped = seeded.clone();
+        skipped.skip(1000);
+        assert_eq!(skipped.rng, seeded.rng);
+        assert_eq!(skipped.draw(), [0.0; 3]);
     }
 
     #[test]

@@ -46,6 +46,9 @@ impl Sampler {
 
     /// Iterates samples over the trace: one sample at the *end* of each
     /// period (`t = k·period`, k ≥ 1), walking the segment list once.
+    /// The sense network's forward model is a pure function of the
+    /// segment's power and voltage, so it runs once per sampled segment,
+    /// not once per sample.
     pub fn samples<'a>(
         &self,
         trace: &'a PowerTrace,
@@ -55,6 +58,8 @@ impl Sampler {
         let mut seg_idx = 0usize;
         let mut seg_end = trace.segments().first().map_or(0.0, |s| s.duration_s);
         let mut k = 0u64;
+        // The forward model of the segment sampled last, by index.
+        let mut forward: Option<(usize, ChannelVoltages)> = None;
         std::iter::from_fn(move || {
             k += 1;
             #[allow(clippy::cast_precision_loss)] // k stays far below 2^52
@@ -67,9 +72,17 @@ impl Sampler {
                 }
             }
             let seg = trace.segments().get(seg_idx)?;
+            let channels = match forward {
+                Some((idx, channels)) if idx == seg_idx => channels,
+                _ => {
+                    let channels = circuit.forward(seg.power_w, seg.voltage_v);
+                    forward = Some((seg_idx, channels));
+                    channels
+                }
+            };
             Some(DaqSample {
                 time_s: t,
-                channels: circuit.forward(seg.power_w, seg.voltage_v),
+                channels,
                 pport_bits: seg.pport_bits,
             })
         })
@@ -80,6 +93,7 @@ impl Sampler {
 mod tests {
     use super::*;
     use livephase_pmsim::trace::PowerSegment;
+    use proptest::prelude::*;
 
     fn seg(duration_s: f64, power_w: f64, bits: u8) -> PowerSegment {
         PowerSegment {
@@ -87,6 +101,59 @@ mod tests {
             power_w,
             voltage_v: 1.0,
             pport_bits: bits,
+        }
+    }
+
+    /// The sampler's segment walk with the forward model run at every
+    /// sample: the oracle for the per-segment cache.
+    fn per_sample_forward(trace: &PowerTrace, circuit: &SenseCircuit) -> Vec<DaqSample> {
+        let segments = trace.segments();
+        let mut out = Vec::new();
+        let mut seg_idx = 0;
+        let mut seg_end = segments.first().map_or(0.0, |s| s.duration_s);
+        for k in 1u32.. {
+            let t = f64::from(k) * 40e-6;
+            while seg_idx < segments.len() && t > seg_end + 1e-15 {
+                seg_idx += 1;
+                if let Some(seg) = segments.get(seg_idx) {
+                    seg_end += seg.duration_s;
+                }
+            }
+            let Some(seg) = segments.get(seg_idx) else {
+                break;
+            };
+            out.push(DaqSample {
+                time_s: t,
+                channels: circuit.forward(seg.power_w, seg.voltage_v),
+                pport_bits: seg.pport_bits,
+            });
+        }
+        out
+    }
+
+    proptest! {
+        /// Computing the forward model once per segment changes no
+        /// sample. Powers and voltages come from three values each, so
+        /// adjacent segments are often electrically identical.
+        #[test]
+        fn segment_cached_forward_equals_per_sample_forward(
+            segments in proptest::collection::vec(
+                (1e-5f64..3e-4, 0usize..3, 0usize..3, 0u8..8),
+                0..12,
+            ),
+        ) {
+            let trace: PowerTrace = segments
+                .into_iter()
+                .map(|(duration_s, p, v, pport_bits)| PowerSegment {
+                    duration_s,
+                    power_w: [0.0, 3.0, 13.0][p],
+                    voltage_v: [0.956, 1.2, 1.484][v],
+                    pport_bits,
+                })
+                .collect();
+            let c = SenseCircuit::pentium_m();
+            let cached: Vec<DaqSample> = Sampler::new(40e-6).samples(&trace, &c).collect();
+            prop_assert_eq!(cached, per_sample_forward(&trace, &c));
         }
     }
 
