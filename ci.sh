@@ -31,6 +31,18 @@ spec_out=$("$cli" predict applu_in --length 20 --predictor gpht:8:100000000000 2
 [ "$spec_rc" -eq 2 ] && echo "$spec_out" | grep -q 'bad predictor spec' \
     || { echo "$spec_out"; echo "oversized predictor spec: expected exit 2, got $spec_rc"; exit 1; }
 
+# Trace CSV is the other hostile input: a row that parses but overflows
+# the timing model (1e308 cycles per uop) is a typed error at the import
+# boundary (exit 2, `bad row`), never a panic in the power model.
+csv_dir=$(mktemp -d)
+printf '%s\n%s\n' "uops,instructions,mem_transactions,cpi_core,mlp" \
+    "100000000,80000000,100000000,1e308,1" > "$csv_dir/hostile.csv"
+csv_rc=0
+csv_out=$("$cli" replay "$csv_dir/hostile.csv" 2>&1) || csv_rc=$?
+rm -rf "$csv_dir"
+[ "$csv_rc" -eq 2 ] && echo "$csv_out" | grep -q 'bad row' \
+    || { echo "$csv_out"; echo "hostile CSV row: expected exit 2, got $csv_rc"; exit 1; }
+
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism of everything the hot-path roots reach over the call
 # graph, SAFETY comments, telemetry naming, wire-tag uniqueness/dispatch, CLI-flag and
@@ -191,6 +203,8 @@ echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_daq_measure.jso
     || { echo "bench gate: the daq_measure record was not written"; exit 1; }
 echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_gpht_observe.json' \
     || { echo "bench gate: the gpht_observe record was not written"; exit 1; }
+echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_window_observe.json' \
+    || { echo "bench gate: the window_observe record was not written"; exit 1; }
 echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_pmsim_run_to_pmi.json' \
     || { echo "bench gate: the pmsim_run_to_pmi record was not written"; exit 1; }
 

@@ -10,7 +10,10 @@
 //! the committed constants are machine-independent by construction.
 
 use crate::stats::Summary;
-use livephase_core::{Gpht, GphtConfig, PhaseId, PhaseSample, Predictor};
+use livephase_core::predict::spec::MAX_WINDOW;
+use livephase_core::{
+    FixedWindow, Gpht, GphtConfig, PhaseId, PhaseSample, Predictor, Selector, VariableWindow,
+};
 use livephase_daq::{DaqLog, DaqSystem};
 use livephase_engine::{Decision, DecisionEngine, EngineConfig};
 use livephase_governor::{Manager, Session};
@@ -123,6 +126,41 @@ fn run_gpht_observe(warmup: usize, iters: usize) -> Vec<u64> {
         for gpht in &mut tables {
             for &s in &samples {
                 acc = acc.wrapping_add(u32::from(gpht.next(s).get()));
+            }
+        }
+        std::hint::black_box(acc);
+    })
+}
+
+/// `window_observe`: 1000 observe-and-predict calls on each of Figure 4's
+/// window predictors — fixed windows of 8 and 128, variable windows of
+/// 128 at thresholds 0.005 and 0.030 — and on a fixed window of
+/// `MAX_WINDOW` (16384), the largest a predictor spec accepts. Every
+/// window is warmed full first, so each call also evicts; neighbouring
+/// phases are 0.005 apart in Mem/Uop, so the 0.005 window flushes on
+/// every jump of two phases and the 0.030 window never does.
+fn run_window_observe(warmup: usize, iters: usize) -> Vec<u64> {
+    let samples: Vec<PhaseSample> = crate::synthetic_phase_pattern(1000)
+        .into_iter()
+        .map(|p| PhaseSample::new(f64::from(p) * 0.005, PhaseId::new(p)))
+        .collect();
+    let mut windows: [Box<dyn Predictor>; 5] = [
+        Box::new(FixedWindow::new(8, Selector::Majority)),
+        Box::new(FixedWindow::new(128, Selector::Majority)),
+        Box::new(VariableWindow::new(128, 0.005)),
+        Box::new(VariableWindow::new(128, 0.030)),
+        Box::new(FixedWindow::new(MAX_WINDOW, Selector::Majority)),
+    ];
+    for window in &mut windows {
+        for &s in samples.iter().cycle().take(MAX_WINDOW) {
+            window.observe(s);
+        }
+    }
+    timed(warmup, iters, || {
+        let mut acc = 0u32;
+        for window in &mut windows {
+            for &s in &samples {
+                acc = acc.wrapping_add(u32::from(window.next(s).get()));
             }
         }
         std::hint::black_box(acc);
@@ -423,6 +461,12 @@ pub fn registry() -> &'static [Area] {
             what: "1000 Gpht::next calls on each of a warm GPHT(8,128) and GPHT(8,1024)",
             expected_ratio: 0.07,
             run: run_gpht_observe,
+        },
+        Area {
+            name: "window_observe",
+            what: "1000 observe-and-predict calls on each of five warm window predictors",
+            expected_ratio: 0.16,
+            run: run_window_observe,
         },
         Area {
             name: "governor_run",

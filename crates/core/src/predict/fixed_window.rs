@@ -5,10 +5,19 @@
 //! evaluates windows of 8 and 128 and mentions that `f()` "can be a simple
 //! averaging function, an exponential moving average or a selector, based on
 //! population counts" — all three are provided via [`Selector`].
+//!
+//! The window keeps its statistics up to date as phases enter and leave
+//! it, so a prediction never re-reads the window. The majority vote is
+//! incremental (`predict::majority`): a count and a latest-occurrence
+//! stamp per phase, a bitset of the phases present and the cached
+//! winner — `u16` fields, about 1 KiB per predictor. Observing is O(1)
+//! amortised: only when the winner itself leaves the window are the
+//! phases present rescanned. The mean is a running integer sum of the
+//! phase ids, exact and hence bit-identical to summing the window.
 
+use super::majority::MajorityWindow;
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
-use std::collections::VecDeque;
 
 /// The statistic used to reduce a window of phases to one prediction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,9 +59,8 @@ impl Selector {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FixedWindow {
-    window_size: usize,
     selector: Selector,
-    history: VecDeque<PhaseId>,
+    window: MajorityWindow,
     ema: Option<f64>,
 }
 
@@ -61,15 +69,16 @@ impl FixedWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `window_size` is zero or the EMA alpha is out of range.
+    /// Panics if `window_size` is zero or above
+    /// [`MAX_WINDOW`](super::spec::MAX_WINDOW), or the EMA alpha is out
+    /// of range.
     #[must_use]
     pub fn new(window_size: usize, selector: Selector) -> Self {
-        assert!(window_size >= 1, "window size must be at least 1");
+        let window = MajorityWindow::new(window_size);
         selector.validate();
         Self {
-            window_size,
             selector,
-            history: VecDeque::with_capacity(window_size),
+            window,
             ema: None,
         }
     }
@@ -77,7 +86,7 @@ impl FixedWindow {
     /// The configured window size.
     #[must_use]
     pub fn window_size(&self) -> usize {
-        self.window_size
+        self.window.capacity()
     }
 
     /// The configured selector.
@@ -89,46 +98,19 @@ impl FixedWindow {
     /// Number of observations currently held (saturates at the window size).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.history.len()
+        self.window.len()
     }
 
     /// Whether no observation has been made yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
+        self.window.is_empty()
     }
 
     fn select(&self) -> Option<PhaseId> {
-        if self.history.is_empty() {
-            return None;
-        }
         match self.selector {
-            Selector::Majority => {
-                // Count populations; ties break toward the most recent
-                // occurrence (scan from oldest, later >= wins).
-                let mut counts = [0u32; 256];
-                for p in &self.history {
-                    counts[p.index()] += 1; // lint:allow(panic-reachable): PhaseId::index() < 255 by construction
-                }
-                let mut best: Option<PhaseId> = None;
-                for &p in &self.history {
-                    match best {
-                        None => best = Some(p),
-                        Some(b) => {
-                            // lint:allow(panic-reachable): PhaseId::index() < 255 by construction
-                            if counts[p.index()] >= counts[b.index()] {
-                                best = Some(p);
-                            }
-                        }
-                    }
-                }
-                best
-            }
-            Selector::Mean => {
-                let sum: u32 = self.history.iter().map(|p| u32::from(p.get())).sum();
-                let mean = f64::from(sum) / self.history.len() as f64;
-                Some(PhaseId::new(round_to_phase(mean)))
-            }
+            Selector::Majority => self.window.leader(),
+            Selector::Mean => self.window.mean().map(|m| PhaseId::new(round_to_phase(m))),
             Selector::Ema { .. } => self.ema.map(|e| PhaseId::new(round_to_phase(e))),
         }
     }
@@ -142,10 +124,7 @@ fn round_to_phase(x: f64) -> u8 {
 
 impl Predictor for FixedWindow {
     fn observe(&mut self, sample: PhaseSample) {
-        if self.history.len() == self.window_size {
-            self.history.pop_front();
-        }
-        self.history.push_back(sample.phase);
+        self.window.push(sample.phase);
         if let Selector::Ema { alpha } = self.selector {
             let x = f64::from(sample.phase.get());
             self.ema = Some(match self.ema {
@@ -160,7 +139,7 @@ impl Predictor for FixedWindow {
     }
 
     fn reset(&mut self) {
-        self.history.clear();
+        self.window.clear();
         self.ema = None;
     }
 
@@ -170,7 +149,7 @@ impl Predictor for FixedWindow {
             Selector::Mean => "_mean".to_owned(),
             Selector::Ema { alpha } => format!("_ema{alpha}"),
         };
-        format!("FixWindow_{}{sel}", self.window_size)
+        format!("FixWindow_{}{sel}", self.window_size())
     }
 }
 

@@ -20,6 +20,7 @@ mod gphr;
 pub mod gpht;
 pub mod hashed_gpht;
 pub mod last_value;
+mod majority;
 pub mod markov;
 pub mod per_process;
 pub mod spec;

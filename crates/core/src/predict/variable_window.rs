@@ -6,10 +6,16 @@
 //! transition is detected when the observed Mem/Uop rate moves by more than
 //! a configurable threshold between consecutive samples — the paper uses
 //! thresholds of **0.005** and **0.030** with a 128-entry window.
+//!
+//! The history is the same incremental majority vote `FixedWindow` keeps
+//! (`predict::majority`): per-phase counts and latest-occurrence stamps,
+//! a bitset of the phases present and the cached winner, about 1 KiB.
+//! Predicting is O(1) and observing O(1) amortised; a transition flush
+//! clears only the phases present, never the whole table.
 
+use super::majority::MajorityWindow;
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
-use std::collections::VecDeque;
 
 /// A windowed majority predictor whose history is flushed whenever the
 /// Mem/Uop rate jumps by more than `transition_threshold`.
@@ -24,9 +30,8 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct VariableWindow {
-    max_window: usize,
     transition_threshold: f64,
-    history: VecDeque<PhaseId>,
+    window: MajorityWindow,
     last_rate: Option<f64>,
 }
 
@@ -36,19 +41,19 @@ impl VariableWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `max_window` is zero, or if the threshold is negative or
-    /// non-finite.
+    /// Panics if `max_window` is zero or above
+    /// [`MAX_WINDOW`](super::spec::MAX_WINDOW), or if the threshold is
+    /// negative or non-finite.
     #[must_use]
     pub fn new(max_window: usize, transition_threshold: f64) -> Self {
-        assert!(max_window >= 1, "window size must be at least 1");
+        let window = MajorityWindow::new(max_window);
         assert!(
             transition_threshold.is_finite() && transition_threshold >= 0.0,
             "transition threshold must be finite and non-negative, got {transition_threshold}"
         );
         Self {
-            max_window,
             transition_threshold,
-            history: VecDeque::with_capacity(max_window),
+            window,
             last_rate: None,
         }
     }
@@ -56,7 +61,7 @@ impl VariableWindow {
     /// The maximum number of retained phases.
     #[must_use]
     pub fn max_window(&self) -> usize {
-        self.max_window
+        self.window.capacity()
     }
 
     /// The Mem/Uop jump that invalidates accumulated history.
@@ -68,13 +73,13 @@ impl VariableWindow {
     /// Number of phases currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.history.len()
+        self.window.len()
     }
 
     /// Whether no history is retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
+        self.window.is_empty()
     }
 }
 
@@ -84,50 +89,29 @@ impl Predictor for VariableWindow {
         if let Some(last) = self.last_rate {
             if (rate - last).abs() > self.transition_threshold {
                 // Phase transition: everything before it is obsolete.
-                self.history.clear();
+                self.window.clear();
             }
         }
-        if self.history.len() == self.max_window {
-            self.history.pop_front();
-        }
-        self.history.push_back(sample.phase);
+        self.window.push(sample.phase);
         self.last_rate = Some(rate);
     }
 
     fn predict(&self) -> PhaseId {
         // Majority vote over the (possibly shrunk) history; ties break
         // toward the most recent phase, as in FixedWindow.
-        if self.history.is_empty() {
-            return PhaseId::CPU_BOUND;
-        }
-        let mut counts = [0u32; 256];
-        for p in &self.history {
-            counts[p.index()] += 1; // lint:allow(panic-reachable): PhaseId::index() < 255 by construction
-        }
-        let mut best: Option<PhaseId> = None;
-        for &p in &self.history {
-            match best {
-                None => best = Some(p),
-                Some(b) => {
-                    // lint:allow(panic-reachable): PhaseId::index() < 255 by construction
-                    if counts[p.index()] >= counts[b.index()] {
-                        best = Some(p);
-                    }
-                }
-            }
-        }
-        best.unwrap_or(PhaseId::CPU_BOUND)
+        self.window.leader().unwrap_or(PhaseId::CPU_BOUND)
     }
 
     fn reset(&mut self) {
-        self.history.clear();
+        self.window.clear();
         self.last_rate = None;
     }
 
     fn name(&self) -> String {
         format!(
             "VarWindow_{}_{}",
-            self.max_window, self.transition_threshold
+            self.max_window(),
+            self.transition_threshold
         )
     }
 }

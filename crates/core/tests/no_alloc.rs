@@ -1,9 +1,12 @@
-//! Both GPHT organizations size every table in `new`, so observing a
-//! sample never allocates. A counting global allocator watches this
-//! thread while warm tables hit, miss, evict and reset.
+//! Both GPHT organizations and both window predictors size all their
+//! state in `new`, so observing a sample and predicting never allocate.
+//! A counting global allocator watches this thread while warm tables
+//! hit, miss, evict and reset, and while windows fill, slide, flush on
+//! transitions and reset.
 
 use livephase_core::{
-    Gpht, GphtConfig, HashedGpht, HashedGphtConfig, PhaseId, PhaseSample, Predictor,
+    FixedWindow, Gpht, GphtConfig, HashedGpht, HashedGphtConfig, PhaseId, PhaseSample, Predictor,
+    Selector, VariableWindow,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,14 +62,15 @@ fn stream() -> Vec<PhaseSample> {
         .collect()
 }
 
-/// Allocations made while `p` observes `samples`, reset halfway through.
+/// Allocations made while `p` observes `samples` and predicts after
+/// each, reset halfway through.
 fn allocations_observing(p: &mut impl Predictor, samples: &[PhaseSample]) -> u64 {
     let before = allocations();
     for (i, &s) in samples.iter().enumerate() {
         if i == samples.len() / 2 {
             p.reset();
         }
-        p.observe(s);
+        std::hint::black_box(p.next(s));
     }
     allocations() - before
 }
@@ -90,4 +94,36 @@ fn observing_never_allocates() {
     let mut h = HashedGpht::new(HashedGphtConfig::DEPLOYED);
     assert_eq!(allocations_observing(&mut h, &samples), 0, "hashed");
     assert!(h.hits() > 0 && h.misses() > 0);
+}
+
+#[test]
+fn windows_never_allocate() {
+    let samples = stream();
+    for size in [8, 128] {
+        for selector in [
+            Selector::Majority,
+            Selector::Mean,
+            Selector::Ema { alpha: 0.5 },
+        ] {
+            let mut w = FixedWindow::new(size, selector);
+            assert_eq!(
+                allocations_observing(&mut w, &samples),
+                0,
+                "{size} {selector:?}"
+            );
+            assert_eq!(w.len(), size, "{size} {selector:?} slid full");
+        }
+    }
+    // Neighbouring ids are 0.005 apart in Mem/Uop: threshold 0 flushes on
+    // every phase change, 0.005 on every jump of two or more ids, and
+    // 0.030 never, so its window slides full.
+    for threshold in [0.005, 0.030, 0.0] {
+        let mut w = VariableWindow::new(128, threshold);
+        assert_eq!(allocations_observing(&mut w, &samples), 0, "{threshold}");
+        if threshold < 0.030 {
+            assert!(w.len() < 128, "{threshold} flushed");
+        } else {
+            assert_eq!(w.len(), 128, "{threshold} slid full");
+        }
+    }
 }

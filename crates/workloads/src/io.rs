@@ -9,10 +9,17 @@
 //! uops,instructions,mem_transactions,cpi_core,mlp
 //! 100000000,80000000,1200000,0.8,2.0
 //! ```
+//!
+//! A row is accepted only if the Pentium-M platform can run it: at every
+//! operating point its interval time must be positive and finite and its
+//! energy finite. Counts and `cpi_core` that parse can still overflow the
+//! timing model (`1e308` cycles per uop) or underflow it to zero time,
+//! and either would reach the power model as an undefined core fraction.
 
 use crate::source::IntervalSource;
 use crate::trace::WorkloadTrace;
 use livephase_pmsim::timing::IntervalWork;
+use livephase_pmsim::{AnalyticModel, OperatingPointTable, TimingModel};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -48,7 +55,7 @@ impl fmt::Display for TraceCsvError {
             Self::BadHeader { found } => {
                 write!(f, "unexpected header {found:?}; expected {CSV_HEADER:?}")
             }
-            Self::BadRow { line, reason } => write!(f, "line {line}: {reason}"),
+            Self::BadRow { line, reason } => write!(f, "bad row at line {line}: {reason}"),
             Self::Empty => write!(f, "trace CSV contains no sampling intervals"),
         }
     }
@@ -72,7 +79,8 @@ pub fn to_csv(trace: &WorkloadTrace) -> String {
     out
 }
 
-/// Parses one data row (1-based `row` for error messages).
+/// Parses one data row (1-based `row` for error messages), checking it
+/// runs on every Pentium-M operating point.
 fn parse_row(row: usize, line: &str) -> Result<IntervalWork, TraceCsvError> {
     let fields: Vec<&str> = line.split(',').collect();
     if fields.len() != 5 {
@@ -106,7 +114,31 @@ fn parse_row(row: usize, line: &str) -> Result<IntervalWork, TraceCsvError> {
             reason: "uops must be positive, cpi_core > 0, mlp >= 1".to_owned(),
         });
     }
-    Ok(IntervalWork::new(uops, instructions, mem, cpi, mlp))
+    let work = IntervalWork::new(uops, instructions, mem, cpi, mlp);
+    let timing = TimingModel::pentium_m();
+    let power = AnalyticModel::pentium_m();
+    for &opp in OperatingPointTable::pentium_m().points() {
+        let run = timing.execute(&work, opp.frequency);
+        // The time check comes first: only a positive, finite time has a
+        // core fraction in [0, 1] for the power model.
+        let runnable = run.seconds > 0.0
+            && run.seconds.is_finite()
+            && power
+                .energy(opp, run.core_fraction(), run.seconds)
+                .is_finite();
+        if !runnable {
+            return Err(TraceCsvError::BadRow {
+                line: row,
+                reason: format!(
+                    "interval time {} s at {} MHz; time must be positive and finite, \
+                     energy finite",
+                    run.seconds,
+                    opp.frequency.mhz()
+                ),
+            });
+        }
+    }
+    Ok(work)
 }
 
 /// A lazy CSV replay: the header is validated up front, data rows parse
@@ -248,6 +280,27 @@ mod tests {
         let csv = format!("{CSV_HEADER}\n100,80,5,0.8,0.5\n");
         let err = from_csv("x", &csv).unwrap_err();
         assert!(err.to_string().contains("mlp"));
+    }
+
+    #[test]
+    fn rejects_rows_the_platform_cannot_run() {
+        // Each parses, but `1e308` cycles per uop overflows the interval
+        // time (the core fraction became inf/inf and panicked the power
+        // model), and a subnormal `cpi_core` underflows it to zero.
+        for (row, mhz) in [
+            ("100000000,80000000,100000000,1e308,1", "1500"),
+            ("1,1,0,5e-324,1", "1500"),
+        ] {
+            let csv = format!("{CSV_HEADER}\n100,80,5,0.8,2.0\n{row}\n");
+            let err = from_csv("x", &csv).unwrap_err();
+            assert!(
+                matches!(err, TraceCsvError::BadRow { line: 3, .. }),
+                "{err}"
+            );
+            let msg = err.to_string();
+            assert!(msg.starts_with("bad row at line 3:"), "{msg}");
+            assert!(msg.contains(&format!("at {mhz} MHz")), "{msg}");
+        }
     }
 
     #[test]

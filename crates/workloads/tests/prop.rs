@@ -1,8 +1,115 @@
 //! Property-based tests for workload generation and the IPCxMEM solver.
 
-use livephase_pmsim::Frequency;
+use livephase_pmsim::{AnalyticModel, Frequency, IntervalWork, OperatingPointTable, TimingModel};
+use livephase_workloads::io::{self, TraceCsvError, CSV_HEADER};
 use livephase_workloads::{registry, IpcxMemConfig, IpcxMemSuite, PhaseLevel, TraceStats};
 use proptest::prelude::*;
+
+/// Header lines: the real one, padded, and near misses.
+const HEADERS: [&str; 6] = [
+    CSV_HEADER,
+    " uops,instructions,mem_transactions,cpi_core,mlp\t",
+    "uops,instructions,mem_transactions,cpi_core",
+    "uops,instructions,mem_transactions,cpi_core,mlp,pid",
+    "uops, instructions,mem_transactions,cpi_core,mlp",
+    "",
+];
+
+/// Hostile spellings of a count field: zero, one, `u64::MAX` and its
+/// overflow, a sign, a fraction, nothing, and a float edge.
+const U64_EDGES: [&str; 8] = [
+    "0",
+    "1",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "1.5",
+    "",
+    "1e308",
+];
+
+/// Hostile spellings of a float field: NaN, both infinities, the
+/// largest, smallest normal and smallest subnormal magnitudes, signed
+/// zero, and garbage.
+const F64_EDGES: [&str; 10] = [
+    "nan", "NaN", "inf", "-inf", "1e308", "1e-308", "5e-324", "-0", "0", "x",
+];
+
+/// Per field, spellings that parse and pass the physical checks but sit
+/// at the edges of the timing model: `u64::MAX` counts, `cpi_core` from
+/// the smallest subnormal to `1e308`, and a `1e308` MLP.
+const RUNNABLE_EDGES: [&[&str]; 5] = [
+    &["1", "18446744073709551615"],
+    &["0", "1", "18446744073709551615"],
+    &["0", "1", "18446744073709551615"],
+    &["1e308", "1e300", "1e-308", "5e-324"],
+    &["1", "1e308"],
+];
+
+/// One CSV field from three bytes: an edge spelling with chance
+/// `hostility`/256, or with an odd `roll` from `RUNNABLE_EDGES` when
+/// `runnable`, else an ordinary value scaled from `pick`; and stray
+/// whitespace on one byte value in four.
+fn field(index: usize, [roll, pick, ws]: [u8; 3], hostility: u8, runnable: bool) -> String {
+    let pick_from = |edges: &[&str]| edges[usize::from(pick) % edges.len()].to_owned();
+    let value = if runnable && roll % 2 == 1 {
+        pick_from(RUNNABLE_EDGES[index])
+    } else if !runnable && roll < hostility {
+        pick_from(if index < 3 { &U64_EDGES } else { &F64_EDGES })
+    } else {
+        let p = u64::from(pick);
+        match index {
+            0 => (1 + p * 1_000_000).to_string(),
+            1 => (p * 800_000).to_string(),
+            2 => (p * 9_000).to_string(),
+            3 => (0.25 + f64::from(pick) / 64.0).to_string(),
+            _ => (1.0 + f64::from(pick) / 32.0).to_string(),
+        }
+    };
+    match ws % 16 {
+        0 => format!(" {value}"),
+        1 => format!("{value}\t"),
+        2 => format!("  {value} "),
+        _ => value,
+    }
+}
+
+/// One data line from its bytes: usually five fields (one line in eight
+/// drawing its edges from `RUNNABLE_EDGES`), sometimes four or six,
+/// sometimes a blank or whitespace-only line.
+fn row(bytes: &[u8], hostility: u8) -> String {
+    let (fields, runnable) = match bytes[0] % 16 {
+        0 => return String::new(),
+        1 => return " \t ".to_owned(),
+        2 => (4, false),
+        3 => (6, false),
+        4 | 5 => (5, true),
+        _ => (5, false),
+    };
+    (0..fields)
+        .map(|i| {
+            let b = &bytes[1 + 3 * i..4 + 3 * i];
+            field(i, [b[0], b[1], b[2]], hostility, runnable)
+        })
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Whether `work` runs on every Pentium-M operating point with a
+/// positive, finite time and a finite energy.
+fn runs_everywhere(work: &IntervalWork) -> bool {
+    let (timing, power) = (TimingModel::pentium_m(), AnalyticModel::pentium_m());
+    let opps = OperatingPointTable::pentium_m();
+    opps.points().len() == 6
+        && opps.points().iter().all(|&opp| {
+            let run = timing.execute(work, opp.frequency);
+            run.seconds > 0.0
+                && run.seconds.is_finite()
+                && power
+                    .energy(opp, run.core_fraction(), run.seconds)
+                    .is_finite()
+        })
+}
 
 proptest! {
     /// Whenever the solver accepts a coordinate, the produced level
@@ -138,5 +245,73 @@ proptest! {
         let b = spec.generate(seed_b).characterize();
         prop_assert!((a.mean_mem_uop - b.mean_mem_uop).abs() < 0.002);
         prop_assert!((a.sample_variation_pct - b.sample_variation_pct).abs() < 12.0);
+    }
+
+    /// Hostile CSV never panics the importer. Every error names what
+    /// failed and where: a `BadRow` line is a non-blank data line that
+    /// fails on its own (as line 2 under the header) while every data
+    /// line before it imports. Every accepted row runs with a positive,
+    /// finite time and a finite energy at all six operating points, and
+    /// the streaming importer yields the same intervals and error.
+    #[test]
+    fn csv_import_rejects_hostile_rows_with_their_line(
+        header in 0usize..3 * HEADERS.len(),
+        hostility in prop_oneof![Just(0u8), 0u8..=96, 0u8..=255],
+        rows in proptest::collection::vec(proptest::collection::vec(0u8..=255, 19), 0..=12),
+    ) {
+        // Out-of-range picks choose the real header, so most cases reach
+        // the rows.
+        let mut lines = vec![HEADERS.get(header).copied().unwrap_or(CSV_HEADER).to_owned()];
+        lines.extend(rows.iter().map(|r| row(r, hostility)));
+        let csv = lines.join("\n");
+        let got = io::from_csv("hostile", &csv);
+        match &got {
+            Err(TraceCsvError::MissingHeader) => prop_assert!(csv.is_empty()),
+            Err(TraceCsvError::BadHeader { found }) => {
+                prop_assert_ne!(found.as_str(), CSV_HEADER);
+                prop_assert_eq!(found.as_str(), lines[0].trim());
+            }
+            Err(TraceCsvError::Empty) => {
+                prop_assert!(lines[1..].iter().all(|l| l.trim().is_empty()));
+            }
+            Err(TraceCsvError::BadRow { line, .. }) => {
+                let line = *line;
+                prop_assert!(line >= 2 && line <= lines.len(), "line {}", line);
+                let bad = &lines[line - 1];
+                prop_assert!(!bad.trim().is_empty());
+                let before = io::from_csv("hostile", &lines[..line - 1].join("\n"));
+                prop_assert!(
+                    matches!(before, Ok(_) | Err(TraceCsvError::Empty)),
+                    "rows before line {} import: {:?}", line, before
+                );
+                let alone = io::from_csv("hostile", &format!("{}\n{bad}", lines[0]));
+                prop_assert!(
+                    matches!(alone, Err(TraceCsvError::BadRow { line: 2, .. })),
+                    "line {} alone: {:?}", line, alone
+                );
+            }
+            Ok(trace) => {
+                for w in trace.iter() {
+                    prop_assert!(runs_everywhere(w), "accepted {:?}", w);
+                }
+            }
+        }
+        match io::stream_csv("hostile", &csv) {
+            Ok(mut source) => {
+                use livephase_workloads::IntervalSource;
+                let streamed: Vec<_> = std::iter::from_fn(|| source.next_interval()).collect();
+                match &got {
+                    Ok(trace) => {
+                        prop_assert_eq!(streamed.as_slice(), trace.intervals());
+                        prop_assert!(source.error().is_none());
+                    }
+                    Err(TraceCsvError::Empty) => {
+                        prop_assert!(streamed.is_empty() && source.error().is_none());
+                    }
+                    Err(e) => prop_assert_eq!(source.error(), Some(e)),
+                }
+            }
+            Err(e) => prop_assert_eq!(Err(e), got.map(|_| ())),
+        }
     }
 }
