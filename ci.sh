@@ -45,8 +45,8 @@ rm -rf "$csv_dir"
 
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism of everything the hot-path roots reach over the call
-# graph, SAFETY comments, telemetry naming, wire-tag uniqueness/dispatch, CLI-flag and
-# metric-name doc consistency. Exit-code contract: 0 = clean, 1 =
+# graph, SAFETY comments, telemetry naming, CLI-flag and metric-name doc
+# consistency. Exit-code contract: 0 = clean, 1 =
 # findings (report on stdout), 2 = operational error (message on
 # stderr) — so a failure here is a genuine finding, never a broken tool
 # hiding behind the same status. The committed baseline records accepted
@@ -87,6 +87,8 @@ bench_out=$("$cli" serve-bench "$addr" --conns 1 --bench swim_in --length 60 --w
 echo "$bench_out"
 echo "$bench_out" | grep -q 'decisions 60' || { echo "smoke: expected 60 decisions"; exit 1; }
 echo "$bench_out" | grep -q '1/1 benchmarks bit-exact' || { echo "smoke: divergence"; exit 1; }
+echo "$bench_out" | grep -q 'concurrent connections peak 1' \
+    || { echo "smoke: the one connection was not held open"; exit 1; }
 
 # Scrape the exposition the bench traffic produced (second connection).
 metrics_out=$("$cli" metrics "$addr")
@@ -161,7 +163,7 @@ else
     done
     addr=$(sed -n 's/^listening on //p' serve_scale.log)
     [ -n "$addr" ] || { echo "scale: serve never announced its address"; exit 1; }
-    scale_out=$("$cli" serve-bench "$addr" --conns "$REACTOR_GATE_CONNS" --reactor \
+    scale_out=$("$cli" serve-bench "$addr" --conns "$REACTOR_GATE_CONNS" \
         --length 8 --window 16 --read-timeout-ms 60000)
     echo "$scale_out"
     echo "$scale_out" | grep -q "concurrent connections peak $REACTOR_GATE_CONNS" \

@@ -131,11 +131,6 @@ pub struct Parsed {
     /// `--no-check`: skip the in-process oracle agreement pass in
     /// `serve-bench`.
     pub no_check: bool,
-    /// `--reactor`: for `serve-bench`, selects the many-connection
-    /// single-thread load generator (one multiplexed connection per
-    /// `--conns`, all held open concurrently). Accepted as a no-op for
-    /// `serve`, whose only engine is the epoll reactor.
-    pub reactor: bool,
     /// `--max-outbound` per-connection outbound queue cap in bytes for
     /// `serve`; a slow consumer exceeding it is shed.
     pub max_outbound_bytes: usize,
@@ -215,7 +210,6 @@ impl Default for Parsed {
             window: 64,
             bench: Vec::new(),
             no_check: false,
-            reactor: false,
             max_outbound_bytes: 256 * 1024,
             sndbuf: None,
             tenants: 8,
@@ -338,7 +332,6 @@ pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
                     .collect();
             }
             "--no-check" => parsed.no_check = true,
-            "--reactor" => parsed.reactor = true,
             "--tenants" => {
                 parsed.tenants = parse_num(&mut it, "--tenants")?;
                 if parsed.tenants == 0 {
@@ -625,15 +618,17 @@ mod tests {
     #[test]
     fn parses_serve_mode_flags() {
         let p = parse(&argv("serve")).unwrap();
-        assert!(!p.reactor, "the reactor flag defaults off");
         assert_eq!(p.max_outbound_bytes, 256 * 1024);
         assert_eq!(p.sndbuf, None);
-        let p = parse(&argv("serve --reactor --max-outbound 65536 --sndbuf 8192")).unwrap();
-        assert!(p.reactor);
+        let p = parse(&argv("serve --max-outbound 65536 --sndbuf 8192")).unwrap();
         assert_eq!(p.max_outbound_bytes, 65_536);
         assert_eq!(p.sndbuf, Some(8_192));
-        let p = parse(&argv("serve-bench 127.0.0.1:9626 --conns 5000 --reactor")).unwrap();
-        assert!(p.reactor, "serve-bench --reactor selects many-conn mode");
+        let p = parse(&argv("serve-bench 127.0.0.1:9626 --conns 5000")).unwrap();
+        assert_eq!(p.conns, 5000);
+        assert!(
+            parse(&argv("serve-bench 127.0.0.1:9626 --reactor")).is_err(),
+            "the one load generator needs no mode flag"
+        );
         assert!(
             parse(&argv("serve --blocking")).is_err(),
             "the removed blocking engine is no longer a flag"

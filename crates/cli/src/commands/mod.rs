@@ -343,7 +343,6 @@ fn serve_bench(parsed: &Parsed) -> Result<String, CliError> {
         window: parsed.window,
         check_agreement: !parsed.no_check,
         timeout: std::time::Duration::from_millis(parsed.read_timeout_ms.max(1_000)),
-        many_conn: parsed.reactor,
     };
     let report =
         livephase_serve::loadgen::run(&config).map_err(|e| CliError::new(e.to_string()))?;

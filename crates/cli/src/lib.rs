@@ -105,12 +105,10 @@ pub fn usage() -> String {
      \x20 --log-json            emit trace events as JSON lines\n\
      \n\
      SERVE-BENCH OPTIONS:\n\
-     \x20 --conns <n>           concurrent connections (default 8)\n\
+     \x20 --conns <n>           connections, all held open at once (default 8)\n\
      \x20 --window <n>          samples in flight per connection (default 64)\n\
      \x20 --bench <a,b,...>     benchmark subset (default: all 33)\n\
      \x20 --no-check            skip the in-process oracle agreement pass\n\
-     \x20 --reactor             many-connection mode: one thread multiplexes\n\
-     \x20                       all --conns connections, held open concurrently\n\
      \n\
      TENANTS OPTIONS:\n\
      \x20 --tenants <n>         tenant VM count M (default 8)\n\

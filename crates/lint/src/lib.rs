@@ -5,8 +5,8 @@
 //! reproducible and crash-free — panic-freedom and determinism of
 //! everything the hot-path roots reach over the workspace call graph,
 //! `SAFETY:` discipline around `unsafe`, metric-naming hygiene, and
-//! wire-tag uniqueness — as machine-checked rules over a
-//! hand-rolled token stream (no `syn`, no `rustc` internals, no
+//! CLI-flag and metric-name agreement with the docs — as machine-checked
+//! rules over a hand-rolled token stream (no `syn`, no `rustc` internals, no
 //! dependencies at all). It runs as `livephase-cli lint [--json]` and
 //! gates `ci.sh`.
 //!

@@ -8,8 +8,6 @@
 //! | `safety-comment`           | whole workspace        | every `unsafe` is preceded by a `// SAFETY:` comment |
 //! | `telemetry-naming`         | whole workspace        | metric names are snake_case, kind-suffixed, consistent, and cover what `ci.sh` scrapes |
 //! | `doc-metric-names`         | README                 | metric names the docs mention are actually registered |
-//! | `wire-tag-uniqueness`      | `serve`                | frame tag constants are unique within a protocol version |
-//! | `wire-dispatch-exhaustive` | `serve`                | every declared `TAG_*` constant is handled by a decoder dispatch `match` arm |
 //! | `cli-flag-docs`            | `cli` + README         | parsed `--flags` and documented `--flags` agree in both directions |
 //!
 //! The two call-graph rules start from the *hot-path roots* (see
@@ -17,6 +15,10 @@
 //! graph across crates, so a helper crate cannot launder a panic or a
 //! wall-clock read into the decision path, and code no root reaches
 //! needs no annotation.
+//!
+//! Frame-tag uniqueness and decoder exhaustiveness are not rules: the
+//! serve crate's frame tags are a `#[repr(u8)]` enum, so rustc rejects a
+//! duplicate tag and every dispatch over it is an exhaustive `match`.
 
 pub mod cli_docs;
 pub mod determinism_taint;
@@ -24,8 +26,6 @@ pub mod doc_metrics;
 pub mod panic_reachable;
 pub mod safety;
 pub mod telemetry_names;
-pub mod wire_dispatch;
-pub mod wire_tags;
 
 use crate::ast::Ast;
 use crate::callgraph::CallGraph;
@@ -103,8 +103,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(safety::SafetyComment),
         Box::new(telemetry_names::TelemetryNaming),
         Box::new(doc_metrics::DocMetricNames),
-        Box::new(wire_tags::WireTagUniqueness),
-        Box::new(wire_dispatch::WireDispatchExhaustive),
         Box::new(cli_docs::CliFlagDocs),
     ]
 }

@@ -89,29 +89,6 @@ fn telemetry_fixture_fires_once_per_misnamed_registration() {
 }
 
 #[test]
-fn wire_tag_fixture_fires_at_the_later_duplicate() {
-    let report = lint_fixture(
-        "wire_tags.rs",
-        "serve",
-        include_str!("lint_fixtures/wire_tags.rs"),
-    );
-    assert!(!report.is_clean());
-    assert_eq!(
-        lines(&report, "wire-tag-uniqueness"),
-        vec![5],
-        "{}",
-        report.render_text()
-    );
-    let finding = &report.findings[0];
-    assert!(
-        finding.message.contains("TAG_HELLO"),
-        "names the shadowed tag: {}",
-        finding.message
-    );
-    assert_eq!(report.findings.len(), 1);
-}
-
-#[test]
 fn panic_reachable_fixture_prints_the_full_call_chain() {
     let report = lint_fixture(
         "crates/tenants/src/cluster.rs",
@@ -184,30 +161,6 @@ fn determinism_taint_fixture_chains_through_the_helper() {
         chain.message
     );
     assert_eq!(report.findings.len(), 5);
-}
-
-#[test]
-fn wire_dispatch_fixture_fires_at_the_unhandled_declaration() {
-    let report = lint_fixture(
-        "crates/serve/src/wire.rs",
-        "serve",
-        include_str!("lint_fixtures/wire_dispatch.rs"),
-    );
-    assert!(!report.is_clean());
-    assert_eq!(
-        lines(&report, "wire-dispatch-exhaustive"),
-        vec![6],
-        "{}",
-        report.render_text()
-    );
-    let finding = &report.findings[0];
-    assert!(
-        finding.message.contains("TAG_BYE")
-            && finding.message.contains("crates/serve/src/wire.rs:9"),
-        "names the tag and the decoder: {}",
-        finding.message
-    );
-    assert_eq!(report.findings.len(), 1);
 }
 
 #[test]
@@ -307,7 +260,7 @@ fn every_fixture_would_fail_the_ci_gate() {
     // the library level: no fixture report is clean.
     // `doc_metrics.rs` is absent: it gates only alongside its README
     // artifact, which its own test supplies.
-    let fixtures: [(&str, &str, &str); 8] = [
+    let fixtures: [(&str, &str, &str); 6] = [
         (
             "safety_comment.rs",
             "workloads",
@@ -317,11 +270,6 @@ fn every_fixture_would_fail_the_ci_gate() {
             "telemetry_naming.rs",
             "telemetry",
             include_str!("lint_fixtures/telemetry_naming.rs"),
-        ),
-        (
-            "wire_tags.rs",
-            "serve",
-            include_str!("lint_fixtures/wire_tags.rs"),
         ),
         (
             "crates/tenants/src/lint_allow.rs",
@@ -337,11 +285,6 @@ fn every_fixture_would_fail_the_ci_gate() {
             "crates/tenants/src/sched.rs",
             "tenants",
             include_str!("lint_fixtures/determinism_taint.rs"),
-        ),
-        (
-            "crates/serve/src/wire.rs",
-            "serve",
-            include_str!("lint_fixtures/wire_dispatch.rs"),
         ),
         (
             "crates/cli/src/args.rs",

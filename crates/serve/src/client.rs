@@ -9,7 +9,7 @@
 //!
 //! [`ConnDriver`] is the nonblocking counterpart for many-connection
 //! load generation: one driver per socket, advanced by readiness events
-//! from a caller-owned epoll loop (see `loadgen`'s reactor mode), with
+//! from a caller-owned epoll loop (see `loadgen`), with
 //! the same resumable [`FrameDecoder`](wire::FrameDecoder) the server
 //! uses — so one thread can multiplex tens of thousands of sessions.
 
@@ -89,7 +89,6 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     shard: u32,
     op_points: u8,
-    version: u16,
 }
 
 impl Client {
@@ -118,7 +117,6 @@ impl Client {
             writer,
             shard: 0,
             op_points: 0,
-            version: PROTOCOL_VERSION,
         };
         client.send(&Frame::Hello {
             version: PROTOCOL_VERSION,
@@ -129,11 +127,8 @@ impl Client {
         client.flush()?;
         match client.read()? {
             Frame::HelloAck {
-                version,
-                shard,
-                op_points,
+                shard, op_points, ..
             } => {
-                client.version = version;
                 client.shard = shard;
                 client.op_points = op_points;
                 Ok(client)
@@ -153,12 +148,6 @@ impl Client {
     #[must_use]
     pub fn op_points(&self) -> u8 {
         self.op_points
-    }
-
-    /// Protocol version the session negotiated (echoed in `HelloAck`).
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Queues one counter sample (buffered; call [`flush`](Self::flush)).
@@ -231,13 +220,13 @@ impl Client {
         }
     }
 
-    /// Requests and reads a metrics exposition scrape (protocol v2).
-    /// As with [`stats`](Self::stats), drain pending decisions first.
+    /// Requests and reads a metrics exposition scrape. As with
+    /// [`stats`](Self::stats), drain pending decisions first.
     ///
     /// # Errors
     ///
     /// Transport/decode errors; [`ClientError::Refused`] when the
-    /// server rejects the request (e.g. a v1 session).
+    /// server terminates the session instead.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.send(&Frame::MetricsRequest)?;
         self.flush()?;
@@ -420,17 +409,8 @@ impl ConnDriver {
 }
 
 fn unexpected(wanted: &'static str, got: &Frame) -> ClientError {
-    let got = match got {
-        Frame::Hello { .. } => "Hello",
-        Frame::HelloAck { .. } => "HelloAck",
-        Frame::Sample { .. } => "Sample",
-        Frame::Decision { .. } => "Decision",
-        Frame::StatsRequest => "StatsRequest",
-        Frame::Stats(_) => "Stats",
-        Frame::Error { .. } => "Error",
-        Frame::Goodbye => "Goodbye",
-        Frame::MetricsRequest => "MetricsRequest",
-        Frame::Metrics { .. } => "Metrics",
-    };
-    ClientError::Unexpected { wanted, got }
+    ClientError::Unexpected {
+        wanted,
+        got: got.tag().name(),
+    }
 }

@@ -10,11 +10,10 @@
 //! decisions in-place with [`wire::encode_into`], and `try_flush` drains
 //! the outbound queue until the socket pushes back.
 //!
-//! The frame-level behavior mirrors the blocking path exactly — same
-//! handshake refusals, same poisoning rules, same counters — so the two
-//! modes stay bit-identical oracles for each other. What the reactor
-//! adds is backpressure: a peer that stops draining its socket has its
-//! queue capped at `max_outbound_bytes` and is shed with a typed
+//! Every refusal is typed: the session gets one terminal
+//! [`Frame::Error`], counted in `serve_errors_total`, and only this
+//! connection closes. A peer that stops draining its socket has its
+//! queue capped at `max_outbound_bytes` and is shed with
 //! [`ErrorCode::SlowConsumer`], and a peer that goes quiet past the read
 //! timeout is reaped on the shard's coarse tick.
 //!
@@ -23,9 +22,9 @@
 //! buffer, and decisions are appended to the connection's reused
 //! outbound `Vec` without intermediate encode allocations.
 
-use crate::server::{frame_name, Shared};
+use crate::server::Shared;
 use crate::shard::ReactorMetrics;
-use crate::wire::{self, ErrorCode, Frame, FrameDecoder, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::wire::{self, ErrorCode, Frame, FrameDecoder, PROTOCOL_VERSION};
 use livephase_engine::{Decision, DecisionEngine, EngineConfig, Sample};
 use livephase_telemetry::{trace_event, Level};
 use std::io::{self, Read, Write};
@@ -109,7 +108,6 @@ pub(crate) struct Conn {
     decoder: FrameDecoder,
     outbound: Vec<u8>,
     sent: usize,
-    version: u16,
     /// The session's decision engine: per-pid predictors and scoring,
     /// created at `Hello`.
     session: Option<DecisionEngine>,
@@ -131,7 +129,6 @@ impl Conn {
             decoder: FrameDecoder::new(),
             outbound: Vec::new(),
             sent: 0,
-            version: PROTOCOL_VERSION,
             session: None,
             phase: Phase::Hello,
             peer_gone: false,
@@ -152,7 +149,6 @@ impl Conn {
             decoder: FrameDecoder::new(),
             outbound: Vec::new(),
             sent: 0,
-            version: PROTOCOL_VERSION,
             session: None,
             phase: Phase::Closing,
             peer_gone: false,
@@ -322,8 +318,7 @@ impl Conn {
                 Ok(None) => break,
                 Err(e) => {
                     // Samples decoded before the damage still get their
-                    // decisions, matching the blocking reader which had
-                    // already forwarded them to its shard.
+                    // decisions: only the bytes after it are refused.
                     self.flush_run(cx);
                     self.refuse(ErrorCode::Malformed, e.to_string());
                     self.poison(cx);
@@ -345,7 +340,9 @@ impl Conn {
         }
     }
 
-    /// The handshake: same refusal taxonomy as the blocking path.
+    /// The handshake. A `Goodbye` closes quietly; any other non-`Hello`
+    /// frame or a foreign version is a poisoning violation; a foreign
+    /// platform or an unbuildable predictor spec is refused `BadConfig`.
     fn on_hello_frame(&mut self, frame: Frame, cx: &mut Cx<'_>) {
         let (version, platform, predictor) = match frame {
             Frame::Hello {
@@ -361,20 +358,17 @@ impl Conn {
             other => {
                 self.refuse(
                     ErrorCode::Protocol,
-                    format!("expected Hello, got {}", frame_name(&other)),
+                    format!("expected Hello, got {}", other.tag().name()),
                 );
                 self.poison(cx);
                 self.start_closing(cx.now);
                 return;
             }
         };
-        if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        if version != PROTOCOL_VERSION {
             self.refuse(
                 ErrorCode::VersionMismatch,
-                format!(
-                    "server speaks protocol v{MIN_PROTOCOL_VERSION}..=v{PROTOCOL_VERSION}, \
-                     client sent v{version}"
-                ),
+                format!("server speaks protocol v{PROTOCOL_VERSION}, client sent v{version}"),
             );
             self.poison(cx);
             self.start_closing(cx.now);
@@ -395,10 +389,9 @@ impl Conn {
         match DecisionEngine::from_spec(cx.engine.clone(), &predictor) {
             Ok(session) => {
                 self.session = Some(session);
-                self.version = version;
                 cx.metrics.shard.sessions.inc();
                 self.queue_frame(&Frame::HelloAck {
-                    version,
+                    version: PROTOCOL_VERSION,
                     shard: u32::try_from(cx.shard_index).unwrap_or(u32::MAX),
                     op_points: cx.engine.op_points(),
                 });
@@ -408,15 +401,13 @@ impl Conn {
                     TRACE,
                     "session registered",
                     conn = self.conn_id,
-                    shard = cx.shard_index,
-                    version = version
+                    shard = cx.shard_index
                 );
             }
             Err(e) => {
-                // Parity with the blocking path, where the shard refuses
-                // the registration on the reply channel: a predictor
-                // spec that does not parse earns Error{BadConfig} but no
-                // poisoning — the transport behaved.
+                // A predictor spec that does not parse earns
+                // Error{BadConfig} but no poisoning: the transport
+                // behaved.
                 self.refuse(ErrorCode::BadConfig, e.to_string());
                 self.start_closing(cx.now);
             }
@@ -447,22 +438,9 @@ impl Conn {
             }
             Frame::MetricsRequest => {
                 self.flush_run(cx);
-                if self.version < 2 {
-                    self.refuse(
-                        ErrorCode::Protocol,
-                        format!(
-                            "MetricsRequest needs protocol v2, session negotiated v{}",
-                            self.version
-                        ),
-                    );
-                    self.poison(cx);
-                    self.start_closing(cx.now);
-                } else {
-                    let rendered =
-                        livephase_telemetry::Registry::render(livephase_telemetry::global());
-                    let text = wire::truncate_metrics_text(&rendered).to_owned();
-                    self.queue_frame(&Frame::Metrics { text });
-                }
+                let rendered = livephase_telemetry::Registry::render(livephase_telemetry::global());
+                let text = wire::truncate_metrics_text(&rendered).to_owned();
+                self.queue_frame(&Frame::Metrics { text });
             }
             Frame::Goodbye => {
                 self.flush_run(cx);
@@ -472,7 +450,7 @@ impl Conn {
                 self.flush_run(cx);
                 self.refuse(
                     ErrorCode::Protocol,
-                    format!("client may not send {}", frame_name(&other)),
+                    format!("client may not send {}", other.tag().name()),
                 );
                 self.poison(cx);
                 self.start_closing(cx.now);
@@ -482,8 +460,8 @@ impl Conn {
 
     /// Pushes the accumulated sample run through the session's
     /// `step_many` and encodes the decisions straight onto the
-    /// outbound queue — the reactor's equivalent of the blocking
-    /// shard's `serve_sample_run`, with identical counter accounting.
+    /// outbound queue, counting every sample and decision once in the
+    /// shard's and the server's counters.
     fn flush_run(&mut self, cx: &mut Cx<'_>) {
         if cx.samples.is_empty() {
             return;
@@ -567,9 +545,9 @@ impl Conn {
         self.start_closing(cx.now);
     }
 
-    /// Starts the graceful drain: parity with the blocking reader, which
-    /// refuses the next read with `Error{ShuttingDown}` — decisions
-    /// already queued outbound still flush before the close.
+    /// Starts the graceful drain: the session is refused with
+    /// `Error{ShuttingDown}`, and decisions already queued outbound
+    /// still flush before the close.
     pub(crate) fn begin_drain(&mut self, cx: &mut Cx<'_>) {
         if self.phase == Phase::Closing {
             return;
@@ -644,8 +622,8 @@ impl Conn {
         wire::encode_into(frame, &mut self.outbound);
     }
 
-    /// Queues a terminal `Error` frame and counts it, exactly like the
-    /// blocking path's `refuse`.
+    /// Queues a terminal `Error` frame and counts it in
+    /// `serve_errors_total` under its code's label.
     fn refuse(&mut self, code: ErrorCode, message: impl Into<String>) {
         // Cold path — refusals are terminal — so the registry lookup per
         // call is fine.

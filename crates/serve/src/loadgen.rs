@@ -1,34 +1,30 @@
 //! The load generator behind `livephase-cli serve-bench`.
 //!
 //! Replays the synthetic SPEC workloads' counter streams over M
-//! concurrent connections, windowed so each connection keeps a batch of
-//! samples in flight. Two drive modes:
-//!
-//! - **Threaded** (default): connections fan out with [`par_map`], the
-//!   same sweep primitive the experiment drivers use, each replaying its
-//!   round-robin share of the benchmarks over a blocking [`Client`].
-//! - **Many-connection** ([`LoadGenConfig::many_conn`], CLI
-//!   `serve-bench --reactor`): one thread multiplexes every connection
-//!   over epoll with nonblocking [`ConnDriver`]s — each connection
-//!   carries one benchmark stream, all sessions are held open
-//!   simultaneously (handshakes complete before any replay starts, so
-//!   the reported peak equals the requested connection count), and
-//!   agreement is scored incrementally against a per-benchmark oracle
-//!   trace, so 50k concurrent sessions need no per-connection decision
-//!   storage.
+//! concurrent connections from one thread: each connection is a
+//! nonblocking [`ConnDriver`] multiplexed over epoll, windowed so it
+//! keeps a batch of samples in flight. One rule deals the streams: with
+//! n benchmarks there are max(M, n) streams, and stream k replays
+//! benchmark k % n as pid k % n + 1 on connection k % M. A connection
+//! replays its streams back to back, then sends `Goodbye`. Every session
+//! completes its handshake before any replay starts, so the reported
+//! peak equals M.
 //!
 //! Reports throughput, decision latency percentiles, and — the point of
 //! the exercise — per-stream decision agreement against an in-process
 //! [`Manager`] run of the same stream, which must be **bit-exact**:
 //! phase classification depends only on the Mem/Uop ratio the samples
 //! carry, so a correct server cannot disagree with the oracle even once.
+//! Agreement is scored incrementally against one oracle trace per
+//! benchmark, so 50k concurrent sessions need no per-connection decision
+//! storage.
 
-use crate::client::{Client, ClientError, ConnDriver};
+use crate::client::{ClientError, ConnDriver};
 use crate::reactor::{Epoll, Events, Interest};
 use crate::wire::Frame;
 use livephase_core::predictor_from_spec;
 use livephase_engine::{DecisionEngine, EngineConfig};
-use livephase_governor::{par_map, Manager, ManagerConfig};
+use livephase_governor::{Manager, ManagerConfig};
 use livephase_pmsim::PlatformConfig;
 use livephase_telemetry::Histogram;
 use livephase_workloads::{counter_samples, spec, CounterSample};
@@ -36,15 +32,32 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::os::fd::RawFd;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Connections allowed mid-handshake at once; paces the connect wave so
+/// the server's listen backlog never overflows into SYN retries.
+const CONNECT_WINDOW: usize = 256;
+
+/// Decision latency is sampled on this many connections; sampling every
+/// one of 50k conns would measure the sampler, not the server.
+const LATENCY_TRACKED_CONNS: usize = 256;
+
+/// Shared read scratch for every driver.
+const SCRATCH_BYTES: usize = 64 * 1024;
+
+/// Readiness events drained per wait.
+const EVENTS_PER_WAIT: usize = 1024;
+
+/// Wait timeout, so the connect pacing and the inactivity watchdog run
+/// even when no socket is ready.
+const WAIT_TICK: Duration = Duration::from_millis(50);
 
 /// What to replay, where, and how hard.
 #[derive(Debug, Clone)]
 pub struct LoadGenConfig {
     /// Server address, e.g. `127.0.0.1:9626`.
     pub addr: String,
-    /// Concurrent connections to spread the benchmarks over.
+    /// Concurrent connections, all held open at once.
     pub connections: usize,
     /// Benchmarks to replay; empty means the whole registry (all 33).
     pub benchmarks: Vec<String>,
@@ -59,14 +72,9 @@ pub struct LoadGenConfig {
     /// Re-run each stream through an in-process manager and compare
     /// decisions.
     pub check_agreement: bool,
-    /// Socket timeout for every client operation. In many-connection
-    /// mode this is an inactivity watchdog: the run aborts when no frame
-    /// arrives on any connection for this long.
+    /// Inactivity watchdog: the run aborts when no frame arrives on any
+    /// connection for this long.
     pub timeout: Duration,
-    /// Drive every connection from one epoll loop instead of one thread
-    /// per connection; each connection carries one benchmark stream and
-    /// all sessions are held open concurrently.
-    pub many_conn: bool,
 }
 
 impl Default for LoadGenConfig {
@@ -81,7 +89,6 @@ impl Default for LoadGenConfig {
             window: 64,
             check_agreement: true,
             timeout: Duration::from_secs(10),
-            many_conn: false,
         }
     }
 }
@@ -162,7 +169,7 @@ impl Agreement {
     }
 }
 
-/// One benchmark's replay outcome.
+/// One stream's replay outcome.
 #[derive(Debug, Clone)]
 pub struct BenchmarkOutcome {
     /// Benchmark name.
@@ -175,8 +182,9 @@ pub struct BenchmarkOutcome {
     pub agreement: Option<Agreement>,
 }
 
-/// Decision latency percentiles in microseconds (flush → decision read,
-/// so queueing inside the window counts).
+/// Decision latency percentiles in microseconds, each decision timed
+/// from the flush that sent its sample (so queueing inside the window
+/// counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyPercentiles {
     /// Median.
@@ -192,9 +200,9 @@ pub struct LatencyPercentiles {
 /// The full load-generation report.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Per-benchmark outcomes, sorted by benchmark name.
+    /// Per-stream outcomes, sorted by benchmark name, then connection.
     pub outcomes: Vec<BenchmarkOutcome>,
-    /// Connections that carried traffic.
+    /// Connections opened.
     pub connections: usize,
     /// Total samples sent (== decisions received).
     pub samples: u64,
@@ -202,8 +210,7 @@ pub struct LoadReport {
     pub elapsed: Duration,
     /// Decision latency distribution.
     pub latency: LatencyPercentiles,
-    /// Most connections simultaneously open (many-connection mode; 0
-    /// when the threaded driver ran, which does not measure it).
+    /// Most connections simultaneously open.
     pub peak_connections: usize,
 }
 
@@ -250,9 +257,7 @@ impl fmt::Display for LoadReport {
             "  decision latency p50 {} µs  p90 {} µs  p99 {} µs  max {} µs",
             self.latency.p50_us, self.latency.p90_us, self.latency.p99_us, self.latency.max_us
         )?;
-        if self.peak_connections > 0 {
-            writeln!(f, "  concurrent connections peak {}", self.peak_connections)?;
-        }
+        writeln!(f, "  concurrent connections peak {}", self.peak_connections)?;
         let checked: Vec<&BenchmarkOutcome> = self
             .outcomes
             .iter()
@@ -288,16 +293,8 @@ impl fmt::Display for LoadReport {
     }
 }
 
-/// One stream assignment: a benchmark riding a connection as a pid.
-#[derive(Debug, Clone)]
-struct StreamPlan {
-    spec: spec::BenchmarkSpec,
-    pid: u32,
-}
-
-/// Runs the load. Benchmarks are dealt round-robin over the connections;
-/// each connection replays its streams back-to-back, one pid per
-/// benchmark.
+/// Runs the load: deals the streams over the connections (see the
+/// module docs), replays them, and scores every decision.
 ///
 /// # Errors
 ///
@@ -309,45 +306,21 @@ pub fn run(config: &LoadGenConfig) -> Result<LoadReport, LoadGenError> {
     if predictor_from_spec(&config.predictor).is_err() {
         return Err(LoadGenError::BadPredictor(config.predictor.clone()));
     }
-    let specs = resolve_specs(config)?;
-    if config.many_conn {
-        return many::run(config, &specs);
-    }
-
-    let mut plans: Vec<Vec<StreamPlan>> = vec![Vec::new(); config.connections];
-    for (i, spec) in specs.into_iter().enumerate() {
-        // i % connections < connections = plans.len()
-        plans[i % config.connections].push(StreamPlan {
-            spec,
-            pid: u32::try_from(i).unwrap_or(u32::MAX - 1) + 1,
-        });
-    }
-
-    let indexed: Vec<(usize, Vec<StreamPlan>)> = plans.into_iter().enumerate().collect();
-    let started = Instant::now();
-    let results = par_map(&indexed, |(conn, plan)| run_connection(config, *conn, plan));
-    let elapsed = started.elapsed();
-
-    let mut outcomes = Vec::new();
-    // Per-connection latency histograms share the fixed global bucket
-    // layout, so merging them is exact — no all-latencies Vec, no sort.
-    let latencies = Histogram::new();
-    let mut samples = 0u64;
-    for result in results {
-        let (mut conn_outcomes, conn_latencies) = result?;
-        samples += conn_outcomes.iter().map(|o| o.samples).sum::<u64>();
-        outcomes.append(&mut conn_outcomes);
-        latencies.merge_from(&conn_latencies);
-    }
-    outcomes.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(LoadReport {
-        outcomes,
-        connections: config.connections,
-        samples,
-        elapsed,
-        latency: percentiles(&latencies),
-        peak_connections: 0,
-    })
+    let data: Vec<SpecData> = resolve_specs(config)?
+        .iter()
+        .map(|s| SpecData {
+            name: s.name().to_owned(),
+            samples: counter_samples(s.stream(config.seed)).collect(),
+            oracle: config.check_agreement.then(|| oracle_trace(s, config)),
+        })
+        .collect();
+    let plan = Plan {
+        conns: config.connections,
+        streams: config.connections.max(data.len()),
+        window: config.window,
+        data,
+    };
+    replay(config, &plan)
 }
 
 /// Resolves the configured benchmark names against the registry (empty
@@ -376,100 +349,6 @@ fn resolve_specs(config: &LoadGenConfig) -> Result<Vec<spec::BenchmarkSpec>, Loa
         .collect())
 }
 
-type ConnResult = Result<(Vec<BenchmarkOutcome>, Histogram), LoadGenError>;
-
-fn run_connection(config: &LoadGenConfig, conn: usize, plan: &[StreamPlan]) -> ConnResult {
-    if plan.is_empty() {
-        return Ok((Vec::new(), Histogram::new()));
-    }
-    let deployment = EngineConfig::pentium_m();
-    let client_err = |source| LoadGenError::Client {
-        connection: conn,
-        source,
-    };
-    let mut client = Client::connect(
-        config.addr.as_str(),
-        conn as u64 + 1,
-        deployment.platform(),
-        &config.predictor,
-        config.timeout,
-    )
-    .map_err(client_err)?;
-
-    let mut outcomes = Vec::with_capacity(plan.len());
-    let latencies_us = Histogram::new();
-    for stream in plan {
-        let samples: Vec<CounterSample> =
-            counter_samples(stream.spec.stream(config.seed)).collect();
-        let mut decisions: Vec<u8> = Vec::with_capacity(samples.len());
-        let mut sent = 0usize;
-        while decisions.len() < samples.len() {
-            let batch_end = (sent + config.window).min(samples.len());
-            // sent <= batch_end <= samples.len() by the min above
-            for s in &samples[sent..batch_end] {
-                client
-                    .queue_sample(stream.pid, s.uops, s.mem_transactions, s.core_cycles)
-                    .map_err(client_err)?;
-            }
-            sent = batch_end;
-            client.flush().map_err(client_err)?;
-            let flushed_at = Instant::now();
-            while decisions.len() < sent {
-                let d = client.read_decision().map_err(client_err)?;
-                latencies_us.record_saturating(flushed_at.elapsed().as_micros());
-                decisions.push(d.op_point);
-            }
-        }
-        let agreement = config
-            .check_agreement
-            .then(|| score_against_oracle(stream, config, &decisions));
-        outcomes.push(BenchmarkOutcome {
-            name: stream.spec.name().to_owned(),
-            connection: conn,
-            samples: decisions.len() as u64,
-            agreement,
-        });
-    }
-    client.goodbye().map_err(client_err)?;
-    Ok((outcomes, latencies_us))
-}
-
-/// Re-runs the stream through an in-process [`Manager`] and counts how
-/// many served decisions match its [`decision_trace`]. The trace is one
-/// shorter than the sample count (the final decision never governs a
-/// logged interval), so the last served decision goes uncompared.
-///
-/// [`decision_trace`]: livephase_governor::RunReport::decision_trace
-fn score_against_oracle(
-    stream: &StreamPlan,
-    config: &LoadGenConfig,
-    decisions: &[u8],
-) -> Agreement {
-    // The spec was validated before traffic; if a re-parse fails anyway,
-    // report total divergence rather than panicking mid-replay.
-    let Ok(engine) = DecisionEngine::from_spec(EngineConfig::pentium_m(), &config.predictor) else {
-        return Agreement {
-            matched: 0,
-            compared: decisions.len() as u64,
-        };
-    };
-    let oracle = Manager::with_engine(engine, ManagerConfig::pentium_m())
-        .run(
-            stream.spec.stream(config.seed),
-            &PlatformConfig::pentium_m(),
-        )
-        .decision_trace();
-    let matched = decisions
-        .iter()
-        .zip(&oracle)
-        .filter(|(&got, &want)| usize::from(got) == want)
-        .count();
-    Agreement {
-        matched: matched as u64,
-        compared: oracle.len() as u64,
-    }
-}
-
 /// Derives the report percentiles from the merged latency histogram:
 /// constant space however long the replay, estimates within the
 /// histogram's 1/32 relative-error bound, max exact.
@@ -482,304 +361,320 @@ fn percentiles(latencies_us: &Histogram) -> LatencyPercentiles {
     }
 }
 
-/// The many-connection driver behind `serve-bench --reactor`: one thread
-/// multiplexing every connection over epoll.
-///
-/// Each connection carries one benchmark stream (dealt round-robin from
-/// the spec list), every session completes its handshake before any
-/// replay starts — so the reported peak equals the requested connection
-/// count — and agreement is scored incrementally against a shared
-/// per-spec oracle trace, so memory scales with the spec list, not the
-/// connection count.
-mod many {
-    use super::*;
+/// Everything shared by the streams replaying one benchmark.
+struct SpecData {
+    name: String,
+    samples: Vec<CounterSample>,
+    oracle: Option<Vec<usize>>,
+}
 
-    /// Connections allowed mid-handshake at once; paces the connect wave
-    /// so the server's listen backlog never overflows into SYN retries.
-    const CONNECT_WINDOW: usize = 256;
+/// The deal: which benchmark each stream replays, on which connection.
+struct Plan {
+    data: Vec<SpecData>,
+    conns: usize,
+    streams: usize,
+    window: usize,
+}
 
-    /// Decision latency is sampled on this many connections; sampling
-    /// every one of 50k conns would measure the sampler, not the server.
-    const LATENCY_TRACKED_CONNS: usize = 256;
-
-    /// Shared read scratch for every driver.
-    const SCRATCH_BYTES: usize = 64 * 1024;
-
-    /// Readiness events drained per wait.
-    const EVENTS_PER_WAIT: usize = 1024;
-
-    /// Wait timeout, so the connect pacing and the inactivity watchdog
-    /// run even when no socket is ready.
-    const WAIT_TICK: Duration = Duration::from_millis(50);
-
-    /// Everything shared by the connections replaying one spec.
-    struct SpecData {
-        name: String,
-        samples: Arc<Vec<CounterSample>>,
-        oracle: Option<Arc<Vec<usize>>>,
+impl Plan {
+    /// The benchmark stream `k` replays (its pid is this plus one).
+    /// `data` is never empty: it holds the named benchmarks, or the
+    /// whole registry when none is named.
+    fn spec_of(&self, k: usize) -> usize {
+        k % self.data.len()
     }
 
-    /// Where one connection is in its replay.
-    enum Stage {
-        /// `Hello` sent; waiting for the ack.
-        AwaitAck,
-        /// Acked; holding the session open until every connection is.
-        Hold,
-        /// Replaying its sample window.
-        Streaming,
-        /// `Goodbye` queued; flush and close.
-        Draining,
-    }
-
-    /// One multiplexed connection's replay state.
-    struct ManyConn {
-        driver: ConnDriver,
-        conn: usize,
-        spec_idx: usize,
-        pid: u32,
-        sent: usize,
-        got: usize,
-        matched: u64,
-        stage: Stage,
-        interest: Interest,
-        flushed_at: Instant,
-        track_latency: bool,
-    }
-
-    pub(super) fn run(
-        config: &LoadGenConfig,
-        specs: &[spec::BenchmarkSpec],
-    ) -> Result<LoadReport, LoadGenError> {
-        let total = config.connections;
-        let io_err = |connection: usize, e: io::Error| LoadGenError::Client {
-            connection,
-            source: ClientError::Io(e),
+    fn spec(&self, idx: usize) -> &SpecData {
+        let Some(d) = self.data.get(idx) else {
+            unreachable!("spec indices are dealt modulo data.len()")
         };
-        let proto_err =
-            |connection: usize, source: ClientError| LoadGenError::Client { connection, source };
-        let deployment = EngineConfig::pentium_m();
-        let data: Vec<SpecData> = specs
-            .iter()
-            .map(|s| SpecData {
-                name: s.name().to_owned(),
-                samples: Arc::new(counter_samples(s.stream(config.seed)).collect()),
-                oracle: config
-                    .check_agreement
-                    .then(|| Arc::new(oracle_trace(s, config))),
-            })
-            .collect();
-        if data.is_empty() || total == 0 {
-            return Ok(LoadReport {
-                outcomes: Vec::new(),
-                connections: 0,
-                samples: 0,
-                elapsed: Duration::ZERO,
-                latency: percentiles(&Histogram::new()),
-                peak_connections: 0,
-            });
+        d
+    }
+}
+
+/// The in-process decision trace every stream replaying `bench` is
+/// compared against. The predictor spec was validated before any
+/// traffic, so the engine-construction fallback (an empty trace,
+/// comparing nothing) is unreachable in practice.
+fn oracle_trace(bench: &spec::BenchmarkSpec, config: &LoadGenConfig) -> Vec<usize> {
+    let Ok(engine) = DecisionEngine::from_spec(EngineConfig::pentium_m(), &config.predictor) else {
+        return Vec::new();
+    };
+    Manager::with_engine(engine, ManagerConfig::pentium_m())
+        .run(bench.stream(config.seed), &PlatformConfig::pentium_m())
+        .decision_trace()
+}
+
+/// Where one connection is in its replay.
+enum Stage {
+    /// `Hello` sent; waiting for the ack.
+    AwaitAck,
+    /// Acked; holding the session open until every connection is.
+    Hold,
+    /// Replaying its current stream's sample window.
+    Streaming,
+    /// `Goodbye` queued; flush and close.
+    Draining,
+}
+
+/// Flush instants of one connection's in-flight samples: a ring of
+/// `window` slots, sample `i` in slot `i % window`. At most `window`
+/// samples are in flight, so a slot is reused only after its sample's
+/// decision arrived, and each decision is timed from the flush that sent
+/// its own sample.
+struct FlushStamps(Vec<Instant>);
+
+impl FlushStamps {
+    fn new(window: usize, now: Instant) -> Self {
+        Self(vec![now; window])
+    }
+
+    /// Samples `from..to` left in one flush at `at`.
+    fn stamp(&mut self, from: usize, to: usize, at: Instant) {
+        let n = self.0.len();
+        for i in from..to {
+            if let Some(slot) = self.0.get_mut(i % n) {
+                *slot = at;
+            }
         }
+    }
 
-        let epoll = Epoll::new().map_err(|e| io_err(0, e))?;
-        let mut events = Events::with_capacity(EVENTS_PER_WAIT);
-        let mut conns: BTreeMap<RawFd, ManyConn> = BTreeMap::new();
-        let mut scratch = vec![0u8; SCRATCH_BYTES];
-        let mut outcomes: Vec<BenchmarkOutcome> = Vec::with_capacity(total);
-        let latencies_us = Histogram::new();
-        let mut samples_total = 0u64;
-        let mut next_conn = 0usize;
-        let mut pending_acks = 0usize;
-        let mut acked = 0usize;
-        let mut streaming = false;
-        let mut peak = 0usize;
-        let mut to_close: Vec<RawFd> = Vec::new();
-        let started = Instant::now();
-        let mut last_progress = started;
+    /// When sample `i` was flushed.
+    fn sent_at(&self, i: usize) -> Option<Instant> {
+        self.0.get(i % self.0.len()).copied()
+    }
+}
 
-        while !(next_conn == total && conns.is_empty()) {
-            // Pace the connect wave: at most CONNECT_WINDOW sessions
-            // mid-handshake at once.
-            while next_conn < total && pending_acks < CONNECT_WINDOW {
-                let spec_idx = next_conn % data.len();
-                let driver = ConnDriver::connect(
-                    config.addr.as_str(),
-                    next_conn as u64 + 1,
-                    deployment.platform(),
-                    &config.predictor,
-                )
-                .map_err(|e| io_err(next_conn, e))?;
-                let fd = driver.as_raw_fd();
-                let interest = if driver.pending() > 0 {
-                    Interest::ReadWrite
-                } else {
-                    Interest::Read
-                };
-                epoll
-                    .add(fd, interest, fd as u64)
-                    .map_err(|e| io_err(next_conn, e))?;
-                conns.insert(
-                    fd,
-                    ManyConn {
-                        driver,
-                        conn: next_conn,
-                        spec_idx,
-                        pid: u32::try_from(spec_idx).unwrap_or(u32::MAX - 1) + 1,
-                        sent: 0,
-                        got: 0,
-                        matched: 0,
-                        stage: Stage::AwaitAck,
-                        interest,
-                        flushed_at: started,
-                        track_latency: next_conn < LATENCY_TRACKED_CONNS,
-                    },
-                );
-                pending_acks += 1;
-                next_conn += 1;
-            }
-            peak = peak.max(conns.len());
-            if !streaming && next_conn == total && acked == total {
-                // Every session is open and acked: the concurrency bar
-                // is held; start the replay everywhere.
-                streaming = true;
-                let now = Instant::now();
-                for (fd, st) in conns.iter_mut() {
-                    st.stage = Stage::Streaming;
-                    top_up(st, &data, config.window, now);
-                    finish_if_done(st, &data, &mut outcomes, &mut samples_total);
-                    sync(&epoll, *fd, st, &mut to_close);
-                }
-            }
+/// One multiplexed connection's replay state.
+struct Session {
+    driver: ConnDriver,
+    conn: usize,
+    /// The stream being replayed (k in the deal rule).
+    stream: usize,
+    spec_idx: usize,
+    pid: u32,
+    sent: usize,
+    got: usize,
+    matched: u64,
+    stage: Stage,
+    interest: Interest,
+    /// Present on the latency-tracked connections.
+    stamps: Option<FlushStamps>,
+}
 
+impl Session {
+    /// Switches to stream `k`, nothing sent or answered yet.
+    fn begin_stream(&mut self, k: usize, plan: &Plan) {
+        self.stream = k;
+        self.spec_idx = plan.spec_of(k);
+        self.pid = u32::try_from(self.spec_idx).unwrap_or(u32::MAX - 1) + 1;
+        self.sent = 0;
+        self.got = 0;
+        self.matched = 0;
+    }
+}
+
+/// The epoll loop: connects every session (paced), starts the replay
+/// once all are acked, and closes each after its last stream.
+fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenError> {
+    let total = plan.conns;
+    let io_err = |connection: usize, e: io::Error| LoadGenError::Client {
+        connection,
+        source: ClientError::Io(e),
+    };
+    let proto_err =
+        |connection: usize, source: ClientError| LoadGenError::Client { connection, source };
+    let deployment = EngineConfig::pentium_m();
+    let epoll = Epoll::new().map_err(|e| io_err(0, e))?;
+    let mut events = Events::with_capacity(EVENTS_PER_WAIT);
+    let mut conns: BTreeMap<RawFd, Session> = BTreeMap::new();
+    let mut scratch = vec![0u8; SCRATCH_BYTES];
+    let mut outcomes: Vec<BenchmarkOutcome> = Vec::with_capacity(plan.streams);
+    let latencies_us = Histogram::new();
+    let mut next_conn = 0usize;
+    let mut pending_acks = 0usize;
+    let mut acked = 0usize;
+    let mut streaming = false;
+    let mut peak = 0usize;
+    let mut to_close: Vec<RawFd> = Vec::new();
+    let started = Instant::now();
+    let mut last_progress = started;
+
+    while !(next_conn == total && conns.is_empty()) {
+        // Pace the connect wave: at most CONNECT_WINDOW sessions
+        // mid-handshake at once.
+        while next_conn < total && pending_acks < CONNECT_WINDOW {
+            let driver = ConnDriver::connect(
+                config.addr.as_str(),
+                next_conn as u64 + 1,
+                deployment.platform(),
+                &config.predictor,
+            )
+            .map_err(|e| io_err(next_conn, e))?;
+            let fd = driver.as_raw_fd();
+            let interest = if driver.pending() > 0 {
+                Interest::ReadWrite
+            } else {
+                Interest::Read
+            };
             epoll
-                .wait(&mut events, Some(WAIT_TICK))
-                .map_err(|e| io_err(0, e))?;
-            let now = Instant::now();
-            if !events.is_empty() {
-                last_progress = now;
-            }
-            for ev in events.iter() {
-                // Tokens are raw fds; both fit i32 on every Linux target.
-                let fd = ev.token as RawFd;
-                let Some(st) = conns.get_mut(&fd) else {
-                    continue; // closed earlier this wake
-                };
-                if ev.readable || ev.hangup {
-                    st.driver.fill(&mut scratch);
-                }
-                loop {
-                    let frame = st
-                        .driver
-                        .next_frame()
-                        .map_err(|source| proto_err(st.conn, source))?;
-                    let Some(frame) = frame else { break };
-                    match frame {
-                        Frame::HelloAck { .. } if matches!(st.stage, Stage::AwaitAck) => {
-                            st.stage = Stage::Hold;
-                            pending_acks = pending_acks.saturating_sub(1);
-                            acked += 1;
-                        }
-                        Frame::Decision { op_point, .. }
-                            if matches!(st.stage, Stage::Streaming) =>
-                        {
-                            if let Some(want) = data
-                                .get(st.spec_idx)
-                                .and_then(|d| d.oracle.as_ref())
-                                .and_then(|t| t.get(st.got))
-                            {
-                                if *want == usize::from(op_point) {
-                                    st.matched += 1;
-                                }
-                            }
-                            st.got += 1;
-                            if st.track_latency {
-                                latencies_us.record_saturating(
-                                    now.duration_since(st.flushed_at).as_micros(),
-                                );
-                            }
-                        }
-                        Frame::Error { code, message } => {
-                            return Err(proto_err(st.conn, ClientError::Refused { code, message }));
-                        }
-                        other => {
-                            return Err(proto_err(
-                                st.conn,
-                                ClientError::Unexpected {
-                                    wanted: "Decision",
-                                    got: crate::server::frame_name(&other),
-                                },
-                            ));
-                        }
-                    }
-                }
-                if ev.writable {
-                    st.driver.flush();
-                }
-                if matches!(st.stage, Stage::Streaming) {
-                    top_up(st, &data, config.window, now);
-                    finish_if_done(st, &data, &mut outcomes, &mut samples_total);
-                }
-                if st.driver.peer_gone() {
-                    match st.stage {
-                        Stage::Draining => to_close.push(fd),
-                        Stage::Streaming => {
-                            return Err(LoadGenError::ShortStream {
-                                benchmark: data
-                                    .get(st.spec_idx)
-                                    .map_or_else(String::new, |d| d.name.clone()),
-                                sent: st.sent as u64,
-                                received: st.got as u64,
-                            });
-                        }
-                        Stage::AwaitAck | Stage::Hold => {
-                            return Err(io_err(
-                                st.conn,
-                                io::Error::new(
-                                    io::ErrorKind::UnexpectedEof,
-                                    "server closed the connection during the handshake",
-                                ),
-                            ));
-                        }
-                    }
-                } else {
-                    sync(&epoll, fd, st, &mut to_close);
-                }
-            }
-            for fd in to_close.drain(..) {
-                if conns.remove(&fd).is_some() {
-                    let _ = epoll.delete(fd);
-                }
-            }
-            if !conns.is_empty() && now.duration_since(last_progress) > config.timeout {
-                return Err(io_err(
-                    0,
-                    io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("no frames from the server within {:?}", config.timeout),
-                    ),
-                ));
+                .add(fd, interest, fd as u64)
+                .map_err(|e| io_err(next_conn, e))?;
+            let mut session = Session {
+                driver,
+                conn: next_conn,
+                stream: 0,
+                spec_idx: 0,
+                pid: 0,
+                sent: 0,
+                got: 0,
+                matched: 0,
+                stage: Stage::AwaitAck,
+                interest,
+                stamps: (next_conn < LATENCY_TRACKED_CONNS)
+                    .then(|| FlushStamps::new(plan.window, started)),
+            };
+            // Connection c's first stream is stream c.
+            session.begin_stream(next_conn, plan);
+            conns.insert(fd, session);
+            pending_acks += 1;
+            next_conn += 1;
+        }
+        peak = peak.max(conns.len());
+        if !streaming && next_conn == total && acked == total {
+            // Every session is open and acked: the concurrency bar is
+            // held; start the replay everywhere.
+            streaming = true;
+            for (fd, st) in conns.iter_mut() {
+                st.stage = Stage::Streaming;
+                replay_more(st, plan, &mut outcomes);
+                sync(&epoll, *fd, st, &mut to_close);
             }
         }
 
-        outcomes.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(LoadReport {
-            outcomes,
-            connections: total,
-            samples: samples_total,
-            elapsed: started.elapsed(),
-            latency: percentiles(&latencies_us),
-            peak_connections: peak,
-        })
+        epoll
+            .wait(&mut events, Some(WAIT_TICK))
+            .map_err(|e| io_err(0, e))?;
+        let now = Instant::now();
+        if !events.is_empty() {
+            last_progress = now;
+        }
+        for ev in events.iter() {
+            // Tokens are raw fds; both fit i32 on every Linux target.
+            let fd = ev.token as RawFd;
+            let Some(st) = conns.get_mut(&fd) else {
+                continue; // closed earlier this wake
+            };
+            if ev.readable || ev.hangup {
+                st.driver.fill(&mut scratch);
+            }
+            loop {
+                let frame = st
+                    .driver
+                    .next_frame()
+                    .map_err(|source| proto_err(st.conn, source))?;
+                let Some(frame) = frame else { break };
+                match frame {
+                    Frame::HelloAck { .. } if matches!(st.stage, Stage::AwaitAck) => {
+                        st.stage = Stage::Hold;
+                        pending_acks = pending_acks.saturating_sub(1);
+                        acked += 1;
+                    }
+                    Frame::Decision { op_point, .. }
+                        if matches!(st.stage, Stage::Streaming) && st.got < st.sent =>
+                    {
+                        let want = plan.spec(st.spec_idx).oracle.as_ref();
+                        if want.and_then(|t| t.get(st.got)) == Some(&usize::from(op_point)) {
+                            st.matched += 1;
+                        }
+                        if let Some(sent_at) = st.stamps.as_ref().and_then(|s| s.sent_at(st.got)) {
+                            latencies_us.record_saturating(
+                                now.saturating_duration_since(sent_at).as_micros(),
+                            );
+                        }
+                        st.got += 1;
+                    }
+                    Frame::Error { code, message } => {
+                        return Err(proto_err(st.conn, ClientError::Refused { code, message }));
+                    }
+                    other => {
+                        return Err(proto_err(
+                            st.conn,
+                            ClientError::Unexpected {
+                                wanted: "Decision",
+                                got: other.tag().name(),
+                            },
+                        ));
+                    }
+                }
+            }
+            if ev.writable {
+                st.driver.flush();
+            }
+            if matches!(st.stage, Stage::Streaming) {
+                replay_more(st, plan, &mut outcomes);
+            }
+            if st.driver.peer_gone() {
+                match st.stage {
+                    Stage::Draining => to_close.push(fd),
+                    Stage::Streaming => {
+                        return Err(LoadGenError::ShortStream {
+                            benchmark: plan.spec(st.spec_idx).name.clone(),
+                            sent: st.sent as u64,
+                            received: st.got as u64,
+                        });
+                    }
+                    Stage::AwaitAck | Stage::Hold => {
+                        return Err(io_err(
+                            st.conn,
+                            io::Error::new(
+                                io::ErrorKind::UnexpectedEof,
+                                "server closed the connection during the handshake",
+                            ),
+                        ));
+                    }
+                }
+            } else {
+                sync(&epoll, fd, st, &mut to_close);
+            }
+        }
+        for fd in to_close.drain(..) {
+            if conns.remove(&fd).is_some() {
+                let _ = epoll.delete(fd);
+            }
+        }
+        if !conns.is_empty() && now.duration_since(last_progress) > config.timeout {
+            return Err(io_err(
+                0,
+                io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("no frames from the server within {:?}", config.timeout),
+                ),
+            ));
+        }
     }
 
-    /// Keeps `window` samples in flight: queues and flushes the next
-    /// slice of the spec's precomputed sample vector.
-    fn top_up(st: &mut ManyConn, data: &[SpecData], window: usize, now: Instant) {
-        let Some(samples) = data.get(st.spec_idx).map(|d| &d.samples) else {
-            unreachable!("spec_idx is always constructed modulo data.len()")
-        };
-        let mut queued = false;
-        while st.sent < samples.len() && st.sent - st.got < window {
-            let Some(s) = samples.get(st.sent) else {
-                unreachable!("sent < samples.len() by the loop condition")
+    outcomes.sort_by(|a, b| (&a.name, a.connection).cmp(&(&b.name, b.connection)));
+    Ok(LoadReport {
+        samples: outcomes.iter().map(|o| o.samples).sum(),
+        outcomes,
+        connections: total,
+        elapsed: started.elapsed(),
+        latency: percentiles(&latencies_us),
+        peak_connections: peak,
+    })
+}
+
+/// Keeps `window` samples of the current stream in flight; when the
+/// stream is fully sent and answered, records its outcome and moves to
+/// the connection's next stream, or queues `Goodbye` after its last.
+fn replay_more(st: &mut Session, plan: &Plan, outcomes: &mut Vec<BenchmarkOutcome>) {
+    loop {
+        let d = plan.spec(st.spec_idx);
+        let first = st.sent;
+        while st.sent - st.got < plan.window {
+            let Some(s) = d.samples.get(st.sent) else {
+                break;
             };
             st.driver.queue(&Frame::Sample {
                 pid: st.pid,
@@ -788,25 +683,13 @@ mod many {
                 tsc_delta: s.core_cycles,
             });
             st.sent += 1;
-            queued = true;
         }
-        if queued {
+        if st.sent > first {
             st.driver.flush();
-            st.flushed_at = now;
+            if let Some(stamps) = st.stamps.as_mut() {
+                stamps.stamp(first, st.sent, Instant::now());
+            }
         }
-    }
-
-    /// When the stream is fully sent and fully answered, records the
-    /// outcome and starts the goodbye.
-    fn finish_if_done(
-        st: &mut ManyConn,
-        data: &[SpecData],
-        outcomes: &mut Vec<BenchmarkOutcome>,
-        samples_total: &mut u64,
-    ) {
-        let Some(d) = data.get(st.spec_idx) else {
-            unreachable!("spec_idx is always constructed modulo data.len()")
-        };
         if st.sent < d.samples.len() || st.got < st.sent {
             return;
         }
@@ -819,54 +702,86 @@ mod many {
                 compared: t.len() as u64,
             }),
         });
-        *samples_total += st.got as u64;
-        st.driver.queue(&Frame::Goodbye);
-        st.stage = Stage::Draining;
-        st.driver.flush();
+        let next = st.stream + plan.conns;
+        if next >= plan.streams {
+            st.driver.queue(&Frame::Goodbye);
+            st.stage = Stage::Draining;
+            st.driver.flush();
+            return;
+        }
+        st.begin_stream(next, plan);
     }
+}
 
-    /// Reconciles a connection's epoll registration with what it now
-    /// wants; a finished connection is queued for closing.
-    fn sync(epoll: &Epoll, fd: RawFd, st: &mut ManyConn, to_close: &mut Vec<RawFd>) {
-        let want = match st.stage {
-            Stage::Draining => {
-                if st.driver.pending() > 0 {
-                    Some(Interest::Write)
-                } else {
-                    None
-                }
-            }
-            Stage::AwaitAck | Stage::Hold | Stage::Streaming => Some(if st.driver.pending() > 0 {
-                Interest::ReadWrite
+/// Reconciles a connection's epoll registration with what it now wants;
+/// a finished connection is queued for closing.
+fn sync(epoll: &Epoll, fd: RawFd, st: &mut Session, to_close: &mut Vec<RawFd>) {
+    let want = match st.stage {
+        Stage::Draining => {
+            if st.driver.pending() > 0 {
+                Some(Interest::Write)
             } else {
-                Interest::Read
-            }),
-        };
-        match want {
-            None => to_close.push(fd),
-            Some(want) => {
-                if st.interest != want {
-                    if epoll.modify(fd, want, fd as u64).is_ok() {
-                        st.interest = want;
-                    } else {
-                        to_close.push(fd);
-                    }
+                None
+            }
+        }
+        Stage::AwaitAck | Stage::Hold | Stage::Streaming => Some(if st.driver.pending() > 0 {
+            Interest::ReadWrite
+        } else {
+            Interest::Read
+        }),
+    };
+    match want {
+        None => to_close.push(fd),
+        Some(want) => {
+            if st.interest != want {
+                if epoll.modify(fd, want, fd as u64).is_ok() {
+                    st.interest = want;
+                } else {
+                    to_close.push(fd);
                 }
             }
         }
     }
+}
 
-    /// The in-process decision trace every connection replaying `bench`
-    /// is compared against. The predictor spec was validated before any
-    /// traffic, so the engine-construction fallback (an empty trace,
-    /// comparing nothing) is unreachable in practice.
-    fn oracle_trace(bench: &spec::BenchmarkSpec, config: &LoadGenConfig) -> Vec<usize> {
-        let Ok(engine) = DecisionEngine::from_spec(EngineConfig::pentium_m(), &config.predictor)
-        else {
-            return Vec::new();
-        };
-        Manager::with_engine(engine, ManagerConfig::pentium_m())
-            .run(bench.stream(config.seed), &PlatformConfig::pentium_m())
-            .decision_trace()
+#[cfg(test)]
+mod tests {
+    use super::FlushStamps;
+    use std::time::{Duration, Instant};
+
+    /// Interleaved top-ups and partial decision batches: every decision
+    /// is timed from the flush that sent its own sample, never from the
+    /// connection's latest flush.
+    #[test]
+    fn each_decision_is_timed_from_its_own_samples_flush() {
+        let window = 4;
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut stamps = FlushStamps::new(window, t0);
+        let (mut sent, mut got) = (0usize, 0usize);
+        // The expected flush time of every sample, kept in full.
+        let mut flushed_at: Vec<Instant> = Vec::new();
+        // (decisions arriving before the top-up, flush time of the top-up)
+        let script: [(usize, u64); 7] = [(0, 1), (1, 2), (2, 3), (0, 4), (3, 5), (1, 6), (4, 7)];
+        for (decisions, ms) in script {
+            for _ in 0..decisions {
+                assert_eq!(stamps.sent_at(got), Some(flushed_at[got]), "decision {got}");
+                got += 1;
+            }
+            // Top up to a full window, as the replay loop does.
+            let first = sent;
+            while sent - got < window {
+                sent += 1;
+                flushed_at.push(at(ms));
+            }
+            stamps.stamp(first, sent, at(ms));
+        }
+        while got < sent {
+            assert_eq!(stamps.sent_at(got), Some(flushed_at[got]), "decision {got}");
+            got += 1;
+        }
+        // Samples from four different flushes were in flight at once.
+        assert_eq!(got, 15);
+        assert_ne!(flushed_at[4], flushed_at[5]);
     }
 }

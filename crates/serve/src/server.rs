@@ -11,7 +11,7 @@
 //!
 //! Robustness: every connection carries read/write timeouts; a
 //! malformed or oversized frame earns the sender a terminal
-//! [`Frame::Error`] and poisons **only that connection** — its shard
+//! [`Frame::Error`](crate::wire::Frame::Error) and poisons **only that connection** — its shard
 //! and every other session keep running. Connections whose outbound
 //! queue exceeds [`ServerConfig::max_outbound_bytes`] are shed with a
 //! typed slow-consumer error. Shutdown is flag-based:
@@ -20,7 +20,7 @@
 //! connect; connections are drained — in-flight samples still get their
 //! decisions and queued frames flush — before sockets close.
 
-use crate::wire::{Frame, StatsSnapshot};
+use crate::wire::StatsSnapshot;
 use livephase_engine::EngineConfig;
 use livephase_telemetry::{trace_event, Counter, Gauge, Histogram, Level};
 use std::io;
@@ -322,19 +322,4 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         shared,
         threads,
     })
-}
-
-pub(crate) fn frame_name(frame: &Frame) -> &'static str {
-    match frame {
-        Frame::Hello { .. } => "Hello",
-        Frame::HelloAck { .. } => "HelloAck",
-        Frame::Sample { .. } => "Sample",
-        Frame::Decision { .. } => "Decision",
-        Frame::StatsRequest => "StatsRequest",
-        Frame::Stats(_) => "Stats",
-        Frame::Error { .. } => "Error",
-        Frame::Goodbye => "Goodbye",
-        Frame::MetricsRequest => "MetricsRequest",
-        Frame::Metrics { .. } => "Metrics",
-    }
 }

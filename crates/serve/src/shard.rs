@@ -53,9 +53,9 @@ const READ_SCRATCH_BYTES: usize = 64 * 1024;
 /// Per-shard reactor instruments: the shard's session/decision handles
 /// plus the reactor-specific gauges the tentpole adds.
 pub(crate) struct ReactorMetrics {
-    /// The same per-shard handles the blocking shard loop records.
+    /// The per-shard session, sample and decision handles.
     pub(crate) shard: ShardMetrics,
-    /// Decode latency, shard-labeled like the blocking reader threads'.
+    /// Decode latency, shard-labeled.
     pub(crate) decode_us: Arc<Histogram>,
     /// Sockets (plus the listener) this shard currently owns.
     pub(crate) open_fds: Arc<Gauge>,
@@ -427,8 +427,7 @@ fn accept_burst(
     }
 }
 
-/// Post-connection bookkeeping, identical to the blocking path's: drop
-/// the active count and, when an `exit_after_conns` quota is both
+/// Post-connection bookkeeping: drop the active count and, when an `exit_after_conns` quota is both
 /// reached and fully drained, initiate shutdown and poke every shard
 /// awake via a loopback connect.
 fn finish_admitted(shared: &Shared, exit_after: Option<u64>, local_addr: Option<SocketAddr>) {

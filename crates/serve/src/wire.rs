@@ -25,17 +25,10 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Newest protocol version spoken by this build. Version 2 added the
-/// [`Frame::MetricsRequest`] / [`Frame::Metrics`] exposition scrape.
+/// The one protocol version this build speaks. A server receiving a
+/// `Hello` with any other version answers [`ErrorCode::VersionMismatch`]
+/// and closes the connection; `HelloAck` carries this version back.
 pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Oldest protocol version this build still serves. A server receiving
-/// a `Hello` version outside `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION`
-/// answers with [`ErrorCode::VersionMismatch`] and closes the
-/// connection; inside the range, the session speaks the client's
-/// version (echoed in `HelloAck`), and v2-only frames from a v1 session
-/// are [`ErrorCode::Protocol`] violations.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Hard ceiling on the payload length of a single frame.
 ///
@@ -223,10 +216,10 @@ pub enum Frame {
     /// Client → server: clean close. The server flushes any in-flight
     /// decisions and closes the connection.
     Goodbye,
-    /// Client → server (v2+): request a [`Frame::Metrics`] exposition
+    /// Client → server: request a [`Frame::Metrics`] exposition
     /// scrape. Answered in-order with the connection's decision stream.
     MetricsRequest,
-    /// Server → client (v2+): the metrics registry rendered in the
+    /// Server → client: the metrics registry rendered in the
     /// Prometheus text exposition format, truncated at a line boundary
     /// to at most [`MAX_METRICS_TEXT_BYTES`].
     Metrics {
@@ -235,16 +228,77 @@ pub enum Frame {
     },
 }
 
-const TAG_HELLO: u8 = 1;
-const TAG_HELLO_ACK: u8 = 2;
-const TAG_SAMPLE: u8 = 3;
-const TAG_DECISION: u8 = 4;
-const TAG_STATS_REQUEST: u8 = 5;
-const TAG_STATS: u8 = 6;
-const TAG_ERROR: u8 = 7;
-const TAG_GOODBYE: u8 = 8;
-const TAG_METRICS_REQUEST: u8 = 9;
-const TAG_METRICS: u8 = 10;
+/// A frame's one-byte wire tag. Each [`Frame`] variant's tag, wire
+/// value and name live here, once: rustc rejects a duplicate
+/// discriminant, [`Frame::tag`] is an exhaustive `match`, and
+/// [`decode_payload`] dispatches exhaustively on the tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Tag {
+    Hello = 1,
+    HelloAck = 2,
+    Sample = 3,
+    Decision = 4,
+    StatsRequest = 5,
+    Stats = 6,
+    Error = 7,
+    Goodbye = 8,
+    MetricsRequest = 9,
+    Metrics = 10,
+}
+
+impl Tag {
+    /// The tag a wire byte names, if any.
+    fn from_u8(byte: u8) -> Option<Self> {
+        Some(match byte {
+            1 => Self::Hello,
+            2 => Self::HelloAck,
+            3 => Self::Sample,
+            4 => Self::Decision,
+            5 => Self::StatsRequest,
+            6 => Self::Stats,
+            7 => Self::Error,
+            8 => Self::Goodbye,
+            9 => Self::MetricsRequest,
+            10 => Self::Metrics,
+            _ => return None,
+        })
+    }
+
+    /// The frame kind's name, for protocol-violation messages.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Self::Hello => "Hello",
+            Self::HelloAck => "HelloAck",
+            Self::Sample => "Sample",
+            Self::Decision => "Decision",
+            Self::StatsRequest => "StatsRequest",
+            Self::Stats => "Stats",
+            Self::Error => "Error",
+            Self::Goodbye => "Goodbye",
+            Self::MetricsRequest => "MetricsRequest",
+            Self::Metrics => "Metrics",
+        }
+    }
+}
+
+impl Frame {
+    /// This frame's wire tag.
+    pub(crate) fn tag(&self) -> Tag {
+        match self {
+            Self::Hello { .. } => Tag::Hello,
+            Self::HelloAck { .. } => Tag::HelloAck,
+            Self::Sample { .. } => Tag::Sample,
+            Self::Decision { .. } => Tag::Decision,
+            Self::StatsRequest => Tag::StatsRequest,
+            Self::Stats(_) => Tag::Stats,
+            Self::Error { .. } => Tag::Error,
+            Self::Goodbye => Tag::Goodbye,
+            Self::MetricsRequest => Tag::MetricsRequest,
+            Self::Metrics { .. } => Tag::Metrics,
+        }
+    }
+}
 
 /// A frame that failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -351,6 +405,7 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
 /// without the length prefix and without allocating a fresh vector —
 /// the hot-path variant for write loops that reuse an outbound buffer.
 pub fn encode_payload_into(frame: &Frame, buf: &mut Vec<u8>) {
+    buf.push(frame.tag() as u8);
     match frame {
         Frame::Hello {
             version,
@@ -358,7 +413,6 @@ pub fn encode_payload_into(frame: &Frame, buf: &mut Vec<u8>) {
             platform,
             predictor,
         } => {
-            buf.push(TAG_HELLO);
             buf.extend_from_slice(&version.to_le_bytes());
             buf.extend_from_slice(&client_id.to_le_bytes());
             put_str(buf, platform);
@@ -369,7 +423,6 @@ pub fn encode_payload_into(frame: &Frame, buf: &mut Vec<u8>) {
             shard,
             op_points,
         } => {
-            buf.push(TAG_HELLO_ACK);
             buf.extend_from_slice(&version.to_le_bytes());
             buf.extend_from_slice(&shard.to_le_bytes());
             buf.push(*op_points);
@@ -380,7 +433,6 @@ pub fn encode_payload_into(frame: &Frame, buf: &mut Vec<u8>) {
             mem_trans,
             tsc_delta,
         } => {
-            buf.push(TAG_SAMPLE);
             buf.extend_from_slice(&pid.to_le_bytes());
             buf.extend_from_slice(&uops.to_le_bytes());
             buf.extend_from_slice(&mem_trans.to_le_bytes());
@@ -391,14 +443,11 @@ pub fn encode_payload_into(frame: &Frame, buf: &mut Vec<u8>) {
             op_point,
             confidence,
         } => {
-            buf.push(TAG_DECISION);
             buf.extend_from_slice(&pid.to_le_bytes());
             buf.push(*op_point);
             buf.extend_from_slice(&confidence.to_le_bytes());
         }
-        Frame::StatsRequest => buf.push(TAG_STATS_REQUEST),
         Frame::Stats(s) => {
-            buf.push(TAG_STATS);
             buf.extend_from_slice(&s.samples.to_le_bytes());
             buf.extend_from_slice(&s.decisions.to_le_bytes());
             buf.extend_from_slice(&s.connections.to_le_bytes());
@@ -407,16 +456,11 @@ pub fn encode_payload_into(frame: &Frame, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&s.shards.to_le_bytes());
         }
         Frame::Error { code, message } => {
-            buf.push(TAG_ERROR);
             buf.push(code.to_u8());
             put_str(buf, message);
         }
-        Frame::Goodbye => buf.push(TAG_GOODBYE),
-        Frame::MetricsRequest => buf.push(TAG_METRICS_REQUEST),
-        Frame::Metrics { text } => {
-            buf.push(TAG_METRICS);
-            put_str(buf, text);
-        }
+        Frame::Metrics { text } => put_str(buf, text),
+        Frame::StatsRequest | Frame::Goodbye | Frame::MetricsRequest => {}
     }
 }
 
@@ -520,32 +564,33 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, DecodeError> {
         bytes: payload,
         pos: 0,
     };
-    let tag = f.u8()?;
+    let byte = f.u8()?;
+    let tag = Tag::from_u8(byte).ok_or(DecodeError::UnknownTag(byte))?;
     let frame = match tag {
-        TAG_HELLO => Frame::Hello {
+        Tag::Hello => Frame::Hello {
             version: f.u16()?,
             client_id: f.u64()?,
             platform: f.string()?,
             predictor: f.string()?,
         },
-        TAG_HELLO_ACK => Frame::HelloAck {
+        Tag::HelloAck => Frame::HelloAck {
             version: f.u16()?,
             shard: f.u32()?,
             op_points: f.u8()?,
         },
-        TAG_SAMPLE => Frame::Sample {
+        Tag::Sample => Frame::Sample {
             pid: f.u32()?,
             uops: f.u64()?,
             mem_trans: f.u64()?,
             tsc_delta: f.u64()?,
         },
-        TAG_DECISION => Frame::Decision {
+        Tag::Decision => Frame::Decision {
             pid: f.u32()?,
             op_point: f.u8()?,
             confidence: f.u16()?,
         },
-        TAG_STATS_REQUEST => Frame::StatsRequest,
-        TAG_STATS => Frame::Stats(StatsSnapshot {
+        Tag::StatsRequest => Frame::StatsRequest,
+        Tag::Stats => Frame::Stats(StatsSnapshot {
             samples: f.u64()?,
             decisions: f.u64()?,
             connections: f.u64()?,
@@ -553,17 +598,16 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, DecodeError> {
             processes: f.u64()?,
             shards: f.u32()?,
         }),
-        TAG_ERROR => {
+        Tag::Error => {
             let code = f.u8()?;
             Frame::Error {
                 code: ErrorCode::from_u8(code).ok_or(DecodeError::BadErrorCode(code))?,
                 message: f.string()?,
             }
         }
-        TAG_GOODBYE => Frame::Goodbye,
-        TAG_METRICS_REQUEST => Frame::MetricsRequest,
-        TAG_METRICS => Frame::Metrics { text: f.string()? },
-        other => return Err(DecodeError::UnknownTag(other)),
+        Tag::Goodbye => Frame::Goodbye,
+        Tag::MetricsRequest => Frame::MetricsRequest,
+        Tag::Metrics => Frame::Metrics { text: f.string()? },
     };
     f.finish()?;
     Ok(frame)
@@ -828,10 +872,120 @@ mod tests {
         });
     }
 
+    /// Wire compatibility: each tag's byte, and the full encoding of one
+    /// instance of every frame variant, as literal bytes. A renumbered
+    /// tag changes both sides of a round trip, so only a golden sees it.
     #[test]
-    fn version_range_is_sane() {
-        assert_eq!(MIN_PROTOCOL_VERSION, 1, "v1 sessions must stay served");
-        assert_eq!(PROTOCOL_VERSION, 2, "v2 added the metrics scrape");
+    fn tags_and_frame_encodings_are_pinned() {
+        let tags = [
+            (Tag::Hello, 1),
+            (Tag::HelloAck, 2),
+            (Tag::Sample, 3),
+            (Tag::Decision, 4),
+            (Tag::StatsRequest, 5),
+            (Tag::Stats, 6),
+            (Tag::Error, 7),
+            (Tag::Goodbye, 8),
+            (Tag::MetricsRequest, 9),
+            (Tag::Metrics, 10),
+        ];
+        for (tag, byte) in tags {
+            assert_eq!(tag as u8, byte, "{tag:?}");
+            assert_eq!(Tag::from_u8(byte), Some(tag));
+        }
+        assert_eq!(Tag::from_u8(0), None);
+        assert_eq!(Tag::from_u8(11), None);
+
+        let z7 = [0u8; 7];
+        let cases: [(Frame, Vec<u8>); 10] = [
+            (
+                Frame::Hello {
+                    version: 2,
+                    client_id: 0x0807_0605_0403_0201,
+                    platform: "pm".into(),
+                    predictor: "g".into(),
+                },
+                [
+                    &[18, 0, 0, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8][..],
+                    &[2, 0, b'p', b'm', 1, 0, b'g'],
+                ]
+                .concat(),
+            ),
+            (
+                Frame::HelloAck {
+                    version: 2,
+                    shard: 3,
+                    op_points: 6,
+                },
+                vec![8, 0, 0, 0, 2, 2, 0, 3, 0, 0, 0, 6],
+            ),
+            (
+                Frame::Sample {
+                    pid: 7,
+                    uops: 0x0102,
+                    mem_trans: 3,
+                    tsc_delta: 4,
+                },
+                [
+                    &[29, 0, 0, 0, 3, 7, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0][..],
+                    &[3],
+                    &z7,
+                    &[4],
+                    &z7,
+                ]
+                .concat(),
+            ),
+            (
+                Frame::Decision {
+                    pid: 7,
+                    op_point: 5,
+                    confidence: 0x1234,
+                },
+                vec![8, 0, 0, 0, 4, 7, 0, 0, 0, 5, 0x34, 0x12],
+            ),
+            (Frame::StatsRequest, vec![1, 0, 0, 0, 5]),
+            (
+                Frame::Stats(StatsSnapshot {
+                    samples: 1,
+                    decisions: 2,
+                    connections: 3,
+                    active_connections: 4,
+                    processes: 5,
+                    shards: 6,
+                }),
+                [
+                    &[45, 0, 0, 0, 6, 1][..],
+                    &z7,
+                    &[2],
+                    &z7,
+                    &[3],
+                    &z7,
+                    &[4],
+                    &z7,
+                    &[5],
+                    &z7,
+                    &[6, 0, 0, 0],
+                ]
+                .concat(),
+            ),
+            (
+                Frame::Error {
+                    code: ErrorCode::VersionMismatch,
+                    message: "v".into(),
+                },
+                vec![5, 0, 0, 0, 7, 1, 1, 0, b'v'],
+            ),
+            (Frame::Goodbye, vec![1, 0, 0, 0, 8]),
+            (Frame::MetricsRequest, vec![1, 0, 0, 0, 9]),
+            (
+                Frame::Metrics { text: "m".into() },
+                vec![4, 0, 0, 0, 10, 1, 0, b'm'],
+            ),
+        ];
+        for (frame, bytes) in &cases {
+            assert_eq!(&encode(frame), bytes, "{frame:?}");
+            round_trip(frame);
+        }
     }
 
     #[test]
@@ -900,7 +1054,7 @@ mod tests {
         let mut bytes = (u32::try_from(MAX_FRAME_BYTES).unwrap() + 1)
             .to_le_bytes()
             .to_vec();
-        bytes.push(TAG_GOODBYE);
+        bytes.push(Tag::Goodbye as u8);
         let mut cursor = io::Cursor::new(bytes);
         match read_frame(&mut cursor) {
             Err(FrameError::Decode(DecodeError::BadLength(n))) => {
@@ -913,7 +1067,7 @@ mod tests {
     #[test]
     fn bad_strings_and_codes_are_rejected() {
         // Hello with invalid UTF-8 in the platform string.
-        let mut payload = vec![TAG_HELLO];
+        let mut payload = vec![Tag::Hello as u8];
         payload.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
         payload.extend_from_slice(&7u64.to_le_bytes());
         payload.extend_from_slice(&2u16.to_le_bytes());
@@ -921,7 +1075,7 @@ mod tests {
         payload.extend_from_slice(&0u16.to_le_bytes());
         assert_eq!(decode_payload(&payload), Err(DecodeError::BadString));
 
-        let mut payload = vec![TAG_ERROR, 99];
+        let mut payload = vec![Tag::Error as u8, 99];
         payload.extend_from_slice(&0u16.to_le_bytes());
         assert_eq!(decode_payload(&payload), Err(DecodeError::BadErrorCode(99)));
     }

@@ -34,43 +34,75 @@ fn connect(handle: &livephase_serve::ServerHandle, client_id: u64) -> Client {
     .expect("handshake")
 }
 
-/// The tentpole acceptance test: three benchmarks streamed through the
-/// service agree bit-exactly with the in-process oracle, through the
-/// same load-generator path `serve-bench` uses.
+/// The acceptance test: benchmarks streamed through the service agree
+/// bit-exactly with the in-process oracle, through the same
+/// load-generator path `serve-bench` uses, under every shape of the
+/// deal rule (streams = max(conns, benchmarks); stream k replays
+/// benchmark k % n on connection k % conns).
 #[test]
 fn served_decisions_are_bit_identical_to_manager_runs() {
-    let handle = test_server(5_000, 64);
-    let report = loadgen::run(&LoadGenConfig {
-        addr: handle.local_addr().to_string(),
-        connections: 3,
-        benchmarks: vec!["applu_in".into(), "crafty_in".into(), "swim_in".into()],
-        length: 80,
-        window: 16,
-        ..LoadGenConfig::default()
-    })
-    .expect("load generation succeeds");
+    let three = ["applu_in", "crafty_in", "swim_in"];
+    // (connections, benchmarks, expected per-benchmark stream counts)
+    type Case<'a> = (usize, &'a [&'a str], &'a [(&'a str, usize)]);
+    let cases: [Case<'_>; 3] = [
+        // One stream per connection.
+        (
+            3,
+            &three,
+            &[("applu_in", 1), ("crafty_in", 1), ("swim_in", 1)],
+        ),
+        // Fewer connections: every benchmark still runs once, two of
+        // them back to back on connection 0.
+        (
+            2,
+            &three,
+            &[("applu_in", 1), ("crafty_in", 1), ("swim_in", 1)],
+        ),
+        // More connections: benchmarks repeat until every connection
+        // carries a stream.
+        (5, &three[..2], &[("applu_in", 3), ("crafty_in", 2)]),
+    ];
+    for (conns, benches, expected) in cases {
+        let handle = test_server(5_000, 64);
+        let report = loadgen::run(&LoadGenConfig {
+            addr: handle.local_addr().to_string(),
+            connections: conns,
+            benchmarks: benches.iter().map(|b| (*b).to_owned()).collect(),
+            length: 80,
+            window: 16,
+            ..LoadGenConfig::default()
+        })
+        .expect("load generation succeeds");
 
-    assert_eq!(report.outcomes.len(), 3);
-    for outcome in &report.outcomes {
-        let agreement = outcome.agreement.expect("agreement checked");
-        assert!(
-            agreement.exact(),
-            "{}: {}/{} decisions matched",
-            outcome.name,
-            agreement.matched,
-            agreement.compared
-        );
-        assert_eq!(outcome.samples, 80, "one decision per sample");
+        let streams = conns.max(benches.len());
+        assert_eq!(report.outcomes.len(), streams, "{conns} x {benches:?}");
+        for (name, count) in expected {
+            let seen = report.outcomes.iter().filter(|o| o.name == *name).count();
+            assert_eq!(seen, *count, "{name} streams for {conns} x {benches:?}");
+        }
+        for outcome in &report.outcomes {
+            let agreement = outcome.agreement.expect("agreement checked");
+            assert!(
+                agreement.exact(),
+                "{}: {}/{} decisions matched",
+                outcome.name,
+                agreement.matched,
+                agreement.compared
+            );
+            assert_eq!(outcome.samples, 80, "one decision per sample");
+        }
+        assert!(report.all_exact());
+        assert_eq!(report.connections, conns);
+        assert_eq!(report.peak_connections, conns);
+        assert_eq!(report.samples, 80 * streams as u64);
+        assert!(report.samples_per_s() > 0.0);
+
+        let summary = handle.shutdown();
+        assert_eq!(summary.accepted, conns as u64);
+        assert_eq!(summary.samples, 80 * streams as u64);
+        assert_eq!(summary.decisions, 80 * streams as u64);
+        assert_eq!(summary.poisoned, 0);
     }
-    assert!(report.all_exact());
-    assert_eq!(report.samples, 240);
-    assert!(report.samples_per_s() > 0.0);
-
-    let summary = handle.shutdown();
-    assert_eq!(summary.accepted, 3);
-    assert_eq!(summary.samples, 240);
-    assert_eq!(summary.decisions, 240);
-    assert_eq!(summary.poisoned, 0);
 }
 
 /// A `MetricsRequest` after traffic returns valid exposition text whose
@@ -81,7 +113,6 @@ fn served_decisions_are_bit_identical_to_manager_runs() {
 fn metrics_scrape_reflects_served_traffic() {
     let handle = test_server(5_000, 64);
     let mut client = connect(&handle, 99);
-    assert_eq!(client.version(), PROTOCOL_VERSION, "v2 negotiated");
     const SAMPLES: u64 = 50;
     for _ in 0..SAMPLES {
         client.queue_sample(7, 100_000_000, 1_200_000, 0).unwrap();
@@ -119,134 +150,6 @@ fn metrics_scrape_reflects_served_traffic() {
             .any(|l| l.starts_with("serve_frame_decode_us_bucket{") && l.contains("le=")),
         "per-shard frame-latency histogram buckets present"
     );
-}
-
-/// A client that negotiated protocol v1 is served decisions as before,
-/// but a v2-only `MetricsRequest` from it is a protocol violation.
-#[test]
-fn v1_sessions_are_served_but_cannot_scrape_metrics() {
-    let handle = test_server(5_000, 64);
-    // Hand-roll a v1 handshake: the Hello advertises version 1.
-    let stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = std::io::BufReader::new(stream);
-    writer
-        .write_all(&wire::encode(&Frame::Hello {
-            version: 1,
-            client_id: 5,
-            platform: "pentium_m".into(),
-            predictor: "gpht:8:128".into(),
-        }))
-        .unwrap();
-    match wire::read_frame(&mut reader).unwrap() {
-        Frame::HelloAck { version, .. } => assert_eq!(version, 1, "HelloAck echoes v1"),
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
-    // Decisions still flow for a v1 session.
-    writer
-        .write_all(&wire::encode(&Frame::Sample {
-            pid: 1,
-            uops: 100_000_000,
-            mem_trans: 0,
-            tsc_delta: 0,
-        }))
-        .unwrap();
-    assert!(matches!(
-        wire::read_frame(&mut reader).unwrap(),
-        Frame::Decision { pid: 1, .. }
-    ));
-    // But the v2-only scrape is refused as a protocol violation.
-    writer
-        .write_all(&wire::encode(&Frame::MetricsRequest))
-        .unwrap();
-    match wire::read_frame(&mut reader).unwrap() {
-        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-        other => panic!("expected Error, got {other:?}"),
-    }
-    handle.shutdown();
-}
-
-/// v1 and v2 sessions run the same `DecisionEngine`: the same counter
-/// stream through a hand-rolled v1 session and a library v2 client yields
-/// bit-identical decisions, operating point and confidence alike.
-#[test]
-fn v1_and_v2_sessions_decide_identically() {
-    use livephase_workloads::{counter_samples, spec};
-    let handle = test_server(5_000, 64);
-
-    let trace = spec::benchmark("applu_in")
-        .unwrap()
-        .with_length(60)
-        .generate(42);
-    let samples: Vec<(u64, u64)> = counter_samples(&trace)
-        .map(|s| (s.uops, s.mem_transactions))
-        .collect();
-
-    // v2 session through the library client.
-    let mut v2 = connect(&handle, 21);
-    for &(uops, mem) in &samples {
-        v2.queue_sample(1, uops, mem, 0).unwrap();
-    }
-    v2.flush().unwrap();
-    let v2_decisions: Vec<(u8, u16)> = (0..samples.len())
-        .map(|_| {
-            let d = v2.read_decision().expect("v2 decision");
-            (d.op_point, d.confidence)
-        })
-        .collect();
-    v2.goodbye().unwrap();
-
-    // v1 session, hand-rolled over the same stream.
-    let stream = TcpStream::connect(handle.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = std::io::BufReader::new(stream);
-    writer
-        .write_all(&wire::encode(&Frame::Hello {
-            version: 1,
-            client_id: 22,
-            platform: "pentium_m".into(),
-            predictor: "gpht:8:128".into(),
-        }))
-        .unwrap();
-    match wire::read_frame(&mut reader).unwrap() {
-        Frame::HelloAck { version, .. } => assert_eq!(version, 1),
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
-    for &(uops, mem) in &samples {
-        writer
-            .write_all(&wire::encode(&Frame::Sample {
-                pid: 1,
-                uops,
-                mem_trans: mem,
-                tsc_delta: 0,
-            }))
-            .unwrap();
-    }
-    let v1_decisions: Vec<(u8, u16)> = (0..samples.len())
-        .map(|_| match wire::read_frame(&mut reader).unwrap() {
-            Frame::Decision {
-                pid,
-                op_point,
-                confidence,
-            } => {
-                assert_eq!(pid, 1);
-                (op_point, confidence)
-            }
-            other => panic!("expected Decision, got {other:?}"),
-        })
-        .collect();
-
-    assert_eq!(
-        v1_decisions, v2_decisions,
-        "v1 and v2 sessions share one engine"
-    );
-    handle.shutdown();
 }
 
 /// A malformed frame earns `Error{Malformed}` and poisons only that
@@ -317,19 +220,21 @@ fn handshake_refusals_are_typed() {
     );
     assert!(err.is_ok(), "control: a good handshake succeeds");
 
-    // Wrong protocol version.
-    let mut raw = TcpStream::connect(handle.local_addr()).expect("connect");
-    raw.write_all(&wire::encode(&Frame::Hello {
-        version: PROTOCOL_VERSION + 1,
-        client_id: 2,
-        platform: "pentium_m".into(),
-        predictor: "gpht:8:128".into(),
-    }))
-    .expect("send");
-    let mut r = std::io::BufReader::new(raw);
-    match wire::read_frame(&mut r) {
-        Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::VersionMismatch),
-        other => panic!("expected Error{{VersionMismatch}}, got {other:?}"),
+    // Any version but the one the server speaks, older or newer.
+    for version in [1, PROTOCOL_VERSION + 1] {
+        let mut raw = TcpStream::connect(handle.local_addr()).expect("connect");
+        raw.write_all(&wire::encode(&Frame::Hello {
+            version,
+            client_id: 2,
+            platform: "pentium_m".into(),
+            predictor: "gpht:8:128".into(),
+        }))
+        .expect("send");
+        let mut r = std::io::BufReader::new(raw);
+        match wire::read_frame(&mut r) {
+            Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::VersionMismatch),
+            other => panic!("v{version}: expected Error{{VersionMismatch}}, got {other:?}"),
+        }
     }
 
     // Unparseable predictor spec.

@@ -1,10 +1,8 @@
-//! Reactor end-to-end tests: the many-connection load generator holding
-//! every session open at once, slow-consumer shedding under an
-//! outbound-queue cap, bit-exactness of served decisions against the
-//! in-process session engine, and reap/drain accounting. (These used to
-//! run the same scenarios through the removed thread-per-connection
-//! blocking engine as an equivalence oracle; the in-process decision
-//! path is the oracle now.)
+//! Reactor end-to-end tests: the load generator holding every session
+//! open at once, slow-consumer shedding under an outbound-queue cap,
+//! bit-exactness of served decisions against the in-process session
+//! engine (also while a same-shard sibling is poisoned mid-stream), and
+//! reap/drain accounting.
 
 use livephase_engine::DecisionEngine;
 use livephase_serve::client::Client;
@@ -29,8 +27,8 @@ fn connect(handle: &livephase_serve::ServerHandle, client_id: u64) -> Client {
     .expect("handshake")
 }
 
-/// The scaled acceptance bar, sized for CI: the many-connection load
-/// generator opens 1200 sessions, holds them ALL open concurrently
+/// The scaled acceptance bar, sized for CI: the load generator opens
+/// 1200 sessions, holds them ALL open concurrently
 /// (peak == requested), and every served stream is bit-exact against
 /// the in-process manager.
 #[test]
@@ -49,7 +47,6 @@ fn many_connection_mode_holds_all_sessions_and_stays_bit_exact() {
         benchmarks: vec!["applu_in".into(), "swim_in".into(), "crafty_in".into()],
         length: 12,
         window: 16,
-        many_conn: true,
         timeout: Duration::from_secs(30),
         ..LoadGenConfig::default()
     })
@@ -335,6 +332,142 @@ fn oversized_predictor_specs_are_refused_without_disturbing_the_shard() {
     );
 }
 
+/// Garbage mid-stream poisons only the session that sent it: on one
+/// shard, a sibling that handshook and streamed valid samples sends a
+/// truncated `Sample` body and then an unknown tag, while a victim on
+/// the same shard streams a real benchmark before, during and after.
+/// The victim's whole decision stream is the in-process engine's, bit
+/// for bit.
+#[test]
+fn mid_stream_garbage_leaves_same_shard_sessions_bit_exact() {
+    use livephase_serve::Sample;
+    use livephase_workloads::{counter_samples, spec};
+    let samples: Vec<Sample> = counter_samples(
+        spec::benchmark("mcf_inp")
+            .expect("known benchmark")
+            .with_length(150)
+            .stream(42),
+    )
+    .map(|s| Sample {
+        pid: 3,
+        uops: s.uops,
+        mem_transactions: s.mem_transactions,
+    })
+    .collect();
+    let mut oracle =
+        DecisionEngine::from_spec(EngineConfig::pentium_m(), "gpht:8:128").expect("oracle engine");
+    let expected: Vec<(u8, u16)> = samples
+        .iter()
+        .map(|s| {
+            let d = oracle.step(s);
+            (d.op_point, d.confidence)
+        })
+        .collect();
+
+    let handle = spawn(ServerConfig {
+        shards: 1,
+        read_timeout: Duration::from_secs(10),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut victim = connect(&handle, 1);
+    let queue = |client: &mut Client, part: &[Sample]| {
+        for s in part {
+            client
+                .queue_sample(s.pid, s.uops, s.mem_transactions, 0)
+                .expect("queue");
+        }
+        client.flush().expect("flush");
+    };
+    let mut served = Vec::new();
+    let mut read = |client: &mut Client, n: usize| {
+        for _ in 0..n {
+            let d = client.read_decision().expect("victim decision");
+            served.push((d.op_point, d.confidence));
+        }
+    };
+    let (before, rest) = samples.split_at(50);
+    let (during, after) = rest.split_at(50);
+
+    // The sibling: a real session on the same shard, streaming valid
+    // samples first.
+    let mut raw = TcpStream::connect(handle.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    raw.write_all(&wire::encode(&Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client_id: 2,
+        platform: "pentium_m".into(),
+        predictor: "gpht:8:128".into(),
+    }))
+    .expect("send hello");
+    let mut sibling = std::io::BufReader::new(raw.try_clone().expect("clone"));
+    match wire::read_frame(&mut sibling) {
+        Ok(Frame::HelloAck { shard: 0, .. }) => {}
+        other => panic!("expected HelloAck on shard 0, got {other:?}"),
+    }
+
+    queue(&mut victim, before);
+    read(&mut victim, before.len());
+    for s in &samples[..10] {
+        raw.write_all(&wire::encode(&Frame::Sample {
+            pid: 9,
+            uops: s.uops,
+            mem_trans: s.mem_transactions,
+            tsc_delta: 0,
+        }))
+        .expect("valid sample");
+    }
+    for _ in 0..10 {
+        match wire::read_frame(&mut sibling) {
+            Ok(Frame::Decision { pid: 9, .. }) => {}
+            other => panic!("expected the sibling's decision, got {other:?}"),
+        }
+    }
+
+    // The victim has samples in flight while the garbage lands: a
+    // `Sample` whose length prefix cuts its body short, then a frame
+    // with an unknown tag.
+    queue(&mut victim, during);
+    let mut garbage = Vec::new();
+    let sample = wire::encode_payload(&Frame::Sample {
+        pid: 9,
+        uops: 1,
+        mem_trans: 1,
+        tsc_delta: 1,
+    });
+    let cut = &sample[..13];
+    garbage.extend_from_slice(&(cut.len() as u32).to_le_bytes());
+    garbage.extend_from_slice(cut);
+    garbage.extend_from_slice(&1u32.to_le_bytes());
+    garbage.push(200);
+    raw.write_all(&garbage).expect("garbage");
+    read(&mut victim, during.len());
+    match wire::read_frame(&mut sibling) {
+        Ok(Frame::Error { code, message }) => {
+            assert_eq!(code, ErrorCode::Malformed);
+            assert!(message.contains("truncated"), "{message}");
+        }
+        other => panic!("expected Error{{Malformed}}, got {other:?}"),
+    }
+    assert!(
+        wire::read_frame(&mut sibling).is_err(),
+        "the sibling is closed after its terminal error"
+    );
+
+    queue(&mut victim, after);
+    read(&mut victim, after.len());
+    victim.goodbye().expect("close");
+    drop((raw, sibling));
+    let summary = handle.shutdown();
+    assert_eq!(summary.poisoned, 1, "only the sibling was poisoned");
+    assert_eq!(summary.decisions, samples.len() as u64 + 10);
+    assert_eq!(
+        served, expected,
+        "the victim's stream is the in-process decision path, bit for bit"
+    );
+}
+
 /// Idle reaping and graceful drain: an idle session earns
 /// `Error{IdleTimeout}`, queued decisions survive a shutdown (flushed
 /// before the close), and the poison accounting charges exactly the
@@ -397,8 +530,8 @@ fn idle_reap_and_graceful_drain_account_exactly() {
     );
 }
 
-/// The standard (threaded) load generator reports identical outcomes
-/// across two independent reactor servers: same per-benchmark
+/// The load generator reports identical outcomes across two
+/// independent servers: same per-benchmark
 /// agreement, same sample counts — serving is deterministic end to end.
 #[test]
 fn loadgen_reports_are_reproducible_across_servers() {

@@ -28,8 +28,9 @@
 //!   structured tracing.
 //! * [`lint`] — the workspace invariant linter: panic-freedom and
 //!   determinism of everything the hot paths reach over the call graph,
-//!   `SAFETY:` discipline, telemetry naming, and wire-tag uniqueness,
-//!   checked over a hand-rolled token stream and gated in CI.
+//!   `SAFETY:` discipline, telemetry naming, and CLI-flag and metric-name
+//!   agreement with the docs, checked over a hand-rolled token stream and
+//!   gated in CI.
 //!
 //! See the repository `README.md` for a tour and `DESIGN.md` for the
 //! paper-to-crate mapping.
