@@ -459,7 +459,7 @@ pub fn registry() -> &'static [Area] {
         Area {
             name: "gpht_observe",
             what: "1000 Gpht::next calls on each of a warm GPHT(8,128) and GPHT(8,1024)",
-            expected_ratio: 0.07,
+            expected_ratio: 0.086,
             run: run_gpht_observe,
         },
         Area {
@@ -471,73 +471,73 @@ pub fn registry() -> &'static [Area] {
         Area {
             name: "governor_run",
             what: "one GPHT-managed run over 200 applu intervals",
-            expected_ratio: 0.076,
+            expected_ratio: 0.094,
             run: run_governor_run,
         },
         Area {
             name: "pmsim_run_to_pmi",
             what: "1000 push_work + run_to_pmi intervals with a set_dvfs flip on each",
-            expected_ratio: 0.125,
+            expected_ratio: 0.154,
             run: run_pmsim_run_to_pmi,
         },
         Area {
             name: "daq_measure",
             what: "one DaqSystem::measure_all over an 8-interval applu baseline/GPHT pair",
-            expected_ratio: 5.8,
+            expected_ratio: 7.1,
             run: run_daq_measure,
         },
         Area {
             name: "wire_encode",
             what: "encode 1000 sample/decision frames into a reused buffer",
-            expected_ratio: 0.019,
+            expected_ratio: 0.023,
             run: run_wire_encode,
         },
         Area {
             name: "wire_decode",
             what: "FrameDecoder over a 1000-frame buffer, drained",
-            expected_ratio: 0.057,
+            expected_ratio: 0.07,
             run: run_wire_decode,
         },
         Area {
             name: "telemetry_record",
             what: "4000 varied-magnitude Histogram::record calls",
-            expected_ratio: 0.15,
+            expected_ratio: 0.185,
             run: run_telemetry_record,
         },
         Area {
             name: "telemetry_quantile",
             what: "merge a 10k-sample histogram and read p50/p90/p99",
-            expected_ratio: 0.0066,
+            expected_ratio: 0.0081,
             run: run_telemetry_quantile,
         },
         Area {
             name: "workload_gen",
             what: "synthesize a 256-interval applu_in counter trace",
-            expected_ratio: 0.048,
+            expected_ratio: 0.059,
             run: run_workload_gen,
         },
         Area {
             name: "tenants_quantum",
             what: "one 4-tenant/2-core/8-interval cluster scenario",
-            expected_ratio: 0.26,
+            expected_ratio: 0.32,
             run: run_tenants_quantum,
         },
         Area {
             name: "tenants_arbitrate",
             what: "one water-fill and one priority arbitrate, 64 requests/2 cores/18 W",
-            expected_ratio: 0.0075,
+            expected_ratio: 0.007,
             run: run_tenants_arbitrate,
         },
         Area {
             name: "lint_full",
             what: "full-workspace lint: lex, parse, call graph, all rules",
-            expected_ratio: 170.0,
+            expected_ratio: 210.0,
             run: run_lint_full,
         },
         Area {
             name: "power_model_eval",
             what: "1000 sweeps of analytic/linear/tree power inference over 6 opps",
-            expected_ratio: 0.76,
+            expected_ratio: 0.94,
             run: run_power_model_eval,
         },
     ]

@@ -269,8 +269,9 @@ impl Drop for TransitionTracker {
     }
 }
 
-/// FNV-1a for the pid → state map: pids are small integers and the map
-/// is looked up once per decision (once per *run* in `step_many`), so
+/// FNV-1a for the pid → slot index: pids are small integers and the
+/// index is probed at most once per decision (once per *run* in
+/// `step_many`, never for the newest pid), so
 /// the default SipHash's DoS hardening buys nothing here and costs a
 /// measurable slice of the per-decision budget.
 #[derive(Debug, Default, Clone)]
@@ -306,34 +307,34 @@ impl std::hash::BuildHasher for FnvBuild {
     }
 }
 
-type PidMap = HashMap<u32, PidState, FnvBuild>;
-
 type BoxedPredictorFactory = Box<dyn Fn() -> Box<dyn Predictor> + Send>;
 
 /// Everything the engine keeps per process: the predictor instance, the
 /// streaming scorer, the operating point last decided for it (for
-/// transition accounting), and its links in the recency list.
+/// transition accounting), and its slot's links in the recency list.
 struct PidState {
+    pid: u32,
     predictor: Box<dyn Predictor>,
     scorer: StreamScorer,
     /// Operating point of the previous decision; 0 (the fastest setting)
     /// initially, matching the simulated CPU's starting DVFS index.
     last_op: u8,
-    /// The pid stepped next after this one (`None`: this is the newest).
-    newer: Option<u32>,
-    /// The pid stepped last before this one (`None`: this is the oldest,
+    /// Slot of the pid stepped next after this one (`NIL`: the newest).
+    newer: u32,
+    /// Slot of the pid stepped last before this one (`NIL`: the oldest,
     /// the next eviction victim).
-    older: Option<u32>,
+    older: u32,
 }
 
 impl PidState {
-    fn new(factory: &BoxedPredictorFactory) -> Self {
+    fn new(factory: &BoxedPredictorFactory, pid: u32) -> Self {
         Self {
+            pid,
             predictor: factory(),
             scorer: StreamScorer::new(),
             last_op: 0,
-            newer: None,
-            older: None,
+            newer: NIL,
+            older: NIL,
         }
     }
 }
@@ -343,86 +344,126 @@ impl PidState {
 /// still bounding a long-lived serve shard against pid churn.
 pub const DEFAULT_MAX_PIDS: usize = 65_536;
 
-/// Recency order over the live pids, least- to most-recently stepped: a
-/// doubly linked list threaded through the pid map by the `newer`/`older`
-/// links in [`PidState`]. Every live pid is on it exactly once; moving a
-/// pid to the newest end and evicting the oldest are each a handful of
-/// map lookups, whatever the number of pids.
-#[derive(Debug, Default)]
-struct Recency {
-    newest: Option<u32>,
-    oldest: Option<u32>,
+/// The end of the recency list: no slot.
+const NIL: u32 = u32::MAX;
+
+/// The per-pid states: a slab of slots, a `pid → slot` FNV index, and
+/// the recency order, least- to most-recently stepped, doubly linked
+/// through the slots by `u32` index (live pids are distinct `u32`s, so
+/// an index fits one). A touch probes the index at most once; a freed
+/// slot holds no state and is reused, through `free`, before the slab
+/// grows.
+struct PidTable {
+    index: HashMap<u32, u32, FnvBuild>,
+    slots: Vec<Option<PidState>>,
+    free: Vec<u32>,
+    newest: u32,
+    oldest: u32,
 }
 
-impl Recency {
-    /// Closes the gap a pid leaves when it is unlinked (or removed from
-    /// the map): its former neighbours, `newer` and `older`, point at
-    /// each other, or the list ends move inward.
-    fn close_gap(&mut self, pids: &mut PidMap, newer: Option<u32>, older: Option<u32>) {
-        match newer.and_then(|n| pids.get_mut(&n)) {
+impl PidTable {
+    fn new() -> Self {
+        Self {
+            index: HashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
+        }
+    }
+
+    fn slot(&self, i: u32) -> Option<&PidState> {
+        self.slots.get(i as usize)?.as_ref()
+    }
+
+    fn slot_mut(&mut self, i: u32) -> Option<&mut PidState> {
+        self.slots.get_mut(i as usize)?.as_mut()
+    }
+
+    fn get(&self, pid: u32) -> Option<&PidState> {
+        self.slot(*self.index.get(&pid)?)
+    }
+
+    /// Takes slot `i` off the recency list: its former neighbours point
+    /// at each other, or the list ends move inward.
+    fn unlink(&mut self, i: u32) {
+        let Some(&PidState { newer, older, .. }) = self.slot(i) else {
+            return;
+        };
+        match self.slot_mut(newer) {
             Some(s) => s.older = older,
             None => self.newest = older,
         }
-        match older.and_then(|o| pids.get_mut(&o)) {
+        match self.slot_mut(older) {
             Some(s) => s.newer = newer,
             None => self.oldest = newer,
         }
     }
 
-    /// Makes `pid` the newest: unlinks it if it is live, or creates its
-    /// state — evicting from the oldest end first while the map is at
-    /// `max_pids` — and links it in at the newest end.
-    fn make_newest(
+    /// Links slot `i` in at the newest end.
+    fn link_newest(&mut self, i: u32) {
+        let older = std::mem::replace(&mut self.newest, i);
+        match self.slot_mut(older) {
+            Some(s) => s.newer = i,
+            None => self.oldest = i,
+        }
+        if let Some(s) = self.slot_mut(i) {
+            (s.newer, s.older) = (NIL, older);
+        }
+    }
+
+    /// Drops `pid`'s state now and frees its slot for the next new pid.
+    fn remove(&mut self, pid: u32) -> bool {
+        let Some(i) = self.index.remove(&pid) else {
+            return false;
+        };
+        self.unlink(i);
+        if let Some(slot) = self.slots.get_mut(i as usize) {
+            *slot = None;
+        }
+        self.free.push(i);
+        true
+    }
+
+    /// Resolves (creating if needed) `pid`'s state and makes it the
+    /// newest; a new pid first evicts the oldest while `max_pids` live.
+    fn touch(
         &mut self,
-        pids: &mut PidMap,
         max_pids: usize,
         factory: &BoxedPredictorFactory,
         metrics: &mut EngineMetrics,
         pid: u32,
-    ) {
-        match pids.get_mut(&pid) {
-            Some(state) => {
-                let (newer, older) = (state.newer.take(), state.older.take());
-                self.close_gap(pids, newer, older);
+    ) -> &mut PidState {
+        let i = if self.slot(self.newest).is_some_and(|s| s.pid == pid) {
+            self.newest
+        } else if let Some(&i) = self.index.get(&pid) {
+            self.unlink(i);
+            self.link_newest(i);
+            i
+        } else {
+            while self.index.len() >= max_pids.max(1) {
+                let Some(victim) = self.slot(self.oldest).map(|s| s.pid) else {
+                    break;
+                };
+                self.remove(victim);
+                metrics.record_pid_evicted();
             }
-            None => {
-                while pids.len() >= max_pids.max(1) {
-                    let Some(victim) = self.oldest.and_then(|o| pids.remove(&o)) else {
-                        break;
-                    };
-                    self.close_gap(pids, victim.newer, victim.older);
-                    metrics.record_pid_evicted();
-                }
-                pids.insert(pid, PidState::new(factory));
+            let i = self.free.pop().unwrap_or_else(|| {
+                self.slots.push(None);
+                (self.slots.len() - 1) as u32
+            });
+            if let Some(slot) = self.slots.get_mut(i as usize) {
+                *slot = Some(PidState::new(factory, pid));
             }
-        }
-        let older = self.newest.replace(pid);
-        match older.and_then(|o| pids.get_mut(&o)) {
-            Some(s) => s.newer = Some(pid),
-            None => self.oldest = Some(pid),
-        }
-        if let Some(state) = pids.get_mut(&pid) {
-            state.older = older;
+            self.index.insert(pid, i);
+            self.link_newest(i);
+            i
+        };
+        match self.slot_mut(i) {
+            Some(state) => state,
+            None => unreachable!("a touched pid's slot is live"),
         }
     }
-}
-
-/// Resolves (creating if needed) the state for `pid` and marks `pid`
-/// most-recently-used — a no-op on the recency list when it already is.
-/// Free-standing so `step_many` can call it with the engine's fields
-/// individually borrowed.
-fn touch_pid_state<'m>(
-    pids: &'m mut PidMap,
-    recency: &mut Recency,
-    max_pids: usize,
-    factory: &BoxedPredictorFactory,
-    metrics: &mut EngineMetrics,
-    pid: u32,
-) -> &'m mut PidState {
-    if recency.newest != Some(pid) {
-        recency.make_newest(pids, max_pids, factory, metrics, pid);
-    }
-    pids.entry(pid).or_insert_with(|| PidState::new(factory))
 }
 
 /// The canonical decision pipeline: per-pid predictor family, prediction
@@ -430,9 +471,7 @@ fn touch_pid_state<'m>(
 pub struct DecisionEngine {
     config: EngineConfig,
     factory: BoxedPredictorFactory,
-    pids: PidMap,
-    /// Recency list over `pids`; its oldest end is the eviction victim.
-    recency: Recency,
+    pids: PidTable,
     /// Capacity bound on `pids`; least-recently-used streams are evicted
     /// (with their predictor history) once it is reached.
     max_pids: usize,
@@ -446,7 +485,7 @@ impl std::fmt::Debug for DecisionEngine {
         f.debug_struct("DecisionEngine")
             .field("name", &self.name)
             .field("platform", &self.config.platform())
-            .field("processes", &self.pids.len())
+            .field("processes", &self.processes())
             .finish()
     }
 }
@@ -466,8 +505,7 @@ impl DecisionEngine {
         Self {
             config,
             factory: Box::new(factory),
-            pids: PidMap::default(),
-            recency: Recency::default(),
+            pids: PidTable::new(),
             max_pids: DEFAULT_MAX_PIDS,
             name,
             metrics: EngineMetrics::new(),
@@ -551,13 +589,12 @@ impl DecisionEngine {
             config,
             factory,
             pids,
-            recency,
             max_pids,
             transitions,
             metrics,
             ..
         } = self;
-        let state = touch_pid_state(pids, recency, *max_pids, factory, metrics, sample.pid);
+        let state = pids.touch(*max_pids, factory, metrics, sample.pid);
         let d = step_pid(config, metrics, transitions, state, sample);
         metrics.decisions += 1;
         if let Some(started) = started {
@@ -585,7 +622,6 @@ impl DecisionEngine {
             config,
             factory,
             pids,
-            recency,
             max_pids,
             transitions,
             metrics,
@@ -594,7 +630,7 @@ impl DecisionEngine {
         let mut i = 0;
         while i < samples.len() {
             let pid = samples[i].pid; // lint:allow(panic-reachable): i < samples.len() by the loop guard
-            let state = touch_pid_state(pids, recency, *max_pids, factory, metrics, pid);
+            let state = pids.touch(*max_pids, factory, metrics, pid);
             // lint:allow(panic-reachable): i < samples.len() by the inner guard
             while i < samples.len() && samples[i].pid == pid {
                 out.push(step_pid(config, metrics, transitions, state, &samples[i])); // lint:allow(panic-reachable): i < samples.len() by the inner guard
@@ -612,7 +648,7 @@ impl DecisionEngine {
     /// next sample for that pid will be scored against.
     #[must_use]
     pub fn pending(&self, pid: u32) -> Option<PhaseId> {
-        self.pids.get(&pid).and_then(|s| s.scorer.pending())
+        self.pids.get(pid).and_then(|s| s.scorer.pending())
     }
 
     /// Scores the standing prediction for `pid` against an observed
@@ -623,7 +659,8 @@ impl DecisionEngine {
     /// for accuracy accounting, but execution is over and no decision
     /// will govern anything.
     pub fn score_tail(&mut self, pid: u32, observed: PhaseId) -> Option<bool> {
-        let state = self.pids.get_mut(&pid)?;
+        let &i = self.pids.index.get(&pid)?;
+        let state = self.pids.slot_mut(i)?;
         let (_, correct) = state.scorer.score(observed)?;
         self.metrics.record_scored(correct);
         Some(correct)
@@ -632,10 +669,12 @@ impl DecisionEngine {
     /// Aggregate prediction statistics across every pid stream.
     #[must_use]
     pub fn stats(&self) -> PredictionStats {
-        // The fold is a commutative sum, so the FNV iteration order
-        // cannot change the result.
+        // The fold is a commutative sum, so the slot order cannot
+        // change the result.
         self.pids
-            .values()
+            .slots
+            .iter()
+            .flatten()
             .fold(PredictionStats::default(), |acc, s| {
                 let st = s.scorer.stats();
                 PredictionStats {
@@ -648,32 +687,24 @@ impl DecisionEngine {
     /// Prediction statistics for one pid stream, if it exists.
     #[must_use]
     pub fn pid_stats(&self, pid: u32) -> Option<PredictionStats> {
-        self.pids.get(&pid).map(|s| s.scorer.stats())
+        self.pids.get(pid).map(|s| s.scorer.stats())
     }
 
     /// Number of pid streams with live predictor state.
     #[must_use]
     pub fn processes(&self) -> usize {
-        self.pids.len()
+        self.pids.index.len()
     }
 
     /// Drops a terminated pid's state.
     pub fn retire(&mut self, pid: u32) -> bool {
-        match self.pids.remove(&pid) {
-            Some(state) => {
-                self.recency
-                    .close_gap(&mut self.pids, state.newer, state.older);
-                true
-            }
-            None => false,
-        }
+        self.pids.remove(pid)
     }
 
     /// Clears all per-pid state (predictors, scoring, transition
     /// baselines); accumulated telemetry is left alone.
     pub fn reset(&mut self) {
-        self.pids.clear();
-        self.recency = Recency::default();
+        self.pids = PidTable::new();
     }
 
     /// Publishes every pending telemetry tally (decisions, scored
@@ -917,6 +948,53 @@ mod tests {
         let _ = e.step(&with_pid(P3, 4));
         let _ = e.step(&with_pid(P3, 5));
         assert_eq!(e.processes(), 2);
+    }
+
+    #[test]
+    fn pid_churn_stays_within_the_slab_bound() {
+        // Driven on the table itself, so the eviction tally is read
+        // before any publish moves it to the registry.
+        let factory: BoxedPredictorFactory =
+            Box::new(|| Box::new(livephase_core::LastValue::new()));
+        let mut metrics = EngineMetrics::new();
+        let mut t = PidTable::new();
+        // 10 000 distinct pids: pid 0 is re-stepped every round, so it
+        // survives only if a touch relinks it and eviction takes the
+        // oldest end.
+        for pid in 1..10_000 {
+            let _ = t.touch(8, &factory, &mut metrics, 0);
+            let _ = t.touch(8, &factory, &mut metrics, pid);
+            assert!(t.slots.len() <= 8, "slab grew to {}", t.slots.len());
+        }
+        assert_eq!(std::mem::take(&mut metrics.evicted), 10_000 - 8);
+        let mut order = Vec::new();
+        let mut i = t.newest;
+        while let Some(s) = t.slot(i) {
+            order.push(s.pid);
+            i = s.older;
+        }
+        assert_eq!(order, [9_999, 0, 9_998, 9_997, 9_996, 9_995, 9_994, 9_993]);
+        assert_eq!(t.slot(t.oldest).map(|s| s.pid), Some(9_993));
+    }
+
+    #[test]
+    fn retired_slots_are_reused_before_the_slab_grows() {
+        let mut e = engine("lastvalue");
+        for pid in 1..=3 {
+            let _ = e.step(&with_pid(P3, pid));
+        }
+        let slot = e.pids.index[&2];
+        assert!(e.retire(2));
+        assert!(
+            e.pids.slot(slot).is_none(),
+            "retire drops the state at once"
+        );
+        let _ = e.step(&with_pid(P3, 4));
+        assert_eq!(
+            e.pids.index[&4], slot,
+            "the next new pid takes the freed slot"
+        );
+        assert_eq!(e.pids.slots.len(), 3);
     }
 
     #[test]

@@ -298,22 +298,36 @@ impl Conn {
 
     /// Walks every complete frame banked in the decoder, then flushes
     /// the accumulated sample run and applies the backpressure cap.
+    ///
+    /// Decode timing is per batch: one clock read before the loop and
+    /// one after it, recorded at the amortized per-frame cost weighted by
+    /// the frames decoded, so `serve_frame_decode_us_count` still counts
+    /// frames. A control frame (anything but a `Sample`) first records
+    /// the pending tally, so an in-band scrape counts every frame up to
+    /// and including the request, and the clock restarts after it is
+    /// handled, so a session's set-up or a scrape's rendering is not
+    /// decode time. Samples, the steady stream, add no clock read.
     fn drain_frames(&mut self, cx: &mut Cx<'_>) {
+        let mut started = latency_clock();
+        let mut decoded = 0;
         loop {
             if self.phase == Phase::Closing {
                 break;
             }
-            let started = Instant::now(); // lint:allow(determinism-taint): decode-latency histogram only
             match self.decoder.next_frame() {
                 Ok(Some(frame)) => {
-                    cx.metrics
-                        .decode_us
-                        .record_saturating(started.elapsed().as_micros());
+                    decoded += 1;
                     let resumes = self.decoder.last_resumes();
                     if resumes > 0 {
                         cx.metrics.decode_resumes.record(u64::from(resumes));
                     }
-                    self.on_frame(frame, cx);
+                    if matches!(frame, Frame::Sample { .. }) {
+                        self.on_frame(frame, cx);
+                    } else {
+                        record_decodes(cx, started, std::mem::take(&mut decoded));
+                        self.on_frame(frame, cx);
+                        started = latency_clock();
+                    }
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -327,6 +341,7 @@ impl Conn {
                 }
             }
         }
+        record_decodes(cx, started, decoded);
         self.flush_run(cx);
         self.check_backpressure(cx);
     }
@@ -472,23 +487,24 @@ impl Conn {
         };
         let n = cx.samples.len() as u64;
         let before = session.processes();
-        let started = Instant::now(); // lint:allow(determinism-taint): decision-latency histogram only
+        // Three chained clock reads time both stages: start, after
+        // `step_many`, after encoding. Each stage enters its histogram
+        // once, at its batch-amortized per-decision cost weighted by the
+        // decisions, so each count still equals the decision count.
+        let started = latency_clock();
         cx.decisions.clear();
         session.step_many(cx.samples, cx.decisions);
-        // One histogram entry per decision at the batch-amortized cost,
-        // so the count still equals the decision count.
-        let per_decision_us = started.elapsed().as_micros() / u128::from(n.max(1));
+        let stepped = latency_clock();
         cx.metrics
             .shard
             .decision_us
-            .record_n_saturating(per_decision_us, n);
+            .record_n_saturating((stepped - started).as_micros() / u128::from(n), n);
         cx.metrics.shard.samples_total.add(n);
         cx.shared.samples.fetch_add(n, Ordering::Relaxed);
         let grown = (session.processes() - before) as u64;
         if grown > 0 {
             cx.shared.processes.fetch_add(grown, Ordering::Relaxed);
         }
-        let enc_started = Instant::now(); // lint:allow(determinism-taint): encode-latency histogram only
         for d in cx.decisions.iter() {
             wire::encode_into(
                 &Frame::Decision {
@@ -499,11 +515,10 @@ impl Conn {
                 &mut self.outbound,
             );
         }
-        let per_encode_us = enc_started.elapsed().as_micros() / u128::from(n.max(1));
-        cx.shared
-            .metrics
-            .frame_encode_us
-            .record_n_saturating(per_encode_us, cx.decisions.len() as u64);
+        cx.shared.metrics.frame_encode_us.record_n_saturating(
+            (latency_clock() - stepped).as_micros() / u128::from(n),
+            cx.decisions.len() as u64,
+        );
         cx.shared
             .decisions
             .fetch_add(cx.decisions.len() as u64, Ordering::Relaxed);
@@ -656,5 +671,22 @@ impl Conn {
         if self.closing_since.is_none() {
             self.closing_since = Some(now);
         }
+    }
+}
+
+/// The connection's one clock for its latency histograms: decode,
+/// decision and encode time. No reading of it reaches a decision.
+fn latency_clock() -> Instant {
+    Instant::now() // lint:allow(determinism-taint): latency histograms only
+}
+
+/// Records `decoded` frames in `serve_frame_decode_us` at the amortized
+/// per-frame cost since `started`.
+fn record_decodes(cx: &Cx<'_>, started: Instant, decoded: u64) {
+    if decoded > 0 {
+        let elapsed = latency_clock() - started;
+        cx.metrics
+            .decode_us
+            .record_n_saturating(elapsed.as_micros() / u128::from(decoded), decoded);
     }
 }

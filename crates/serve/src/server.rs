@@ -71,7 +71,7 @@ impl ServeMetrics {
             ),
             frame_encode_us: reg.histogram(
                 "serve_frame_encode_us",
-                "Frame encode latency in microseconds (writer threads).",
+                "Batch-amortized frame encode latency in microseconds.",
                 &[],
             ),
         }

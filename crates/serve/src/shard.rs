@@ -78,7 +78,7 @@ impl ReactorMetrics {
             shard: ShardMetrics::new(index),
             decode_us: reg.histogram(
                 "serve_frame_decode_us",
-                "Frame decode latency in microseconds (reader threads).",
+                "Batch-amortized frame decode latency in microseconds.",
                 labels,
             ),
             open_fds: reg.gauge(

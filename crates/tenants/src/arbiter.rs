@@ -118,6 +118,8 @@ struct Scratch {
     order: Vec<usize>,
     /// Per-core maximum grant cost of `ops`.
     core_max: Vec<f64>,
+    /// `(granted, denied)` outcome tallies by granted setting.
+    outcomes: Vec<(u64, u64)>,
 }
 
 /// The per-epoch power-cap arbiter.
@@ -254,12 +256,20 @@ impl Arbiter {
             ArbiterPolicy::WaterFill => self.water_fill(requests, &mut s),
         }
 
+        s.outcomes.clear();
+        s.outcomes.resize(slowest + 1, (0, 0));
         let grants = requests
             .iter()
             .zip(s.ops.iter().zip(&s.want))
             .map(|(req, (&op, &want))| {
                 let denied = op > want;
-                self.count_outcome(op, denied);
+                if let Some(tally) = s.outcomes.get_mut(op) {
+                    if denied {
+                        tally.1 += 1;
+                    } else {
+                        tally.0 += 1;
+                    }
+                }
                 Grant {
                     tenant: req.tenant,
                     op,
@@ -267,6 +277,10 @@ impl Arbiter {
                 }
             })
             .collect();
+        for (op, &(granted, denied)) in s.outcomes.iter().enumerate() {
+            self.count_outcomes(op, false, granted);
+            self.count_outcomes(op, true, denied);
+        }
         self.scratch = s;
         grants
     }
@@ -327,13 +341,17 @@ impl Arbiter {
         }
     }
 
-    /// Counts one grant outcome, by granted setting.
-    fn count_outcome(&mut self, op: usize, denied: bool) {
+    /// Counts `n` grant outcomes at one granted setting: one labelled
+    /// atomic add per (setting, outcome) per epoch, not per request.
+    fn count_outcomes(&mut self, op: usize, denied: bool, n: u64) {
+        if n == 0 {
+            return;
+        }
         let cache = if denied {
-            self.denials_total += 1;
+            self.denials_total += n;
             &mut self.denial_counters
         } else {
-            self.grants_total += 1;
+            self.grants_total += n;
             &mut self.grant_counters
         };
         if cache.len() <= op {
@@ -359,7 +377,7 @@ impl Arbiter {
                 )
             }
         })
-        .inc();
+        .add(n);
     }
 
     /// Records the simulated length of one completed denial streak.

@@ -1,6 +1,6 @@
-//! Telemetry accounting: the engine, the simulated CPU and the tenants
-//! runner keep plain tallies on their hot paths and publish them to the
-//! process-global registry in bulk. Whenever an engine has been flushed
+//! Telemetry accounting: the engine, the simulated CPU, the tenants
+//! runner and the arbiter keep plain tallies on their hot paths and
+//! publish them to the process-global registry in bulk. Whenever an engine has been flushed
 //! or dropped, every registry counter must have moved by exactly the
 //! work done — no decision, PMI or context switch lost or counted twice.
 //!
@@ -11,7 +11,7 @@ use livephase::core::PhaseId;
 use livephase::engine::{Decision, DecisionEngine, EngineConfig, Sample};
 use livephase::governor::Manager;
 use livephase::pmsim::{Cpu, PlatformConfig};
-use livephase::tenants::{run_scenario, ScenarioSpec};
+use livephase::tenants::{run_scenario, Arbiter, ArbiterPolicy, Request, ScenarioSpec};
 use livephase::workloads::{counter_samples, spec, WorkloadTrace};
 
 /// Current value of the counter series `name{labels}`.
@@ -187,4 +187,61 @@ fn registry_counters_account_for_every_tally() {
         intervals,
         "one engine decision per tenant interval"
     );
+
+    // Arbiter: outcomes are tallied per call and added once per
+    // (setting, outcome), so the per-setting series and the arbiter's
+    // totals are exact after every call. 64 requests spread over every
+    // setting under a binding 18 W budget, so both outcomes occur.
+    let requests: Vec<Request> = (0..64u32)
+        .map(|t| Request {
+            tenant: t,
+            core: t as usize % 2,
+            requested_op: t as usize % 6,
+            priority: (t % 3) as u8,
+        })
+        .collect();
+    let by_op = |name: &str| -> Vec<u64> {
+        (0..6)
+            .map(|op: usize| counter(name, &[("op", &op.to_string())]))
+            .collect()
+    };
+    for policy in [ArbiterPolicy::WaterFill, ArbiterPolicy::Priority] {
+        let mut arbiter = Arbiter::new(&platform, 18.0, policy, 2);
+        for round in 0..3 {
+            let (grants_before, denials_before) = (
+                by_op("tenants_arbiter_grants_total"),
+                by_op("tenants_arbiter_denials_total"),
+            );
+            let totals_before = (arbiter.grants_total(), arbiter.denials_total());
+            let grants = arbiter.arbitrate(&requests[round * 8..]);
+            let (mut granted, mut denied) = (vec![0u64; 6], vec![0u64; 6]);
+            for g in &grants {
+                if g.denied {
+                    denied[g.op] += 1;
+                } else {
+                    granted[g.op] += 1;
+                }
+            }
+            assert!(denied.iter().sum::<u64>() > 0, "{policy}: the budget binds");
+            let moved = |now: Vec<u64>, then: Vec<u64>| -> Vec<u64> {
+                now.iter().zip(&then).map(|(n, t)| n - t).collect()
+            };
+            assert_eq!(
+                moved(by_op("tenants_arbiter_grants_total"), grants_before),
+                granted
+            );
+            assert_eq!(
+                moved(by_op("tenants_arbiter_denials_total"), denials_before),
+                denied
+            );
+            assert_eq!(
+                (arbiter.grants_total(), arbiter.denials_total()),
+                (
+                    totals_before.0 + granted.iter().sum::<u64>(),
+                    totals_before.1 + denied.iter().sum::<u64>()
+                ),
+                "{policy} round {round}"
+            );
+        }
+    }
 }
