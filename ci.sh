@@ -43,6 +43,16 @@ rm -rf "$csv_dir"
 [ "$csv_rc" -eq 2 ] && echo "$csv_out" | grep -q 'bad row' \
     || { echo "$csv_out"; echo "hostile CSV row: expected exit 2, got $csv_rc"; exit 1; }
 
+# A scheduling quantum is a context switch, so at 1 uop one sampling
+# interval is 10^8 quanta and a run practically never ends. A quantum
+# below 1/1024 of an interval is a typed error (exit 2, `invalid
+# scenario`); the timeout turns a regression into a failure, not a hang.
+quantum_rc=0
+quantum_out=$(timeout 10 "$cli" tenants --tenants 2 --cores 1 --length 2 --quantum 1 2>&1) \
+    || quantum_rc=$?
+[ "$quantum_rc" -eq 2 ] && echo "$quantum_out" | grep -q 'invalid scenario' \
+    || { echo "$quantum_out"; echo "1-uop quantum: expected exit 2, got $quantum_rc"; exit 1; }
+
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism of everything the hot-path roots reach over the call
 # graph, SAFETY comments, telemetry naming, CLI-flag and metric-name doc

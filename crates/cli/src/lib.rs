@@ -116,7 +116,8 @@ pub fn usage() -> String {
      \x20 --budget <w>          cluster power budget in watts (default 60)\n\
      \x20 --length <n>          trace length per tenant in sampling intervals\n\
      \x20 --quantum <n>         scheduling credit per tenant per epoch in uops\n\
-     \x20                       (default 25000000)\n\
+     \x20                       (default 25000000; at least 97657, so a\n\
+     \x20                       sampling interval is cut into <= 1024 quanta)\n\
      \x20 --arbiter <name>      power-cap policy: waterfill | priority\n\
      \x20 --mix <a,b,...>       benchmark mix cycled across tenants\n\
      \x20 --noisy <n>           noisy-neighbor tenants (highest ids; they run\n\

@@ -252,14 +252,14 @@ fn bench_emits_schema_stable_json_records() {
 #[test]
 fn bench_gate_flags_an_impossible_threshold() {
     // A microscopic multiplier forces the threshold down to the absolute
-    // floor; tenants_quantum costs far more than the floor, so the gate
-    // must fail — unless the machine is noisy enough that the harness
+    // floor; daq_measure costs milliseconds, far more than the floor, so
+    // the gate must fail — unless the machine is noisy enough that the harness
     // refuses to judge, which is the documented skip path (exit 0).
     let out = cli()
         .args([
             "bench",
             "--areas",
-            "tenants_quantum",
+            "daq_measure",
             "--iters",
             "2",
             "--warmup",
@@ -276,7 +276,7 @@ fn bench_gate_flags_an_impossible_threshold() {
     } else {
         assert_eq!(out.status.code(), Some(1), "{stdout}");
         assert!(stdout.contains("bench gate: FAIL"), "{stdout}");
-        assert!(stdout.contains("tenants_quantum:"), "{stdout}");
+        assert!(stdout.contains("daq_measure:"), "{stdout}");
     }
 }
 

@@ -28,16 +28,35 @@
 //! while the budget holds, converging to the most even feasible
 //! allocation.
 //!
-//! Both run in O(n log n + levels·n·cores) per epoch without allocating
-//! beyond the returned grant vector. `worst_case` is non-increasing
-//! along the operating-point table for every backend, so upgrading a
-//! grant can only *raise* its core's maximum: the arbiter keeps the
-//! per-core maxima of the current grant vector and prices a candidate
-//! by raising one slot, instead of re-costing the whole vector.
-//! Water-filling then becomes a level sweep: every tenant starts at the
-//! slowest level, and the slowest-first, lowest-id-first pick order of
-//! the step-by-step formulation visits level `L` entirely, in tenant-id
-//! order, before any tenant reaches `L − 1`.
+//! Neither allocates beyond the returned grant vector. `worst_case` is
+//! non-increasing along the operating-point table for every backend, so
+//! upgrading a grant can only *raise* its core's maximum: the arbiter
+//! keeps the per-core maxima of the current grant vector and prices a
+//! candidate by raising one slot (an O(cores) sum), instead of
+//! re-costing the whole vector. When the requested settings fit as
+//! asked, both policies grant them as asked without running: every
+//! check either would make sums slots no higher than the requested
+//! vector's, in the same order. Otherwise `priority` tries each
+//! request's settings in turn: O(n log n + n·levels·cores) per epoch.
+//!
+//! Water-filling is a level sweep decided per core, not per tenant. The
+//! slowest-first, lowest-id-first pick order of the step-by-step
+//! formulation visits level `L` entirely, in tenant-id order, before any
+//! tenant reaches `L − 1`, and at `L` every candidate is priced at the
+//! same `cost_w(L − 1)`. So a core's *first* candidate at `L` decides
+//! for all of that core's candidates: if it fits, its raise already
+//! holds the slot at that cost and every later check sums the grant
+//! vector last admitted; if it fails, every later one fails too (same
+//! raise, other slots only higher, and f64 addition is monotone). A
+//! core that fails at `L` *freezes*: its tenants stay at `L`, and since
+//! costs only grow toward the fast end, none of them is a candidate
+//! again. Hence `grant(t) = max(want(t), F(core(t)))`, with `F(k)` the
+//! level at which core `k` froze (0 if it never did). Each level gives
+//! every unfrozen core with a request wanting below `L` one budget
+//! check, taking the cores in the order of their lowest (tenant id,
+//! index) such request — the order that keeps the sweep bit-exact with
+//! the per-tenant one. An epoch costs O(n + levels·cores·log cores)
+//! bookkeeping plus at most levels·cores budget checks.
 
 use livephase_pmsim::{PlatformConfig, PowerModel};
 use livephase_telemetry::{Counter, Histogram};
@@ -48,6 +67,10 @@ use std::sync::Arc;
 
 /// Slack on the budget comparison, absorbing f64 rounding in the sum.
 const BUDGET_SLACK_W: f64 = 1e-9;
+
+/// The empty (tenant id, request index) key: above every real key, whose
+/// index is below `usize::MAX`.
+const NO_KEY: (u32, usize) = (u32::MAX, usize::MAX);
 
 /// How the arbiter divides headroom among competing tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,16 +133,21 @@ pub struct Grant {
 /// allocate.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Requested setting per request, clamped to the table.
-    want: Vec<usize>,
-    /// Current grant per request.
-    ops: Vec<usize>,
-    /// Request indices in visiting order.
-    order: Vec<usize>,
-    /// Per-core maximum grant cost of `ops`.
+    /// Per-core maximum grant cost of the current grant vector.
     core_max: Vec<f64>,
-    /// `(granted, denied)` outcome tallies by granted setting.
-    outcomes: Vec<(u64, u64)>,
+    /// Row `k`, column `w`: the lowest (tenant id, index) key among core
+    /// `k`'s requests wanting setting `w` (`w` below the slowest).
+    /// `waterfill` turns it into "wanting at most `w`".
+    first: Vec<(u32, usize)>,
+    /// The level each core froze at under `waterfill` (0 = never, and
+    /// always 0 under `priority`).
+    freeze: Vec<usize>,
+    /// `priority`: request indices in visiting order.
+    order: Vec<usize>,
+    /// `waterfill`: the cores checked at the current level, in order.
+    sweep: Vec<usize>,
+    /// `[granted, denied]` outcome tallies by granted setting.
+    outcomes: Vec<[u64; 2]>,
 }
 
 /// The per-epoch power-cap arbiter.
@@ -140,10 +168,173 @@ pub struct Arbiter {
     scratch: Scratch,
 }
 
+/// What an epoch is priced against: the arbiter's read-only half,
+/// borrowed next to its scratch vectors.
+#[derive(Debug, Clone, Copy)]
+struct Prices<'a> {
+    cost_w: &'a [f64],
+    budget_w: f64,
+    /// Budget slots, one per core (at least one).
+    slots: usize,
+}
+
 /// Raises a core's maximum to `cost` if `cost` exceeds it.
 fn raise(slot: &mut f64, cost: f64) {
     if cost > *slot {
         *slot = cost;
+    }
+}
+
+impl Prices<'_> {
+    fn cost(&self, op: usize) -> f64 {
+        let last = self.cost_w.len().saturating_sub(1);
+        self.cost_w.get(op.min(last)).copied().unwrap_or(0.0)
+    }
+
+    fn slowest(&self) -> usize {
+        self.cost_w.len().saturating_sub(1)
+    }
+
+    /// The budget slot of a request's core: out-of-range cores share the
+    /// last slot.
+    fn slot(&self, core: usize) -> usize {
+        core.min(self.slots - 1)
+    }
+
+    /// Whether the grant vector with per-core maxima `core_max` still
+    /// fits the budget once slot `core` is raised to `cost`. Sums in core
+    /// order, so the total is bit-identical to re-costing the vector.
+    fn fits(&self, core_max: &[f64], core: usize, cost: f64) -> bool {
+        let total: f64 = core_max
+            .iter()
+            .enumerate()
+            .map(|(k, &max)| if k == core && cost > max { cost } else { max })
+            .sum();
+        total <= self.budget_w + BUDGET_SLACK_W
+    }
+
+    /// The one pass over the requests: `grants` at the requested
+    /// settings, `s.core_max` at the all-slowest grant vector, `s.first`
+    /// keyed by requested setting, and no core frozen.
+    fn open(&self, requests: &[Request], s: &mut Scratch, grants: &mut Vec<Grant>) {
+        let slowest = self.slowest();
+        let floor = self.cost(slowest);
+        s.core_max.clear();
+        s.core_max.resize(self.slots, 0.0);
+        s.first.clear();
+        s.first.resize(self.slots * slowest, NO_KEY);
+        s.freeze.clear();
+        s.freeze.resize(self.slots, 0);
+        for (i, req) in requests.iter().enumerate() {
+            let want = req.requested_op.min(slowest);
+            let slot = self.slot(req.core);
+            if let Some(max) = s.core_max.get_mut(slot) {
+                *max = floor;
+            }
+            // Wanting the slowest setting falls outside the table: it
+            // makes no candidate at any level.
+            if let Some(key) = s
+                .first
+                .get_mut(slot * slowest + want)
+                .filter(|_| want < slowest)
+            {
+                if (req.tenant, i) < *key {
+                    *key = (req.tenant, i);
+                }
+            }
+            grants.push(Grant {
+                tenant: req.tenant,
+                op: want,
+                denied: false,
+            });
+        }
+    }
+
+    /// Whether the grant vector of every requested setting fits. Every
+    /// check either policy makes sums slots no higher than this vector's,
+    /// in the same order, so then both grant every request as asked.
+    fn wants_fit(&self, s: &Scratch) -> bool {
+        let slowest = self.slowest();
+        let total: f64 = s
+            .core_max
+            .iter()
+            .enumerate()
+            .map(|(k, &floor)| {
+                // Costs fall along the table, so a core's fastest
+                // request prices it.
+                s.first
+                    .get(k * slowest..(k + 1) * slowest)
+                    .and_then(|row| row.iter().position(|&key| key != NO_KEY))
+                    .map_or(floor, |want| self.cost(want))
+            })
+            .sum();
+        total <= self.budget_w + BUDGET_SLACK_W
+    }
+
+    /// `priority`: in (priority desc, tenant id) order, each request
+    /// takes the fastest affordable setting no faster than requested.
+    fn by_priority(&self, requests: &[Request], s: &mut Scratch, grants: &mut [Grant]) {
+        let slowest = self.slowest();
+        s.order.clear();
+        s.order.extend(0..requests.len());
+        s.order.sort_unstable_by_key(|&i| {
+            requests.get(i).map_or((Reverse(0), u32::MAX, i), |r| {
+                (Reverse(r.priority), r.tenant, i)
+            })
+        });
+        for &i in &s.order {
+            let (Some(req), Some(grant)) = (requests.get(i), grants.get_mut(i)) else {
+                continue;
+            };
+            let core = self.slot(req.core);
+            let found = (grant.op..=slowest).find(|&c| self.fits(&s.core_max, core, self.cost(c)));
+            grant.op = found.unwrap_or(slowest);
+            if let (Some(granted), Some(slot)) = (found, s.core_max.get_mut(core)) {
+                raise(slot, self.cost(granted));
+            }
+        }
+    }
+
+    /// `waterfill`: the level sweep from the slowest setting down, one
+    /// budget check per core and level (see the module docs). Leaves the
+    /// level each core froze at in `s.freeze`; the grants follow as
+    /// `max(want, freeze)`.
+    fn water_fill(&self, s: &mut Scratch) {
+        let slowest = self.slowest();
+        let Scratch {
+            core_max,
+            first,
+            freeze,
+            sweep,
+            ..
+        } = s;
+        // Column `w` has held "wants exactly w"; make it "wants at most
+        // w", the candidates at level `w + 1`.
+        for row in first.chunks_mut(slowest.max(1)) {
+            let mut lowest = NO_KEY;
+            for key in row {
+                lowest = lowest.min(*key);
+                *key = lowest;
+            }
+        }
+        for level in (1..=slowest).rev() {
+            let first_at = |k: usize| first.get(k * slowest + level - 1).copied();
+            sweep.clear();
+            sweep.extend((0..self.slots).filter(|&k| {
+                freeze.get(k) == Some(&0) && first_at(k).is_some_and(|key| key != NO_KEY)
+            }));
+            sweep.sort_unstable_by_key(|&k| first_at(k));
+            let cost = self.cost(level - 1);
+            for &k in sweep.iter() {
+                if self.fits(core_max, k, cost) {
+                    if let Some(slot) = core_max.get_mut(k) {
+                        raise(slot, cost);
+                    }
+                } else if let Some(frozen) = freeze.get_mut(k) {
+                    *frozen = level;
+                }
+            }
+        }
     }
 }
 
@@ -181,17 +372,24 @@ impl Arbiter {
         }
     }
 
+    fn prices(&self) -> Prices<'_> {
+        Prices {
+            cost_w: &self.cost_w,
+            budget_w: self.budget_w,
+            slots: self.cores.max(1),
+        }
+    }
+
     /// The worst-case cost (watts) of running one core at `op`.
     #[must_use]
     pub fn cost_w(&self, op: usize) -> f64 {
-        let last = self.cost_w.len().saturating_sub(1);
-        self.cost_w.get(op.min(last)).copied().unwrap_or(0.0)
+        self.prices().cost(op)
     }
 
     /// The slowest (highest-index) setting of the platform.
     #[must_use]
     pub fn slowest(&self) -> usize {
-        self.cost_w.len().saturating_sub(1)
+        self.prices().slowest()
     }
 
     /// Whether even the all-slowest grant vector fits the budget for
@@ -199,154 +397,63 @@ impl Arbiter {
     /// cannot be guaranteed by DVFS alone.
     #[must_use]
     pub fn floor_feasible(&self, requests: &[Request]) -> bool {
-        let mut core_max = Vec::new();
-        self.floor_core_max(requests, &mut core_max);
-        // Slots start at 0 W and only rise, so raising one to 0 W is a
-        // no-op: this checks the floor vector itself.
-        self.fits(&core_max, 0, 0.0)
-    }
-
-    /// The budget slot of a request's core: out-of-range cores share the
-    /// last slot.
-    fn core_slot(&self, core: usize) -> usize {
-        core.min(self.cores.max(1) - 1)
-    }
-
-    /// Fills `core_max` with the per-core maxima of the all-slowest
-    /// grant vector.
-    fn floor_core_max(&self, requests: &[Request], core_max: &mut Vec<f64>) {
-        core_max.clear();
-        core_max.resize(self.cores.max(1), 0.0);
-        let floor = self.cost_w(self.slowest());
-        for req in requests {
-            if let Some(slot) = core_max.get_mut(self.core_slot(req.core)) {
-                raise(slot, floor);
-            }
-        }
-    }
-
-    /// Whether the grant vector with per-core maxima `core_max` still
-    /// fits the budget once slot `core` is raised to `cost`. Sums in core
-    /// order, so the total is bit-identical to re-costing the vector.
-    fn fits(&self, core_max: &[f64], core: usize, cost: f64) -> bool {
-        let total: f64 = core_max
-            .iter()
-            .enumerate()
-            .map(|(k, &max)| if k == core && cost > max { cost } else { max })
-            .sum();
-        total <= self.budget_w + BUDGET_SLACK_W
+        let prices = self.prices();
+        let mut s = Scratch::default();
+        prices.open(requests, &mut s, &mut Vec::new());
+        // Raising a slot to 0 W is a no-op: this checks the floor vector
+        // itself.
+        prices.fits(&s.core_max, 0, 0.0)
     }
 
     /// Arbitrates one epoch: returns one [`Grant`] per request, in
     /// request order. Deterministic: ties break by tenant id.
     pub fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
-        let mut s = std::mem::take(&mut self.scratch);
-        let slowest = self.slowest();
-        s.want.clear();
-        s.want
-            .extend(requests.iter().map(|r| r.requested_op.min(slowest)));
-        s.ops.clear();
-        s.ops.resize(requests.len(), slowest);
-        self.floor_core_max(requests, &mut s.core_max);
-        s.order.clear();
-        s.order.extend(0..requests.len());
-
-        match self.policy {
-            ArbiterPolicy::Priority => self.by_priority(requests, &mut s),
-            ArbiterPolicy::WaterFill => self.water_fill(requests, &mut s),
+        // Built from the fields, not `prices()`, so the scratch vectors
+        // can be borrowed alongside.
+        let prices = Prices {
+            cost_w: &self.cost_w,
+            budget_w: self.budget_w,
+            slots: self.cores.max(1),
+        };
+        let slowest = prices.slowest();
+        let s = &mut self.scratch;
+        let mut grants = Vec::with_capacity(requests.len());
+        prices.open(requests, s, &mut grants);
+        if !prices.wants_fit(s) {
+            match self.policy {
+                ArbiterPolicy::Priority => prices.by_priority(requests, s, &mut grants),
+                ArbiterPolicy::WaterFill => prices.water_fill(s),
+            }
         }
 
         s.outcomes.clear();
-        s.outcomes.resize(slowest + 1, (0, 0));
-        let grants = requests
-            .iter()
-            .zip(s.ops.iter().zip(&s.want))
-            .map(|(req, (&op, &want))| {
-                let denied = op > want;
-                if let Some(tally) = s.outcomes.get_mut(op) {
-                    if denied {
-                        tally.1 += 1;
-                    } else {
-                        tally.0 += 1;
-                    }
-                }
-                Grant {
-                    tenant: req.tenant,
-                    op,
-                    denied,
-                }
-            })
-            .collect();
-        for (op, &(granted, denied)) in s.outcomes.iter().enumerate() {
-            self.count_outcomes(op, false, granted);
-            self.count_outcomes(op, true, denied);
+        s.outcomes.resize(slowest + 1, [0, 0]);
+        for (grant, req) in grants.iter_mut().zip(requests) {
+            let frozen = s.freeze.get(prices.slot(req.core)).copied().unwrap_or(0);
+            grant.op = grant.op.max(frozen);
+            grant.denied = grant.op > req.requested_op.min(slowest);
+            // Indexed, not branched on: grants and denials interleave
+            // unpredictably.
+            let tally = s.outcomes.get_mut(grant.op);
+            if let Some(n) = tally.and_then(|t| t.get_mut(usize::from(grant.denied))) {
+                *n += 1;
+            }
         }
-        self.scratch = s;
+        for op in 0..=slowest {
+            let [granted, denied] = self.scratch.outcomes.get(op).copied().unwrap_or_default();
+            if granted > 0 {
+                self.count_outcomes(op, false, granted);
+            }
+            if denied > 0 {
+                self.count_outcomes(op, true, denied);
+            }
+        }
         grants
-    }
-
-    /// `priority`: in (priority desc, tenant id) order, each request
-    /// takes the fastest affordable setting no faster than requested.
-    fn by_priority(&self, requests: &[Request], s: &mut Scratch) {
-        s.order.sort_unstable_by_key(|&i| {
-            requests.get(i).map_or((Reverse(0), u32::MAX, i), |r| {
-                (Reverse(r.priority), r.tenant, i)
-            })
-        });
-        for &i in &s.order {
-            let (Some(req), Some(&target), Some(op)) =
-                (requests.get(i), s.want.get(i), s.ops.get_mut(i))
-            else {
-                continue;
-            };
-            let core = self.core_slot(req.core);
-            let Some(granted) =
-                (target..=*op).find(|&c| self.fits(&s.core_max, core, self.cost_w(c)))
-            else {
-                continue;
-            };
-            *op = granted;
-            if let Some(slot) = s.core_max.get_mut(core) {
-                raise(slot, self.cost_w(granted));
-            }
-        }
-    }
-
-    /// `waterfill`: a level sweep from the slowest setting down. At each
-    /// level every request still sitting there and wanting faster tries
-    /// one step, in tenant-id order: it either moves down a level or
-    /// freezes at this one for the rest of the epoch.
-    fn water_fill(&self, requests: &[Request], s: &mut Scratch) {
-        s.order
-            .sort_unstable_by_key(|&i| (requests.get(i).map_or(u32::MAX, |r| r.tenant), i));
-        for level in (1..=self.slowest()).rev() {
-            let cost = self.cost_w(level - 1);
-            for &i in &s.order {
-                let (Some(req), Some(&want), Some(op)) =
-                    (requests.get(i), s.want.get(i), s.ops.get_mut(i))
-                else {
-                    continue;
-                };
-                if *op != level || want >= level {
-                    continue;
-                }
-                let core = self.core_slot(req.core);
-                if self.fits(&s.core_max, core, cost) {
-                    *op = level - 1;
-                    if let Some(slot) = s.core_max.get_mut(core) {
-                        raise(slot, cost);
-                    }
-                }
-            }
-        }
     }
 
     /// Counts `n` grant outcomes at one granted setting: one labelled
     /// atomic add per (setting, outcome) per epoch, not per request.
     fn count_outcomes(&mut self, op: usize, denied: bool, n: u64) {
-        if n == 0 {
-            return;
-        }
         let cache = if denied {
             self.denials_total += n;
             &mut self.denial_counters
@@ -673,6 +780,8 @@ mod tests {
                 ),
                 1..=3,
             ),
+            // Bit `op − 1` set: setting `op` costs what `op − 1` does.
+            plateaus in 0u32..32,
         ) {
             for platform in backend_platforms() {
                 let probe = Arbiter::new(platform, 0.0, ArbiterPolicy::WaterFill, cores);
@@ -684,9 +793,19 @@ mod tests {
                 }
                 // From below the all-slowest floor up to every core flat out.
                 let budget = budget_frac * cores as f64 * probe.cost_w(0);
-                for policy in [ArbiterPolicy::Priority, ArbiterPolicy::WaterFill] {
+                // Each backend as fitted, then with equal-cost steps
+                // (a raise to a slot's own cost must still be checked).
+                for (policy, flat) in [ArbiterPolicy::Priority, ArbiterPolicy::WaterFill]
+                    .into_iter()
+                    .flat_map(|policy| [(policy, 0), (policy, plateaus)])
+                {
                     // One arbiter across epochs: scratch reuse must not leak.
                     let mut a = Arbiter::new(platform, budget, policy, cores);
+                    for op in 1..a.cost_w.len() {
+                        if flat >> (op - 1) & 1 == 1 {
+                            a.cost_w[op] = a.cost_w[op - 1];
+                        }
+                    }
                     for epoch in &epochs {
                         let reqs = requests(epoch);
                         let expected = reference::arbitrate(&a, &reqs);

@@ -8,7 +8,7 @@
 //! the arbiter's per-core worst-case budget accounting airtight).
 
 use crate::arbiter::ArbiterPolicy;
-use livephase_pmsim::PowerModelKind;
+use livephase_pmsim::{PlatformConfig, PowerModelKind};
 use livephase_workloads::{benchmark, WorkloadTrace};
 use std::fmt;
 
@@ -17,6 +17,13 @@ use std::fmt;
 /// spans several context switches and the counter-virtualization path is
 /// genuinely exercised.
 pub const DEFAULT_QUANTUM_UOPS: u64 = 25_000_000;
+
+/// The most scheduling quanta one tenant sampling interval may be cut
+/// into. Every quantum is a context switch and a DVFS re-application, so
+/// the quantum floor is the PMI granularity over this bound: at 1 uop a
+/// 100 M-uop interval would take 10⁸ quanta, and the run practically
+/// never ends.
+pub const MAX_QUANTA_PER_INTERVAL: u64 = 1024;
 
 /// The workload injected for noisy-neighbor tenants: the most
 /// memory-bound benchmark of the paper's set, thrashing the Mem/Uop
@@ -86,7 +93,8 @@ impl ScenarioSpec {
     }
 
     /// Checks the spec is runnable: positive dimensions, a finite
-    /// positive budget, and every named benchmark registered.
+    /// positive budget, a quantum of at least 1/[`MAX_QUANTA_PER_INTERVAL`]
+    /// of a sampling interval, and every named benchmark registered.
     ///
     /// # Errors
     ///
@@ -103,10 +111,13 @@ impl ScenarioSpec {
                 "budget must be finite and positive".to_owned(),
             ));
         }
-        if self.quantum_uops == 0 {
-            return Err(ScenarioError::Invalid(
-                "quantum must be >= 1 uop".to_owned(),
-            ));
+        let interval_uops = PlatformConfig::pentium_m().pmi_granularity_uops;
+        let min_quantum = interval_uops.div_ceil(MAX_QUANTA_PER_INTERVAL);
+        if self.quantum_uops < min_quantum {
+            return Err(ScenarioError::Invalid(format!(
+                "quantum must be >= {min_quantum} uops (at most {MAX_QUANTA_PER_INTERVAL} \
+                 quanta per {interval_uops}-uop sampling interval)"
+            )));
         }
         if self.intervals == 0 {
             return Err(ScenarioError::Invalid("intervals must be >= 1".to_owned()));
@@ -257,6 +268,22 @@ mod tests {
         let mut s = ScenarioSpec::new(2, 2);
         s.noisy = 3;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn quanta_per_interval_are_bounded() {
+        // 100 M uops per interval over 1024 quanta, rounded up.
+        let mut s = ScenarioSpec::new(2, 1);
+        for refused in [0, 1, 97_655, 97_656] {
+            s.quantum_uops = refused;
+            assert!(
+                matches!(s.validate(), Err(ScenarioError::Invalid(ref m)) if m.contains("97657")),
+                "quantum {refused}: {:?}",
+                s.validate()
+            );
+        }
+        s.quantum_uops = 97_657;
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

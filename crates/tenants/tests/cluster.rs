@@ -161,6 +161,27 @@ fn acceptance_scenario_m64_k8_is_deterministic_and_capped() {
     assert!(a.tenants.iter().all(|t| t.intervals == 4));
 }
 
+#[test]
+fn sixty_four_tenants_on_one_core_stay_exact_and_capped() {
+    // One budget slot for everyone: the core freezes at the first level
+    // its lowest-id candidate cannot afford, and all 64 tenants take
+    // turns on it.
+    let mut spec = ScenarioSpec::new(64, 1);
+    spec.intervals = 4;
+    spec.noisy = 8;
+    spec.budget_w = 8.0; // one core cannot run flat out (~13 W)
+    let report = run_scenario(&spec).unwrap();
+    assert!(report.budget_feasible);
+    assert!(report.denied_epochs() > 0, "8 W on one core must bind");
+    assert_eq!(report.cap_violation_s, 0.0);
+    for t in 0..spec.tenants as u32 {
+        let solo = run_scenario(&spec.solo(t)).unwrap();
+        let (muxed, solo) = (&report.tenants[t as usize], &solo.tenants[0]);
+        assert_eq!(muxed.sample_digest, solo.sample_digest, "tenant {t}");
+        assert_eq!(muxed.decision_digest, solo.decision_digest, "tenant {t}");
+    }
+}
+
 /// FNV-1a fingerprint of every tenant's arbiter-dependent outcome:
 /// denial count, execution time and energy, bit for bit. Decision
 /// digests cannot see grants (a grant floors the operating point after

@@ -29,6 +29,7 @@ use livephase_pmsim::timing::IntervalWork;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The stability / power-savings quadrant a benchmark falls into in the
 /// paper's Figure 3.
@@ -370,11 +371,22 @@ const DEFAULT_LENGTH: usize = 2_000;
 // The registry: all 33 runs of the paper's figures.
 // ---------------------------------------------------------------------------
 
-/// Builds the full registry of the 33 SPEC CPU2000 runs the paper
-/// evaluates, ordered as in Figure 4 (decreasing last-value accuracy).
+/// The full registry of the 33 SPEC CPU2000 runs the paper evaluates,
+/// ordered as in Figure 4 (decreasing last-value accuracy): a copy of
+/// the table built once per process.
 #[must_use]
-#[allow(clippy::vec_init_then_push)] // one documented push per SPEC run
 pub fn registry() -> Vec<BenchmarkSpec> {
+    table().to_vec()
+}
+
+/// The registry table, built on first use.
+fn table() -> &'static [BenchmarkSpec] {
+    static TABLE: OnceLock<Vec<BenchmarkSpec>> = OnceLock::new();
+    TABLE.get_or_init(build_registry)
+}
+
+#[allow(clippy::vec_init_then_push)] // one documented push per SPEC run
+fn build_registry() -> Vec<BenchmarkSpec> {
     let mut v = Vec::with_capacity(33);
 
     // -------------------------------------------------- Q1: stable, flat.
@@ -828,10 +840,11 @@ pub fn registry() -> Vec<BenchmarkSpec> {
     v
 }
 
-/// Looks a benchmark up by name.
+/// Looks a benchmark up by name, cloning it out of the registry table
+/// (built once per process, not per lookup).
 #[must_use]
 pub fn benchmark(name: &str) -> Option<BenchmarkSpec> {
-    registry().into_iter().find(|b| b.name() == name)
+    table().iter().find(|b| b.name() == name).cloned()
 }
 
 /// The names of the paper's "variable six" (the rightmost benchmarks of
