@@ -39,9 +39,18 @@ printf '%s\n%s\n' "uops,instructions,mem_transactions,cpi_core,mlp" \
     "100000000,80000000,100000000,1e308,1" > "$csv_dir/hostile.csv"
 csv_rc=0
 csv_out=$("$cli" replay "$csv_dir/hostile.csv" 2>&1) || csv_rc=$?
-rm -rf "$csv_dir"
 [ "$csv_rc" -eq 2 ] && echo "$csv_out" | grep -q 'bad row' \
     || { echo "$csv_out"; echo "hostile CSV row: expected exit 2, got $csv_rc"; exit 1; }
+# A row of u64::MAX uops is ≈1.8e11 PMIs, a replay that practically
+# never ends. A row above 1024 PMIs' worth of uops is a typed error
+# (exit 2, `bad row`); the timeout turns a regression into a failure.
+printf '%s\n%s\n' "uops,instructions,mem_transactions,cpi_core,mlp" \
+    "18446744073709551615,80000000,1200000,0.8,2" > "$csv_dir/huge.csv"
+huge_rc=0
+huge_out=$(timeout 10 "$cli" replay "$csv_dir/huge.csv" 2>&1) || huge_rc=$?
+rm -rf "$csv_dir"
+[ "$huge_rc" -eq 2 ] && echo "$huge_out" | grep -q 'bad row' \
+    || { echo "$huge_out"; echo "u64::MAX-uop CSV row: expected exit 2, got $huge_rc"; exit 1; }
 
 # A scheduling quantum is a context switch, so at 1 uop one sampling
 # interval is 10^8 quanta and a run practically never ends. A quantum
@@ -55,8 +64,9 @@ quantum_out=$(timeout 10 "$cli" tenants --tenants 2 --cores 1 --length 2 --quant
 
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism of everything the hot-path roots reach over the call
-# graph, SAFETY comments, telemetry naming, CLI-flag and metric-name doc
-# consistency. Exit-code contract: 0 = clean, 1 =
+# graph, SAFETY comments, CLI-flag doc consistency. (Metric names are
+# checked by the livephase-telemetry catalogue test, which also reads
+# this script's greps.) Exit-code contract: 0 = clean, 1 =
 # findings (report on stdout), 2 = operational error (message on
 # stderr) — so a failure here is a genuine finding, never a broken tool
 # hiding behind the same status. The committed baseline records accepted

@@ -72,6 +72,19 @@ pub enum GateOutcome {
     Fail(Vec<String>),
 }
 
+/// The records the gate cannot fail: their median is at or under the
+/// absolute floor, where no ratio makes them fail. `bench --gate`
+/// names them, so an area that shrank under the floor cannot pass
+/// unnoticed.
+#[must_use]
+pub fn under_floor<'a>(config: &GateConfig, records: &'a [BenchRecord]) -> Vec<&'a str> {
+    records
+        .iter()
+        .filter(|r| r.summary.median_ns <= config.floor_ns)
+        .map(|r| r.area.as_str())
+        .collect()
+}
+
 /// Judges a set of records against one calibration.
 #[must_use]
 pub fn evaluate(
@@ -167,11 +180,13 @@ mod tests {
     #[test]
     fn the_floor_shields_fast_areas_from_clock_noise() {
         // Ratio blown 100×, but the median sits under the 20µs floor.
-        let records = vec![record("tiny", 19_000, 0.0001)];
+        let records = vec![record("tiny", 19_000, 0.0001), record("big", 20_001, 0.1)];
         assert_eq!(
             evaluate(&GateConfig::default(), &calibration(), &records),
             GateOutcome::Pass
         );
+        // ... so the gate names it as not judged.
+        assert_eq!(under_floor(&GateConfig::default(), &records), ["tiny"]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod stats;
 pub use areas::{find, registry, Area, DEFAULT_ITERS, DEFAULT_WARMUP};
 pub use calibrate::{calibration, measure_calibration, Calibration};
 pub use compare::{compare_dirs, AreaDelta, CompareReport};
-pub use gate::{evaluate, GateConfig, GateOutcome};
+pub use gate::{evaluate, under_floor, GateConfig, GateOutcome};
 pub use profile::{collect, render, ProfileRow};
 pub use record::{git_rev, BenchRecord, Machine, SCHEMA};
 pub use stats::Summary;

@@ -88,19 +88,22 @@ pub fn render(rows: &[ProfileRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use livephase_telemetry::catalogue::{
+        GOVERNOR_DECISION_US, SERVE_FRAME_DECODE_US, SERVE_FRAME_ENCODE_US, SPAN_ELAPSED_US,
+    };
 
     #[test]
     fn collect_skips_empty_series_and_sorts_by_total() {
         let r = Registry::new();
-        r.histogram("a_us", "help", &[("k", "v")]); // empty → skipped
-        r.histogram("b_us", "help", &[]).record_n(10, 3);
-        let big = r.histogram("c_us", "help", &[("span", "hot")]);
+        r.histogram(&SERVE_FRAME_DECODE_US, &["0"]); // empty → skipped
+        r.histogram(&GOVERNOR_DECISION_US, &[]).record_n(10, 3);
+        let big = r.histogram(&SPAN_ELAPSED_US, &["t", "hot"]);
         big.record(1000);
         let rows = collect(&r);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].series, "c_us{span=\"hot\"}");
+        assert_eq!(rows[0].series, "span_elapsed_us{span=\"hot\",target=\"t\"}");
         assert_eq!(rows[0].total, 1000);
-        assert_eq!(rows[1].series, "b_us");
+        assert_eq!(rows[1].series, "governor_decision_us");
         assert_eq!(rows[1].count, 3);
     }
 
@@ -108,17 +111,17 @@ mod tests {
     fn render_aligns_and_handles_empty() {
         assert!(render(&[]).contains("nothing to profile"));
         let r = Registry::new();
-        r.histogram("x_us", "help", &[]).record(7);
+        r.histogram(&SERVE_FRAME_ENCODE_US, &[]).record(7);
         let text = render(&collect(&r));
         let mut lines = text.lines();
         assert!(lines.next().unwrap().starts_with("series"));
-        assert!(lines.next().unwrap().starts_with("x_us"));
+        assert!(lines.next().unwrap().starts_with("serve_frame_encode_us"));
     }
 
     #[test]
     fn overflow_shows_up_in_the_row() {
         let r = Registry::new();
-        let h = r.histogram("y_us", "help", &[]);
+        let h = r.histogram(&GOVERNOR_DECISION_US, &[]);
         h.record_saturating(u128::from(u64::MAX) + 1);
         let rows = collect(&r);
         assert_eq!(rows[0].overflow, 1);

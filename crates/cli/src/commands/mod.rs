@@ -191,6 +191,15 @@ fn bench(parsed: &Parsed) -> Result<String, CliError> {
                 .unwrap_or(bench::GateConfig::default().multiplier),
             ..bench::GateConfig::default()
         };
+        let floored = bench::under_floor(&config, &records);
+        if !floored.is_empty() {
+            let _ = writeln!(
+                out,
+                "\nbench gate: not judged, median at or under the {} ns floor: {}",
+                config.floor_ns,
+                floored.join(", ")
+            );
+        }
         match bench::evaluate(&config, &calibration, &records) {
             bench::GateOutcome::Pass => {
                 let _ = writeln!(

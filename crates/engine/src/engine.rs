@@ -27,7 +27,7 @@ use livephase_core::{
     predictor_from_spec, MemUopRate, PhaseId, PhaseSample, PredictionStats, Predictor,
     PredictorSpecError, StreamScorer,
 };
-use livephase_telemetry::{Counter, Histogram};
+use livephase_telemetry::{catalogue, Counter, Histogram};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,31 +102,11 @@ impl EngineMetrics {
     pub fn new() -> Self {
         let reg = livephase_telemetry::global();
         Self {
-            decisions_total: reg.counter(
-                "governor_decisions_total",
-                "DVFS decisions computed (in-process runs and serve shards).",
-                &[],
-            ),
-            decision_us: reg.histogram(
-                "governor_decision_us",
-                "Per-interval decision latency in microseconds.",
-                &[],
-            ),
-            hits_total: reg.counter(
-                "governor_predictor_hits_total",
-                "Scored intervals whose predicted phase was observed.",
-                &[],
-            ),
-            misses_total: reg.counter(
-                "governor_predictor_misses_total",
-                "Scored intervals whose predicted phase was not observed.",
-                &[],
-            ),
-            pids_evicted_total: reg.counter(
-                "engine_pids_evicted_total",
-                "Per-pid predictor states evicted by the LRU capacity bound.",
-                &[],
-            ),
+            decisions_total: reg.counter(&catalogue::GOVERNOR_DECISIONS_TOTAL, &[]),
+            decision_us: reg.histogram(&catalogue::GOVERNOR_DECISION_US, &[]),
+            hits_total: reg.counter(&catalogue::GOVERNOR_PREDICTOR_HITS_TOTAL, &[]),
+            misses_total: reg.counter(&catalogue::GOVERNOR_PREDICTOR_MISSES_TOTAL, &[]),
+            pids_evicted_total: reg.counter(&catalogue::ENGINE_PIDS_EVICTED_TOTAL, &[]),
             decisions: 0,
             hits: 0,
             misses: 0,
@@ -250,12 +230,9 @@ impl TransitionTracker {
                 if n == 0 {
                     continue;
                 }
-                let from = from.to_string();
-                let to = to.to_string();
                 reg.counter(
-                    "governor_dvfs_transitions_total",
-                    "DVFS transitions by operating-point pair.",
-                    &[("from", &from), ("to", &to)],
+                    &catalogue::GOVERNOR_DVFS_TRANSITIONS_TOTAL,
+                    &[&from.to_string(), &to.to_string()],
                 )
                 .add(n);
             }

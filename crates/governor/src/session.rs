@@ -148,8 +148,7 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     let n = items.len();
     livephase_telemetry::global()
         .counter(
-            "governor_parmap_jobs_total",
-            "Sweep work items executed by par_map.",
+            &livephase_telemetry::catalogue::GOVERNOR_PARMAP_JOBS_TOTAL,
             &[],
         )
         .add(n as u64);

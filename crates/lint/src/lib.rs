@@ -4,10 +4,9 @@
 //! workspace invariants that keep the phase-monitoring pipeline
 //! reproducible and crash-free — panic-freedom and determinism of
 //! everything the hot-path roots reach over the workspace call graph,
-//! `SAFETY:` discipline around `unsafe`, metric-naming hygiene, and
-//! CLI-flag and metric-name agreement with the docs — as machine-checked
-//! rules over a hand-rolled token stream (no `syn`, no `rustc` internals, no
-//! dependencies at all). It runs as `livephase-cli lint [--json]` and
+//! `SAFETY:` discipline around `unsafe`, and CLI-flag agreement with the
+//! README — as machine-checked rules over a hand-rolled token stream (no
+//! `syn`, no `rustc` internals, no dependencies at all). It runs as `livephase-cli lint [--json]` and
 //! gates `ci.sh`.
 //!
 //! Findings are suppressed per-site with
@@ -35,7 +34,6 @@ pub mod workspace;
 use std::path::Path;
 
 use report::{Finding, Report, Severity};
-use rules::CiScript;
 use source::SourceFile;
 
 /// Synthetic rule id for a `lint:allow` missing its justification.
@@ -45,33 +43,27 @@ pub const RULE_ALLOW_JUSTIFICATION: &str = "lint-allow-justification";
 /// nothing (a typo'd rule id or a stale comment).
 pub const RULE_UNUSED_SUPPRESSION: &str = "unused-suppression";
 
-/// Lints a set of analyzed files (plus the optional CI script) with the
-/// full ruleset, applies suppressions, and returns the sorted report.
+/// Lints a set of analyzed files with the full ruleset, applies
+/// suppressions, and returns the sorted report.
 ///
 /// Partial-scan entry point (unit tests, fixtures): no docs, and
 /// whole-workspace-only guards (hot-path-root existence) are off. The
 /// CLI path is [`lint_workspace`], which turns both on.
 #[must_use]
-pub fn lint_files(files: &[SourceFile], ci_script: Option<&CiScript>) -> Report {
-    lint_with(files, ci_script, &[], false)
+pub fn lint_files(files: &[SourceFile]) -> Report {
+    lint_with(files, &[], false)
 }
 
 /// [`lint_files`] with documentation artifacts and the strictness of a
 /// full-workspace scan made explicit.
 #[must_use]
-pub fn lint_with(
-    files: &[SourceFile],
-    ci_script: Option<&CiScript>,
-    docs: &[rules::Doc],
-    strict_roots: bool,
-) -> Report {
+pub fn lint_with(files: &[SourceFile], docs: &[rules::Doc], strict_roots: bool) -> Report {
     let asts: Vec<ast::Ast> = files.iter().map(parser::parse).collect();
     let graph = callgraph::CallGraph::build(files, &asts);
     let ws = rules::Workspace {
         files,
         asts: &asts,
         graph: &graph,
-        ci_script,
         docs,
         strict_roots,
     };
@@ -150,9 +142,8 @@ pub fn lint_with(
 /// Returns an error if the workspace's source tree cannot be read.
 pub fn lint_workspace(root: &Path) -> Result<Report, workspace::WorkspaceError> {
     let files = workspace::load_sources(root)?;
-    let ci = workspace::load_ci_script(root);
     let docs = workspace::load_docs(root);
-    Ok(lint_with(&files, ci.as_ref(), &docs, true))
+    Ok(lint_with(&files, &docs, true))
 }
 
 #[cfg(test)]
@@ -168,7 +159,7 @@ mod tests {
     #[test]
     fn justified_allow_suppresses_and_counts() {
         let src = "pub fn step_decision(v: &[u8]) -> u8 { v[0] } // lint:allow(panic-reachable): caller guarantees non-empty";
-        let report = lint_files(&one("a.rs", "tenants", src), None);
+        let report = lint_files(&one("a.rs", "tenants", src));
         assert!(report.is_clean(), "{}", report.render_text());
         assert_eq!(report.suppressed, 1);
         assert!(report.findings.is_empty());
@@ -177,7 +168,7 @@ mod tests {
     #[test]
     fn unjustified_allow_is_a_deny_finding_and_does_not_suppress() {
         let src = "pub fn step_decision(v: &[u8]) -> u8 { v[0] } // lint:allow(panic-reachable)";
-        let report = lint_files(&one("a.rs", "tenants", src), None);
+        let report = lint_files(&one("a.rs", "tenants", src));
         assert!(!report.is_clean());
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"panic-reachable"), "{rules:?}");
@@ -187,7 +178,7 @@ mod tests {
     #[test]
     fn unused_allow_warns_without_gating() {
         let src = "// lint:allow(panic-reachable): nothing here actually panics\nfn f() {}";
-        let report = lint_files(&one("a.rs", "tenants", src), None);
+        let report = lint_files(&one("a.rs", "tenants", src));
         assert!(report.is_clean());
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, RULE_UNUSED_SUPPRESSION);
@@ -197,7 +188,7 @@ mod tests {
     #[test]
     fn allow_for_one_rule_does_not_hide_another() {
         let src = "pub fn step_decision(v: Vec<u8>) { let t = Instant::now(); let x = v[0]; } // lint:allow(panic-reachable): v is seeded with one element";
-        let report = lint_files(&one("a.rs", "tenants", src), None);
+        let report = lint_files(&one("a.rs", "tenants", src));
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
         assert_eq!(rules, vec!["determinism-taint"], "{rules:?}");
     }
@@ -205,7 +196,7 @@ mod tests {
     #[test]
     fn standalone_allow_covers_the_next_code_line() {
         let src = "pub fn step_decision() {\n    // lint:allow(determinism-taint): latency telemetry only, never a decision input\n    let t = Instant::now();\n}";
-        let report = lint_files(&one("a.rs", "tenants", src), None);
+        let report = lint_files(&one("a.rs", "tenants", src));
         assert!(report.is_clean(), "{}", report.render_text());
         assert_eq!(report.suppressed, 1);
     }
@@ -220,7 +211,7 @@ mod tests {
             ),
             SourceFile::analyze("a.rs", "tenants", "fn g() { panic!(\"x\"); }".to_owned()),
         ];
-        let report = lint_files(&files, None);
+        let report = lint_files(&files);
         assert_eq!(report.findings.len(), 2);
         assert_eq!(report.findings[0].path, "a.rs");
         assert_eq!(report.findings[1].path, "b.rs");

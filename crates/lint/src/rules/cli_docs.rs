@@ -191,7 +191,7 @@ mod tests {
         let usage =
             "fn usage() -> &'static str { \"  --seed <n>  the seed\\n  --port <n>  the port\\n\" }";
         let files = cli_files(ARGS, usage);
-        let got = run_workspace_rule(&CliFlagDocs, &files, None, &[]);
+        let got = run_workspace_rule(&CliFlagDocs, &files, &[]);
         assert!(got.is_empty(), "{got:?}");
     }
 
@@ -199,7 +199,7 @@ mod tests {
     fn undocumented_parsed_flag_fires_at_its_arm() {
         let usage = "fn usage() -> &'static str { \"  --seed <n>  the seed\\n\" }";
         let files = cli_files(ARGS, usage);
-        let got = run_workspace_rule(&CliFlagDocs, &files, None, &[]);
+        let got = run_workspace_rule(&CliFlagDocs, &files, &[]);
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].path.ends_with("args.rs"));
         assert_eq!(got[0].line, 4, "the --port arm");
@@ -211,7 +211,7 @@ mod tests {
         let usage =
             "fn usage() -> &'static str { \"  --seed <n>\\n  --port <n>\\n  --turbo  gone\\n\" }";
         let files = cli_files(ARGS, usage);
-        let got = run_workspace_rule(&CliFlagDocs, &files, None, &[]);
+        let got = run_workspace_rule(&CliFlagDocs, &files, &[]);
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].path.ends_with("lib.rs"));
         assert!(got[0].message.contains("`--turbo`"), "{}", got[0].message);
@@ -228,7 +228,7 @@ mod tests {
                    livephase-cli serve --frobnicate\n"
                 .to_owned(),
         }];
-        let got = run_workspace_rule(&CliFlagDocs, &files, None, &docs);
+        let got = run_workspace_rule(&CliFlagDocs, &files, &docs);
         assert_eq!(got.len(), 1, "--release must not be misread: {got:?}");
         assert_eq!(got[0].path, "README.md");
         assert_eq!(got[0].line, 3);
@@ -242,6 +242,6 @@ mod tests {
             "engine",
             "fn f(a: &str) -> u8 { match a { \"--x\" => 1, _ => 0 } }".to_owned(),
         );
-        assert!(run_workspace_rule(&CliFlagDocs, &[f], None, &[]).is_empty());
+        assert!(run_workspace_rule(&CliFlagDocs, &[f], &[]).is_empty());
     }
 }

@@ -6,8 +6,6 @@
 //! | `panic-reachable`          | whole workspace        | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`[...]` indexing is transitively reachable from the deployed hot-path roots (call graph) |
 //! | `determinism-taint`        | whole workspace        | no `Instant`/`SystemTime`/`std::env` read or `HashMap`/`HashSet` iteration is transitively reachable from the hot-path roots (call graph) |
 //! | `safety-comment`           | whole workspace        | every `unsafe` is preceded by a `// SAFETY:` comment |
-//! | `telemetry-naming`         | whole workspace        | metric names are snake_case, kind-suffixed, consistent, and cover what `ci.sh` scrapes |
-//! | `doc-metric-names`         | README                 | metric names the docs mention are actually registered |
 //! | `cli-flag-docs`            | `cli` + README         | parsed `--flags` and documented `--flags` agree in both directions |
 //!
 //! The two call-graph rules start from the *hot-path roots* (see
@@ -19,32 +17,22 @@
 //! Frame-tag uniqueness and decoder exhaustiveness are not rules: the
 //! serve crate's frame tags are a `#[repr(u8)]` enum, so rustc rejects a
 //! duplicate tag and every dispatch over it is an exhaustive `match`.
+//! Nor is metric naming: every metric is declared once in
+//! `livephase_telemetry::catalogue`, whose unit test checks the names
+//! and the metric mentions in `ci.sh`, README and DESIGN.md, and
+//! `timed_span!` rejects a bad span literal at compile time.
 
 pub mod cli_docs;
 pub mod determinism_taint;
-pub mod doc_metrics;
 pub mod panic_reachable;
 pub mod safety;
-pub mod telemetry_names;
 
 use crate::ast::Ast;
 use crate::callgraph::CallGraph;
 use crate::report::{Finding, Severity};
 use crate::source::SourceFile;
 
-/// The CI driver script, scanned by the telemetry-naming rule so the
-/// metric names it greps for cannot drift from the ones the code
-/// registers.
-#[derive(Debug)]
-pub struct CiScript {
-    /// Workspace-relative path (normally `ci.sh`).
-    pub path: String,
-    /// The script's text.
-    pub text: String,
-}
-
-/// A non-source artifact the cross-artifact rules read (README and
-/// friends). Findings can anchor into it: `path` feeds straight into
+/// A non-source artifact the cross-artifact rule reads (README). Findings can anchor into it: `path` feeds straight into
 /// [`Finding::path`].
 #[derive(Debug)]
 pub struct Doc {
@@ -55,9 +43,9 @@ pub struct Doc {
 }
 
 /// Everything a workspace-level check can see: the analyzed files, their
-/// ASTs (parallel to `files`), the resolved cross-crate call graph, the
-/// CI driver, and the documentation artifacts. Built once per lint run
-/// and shared by every rule.
+/// ASTs (parallel to `files`), the resolved cross-crate call graph and
+/// the documentation artifacts. Built once per lint run and shared by
+/// every rule.
 #[derive(Debug)]
 pub struct Workspace<'a> {
     /// Every analyzed first-party source file.
@@ -66,8 +54,6 @@ pub struct Workspace<'a> {
     pub asts: &'a [Ast],
     /// The workspace call graph over `files`/`asts`.
     pub graph: &'a CallGraph,
-    /// The CI driver script, when present.
-    pub ci_script: Option<&'a CiScript>,
     /// Documentation artifacts (README.md), when present.
     pub docs: &'a [Doc],
     /// Whether the scan set is the *full* workspace. Guards that only
@@ -101,8 +87,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(panic_reachable::PanicReachable),
         Box::new(determinism_taint::DeterminismTaint),
         Box::new(safety::SafetyComment),
-        Box::new(telemetry_names::TelemetryNaming),
-        Box::new(doc_metrics::DocMetricNames),
         Box::new(cli_docs::CliFlagDocs),
     ]
 }
@@ -113,7 +97,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 pub(crate) fn run_workspace_rule(
     rule: &dyn Rule,
     files: &[SourceFile],
-    ci_script: Option<&CiScript>,
     docs: &[Doc],
 ) -> Vec<Finding> {
     let asts: Vec<Ast> = files.iter().map(crate::parser::parse).collect();
@@ -122,7 +105,6 @@ pub(crate) fn run_workspace_rule(
         files,
         asts: &asts,
         graph: &graph,
-        ci_script,
         docs,
         strict_roots: false,
     };

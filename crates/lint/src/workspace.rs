@@ -2,8 +2,8 @@
 //!
 //! The scan set is the first-party source — `crates/<name>/src/**/*.rs`
 //! (crate name taken from the directory) plus the root façade
-//! `src/**/*.rs` (crate name `livephase`) — and the `ci.sh` driver for
-//! cross-checks. Vendored dependencies (`vendor/`), integration tests,
+//! `src/**/*.rs` (crate name `livephase`) — plus README for the
+//! CLI-flag cross-check. Vendored dependencies (`vendor/`), integration tests,
 //! benches, and examples are deliberately out of scope: the invariants
 //! the rules encode are about shipped decision-path code. The walk is
 //! sorted at every level so reports and JSON output are byte-stable
@@ -13,7 +13,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{CiScript, Doc};
+use crate::rules::Doc;
 use crate::source::SourceFile;
 
 /// A failure to read the workspace (before any rule ran).
@@ -114,20 +114,8 @@ pub fn load_sources(root: &Path) -> Result<Vec<SourceFile>, WorkspaceError> {
     Ok(files)
 }
 
-/// Loads `ci.sh` from the workspace root, if present. A workspace
-/// without a CI driver just skips the cross-checks.
-#[must_use]
-pub fn load_ci_script(root: &Path) -> Option<CiScript> {
-    let path = root.join("ci.sh");
-    let text = fs::read_to_string(&path).ok()?;
-    Some(CiScript {
-        path: rel(root, &path),
-        text,
-    })
-}
-
-/// Loads the documentation artifacts the cross-artifact rules read
-/// (currently `README.md`), skipping any that are absent.
+/// Loads the documentation artifacts the cross-artifact rule reads
+/// (`README.md`), skipping any that are absent.
 #[must_use]
 pub fn load_docs(root: &Path) -> Vec<Doc> {
     ["README.md"]

@@ -14,14 +14,14 @@ use livephase_lint::{lint_files, lint_with, RULE_ALLOW_JUSTIFICATION, RULE_UNUSE
 /// Lints one fixture in isolation under the given crate identity.
 fn lint_fixture(path: &str, crate_name: &str, src: &str) -> Report {
     let files = vec![SourceFile::analyze(path, crate_name, src.to_owned())];
-    lint_files(&files, None)
+    lint_files(&files)
 }
 
 /// Like [`lint_fixture`], with documentation artifacts alongside —
-/// the cross-artifact rules check code against these.
+/// the cross-artifact rule checks code against these.
 fn lint_fixture_with_docs(path: &str, crate_name: &str, src: &str, docs: &[Doc]) -> Report {
     let files = vec![SourceFile::analyze(path, crate_name, src.to_owned())];
-    lint_with(&files, None, docs, false)
+    lint_with(&files, docs, false)
 }
 
 /// Lines at which `rule` fired, in report order.
@@ -69,23 +69,6 @@ fn safety_fixture_fires_everywhere_outside_the_island() {
         report.render_text()
     );
     assert_eq!(report.findings.len(), 2, "both sites fire off-island");
-}
-
-#[test]
-fn telemetry_fixture_fires_once_per_misnamed_registration() {
-    let report = lint_fixture(
-        "telemetry_naming.rs",
-        "telemetry",
-        include_str!("lint_fixtures/telemetry_naming.rs"),
-    );
-    assert!(!report.is_clean());
-    assert_eq!(
-        lines(&report, "telemetry-naming"),
-        vec![4, 5, 6, 7],
-        "{}",
-        report.render_text()
-    );
-    assert_eq!(report.findings.len(), 4);
 }
 
 #[test]
@@ -198,37 +181,6 @@ fn cli_docs_fixture_fires_in_both_directions() {
 }
 
 #[test]
-fn doc_metrics_fixture_fires_only_on_the_ghost_metric() {
-    let docs = [Doc {
-        path: "README.md".to_owned(),
-        text: "Watch `fixture_frames_total` and `fixture_decode_us_bucket` climb.\n\
-               Query `fixture_ghosts_total` for ghosts.\n"
-            .to_owned(),
-    }];
-    let report = lint_fixture_with_docs(
-        "crates/telemetry/src/fixture.rs",
-        "telemetry",
-        include_str!("lint_fixtures/doc_metrics.rs"),
-        &docs,
-    );
-    assert!(!report.is_clean());
-    assert_eq!(
-        lines(&report, "doc-metric-names"),
-        vec![2],
-        "{}",
-        report.render_text()
-    );
-    assert!(
-        report.findings[0]
-            .message
-            .contains("`fixture_ghosts_total`"),
-        "{}",
-        report.findings[0].message
-    );
-    assert_eq!(report.findings.len(), 1, "registered mentions pass");
-}
-
-#[test]
 fn lint_allow_fixture_exercises_the_suppression_protocol() {
     let report = lint_fixture(
         "crates/tenants/src/lint_allow.rs",
@@ -258,18 +210,11 @@ fn lint_allow_fixture_exercises_the_suppression_protocol() {
 fn every_fixture_would_fail_the_ci_gate() {
     // The gate's contract: any fixture-bearing tree exits 1. Checked at
     // the library level: no fixture report is clean.
-    // `doc_metrics.rs` is absent: it gates only alongside its README
-    // artifact, which its own test supplies.
-    let fixtures: [(&str, &str, &str); 6] = [
+    let fixtures: [(&str, &str, &str); 5] = [
         (
             "safety_comment.rs",
             "workloads",
             include_str!("lint_fixtures/safety_comment.rs"),
-        ),
-        (
-            "telemetry_naming.rs",
-            "telemetry",
-            include_str!("lint_fixtures/telemetry_naming.rs"),
         ),
         (
             "crates/tenants/src/lint_allow.rs",

@@ -28,7 +28,7 @@ use crate::power::{PowerInput, PowerModel, PowerModelKind};
 use crate::timing::{IntervalWork, TimingModel};
 use crate::trace::{PowerSegment, PowerTrace};
 use livephase_core::IntervalMetrics;
-use livephase_telemetry::{Counter, Gauge};
+use livephase_telemetry::{catalogue, Counter, Gauge};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -229,17 +229,10 @@ impl CpuMetrics {
     fn new() -> Self {
         let reg = livephase_telemetry::global();
         Self {
-            pmi_total: reg.counter(
-                "pmsim_pmi_total",
-                "Performance-monitoring interrupts delivered by the simulator.",
-                &[],
-            ),
+            pmi_total: reg.counter(&catalogue::PMSIM_PMI_TOTAL, &[]),
             pmi_rearm_total: None,
-            sim_cycles_per_wall_second: reg.gauge(
-                "pmsim_sim_cycles_per_wall_second",
-                "Simulation throughput: simulated core cycles per wall-clock second.",
-                &[],
-            ),
+            sim_cycles_per_wall_second: reg
+                .gauge(&catalogue::PMSIM_SIM_CYCLES_PER_WALL_SECOND, &[]),
             pmis: 0,
             wall_start: Instant::now(),
         }
@@ -249,11 +242,7 @@ impl CpuMetrics {
     fn record_rearm(&mut self) {
         self.pmi_rearm_total
             .get_or_insert_with(|| {
-                livephase_telemetry::global().counter(
-                    "pmsim_pmi_rearm_total",
-                    "Adaptive re-arms of the uop-overflow PMI threshold.",
-                    &[],
-                )
+                livephase_telemetry::global().counter(&catalogue::PMSIM_PMI_REARM_TOTAL, &[])
             })
             .inc();
     }

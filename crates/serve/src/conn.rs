@@ -26,7 +26,7 @@ use crate::server::Shared;
 use crate::shard::ReactorMetrics;
 use crate::wire::{self, ErrorCode, Frame, FrameDecoder, PROTOCOL_VERSION};
 use livephase_engine::{Decision, DecisionEngine, EngineConfig, Sample};
-use livephase_telemetry::{trace_event, Level};
+use livephase_telemetry::{catalogue, trace_event, Level};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
@@ -643,11 +643,7 @@ impl Conn {
         // Cold path — refusals are terminal — so the registry lookup per
         // call is fine.
         livephase_telemetry::global()
-            .counter(
-                "serve_errors_total",
-                "Terminal Error frames sent, by error code.",
-                &[("code", code.label())],
-            )
+            .counter(&catalogue::SERVE_ERRORS_TOTAL, &[code.label()])
             .inc();
         self.queue_frame(&Frame::Error {
             code,

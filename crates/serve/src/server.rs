@@ -22,7 +22,7 @@
 
 use crate::wire::StatsSnapshot;
 use livephase_engine::EngineConfig;
-use livephase_telemetry::{trace_event, Counter, Gauge, Histogram, Level};
+use livephase_telemetry::{catalogue, trace_event, Counter, Gauge, Histogram, Level};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,31 +49,11 @@ impl ServeMetrics {
     fn new() -> Self {
         let reg = livephase_telemetry::global();
         Self {
-            connections_total: reg.counter(
-                "serve_connections_total",
-                "Connections admitted past the accept gate since start.",
-                &[],
-            ),
-            connections_active: reg.gauge(
-                "serve_connections_active",
-                "Connections currently open.",
-                &[],
-            ),
-            rejected_total: reg.counter(
-                "serve_connections_rejected_total",
-                "Connections refused at the max-conns accept gate.",
-                &[],
-            ),
-            poisoned_total: reg.counter(
-                "serve_connections_poisoned_total",
-                "Connections terminated for protocol violations or idle timeouts.",
-                &[],
-            ),
-            frame_encode_us: reg.histogram(
-                "serve_frame_encode_us",
-                "Batch-amortized frame encode latency in microseconds.",
-                &[],
-            ),
+            connections_total: reg.counter(&catalogue::SERVE_CONNECTIONS_TOTAL, &[]),
+            connections_active: reg.gauge(&catalogue::SERVE_CONNECTIONS_ACTIVE, &[]),
+            rejected_total: reg.counter(&catalogue::SERVE_CONNECTIONS_REJECTED_TOTAL, &[]),
+            poisoned_total: reg.counter(&catalogue::SERVE_CONNECTIONS_POISONED_TOTAL, &[]),
+            frame_encode_us: reg.histogram(&catalogue::SERVE_FRAME_ENCODE_US, &[]),
         }
     }
 }
@@ -90,38 +70,21 @@ impl ShardMetrics {
     pub(crate) fn new(index: usize) -> Self {
         let reg = livephase_telemetry::global();
         let shard = index.to_string();
-        let label: &[(&str, &str)] = &[("shard", &shard)];
+        let label: &[&str] = &[&shard];
         Self {
-            sessions: reg.gauge(
-                "serve_shard_sessions",
-                "Sessions whose predictor state this shard owns.",
-                label,
-            ),
-            samples_total: reg.counter(
-                "serve_shard_samples_total",
-                "Counter samples this shard has ingested.",
-                label,
-            ),
+            sessions: reg.gauge(&catalogue::SERVE_SHARD_SESSIONS, label),
+            samples_total: reg.counter(&catalogue::SERVE_SHARD_SAMPLES_TOTAL, label),
             // The governor-level decision series (governor_decisions_total,
             // governor_decision_us, predictor hits/misses) are recorded by
             // each session's DecisionEngine — the shard
             // pipeline IS the governor decision path — so only the
             // shard-labeled view lives here.
-            decision_us: reg.histogram(
-                "serve_shard_decision_us",
-                "Classify-predict-translate latency in microseconds.",
-                label,
-            ),
+            decision_us: reg.histogram(&catalogue::SERVE_SHARD_DECISION_US, label),
             // Priced by the configured power backend's worst-case bound —
             // the same pessimistic cost the tenants arbiter charges — so a
             // dashboard can overlay "what the fleet could draw" on top of
             // decision throughput without any per-sample model evaluation.
-            power_estimate_mw: reg.gauge(
-                "serve_power_estimate_mw",
-                "Worst-case power bound of this shard's latest decided \
-                 operating point, in milliwatts.",
-                label,
-            ),
+            power_estimate_mw: reg.gauge(&catalogue::SERVE_POWER_ESTIMATE_MW, label),
         }
     }
 }

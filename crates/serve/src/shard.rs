@@ -20,7 +20,7 @@ use crate::conn::{Conn, Cx};
 use crate::server::{ServerConfig, ShardMetrics, Shared};
 use livephase_engine::{Decision, EngineConfig, Sample};
 use livephase_pmsim::{OperatingPointTable, PowerModel};
-use livephase_telemetry::{trace_event, Counter, Gauge, Histogram, Level};
+use livephase_telemetry::{catalogue, trace_event, Counter, Gauge, Histogram, Level};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -73,40 +73,15 @@ impl ReactorMetrics {
     fn new(index: usize) -> Self {
         let reg = livephase_telemetry::global();
         let shard_label = index.to_string();
-        let labels: &[(&str, &str)] = &[("shard", &shard_label)];
+        let labels: &[&str] = &[&shard_label];
         Self {
             shard: ShardMetrics::new(index),
-            decode_us: reg.histogram(
-                "serve_frame_decode_us",
-                "Batch-amortized frame decode latency in microseconds.",
-                labels,
-            ),
-            open_fds: reg.gauge(
-                "serve_reactor_open_fds",
-                "Sockets (including the listener) owned by this shard's reactor.",
-                labels,
-            ),
-            ready_depth: reg.gauge(
-                "serve_reactor_ready_queue_depth",
-                "Readiness events delivered by the shard's most recent epoll wait.",
-                labels,
-            ),
-            shed_total: reg.counter(
-                "serve_conns_shed_total",
-                "Connections shed for overflowing their bounded outbound queue.",
-                labels,
-            ),
-            reaped_total: reg.counter(
-                "serve_conns_reaped_total",
-                "Connections reaped for idling past the read timeout.",
-                labels,
-            ),
-            decode_resumes: reg.histogram(
-                // lint:allow(telemetry-naming): counts decoder resumes per frame, not microseconds
-                "serve_reactor_decode_resumes",
-                "Resumed decode attempts a frame needed before its bytes completed.",
-                labels,
-            ),
+            decode_us: reg.histogram(&catalogue::SERVE_FRAME_DECODE_US, labels),
+            open_fds: reg.gauge(&catalogue::SERVE_REACTOR_OPEN_FDS, labels),
+            ready_depth: reg.gauge(&catalogue::SERVE_REACTOR_READY_QUEUE_DEPTH, labels),
+            shed_total: reg.counter(&catalogue::SERVE_CONNS_SHED_TOTAL, labels),
+            reaped_total: reg.counter(&catalogue::SERVE_CONNS_REAPED_TOTAL, labels),
+            decode_resumes: reg.histogram(&catalogue::SERVE_REACTOR_DECODE_RESUMES, labels),
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use livephase_serve::server::{spawn, ServerConfig};
 use livephase_serve::wire::{self, Frame, PROTOCOL_VERSION};
+use livephase_telemetry::catalogue as cat;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -46,13 +47,12 @@ impl Counts {
 
     fn registry() -> Self {
         let reg = livephase_telemetry::global();
-        let shard: &[(&str, &str)] = &[("shard", "0")];
         Self {
-            decoded: reg.histogram("serve_frame_decode_us", "", shard).count(),
-            decisions: reg.histogram("serve_shard_decision_us", "", shard).count(),
-            encoded: reg.histogram("serve_frame_encode_us", "", &[]).count(),
-            governor_decisions: reg.counter("governor_decisions_total", "", &[]).get(),
-            governor_latency: reg.histogram("governor_decision_us", "", &[]).count(),
+            decoded: reg.histogram(&cat::SERVE_FRAME_DECODE_US, &["0"]).count(),
+            decisions: reg.histogram(&cat::SERVE_SHARD_DECISION_US, &["0"]).count(),
+            encoded: reg.histogram(&cat::SERVE_FRAME_ENCODE_US, &[]).count(),
+            governor_decisions: reg.counter(&cat::GOVERNOR_DECISIONS_TOTAL, &[]).get(),
+            governor_latency: reg.histogram(&cat::GOVERNOR_DECISION_US, &[]).count(),
         }
     }
 }

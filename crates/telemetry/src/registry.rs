@@ -6,6 +6,7 @@
 //! operation on the handle. The registry lock is only taken on
 //! instrument creation and on render, never on the hot path.
 
+use crate::catalogue::{Metric, Spec};
 use crate::histogram::Histogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -68,34 +69,71 @@ impl Gauge {
 /// Label set: sorted `(key, value)` pairs, part of a series' identity.
 type Labels = Vec<(String, String)>;
 
-enum Instrument {
+enum Series {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
-impl Instrument {
-    fn kind(&self) -> &'static str {
-        match self {
-            Instrument::Counter(_) => "counter",
-            Instrument::Gauge(_) => "gauge",
-            Instrument::Histogram(_) => "histogram",
+/// The instrument types a [`Metric`] can declare, and how each is
+/// stored as a [`Series`].
+trait Instrument: Sized {
+    fn create() -> Series;
+    fn get(series: &Series) -> Option<Arc<Self>>;
+}
+
+impl Instrument for Counter {
+    fn create() -> Series {
+        Series::Counter(Arc::default())
+    }
+
+    fn get(series: &Series) -> Option<Arc<Self>> {
+        match series {
+            Series::Counter(c) => Some(Arc::clone(c)),
+            _ => None,
+        }
+    }
+}
+
+impl Instrument for Gauge {
+    fn create() -> Series {
+        Series::Gauge(Arc::default())
+    }
+
+    fn get(series: &Series) -> Option<Arc<Self>> {
+        match series {
+            Series::Gauge(g) => Some(Arc::clone(g)),
+            _ => None,
+        }
+    }
+}
+
+impl Instrument for Histogram {
+    fn create() -> Series {
+        Series::Histogram(Arc::default())
+    }
+
+    fn get(series: &Series) -> Option<Arc<Self>> {
+        match series {
+            Series::Histogram(h) => Some(Arc::clone(h)),
+            _ => None,
         }
     }
 }
 
 struct Family {
-    help: String,
-    series: BTreeMap<Labels, Instrument>,
+    spec: &'static Spec,
+    series: BTreeMap<Labels, Series>,
 }
 
-/// A collection of named metric families, each a set of labeled series.
+/// A collection of metric families, each a set of labeled series of
+/// one [`catalogue`](crate::catalogue) entry.
 ///
 /// Library code should use the process-global registry via
 /// [`global`]; a fresh `Registry` exists for tests that need isolation.
 #[derive(Default)]
 pub struct Registry {
-    families: RwLock<BTreeMap<String, Family>>,
+    families: RwLock<BTreeMap<&'static str, Family>>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -107,39 +145,31 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-// `starts_with`, not `chars().next()`: the linter's call graph resolves
-// `.next()` by name to every workspace iterator, a false panic chain from
-// each hot path that registers a metric lazily.
-fn valid_name(name: &str) -> bool {
-    name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-}
-
-fn normalize_labels(labels: &[(&str, &str)]) -> Labels {
-    let mut out: Labels = labels
+/// Pairs the entry's label keys with the site's values, sorted by key.
+fn series_labels(spec: &Spec, values: &[&str]) -> Labels {
+    assert!(
+        values.len() == spec.labels.len(),
+        "metric {} takes the labels {:?}",
+        spec.name,
+        spec.labels
+    );
+    let mut out: Labels = spec
+        .labels
         .iter()
-        .map(|(k, v)| {
-            assert!(valid_name(k), "invalid label name {k:?}");
-            ((*k).to_owned(), (*v).to_owned())
-        })
+        .zip(values)
+        .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
         .collect();
     out.sort();
     out
 }
 
-/// The existing series `ins` of `name` as the kind `get` wants.
-fn same_kind(
-    name: &str,
-    ins: &Instrument,
-    get: impl Fn(&Instrument) -> Option<Instrument>,
-) -> Instrument {
-    get(ins).unwrap_or_else(|| {
-        // lint:allow(panic-reachable): documented registration-time contract —
-        // re-registering a name as a different kind is a programming error; the
-        // hot paths register their static names once, before serving a sample.
-        panic!("metric {name} already registered as a {}", ins.kind())
+/// The existing series `series` of `spec` as the instrument `I`.
+fn same_kind<I: Instrument>(spec: &Spec, series: &Series) -> Arc<I> {
+    I::get(series).unwrap_or_else(|| {
+        // lint:allow(panic-reachable): unreachable through the catalogue —
+        // its names are unique and each entry's type fixes its kind; only a
+        // test fixture reusing a catalogue name as another kind gets here.
+        panic!("metric {} already registered as another kind", spec.name)
     })
 }
 
@@ -151,106 +181,62 @@ impl Registry {
         Self::default()
     }
 
-    fn instrument(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Instrument,
-        get: impl Fn(&Instrument) -> Option<Instrument>,
-    ) -> Instrument {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        let labels = normalize_labels(labels);
+    fn register<I: Instrument>(&self, metric: &'static Metric<I>, labels: &[&str]) -> Arc<I> {
+        let spec: &'static Spec = metric;
+        let labels = series_labels(spec, labels);
         // Fast path: series already exists.
         {
             // Poisoning cannot corrupt the map (writers only insert), so a
             // poisoned lock is recovered rather than propagated.
             let families = self.families.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(found) = families
-                .get(name)
+                .get(spec.name)
                 .and_then(|fam| fam.series.get(&labels))
-                .map(|ins| same_kind(name, ins, &get))
             {
-                return found;
+                return same_kind(spec, found);
             }
         }
         let mut families = self
             .families
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let family = families.entry(name.to_owned()).or_insert_with(|| Family {
-            help: help.to_owned(),
+        let family = families.entry(spec.name).or_insert_with(|| Family {
+            spec,
             series: BTreeMap::new(),
         });
-        let ins = family.series.entry(labels).or_insert_with(make);
-        same_kind(name, ins, &get)
+        same_kind(spec, family.series.entry(labels).or_insert_with(I::create))
     }
 
-    /// Returns (creating on first use) the counter series `name{labels}`.
+    /// Returns (creating on first use) the series of the counter
+    /// `metric` with the label values `labels`, given in the order of
+    /// the entry's label keys.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not a valid metric name or is already
-    /// registered as a different instrument kind.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        match self.instrument(
-            name,
-            help,
-            labels,
-            || Instrument::Counter(Arc::new(Counter::default())),
-            |ins| match ins {
-                Instrument::Counter(c) => Some(Instrument::Counter(Arc::clone(c))),
-                _ => None,
-            },
-        ) {
-            Instrument::Counter(c) => c,
-            _ => unreachable!("getter only returns counters"),
-        }
+    /// Panics if `labels` does not give one value per label key.
+    pub fn counter(&self, metric: &'static Metric<Counter>, labels: &[&str]) -> Arc<Counter> {
+        self.register(metric, labels)
     }
 
-    /// Returns (creating on first use) the gauge series `name{labels}`.
+    /// Returns (creating on first use) the series of the gauge `metric`
+    /// with the label values `labels`, as for [`Registry::counter`].
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not a valid metric name or is already
-    /// registered as a different instrument kind.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        match self.instrument(
-            name,
-            help,
-            labels,
-            || Instrument::Gauge(Arc::new(Gauge::default())),
-            |ins| match ins {
-                Instrument::Gauge(g) => Some(Instrument::Gauge(Arc::clone(g))),
-                _ => None,
-            },
-        ) {
-            Instrument::Gauge(g) => g,
-            _ => unreachable!("getter only returns gauges"),
-        }
+    /// Panics if `labels` does not give one value per label key.
+    pub fn gauge(&self, metric: &'static Metric<Gauge>, labels: &[&str]) -> Arc<Gauge> {
+        self.register(metric, labels)
     }
 
-    /// Returns (creating on first use) the histogram series
-    /// `name{labels}`.
+    /// Returns (creating on first use) the series of the histogram
+    /// `metric` with the label values `labels`, as for
+    /// [`Registry::counter`].
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not a valid metric name or is already
-    /// registered as a different instrument kind.
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        match self.instrument(
-            name,
-            help,
-            labels,
-            || Instrument::Histogram(Arc::new(Histogram::new())),
-            |ins| match ins {
-                Instrument::Histogram(h) => Some(Instrument::Histogram(Arc::clone(h))),
-                _ => None,
-            },
-        ) {
-            Instrument::Histogram(h) => h,
-            _ => unreachable!("getter only returns histograms"),
-        }
+    /// Panics if `labels` does not give one value per label key.
+    pub fn histogram(&self, metric: &'static Metric<Histogram>, labels: &[&str]) -> Arc<Histogram> {
+        self.register(metric, labels)
     }
 
     /// Renders the whole registry in the Prometheus text exposition
@@ -265,23 +251,19 @@ impl Registry {
         let mut out = String::new();
         let families = self.families.read().unwrap_or_else(PoisonError::into_inner);
         for (name, family) in families.iter() {
-            let kind = family
-                .series
-                .first_key_value()
-                .map_or("counter", |(_, ins)| ins.kind());
-            if !family.help.is_empty() {
-                let _ = writeln!(out, "# HELP {name} {}", escape_help(&family.help));
+            if !family.spec.help.is_empty() {
+                let _ = writeln!(out, "# HELP {name} {}", escape_help(family.spec.help));
             }
-            let _ = writeln!(out, "# TYPE {name} {kind}");
+            let _ = writeln!(out, "# TYPE {name} {}", family.spec.kind.as_str());
             for (labels, ins) in &family.series {
                 match ins {
-                    Instrument::Counter(c) => {
+                    Series::Counter(c) => {
                         let _ = writeln!(out, "{name}{} {}", render_labels(labels, &[]), c.get());
                     }
-                    Instrument::Gauge(g) => {
+                    Series::Gauge(g) => {
                         let _ = writeln!(out, "{name}{} {}", render_labels(labels, &[]), g.get());
                     }
-                    Instrument::Histogram(h) => {
+                    Series::Histogram(h) => {
                         let mut cumulative = 0u64;
                         h.for_each_nonempty(|upper, n| {
                             cumulative += n;
@@ -333,7 +315,7 @@ impl Registry {
         let families = self.families.read().unwrap_or_else(PoisonError::into_inner);
         for (name, family) in families.iter() {
             for (labels, ins) in &family.series {
-                if let Instrument::Histogram(h) = ins {
+                if let Series::Histogram(h) = ins {
                     f(name, labels, h);
                 }
             }
@@ -380,20 +362,33 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{self as cat, Kind};
+
+    static REQUESTS: Metric<Counter> =
+        Metric::fixture("requests_total", Kind::Counter, &[], "Requests served.");
+    static DEPTH: Metric<Gauge> =
+        Metric::fixture("queue_depth", Kind::Gauge, &["shard"], "Messages waiting.");
+    static PAIR: Metric<Counter> = Metric::fixture("x_total", Kind::Counter, &["b", "a"], "");
+    static CLASH: Metric<Gauge> = Metric::fixture("requests_total", Kind::Gauge, &[], "");
+    static BEES: Metric<Counter> = Metric::fixture("b_total", Kind::Counter, &["hive"], "Bees.");
+    static A_DEPTH: Metric<Gauge> = Metric::fixture("a_depth", Kind::Gauge, &[], "Depth.");
+    static LAT: Metric<Histogram> = Metric::fixture("lat_us", Kind::Histogram, &[], "Latency.");
+    static A_US: Metric<Histogram> = Metric::fixture("a_us", Kind::Histogram, &["shard"], "");
+    static B_US: Metric<Histogram> = Metric::fixture("b_us", Kind::Histogram, &[], "");
 
     #[test]
     fn counters_and_gauges_accumulate() {
         let r = Registry::new();
-        let c = r.counter("requests_total", "Requests served.", &[]);
+        let c = r.counter(&REQUESTS, &[]);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         // Second lookup returns the same underlying series.
-        let c2 = r.counter("requests_total", "Requests served.", &[]);
+        let c2 = r.counter(&REQUESTS, &[]);
         c2.inc();
         assert_eq!(c.get(), 6);
 
-        let g = r.gauge("queue_depth", "Messages waiting.", &[("shard", "0")]);
+        let g = r.gauge(&DEPTH, &["0"]);
         g.inc();
         g.inc();
         g.dec();
@@ -403,35 +398,36 @@ mod tests {
     }
 
     #[test]
-    fn label_order_does_not_split_series() {
+    fn label_values_pair_with_the_declared_keys_in_order() {
         let r = Registry::new();
-        let a = r.counter("x_total", "", &[("a", "1"), ("b", "2")]);
-        let b = r.counter("x_total", "", &[("b", "2"), ("a", "1")]);
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2);
+        r.counter(&PAIR, &["2", "1"]).inc();
+        r.counter(&PAIR, &["1", "2"]).inc();
+        assert_eq!(
+            r.render(),
+            "# TYPE x_total counter\nx_total{a=\"1\",b=\"2\"} 1\nx_total{a=\"2\",b=\"1\"} 1\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "takes the labels")]
+    fn a_missing_label_value_panics() {
+        let _ = Registry::new().gauge(&DEPTH, &[]);
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
         let r = Registry::new();
-        let _ = r.counter("m", "", &[]);
-        let _ = r.gauge("m", "", &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid metric name")]
-    fn invalid_names_are_rejected() {
-        let _ = Registry::new().counter("9starts-with-digit", "", &[]);
+        let _ = r.counter(&REQUESTS, &[]);
+        let _ = r.gauge(&CLASH, &[]);
     }
 
     #[test]
     fn render_is_deterministic_and_complete() {
         let r = Registry::new();
-        r.counter("b_total", "Bees.", &[("hive", "7")]).add(3);
-        r.gauge("a_depth", "Depth.", &[]).set(-2);
-        let h = r.histogram("lat_us", "Latency.", &[]);
+        r.counter(&BEES, &["7"]).add(3);
+        r.gauge(&A_DEPTH, &[]).set(-2);
+        let h = r.histogram(&LAT, &[]);
         h.record(1);
         h.record(100);
         let text = r.render();
@@ -462,9 +458,9 @@ mod tests {
     #[test]
     fn visit_histograms_sees_every_series_in_render_order() {
         let r = Registry::new();
-        r.counter("skip_total", "", &[]).inc();
-        r.histogram("b_us", "", &[]).record(9);
-        r.histogram("a_us", "", &[("shard", "1")]).record(4);
+        r.counter(&REQUESTS, &[]).inc();
+        r.histogram(&B_US, &[]).record(9);
+        r.histogram(&A_US, &["1"]).record(4);
         let mut seen = Vec::new();
         r.visit_histograms(|name, labels, h| {
             seen.push((name.to_owned(), labels.to_vec(), h.count()));
@@ -477,10 +473,12 @@ mod tests {
 
     #[test]
     fn global_registry_is_a_singleton() {
-        let c = global().counter("telemetry_selftest_total", "", &[]);
+        let c = global().counter(&cat::GOVERNOR_PARMAP_JOBS_TOTAL, &[]);
         c.inc();
         let before = c.get();
-        global().counter("telemetry_selftest_total", "", &[]).inc();
+        global()
+            .counter(&cat::GOVERNOR_PARMAP_JOBS_TOTAL, &[])
+            .inc();
         assert_eq!(c.get(), before + 1);
     }
 }

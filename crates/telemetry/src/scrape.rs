@@ -379,15 +379,28 @@ pub fn exposition_to_json(text: &str) -> Result<String, ScrapeParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use crate::catalogue::{Kind, Metric};
+    use crate::{Counter, Gauge, Histogram, Registry};
+
+    static CONNS: Metric<Counter> = Metric::fixture(
+        "conns_total",
+        Kind::Counter,
+        &["shard"],
+        "Connections served.",
+    );
+    static DEPTH: Metric<Gauge> = Metric::fixture("depth", Kind::Gauge, &[], "Queue depth.");
+    static LAT: Metric<Histogram> =
+        Metric::fixture("lat_us", Kind::Histogram, &["shard"], "Latency.");
+    static QUOTED: Metric<Counter> =
+        Metric::fixture("x_total", Kind::Counter, &["k"], "say \"hi\"");
+    static Y: Metric<Histogram> = Metric::fixture("y_us", Kind::Histogram, &[], "");
 
     #[test]
     fn round_trips_a_real_registry_render() {
         let r = Registry::new();
-        r.counter("conns_total", "Connections served.", &[("shard", "0")])
-            .add(7);
-        r.gauge("depth", "Queue depth.", &[]).set(-2);
-        let h = r.histogram("lat_us", "Latency.", &[("shard", "0")]);
+        r.counter(&CONNS, &["0"]).add(7);
+        r.gauge(&DEPTH, &[]).set(-2);
+        let h = r.histogram(&LAT, &["0"]);
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -431,8 +444,8 @@ mod tests {
     #[test]
     fn json_output_is_mechanical_and_escaped() {
         let r = Registry::new();
-        r.counter("x_total", "say \"hi\"", &[("k", "a\"b")]).inc();
-        r.histogram("y_us", "", &[]).record(5);
+        r.counter(&QUOTED, &["a\"b"]).inc();
+        r.histogram(&Y, &[]).record(5);
         let json = exposition_to_json(&r.render()).unwrap();
         assert!(json.starts_with("{\"metrics\":["));
         assert!(json.contains("\"name\":\"x_total\""));
@@ -454,7 +467,7 @@ mod tests {
     #[test]
     fn empty_histogram_quantiles_are_null() {
         let r = Registry::new();
-        let _ = r.histogram("z_us", "", &[]);
+        let _ = r.histogram(&Y, &[]);
         let json = exposition_to_json(&r.render()).unwrap();
         assert!(json.contains("\"p50\":null"));
     }

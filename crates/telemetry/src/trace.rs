@@ -289,18 +289,35 @@ macro_rules! trace_event {
 /// filtered, so a profile never comes back empty).
 pub fn record_span(target: &'static str, name: &'static str, elapsed: std::time::Duration) {
     crate::registry::global()
-        .histogram(
-            "span_elapsed_us",
-            "Wall-clock duration of timed_span! blocks by target and span name.",
-            &[("target", target), ("span", name)],
-        )
+        .histogram(&crate::catalogue::SPAN_ELAPSED_US, &[target, name])
         .record_saturating(elapsed.as_micros());
+}
+
+/// Whether a [`timed_span!`] target is a snake_case `::` path and its
+/// name a snake_case word that no rendered-series suffix ends. The
+/// macro asserts this in a `const`, so a bad literal fails to compile.
+#[doc(hidden)]
+#[must_use]
+pub const fn valid_span(target: &str, name: &str) -> bool {
+    crate::catalogue::is_snake_case(target, true)
+        && crate::catalogue::is_snake_case(name, false)
+        && !crate::catalogue::has_rendered_suffix(name)
 }
 
 /// Runs a block, records its wall-clock duration into the
 /// `span_elapsed_us{target,span}` histogram (see [`record_span`]), and
 /// emits a `Debug` event carrying the duration in microseconds as the
 /// `elapsed_us` field. Evaluates to the block's value.
+///
+/// The target and name are string literals. The target is a snake_case
+/// `::` path and the name a snake_case word not ending in a
+/// rendered-series suffix (`_count`, ...): anything else is a compile
+/// error, since both become labels of `span_elapsed_us`.
+///
+/// ```compile_fail
+/// use livephase_telemetry::timed_span;
+/// let n = timed_span!("doc::example", "drain_count", { 1 });
+/// ```
 ///
 /// ```
 /// use livephase_telemetry::timed_span;
@@ -309,7 +326,18 @@ pub fn record_span(target: &'static str, name: &'static str, elapsed: std::time:
 /// ```
 #[macro_export]
 macro_rules! timed_span {
-    ($target:expr, $name:expr, $body:block) => {{
+    ($target:literal, $name:literal, $body:block) => {{
+        const _: () = assert!(
+            $crate::trace::valid_span($target, $name),
+            concat!(
+                "timed_span!(",
+                stringify!($target),
+                ", ",
+                stringify!($name),
+                "): the target must be a snake_case `::` path and the name snake_case, \
+                 not ending in _bucket, _sum, _count or _overflow"
+            )
+        );
         let started = ::std::time::Instant::now();
         let value = $body;
         let elapsed = started.elapsed();

@@ -2,6 +2,7 @@
 //! exact and associative, quantile estimates stay within the bucket
 //! relative-error bound, and what is recorded is what renders.
 
+use livephase_telemetry::catalogue::GOVERNOR_DECISION_US;
 use livephase_telemetry::histogram::{bucket_bounds, bucket_index, BUCKETS, SUB_COUNT};
 use livephase_telemetry::{Histogram, Registry};
 use proptest::collection;
@@ -103,20 +104,20 @@ proptest! {
     #[test]
     fn recorded_streams_render_faithfully(values in arb_values()) {
         let r = Registry::new();
-        let h = r.histogram("rt_us", "Round trip.", &[]);
+        let h = r.histogram(&GOVERNOR_DECISION_US, &[]);
         let mut sum = 0u64;
         for &v in &values {
             h.record(v);
             sum = sum.wrapping_add(v);
         }
         let text = r.render();
-        prop_assert!(text.contains("# TYPE rt_us histogram"));
-        prop_assert!(text.contains(&format!("rt_us_bucket{{le=\"+Inf\"}} {}", values.len())));
-        prop_assert!(text.contains(&format!("rt_us_sum {sum}")));
-        prop_assert!(text.contains(&format!("rt_us_count {}", values.len())));
+        prop_assert!(text.contains("# TYPE governor_decision_us histogram"));
+        prop_assert!(text.contains(&format!("governor_decision_us_bucket{{le=\"+Inf\"}} {}", values.len())));
+        prop_assert!(text.contains(&format!("governor_decision_us_sum {sum}")));
+        prop_assert!(text.contains(&format!("governor_decision_us_count {}", values.len())));
         // Cumulative bucket lines are non-decreasing and end at count.
         let mut last = 0u64;
-        for line in text.lines().filter(|l| l.starts_with("rt_us_bucket")) {
+        for line in text.lines().filter(|l| l.starts_with("governor_decision_us_bucket")) {
             let n: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
             prop_assert!(n >= last, "cumulative counts decreased: {line}");
             last = n;

@@ -59,7 +59,7 @@
 //! bookkeeping plus at most levels·cores budget checks.
 
 use livephase_pmsim::{PlatformConfig, PowerModel};
-use livephase_telemetry::{Counter, Histogram};
+use livephase_telemetry::{catalogue, Counter, Histogram};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::fmt;
@@ -353,11 +353,8 @@ impl Arbiter {
             .iter()
             .map(|(_, opp)| platform.power.worst_case(opp))
             .collect();
-        let starvation_us = livephase_telemetry::global().histogram(
-            "tenants_arbiter_starvation_us",
-            "Simulated microseconds tenants spent in denial streaks (granted slower than requested).",
-            &[],
-        );
+        let starvation_us =
+            livephase_telemetry::global().histogram(&catalogue::TENANTS_ARBITER_STARVATION_US, &[]);
         Self {
             cost_w,
             budget_w,
@@ -468,21 +465,12 @@ impl Arbiter {
             return;
         };
         slot.get_or_insert_with(|| {
-            let registry = livephase_telemetry::global();
-            let op_label = op.to_string();
-            if denied {
-                registry.counter(
-                    "tenants_arbiter_denials_total",
-                    "Epoch requests granted slower than requested, by granted setting.",
-                    &[("op", &op_label)],
-                )
+            let metric = if denied {
+                &catalogue::TENANTS_ARBITER_DENIALS_TOTAL
             } else {
-                registry.counter(
-                    "tenants_arbiter_grants_total",
-                    "Epoch requests granted at the requested setting, by granted setting.",
-                    &[("op", &op_label)],
-                )
-            }
+                &catalogue::TENANTS_ARBITER_GRANTS_TOTAL
+            };
+            livephase_telemetry::global().counter(metric, &[&op.to_string()])
         })
         .add(n);
     }

@@ -22,6 +22,7 @@ use crate::report::{fnv1a, ClusterReport, TenantReport, DIGEST_SEED};
 use crate::scenario::{ScenarioError, ScenarioSpec};
 use livephase_engine::{DecisionEngine, EngineConfig, Sample};
 use livephase_pmsim::{Cpu, IntervalWork, PlatformConfig, PmiRecord, VcpuContext};
+use livephase_telemetry::catalogue;
 
 /// Tolerance on the measured-power budget comparison: measurement is a
 /// ratio of accumulated f64 sums, so give it a whisker of slack.
@@ -308,26 +309,17 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
     // Cluster telemetry, published once from the counts the run kept.
     let registry = livephase_telemetry::global();
     registry
-        .counter(
-            "tenants_context_switches_total",
-            "vCPU context switches performed by the tenant scheduler.",
-            &[],
-        )
+        .counter(&catalogue::TENANTS_CONTEXT_SWITCHES_TOTAL, &[])
         .add(switches);
     for tenant in &tenants {
         registry
             .counter(
-                "tenants_intervals_total",
-                "Sampling intervals completed, per tenant.",
-                &[("tenant", &tenant.id.to_string())],
+                &catalogue::TENANTS_INTERVALS_TOTAL,
+                &[&tenant.id.to_string()],
             )
             .add(tenant.intervals);
     }
-    let switch_rate = registry.gauge(
-        "tenants_switch_rate",
-        "Context switches per simulated core-second, last completed run.",
-        &[],
-    );
+    let switch_rate = registry.gauge(&catalogue::TENANTS_SWITCH_RATE, &[]);
     let core_seconds: f64 = cpus.iter().map(|c| c.totals().time_s).sum();
     if core_seconds > 0.0 {
         switch_rate.set((switches as f64 / core_seconds) as i64);

@@ -4,6 +4,7 @@
 //! arbiter counters, which any test running alongside would move.
 
 use livephase_pmsim::PlatformConfig;
+use livephase_telemetry::catalogue::{TENANTS_ARBITER_DENIALS_TOTAL, TENANTS_ARBITER_GRANTS_TOTAL};
 use livephase_tenants::{run_scenario, Arbiter, ArbiterPolicy, ScenarioSpec};
 
 /// Requests granted or denied so far, by granted setting.
@@ -13,10 +14,10 @@ fn outcomes_by_op(slowest: usize) -> Vec<u64> {
         .map(|op| {
             let label = op.to_string();
             registry
-                .counter("tenants_arbiter_grants_total", "", &[("op", &label)])
+                .counter(&TENANTS_ARBITER_GRANTS_TOTAL, &[&label])
                 .get()
                 + registry
-                    .counter("tenants_arbiter_denials_total", "", &[("op", &label)])
+                    .counter(&TENANTS_ARBITER_DENIALS_TOTAL, &[&label])
                     .get()
         })
         .collect()

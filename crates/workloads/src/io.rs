@@ -15,14 +15,23 @@
 //! energy finite. Counts and `cpi_core` that parse can still overflow the
 //! timing model (`1e308` cycles per uop) or underflow it to zero time,
 //! and either would reach the power model as an undefined core fraction.
+//! A row may also stand for at most [`MAX_PMIS_PER_ROW`] PMIs.
 
 use crate::source::IntervalSource;
 use crate::trace::WorkloadTrace;
 use livephase_pmsim::timing::IntervalWork;
-use livephase_pmsim::{AnalyticModel, OperatingPointTable, TimingModel};
+use livephase_pmsim::{AnalyticModel, OperatingPointTable, PlatformConfig, TimingModel};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+
+/// The most PMIs one row may stand for. The simulated CPU delivers a PMI
+/// every `pmi_granularity_uops` (100 M on the Pentium-M), so a row of
+/// `u64::MAX` uops would be ≈1.8·10¹¹ PMIs and its replay would
+/// practically never end. Rows above 1024 PMIs' worth of uops are
+/// refused, as the tenants scenario refuses quanta below 1/1024 of an
+/// interval.
+pub const MAX_PMIS_PER_ROW: u64 = 1024;
 
 /// The CSV header the exporter writes and the importer requires.
 pub const CSV_HEADER: &str = "uops,instructions,mem_transactions,cpi_core,mlp";
@@ -112,6 +121,15 @@ fn parse_row(row: usize, line: &str) -> Result<IntervalWork, TraceCsvError> {
         return Err(TraceCsvError::BadRow {
             line: row,
             reason: "uops must be positive, cpi_core > 0, mlp >= 1".to_owned(),
+        });
+    }
+    let pmi_uops = PlatformConfig::pentium_m().pmi_granularity_uops;
+    if uops > MAX_PMIS_PER_ROW * pmi_uops {
+        return Err(TraceCsvError::BadRow {
+            line: row,
+            reason: format!(
+                "{uops} uops is more than {MAX_PMIS_PER_ROW} PMIs of {pmi_uops} uops each"
+            ),
         });
     }
     let work = IntervalWork::new(uops, instructions, mem, cpi, mlp);
@@ -300,6 +318,35 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.starts_with("bad row at line 3:"), "{msg}");
             assert!(msg.contains(&format!("at {mhz} MHz")), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_row_may_stand_for_at_most_max_pmis_per_row() {
+        let max = MAX_PMIS_PER_ROW * PlatformConfig::pentium_m().pmi_granularity_uops;
+        let row = |uops: u64| format!("{CSV_HEADER}\n{uops},80000000,1200000,0.8,2.0\n");
+        let at_bound = from_csv("x", &row(max)).unwrap();
+        assert_eq!(at_bound.intervals()[0].uops, max);
+        for uops in [max + 1, u64::MAX] {
+            let err = from_csv("x", &row(uops)).unwrap_err();
+            assert!(
+                matches!(err, TraceCsvError::BadRow { line: 2, .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("1024 PMIs"), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_exported_registry_row_is_under_the_bound() {
+        // What `export <bench>` writes: the default length at seed 42.
+        let max = MAX_PMIS_PER_ROW * PlatformConfig::pentium_m().pmi_granularity_uops;
+        let specs = spec::registry();
+        assert_eq!(specs.len(), 33);
+        for bench in specs {
+            let trace = bench.generate(42);
+            let biggest = trace.iter().map(|w| w.uops).max().unwrap();
+            assert!(biggest <= max, "{}: {biggest} uops", bench.name());
         }
     }
 

@@ -23,14 +23,13 @@
 //!   paper.
 //! * [`serve`] — phase prediction as a sharded TCP service: wire
 //!   protocol, session engine, server, client and load generator.
-//! * [`telemetry`] — zero-dependency observability: process-global
-//!   metrics registry with Prometheus-style exposition and leveled
-//!   structured tracing.
+//! * [`telemetry`] — zero-dependency observability: a catalogue
+//!   declaring every metric once, a process-global metrics registry
+//!   with Prometheus-style exposition, and leveled structured tracing.
 //! * [`lint`] — the workspace invariant linter: panic-freedom and
 //!   determinism of everything the hot paths reach over the call graph,
-//!   `SAFETY:` discipline, telemetry naming, and CLI-flag and metric-name
-//!   agreement with the docs, checked over a hand-rolled token stream and
-//!   gated in CI.
+//!   `SAFETY:` discipline, and CLI-flag agreement with the README,
+//!   checked over a hand-rolled token stream and gated in CI.
 //!
 //! See the repository `README.md` for a tour and `DESIGN.md` for the
 //! paper-to-crate mapping.

@@ -11,14 +11,14 @@ use livephase::core::PhaseId;
 use livephase::engine::{Decision, DecisionEngine, EngineConfig, Sample};
 use livephase::governor::Manager;
 use livephase::pmsim::{Cpu, PlatformConfig};
+use livephase::telemetry::catalogue::{self as cat, Metric};
+use livephase::telemetry::Counter;
 use livephase::tenants::{run_scenario, Arbiter, ArbiterPolicy, Request, ScenarioSpec};
 use livephase::workloads::{counter_samples, spec, WorkloadTrace};
 
-/// Current value of the counter series `name{labels}`.
-fn counter(name: &str, labels: &[(&str, &str)]) -> u64 {
-    livephase::telemetry::global()
-        .counter(name, "", labels)
-        .get()
+/// Current value of the counter series `metric{labels}`.
+fn counter(metric: &'static Metric<Counter>, labels: &[&str]) -> u64 {
+    livephase::telemetry::global().counter(metric, labels).get()
 }
 
 /// The engine-level series, read together.
@@ -33,13 +33,13 @@ struct EngineSeries {
 impl EngineSeries {
     fn read() -> Self {
         Self {
-            decisions: counter("governor_decisions_total", &[]),
+            decisions: counter(&cat::GOVERNOR_DECISIONS_TOTAL, &[]),
             latency_records: livephase::telemetry::global()
-                .histogram("governor_decision_us", "", &[])
+                .histogram(&cat::GOVERNOR_DECISION_US, &[])
                 .count(),
-            scored: counter("governor_predictor_hits_total", &[])
-                + counter("governor_predictor_misses_total", &[]),
-            evicted: counter("engine_pids_evicted_total", &[]),
+            scored: counter(&cat::GOVERNOR_PREDICTOR_HITS_TOTAL, &[])
+                + counter(&cat::GOVERNOR_PREDICTOR_MISSES_TOTAL, &[]),
+            evicted: counter(&cat::ENGINE_PIDS_EVICTED_TOTAL, &[]),
         }
     }
 
@@ -136,8 +136,8 @@ fn registry_counters_account_for_every_tally() {
     assert_eq!(moved.evicted, 77);
 
     // pmsim: two dropped CPUs plus a managed run; PMIs counted by hand.
-    let pmis_before = counter("pmsim_pmi_total", &[]);
-    let rearms_before = counter("pmsim_pmi_rearm_total", &[]);
+    let pmis_before = counter(&cat::PMSIM_PMI_TOTAL, &[]);
+    let rearms_before = counter(&cat::PMSIM_PMI_REARM_TOTAL, &[]);
     let platform = PlatformConfig::pentium_m();
     let mut delivered = 0u64;
     for length in [70, 130] {
@@ -153,32 +153,32 @@ fn registry_counters_account_for_every_tally() {
         }
         cpu.set_pmi_granularity(platform.pmi_granularity_uops * 2);
     }
-    assert_eq!(counter("pmsim_pmi_total", &[]) - pmis_before, delivered);
-    assert_eq!(counter("pmsim_pmi_rearm_total", &[]) - rearms_before, 2);
+    assert_eq!(counter(&cat::PMSIM_PMI_TOTAL, &[]) - pmis_before, delivered);
+    assert_eq!(counter(&cat::PMSIM_PMI_REARM_TOTAL, &[]) - rearms_before, 2);
     let report = Manager::gpht_deployed().run(trace(90), &platform);
     assert_eq!(
-        counter("pmsim_pmi_total", &[]) - pmis_before,
+        counter(&cat::PMSIM_PMI_TOTAL, &[]) - pmis_before,
         delivered + report.intervals.len() as u64
     );
 
     // tenants: the report's own counts.
     let mut scenario = ScenarioSpec::new(5, 2);
     scenario.intervals = 7;
-    let switches_before = counter("tenants_context_switches_total", &[]);
+    let switches_before = counter(&cat::TENANTS_CONTEXT_SWITCHES_TOTAL, &[]);
     let labels: Vec<String> = (0..5).map(|t: u32| t.to_string()).collect();
     let intervals_before: Vec<u64> = labels
         .iter()
-        .map(|t| counter("tenants_intervals_total", &[("tenant", t)]))
+        .map(|t| counter(&cat::TENANTS_INTERVALS_TOTAL, &[t]))
         .collect();
     let engine_before = EngineSeries::read();
     let cluster = run_scenario(&scenario).unwrap();
     assert_eq!(
-        counter("tenants_context_switches_total", &[]) - switches_before,
+        counter(&cat::TENANTS_CONTEXT_SWITCHES_TOTAL, &[]) - switches_before,
         cluster.context_switches
     );
     let mut intervals = 0;
     for ((t, label), before) in cluster.tenants.iter().zip(&labels).zip(&intervals_before) {
-        let moved = counter("tenants_intervals_total", &[("tenant", label)]) - before;
+        let moved = counter(&cat::TENANTS_INTERVALS_TOTAL, &[label]) - before;
         assert_eq!(moved, t.intervals, "tenant {label}");
         intervals += t.intervals;
     }
@@ -200,17 +200,17 @@ fn registry_counters_account_for_every_tally() {
             priority: (t % 3) as u8,
         })
         .collect();
-    let by_op = |name: &str| -> Vec<u64> {
+    let by_op = |metric: &'static Metric<Counter>| -> Vec<u64> {
         (0..6)
-            .map(|op: usize| counter(name, &[("op", &op.to_string())]))
+            .map(|op: usize| counter(metric, &[&op.to_string()]))
             .collect()
     };
     for policy in [ArbiterPolicy::WaterFill, ArbiterPolicy::Priority] {
         let mut arbiter = Arbiter::new(&platform, 18.0, policy, 2);
         for round in 0..3 {
             let (grants_before, denials_before) = (
-                by_op("tenants_arbiter_grants_total"),
-                by_op("tenants_arbiter_denials_total"),
+                by_op(&cat::TENANTS_ARBITER_GRANTS_TOTAL),
+                by_op(&cat::TENANTS_ARBITER_DENIALS_TOTAL),
             );
             let totals_before = (arbiter.grants_total(), arbiter.denials_total());
             let grants = arbiter.arbitrate(&requests[round * 8..]);
@@ -227,11 +227,11 @@ fn registry_counters_account_for_every_tally() {
                 now.iter().zip(&then).map(|(n, t)| n - t).collect()
             };
             assert_eq!(
-                moved(by_op("tenants_arbiter_grants_total"), grants_before),
+                moved(by_op(&cat::TENANTS_ARBITER_GRANTS_TOTAL), grants_before),
                 granted
             );
             assert_eq!(
-                moved(by_op("tenants_arbiter_denials_total"), denials_before),
+                moved(by_op(&cat::TENANTS_ARBITER_DENIALS_TOTAL), denials_before),
                 denied
             );
             assert_eq!(
