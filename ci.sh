@@ -8,6 +8,9 @@ cargo fmt --all -- --check
 # seven decision crates' #![cfg_attr(not(test), warn(clippy::unwrap_used,
 # clippy::expect_used))] gates too: -D warnings makes it an error.
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc: a broken or private intra-doc link is an error, not a
+# warning nobody reads.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # --workspace: the root façade package alone would skip the member
 # crates (and leave target/release/livephase-cli stale for the smoke
 # test below).
@@ -64,19 +67,18 @@ quantum_out=$(timeout 10 "$cli" tenants --tenants 2 --cores 1 --length 2 --quant
 
 # Workspace invariant linter (crates/lint): panic-freedom and
 # determinism of everything the hot-path roots reach over the call
-# graph, SAFETY comments, CLI-flag doc consistency. (Metric names are
-# checked by the livephase-telemetry catalogue test, which also reads
-# this script's greps.) Exit-code contract: 0 = clean, 1 =
-# findings (report on stdout), 2 = operational error (message on
-# stderr) — so a failure here is a genuine finding, never a broken tool
-# hiding behind the same status. The committed baseline records accepted
-# debt: a finding it lists is reported but does not gate, so CI fails on
-# *regressions* without freezing history.
-target/release/livephase-cli lint --baseline results/lint/baseline.json
+# graph, and SAFETY comments. (Metric names are checked by the
+# livephase-telemetry catalogue test, which also reads this script's
+# greps; CLI flags by the livephase-cli unit test that parses README's
+# command lines.) Exit-code contract: 0 = clean, 1 = findings (report
+# on stdout), 2 = operational error (message on stderr) — so a failure
+# here is a genuine finding, never a broken tool hiding behind the same
+# status.
+target/release/livephase-cli lint
 # The JSON surface is what dashboards consume; make sure it stays
 # parseable and agrees that the tree is clean. (Captured, not piped:
 # grep -q closing the pipe early would SIGPIPE the CLI mid-print.)
-lint_json=$(target/release/livephase-cli lint --json --baseline results/lint/baseline.json)
+lint_json=$(target/release/livephase-cli lint --json)
 echo "$lint_json" | grep -q '"findings": 0' \
     || { echo "lint --json disagrees with the text report"; exit 1; }
 # Warnings do not set the exit code, so gate them here: a stale

@@ -2,7 +2,7 @@
 //!
 //! An [`Area`] is a named, self-contained measurement — it builds its
 //! own inputs, runs a fixed amount of work per iteration, and returns
-//! raw per-iteration nanoseconds for [`Summary`](crate::stats::Summary)
+//! raw per-iteration nanoseconds for [`Summary`]
 //! to digest. Areas carry an [`expected_ratio`](Area::expected_ratio):
 //! the cost of one iteration relative to the calibration baseline,
 //! measured once on an idle machine and committed. The CI gate flags an

@@ -1,8 +1,15 @@
-//! Command-line parsing (hand-rolled; the sanctioned dependency set has no
-//! argument parser, and the surface is small enough not to want one).
+//! Command-line parsing, declared once. [`COMMANDS`] and [`FLAGS`] are
+//! the whole surface: [`parse`] looks every word up in them and
+//! [`crate::usage`] renders them, so a flag the parser accepts is
+//! documented by construction. (Hand-rolled: the sanctioned dependency
+//! set has no argument parser, and the surface is small enough not to
+//! want one.)
 
 use std::error::Error;
 use std::fmt;
+
+use Positional::{Refused, Required};
+use Takes::{Pair, Switch, Value};
 
 /// A user-facing command-line error.
 ///
@@ -59,7 +66,7 @@ impl fmt::Display for CliError {
 impl Error for CliError {}
 
 /// The recognized subcommands.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Command {
     /// `list`
     List,
@@ -93,102 +100,82 @@ pub enum Command {
     Help,
 }
 
-/// A fully parsed command line.
+/// A fully parsed command line. Each option field is set by the
+/// [`FLAGS`] entry of the same name, which also documents it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Parsed {
     /// The subcommand.
     pub command: Command,
-    /// The positional argument (benchmark name, file, or artifact).
+    /// The positional argument (benchmark name, file, artifact or address).
     pub target: Option<String>,
     /// `--seed` (default 42, the experiments' default).
     pub seed: u64,
-    /// `--length` override, if given.
+    /// `--length`, if given.
     pub length: Option<usize>,
-    /// `--predictor` specification (default `gpht:8:128`).
+    /// `--predictor` (default `gpht:8:128`).
     pub predictor: String,
-    /// `--policy` name (default `gpht`).
+    /// `--policy` (default `gpht`).
     pub policy: String,
-    /// `--out` path for `export`.
+    /// `--out`: the `export` file or the `bench --json` directory.
     pub out: Option<String>,
     /// `--port` for `serve` (0 picks an ephemeral port).
     pub port: u16,
-    /// `--shards` worker threads for `serve`.
+    /// `--shards` for `serve`.
     pub shards: usize,
-    /// `--max-conns` accept gate for `serve`.
+    /// `--max-conns` for `serve`.
     pub max_conns: usize,
-    /// `--exit-after-conns`: stop `serve` after this many connections
-    /// have been admitted and drained.
+    /// `--exit-after-conns` for `serve`, if given.
     pub exit_after_conns: Option<u64>,
-    /// `--read-timeout-ms` socket timeout for `serve` and `serve-bench`.
+    /// `--read-timeout-ms` for `serve` and `serve-bench`.
     pub read_timeout_ms: u64,
-    /// `--conns` concurrent connections for `serve-bench`.
+    /// `--conns` for `serve-bench`.
     pub conns: usize,
-    /// `--window` pipeline depth for `serve-bench`.
+    /// `--window` for `serve-bench`.
     pub window: usize,
-    /// `--bench` comma-separated benchmark subset for `serve-bench`
-    /// (empty = all).
+    /// `--bench` subset for `serve-bench` (empty = all).
     pub bench: Vec<String>,
-    /// `--no-check`: skip the in-process oracle agreement pass in
-    /// `serve-bench`.
+    /// `--no-check` for `serve-bench`.
     pub no_check: bool,
-    /// `--max-outbound` per-connection outbound queue cap in bytes for
-    /// `serve`; a slow consumer exceeding it is shed.
+    /// `--max-outbound` for `serve`, in bytes.
     pub max_outbound_bytes: usize,
-    /// `--sndbuf` socket send-buffer size in bytes for `serve`, if
-    /// given; small values surface backpressure early in tests.
+    /// `--sndbuf` for `serve`, in bytes, if given.
     pub sndbuf: Option<usize>,
-    /// `--tenants` VM count for the `tenants` scenario.
+    /// `--tenants` for `tenants`.
     pub tenants: usize,
-    /// `--cores` simulated core count for the `tenants` scenario.
+    /// `--cores` for `tenants`.
     pub cores: usize,
-    /// `--budget` cluster power budget in watts for `tenants`, if given
-    /// (the scenario default applies otherwise).
+    /// `--budget` for `tenants`, in watts, if given.
     pub budget_w: Option<f64>,
-    /// `--quantum` per-tenant scheduling credit in uops for `tenants`,
-    /// if given.
+    /// `--quantum` for `tenants`, in uops, if given.
     pub quantum_uops: Option<u64>,
-    /// `--noisy` noisy-neighbor tenant count for `tenants`.
+    /// `--noisy` for `tenants`.
     pub noisy: usize,
-    /// `--mix` comma-separated benchmark mix for `tenants` (empty =
-    /// the scenario's default mix).
+    /// `--mix` for `tenants` (empty = the scenario's default mix).
     pub mix: Vec<String>,
-    /// `--arbiter` power-cap arbitration policy for `tenants`
-    /// (`waterfill` or `priority`).
+    /// `--arbiter` for `tenants` (`waterfill` or `priority`).
     pub arbiter: String,
-    /// `--metrics`: append the telemetry exposition to `tenants` output.
+    /// `--metrics` for `tenants`.
     pub metrics: bool,
-    /// `--log-json`: emit `serve` trace events as JSON lines instead of
-    /// the human-readable form.
+    /// `--log-json` for `serve`.
     pub log_json: bool,
-    /// `--json`: emit the `lint` report as machine-readable JSON, the
-    /// `metrics` scrape as structured JSON, or (for `bench`) write one
-    /// `BENCH_<area>.json` record per area.
+    /// `--json` for `lint`, `metrics` and `bench`.
     pub json: bool,
-    /// `--areas` comma-separated bench-area subset (empty = all).
+    /// `--areas` for `bench` (empty = all).
     pub areas: Vec<String>,
-    /// `--iters` timed iterations per bench area.
+    /// `--iters` for `bench`.
     pub iters: usize,
-    /// `--warmup` untimed iterations per bench area.
+    /// `--warmup` for `bench`.
     pub warmup: usize,
-    /// `--profile`: append the `timed_span!` hot-path table to `bench`
-    /// output.
+    /// `--profile` for `bench`.
     pub profile: bool,
-    /// `--gate`: make `bench` judge its records against the calibrated
-    /// thresholds (exit 1 on findings, loud skip on a noisy machine).
+    /// `--gate` for `bench`.
     pub gate: bool,
-    /// `--multiplier` gate headroom override for `bench --gate`
-    /// (default 5.0; ci.sh passes 2.0 under `LIVEPHASE_BENCH_STRICT`).
+    /// `--multiplier` for `bench --gate`, if given (default 5.0).
     pub multiplier: Option<f64>,
-    /// `--power-model` backend (`analytic` | `linear` | `tree`) for
-    /// `repro`, `serve`, `tenants`, and `power-zoo`; learned backends
-    /// are trained deterministically from the committed training set.
+    /// `--power-model` (`analytic` | `linear` | `tree`).
     pub power_model: String,
-    /// `--compare <dir-a> <dir-b>` for `bench`: diff two directories of
-    /// `BENCH_*.json` records instead of running the harness.
+    /// `--compare <dir-a> <dir-b>` for `bench`.
     pub compare: Option<(String, String)>,
-    /// `--baseline <file>` for `lint`: a committed `lint --json` report;
-    /// findings it records are reported but do not gate.
-    pub baseline: Option<String>,
 }
 
 impl Default for Parsed {
@@ -230,281 +217,422 @@ impl Default for Parsed {
             multiplier: None,
             power_model: "analytic".to_owned(),
             compare: None,
-            baseline: None,
         }
     }
 }
 
-/// Parses a command line (excluding `argv[0]`).
-///
-/// # Errors
-///
-/// Returns a [`CliError`] for unknown commands/options, missing values,
-/// or unparsable numbers.
-pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
-    let mut parsed = Parsed::default();
-    let mut it = argv.iter().peekable();
+/// What a command takes after its name.
+#[derive(Debug, Clone, Copy)]
+pub enum Positional {
+    /// One required argument, named by its metavar (`<bench>`).
+    Required(&'static str),
+    /// None. The hint ends the error when one is given: `lint takes no
+    /// argument; it scans the enclosing workspace`.
+    Refused(&'static str),
+}
 
-    let Some(cmd) = it.next() else {
-        return Ok(parsed); // no args -> help
-    };
-    parsed.command = match cmd.as_str() {
-        "list" => Command::List,
-        "characterize" => Command::Characterize,
-        "predict" => Command::Predict,
-        "govern" => Command::Govern,
-        "export" => Command::Export,
-        "replay" => Command::Replay,
-        "repro" => Command::Repro,
-        "serve" => Command::Serve,
-        "tenants" => Command::Tenants,
-        "serve-bench" => Command::ServeBench,
-        "metrics" => Command::Metrics,
-        "lint" => Command::Lint,
-        "bench" => Command::Bench,
-        "power-zoo" => Command::PowerZoo,
-        "help" | "--help" | "-h" => Command::Help,
-        other => {
-            return Err(CliError::new(format!(
-                "unknown command {other:?}; run `livephase help`"
-            )))
+/// One subcommand: its name, what it parses to, its positional, and
+/// its usage line (`\n` continues the line).
+#[derive(Debug)]
+pub struct CommandSpec {
+    /// The name on the command line.
+    pub name: &'static str,
+    /// What it dispatches to.
+    pub command: Command,
+    /// Its positional argument.
+    pub positional: Positional,
+    /// Its usage line.
+    pub help: &'static str,
+}
+
+impl CommandSpec {
+    /// The command as `usage()` shows it: `export <bench>`.
+    #[must_use]
+    pub(crate) fn syntax(&self) -> String {
+        match self.positional {
+            Positional::Required(metavar) => format!("{} {metavar}", self.name),
+            Positional::Refused(_) => self.name.to_owned(),
         }
-    };
+    }
+}
 
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                parsed.seed = take_value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|e| CliError::new(format!("--seed: {e}")))?
-            }
-            "--length" => {
-                let v: usize = take_value(&mut it, "--length")?
-                    .parse()
-                    .map_err(|e| CliError::new(format!("--length: {e}")))?;
-                if v == 0 {
-                    return Err(CliError::new("--length must be at least 1"));
-                }
-                parsed.length = Some(v);
-            }
-            "--predictor" => parsed.predictor = take_value(&mut it, "--predictor")?,
-            "--policy" => parsed.policy = take_value(&mut it, "--policy")?,
-            "--out" => parsed.out = Some(take_value(&mut it, "--out")?),
-            "--port" => parsed.port = parse_num(&mut it, "--port")?,
-            "--shards" => {
-                parsed.shards = parse_num(&mut it, "--shards")?;
-                if parsed.shards == 0 {
-                    return Err(CliError::new("--shards must be at least 1"));
-                }
-            }
-            "--max-conns" => {
-                parsed.max_conns = parse_num(&mut it, "--max-conns")?;
-                if parsed.max_conns == 0 {
-                    return Err(CliError::new("--max-conns must be at least 1"));
-                }
-            }
-            "--exit-after-conns" => {
-                parsed.exit_after_conns = Some(parse_num(&mut it, "--exit-after-conns")?);
-            }
-            "--read-timeout-ms" => {
-                parsed.read_timeout_ms = parse_num(&mut it, "--read-timeout-ms")?;
-                if parsed.read_timeout_ms == 0 {
-                    return Err(CliError::new("--read-timeout-ms must be at least 1"));
-                }
-            }
-            "--conns" => {
-                parsed.conns = parse_num(&mut it, "--conns")?;
-                if parsed.conns == 0 {
-                    return Err(CliError::new("--conns must be at least 1"));
-                }
-            }
-            "--window" => {
-                parsed.window = parse_num(&mut it, "--window")?;
-                if parsed.window == 0 {
-                    return Err(CliError::new("--window must be at least 1"));
-                }
-            }
-            "--bench" => {
-                parsed.bench = take_value(&mut it, "--bench")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--no-check" => parsed.no_check = true,
-            "--tenants" => {
-                parsed.tenants = parse_num(&mut it, "--tenants")?;
-                if parsed.tenants == 0 {
-                    return Err(CliError::new("--tenants must be at least 1"));
-                }
-            }
-            "--cores" => {
-                parsed.cores = parse_num(&mut it, "--cores")?;
-                if parsed.cores == 0 {
-                    return Err(CliError::new("--cores must be at least 1"));
-                }
-            }
-            "--budget" => {
-                let v: f64 = parse_num(&mut it, "--budget")?;
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(CliError::new("--budget must be a positive number of watts"));
-                }
-                parsed.budget_w = Some(v);
-            }
-            "--quantum" => {
-                let v: u64 = parse_num(&mut it, "--quantum")?;
-                if v == 0 {
-                    return Err(CliError::new("--quantum must be at least 1 uop"));
-                }
-                parsed.quantum_uops = Some(v);
-            }
-            "--noisy" => parsed.noisy = parse_num(&mut it, "--noisy")?,
-            "--mix" => {
-                parsed.mix = take_value(&mut it, "--mix")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--arbiter" => parsed.arbiter = take_value(&mut it, "--arbiter")?,
-            "--metrics" => parsed.metrics = true,
-            "--max-outbound" => {
-                parsed.max_outbound_bytes = parse_num(&mut it, "--max-outbound")?;
-                if parsed.max_outbound_bytes == 0 {
-                    return Err(CliError::new("--max-outbound must be at least 1"));
-                }
-            }
-            "--sndbuf" => {
-                let v: usize = parse_num(&mut it, "--sndbuf")?;
-                if v == 0 {
-                    return Err(CliError::new("--sndbuf must be at least 1"));
-                }
-                parsed.sndbuf = Some(v);
-            }
-            "--log-json" => parsed.log_json = true,
-            "--json" => parsed.json = true,
-            "--areas" => {
-                parsed.areas = take_value(&mut it, "--areas")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--iters" => {
-                parsed.iters = parse_num(&mut it, "--iters")?;
-                if parsed.iters == 0 {
-                    return Err(CliError::new("--iters must be at least 1"));
-                }
-            }
-            "--warmup" => parsed.warmup = parse_num(&mut it, "--warmup")?,
-            "--profile" => parsed.profile = true,
-            "--gate" => parsed.gate = true,
-            "--multiplier" => {
-                let v: f64 = parse_num(&mut it, "--multiplier")?;
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(CliError::new("--multiplier must be a positive number"));
-                }
-                parsed.multiplier = Some(v);
-            }
-            "--power-model" => {
-                let v = take_value(&mut it, "--power-model")?;
-                if !matches!(v.as_str(), "analytic" | "linear" | "tree") {
-                    return Err(CliError::new(format!(
-                        "--power-model must be analytic, linear, or tree; got {v:?}"
-                    )));
-                }
-                parsed.power_model = v;
-            }
-            "--baseline" => parsed.baseline = Some(take_value(&mut it, "--baseline")?),
-            "--compare" => {
-                let a = take_value(&mut it, "--compare")?;
-                let b = it.next().cloned().ok_or_else(|| {
-                    CliError::new("--compare requires two directories: <dir-a> <dir-b>")
-                })?;
-                if a.starts_with('-') || b.starts_with('-') {
-                    return Err(CliError::new(
-                        "--compare requires two directories: <dir-a> <dir-b>",
-                    ));
-                }
-                parsed.compare = Some((a, b));
-            }
-            other if other.starts_with('-') => {
-                return Err(CliError::new(format!("unknown option {other:?}")))
-            }
-            positional => {
-                if parsed.target.is_some() {
-                    return Err(CliError::new(format!(
-                        "unexpected extra argument {positional:?}"
-                    )));
-                }
-                parsed.target = Some(positional.to_owned());
+/// Sets a flag's value in [`Parsed`]. An error is the message's tail
+/// after the flag name: `": invalid digit found in string"`,
+/// `" must be at least 1"`.
+pub type SetValue = fn(&mut Parsed, &str) -> Result<(), String>;
+
+/// What a flag takes after its name, and how it lands in [`Parsed`].
+#[derive(Debug, Clone, Copy)]
+pub enum Takes {
+    /// Nothing: a switch.
+    Switch(fn(&mut Parsed)),
+    /// One value, named by its metavar (`<n>`).
+    Value(&'static str, SetValue),
+    /// Two values (`--compare <a> <b>`); the second is `None` when the
+    /// command line ends after the first.
+    Pair(
+        &'static str,
+        fn(&mut Parsed, &str, Option<&str>) -> Result<(), String>,
+    ),
+}
+
+// The `usage()` sections, in order: `FLAGS` lists each section's
+// flags together.
+const OPTIONS: &str = "OPTIONS";
+const SERVE: &str = "SERVE OPTIONS";
+const SERVE_BENCH: &str = "SERVE-BENCH OPTIONS";
+const TENANTS: &str = "TENANTS OPTIONS";
+const BENCH: &str = "BENCH OPTIONS";
+
+/// One `--flag`: its name, what it takes, its `usage()` section, and its
+/// help text (`\n` continues the line).
+#[derive(Debug)]
+pub struct Flag {
+    /// The flag as typed, `--seed`.
+    pub name: &'static str,
+    /// Its value(s) and setter.
+    pub takes: Takes,
+    /// The `usage()` section that lists it.
+    pub section: &'static str,
+    /// Its help text.
+    pub help: &'static str,
+}
+
+impl Flag {
+    /// The flag as `usage()` shows it: `--seed <n>`.
+    #[must_use]
+    pub(crate) fn syntax(&self) -> String {
+        match self.takes {
+            Takes::Switch(_) => self.name.to_owned(),
+            Takes::Value(metavar, _) | Takes::Pair(metavar, _) => {
+                format!("{} {metavar}", self.name)
             }
         }
     }
+}
 
-    // Per-command positional requirements.
-    let needs_target = matches!(
-        parsed.command,
-        Command::Characterize
-            | Command::Predict
-            | Command::Govern
-            | Command::Export
-            | Command::Replay
-            | Command::Repro
-            | Command::ServeBench
-            | Command::Metrics
-    );
-    if needs_target && parsed.target.is_none() {
-        return Err(CliError::new(format!(
-            "{cmd} requires an argument; run `livephase help`"
-        )));
+/// Spellings of `help` that are not its name.
+const HELP_ALIASES: [&str; 2] = ["--help", "-h"];
+
+/// Every subcommand, in `usage()` order.
+#[rustfmt::skip]
+pub static COMMANDS: &[CommandSpec] = &[
+    CommandSpec { name: "list", command: Command::List,
+        positional: Refused("it lists every built-in benchmark"),
+        help: "list the built-in benchmarks" },
+    CommandSpec { name: "characterize", command: Command::Characterize,
+        positional: Required("<bench>"),
+        help: "stability / savings statistics" },
+    CommandSpec { name: "predict", command: Command::Predict,
+        positional: Required("<bench>"),
+        help: "run a phase predictor, report accuracy" },
+    CommandSpec { name: "govern", command: Command::Govern,
+        positional: Required("<bench>"),
+        help: "run DVFS management, report EDP" },
+    CommandSpec { name: "export", command: Command::Export,
+        positional: Required("<bench>"),
+        help: "write the trace as CSV to --out <path>" },
+    CommandSpec { name: "replay", command: Command::Replay,
+        positional: Required("<file.csv>"),
+        help: "govern a replayed counter log" },
+    CommandSpec { name: "repro", command: Command::Repro,
+        positional: Required("<artifact>"),
+        help: "regenerate a paper table/figure, ablation\n\
+               or extension; `ablations`/`extensions` run\n\
+               each group, `all` the paper and rewrites\n\
+               EXPERIMENTS.md + results/*.csv\n\
+               (exit 0 claims hold, 1 violations)" },
+    CommandSpec { name: "tenants", command: Command::Tenants,
+        positional: Refused("use --mix to choose the benchmarks"),
+        help: "run a multi-tenant cluster under a power cap" },
+    CommandSpec { name: "serve", command: Command::Serve,
+        positional: Refused("use --port to choose where it listens"),
+        help: "run the phase-prediction TCP daemon" },
+    CommandSpec { name: "serve-bench", command: Command::ServeBench,
+        positional: Required("<addr>"),
+        help: "load-test a running daemon" },
+    CommandSpec { name: "metrics", command: Command::Metrics,
+        positional: Required("<addr>"),
+        help: "scrape a running daemon's telemetry" },
+    CommandSpec { name: "lint", command: Command::Lint,
+        positional: Refused("it scans the enclosing workspace"),
+        help: "run the workspace invariant linter\n\
+               (exit 0 clean, 1 findings, 2 error)" },
+    CommandSpec { name: "bench", command: Command::Bench,
+        positional: Refused("use --areas to select a subset"),
+        help: "run the calibrated benchmark harness" },
+    CommandSpec { name: "power-zoo", command: Command::PowerZoo,
+        positional: Refused("use --seed to vary the run"),
+        help: "train/validate the power-model zoo and\n\
+               race the backends under a power cap\n\
+               (exit 0 gates hold, 1 violations)" },
+    CommandSpec { name: "help", command: Command::Help,
+        positional: Refused("it prints every command and option"),
+        help: "print this text (also --help, -h)" },
+];
+
+/// Every `--flag`, grouped by section.
+#[rustfmt::skip]
+pub static FLAGS: &[Flag] = &[
+    Flag { name: "--seed", section: OPTIONS,
+        takes: Value("<n>", |p, v| num(v).map(|n| p.seed = n)),
+        help: "workload seed (default 42)" },
+    Flag { name: "--length", section: OPTIONS,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.length = Some(n))),
+        help: "trace length in sampling intervals (per tenant\n\
+               for `tenants`)" },
+    Flag { name: "--power-model", section: OPTIONS,
+        takes: Value("<name>", set_power_model),
+        help: "analytic | linear | tree — power backend for\n\
+               serve, tenants and `repro power_cap` (learned\n\
+               backends are fitted on the power-zoo harvest;\n\
+               default analytic)" },
+    Flag { name: "--predictor", section: OPTIONS,
+        takes: Value("<spec>", |p, v| { v.clone_into(&mut p.predictor); Ok(()) }),
+        help: "lastvalue | markov | fixwindow:<n> |\n\
+               varwindow:<n>:<thr> | gpht:<depth>:<entries> |\n\
+               hashedgpht:<depth>:<entries> (govern and\n\
+               replay take one only with --policy gpht)" },
+    Flag { name: "--policy", section: OPTIONS,
+        takes: Value("<name>", |p, v| { v.clone_into(&mut p.policy); Ok(()) }),
+        help: "baseline | reactive | gpht | oracle | conservative" },
+    Flag { name: "--out", section: OPTIONS,
+        takes: Value("<path>", |p, v| { p.out = Some(v.to_owned()); Ok(()) }),
+        help: "output file for `export`; record directory for\n\
+               `bench --json` (default .)" },
+    Flag { name: "--json", section: OPTIONS,
+        takes: Switch(|p| p.json = true),
+        help: "machine-readable output: the `lint` report, the\n\
+               `metrics` scrape, or one BENCH_<area>.json record\n\
+               per `bench` area" },
+    Flag { name: "--port", section: SERVE,
+        takes: Value("<n>", |p, v| num(v).map(|n| p.port = n)),
+        help: "TCP port (default 0 = ephemeral; the bound\n\
+               address is printed as `listening on <addr>`)" },
+    Flag { name: "--shards", section: SERVE,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.shards = n)),
+        help: "shard owner threads (default 4)" },
+    Flag { name: "--max-conns", section: SERVE,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.max_conns = n)),
+        help: "concurrent-connection accept gate (default 256)" },
+    Flag { name: "--exit-after-conns", section: SERVE,
+        takes: Value("<n>", |p, v| num(v).map(|n| p.exit_after_conns = Some(n))),
+        help: "exit after admitting and draining n connections" },
+    Flag { name: "--read-timeout-ms", section: SERVE,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.read_timeout_ms = n)),
+        help: "socket timeout, also for serve-bench (default 5000)" },
+    Flag { name: "--max-outbound", section: SERVE,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.max_outbound_bytes = n)),
+        help: "per-connection outbound queue cap in bytes\n\
+               (default 262144; slow consumers over it are shed)" },
+    Flag { name: "--sndbuf", section: SERVE,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.sndbuf = Some(n))),
+        help: "socket send-buffer size in bytes" },
+    Flag { name: "--log-json", section: SERVE,
+        takes: Switch(|p| p.log_json = true),
+        help: "emit trace events as JSON lines" },
+    Flag { name: "--conns", section: SERVE_BENCH,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.conns = n)),
+        help: "connections, all held open at once (default 8)" },
+    Flag { name: "--window", section: SERVE_BENCH,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.window = n)),
+        help: "samples in flight per connection (default 64)" },
+    Flag { name: "--bench", section: SERVE_BENCH,
+        takes: Value("<a,b,...>", |p, v| { p.bench = list(v); Ok(()) }),
+        help: "benchmark subset (default: all 33)" },
+    Flag { name: "--no-check", section: SERVE_BENCH,
+        takes: Switch(|p| p.no_check = true),
+        help: "skip the in-process oracle agreement pass" },
+    Flag { name: "--tenants", section: TENANTS,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.tenants = n)),
+        help: "tenant VM count M (default 8)" },
+    Flag { name: "--cores", section: TENANTS,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.cores = n)),
+        help: "simulated core count K (default 2)" },
+    Flag { name: "--budget", section: TENANTS,
+        takes: Value("<w>", |p, v| positive(v, " of watts").map(|w| p.budget_w = Some(w))),
+        help: "cluster power budget in watts (default 60)" },
+    Flag { name: "--quantum", section: TENANTS,
+        takes: Value("<n>", set_quantum),
+        help: "scheduling credit per tenant per epoch in uops\n\
+               (default 25000000; at least 97657, so a\n\
+               sampling interval is cut into <= 1024 quanta)" },
+    Flag { name: "--arbiter", section: TENANTS,
+        takes: Value("<name>", |p, v| { v.clone_into(&mut p.arbiter); Ok(()) }),
+        help: "power-cap policy: waterfill | priority" },
+    Flag { name: "--mix", section: TENANTS,
+        takes: Value("<a,b,...>", |p, v| { p.mix = list(v); Ok(()) }),
+        help: "benchmark mix cycled across tenants" },
+    Flag { name: "--noisy", section: TENANTS,
+        takes: Value("<n>", |p, v| num(v).map(|n| p.noisy = n)),
+        help: "noisy-neighbor tenants (highest ids; they run\n\
+               the most memory-bound benchmark at 4x credit)" },
+    Flag { name: "--metrics", section: TENANTS,
+        takes: Switch(|p| p.metrics = true),
+        help: "append the telemetry exposition to the report" },
+    Flag { name: "--areas", section: BENCH,
+        takes: Value("<a,b,...>", |p, v| { p.areas = list(v); Ok(()) }),
+        help: "bench-area subset (default: all)" },
+    Flag { name: "--iters", section: BENCH,
+        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.iters = n)),
+        help: "timed iterations per area (default 30)" },
+    Flag { name: "--warmup", section: BENCH,
+        takes: Value("<n>", |p, v| num(v).map(|n| p.warmup = n)),
+        help: "untimed warmup iterations per area (default 3)" },
+    Flag { name: "--gate", section: BENCH,
+        takes: Switch(|p| p.gate = true),
+        help: "judge records against calibrated thresholds\n\
+               (exit 0 pass/skip, 1 findings, 2 error)" },
+    Flag { name: "--multiplier", section: BENCH,
+        takes: Value("<x>", |p, v| positive(v, "").map(|x| p.multiplier = Some(x))),
+        help: "gate headroom over the expected ratio\n\
+               (default 5.0; strict CI uses 2.0)" },
+    Flag { name: "--profile", section: BENCH,
+        takes: Switch(|p| p.profile = true),
+        help: "append the timed_span! hot-path table" },
+    Flag { name: "--compare", section: BENCH,
+        takes: Pair("<a> <b>", set_compare),
+        help: "diff two BENCH_*.json snapshot directories on\n\
+               their calibrated ratios instead of measuring\n\
+               (exit 0 clean, 1 regressions past +15%)" },
+];
+
+/// Parses a number.
+fn num<T: std::str::FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    v.parse().map_err(|e| format!(": {e}"))
+}
+
+/// Parses a count that must be at least 1.
+fn at_least_1<T: std::str::FromStr + Default + PartialEq>(v: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    let n = num(v)?;
+    if n == T::default() {
+        return Err(" must be at least 1".to_owned());
+    }
+    Ok(n)
+}
+
+/// Parses a positive finite number; `unit` ends the error.
+fn positive(v: &str, unit: &str) -> Result<f64, String> {
+    let x: f64 = num(v)?;
+    if !(x.is_finite() && x > 0.0) {
+        return Err(format!(" must be a positive number{unit}"));
+    }
+    Ok(x)
+}
+
+/// Splits a comma-separated list, dropping empty items.
+fn list(v: &str) -> Vec<String> {
+    v.split(',')
+        .filter(|s| !s.is_empty())
+        .map(str::to_owned)
+        .collect()
+}
+
+fn set_power_model(p: &mut Parsed, v: &str) -> Result<(), String> {
+    if !matches!(v, "analytic" | "linear" | "tree") {
+        return Err(format!(" must be analytic, linear, or tree; got {v:?}"));
+    }
+    v.clone_into(&mut p.power_model);
+    Ok(())
+}
+
+fn set_quantum(p: &mut Parsed, v: &str) -> Result<(), String> {
+    let q: u64 = num(v)?;
+    if q == 0 {
+        return Err(" must be at least 1 uop".to_owned());
+    }
+    p.quantum_uops = Some(q);
+    Ok(())
+}
+
+fn set_compare(p: &mut Parsed, a: &str, b: Option<&str>) -> Result<(), String> {
+    match b {
+        Some(b) if !a.starts_with('-') && !b.starts_with('-') => {
+            p.compare = Some((a.to_owned(), b.to_owned()));
+            Ok(())
+        }
+        _ => Err(" requires two directories: <dir-a> <dir-b>".to_owned()),
+    }
+}
+
+/// Parses a command line (excluding `argv[0]`) against [`COMMANDS`] and
+/// [`FLAGS`].
+///
+/// # Errors
+///
+/// Returns a [`CliError`] (exit code 2) for an unknown command or
+/// option, a missing, extra or refused positional, a missing value, or
+/// a value its flag rejects.
+pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
+    let mut parsed = Parsed::default();
+    let mut it = argv.iter();
+    let Some(cmd) = it.next() else {
+        return Ok(parsed); // no args -> help
+    };
+    let name = if HELP_ALIASES.contains(&cmd.as_str()) {
+        "help"
+    } else {
+        cmd.as_str()
+    };
+    let spec = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| CliError::new(format!("unknown command {cmd:?}; run `livephase help`")))?;
+    parsed.command = spec.command;
+
+    while let Some(arg) = it.next() {
+        if let Some(flag) = FLAGS.iter().find(|f| f.name == arg) {
+            let result = match flag.takes {
+                Switch(set) => {
+                    set(&mut parsed);
+                    Ok(())
+                }
+                Value(_, set) => set(&mut parsed, take_value(&mut it, flag.name)?),
+                Pair(_, set) => {
+                    let first = take_value(&mut it, flag.name)?;
+                    set(&mut parsed, first, it.next().map(String::as_str))
+                }
+            };
+            result.map_err(|tail| CliError::new(format!("{}{tail}", flag.name)))?;
+        } else if arg.starts_with('-') {
+            return Err(CliError::new(format!("unknown option {arg:?}")));
+        } else if parsed.target.is_some() {
+            return Err(CliError::new(format!("unexpected extra argument {arg:?}")));
+        } else {
+            parsed.target = Some(arg.clone());
+        }
+    }
+
+    match (spec.positional, &parsed.target) {
+        (Required(_), None) => {
+            return Err(CliError::new(format!(
+                "{name} requires an argument; run `livephase help`"
+            )))
+        }
+        (Refused(hint), Some(_)) => {
+            return Err(CliError::new(format!("{name} takes no argument; {hint}")))
+        }
+        _ => {}
     }
     if parsed.command == Command::Export && parsed.out.is_none() {
         return Err(CliError::new("export requires --out <file>"));
     }
-    if parsed.command == Command::Lint && parsed.target.is_some() {
-        return Err(CliError::new(
-            "lint takes no argument; it scans the enclosing workspace",
-        ));
-    }
-    if parsed.command == Command::Bench && parsed.target.is_some() {
-        return Err(CliError::new(
-            "bench takes no argument; use --areas to select a subset",
-        ));
-    }
-    if parsed.command == Command::PowerZoo && parsed.target.is_some() {
-        return Err(CliError::new(
-            "power-zoo takes no argument; use --seed to vary the run",
-        ));
-    }
     if parsed.compare.is_some() && parsed.command != Command::Bench {
         return Err(CliError::new("--compare only applies to bench"));
-    }
-    if parsed.baseline.is_some() && parsed.command != Command::Lint {
-        return Err(CliError::new("--baseline only applies to lint"));
     }
     Ok(parsed)
 }
 
-fn take_value(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-    flag: &str,
-) -> Result<String, CliError> {
+fn take_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
     it.next()
-        .cloned()
+        .map(String::as_str)
         .ok_or_else(|| CliError::new(format!("{flag} requires a value")))
-}
-
-fn parse_num<T: std::str::FromStr>(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-    flag: &str,
-) -> Result<T, CliError>
-where
-    T::Err: fmt::Display,
-{
-    take_value(it, flag)?
-        .parse()
-        .map_err(|e| CliError::new(format!("{flag}: {e}")))
 }
 
 #[cfg(test)]
@@ -747,14 +875,142 @@ mod tests {
     }
 
     #[test]
-    fn parses_lint_baseline() {
-        let p = parse(&argv("lint --json --baseline results/lint/baseline.json")).unwrap();
-        assert_eq!(p.baseline.as_deref(), Some("results/lint/baseline.json"));
-        assert_eq!(parse(&argv("lint")).unwrap().baseline, None);
-        assert!(parse(&argv("lint --baseline")).is_err(), "value required");
-        assert!(
-            parse(&argv("bench --baseline x.json")).is_err(),
-            "--baseline is lint-only"
+    fn lint_baseline_is_an_unknown_option() {
+        let e = parse(&argv("lint --json --baseline results/lint/baseline.json")).unwrap_err();
+        assert_eq!(e.message(), "unknown option \"--baseline\"");
+        assert_eq!(e.code(), 2);
+    }
+
+    #[test]
+    fn table_names_are_unique_lowercase_kebab_case() {
+        fn kebab(name: &str) -> bool {
+            !name.is_empty()
+                && !name.starts_with('-')
+                && !name.ends_with('-')
+                && !name.contains("--")
+                && name
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for c in COMMANDS {
+            assert!(kebab(c.name), "command {:?}", c.name);
+            assert!(seen.insert(c.name), "duplicate command {:?}", c.name);
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        let mut sections = vec![""];
+        for f in FLAGS {
+            let bare = f.name.strip_prefix("--").unwrap_or("");
+            assert!(kebab(bare), "flag {:?}", f.name);
+            assert!(seen.insert(f.name), "duplicate flag {:?}", f.name);
+            if sections.last() != Some(&f.section) {
+                assert!(!sections.contains(&f.section), "{} is split", f.section);
+                sections.push(f.section);
+            }
+        }
+        assert_eq!(
+            sections[1..],
+            [OPTIONS, SERVE, SERVE_BENCH, TENANTS, BENCH],
+            "usage() sections"
         );
+        assert_eq!(FLAGS.len(), 34);
+    }
+
+    #[test]
+    fn usage_lists_every_command_and_flag() {
+        let usage = crate::usage();
+        for c in COMMANDS {
+            assert!(usage.contains(&format!("  {}", c.syntax())), "{}", c.name);
+        }
+        for f in FLAGS {
+            assert!(usage.contains(&format!("  {}", f.syntax())), "{}", f.name);
+        }
+    }
+
+    /// Every command line README shows, as argv: the words after ` -- `
+    /// on a `cargo run -p livephase-cli` line, or after `livephase-cli`
+    /// on any other line of a `bash` block, with `\`-continued lines
+    /// joined and `# comments` dropped.
+    fn readme_command_lines(readme: &str) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        let mut fence: Option<bool> = None; // Some(is_bash) inside a fence
+        let mut line = String::new();
+        for raw in readme.lines() {
+            if let Some(info) = raw.trim_start().strip_prefix("```") {
+                fence = match fence {
+                    None => Some(info.trim() == "bash"),
+                    Some(_) => None,
+                };
+                continue;
+            }
+            if fence != Some(true) {
+                continue;
+            }
+            let code = match raw.find('#') {
+                Some(at) if at == 0 || raw[..at].ends_with(' ') => &raw[..at],
+                _ => raw,
+            };
+            match code.trim_end().strip_suffix('\\') {
+                Some(head) => {
+                    line.push_str(head);
+                    continue;
+                }
+                None => line.push_str(code),
+            }
+            let args = if line.contains("cargo run") {
+                line.rfind(" -- ")
+                    .filter(|_| line.contains("-p livephase-cli"))
+                    .map(|at| &line[at + 4..])
+            } else {
+                line.find("livephase-cli")
+                    .map(|at| &line[at + "livephase-cli".len()..])
+            };
+            if let Some(args) = args {
+                out.push(args.split_whitespace().map(str::to_owned).collect());
+            }
+            line.clear();
+        }
+        out
+    }
+
+    #[test]
+    fn every_readme_command_line_parses() {
+        let lines = readme_command_lines(include_str!("../../../README.md"));
+        for argv in &lines {
+            if let Err(e) = parse(argv) {
+                panic!("README: `livephase-cli {}`: {e}", argv.join(" "));
+            }
+        }
+        // The extraction itself: every shell block's CLI line is seen,
+        // continuation lines included.
+        assert!(lines.len() >= 30, "{lines:?}");
+        for flag in ["--conns", "--noisy", "--budget", "--compare"] {
+            assert!(
+                lines.iter().flatten().any(|w| w == flag),
+                "{flag} is on a README continuation line"
+            );
+        }
+    }
+
+    #[test]
+    fn readme_extraction_catches_what_the_parser_refuses() {
+        let readme = "```bash\n\
+            cargo run -p livephase-cli --release -- serve-bench 127.0.0.1:9 \\\n\
+            \x20   --conz 8   # a typo on a continuation line\n\
+            livephase-cli serve --port 70000\n\
+            livephase-cli serve-bench\n\
+            cargo run --release --example quickstart\n\
+            ```\n\
+            livephase-cli in prose is not a command line\n";
+        let lines = readme_command_lines(readme);
+        assert_eq!(
+            lines,
+            vec![
+                argv("serve-bench 127.0.0.1:9 --conz 8"),
+                argv("serve --port 70000"),
+                argv("serve-bench"),
+            ]
+        );
+        assert!(lines.iter().all(|l| parse(l).is_err()));
     }
 }

@@ -236,17 +236,8 @@ fn lint(parsed: &Parsed) -> Result<String, CliError> {
     let root = livephase_lint::workspace::find_workspace_root(&cwd).ok_or_else(|| {
         CliError::new("lint: no Cargo.toml with [workspace] at or above the working directory")
     })?;
-    let mut report =
+    let report =
         livephase_lint::lint_workspace(&root).map_err(|e| CliError::new(format!("lint: {e}")))?;
-    if let Some(baseline_path) = &parsed.baseline {
-        // Resolved against the working directory (how ci.sh names it),
-        // falling back to the workspace root so the flag also works
-        // from a subdirectory.
-        let text = std::fs::read_to_string(baseline_path)
-            .or_else(|_| std::fs::read_to_string(root.join(baseline_path)))
-            .map_err(|e| CliError::new(format!("lint: baseline {baseline_path}: {e}")))?;
-        report.apply_baseline(&text);
-    }
     let rendered = if parsed.json {
         report.render_json()
     } else {

@@ -1,11 +1,11 @@
 //! Structure-aware fuzzing of `args::parse`. The argv is built from the
-//! real command names and flags (read from `usage()`, so the generator
-//! follows the CLI) with hostile values, unknown flags, duplicated
-//! positionals and truncated tails. Every case parses or fails as a
-//! usage error, exit code 2; none panics.
+//! real command names and flags (drawn from `args::COMMANDS` and
+//! `args::FLAGS`, the tables the parser itself reads) with hostile
+//! values, unknown flags, duplicated positionals and truncated tails.
+//! Every case parses or fails as a usage error, exit code 2; none
+//! panics.
 
-use livephase_cli::args::parse;
-use livephase_cli::usage;
+use livephase_cli::args::{parse, COMMANDS, FLAGS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -31,33 +31,20 @@ const HOSTILE: [&str; 13] = [
 /// Options `parse` does not know.
 const UNKNOWN: [&str; 4] = ["--bogus", "--SEED", "---seed", "-"];
 
-/// The command names `usage()` lists, plus the help spellings and one
-/// unknown command.
+/// Every command name, plus the help spellings and one unknown
+/// command.
 fn commands() -> Vec<String> {
-    let text = usage();
-    let listed = text
-        .lines()
-        .skip_while(|l| !l.starts_with("COMMANDS:"))
-        .skip(1)
-        .take_while(|l| !l.trim().is_empty())
-        .filter_map(|l| l.split_whitespace().next())
-        .filter(|w| w.starts_with(|c: char| c.is_ascii_lowercase()));
-    listed
-        .chain(["help", "--help", "-h", "bogus"])
+    COMMANDS
+        .iter()
+        .map(|c| c.name)
+        .chain(["--help", "-h", "bogus"])
         .map(str::to_owned)
         .collect()
 }
 
-/// Every `--flag` `usage()` documents.
+/// Every `--flag`.
 fn flags() -> Vec<String> {
-    let mut out: Vec<String> = usage()
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-        .filter(|w| w.starts_with("--") && w.len() > 2)
-        .map(str::to_owned)
-        .collect();
-    out.sort();
-    out.dedup();
-    out
+    FLAGS.iter().map(|f| f.name.to_owned()).collect()
 }
 
 /// One argv fragment: a flag with a hostile value, a bare flag, an
@@ -85,7 +72,7 @@ fn the_generator_draws_from_the_real_cli() {
         assert!(commands.iter().any(|x| x == c), "{c}: {commands:?}");
     }
     let flags = flags();
-    for f in ["--port", "--compare", "--budget", "--gate", "--baseline"] {
+    for f in ["--port", "--compare", "--budget", "--gate"] {
         assert!(flags.iter().any(|x| x == f), "{f}: {flags:?}");
     }
 }
@@ -106,6 +93,8 @@ fn pinned_hostile_values_are_usage_errors() {
         "govern applu_in --policy",
         "govern applu_in --bogus",
         "bogus",
+        "lint --baseline x",
+        "list extra",
     ] {
         let args: Vec<String> = argv.split(' ').map(str::to_owned).collect();
         let err = parse(&args).expect_err(argv);

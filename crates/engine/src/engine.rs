@@ -557,7 +557,7 @@ impl DecisionEngine {
     /// rate, score and update the predictor, translate the prediction.
     ///
     /// Telemetry costs plain integer adds here: only the call that
-    /// completes a [`PUBLISH_EVERY`]-decision batch reads the clock, and
+    /// completes a `PUBLISH_EVERY`-decision batch reads the clock, and
     /// its latency is recorded once for the whole batch.
     pub fn step(&mut self, sample: &Sample) -> Decision {
         // lint:allow(determinism-taint): decision-latency histogram only

@@ -2,12 +2,12 @@
 //!
 //! This is deliberately *not* a full Rust AST: the interprocedural
 //! analyses need item boundaries, function facts (name, arity, body
-//! extent), the call sites and `match` expressions inside each body,
-//! and `use` declarations for path resolution — nothing below
-//! expression granularity. Everything carries a [`Span`] back into the
-//! source so findings stay clickable, and every node is a plain value
-//! (`PartialEq`, no interning) so golden dumps and property tests can
-//! compare whole trees.
+//! extent), the call sites inside each body, and `use` declarations
+//! for path resolution — nothing below expression granularity.
+//! Everything carries a [`Span`] back into the source so findings stay
+//! clickable, and every node is a plain value (`PartialEq`, no
+//! interning) so golden dumps and property tests can compare whole
+//! trees.
 
 /// A source extent: byte offsets plus the 1-based line/column of its
 /// first token, as produced by the lexer.
@@ -86,8 +86,6 @@ pub struct FnDef {
     pub calls: Vec<CallSite>,
     /// Macro invocations inside the body, `(name, span)`.
     pub macros: Vec<(String, Span)>,
-    /// `match` expressions inside the body, outermost first.
-    pub matches: Vec<MatchExpr>,
 }
 
 /// Facts about one `impl` block.
@@ -139,24 +137,6 @@ impl CallSite {
             self.path.join("::")
         }
     }
-}
-
-/// One `match` expression.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MatchExpr {
-    /// Extent from the `match` keyword to the closing brace.
-    pub span: Span,
-    /// The arms, in source order.
-    pub arms: Vec<MatchArm>,
-}
-
-/// One match arm.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MatchArm {
-    /// Location of the arm's first pattern token.
-    pub span: Span,
-    /// The pattern's token texts (guard included), in order.
-    pub pat: Vec<String>,
 }
 
 impl Ast {
@@ -216,11 +196,6 @@ impl Ast {
                             let macros: Vec<&str> =
                                 f.macros.iter().map(|(n, _)| n.as_str()).collect();
                             let _ = write!(out, " macros=[{}]", macros.join(", "));
-                        }
-                        if !f.matches.is_empty() {
-                            let arms: Vec<String> =
-                                f.matches.iter().map(|m| m.arms.len().to_string()).collect();
-                            let _ = write!(out, " match-arms=[{}]", arms.join(", "));
                         }
                         out.push('\n');
                     }

@@ -4,10 +4,10 @@
 //! workspace invariants that keep the phase-monitoring pipeline
 //! reproducible and crash-free — panic-freedom and determinism of
 //! everything the hot-path roots reach over the workspace call graph,
-//! `SAFETY:` discipline around `unsafe`, and CLI-flag agreement with the
-//! README — as machine-checked rules over a hand-rolled token stream (no
-//! `syn`, no `rustc` internals, no dependencies at all). It runs as `livephase-cli lint [--json]` and
-//! gates `ci.sh`.
+//! and `SAFETY:` discipline around `unsafe` — as three machine-checked
+//! rules over a hand-rolled token stream (no `syn`, no `rustc`
+//! internals, no dependencies at all). It runs as
+//! `livephase-cli lint [--json]` and gates `ci.sh`.
 //!
 //! Findings are suppressed per-site with
 //! `// lint:allow(<rule>): <justification>`; the justification is
@@ -46,25 +46,24 @@ pub const RULE_UNUSED_SUPPRESSION: &str = "unused-suppression";
 /// Lints a set of analyzed files with the full ruleset, applies
 /// suppressions, and returns the sorted report.
 ///
-/// Partial-scan entry point (unit tests, fixtures): no docs, and
-/// whole-workspace-only guards (hot-path-root existence) are off. The
-/// CLI path is [`lint_workspace`], which turns both on.
+/// Partial-scan entry point (unit tests, fixtures): whole-workspace-only
+/// guards (hot-path-root existence) are off. The CLI path is
+/// [`lint_workspace`], which turns them on.
 #[must_use]
 pub fn lint_files(files: &[SourceFile]) -> Report {
-    lint_with(files, &[], false)
+    lint_with(files, false)
 }
 
-/// [`lint_files`] with documentation artifacts and the strictness of a
-/// full-workspace scan made explicit.
+/// [`lint_files`] with the strictness of a full-workspace scan made
+/// explicit.
 #[must_use]
-pub fn lint_with(files: &[SourceFile], docs: &[rules::Doc], strict_roots: bool) -> Report {
+fn lint_with(files: &[SourceFile], strict_roots: bool) -> Report {
     let asts: Vec<ast::Ast> = files.iter().map(parser::parse).collect();
     let graph = callgraph::CallGraph::build(files, &asts);
     let ws = rules::Workspace {
         files,
         asts: &asts,
         graph: &graph,
-        docs,
         strict_roots,
     };
     let rules = rules::all_rules();
@@ -142,8 +141,7 @@ pub fn lint_with(files: &[SourceFile], docs: &[rules::Doc], strict_roots: bool) 
 /// Returns an error if the workspace's source tree cannot be read.
 pub fn lint_workspace(root: &Path) -> Result<Report, workspace::WorkspaceError> {
     let files = workspace::load_sources(root)?;
-    let docs = workspace::load_docs(root);
-    Ok(lint_with(&files, &docs, true))
+    Ok(lint_with(&files, true))
 }
 
 #[cfg(test)]

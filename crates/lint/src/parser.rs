@@ -4,16 +4,14 @@
 //! or hang (every loop provably makes progress, nesting depth is
 //! bounded), spans always point back into the real source, and parsing
 //! is deterministic. Fidelity is bounded by what the interprocedural
-//! rules consume — items, function facts, call sites, `match` arms,
-//! `use` leaves — so expression structure beyond calls/matches is
-//! deliberately skipped token-wise. Two Rust-grammar subtleties the
-//! rules depend on are handled properly: `->` inside generics must not
-//! close an angle-bracket balance, and turbofish (`::<T>`) must not
-//! hide a call site.
+//! rules consume — items, function facts, call sites, `use` leaves —
+//! so expression structure beyond calls is deliberately skipped
+//! token-wise. Two Rust-grammar subtleties the rules depend on are
+//! handled properly: `->` inside generics must not close an
+//! angle-bracket balance, and turbofish (`::<T>`) must not hide a call
+//! site.
 
-use crate::ast::{
-    Ast, CallSite, FnDef, ImplDef, Item, ItemKind, MatchArm, MatchExpr, Span, UseDef,
-};
+use crate::ast::{Ast, CallSite, FnDef, ImplDef, Item, ItemKind, Span, UseDef};
 use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
 
@@ -739,8 +737,7 @@ impl<'a> Parser<'a> {
     // ---- body facts ---------------------------------------------------------
 
     /// Linear scan of a function body (tokens `open ..= close`) for
-    /// call sites, macro invocations, and `match` expressions. The scan
-    /// is flat: nested items, closures, and macro arguments are all
+    /// call sites and macro invocations. The scan is flat: nested items, closures, and macro arguments are all
     /// visited, which over-approximates reachability — exactly the
     /// conservative direction the analyses need.
     fn scan_body(&self, open: usize, def: &mut FnDef) {
@@ -750,13 +747,6 @@ impl<'a> Parser<'a> {
             let t = self.txt(i);
             let kind = self.kind(i);
             if kind == Some(TokenKind::Ident) {
-                if t == "match" {
-                    if let Some(m) = self.parse_match(i, close) {
-                        def.matches.push(m);
-                    }
-                    i += 1;
-                    continue;
-                }
                 // Macro invocation: `name!` + delimiter.
                 if self.txt(i + 1) == "!"
                     && !KEYWORDS.contains(&t)
@@ -902,92 +892,6 @@ impl<'a> Parser<'a> {
         let segments = commas + 1 - usize::from(trailing_comma && commas > 0);
         (segments, opaque)
     }
-
-    /// At a `match` keyword (index `at`, inside a body bounded by
-    /// `limit`): parses the match's arms. The scrutinee runs to the
-    /// first `{` at depth 0 (struct literals are not legal there
-    /// without parens, so that brace is the match body).
-    fn parse_match(&self, at: usize, limit: usize) -> Option<MatchExpr> {
-        let mut i = at + 1;
-        let mut depth = 0i32;
-        // Find the body `{`.
-        while i < limit {
-            match self.txt(i) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => break,
-                "{" => depth += 1,
-                "}" => depth -= 1,
-                ";" => return None, // statement ended: not a match expr
-                _ => {}
-            }
-            i += 1;
-        }
-        if i >= limit || self.txt(i) != "{" {
-            return None;
-        }
-        let body_open = i;
-        let body_close = self.matching_close(body_open).min(limit);
-        let mut arms = Vec::new();
-        let mut j = body_open + 1;
-        while j < body_close {
-            // Pattern: tokens until the `=>` at depth 0.
-            let pat_start = j;
-            let mut pat = Vec::new();
-            let mut d = 0i32;
-            while j < body_close {
-                let t = self.txt(j);
-                match t {
-                    "(" | "[" | "{" => d += 1,
-                    ")" | "]" | "}" => d -= 1,
-                    "=" if d == 0 && self.txt(j + 1) == ">" && self.adjacent(j) => break,
-                    _ => {}
-                }
-                pat.push(t.to_owned());
-                j += 1;
-            }
-            if j >= body_close {
-                break;
-            }
-            arms.push(MatchArm {
-                span: self.tok_span(pat_start),
-                pat,
-            });
-            j += 2; // past `=>`
-                    // Arm body: a balanced block, or tokens to the `,` at depth 0.
-            if self.txt(j) == "{" {
-                j = self.matching_close(j) + 1;
-                if self.txt(j) == "," {
-                    j += 1;
-                }
-            } else {
-                let mut d = 0i32;
-                while j < body_close {
-                    match self.txt(j) {
-                        "(" | "[" | "{" => d += 1,
-                        ")" | "]" | "}" => d -= 1,
-                        "," if d == 0 => {
-                            j += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-        }
-        let close_tok = self.tok(body_close).or_else(|| self.tok(body_open));
-        let first = self.tok(at)?;
-        Some(MatchExpr {
-            span: Span {
-                start: first.start,
-                end: close_tok.map_or(first.end, |t| t.end),
-                line: first.line,
-                col: first.col,
-            },
-            arms,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1080,29 +984,6 @@ mod tests {
         assert_eq!(f.macros.len(), 1);
         assert_eq!(f.macros[0].0, "assert_eq");
         assert!(f.calls.iter().any(|c| c.path == ["compute"]));
-    }
-
-    #[test]
-    fn match_arms_are_parsed_with_patterns() {
-        let ast = ast_of(
-            "fn go(tag: u8) -> u8 { match tag { TAG_A => 1, TAG_B | TAG_C => { 2 } _ => 0, } }",
-        );
-        let f = only_fn(&ast);
-        assert_eq!(f.matches.len(), 1);
-        let m = &f.matches[0];
-        assert_eq!(m.arms.len(), 3);
-        assert_eq!(m.arms[0].pat, vec!["TAG_A"]);
-        assert_eq!(m.arms[1].pat, vec!["TAG_B", "|", "TAG_C"]);
-        assert_eq!(m.arms[2].pat, vec!["_"]);
-    }
-
-    #[test]
-    fn nested_matches_are_both_found() {
-        let ast = ast_of("fn go(x: u8) { match x { 0 => match x { _ => () }, _ => () } }");
-        let f = only_fn(&ast);
-        assert_eq!(f.matches.len(), 2, "outer and inner");
-        assert_eq!(f.matches[0].arms.len(), 2);
-        assert_eq!(f.matches[1].arms.len(), 1);
     }
 
     #[test]

@@ -52,14 +52,7 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Findings silenced by a justified `lint:allow`.
     pub suppressed: usize,
-    /// Findings absorbed by the committed baseline (see
-    /// [`Report::apply_baseline`]).
-    pub baselined: usize,
 }
-
-/// Synthetic rule id for a baseline entry that matched no finding: the
-/// debt it recorded was paid and the baseline file should shrink.
-pub const RULE_STALE_BASELINE: &str = "stale-baseline";
 
 impl Report {
     /// Unsuppressed findings that gate the run.
@@ -104,12 +97,11 @@ impl Report {
         let warn = self.findings.len() - self.deny_count();
         let _ = write!(
             out,
-            "lint: {} finding(s) ({} deny, {} warn), {} suppressed, {} baselined, {} files scanned",
+            "lint: {} finding(s) ({} deny, {} warn), {} suppressed, {} files scanned",
             self.findings.len(),
             self.deny_count(),
             warn,
             self.suppressed,
-            self.baselined,
             self.files_scanned
         );
         out
@@ -125,11 +117,10 @@ impl Report {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\n  \"findings\": {},\n  \"warnings\": {},\n  \"suppressed\": {},\n  \"baselined\": {},\n  \"files_scanned\": {},\n  \"details\": [",
+            "{{\n  \"findings\": {},\n  \"warnings\": {},\n  \"suppressed\": {},\n  \"files_scanned\": {},\n  \"details\": [",
             self.deny_count(),
             self.findings.len() - self.deny_count(),
             self.suppressed,
-            self.baselined,
             self.files_scanned
         );
         for (i, f) in self.findings.iter().enumerate() {
@@ -152,109 +143,6 @@ impl Report {
         }
         out
     }
-}
-
-impl Report {
-    /// Applies a committed baseline (the saved `render_json` output of a
-    /// prior run): every current finding matching a baseline entry on
-    /// (rule, path, message) — line-insensitively, so unrelated edits
-    /// above a known site don't break the gate — is moved out of
-    /// `findings` into the `baselined` count, multiset-style (one entry
-    /// absorbs one finding). A baseline entry matching nothing becomes a
-    /// [`RULE_STALE_BASELINE`] warning: the recorded debt was paid and
-    /// the baseline file should be regenerated to shrink.
-    pub fn apply_baseline(&mut self, baseline_json: &str) {
-        let mut entries = parse_baseline(baseline_json);
-        let mut kept = Vec::with_capacity(self.findings.len());
-        for finding in self.findings.drain(..) {
-            let hit = entries.iter().position(|e| {
-                e.rule == finding.rule && e.path == finding.path && e.message == finding.message
-            });
-            match hit {
-                Some(i) => {
-                    entries.swap_remove(i);
-                    self.baselined += 1;
-                }
-                None => kept.push(finding),
-            }
-        }
-        self.findings = kept;
-        for e in entries {
-            self.findings.push(Finding {
-                rule: RULE_STALE_BASELINE,
-                severity: Severity::Warn,
-                path: e.path,
-                line: 1,
-                col: 1,
-                message: format!(
-                    "baseline entry [{}] \"{}\" matched no finding; regenerate the baseline \
-                     with `lint --json` to retire it",
-                    e.rule, e.message
-                ),
-            });
-        }
-        self.sort();
-    }
-}
-
-/// One baseline entry: the identity fields of a recorded finding.
-#[derive(Debug)]
-struct BaselineEntry {
-    rule: String,
-    path: String,
-    message: String,
-}
-
-/// Extracts the finding entries from a saved `render_json` report. This
-/// parses only the linter's own output format (objects with `"rule"`,
-/// `"path"`, and `"message"` string fields); unknown text is skipped,
-/// so an empty or malformed baseline degrades to "no entries" rather
-/// than crashing the gate.
-fn parse_baseline(text: &str) -> Vec<BaselineEntry> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(at) = rest.find("{\"rule\":") {
-        let obj = &rest[at..];
-        let end = obj.find('}').map_or(obj.len(), |e| e + 1);
-        let obj_text = &obj[..end];
-        let field = |key: &str| -> Option<String> {
-            let marker = format!("\"{key}\": \"");
-            let start = obj_text.find(&marker)? + marker.len();
-            let tail = &obj_text[start..];
-            let mut value = String::new();
-            let mut chars = tail.chars();
-            loop {
-                match chars.next()? {
-                    '"' => return Some(value),
-                    '\\' => match chars.next()? {
-                        'n' => value.push('\n'),
-                        'r' => value.push('\r'),
-                        't' => value.push('\t'),
-                        'u' => {
-                            let hex: String = chars.by_ref().take(4).collect();
-                            let c = u32::from_str_radix(&hex, 16)
-                                .ok()
-                                .and_then(char::from_u32)?;
-                            value.push(c);
-                        }
-                        c => value.push(c),
-                    },
-                    c => value.push(c),
-                }
-            }
-        };
-        if let (Some(rule), Some(path), Some(message)) =
-            (field("rule"), field("path"), field("message"))
-        {
-            out.push(BaselineEntry {
-                rule,
-                path,
-                message,
-            });
-        }
-        rest = &rest[at + end..];
-    }
-    out
 }
 
 fn json_escape(s: &str) -> String {
@@ -311,80 +199,6 @@ mod tests {
         assert_eq!(r.deny_count(), 0);
         assert!(r.render_json().contains("\"findings\": 0"));
         assert!(r.render_json().contains("\"warnings\": 1"));
-    }
-
-    #[test]
-    fn baseline_absorbs_matches_multiset_style_and_flags_stale_entries() {
-        // Baseline: two identical entries on a.rs plus one paid-off debt.
-        let mut recorded = Report::default();
-        recorded
-            .findings
-            .push(finding("r", "a.rs", 10, Severity::Deny));
-        recorded
-            .findings
-            .push(finding("r", "a.rs", 20, Severity::Deny));
-        recorded
-            .findings
-            .push(finding("gone", "b.rs", 5, Severity::Deny));
-        let baseline = recorded.render_json();
-
-        // Current run: three identical a.rs findings (one more than the
-        // baseline recorded — the extra one must still gate), different
-        // lines than recorded (line drift must not matter).
-        let mut r = Report::default();
-        r.findings.push(finding("r", "a.rs", 11, Severity::Deny));
-        r.findings.push(finding("r", "a.rs", 21, Severity::Deny));
-        r.findings.push(finding("r", "a.rs", 31, Severity::Deny));
-        r.apply_baseline(&baseline);
-
-        assert_eq!(r.baselined, 2);
-        assert_eq!(r.deny_count(), 1, "the third occurrence still gates");
-        let stale: Vec<&Finding> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == RULE_STALE_BASELINE)
-            .collect();
-        assert_eq!(stale.len(), 1, "{:?}", r.findings);
-        assert_eq!(stale[0].severity, Severity::Warn);
-        assert_eq!(stale[0].path, "b.rs");
-        assert!(r.render_json().contains("\"baselined\": 2"));
-    }
-
-    #[test]
-    fn empty_or_garbage_baseline_changes_nothing() {
-        let mut r = Report::default();
-        r.findings.push(finding("r", "a.rs", 1, Severity::Deny));
-        r.apply_baseline("");
-        r.apply_baseline("{\"findings\": 0, \"details\": []}");
-        r.apply_baseline("not json at all");
-        assert_eq!(r.deny_count(), 1);
-        assert_eq!(r.baselined, 0);
-    }
-
-    #[test]
-    fn baseline_round_trips_escaped_messages() {
-        let mut recorded = Report::default();
-        recorded.findings.push(Finding {
-            rule: "r",
-            severity: Severity::Deny,
-            path: "a.rs".to_owned(),
-            line: 1,
-            col: 1,
-            message: "say \"hi\"\tok\\done".to_owned(),
-        });
-        let baseline = recorded.render_json();
-        let mut r = Report::default();
-        r.findings.push(Finding {
-            rule: "r",
-            severity: Severity::Deny,
-            path: "a.rs".to_owned(),
-            line: 9,
-            col: 4,
-            message: "say \"hi\"\tok\\done".to_owned(),
-        });
-        r.apply_baseline(&baseline);
-        assert_eq!(r.baselined, 1);
-        assert!(r.is_clean(), "{:?}", r.findings);
     }
 
     #[test]

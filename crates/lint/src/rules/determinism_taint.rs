@@ -161,7 +161,7 @@ mod tests {
             .iter()
             .map(|(p, c, s)| SourceFile::analyze(*p, *c, (*s).to_owned()))
             .collect();
-        run_workspace_rule(&DeterminismTaint, &files, &[])
+        run_workspace_rule(&DeterminismTaint, &files)
     }
 
     #[test]

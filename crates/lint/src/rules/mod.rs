@@ -6,7 +6,6 @@
 //! | `panic-reachable`          | whole workspace        | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`[...]` indexing is transitively reachable from the deployed hot-path roots (call graph) |
 //! | `determinism-taint`        | whole workspace        | no `Instant`/`SystemTime`/`std::env` read or `HashMap`/`HashSet` iteration is transitively reachable from the hot-path roots (call graph) |
 //! | `safety-comment`           | whole workspace        | every `unsafe` is preceded by a `// SAFETY:` comment |
-//! | `cli-flag-docs`            | `cli` + README         | parsed `--flags` and documented `--flags` agree in both directions |
 //!
 //! The two call-graph rules start from the *hot-path roots* (see
 //! [`crate::taint::HOT_PATH_ROOTS`]) and follow the workspace call
@@ -20,9 +19,11 @@
 //! Nor is metric naming: every metric is declared once in
 //! `livephase_telemetry::catalogue`, whose unit test checks the names
 //! and the metric mentions in `ci.sh`, README and DESIGN.md, and
-//! `timed_span!` rejects a bad span literal at compile time.
+//! `timed_span!` rejects a bad span literal at compile time. Nor is
+//! CLI-flag documentation: every command and flag is declared once in
+//! `livephase_cli::args`, whose tables drive both `parse()` and
+//! `usage()`, and a unit test there parses every README command line.
 
-pub mod cli_docs;
 pub mod determinism_taint;
 pub mod panic_reachable;
 pub mod safety;
@@ -32,20 +33,9 @@ use crate::callgraph::CallGraph;
 use crate::report::{Finding, Severity};
 use crate::source::SourceFile;
 
-/// A non-source artifact the cross-artifact rule reads (README). Findings can anchor into it: `path` feeds straight into
-/// [`Finding::path`].
-#[derive(Debug)]
-pub struct Doc {
-    /// Workspace-relative path (e.g. `README.md`).
-    pub path: String,
-    /// The document's text.
-    pub text: String,
-}
-
 /// Everything a workspace-level check can see: the analyzed files, their
-/// ASTs (parallel to `files`), the resolved cross-crate call graph and
-/// the documentation artifacts. Built once per lint run and shared by
-/// every rule.
+/// ASTs (parallel to `files`) and the resolved cross-crate call graph.
+/// Built once per lint run and shared by every rule.
 #[derive(Debug)]
 pub struct Workspace<'a> {
     /// Every analyzed first-party source file.
@@ -54,8 +44,6 @@ pub struct Workspace<'a> {
     pub asts: &'a [Ast],
     /// The workspace call graph over `files`/`asts`.
     pub graph: &'a CallGraph,
-    /// Documentation artifacts (README.md), when present.
-    pub docs: &'a [Doc],
     /// Whether the scan set is the *full* workspace. Guards that only
     /// make sense over everything — "hot-path root exists" — are
     /// skipped for partial scans (fixtures, unit tests).
@@ -87,25 +75,19 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(panic_reachable::PanicReachable),
         Box::new(determinism_taint::DeterminismTaint),
         Box::new(safety::SafetyComment),
-        Box::new(cli_docs::CliFlagDocs),
     ]
 }
 
 /// Test helper: run one rule's workspace pass over ad-hoc files with a
 /// freshly built AST set and call graph.
 #[cfg(test)]
-pub(crate) fn run_workspace_rule(
-    rule: &dyn Rule,
-    files: &[SourceFile],
-    docs: &[Doc],
-) -> Vec<Finding> {
+pub(crate) fn run_workspace_rule(rule: &dyn Rule, files: &[SourceFile]) -> Vec<Finding> {
     let asts: Vec<Ast> = files.iter().map(crate::parser::parse).collect();
     let graph = CallGraph::build(files, &asts);
     let ws = Workspace {
         files,
         asts: &asts,
         graph: &graph,
-        docs,
         strict_roots: false,
     };
     let mut out = Vec::new();

@@ -118,7 +118,7 @@ mod tests {
             .iter()
             .map(|(p, c, s)| SourceFile::analyze(*p, *c, (*s).to_owned()))
             .collect();
-        run_workspace_rule(&PanicReachable, &files, &[])
+        run_workspace_rule(&PanicReachable, &files)
     }
 
     // A minimal tenants crate: both roots present so the missing-root
@@ -287,7 +287,6 @@ mod tests {
             files: &files,
             asts: &asts,
             graph: &graph,
-            docs: &[],
             strict_roots: true,
         };
         let mut out = Vec::new();

@@ -2,18 +2,16 @@
 //!
 //! The scan set is the first-party source — `crates/<name>/src/**/*.rs`
 //! (crate name taken from the directory) plus the root façade
-//! `src/**/*.rs` (crate name `livephase`) — plus README for the
-//! CLI-flag cross-check. Vendored dependencies (`vendor/`), integration tests,
-//! benches, and examples are deliberately out of scope: the invariants
-//! the rules encode are about shipped decision-path code. The walk is
-//! sorted at every level so reports and JSON output are byte-stable
-//! across runs and filesystems.
+//! `src/**/*.rs` (crate name `livephase`). Vendored dependencies
+//! (`vendor/`), integration tests, benches, and examples are
+//! deliberately out of scope: the invariants the rules encode are about
+//! shipped decision-path code. The walk is sorted at every level so
+//! reports and JSON output are byte-stable across runs and filesystems.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::Doc;
 use crate::source::SourceFile;
 
 /// A failure to read the workspace (before any rule ran).
@@ -112,23 +110,6 @@ pub fn load_sources(root: &Path) -> Result<Vec<SourceFile>, WorkspaceError> {
         }
     }
     Ok(files)
-}
-
-/// Loads the documentation artifacts the cross-artifact rule reads
-/// (`README.md`), skipping any that are absent.
-#[must_use]
-pub fn load_docs(root: &Path) -> Vec<Doc> {
-    ["README.md"]
-        .iter()
-        .filter_map(|name| {
-            let path = root.join(name);
-            let text = fs::read_to_string(&path).ok()?;
-            Some(Doc {
-                path: rel(root, &path),
-                text,
-            })
-        })
-        .collect()
 }
 
 /// Walks upward from `start` to the directory whose `Cargo.toml`

@@ -7,21 +7,13 @@
 //! clean, so `livephase-cli lint` over such code exits 1.
 
 use livephase_lint::report::{Report, Severity};
-use livephase_lint::rules::Doc;
 use livephase_lint::source::SourceFile;
-use livephase_lint::{lint_files, lint_with, RULE_ALLOW_JUSTIFICATION, RULE_UNUSED_SUPPRESSION};
+use livephase_lint::{lint_files, RULE_ALLOW_JUSTIFICATION, RULE_UNUSED_SUPPRESSION};
 
 /// Lints one fixture in isolation under the given crate identity.
 fn lint_fixture(path: &str, crate_name: &str, src: &str) -> Report {
     let files = vec![SourceFile::analyze(path, crate_name, src.to_owned())];
     lint_files(&files)
-}
-
-/// Like [`lint_fixture`], with documentation artifacts alongside —
-/// the cross-artifact rule checks code against these.
-fn lint_fixture_with_docs(path: &str, crate_name: &str, src: &str, docs: &[Doc]) -> Report {
-    let files = vec![SourceFile::analyze(path, crate_name, src.to_owned())];
-    lint_with(&files, docs, false)
 }
 
 /// Lines at which `rule` fired, in report order.
@@ -147,40 +139,6 @@ fn determinism_taint_fixture_chains_through_the_helper() {
 }
 
 #[test]
-fn cli_docs_fixture_fires_in_both_directions() {
-    let docs = [Doc {
-        path: "README.md".to_owned(),
-        text: "Run it like so:\n\n    livephase-cli run --seed 7 --vanished\n".to_owned(),
-    }];
-    let report = lint_fixture_with_docs(
-        "crates/cli/src/args.rs",
-        "cli",
-        include_str!("lint_fixtures/cli_docs.rs"),
-        &docs,
-    );
-    assert!(!report.is_clean());
-    // `--ghost` is parsed but documented nowhere: fires at its arm.
-    // `--vanished` is documented but parsed nowhere: fires in the README.
-    assert_eq!(
-        lines(&report, "cli-flag-docs"),
-        vec![3, 8],
-        "{}",
-        report.render_text()
-    );
-    let by_path = |p: &str| {
-        report
-            .findings
-            .iter()
-            .find(|f| f.path == p)
-            .map(|f| f.message.as_str())
-            .unwrap_or_default()
-    };
-    assert!(by_path("crates/cli/src/args.rs").contains("`--ghost`"));
-    assert!(by_path("README.md").contains("`--vanished`"));
-    assert_eq!(report.findings.len(), 2);
-}
-
-#[test]
 fn lint_allow_fixture_exercises_the_suppression_protocol() {
     let report = lint_fixture(
         "crates/tenants/src/lint_allow.rs",
@@ -210,7 +168,7 @@ fn lint_allow_fixture_exercises_the_suppression_protocol() {
 fn every_fixture_would_fail_the_ci_gate() {
     // The gate's contract: any fixture-bearing tree exits 1. Checked at
     // the library level: no fixture report is clean.
-    let fixtures: [(&str, &str, &str); 5] = [
+    let fixtures: [(&str, &str, &str); 4] = [
         (
             "safety_comment.rs",
             "workloads",
@@ -230,11 +188,6 @@ fn every_fixture_would_fail_the_ci_gate() {
             "crates/tenants/src/sched.rs",
             "tenants",
             include_str!("lint_fixtures/determinism_taint.rs"),
-        ),
-        (
-            "crates/cli/src/args.rs",
-            "cli",
-            include_str!("lint_fixtures/cli_docs.rs"),
         ),
     ];
     for (path, crate_name, src) in fixtures {

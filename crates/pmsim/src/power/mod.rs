@@ -181,8 +181,8 @@ impl fmt::Display for FitError {
 impl std::error::Error for FitError {}
 
 /// A concrete, owned backend choice — enum dispatch keeps the per-PMI
-/// hot path free of vtable indirection and lets [`PlatformConfig`]
-/// (`crate::cpu::PlatformConfig`) stay `Clone + PartialEq`.
+/// hot path free of vtable indirection and lets
+/// [`PlatformConfig`](crate::PlatformConfig) stay `Clone + PartialEq`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PowerModelKind {
     /// The analytic `CV²f + leakage` formula (the default).

@@ -9,9 +9,8 @@
 //!
 //! [`ConnDriver`] is the nonblocking counterpart for many-connection
 //! load generation: one driver per socket, advanced by readiness events
-//! from a caller-owned epoll loop (see `loadgen`), with
-//! the same resumable [`FrameDecoder`](wire::FrameDecoder) the server
-//! uses — so one thread can multiplex tens of thousands of sessions.
+//! from a caller-owned epoll loop (see `loadgen`), with the same
+//! resumable [`FrameDecoder`] the server uses — so one thread can multiplex tens of thousands of sessions.
 
 use crate::wire::{
     self, ErrorCode, Frame, FrameDecoder, FrameError, StatsSnapshot, PROTOCOL_VERSION,

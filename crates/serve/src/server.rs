@@ -2,8 +2,8 @@
 //!
 //! One I/O engine drives every connection: N shard threads, each
 //! running a nonblocking epoll readiness loop over the listener and
-//! every connection it accepted (see [`crate::shard`] and
-//! [`crate::conn`]). One thread owns thousands of sockets; sessions
+//! every connection it accepted (see the `shard` and `conn` modules).
+//! One thread owns thousands of sockets; sessions
 //! never cross threads, so each shard exclusively owns the predictor
 //! state of the sessions it accepted — there is no lock around any
 //! GPHT. (The reactor tests check bit-exactness directly against an

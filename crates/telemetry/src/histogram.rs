@@ -121,9 +121,8 @@ impl Histogram {
 
     /// Records one observation. Hot path: one index computation, three
     /// relaxed atomic RMWs, and two relaxed loads — the min/max RMWs
-    /// are elided once the extremes stabilize (see
-    /// [`update_extremes`](Self::update_extremes)). No branch allocates
-    /// or locks.
+    /// are elided once the extremes stabilize (see `update_extremes`).
+    /// No branch allocates or locks.
     #[inline]
     pub fn record(&self, value: u64) {
         // lint:allow(panic-reachable): bucket_index is total over u64 and < BUCKETS

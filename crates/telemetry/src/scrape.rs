@@ -1,7 +1,7 @@
 //! Parsing the Prometheus-style text exposition back into structured
 //! values, and rendering those as JSON.
 //!
-//! The scrape wire format ([`Frame::Metrics`] in `livephase-serve`) is
+//! The scrape wire format (`Frame::Metrics` in `livephase-serve`) is
 //! the text form [`Registry::render`](crate::Registry::render) emits.
 //! External collectors and the bench/profile tooling should not have to
 //! re-implement text parsing, so this module does it once: the CLI's

@@ -280,7 +280,7 @@ macro_rules! trace_event {
     }};
 }
 
-/// Records one completed [`timed_span!`] duration into the
+/// Records one completed [`timed_span!`](crate::timed_span) duration into the
 /// process-global `span_elapsed_us` histogram, labeled by the span's
 /// target and name. This is what turns spans into a profile: the bench
 /// `--profile` report renders per-span count/total/p50/p99 straight
