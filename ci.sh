@@ -14,7 +14,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # --workspace: the root façade package alone would skip the member
 # crates (and leave target/release/livephase-cli stale for the smoke
 # test below).
-cargo build --release --workspace
+cargo build --release --workspace --lib --bins --examples
 
 cli=target/release/livephase-cli
 
@@ -23,8 +23,38 @@ cli=target/release/livephase-cli
 # results/*.csv (and exits 1 on a shape violation); any diff against the
 # committed copies fails the gate.
 repro_out=$("$cli" repro all) || { echo "$repro_out"; echo "repro all failed"; exit 1; }
+# The rest of the published runs that two executions reproduce byte for
+# byte: the extensions, ablations, power zoo, govern, tenants, predict
+# and example outputs, regenerated into results/golden/ so the same
+# diff covers them. Like EXPERIMENTS.md they pin libm's cos and ln.
+golden=results/golden
+mkdir -p "$golden"
+for e in overheads confidence oracle_gap dtm power_cap adaptive_sampling; do
+    "$cli" repro "$e" > "$golden/repro_$e.txt"
+done
+"$cli" repro power_cap --power-model analytic > "$golden/repro_power_cap_analytic.txt"
+"$cli" power-zoo > "$golden/power_zoo.txt"
+"$cli" repro ablations > "$golden/ablations.txt"
+"$cli" repro extensions > "$golden/extensions.txt"
+for p in baseline reactive gpht oracle conservative; do
+    "$cli" govern applu_in --policy "$p" > "$golden/govern_$p.txt"
+done
+for a in waterfill priority; do
+    "$cli" tenants --tenants 6 --cores 2 --budget 20 --noisy 1 --length 6 \
+        --arbiter "$a" > "$golden/tenants_$a.txt"
+done
+for s in gpht:8:1024 hashedgpht:8:128 gpht:17:64 fixwindow:8 fixwindow:128 \
+    fixwindow:16384 varwindow:128:0.005 varwindow:128:0.03; do
+    "$cli" predict applu_in --predictor "$s" > "$golden/predict_${s//:/_}.txt"
+done
+for x in custom_phases dvfs_manager predictor_showdown quickstart replay_trace \
+    thermal_manager; do
+    "target/release/examples/$x" > "$golden/example_$x.txt"
+done
+untracked=$(git ls-files --others --exclude-standard -- "$golden")
+[ -z "$untracked" ] || { echo "$untracked"; echo "golden outputs not committed"; exit 1; }
 git diff --exit-code -- EXPERIMENTS.md results/ \
-    || { echo "repro all changed committed artifacts"; exit 1; }
+    || { echo "published outputs changed"; exit 1; }
 
 # Predictor specs arrive from network clients: a size too large to
 # build is a typed error (exit 2, `bad predictor spec`), never an
