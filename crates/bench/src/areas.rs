@@ -428,21 +428,6 @@ fn run_power_model_eval(warmup: usize, iters: usize) -> Vec<u64> {
     })
 }
 
-/// `lint_full`: one full-workspace lint pass — read, lex, parse, build
-/// the call graph, and run all rules over every first-party source
-/// file. Gated so lint v2's interprocedural analyses cannot silently
-/// blow up CI latency.
-fn run_lint_full(warmup: usize, iters: usize) -> Vec<u64> {
-    let cwd = std::env::current_dir().expect("bench needs a working directory");
-    let root = livephase_lint::workspace::find_workspace_root(&cwd)
-        .expect("lint_full runs inside the livephase workspace");
-    timed(warmup, iters, || {
-        let report = livephase_lint::lint_workspace(&root)
-            .expect("the workspace lint_full just scanned is readable");
-        std::hint::black_box(report.files_scanned + report.findings.len());
-    })
-}
-
 /// Every registered area, in report order.
 ///
 /// `expected_ratio` values were measured with `livephase-cli bench
@@ -541,12 +526,6 @@ pub fn registry() -> &'static [Area] {
             what: "8 epochs of a 64-request water-fill (2 cores, 18 W) and 64 solo calls, 1 priority call",
             expected_ratio: 0.11,
             run: run_tenants_arbitrate,
-        },
-        Area {
-            name: "lint_full",
-            what: "full-workspace lint: lex, parse, call graph, all rules",
-            expected_ratio: 210.0,
-            run: run_lint_full,
         },
         Area {
             name: "power_model_eval",

@@ -16,6 +16,8 @@
 //! and [`profile`] renders the `timed_span!` telemetry as a hot-path
 //! table.
 
+#![forbid(unsafe_code)]
+
 pub mod areas;
 pub mod calibrate;
 pub mod compare;

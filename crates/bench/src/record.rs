@@ -169,12 +169,15 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Reads the short git revision of `repo_dir`, or `"unknown"`. Plumbed
-/// through the CLI so the bench library itself never shells out.
+/// Reads the short git revision of the repository enclosing `dir`, or
+/// `"unknown"`. Plumbed through the CLI so the bench library itself
+/// never shells out.
 #[must_use]
-pub fn git_rev(repo_dir: &std::path::Path) -> String {
-    let head = repo_dir.join(".git/HEAD");
-    let Ok(head) = std::fs::read_to_string(head) else {
+pub fn git_rev(dir: &std::path::Path) -> String {
+    let Some(repo_dir) = dir.ancestors().find(|d| d.join(".git").is_dir()) else {
+        return "unknown".to_owned();
+    };
+    let Ok(head) = std::fs::read_to_string(repo_dir.join(".git/HEAD")) else {
         return "unknown".to_owned();
     };
     let head = head.trim();

@@ -16,7 +16,7 @@ use Takes::{Pair, Switch, Value};
 /// Carries the process exit code: `2` (the default) for usage, I/O, and
 /// other operational failures, printed to stderr; `1` for a *gate*
 /// failure — a check that ran to completion and found violations (e.g.
-/// `lint` findings) — whose message is the report itself and belongs on
+/// `repro` shape violations) — whose message is the report itself and belongs on
 /// stdout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliError {
@@ -90,8 +90,6 @@ pub enum Command {
     ServeBench,
     /// `metrics <addr>` — scrape a running daemon's telemetry exposition
     Metrics,
-    /// `lint` — run the workspace invariant linter
-    Lint,
     /// `bench` — run the calibrated in-process benchmark harness
     Bench,
     /// `power-zoo` — train, validate, and race the power-model backends
@@ -158,7 +156,7 @@ pub struct Parsed {
     pub metrics: bool,
     /// `--log-json` for `serve`.
     pub log_json: bool,
-    /// `--json` for `lint`, `metrics` and `bench`.
+    /// `--json` for `metrics` and `bench`.
     pub json: bool,
     /// `--areas` for `bench` (empty = all).
     pub areas: Vec<String>,
@@ -226,8 +224,8 @@ impl Default for Parsed {
 pub enum Positional {
     /// One required argument, named by its metavar (`<bench>`).
     Required(&'static str),
-    /// None. The hint ends the error when one is given: `lint takes no
-    /// argument; it scans the enclosing workspace`.
+    /// None. The hint ends the error when one is given: `bench takes no
+    /// argument; use --areas to select a subset`.
     Refused(&'static str),
 }
 
@@ -354,10 +352,6 @@ pub static COMMANDS: &[CommandSpec] = &[
     CommandSpec { name: "metrics", command: Command::Metrics,
         positional: Required("<addr>"),
         help: "scrape a running daemon's telemetry" },
-    CommandSpec { name: "lint", command: Command::Lint,
-        positional: Refused("it scans the enclosing workspace"),
-        help: "run the workspace invariant linter\n\
-               (exit 0 clean, 1 findings, 2 error)" },
     CommandSpec { name: "bench", command: Command::Bench,
         positional: Refused("use --areas to select a subset"),
         help: "run the calibrated benchmark harness" },
@@ -402,9 +396,8 @@ pub static FLAGS: &[Flag] = &[
                `bench --json` (default .)" },
     Flag { name: "--json", section: OPTIONS,
         takes: Switch(|p| p.json = true),
-        help: "machine-readable output: the `lint` report, the\n\
-               `metrics` scrape, or one BENCH_<area>.json record\n\
-               per `bench` area" },
+        help: "machine-readable output: the `metrics` scrape,\n\
+               or one BENCH_<area>.json record per `bench` area" },
     Flag { name: "--port", section: SERVE,
         takes: Value("<n>", |p, v| num(v).map(|n| p.port = n)),
         help: "TCP port (default 0 = ephemeral; the bound\n\
@@ -859,25 +852,15 @@ mod tests {
         assert!(parse(&argv("bench --compare results/a")).is_err());
         assert!(parse(&argv("bench --compare results/a --json")).is_err());
         assert!(
-            parse(&argv("lint --compare a b")).is_err(),
+            parse(&argv("list --compare a b")).is_err(),
             "--compare is bench-only"
         );
     }
 
     #[test]
-    fn parses_lint() {
-        let p = parse(&argv("lint")).unwrap();
-        assert_eq!(p.command, Command::Lint);
-        assert!(!p.json);
-        let p = parse(&argv("lint --json")).unwrap();
-        assert!(p.json);
-        assert!(parse(&argv("lint extra")).is_err(), "lint takes no target");
-    }
-
-    #[test]
-    fn lint_baseline_is_an_unknown_option() {
-        let e = parse(&argv("lint --json --baseline results/lint/baseline.json")).unwrap_err();
-        assert_eq!(e.message(), "unknown option \"--baseline\"");
+    fn lint_is_an_unknown_command() {
+        let e = parse(&argv("lint")).unwrap_err();
+        assert!(e.message().starts_with("unknown command \"lint\""), "{e}");
         assert_eq!(e.code(), 2);
     }
 

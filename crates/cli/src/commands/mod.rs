@@ -27,7 +27,6 @@ pub fn dispatch(parsed: &Parsed) -> Result<String, CliError> {
         Command::Tenants => tenants(parsed),
         Command::ServeBench => serve_bench(parsed),
         Command::Metrics => metrics(parsed),
-        Command::Lint => lint(parsed),
         Command::Bench => bench(parsed),
         Command::PowerZoo => power_zoo(parsed),
     }
@@ -75,7 +74,7 @@ fn power_zoo(parsed: &Parsed) -> Result<String, CliError> {
 /// Always prints the per-area summary table. `--json` additionally
 /// writes one `BENCH_<area>.json` record per area under `--out`
 /// (default `.`); `--gate` judges the records against the calibrated
-/// thresholds (exit-code contract as for `lint`: 0 clean or loud skip,
+/// thresholds (exit-code contract: 0 clean or loud skip,
 /// 1 findings on stdout, 2 operational error); `--profile` appends the
 /// `timed_span!` hot-path table.
 fn bench(parsed: &Parsed) -> Result<String, CliError> {
@@ -113,12 +112,8 @@ fn bench(parsed: &Parsed) -> Result<String, CliError> {
 
     let calibration = *bench::calibration();
     let machine = bench::Machine::detect();
-    let repo_root = std::env::current_dir()
-        .ok()
-        .and_then(|cwd| livephase_lint::workspace::find_workspace_root(&cwd));
-    let git_rev = repo_root
-        .as_deref()
-        .map_or_else(|| "unknown".to_owned(), bench::git_rev);
+    let git_rev =
+        std::env::current_dir().map_or_else(|_| "unknown".to_owned(), |cwd| bench::git_rev(&cwd));
     // The one wall-clock read: stamped here in the CLI and passed down,
     // so nothing in the measurement path touches the clock-of-day.
     let unix_ms = livephase_telemetry::now_unix_ms();
@@ -222,32 +217,6 @@ fn bench(parsed: &Parsed) -> Result<String, CliError> {
         }
     }
     Ok(out)
-}
-
-/// Runs the workspace invariant linter over the enclosing workspace.
-///
-/// Exit-code contract (relied on by `ci.sh`): clean → `Ok` (exit 0);
-/// unsuppressed deny findings → a gate error carrying the rendered
-/// report (exit 1, report on stdout); not inside a workspace or
-/// unreadable sources → an operational error (exit 2, stderr).
-fn lint(parsed: &Parsed) -> Result<String, CliError> {
-    let cwd = std::env::current_dir()
-        .map_err(|e| CliError::new(format!("cannot determine working directory: {e}")))?;
-    let root = livephase_lint::workspace::find_workspace_root(&cwd).ok_or_else(|| {
-        CliError::new("lint: no Cargo.toml with [workspace] at or above the working directory")
-    })?;
-    let report =
-        livephase_lint::lint_workspace(&root).map_err(|e| CliError::new(format!("lint: {e}")))?;
-    let rendered = if parsed.json {
-        report.render_json()
-    } else {
-        report.render_text()
-    };
-    if report.is_clean() {
-        Ok(rendered)
-    } else {
-        Err(CliError::gate(rendered))
-    }
 }
 
 /// Runs the phase-prediction daemon until it exits (`--exit-after-conns`

@@ -1,6 +1,6 @@
 //! The `livephase` command-line entry point.
 //!
-//! Exit codes: 0 on success; 1 when a gate command (`lint`, `repro`,
+//! Exit codes: 0 on success; 1 when a gate command (`repro`,
 //! `power-zoo`, `bench --gate`, `bench --compare`) completed and found
 //! violations, with the report on stdout; 2 for usage, I/O,
 //! and other operational errors, reported on stderr. A reader that

@@ -93,7 +93,7 @@ fn pinned_hostile_values_are_usage_errors() {
         "govern applu_in --policy",
         "govern applu_in --bogus",
         "bogus",
-        "lint --baseline x",
+        "lint",
         "list extra",
     ] {
         let args: Vec<String> = argv.split(' ').map(str::to_owned).collect();

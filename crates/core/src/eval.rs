@@ -197,7 +197,7 @@ where
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConfusionMatrix {
     /// `counts[(actual, predicted)]` over scored intervals.
-    counts: std::collections::BTreeMap<(u8, u8), u64>,
+    counts: livephase_collections::BTreeMap<(u8, u8), u64>,
 }
 
 impl ConfusionMatrix {

@@ -209,13 +209,12 @@ impl PhaseMap {
             "{phase} is out of range for a {}-phase map",
             self.phase_count()
         );
-        let low = if i == 0 { 0.0 } else { self.boundaries[i - 1] }; // 0 < i < phase_count asserted above
-        let high = if i == self.boundaries.len() {
-            f64::INFINITY
-        } else {
-            self.boundaries[i] // i < boundaries.len() in this branch
-        };
-        (low, high)
+        let low = i.checked_sub(1).and_then(|j| self.boundaries.get(j));
+        let high = self.boundaries.get(i);
+        (
+            low.copied().unwrap_or(0.0),
+            high.copied().unwrap_or(f64::INFINITY),
+        )
     }
 
     /// A representative Mem/Uop value for `phase`: the interval midpoint,

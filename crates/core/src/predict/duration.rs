@@ -14,8 +14,8 @@
 //!   found most practical).
 
 use crate::phase::PhaseId;
+use livephase_collections::{HashMap, VecDeque};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
 
 /// A completed run: a phase and the number of consecutive sampling
 /// intervals it persisted.
@@ -155,7 +155,10 @@ impl DurationPredictor {
             DurationScheme::LastDuration => h.back().copied(),
             DurationScheme::WindowedMean { .. } => {
                 let sum: u64 = h.iter().sum();
-                #[allow(clippy::cast_precision_loss)]
+                #[expect(
+                    clippy::cast_precision_loss,
+                    reason = "a run length sum stays far below 2^52"
+                )]
                 Some((sum as f64 / h.len() as f64).round() as u64)
             }
         }

@@ -129,8 +129,12 @@ impl Predictor for HashedGpht {
 
         let tag = self.fingerprint();
         let index = (tag % self.slots.len() as u64) as usize;
-        // lint:allow(panic-reachable): index < slots.len() by the modulo above
-        match &mut self.slots[index] {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "index < slots.len() by the modulo above"
+        )]
+        let entry = &mut self.slots[index];
+        match entry {
             Some(slot) if slot.tag == tag => {
                 self.hits += 1;
                 self.prediction = slot.prediction;

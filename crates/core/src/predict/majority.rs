@@ -9,7 +9,7 @@
 
 use super::spec::MAX_WINDOW;
 use crate::phase::PhaseId;
-use std::collections::VecDeque;
+use livephase_collections::VecDeque;
 
 /// One phase's share of the window.
 #[derive(Debug, Clone, Copy, Default)]
@@ -207,11 +207,11 @@ mod tests {
     /// over, so the most recent of the tied phases wins.
     fn scan(history: &VecDeque<PhaseId>) -> Option<PhaseId> {
         let mut counts = [0u32; 256];
-        for p in history {
+        for p in history.iter() {
             counts[p.index()] += 1;
         }
         let mut best: Option<PhaseId> = None;
-        for &p in history {
+        for &p in history.iter() {
             match best {
                 None => best = Some(p),
                 Some(b) => {

@@ -9,7 +9,7 @@
 
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
-use std::collections::HashMap;
+use livephase_collections::HashMap;
 
 /// A pid-indexed family of predictors.
 ///

@@ -35,6 +35,16 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The hot-path invariants on non-test library code (DESIGN.md §3f).
+#![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::string_slice))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -104,6 +114,7 @@ impl DaqSystem {
     /// Runs the full chain over a power waveform and returns the
     /// phase-aligned measurement log; the same as `measure_all(&[trace])`.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "measure_all returns one log per trace")]
     pub fn measure(&self, trace: &PowerTrace) -> DaqLog {
         self.measure_all(&[trace])
             .pop()
@@ -174,6 +185,10 @@ impl DaqSystem {
                 let w = b % producers;
                 b += 1;
                 match w.checked_sub(1).and_then(|w| queued.get(w)) {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a producer only stops once its receiver drops"
+                    )]
                     Some(rx) => rx.recv().expect("a producer runs until its receiver drops"),
                     None => own(),
                 }
@@ -219,6 +234,10 @@ impl DaqSystem {
                         used = 0;
                     }
                     used += 1;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "0 < used <= len: a block is refilled once used reaches its length, and holds block > 0 draws"
+                    )]
                     noise_block[used - 1]
                 });
                 log.record(&filter.apply(raw, n), &self.circuit);

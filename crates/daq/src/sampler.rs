@@ -62,7 +62,7 @@ impl Sampler {
         let mut forward: Option<(usize, ChannelVoltages)> = None;
         std::iter::from_fn(move || {
             k += 1;
-            #[allow(clippy::cast_precision_loss)] // k stays far below 2^52
+            #[expect(clippy::cast_precision_loss, reason = "k stays far below 2^52")]
             let t = k as f64 * period;
             // Advance to the segment containing t.
             while seg_idx < trace.segments().len() && t > seg_end + 1e-15 {

@@ -142,9 +142,13 @@ impl EngineConfig {
     /// The operating point for `phase`. Phases beyond the table clamp to
     /// the last entry, exactly as [`TranslationTable::setting_for`].
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < op_table.len() by the min; the table is non-empty by construction"
+    )]
     pub fn op_point_for(&self, phase: PhaseId) -> u8 {
         let i = phase.index().min(self.op_table.len() - 1);
-        self.op_table[i] // lint:allow(panic-reachable): i < op_table.len() by the min; the table is non-empty by construction
+        self.op_table[i]
     }
 }
 

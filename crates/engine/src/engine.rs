@@ -23,12 +23,12 @@
 //! to that run (the equivalence tests pin this down).
 
 use crate::config::EngineConfig;
+use livephase_collections::HashMap;
 use livephase_core::{
     predictor_from_spec, MemUopRate, PhaseId, PhaseSample, PredictionStats, Predictor,
     PredictorSpecError, StreamScorer,
 };
 use livephase_telemetry::{catalogue, Counter, Histogram};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -193,7 +193,12 @@ impl TransitionTracker {
         if needed > self.dim {
             self.grow(needed);
         }
-        self.counts[from * self.dim + to] += 1; // lint:allow(panic-reachable): from, to < dim after grow; counts has dim*dim cells
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "from, to < dim after grow; counts has dim*dim cells"
+        )]
+        let cell = &mut self.counts[from * self.dim + to];
+        *cell += 1;
     }
 
     /// Count recorded for one `(from, to)` pair since the last flush.
@@ -207,12 +212,15 @@ impl TransitionTracker {
     }
 
     /// Re-lays the matrix out at a larger dimension, preserving counts.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "from, to < dim <= new_dim; the buffers have dim² and new_dim² cells"
+    )]
     fn grow(&mut self, needed: usize) {
         let new_dim = needed.max(self.dim * 2);
         let mut counts = vec![0u64; new_dim * new_dim];
         for from in 0..self.dim {
             for to in 0..self.dim {
-                // lint:allow(panic-reachable): from, to < dim <= new_dim; both buffers are dim²-sized
                 counts[from * new_dim + to] = self.counts[from * self.dim + to];
             }
         }
@@ -224,18 +232,18 @@ impl TransitionTracker {
     /// so flushing twice never double-counts.
     pub fn flush(&mut self) {
         let reg = livephase_telemetry::global();
-        for from in 0..self.dim {
-            for to in 0..self.dim {
-                let n = std::mem::take(&mut self.counts[from * self.dim + to]); // from, to < dim by the loop bounds
-                if n == 0 {
-                    continue;
-                }
-                reg.counter(
-                    &catalogue::GOVERNOR_DVFS_TRANSITIONS_TOTAL,
-                    &[&from.to_string(), &to.to_string()],
-                )
-                .add(n);
+        let dim = self.dim;
+        for (cell, n) in self.counts.iter_mut().enumerate() {
+            let n = std::mem::take(n);
+            if n == 0 {
+                continue;
             }
+            let (from, to) = (cell / dim, cell % dim);
+            reg.counter(
+                &catalogue::GOVERNOR_DVFS_TRANSITIONS_TOTAL,
+                &[&from.to_string(), &to.to_string()],
+            )
+            .add(n);
         }
     }
 }
@@ -559,8 +567,8 @@ impl DecisionEngine {
     /// Telemetry costs plain integer adds here: only the call that
     /// completes a `PUBLISH_EVERY`-decision batch reads the clock, and
     /// its latency is recorded once for the whole batch.
+    #[expect(clippy::disallowed_methods, reason = "decision-latency histogram only")]
     pub fn step(&mut self, sample: &Sample) -> Decision {
-        // lint:allow(determinism-taint): decision-latency histogram only
         let started = (self.metrics.decisions + 1 >= PUBLISH_EVERY).then(Instant::now);
         let Self {
             config,
@@ -589,11 +597,16 @@ impl DecisionEngine {
     /// single map lookup, and `out` is grown once. This is the shard
     /// loop's hot path: a busy connection's queued samples are decided
     /// in one swing.
+    #[expect(clippy::disallowed_methods, reason = "decision-latency histogram only")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < samples.len() by the outer and the inner loop guards"
+    )]
     pub fn step_many(&mut self, samples: &[Sample], out: &mut Vec<Decision>) {
         if samples.is_empty() {
             return;
         }
-        let started = Instant::now(); // lint:allow(determinism-taint): decision-latency histogram only
+        let started = Instant::now();
         out.reserve(samples.len());
         let Self {
             config,
@@ -606,11 +619,10 @@ impl DecisionEngine {
         } = self;
         let mut i = 0;
         while i < samples.len() {
-            let pid = samples[i].pid; // lint:allow(panic-reachable): i < samples.len() by the loop guard
+            let pid = samples[i].pid;
             let state = pids.touch(*max_pids, factory, metrics, pid);
-            // lint:allow(panic-reachable): i < samples.len() by the inner guard
             while i < samples.len() && samples[i].pid == pid {
-                out.push(step_pid(config, metrics, transitions, state, &samples[i])); // lint:allow(panic-reachable): i < samples.len() by the inner guard
+                out.push(step_pid(config, metrics, transitions, state, &samples[i]));
                 i += 1;
             }
         }
@@ -960,7 +972,7 @@ mod tests {
         for pid in 1..=3 {
             let _ = e.step(&with_pid(P3, pid));
         }
-        let slot = e.pids.index[&2];
+        let slot = *e.pids.index.get(&2).unwrap();
         assert!(e.retire(2));
         assert!(
             e.pids.slot(slot).is_none(),
@@ -968,7 +980,8 @@ mod tests {
         );
         let _ = e.step(&with_pid(P3, 4));
         assert_eq!(
-            e.pids.index[&4], slot,
+            e.pids.index.get(&4),
+            Some(&slot),
             "the next new pid takes the freed slot"
         );
         assert_eq!(e.pids.slots.len(), 3);
@@ -1013,7 +1026,7 @@ mod tests {
         /// ones; returns the victims.
         fn touch(&mut self, pid: u32, cap: usize) -> Vec<u32> {
             let mut victims = Vec::new();
-            if !self.stamps.contains_key(&pid) {
+            if self.stamps.get(&pid).is_none() {
                 while self.stamps.len() >= cap {
                     let Some((&oldest, &victim)) = self.index.iter().next() else {
                         break;

@@ -25,10 +25,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// The per-sample decision path must be panic-free: config validation at
-// construction buys an unwrap-free hot path, and this keeps it that way.
-// ci.sh runs clippy with -D warnings, turning any regression into an error.
+// The hot-path invariants on non-test library code (DESIGN.md §3f).
+#![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::string_slice))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
 pub mod config;
 pub mod engine;

@@ -92,9 +92,8 @@ impl TranslationTable {
                 });
             }
         }
-        for (i, w) in settings.windows(2).enumerate() {
-            // windows(2) yields exactly two elements
-            if w[1] < w[0] {
+        for (i, (prev, next)) in settings.iter().zip(settings.iter().skip(1)).enumerate() {
+            if next < prev {
                 return Err(TranslationTableError::NotMonotonic {
                     phase: u8::try_from(i + 2).unwrap_or(u8::MAX),
                 });
@@ -119,9 +118,13 @@ impl TranslationTable {
     /// last entry (most conservative slow setting), so a table may be used
     /// with a finer phase map than it was built for.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < settings.len() by the min; the table is non-empty by construction"
+    )]
     pub fn setting_for(&self, phase: PhaseId) -> usize {
         let i = phase.index().min(self.settings.len() - 1);
-        self.settings[i] // i < settings.len() by the min; the table is non-empty by construction
+        self.settings[i]
     }
 
     /// Number of phases covered.

@@ -60,6 +60,10 @@ impl ConservativeDerivation {
     ///
     /// Panics if `setting` is out of range for the platform.
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented: a setting outside the platform table is a caller bug"
+    )]
     pub fn degradation(&self, mem_uop: f64, setting: usize) -> f64 {
         let Some(opp) = self.opps.get(setting) else {
             panic!("setting {setting} is out of range for the platform table");
@@ -154,7 +158,7 @@ impl ConservativeDerivation {
         // (the reference family is piecewise and not strictly monotone).
         let mut from: Option<f64> = None;
         for i in (0..=steps).rev() {
-            #[allow(clippy::cast_precision_loss)]
+            #[expect(clippy::cast_precision_loss, reason = "steps stays far below 2^52")]
             let m = i as f64 * self.scan_step;
             if self.degradation(m, setting) <= target {
                 from = Some(m);

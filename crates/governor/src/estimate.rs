@@ -86,9 +86,13 @@ impl PowerEstimator {
     /// Phases beyond the map clamp to the last band; settings beyond the
     /// platform clamp to the slowest.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indices clamped below len; the table and its rows are non-empty by construction"
+    )]
     pub fn power_w(&self, phase: PhaseId, setting: usize) -> f64 {
-        let row = &self.table[phase.index().min(self.table.len() - 1)]; // index clamped below len; the table is non-empty by construction
-        row[setting.min(row.len() - 1)] // index clamped below len; rows are non-empty by construction
+        let row = &self.table[phase.index().min(self.table.len() - 1)];
+        row[setting.min(row.len() - 1)]
     }
 
     /// Number of settings per phase.
@@ -101,8 +105,12 @@ impl PowerEstimator {
     /// `phase` stays at or below `cap_w`; falls back to the slowest
     /// setting when even that exceeds the cap.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index clamped below len; the table is non-empty by construction"
+    )]
     pub fn fastest_under_cap(&self, phase: PhaseId, cap_w: f64) -> usize {
-        let row = &self.table[phase.index().min(self.table.len() - 1)]; // index clamped below len; the table is non-empty by construction
+        let row = &self.table[phase.index().min(self.table.len() - 1)];
         row.iter()
             .position(|&p| p <= cap_w)
             .unwrap_or(row.len() - 1)

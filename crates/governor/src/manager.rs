@@ -373,10 +373,12 @@ impl Manager {
         state.log_interval(pmi, phase, standing);
 
         cpu.service_pmi_overhead(self.config.handler_overhead_s);
+        #[expect(
+            clippy::panic,
+            reason = "an out-of-range setting is a programming error that must not be masked; \
+                      every shipped table and hook clamps to the platform's table"
+        )]
         if cpu.set_dvfs(setting).is_err() {
-            // An engine or hook returning an out-of-range setting is a
-            // programming error that must not be masked; every shipped
-            // table and hook clamps to the platform's table.
             panic!("decisions must name a platform-valid DVFS setting, got {setting}");
         }
 

@@ -167,11 +167,10 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
             let f = &f;
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let Some(item) = items.get(i) else {
                     break;
-                }
-                // i < n = items.len() by the break above
-                if tx.send((i, f(&items[i]))).is_err() {
+                };
+                if tx.send((i, f(item))).is_err() {
                     break;
                 }
             });

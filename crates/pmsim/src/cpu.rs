@@ -27,10 +27,10 @@ use crate::pmc::{CounterFile, EventCounts};
 use crate::power::{PowerInput, PowerModel, PowerModelKind};
 use crate::timing::{IntervalWork, TimingModel};
 use crate::trace::{PowerSegment, PowerTrace};
+use livephase_collections::VecDeque;
 use livephase_core::IntervalMetrics;
 use livephase_telemetry::{catalogue, Counter, Gauge};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -226,6 +226,10 @@ struct CpuMetrics {
 }
 
 impl CpuMetrics {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall-clock throughput gauge only"
+    )]
     fn new() -> Self {
         let reg = livephase_telemetry::global();
         Self {
@@ -249,6 +253,10 @@ impl CpuMetrics {
 
     /// Publishes the pending PMI tally and, with it, the throughput gauge
     /// at `tsc` simulated cycles — the gauge's only clock read.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall-clock throughput gauge only"
+    )]
     fn publish(&mut self, tsc: f64) {
         let pmis = std::mem::take(&mut self.pmis);
         if pmis == 0 {

@@ -227,8 +227,9 @@ impl OperatingPointTable {
     /// The highest-frequency point (index 0). The paper's *baseline
     /// unmanaged system* always runs here.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "`new` rejects empty tables")]
     pub fn fastest(&self) -> OperatingPoint {
-        self.points[0] // lint:allow(panic-reachable): `new` rejects empty tables
+        self.points[0]
     }
 
     /// The lowest-frequency point.

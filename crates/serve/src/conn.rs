@@ -672,8 +672,9 @@ impl Conn {
 
 /// The connection's one clock for its latency histograms: decode,
 /// decision and encode time. No reading of it reaches a decision.
+#[expect(clippy::disallowed_methods, reason = "latency histograms only")]
 fn latency_clock() -> Instant {
-    Instant::now() // lint:allow(determinism-taint): latency histograms only
+    Instant::now()
 }
 
 /// Records `decoded` frames in `serve_frame_decode_us` at the amortized

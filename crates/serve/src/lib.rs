@@ -28,14 +28,19 @@
 //!   against an in-process oracle run.
 
 // `unsafe` is denied crate-wide and allowed back in exactly one place:
-// the `reactor` syscall module, the workspace's sanctioned unsafe
-// island (livephase-lint's safety-comment rule pins that scoping).
+// the `reactor` syscall module, the workspace's only unsafe island.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
-// The decision path must not panic on malformed input: sessions are the
-// failure domain, so serving code is held unwrap/expect-free outside tests.
-// ci.sh runs clippy with -D warnings, turning any regression into an error.
+// The hot-path invariants on non-test library code (DESIGN.md §3f).
+#![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::string_slice))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
 pub mod client;
 pub(crate) mod conn;

@@ -22,13 +22,13 @@
 use crate::client::{ClientError, ConnDriver};
 use crate::reactor::{Epoll, Events, Interest};
 use crate::wire::Frame;
+use livephase_collections::BTreeMap;
 use livephase_core::predictor_from_spec;
 use livephase_engine::{DecisionEngine, EngineConfig};
 use livephase_governor::{Manager, ManagerConfig};
 use livephase_pmsim::PlatformConfig;
 use livephase_telemetry::Histogram;
 use livephase_workloads::{counter_samples, spec, CounterSample};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::os::fd::RawFd;
@@ -476,6 +476,10 @@ impl Session {
 
 /// The epoll loop: connects every session (paced), starts the replay
 /// once all are acked, and closes each after its last stream.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "client-side pacing, timeouts and elapsed time; the load generator decides nothing"
+)]
 fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenError> {
     let total = plan.conns;
     let io_err = |connection: usize, e: io::Error| LoadGenError::Client {
@@ -668,6 +672,10 @@ fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenErro
 /// Keeps `window` samples of the current stream in flight; when the
 /// stream is fully sent and answered, records its outcome and moves to
 /// the connection's next stream, or queues `Goodbye` after its last.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "send stamps for the latency histogram only"
+)]
 fn replay_more(st: &mut Session, plan: &Plan, outcomes: &mut Vec<BenchmarkOutcome>) {
     loop {
         let d = plan.spec(st.spec_idx);

@@ -19,11 +19,14 @@
 //!   `SO_RCVBUF`, used to bound kernel-side buffering per connection at
 //!   100k-connection scale (and by tests to make backpressure prompt).
 //!
-//! This file is the workspace's only sanctioned `unsafe` island:
-//! livephase-lint's `safety-comment` rule refuses `unsafe` in any other
-//! file, and every block here carries a `// SAFETY:` argument. The rest
-//! of the serve crate stays `deny(unsafe_code)`.
-#![allow(unsafe_code)]
+//! This file is the workspace's only `unsafe` island: every other
+//! library is `forbid(unsafe_code)`, the rest of the serve crate stays
+//! `deny(unsafe_code)`, and clippy's `undocumented_unsafe_blocks` holds
+//! every block here to a `// SAFETY:` argument.
+#![expect(
+    unsafe_code,
+    reason = "the epoll and fcntl syscalls have no safe std wrapper"
+)]
 
 use std::io;
 use std::os::fd::{FromRawFd, OwnedFd, RawFd};
@@ -182,9 +185,8 @@ impl Epoll {
         }
         // SAFETY: the descriptor was just created by epoll_create1 and
         // is owned exclusively here; OwnedFd takes over closing it.
-        Ok(Self {
-            fd: unsafe { OwnedFd::from_raw_fd(fd) },
-        })
+        let fd = unsafe { OwnedFd::from_raw_fd(fd) };
+        Ok(Self { fd })
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, mask: u32, token: u64) -> io::Result<()> {

@@ -18,10 +18,10 @@
 
 use crate::conn::{Conn, Cx};
 use crate::server::{ServerConfig, ShardMetrics, Shared};
+use livephase_collections::BTreeMap;
 use livephase_engine::{Decision, EngineConfig, Sample};
 use livephase_pmsim::{OperatingPointTable, PowerModel};
 use livephase_telemetry::{catalogue, trace_event, Counter, Gauge, Histogram, Level};
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::{AsRawFd, RawFd};
@@ -204,13 +204,15 @@ fn shard_reactor_loop(
     let mut decisions: Vec<Decision> = Vec::new();
     let mut to_close: Vec<RawFd> = Vec::new();
     let mut listener_live = true;
-    let mut last_reap = Instant::now(); // lint:allow(determinism-taint): reaping cadence only
+    #[expect(clippy::disallowed_methods, reason = "reaping cadence only")]
+    let mut last_reap = Instant::now();
     loop {
         if epoll.wait(&mut events, Some(tick)).is_err() {
             trace_event!(Level::Warn, TRACE, "epoll wait failed", shard = index);
             break;
         }
-        let now = Instant::now(); // lint:allow(determinism-taint): one clock read per wake
+        #[expect(clippy::disallowed_methods, reason = "one clock read per wake")]
+        let now = Instant::now();
         metrics
             .ready_depth
             .set(i64::try_from(events.len()).unwrap_or(i64::MAX));

@@ -375,6 +375,10 @@ impl From<DecodeError> for FrameError {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "end <= u16::MAX < bytes.len() where the slice is taken"
+)]
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     // Protocol strings are length-prefixed with a u16; anything longer
     // is truncated at a char boundary rather than panicking (no frame
@@ -386,7 +390,7 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
         while end > 0 && !s.is_char_boundary(end) {
             end -= 1;
         }
-        bytes = &bytes[..end]; // lint:allow(panic-reachable): end <= u16::MAX < bytes.len() here
+        bytes = &bytes[..end];
     }
     let len = u16::try_from(bytes.len()).unwrap_or(u16::MAX);
     buf.extend_from_slice(&len.to_le_bytes());
@@ -516,8 +520,9 @@ impl<'a> Fields<'a> {
         Ok(arr)
     }
 
+    #[expect(clippy::indexing_slicing, reason = "take(1) returned exactly one byte")]
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0]) // lint:allow(panic-reachable): take(1) returned exactly one byte
+        Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, DecodeError> {
@@ -655,6 +660,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
 /// # Errors
 ///
 /// As [`read_frame`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the client's decode-latency reading; the decoded frame does not depend on it"
+)]
 pub fn read_frame_timed(r: &mut impl Read) -> Result<(Frame, std::time::Duration), FrameError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;

@@ -125,8 +125,12 @@ impl Histogram {
     /// No branch allocates or locks.
     #[inline]
     pub fn record(&self, value: u64) {
-        // lint:allow(panic-reachable): bucket_index is total over u64 and < BUCKETS
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_index is total over u64 and < BUCKETS"
+        )]
+        let bucket = &self.buckets[bucket_index(value)];
+        bucket.fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.update_extremes(value);
@@ -159,8 +163,12 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        // lint:allow(panic-reachable): bucket_index is total over u64 and < BUCKETS
-        self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_index is total over u64 and < BUCKETS"
+        )]
+        let bucket = &self.buckets[bucket_index(value)];
+        bucket.fetch_add(n, Ordering::Relaxed);
         self.count.fetch_add(n, Ordering::Relaxed);
         self.sum
             .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
@@ -258,7 +266,11 @@ impl Histogram {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_sign_loss,
+            clippy::cast_possible_truncation,
+            reason = "q * count lies in [0, count], clamped again below"
+        )]
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
         for (i, bucket) in self.buckets.iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Zero-dependency observability for the livephase stack.
+//! Std-only observability for the livephase stack.
 //!
 //! The paper's kernel module lives or dies by observing without
 //! perturbing: the PMI handler budget is microseconds, so the
@@ -31,7 +31,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The hot-path invariants on non-test library code (DESIGN.md §3f).
+#![cfg_attr(not(test), warn(clippy::indexing_slicing, clippy::string_slice))]
+#![cfg_attr(not(test), warn(clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+#![cfg_attr(not(test), warn(clippy::undocumented_unsafe_blocks))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes))]
+#![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
 pub mod catalogue;
 pub mod histogram;

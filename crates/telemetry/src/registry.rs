@@ -8,7 +8,7 @@
 
 use crate::catalogue::{Metric, Spec};
 use crate::histogram::Histogram;
-use std::collections::BTreeMap;
+use livephase_collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
@@ -164,13 +164,14 @@ fn series_labels(spec: &Spec, values: &[&str]) -> Labels {
 }
 
 /// The existing series `series` of `spec` as the instrument `I`.
+#[expect(
+    clippy::panic,
+    reason = "unreachable through the catalogue: its names are unique and each entry's type \
+              fixes its kind; only a test fixture reusing a catalogue name as another kind gets here"
+)]
 fn same_kind<I: Instrument>(spec: &Spec, series: &Series) -> Arc<I> {
-    I::get(series).unwrap_or_else(|| {
-        // lint:allow(panic-reachable): unreachable through the catalogue —
-        // its names are unique and each entry's type fixes its kind; only a
-        // test fixture reusing a catalogue name as another kind gets here.
-        panic!("metric {} already registered as another kind", spec.name)
-    })
+    I::get(series)
+        .unwrap_or_else(|| panic!("metric {} already registered as another kind", spec.name))
 }
 
 impl Registry {

@@ -75,7 +75,11 @@ impl ScrapedHistogram {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_sign_loss,
+            clippy::cast_possible_truncation,
+            reason = "q * count lies in [0, count], clamped again below"
+        )]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         self.buckets
             .iter()

@@ -213,8 +213,12 @@ impl Tracer {
         }
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = usize::try_from(seq).unwrap_or(usize::MAX) % RING_CAPACITY;
-        // slot < RING_CAPACITY = ring.len() by the modulo
-        match self.ring[slot].try_lock() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "slot < RING_CAPACITY = ring.len() by the modulo"
+        )]
+        let slot = &self.ring[slot];
+        match slot.try_lock() {
             Ok(mut guard) => *guard = Some((seq, event)),
             Err(_) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -246,6 +250,10 @@ pub fn tracer() -> &'static Tracer {
 
 /// Milliseconds since the Unix epoch, saturating at zero on clock skew.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "timestamps for trace events and bench records, never for a decision"
+)]
 pub fn now_unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)

@@ -92,12 +92,12 @@ pub fn to_csv(trace: &WorkloadTrace) -> String {
 /// runs on every Pentium-M operating point.
 fn parse_row(row: usize, line: &str) -> Result<IntervalWork, TraceCsvError> {
     let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 5 {
+    let &[uops, instructions, mem, cpi, mlp] = fields.as_slice() else {
         return Err(TraceCsvError::BadRow {
             line: row,
             reason: format!("expected 5 fields, found {}", fields.len()),
         });
-    }
+    };
     let parse_u64 = |s: &str, what: &str| {
         s.trim().parse::<u64>().map_err(|e| TraceCsvError::BadRow {
             line: row,
@@ -110,11 +110,11 @@ fn parse_row(row: usize, line: &str) -> Result<IntervalWork, TraceCsvError> {
             reason: format!("{what}: {e}"),
         })
     };
-    let uops = parse_u64(fields[0], "uops")?;
-    let instructions = parse_u64(fields[1], "instructions")?;
-    let mem = parse_u64(fields[2], "mem_transactions")?;
-    let cpi = parse_f64(fields[3], "cpi_core")?;
-    let mlp = parse_f64(fields[4], "mlp")?;
+    let uops = parse_u64(uops, "uops")?;
+    let instructions = parse_u64(instructions, "instructions")?;
+    let mem = parse_u64(mem, "mem_transactions")?;
+    let cpi = parse_f64(cpi, "cpi_core")?;
+    let mlp = parse_f64(mlp, "mlp")?;
     // NaNs fail these comparisons and are rejected with the rest.
     let physical = cpi > 0.0 && mlp >= 1.0 && cpi.is_finite() && mlp.is_finite();
     if uops == 0 || !physical {

@@ -67,7 +67,8 @@ impl MultiProgramTrace {
     /// Number of context switches in the schedule.
     #[must_use]
     pub fn context_switches(&self) -> usize {
-        self.pids.windows(2).filter(|w| w[0] != w[1]).count()
+        let next = self.pids.iter().skip(1);
+        self.pids.iter().zip(next).filter(|(a, b)| a != b).count()
     }
 
     /// Iterates `(pid, interval)` pairs in execution order.
@@ -112,7 +113,7 @@ impl<S: IntervalSource> RoundRobinSource<S> {
                 self.current = (self.current + 1) % self.members.len();
                 self.taken = 0;
             }
-            let (pid, member) = &mut self.members[self.current];
+            let (pid, member) = self.members.get_mut(self.current)?;
             match member.next_interval() {
                 Some(w) => {
                     self.taken += 1;

@@ -86,7 +86,7 @@ impl BenchmarkSpec {
     /// # Panics
     ///
     /// Panics if any movement references a level outside the level table,
-    /// the level or movement lists are empty, `length` is zero, or the
+    /// the level, movement or step lists are empty, `length` is zero, or the
     /// noise/uop parameters are out of range.
     #[must_use]
     pub fn new(
@@ -106,6 +106,10 @@ impl BenchmarkSpec {
             "{name}: noise sigma must be finite and non-negative"
         );
         for m in &movements {
+            assert!(
+                !m.steps.is_empty(),
+                "{name}: a movement needs at least one step"
+            );
             assert!(
                 m.max_level() < levels.len(),
                 "{name}: movement references level {} but only {} levels exist",
@@ -243,6 +247,10 @@ pub struct SpecSource<'a> {
 impl SpecSource<'_> {
     /// Enters the next step of the movement walk, drawing its jittered
     /// dwell, and advances the walk position.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "movement and step wrap to 0 at their list's length; `new` rejects empty lists"
+    )]
     fn enter_next_step(&mut self) {
         let movement = &self.spec.movements[self.movement];
         let step = movement.steps[self.step];
@@ -274,6 +282,10 @@ impl IntervalSource for SpecSource<'_> {
         while self.remaining_dwell == 0 {
             self.enter_next_step();
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every step's level is below levels.len(), checked by `new`"
+        )]
         let level = &self.spec.levels[self.level];
         let noise = self.spec.noise_sigma * standard_normal(&mut self.rng);
         let w = level.interval(
@@ -385,7 +397,10 @@ fn table() -> &'static [BenchmarkSpec] {
     TABLE.get_or_init(build_registry)
 }
 
-#[allow(clippy::vec_init_then_push)] // one documented push per SPEC run
+#[expect(
+    clippy::vec_init_then_push,
+    reason = "one documented push per SPEC run"
+)]
 fn build_registry() -> Vec<BenchmarkSpec> {
     let mut v = Vec::with_capacity(33);
 

@@ -23,23 +23,24 @@
 //!   paper.
 //! * [`serve`] — phase prediction as a sharded TCP service: wire
 //!   protocol, session engine, server, client and load generator.
-//! * [`telemetry`] — zero-dependency observability: a catalogue
+//! * [`telemetry`] — std-only observability: a catalogue
 //!   declaring every metric once, a process-global metrics registry
 //!   with Prometheus-style exposition, and leveled structured tracing.
-//! * [`lint`] — the workspace invariant linter: panic-freedom and
-//!   determinism of everything the hot paths reach over the call graph,
-//!   `SAFETY:` discipline, and CLI-flag agreement with the README,
-//!   checked over a hand-rolled token stream and gated in CI.
+//!
+//! The decision path's invariants (no panic, no wall-clock, environment
+//! or hash-order dependence, no undocumented `unsafe`) are rustc and
+//! clippy lints declared in the nine hot-path crates and `clippy.toml`.
 //!
 //! See the repository `README.md` for a tour and `DESIGN.md` for the
 //! paper-to-crate mapping.
+
+#![forbid(unsafe_code)]
 
 pub use livephase_core as core;
 pub use livephase_daq as daq;
 pub use livephase_engine as engine;
 pub use livephase_experiments as experiments;
 pub use livephase_governor as governor;
-pub use livephase_lint as lint;
 pub use livephase_pmsim as pmsim;
 pub use livephase_serve as serve;
 pub use livephase_telemetry as telemetry;
