@@ -28,7 +28,9 @@ repro_out=$("$cli" repro all) || { echo "$repro_out"; echo "repro all failed"; e
 # The rest of the published runs that two executions reproduce byte for
 # byte: the extensions, ablations, power zoo, govern, tenants, predict
 # and example outputs, regenerated into results/golden/ so the same
-# diff covers them. Like EXPERIMENTS.md they pin libm's cos and ln.
+# diff covers them. Like EXPERIMENTS.md they pin libm's cos and ln
+# through workload generation's Box–Muller normals; the DAQ noise
+# touches libm (exp, ln) only in its ziggurat's rare wedge and tail draws.
 golden=results/golden
 mkdir -p "$golden"
 for e in overheads confidence oracle_gap dtm power_cap adaptive_sampling; do

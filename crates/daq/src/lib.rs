@@ -58,23 +58,17 @@ pub use logger::{DaqLog, PhaseMeasurement};
 pub use sampler::{DaqSample, Sampler};
 pub use sense::SenseCircuit;
 
+use conditioning::{ChannelNoise, LowPass};
 use livephase_pmsim::PowerTrace;
-use std::sync::mpsc;
+use sampler::SampleRun;
 
 /// The DAQPad's sampling period, in seconds. The conditioner's filter
 /// coefficient (α = 0.2, a ≈ 160 µs time constant) is tuned for it.
 const SAMPLING_PERIOD_S: f64 = 40e-6;
 
-/// Sample instants per block of channel noise (24 KiB of draws): large
-/// enough that handing a block over costs ~1 % of drawing it, small
-/// enough that the wait for a thread's first block, and its unused block
-/// at the end, stay near 0.1 ms.
+/// Sample instants per block of channel noise: 24 KiB of draws, read by
+/// every trace still running while they are in cache.
 const NOISE_BLOCK: usize = 1024;
-
-/// Finished blocks a producer thread may queue ahead of the filter/log
-/// loop; it holds one more while it waits, so each keeps at most two
-/// blocks in flight.
-const BLOCKS_QUEUED: usize = 1;
 
 /// The complete measurement chain, configured like the paper's rig.
 #[derive(Debug, Clone)]
@@ -126,133 +120,108 @@ impl DaqSystem {
     ///
     /// Every capture from one `DaqSystem` sees the same noise realisation:
     /// sample `k` of each trace carries the `k`-th draw of the seeded
-    /// stream. So the draw is made once per sample instant and fed to
-    /// every trace still running at that instant, while each trace keeps
-    /// its own sampler cursor, low-pass state and log. Each returned log
-    /// equals what a lone `measure` call on its trace returns.
-    ///
-    /// The draws come in blocks of consecutive instants, computed by `W`
-    /// producers, one per available core: producer `w` draws blocks `w`,
-    /// `w + W`, `w + 2W`, …, skipping the raw draws of the other
-    /// producers' blocks. An instant's noise is a pure function of the
-    /// six raw `u64`s at its position in the stream, so every block holds
-    /// exactly what the sequential draws would, and the logs are
-    /// bit-identical. The calling thread runs the filter/log loop, taking
-    /// the blocks in order, and is itself producer 0, so it draws the
-    /// first block while the others start; they are scoped threads that
-    /// queue their blocks on bounded channels and stop once the loop has
-    /// ended. With one core, or a noise-free chain, the calling thread is
-    /// the only producer: it draws each block as it needs it, with no
-    /// thread spawned and nothing skipped.
+    /// stream, and each returned log equals what a lone `measure` call on
+    /// its trace returns. The noise of 1024 sample instants at a time is
+    /// drawn into one reused buffer; each trace still running then walks
+    /// its segment runs through the block. Within a run the channels and
+    /// port bits are constant, so a sample is the noise add, the low-pass
+    /// step, the power reconstruction and the phase and total sums. Each
+    /// trace keeps its own filter state, log and order of float
+    /// operations, and a capture of `N` instants draws exactly `3N`
+    /// normals (none on a noise-free chain).
     #[must_use]
     pub fn measure_all(&self, traces: &[&PowerTrace]) -> Vec<DaqLog> {
-        let producers = if self.conditioner.noise.is_silent() {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        };
-        self.capture(traces, producers, NOISE_BLOCK)
+        self.capture(traces, &mut self.conditioner.noise.clone(), NOISE_BLOCK)
     }
 
-    /// `measure_all` with `producers` noise producers (at least one) and
-    /// `block` instants per noise block.
-    fn capture(&self, traces: &[&PowerTrace], producers: usize, block: usize) -> Vec<DaqLog> {
-        // Producer `w`: its blocks, one per call, in stream order.
-        let producer = |w: usize| {
-            let mut noise = self.conditioner.noise.clone();
-            let mut skip = w * block;
-            move || -> Vec<[f64; 3]> {
-                noise.skip(skip);
-                skip = (producers - 1) * block;
-                (0..block).map(|_| noise.draw()).collect()
-            }
-        };
-        std::thread::scope(|scope| {
-            let queued: Vec<_> = (1..producers)
-                .map(|w| {
-                    let (tx, rx) = mpsc::sync_channel(BLOCKS_QUEUED);
-                    let mut next = producer(w);
-                    // A failed send means the loop has ended and dropped `rx`.
-                    scope.spawn(move || while tx.send(next()).is_ok() {});
-                    rx
-                })
-                .collect();
-            let mut own = producer(0);
-            let mut b = 0;
-            // The closure owns the receivers, so they drop when the loop
-            // ends, before the scope joins the producer threads.
-            self.filter_and_log(traces, move || {
-                let w = b % producers;
-                b += 1;
-                match w.checked_sub(1).and_then(|w| queued.get(w)) {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "a producer only stops once its receiver drops"
-                    )]
-                    Some(rx) => rx.recv().expect("a producer runs until its receiver drops"),
-                    None => own(),
-                }
-            })
-        })
-    }
-
-    /// The lockstep filter/log loop: each sample instant takes the next
-    /// draw from the current noise block (`next_block` supplies the
-    /// following one when it runs out) and feeds it to every trace still
-    /// running.
-    fn filter_and_log(
+    /// `measure_all` drawing from `noise`, `block` instants at a time.
+    fn capture(
         &self,
         traces: &[&PowerTrace],
-        mut next_block: impl FnMut() -> Vec<[f64; 3]>,
+        noise: &mut ChannelNoise,
+        block: usize,
     ) -> Vec<DaqLog> {
         let sampler = Sampler::new(SAMPLING_PERIOD_S);
-        // Per trace: the sampler cursor (`None` once the trace has ended),
-        // the low-pass state and the log.
+        let runs = |trace| sampler.runs(trace, &self.circuit);
+        // The capture lasts as long as its longest trace.
+        let instants = traces
+            .iter()
+            .map(|trace| runs(trace).map(|run| run.len).sum::<u64>())
+            .max()
+            .unwrap_or(0);
         let mut captures: Vec<_> = traces
             .iter()
-            .map(|trace| {
-                (
-                    Some(sampler.samples(trace, &self.circuit)),
-                    self.conditioner.filter.clone(),
-                    DaqLog::new(SAMPLING_PERIOD_S),
-                )
+            .map(|trace| Capture {
+                runs: runs(trace),
+                run: None,
+                filter: self.conditioner.filter.clone(),
+                log: DaqLog::new(SAMPLING_PERIOD_S),
             })
             .collect();
-        let mut noise_block = Vec::new();
-        let mut used = 0;
-        loop {
-            // Taken when the first still-running trace yields a sample.
-            let mut instant_noise = None;
-            for (cursor, filter, log) in &mut captures {
-                let Some(raw) = cursor.as_mut().and_then(Iterator::next) else {
-                    *cursor = None;
-                    continue;
-                };
-                let n = *instant_noise.get_or_insert_with(|| {
-                    if used == noise_block.len() {
-                        noise_block = next_block();
-                        used = 0;
-                    }
-                    used += 1;
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "0 < used <= len: a block is refilled once used reaches its length, and holds block > 0 draws"
-                    )]
-                    noise_block[used - 1]
-                });
-                log.record(&filter.apply(raw, n), &self.circuit);
-            }
-            if instant_noise.is_none() {
+        let mut buffer = vec![[0.0; 3]; usize::try_from(instants).map_or(block, |n| n.min(block))];
+        let mut left = instants;
+        while left > 0 {
+            let n = usize::try_from(left).map_or(block, |n| n.min(block));
+            let Some(draws) = buffer.get_mut(..n).filter(|draws| !draws.is_empty()) else {
                 break;
+            };
+            noise.fill(draws);
+            for capture in &mut captures {
+                capture.feed(draws, &sampler, &self.circuit);
             }
+            left -= n as u64;
         }
         captures
             .into_iter()
-            .map(|(_, _, mut log)| {
+            .map(|capture| {
+                let mut log = capture.log;
                 log.finish();
                 log
             })
             .collect()
+    }
+}
+
+/// One trace's progress through a capture.
+struct Capture<R> {
+    /// The trace's runs not yet started.
+    runs: R,
+    /// The run in progress, with its samples still to take.
+    run: Option<SampleRun>,
+    filter: LowPass,
+    log: DaqLog,
+}
+
+impl<R: Iterator<Item = SampleRun>> Capture<R> {
+    /// Takes the trace's next `draws.len()` samples, each with its draw,
+    /// or as many as are left.
+    fn feed(&mut self, mut draws: &[[f64; 3]], sampler: &Sampler, circuit: &SenseCircuit) {
+        while !draws.is_empty() {
+            if self.run.is_none() {
+                self.run = self.runs.next();
+            }
+            let Some(run) = &mut self.run else {
+                return;
+            };
+            let take = usize::try_from(run.len).map_or(draws.len(), |n| n.min(draws.len()));
+            let Some((now, rest)) = draws.split_at_checked(take) else {
+                return;
+            };
+            let channels = run.channels;
+            let filter = &mut self.filter;
+            self.log.record_run(
+                sampler.time_s(run.first),
+                run.pport_bits,
+                now.iter()
+                    .map(|&noise| circuit.reconstruct_power(filter.step(channels, noise))),
+            );
+            run.first += take as u64;
+            run.len -= take as u64;
+            if run.len == 0 {
+                self.run = None;
+            }
+            draws = rest;
+        }
     }
 }
 
@@ -316,9 +285,9 @@ mod tests {
         assert_ne!(a.total_energy_j(), c.total_energy_j());
     }
 
-    /// The block pipeline against the chain run one trace and one
-    /// instant at a time, for every producer count and block size.
-    mod pipeline {
+    /// The run loop against the chain run one trace and one instant at a
+    /// time, and the work a capture does.
+    mod capture {
         use super::*;
         use proptest::prelude::*;
 
@@ -329,8 +298,7 @@ mod tests {
             /// 0 empty, 1 shorter than one period, 2 ending mid-block,
             /// 3 ending exactly on a block edge.
             kind: u8,
-            /// Whole blocks before the end: up to four, so a capture can
-            /// outlast a round of three producers.
+            /// Whole blocks before the end.
             blocks: usize,
             /// Where in the final block a mid-block capture ends.
             rest: f64,
@@ -341,9 +309,9 @@ mod tests {
         fn arb_shape() -> impl Strategy<Value = Shape> {
             (
                 0u8..4,
-                0usize..5,
+                0usize..4,
                 0.0f64..1.0,
-                proptest::collection::vec((0.1f64..1.0, 0.5f64..15.0, 0u8..8), 1..5),
+                proptest::collection::vec((0.1f64..1.0, 0.5f64..15.0, 0u8..8), 1..6),
             )
                 .prop_map(|(kind, blocks, rest, segments)| Shape {
                     kind,
@@ -388,15 +356,17 @@ mod tests {
         }
 
         proptest! {
-            /// Producers drawing interleaved blocks, or the calling thread
-            /// drawing them itself, hand every trace the noise the
-            /// sequential stream would: each log equals the oracle's, for
-            /// captures that are empty, shorter than a period, or end
-            /// inside or exactly at the end of a block.
+            /// Walking segment runs through blocks of shared noise gives
+            /// every trace the log of the one-instant-at-a-time chain:
+            /// for captures that are empty, shorter than a period, or end
+            /// inside or exactly at the end of a block, with runs that
+            /// cross block edges, alone or beside up to three others of
+            /// other lengths, noisy or ideal. Blocks of `NOISE_BLOCK`
+            /// instants are `measure_all` itself.
             #[test]
-            fn block_pipeline_equals_one_instant_at_a_time(
+            fn run_loop_equals_one_instant_at_a_time(
                 shapes in proptest::collection::vec(arb_shape(), 0..5),
-                block in prop_oneof![Just(1usize), Just(3), Just(64), Just(NOISE_BLOCK), Just(4096)],
+                block in prop_oneof![Just(1usize), Just(3), Just(64), Just(NOISE_BLOCK)],
                 seed in 0u64..1000,
             ) {
                 let built: Vec<(PowerTrace, u64)> = shapes.iter().map(|s| s.build(block)).collect();
@@ -409,16 +379,39 @@ mod tests {
                     for (log, (_, samples)) in oracle.iter().zip(&built) {
                         prop_assert_eq!(log.samples_taken(), *samples);
                     }
-                    for producers in 1..=3 {
-                        prop_assert_eq!(
-                            &system.capture(&traces, producers, block),
-                            &oracle,
-                            "{} producers, blocks of {}",
-                            producers,
-                            block
-                        );
-                    }
+                    let logs = if block == NOISE_BLOCK {
+                        system.measure_all(&traces)
+                    } else {
+                        system.capture(&traces, &mut system.conditioner.noise.clone(), block)
+                    };
+                    prop_assert_eq!(&logs, &oracle, "blocks of {}", block);
                 }
+            }
+        }
+
+        /// A capture of `N` instants, its longest trace's sample count,
+        /// draws exactly `3N` normals, over several blocks, a partial last
+        /// one and traces that end early; a noise-free chain draws none.
+        #[test]
+        fn a_capture_draws_three_normals_per_instant() {
+            let traces: Vec<PowerTrace> = [0.0, 1000.5, 2500.5, 100.5]
+                .iter()
+                .map(|&periods| {
+                    (1..=4)
+                        .map(|i| seg(periods * SAMPLING_PERIOD_S / 4.0, f64::from(i), i as u8 & 1))
+                        .filter(|s| s.duration_s > 0.0)
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&PowerTrace> = traces.iter().collect();
+            for (system, normals) in [(DaqSystem::pentium_m(3), 3 * 2500), (DaqSystem::ideal(), 0)]
+            {
+                let seeded = system.conditioner.noise.clone();
+                let mut noise = seeded.clone();
+                let logs = system.capture(&refs, &mut noise, NOISE_BLOCK);
+                let samples: Vec<u64> = logs.iter().map(DaqLog::samples_taken).collect();
+                assert_eq!(samples, [0, 1000, 2500, 100]);
+                assert_eq!(noise, seeded.after_normals(normals));
             }
         }
     }

@@ -72,13 +72,57 @@ impl DaqLog {
     /// Feeds one conditioned sample into the log.
     pub fn record(&mut self, sample: &DaqSample, circuit: &SenseCircuit) {
         let power = circuit.reconstruct_power(sample.channels);
+        self.record_power(sample.time_s, sample.pport_bits, power);
+    }
+
+    /// Feeds the reconstructed powers of consecutive samples that share
+    /// `pport_bits`, the first taken at `time_s`: the same log as one
+    /// [`record`](DaqLog::record) per sample, with the bookkeeping done
+    /// once. Each sum still adds the powers one at a time, in order.
+    pub(crate) fn record_run(
+        &mut self,
+        time_s: f64,
+        pport_bits: u8,
+        powers: impl IntoIterator<Item = f64>,
+    ) {
+        let mut powers = powers.into_iter();
+        let Some(first) = powers.next() else {
+            return;
+        };
+        // Only the first sample can open a phase.
+        self.record_power(time_s, pport_bits, first);
+        let Some((_, acc)) = &mut self.current else {
+            return;
+        };
+        let mut power_sum = self.power_sum;
+        let mut phase_sum = acc.power_sum;
+        let mut n = 0u64;
+        for power in powers {
+            power_sum += power;
+            phase_sum += power;
+            n += 1;
+        }
+        self.power_sum = power_sum;
+        acc.power_sum = phase_sum;
+        self.total_samples += n;
+        acc.samples += n;
+        if pport_bits & pport::IN_HANDLER != 0 {
+            acc.handler_samples += n;
+        }
+        if pport_bits & pport::APP_RUNNING != 0 {
+            self.app_samples += n;
+        }
+    }
+
+    /// One sample's reconstructed power, taken at `time_s`.
+    fn record_power(&mut self, time_s: f64, pport_bits: u8, power: f64) {
         self.total_samples += 1;
         self.power_sum += power;
-        if sample.pport_bits & pport::APP_RUNNING != 0 {
+        if pport_bits & pport::APP_RUNNING != 0 {
             self.app_samples += 1;
         }
-        let toggle = sample.pport_bits & pport::PHASE_TOGGLE;
-        let in_handler = u64::from(sample.pport_bits & pport::IN_HANDLER != 0);
+        let toggle = pport_bits & pport::PHASE_TOGGLE;
+        let in_handler = u64::from(pport_bits & pport::IN_HANDLER != 0);
         match &mut self.current {
             Some((bit, acc)) if *bit == toggle => {
                 acc.power_sum += power;
@@ -90,7 +134,7 @@ impl DaqLog {
                 self.current = Some((
                     toggle,
                     Accumulator {
-                        start_s: sample.time_s,
+                        start_s: time_s,
                         power_sum: power,
                         samples: 1,
                         handler_samples: in_handler,

@@ -1,0 +1,87 @@
+//! A capture allocates per trace, per block buffer and per phase, never
+//! per sample: `DaqSystem::measure_all` draws each block of noise into
+//! one reused buffer and walks segment runs through it. A counting
+//! global allocator watches this thread while two captures with the
+//! same phases, one ten times as long per phase as the other, run.
+
+use livephase_daq::DaqSystem;
+use livephase_pmsim::trace::{pport, PowerSegment, PowerTrace};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread. Const-initialised and without a
+    /// destructor, so the allocator can touch it without allocating.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; counting touches only a thread-local `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// 40 phases of `periods` samples each (plus half a period of slack),
+/// each split into an application segment and a handler segment.
+fn phases(periods: f64) -> PowerTrace {
+    (0..40u8)
+        .flat_map(|i| {
+            let toggle = i & pport::PHASE_TOGGLE;
+            let power_w = 3.0 + f64::from(i % 5) * 2.0;
+            [
+                (0.75, power_w, pport::APP_RUNNING | toggle),
+                (0.25, power_w + 1.0, pport::IN_HANDLER | toggle),
+            ]
+        })
+        .map(|(share, power_w, pport_bits)| PowerSegment {
+            duration_s: (periods + 0.5) * share * 40e-6,
+            power_w,
+            voltage_v: 1.484,
+            pport_bits,
+        })
+        .collect()
+}
+
+/// Allocations of one `measure_all` over the pair, and its sample count.
+fn capture(system: &DaqSystem, pair: &[PowerTrace; 2]) -> (u64, u64) {
+    let before = allocations();
+    let logs = system.measure_all(&[&pair[0], &pair[1]]);
+    let allocated = allocations() - before;
+    assert!(logs.iter().all(|log| log.phases().len() == 40));
+    (allocated, logs.iter().map(|log| log.samples_taken()).sum())
+}
+
+#[test]
+fn allocations_do_not_grow_with_samples_per_phase() {
+    for system in [DaqSystem::pentium_m(42), DaqSystem::ideal()] {
+        let short = [phases(60.0), phases(90.0)];
+        let long = [phases(600.0), phases(900.0)];
+        // Warm-up: builds the normal sampler's table.
+        let _ = capture(&system, &short);
+        let (few, few_samples) = capture(&system, &short);
+        let (many, many_samples) = capture(&system, &long);
+        assert!(
+            many_samples > 9 * few_samples,
+            "{few_samples} vs {many_samples}"
+        );
+        assert_eq!(few, many, "{few_samples} samples vs {many_samples}");
+    }
+}
