@@ -104,6 +104,13 @@ cargo test -q --workspace
 # and the raw engine must emit bit-identical decision streams. (Also part
 # of the workspace run above; named here so a failure reads as what it is.)
 cargo test -q --test engine_equivalence
+# The exact counts hold in release as well as in debug: the three
+# counting-allocator tests, and the daq unit tests (normals per instant,
+# the lockstep capture against the one-instant chain). The capture's
+# speed comes from inlining and register allocation, which only the
+# optimiser does, so its equivalence is checked on the code it makes.
+cargo test -q --release -p livephase-core -p livephase-engine -p livephase-daq --test no_alloc
+cargo test -q --release -p livephase-daq --lib
 
 # Loopback smoke test: a real server process, a real load generator, a
 # bit-exactness check against the in-process manager, and a telemetry

@@ -205,7 +205,8 @@ fn run_pmsim_run_to_pmi(warmup: usize, iters: usize) -> Vec<u64> {
 /// Figure 10-shaped pair of waveforms — applu unmanaged and
 /// GPHT-managed, 8 intervals each: 27 324 + 29 475 samples at 40 µs,
 /// so 29 475 sample instants and 88 425 normals, drawn in 28 blocks of
-/// 1024 instants and one of 803.
+/// 1024 instants and one of 803. The two traces are stepped in lockstep
+/// until the shorter one ends; the rest of the longer is fed alone.
 fn run_daq_measure(warmup: usize, iters: usize) -> Vec<u64> {
     let bench = spec::benchmark("applu_in")
         .expect("applu_in is registered")
@@ -483,7 +484,7 @@ pub fn registry() -> &'static [Area] {
         Area {
             name: "daq_measure",
             what: "one DaqSystem::measure_all over an 8-interval applu baseline/GPHT pair",
-            expected_ratio: 2.4,
+            expected_ratio: 1.4,
             run: run_daq_measure,
         },
         Area {

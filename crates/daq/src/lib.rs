@@ -60,7 +60,9 @@ pub use sense::SenseCircuit;
 
 use conditioning::{ChannelNoise, LowPass};
 use livephase_pmsim::PowerTrace;
+use logger::RunSums;
 use sampler::SampleRun;
+use sense::ChannelVoltages;
 
 /// The DAQPad's sampling period, in seconds. The conditioner's filter
 /// coefficient (α = 0.2, a ≈ 160 µs time constant) is tuned for it.
@@ -122,13 +124,14 @@ impl DaqSystem {
     /// sample `k` of each trace carries the `k`-th draw of the seeded
     /// stream, and each returned log equals what a lone `measure` call on
     /// its trace returns. The noise of 1024 sample instants at a time is
-    /// drawn into one reused buffer; each trace still running then walks
-    /// its segment runs through the block. Within a run the channels and
-    /// port bits are constant, so a sample is the noise add, the low-pass
-    /// step, the power reconstruction and the phase and total sums. Each
-    /// trace keeps its own filter state, log and order of float
-    /// operations, and a capture of `N` instants draws exactly `3N`
-    /// normals (none on a noise-free chain).
+    /// drawn into one reused buffer; the traces then walk their segment
+    /// runs through the block two at a time, a pair in one loop over each
+    /// stretch where neither trace's run ends. Within a run the channels
+    /// and port bits are constant, so a sample is the noise add, the
+    /// low-pass step, the power reconstruction and the phase and total
+    /// sums. Each trace keeps its own filter state, log and order of
+    /// float operations, and a capture of `N` instants draws exactly
+    /// `3N` normals (none on a noise-free chain).
     #[must_use]
     pub fn measure_all(&self, traces: &[&PowerTrace]) -> Vec<DaqLog> {
         self.capture(traces, &mut self.conditioner.noise.clone(), NOISE_BLOCK)
@@ -166,8 +169,12 @@ impl DaqSystem {
                 break;
             };
             noise.fill(draws);
-            for capture in &mut captures {
-                capture.feed(draws, &sampler, &self.circuit);
+            for traces in captures.chunks_mut(2) {
+                match traces {
+                    [a, b] => Capture::feed_pair(a, b, draws, &sampler, &self.circuit),
+                    [lone] => lone.feed(draws, &sampler, &self.circuit),
+                    _ => {}
+                }
             }
             left -= n as u64;
         }
@@ -192,35 +199,116 @@ struct Capture<R> {
     log: DaqLog,
 }
 
+/// A stretch of one run being taken: the run's channels, and a local
+/// copy of the trace's filter and of its log's sums, so that the loop
+/// over the stretch keeps them in registers.
+struct Stretch {
+    channels: ChannelVoltages,
+    filter: LowPass,
+    sums: RunSums,
+}
+
+impl Stretch {
+    /// Takes the next sample, with its draw.
+    fn step(&mut self, noise: [f64; 3], circuit: &SenseCircuit) {
+        let power = circuit.reconstruct_power(self.filter.step(self.channels, noise));
+        self.sums.add(power);
+    }
+}
+
 impl<R: Iterator<Item = SampleRun>> Capture<R> {
-    /// Takes the trace's next `draws.len()` samples, each with its draw,
-    /// or as many as are left.
-    fn feed(&mut self, mut draws: &[[f64; 3]], sampler: &Sampler, circuit: &SenseCircuit) {
-        while !draws.is_empty() {
-            if self.run.is_none() {
-                self.run = self.runs.next();
-            }
-            let Some(run) = &mut self.run else {
-                return;
-            };
-            let take = usize::try_from(run.len).map_or(draws.len(), |n| n.min(draws.len()));
-            let Some((now, rest)) = draws.split_at_checked(take) else {
-                return;
-            };
-            let channels = run.channels;
-            let filter = &mut self.filter;
-            self.log.record_run(
-                sampler.time_s(run.first),
-                run.pport_bits,
-                now.iter()
-                    .map(|&noise| circuit.reconstruct_power(filter.step(channels, noise))),
-            );
-            run.first += take as u64;
-            run.len -= take as u64;
+    /// The run in progress, starting the next one if the last has
+    /// ended; `None` once the trace has no samples left.
+    fn current_run(&mut self) -> Option<SampleRun> {
+        if self.run.is_none() {
+            self.run = self.runs.next();
+        }
+        self.run
+    }
+
+    /// Starts a stretch of `run` by taking its first sample, with the
+    /// draw `noise`, through `DaqLog::start_run`: only a stretch's first
+    /// sample can open a phase.
+    fn start(
+        &mut self,
+        run: &SampleRun,
+        noise: [f64; 3],
+        sampler: &Sampler,
+        circuit: &SenseCircuit,
+    ) -> Stretch {
+        let mut filter = self.filter.clone();
+        let power = circuit.reconstruct_power(filter.step(run.channels, noise));
+        Stretch {
+            channels: run.channels,
+            filter,
+            sums: self
+                .log
+                .start_run(sampler.time_s(run.first), run.pport_bits, power),
+        }
+    }
+
+    /// Writes a stretch of `taken` samples back and moves the run in
+    /// progress past it.
+    fn finish(&mut self, stretch: Stretch, taken: usize) {
+        self.filter = stretch.filter;
+        self.log.end_run(stretch.sums);
+        if let Some(run) = &mut self.run {
+            run.first += taken as u64;
+            run.len -= taken as u64;
             if run.len == 0 {
                 self.run = None;
             }
-            draws = rest;
+        }
+    }
+
+    /// Takes the trace's next `draws.len()` samples, each with its draw,
+    /// or as many as are left.
+    fn feed(&mut self, mut draws: &[[f64; 3]], sampler: &Sampler, circuit: &SenseCircuit) {
+        while let Some(run) = self.current_run().filter(|_| !draws.is_empty()) {
+            let take = usize::try_from(run.len).map_or(draws.len(), |n| n.min(draws.len()));
+            let Some(([first, rest @ ..], later)) = draws.split_at_checked(take) else {
+                return;
+            };
+            let mut stretch = self.start(&run, *first, sampler, circuit);
+            for &noise in rest {
+                stretch.step(noise, circuit);
+            }
+            self.finish(stretch, take);
+            draws = later;
+        }
+    }
+
+    /// [`feed`](Capture::feed) for two traces at once. Each stretch
+    /// where neither trace's run ends steps both traces in one loop, so
+    /// their filter recurrences overlap. Once one trace ends, the other
+    /// runs on alone.
+    fn feed_pair(
+        a: &mut Self,
+        b: &mut Self,
+        mut draws: &[[f64; 3]],
+        sampler: &Sampler,
+        circuit: &SenseCircuit,
+    ) {
+        while !draws.is_empty() {
+            let (Some(run_a), Some(run_b)) = (a.current_run(), b.current_run()) else {
+                a.feed(draws, sampler, circuit);
+                b.feed(draws, sampler, circuit);
+                return;
+            };
+            let take = usize::try_from(run_a.len.min(run_b.len))
+                .map_or(draws.len(), |n| n.min(draws.len()));
+            let Some(([first, rest @ ..], later)) = draws.split_at_checked(take) else {
+                return;
+            };
+            let mut stretch_a = a.start(&run_a, *first, sampler, circuit);
+            let mut stretch_b = b.start(&run_b, *first, sampler, circuit);
+            for &noise in rest {
+                stretch_a.step(noise, circuit);
+                stretch_b.step(noise, circuit);
+            }
+            a.finish(stretch_a, take);
+            b.finish(stretch_b, take);
+            draws = later;
         }
     }
 }
@@ -355,21 +443,40 @@ mod tests {
             log
         }
 
+        /// `measure_all` (blocks of `NOISE_BLOCK` instants) or a capture in
+        /// blocks of `block`.
+        fn capture_in_blocks(
+            system: &DaqSystem,
+            traces: &[&PowerTrace],
+            block: usize,
+        ) -> Vec<DaqLog> {
+            if block == NOISE_BLOCK {
+                system.measure_all(traces)
+            } else {
+                system.capture(traces, &mut system.conditioner.noise.clone(), block)
+            }
+        }
+
         proptest! {
             /// Walking segment runs through blocks of shared noise gives
             /// every trace the log of the one-instant-at-a-time chain:
             /// for captures that are empty, shorter than a period, or end
             /// inside or exactly at the end of a block, with runs that
-            /// cross block edges, alone or beside up to three others of
-            /// other lengths, noisy or ideal. Blocks of `NOISE_BLOCK`
-            /// instants are `measure_all` itself.
+            /// cross block edges, alone, as a pair stepped in lockstep or
+            /// as a pair plus a lone trace, beside traces of other lengths
+            /// or a twin of the first, noisy or ideal. Blocks of
+            /// `NOISE_BLOCK` instants are `measure_all` itself.
             #[test]
             fn run_loop_equals_one_instant_at_a_time(
                 shapes in proptest::collection::vec(arb_shape(), 0..5),
+                twin in 0u8..2,
                 block in prop_oneof![Just(1usize), Just(3), Just(64), Just(NOISE_BLOCK)],
                 seed in 0u64..1000,
             ) {
-                let built: Vec<(PowerTrace, u64)> = shapes.iter().map(|s| s.build(block)).collect();
+                let mut built: Vec<(PowerTrace, u64)> = shapes.iter().map(|s| s.build(block)).collect();
+                if let (1, Some(first)) = (twin, built.first().cloned()) {
+                    built.insert(1, first);
+                }
                 let traces: Vec<&PowerTrace> = built.iter().map(|(t, _)| t).collect();
                 for system in [DaqSystem::pentium_m(seed), DaqSystem::ideal()] {
                     let oracle: Vec<DaqLog> = traces
@@ -379,39 +486,138 @@ mod tests {
                     for (log, (_, samples)) in oracle.iter().zip(&built) {
                         prop_assert_eq!(log.samples_taken(), *samples);
                     }
-                    let logs = if block == NOISE_BLOCK {
-                        system.measure_all(&traces)
-                    } else {
-                        system.capture(&traces, &mut system.conditioner.noise.clone(), block)
-                    };
+                    let logs = capture_in_blocks(&system, &traces, block);
                     prop_assert_eq!(&logs, &oracle, "blocks of {}", block);
                 }
             }
         }
 
+        /// A trace whose runs hold exactly `runs` samples each, `(samples,
+        /// power, port bits)`: each segment ends half a period past its
+        /// last sample.
+        fn trace_of_runs(runs: &[(u64, f64, u8)]) -> PowerTrace {
+            runs.iter()
+                .enumerate()
+                .map(|(i, &(samples, power_w, bits))| {
+                    let periods = samples as f64 + if i == 0 { 0.5 } else { 0.0 };
+                    seg(periods * SAMPLING_PERIOD_S, power_w, bits)
+                })
+                .collect()
+        }
+
+        /// Every trace's log from a capture of `traces` together equals
+        /// the one-instant-at-a-time chain's, in blocks of 1, 3, 64 and
+        /// `NOISE_BLOCK` instants, noisy and ideal.
+        fn assert_each_log_is_the_oracle(traces: &[PowerTrace]) {
+            let refs: Vec<&PowerTrace> = traces.iter().collect();
+            for system in [DaqSystem::pentium_m(11), DaqSystem::ideal()] {
+                let oracle: Vec<DaqLog> = traces
+                    .iter()
+                    .map(|t| one_instant_at_a_time(&system, t))
+                    .collect();
+                for block in [1, 3, 64, NOISE_BLOCK] {
+                    let logs = capture_in_blocks(&system, &refs, block);
+                    assert_eq!(logs, oracle, "blocks of {block}");
+                }
+            }
+        }
+
+        // Port bits for the runs below: application, phase toggle,
+        // handler.
+        const A: u8 = pport::APP_RUNNING;
+        const T: u8 = pport::PHASE_TOGGLE;
+        const H: u8 = pport::IN_HANDLER;
+
+        /// A pair whose runs end at different instants: every stretch is
+        /// cut at whichever run of the two ends first, inside blocks and
+        /// across their edges.
+        #[test]
+        fn pair_runs_ending_at_different_instants() {
+            let a = trace_of_runs(&[
+                (7, 4.0, A),
+                (50, 9.0, A | T),
+                (3, 2.0, A | H),
+                (900, 12.0, T),
+                (200, 6.0, 0),
+            ]);
+            let b = trace_of_runs(&[
+                (20, 3.0, T),
+                (20, 11.0, A),
+                (20, 5.0, A | T | H),
+                (500, 7.0, A),
+                (700, 13.0, T),
+            ]);
+            assert_each_log_is_the_oracle(&[a, b]);
+        }
+
+        /// A trace that ends inside a block while its partner runs on
+        /// alone, with either of the two ending first.
+        #[test]
+        fn a_trace_ending_mid_block_leaves_its_partner_running() {
+            let short = trace_of_runs(&[(600, 8.0, A), (900, 3.0, A | T)]);
+            let long = trace_of_runs(&[(1000, 5.0, T), (1000, 10.0, A), (1000, 4.0, A | T)]);
+            assert_each_log_is_the_oracle(&[short.clone(), long.clone()]);
+            assert_each_log_is_the_oracle(&[long, short]);
+        }
+
+        /// Three traces: the first two stepped as a pair, the third fed
+        /// alone, each of other length and run boundaries.
+        #[test]
+        fn three_traces_are_a_pair_and_a_lone_trace() {
+            let traces = [
+                trace_of_runs(&[(300, 6.0, A), (1200, 12.0, A | T)]),
+                trace_of_runs(&[(1100, 2.0, T), (40, 9.0, H), (500, 5.0, 0)]),
+                trace_of_runs(&[(77, 13.0, A), (77, 3.0, A | T), (2000, 7.0, A)]),
+            ];
+            assert_each_log_is_the_oracle(&traces);
+        }
+
+        /// Two identical traces get identical logs: each its own filter
+        /// state, stepped alike.
+        #[test]
+        fn two_identical_traces_get_identical_logs() {
+            let trace = trace_of_runs(&[(30, 4.0, A), (1500, 11.0, A | T), (9, 2.0, H)]);
+            assert_each_log_is_the_oracle(&[trace.clone(), trace.clone()]);
+            let logs = DaqSystem::pentium_m(5).measure_all(&[&trace, &trace]);
+            assert_eq!(logs.first(), logs.last());
+        }
+
         /// A capture of `N` instants, its longest trace's sample count,
         /// draws exactly `3N` normals, over several blocks, a partial last
-        /// one and traces that end early; a noise-free chain draws none.
+        /// one and traces that end early, whether its traces are two
+        /// pairs, one pair, or a pair and a lone trace; a noise-free chain
+        /// draws none.
         #[test]
         fn a_capture_draws_three_normals_per_instant() {
-            let traces: Vec<PowerTrace> = [0.0, 1000.5, 2500.5, 100.5]
-                .iter()
-                .map(|&periods| {
-                    (1..=4)
-                        .map(|i| seg(periods * SAMPLING_PERIOD_S / 4.0, f64::from(i), i as u8 & 1))
-                        .filter(|s| s.duration_s > 0.0)
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&PowerTrace> = traces.iter().collect();
-            for (system, normals) in [(DaqSystem::pentium_m(3), 3 * 2500), (DaqSystem::ideal(), 0)]
-            {
-                let seeded = system.conditioner.noise.clone();
-                let mut noise = seeded.clone();
-                let logs = system.capture(&refs, &mut noise, NOISE_BLOCK);
-                let samples: Vec<u64> = logs.iter().map(DaqLog::samples_taken).collect();
-                assert_eq!(samples, [0, 1000, 2500, 100]);
-                assert_eq!(noise, seeded.after_normals(normals));
+            let trace = |periods: f64| -> PowerTrace {
+                (1..=4)
+                    .map(|i| seg(periods * SAMPLING_PERIOD_S / 4.0, f64::from(i), i as u8 & 1))
+                    .filter(|s| s.duration_s > 0.0)
+                    .collect()
+            };
+            for periods in [
+                &[0.0, 1000.5, 2500.5, 100.5][..],
+                &[1000.5, 2500.5],
+                &[2500.5, 100.5, 1000.5],
+            ] {
+                let traces: Vec<PowerTrace> = periods.iter().map(|&p| trace(p)).collect();
+                let refs: Vec<&PowerTrace> = traces.iter().collect();
+                let expected: Vec<u64> = periods.iter().map(|&p| p as u64).collect();
+                for (system, normals) in
+                    [(DaqSystem::pentium_m(3), 3 * 2500), (DaqSystem::ideal(), 0)]
+                {
+                    let seeded = system.conditioner.noise.clone();
+                    let mut noise = seeded.clone();
+                    let logs = system.capture(&refs, &mut noise, NOISE_BLOCK);
+                    let samples: Vec<u64> = logs.iter().map(DaqLog::samples_taken).collect();
+                    assert_eq!(samples, expected);
+                    assert_eq!(
+                        noise,
+                        seeded.after_normals(normals),
+                        "{} traces",
+                        traces.len()
+                    );
+                }
             }
         }
     }

@@ -42,6 +42,25 @@ struct Accumulator {
     handler_samples: u64,
 }
 
+/// The whole-capture and phase power sums of a run of samples in
+/// progress, past its first sample (`DaqLog::start_run`).
+#[derive(Debug)]
+pub(crate) struct RunSums {
+    power_sum: f64,
+    phase_sum: f64,
+    samples: u64,
+    pport_bits: u8,
+}
+
+impl RunSums {
+    /// Adds the next sample's power to both sums.
+    pub(crate) fn add(&mut self, power: f64) {
+        self.power_sum += power;
+        self.phase_sum += power;
+        self.samples += 1;
+    }
+}
+
 /// The measurement log: per-phase statistics plus whole-run aggregates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DaqLog {
@@ -75,41 +94,38 @@ impl DaqLog {
         self.record_power(sample.time_s, sample.pport_bits, power);
     }
 
-    /// Feeds the reconstructed powers of consecutive samples that share
-    /// `pport_bits`, the first taken at `time_s`: the same log as one
-    /// [`record`](DaqLog::record) per sample, with the bookkeeping done
-    /// once. Each sum still adds the powers one at a time, in order.
-    pub(crate) fn record_run(
-        &mut self,
-        time_s: f64,
-        pport_bits: u8,
-        powers: impl IntoIterator<Item = f64>,
-    ) {
-        let mut powers = powers.into_iter();
-        let Some(first) = powers.next() else {
-            return;
-        };
-        // Only the first sample can open a phase.
+    /// Records the first of consecutive samples that share `pport_bits`,
+    /// taken at `time_s` (only it can open a phase), and returns the sums
+    /// the rest add their powers to; [`end_run`](DaqLog::end_run) writes
+    /// them back, and the log must not be touched in between. The result
+    /// is the log of one [`record`](DaqLog::record) per sample, with the
+    /// bookkeeping done once: each sum still adds the powers one at a
+    /// time, in order.
+    pub(crate) fn start_run(&mut self, time_s: f64, pport_bits: u8, first: f64) -> RunSums {
         self.record_power(time_s, pport_bits, first);
+        RunSums {
+            power_sum: self.power_sum,
+            phase_sum: self.current.map_or(0.0, |(_, acc)| acc.power_sum),
+            samples: 0,
+            pport_bits,
+        }
+    }
+
+    /// Writes back the sums of a run begun with
+    /// [`start_run`](DaqLog::start_run).
+    pub(crate) fn end_run(&mut self, run: RunSums) {
         let Some((_, acc)) = &mut self.current else {
             return;
         };
-        let mut power_sum = self.power_sum;
-        let mut phase_sum = acc.power_sum;
-        let mut n = 0u64;
-        for power in powers {
-            power_sum += power;
-            phase_sum += power;
-            n += 1;
-        }
-        self.power_sum = power_sum;
-        acc.power_sum = phase_sum;
+        let n = run.samples;
+        self.power_sum = run.power_sum;
+        acc.power_sum = run.phase_sum;
         self.total_samples += n;
         acc.samples += n;
-        if pport_bits & pport::IN_HANDLER != 0 {
+        if run.pport_bits & pport::IN_HANDLER != 0 {
             acc.handler_samples += n;
         }
-        if pport_bits & pport::APP_RUNNING != 0 {
+        if run.pport_bits & pport::APP_RUNNING != 0 {
             self.app_samples += n;
         }
     }

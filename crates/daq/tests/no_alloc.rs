@@ -2,7 +2,8 @@
 //! per sample: `DaqSystem::measure_all` draws each block of noise into
 //! one reused buffer and walks segment runs through it. A counting
 //! global allocator watches this thread while two captures with the
-//! same phases, one ten times as long per phase as the other, run.
+//! same phases, one ten times as long per phase as the other, run, for
+//! two traces and for three.
 
 use livephase_daq::DaqSystem;
 use livephase_pmsim::trace::{pport, PowerSegment, PowerTrace};
@@ -60,28 +61,33 @@ fn phases(periods: f64) -> PowerTrace {
         .collect()
 }
 
-/// Allocations of one `measure_all` over the pair, and its sample count.
-fn capture(system: &DaqSystem, pair: &[PowerTrace; 2]) -> (u64, u64) {
+/// Allocations of one `measure_all` over the traces, and its sample count.
+fn capture(system: &DaqSystem, traces: &[PowerTrace]) -> (u64, u64) {
+    let refs: Vec<&PowerTrace> = traces.iter().collect();
     let before = allocations();
-    let logs = system.measure_all(&[&pair[0], &pair[1]]);
+    let logs = system.measure_all(&refs);
     let allocated = allocations() - before;
     assert!(logs.iter().all(|log| log.phases().len() == 40));
     (allocated, logs.iter().map(|log| log.samples_taken()).sum())
 }
 
+/// A pair, stepped in lockstep, and three traces, a pair plus one fed
+/// alone.
 #[test]
 fn allocations_do_not_grow_with_samples_per_phase() {
     for system in [DaqSystem::pentium_m(42), DaqSystem::ideal()] {
-        let short = [phases(60.0), phases(90.0)];
-        let long = [phases(600.0), phases(900.0)];
-        // Warm-up: builds the normal sampler's table.
-        let _ = capture(&system, &short);
-        let (few, few_samples) = capture(&system, &short);
-        let (many, many_samples) = capture(&system, &long);
-        assert!(
-            many_samples > 9 * few_samples,
-            "{few_samples} vs {many_samples}"
-        );
-        assert_eq!(few, many, "{few_samples} samples vs {many_samples}");
+        for periods in [&[60.0, 90.0][..], &[60.0, 90.0, 75.0]] {
+            let short: Vec<PowerTrace> = periods.iter().map(|&p| phases(p)).collect();
+            let long: Vec<PowerTrace> = periods.iter().map(|&p| phases(10.0 * p)).collect();
+            // Warm-up: builds the normal sampler's table.
+            let _ = capture(&system, &short);
+            let (few, few_samples) = capture(&system, &short);
+            let (many, many_samples) = capture(&system, &long);
+            assert!(
+                many_samples > 9 * few_samples,
+                "{few_samples} vs {many_samples}"
+            );
+            assert_eq!(few, many, "{few_samples} samples vs {many_samples}");
+        }
     }
 }
