@@ -161,14 +161,14 @@ echo "serve loopback smoke test passed"
 # (byte-identical reports across two runs: the cluster decision digest,
 # which covers every tenant's sample and decision stream, plus the
 # per-tenant time, energy and denial counts the grants determine) and
-# export the arbiter's grant/denial telemetry.
+# export the arbiter's grant/denial telemetry. The first run of each
+# policy is the golden loop's, with the same arguments.
 tenants_args="--tenants 6 --cores 2 --budget 20 --noisy 1 --length 6"
 for policy in waterfill priority; do
-    run_a=$("$cli" tenants $tenants_args --arbiter "$policy")
-    run_b=$("$cli" tenants $tenants_args --arbiter "$policy")
-    digest=$(echo "$run_a" | sed -n 's/^cluster decision digest //p')
+    run=$("$cli" tenants $tenants_args --arbiter "$policy")
+    digest=$(echo "$run" | sed -n 's/^cluster decision digest //p')
     [ -n "$digest" ] || { echo "tenants: no cluster decision digest in $policy output"; exit 1; }
-    [ "$run_a" = "$run_b" ] \
+    [ "$run" = "$(cat "$golden/tenants_$policy.txt")" ] \
         || { echo "tenants: $policy output diverged across identical runs"; exit 1; }
     echo "tenants $policy: identical across runs (digest $digest)"
 done
@@ -223,14 +223,11 @@ fi
 # the same verdict on a fast laptop and a slow CI runner. When the
 # calibration is too noisy to trust, the harness prints a loud
 # `bench gate: SKIP` and exits 0 rather than issue a meaningless
-# verdict. LIVEPHASE_BENCH_STRICT=1 tightens the headroom from 5x to
-# 2x for quiet machines. (Captured, not piped: grep -q closing the
-# pipe early would SIGPIPE the CLI mid-print.)
-bench_multiplier=5.0
-if [ "${LIVEPHASE_BENCH_STRICT:-0}" = "1" ]; then
-    bench_multiplier=2.0
-fi
-bench_out=$("$cli" bench --gate --multiplier "$bench_multiplier" --json --out results/bench/ci-latest) \
+# verdict. The headroom is the default 5x: the calibration baseline
+# itself is bimodal, so a tighter multiplier would fail on noise.
+# (Captured, not piped: grep -q closing the pipe early would SIGPIPE
+# the CLI mid-print.)
+bench_out=$("$cli" bench --gate --json --out results/bench/ci-latest) \
     || { echo "$bench_out"; echo "bench gate: calibrated thresholds exceeded"; exit 1; }
 echo "$bench_out"
 echo "$bench_out" | grep -Eq 'bench gate: (PASS|SKIP)' \
@@ -262,9 +259,9 @@ echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_pmsim_run_to_pm
 #      committed held-out MAPE threshold (exit 1 on violation).
 #   3. The zoo is deterministic: two runs at the same seed are
 #      byte-identical, coefficients included.
-repro_default=$("$cli" repro power_cap)
-repro_analytic=$("$cli" repro power_cap --power-model analytic)
-[ "$repro_default" = "$repro_analytic" ] \
+# The golden loop above already ran power_cap both ways and power-zoo
+# once; those files are the first execution of each comparison.
+cmp -s "$golden/repro_power_cap.txt" "$golden/repro_power_cap_analytic.txt" \
     || { echo "power zoo: --power-model analytic changed repro power_cap output"; exit 1; }
 table2_default=$("$cli" repro table2)
 table2_analytic=$("$cli" repro table2 --power-model analytic)
@@ -272,8 +269,7 @@ table2_analytic=$("$cli" repro table2 --power-model analytic)
     || { echo "power zoo: --power-model analytic changed repro table2 output"; exit 1; }
 zoo_a=$("$cli" power-zoo) \
     || { echo "$zoo_a"; echo "power zoo: train/validate gates failed"; exit 1; }
-zoo_b=$("$cli" power-zoo)
-[ "$zoo_a" = "$zoo_b" ] \
+[ "$zoo_a" = "$(cat "$golden/power_zoo.txt")" ] \
     || { echo "power zoo: output diverged across identical runs"; exit 1; }
 echo "$zoo_a" | grep -q 'held-out' \
     || { echo "power zoo: no held-out validation table in output"; exit 1; }

@@ -8,7 +8,7 @@
 //! table without re-running anything, and a drift between two CI
 //! archives is visible as a ratio delta rather than raw nanoseconds
 //! that mean nothing across machines. Parsing is hand-rolled over the
-//! schema `record.rs` pins with a golden test; no serde on this path.
+//! schema `record.rs` pins with a golden test.
 
 use std::collections::BTreeMap;
 use std::path::Path;

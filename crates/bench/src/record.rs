@@ -1,7 +1,6 @@
 //! `BENCH_<area>.json` records: the committed perf trajectory.
 //!
-//! One record per area per run, hand-rolled JSON (the workspace is
-//! zero-dependency — no serde on the gate path). The schema is pinned
+//! One record per area per run, hand-rolled JSON. The schema is pinned
 //! by a golden test in `tests/harness.rs`: downstream tooling diffs
 //! these files across commits, so field order and float formatting are
 //! part of the contract. Wall-clock timestamps are **passed in** by the
@@ -10,6 +9,7 @@
 
 use crate::calibrate::Calibration;
 use crate::stats::Summary;
+use livephase_telemetry::json_escape;
 
 /// Schema identifier embedded in every record.
 pub const SCHEMA: &str = "livephase-bench/v1";
@@ -114,11 +114,11 @@ impl BenchRecord {
         out.push_str("  \"machine\": {\n");
         out.push_str(&format!(
             "    \"host\": \"{}\",\n",
-            escape(&self.machine.host)
+            json_escape(&self.machine.host)
         ));
         out.push_str(&format!(
             "    \"cpu\": \"{}\",\n",
-            escape(&self.machine.cpu)
+            json_escape(&self.machine.cpu)
         ));
         out.push_str(&format!("    \"cores\": {}\n", self.machine.cores));
         out.push_str("  },\n");
@@ -132,7 +132,7 @@ impl BenchRecord {
 fn push_str_field(out: &mut String, key: &str, value: &str, comma: bool) {
     out.push_str(&format!(
         "  \"{key}\": \"{}\"{}\n",
-        escape(value),
+        json_escape(value),
         if comma { "," } else { "" }
     ));
 }
@@ -153,22 +153,6 @@ fn push_f64_field(out: &mut String, key: &str, value: f64, comma: bool) {
 
 /// Minimal JSON string escaping: the fingerprint strings are the only
 /// free-form values and they never legitimately contain control bytes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Reads the short git revision of the repository enclosing `dir`, or
 /// `"unknown"`. Plumbed through the CLI so the bench library itself
 /// never shells out.
@@ -264,8 +248,8 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control_bytes() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("x\u{1}y"), "x\\u0001y");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("x\u{1}y"), "x\\u0001y");
     }
 
     #[test]

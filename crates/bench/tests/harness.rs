@@ -4,7 +4,7 @@
 //! synthetic calibrations.
 
 use livephase_bench::{
-    evaluate, BenchRecord, Calibration, GateConfig, GateOutcome, Machine, Summary,
+    evaluate, BenchRecord, Calibration, GateOutcome, Machine, Summary, DEFAULT_MULTIPLIER,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -136,7 +136,7 @@ fn live_measurement_passes_the_default_gate_or_skips() {
     let json = record.to_json();
     assert!(json.contains("\"schema\": \"livephase-bench/v1\""));
     assert!(json.contains("\"area\": \"wire_encode\""));
-    match evaluate(&GateConfig::default(), &calibration, &[record]) {
+    match evaluate(DEFAULT_MULTIPLIER, &calibration, &[record]) {
         GateOutcome::Pass | GateOutcome::Skip(_) => {}
         GateOutcome::Fail(findings) => {
             panic!("a freshly measured area must not fail its own committed ratio: {findings:?}")
@@ -177,7 +177,7 @@ fn injected_ten_x_slowdown_fails_on_any_machine() {
             make("healthy", honest_ns),
             make("regressed", honest_ns.saturating_mul(10)),
         ];
-        let GateOutcome::Fail(findings) = evaluate(&GateConfig::default(), &calibration, &records)
+        let GateOutcome::Fail(findings) = evaluate(DEFAULT_MULTIPLIER, &calibration, &records)
         else {
             panic!("10x over a 5x threshold must fail (baseline {baseline_ns})");
         };

@@ -132,12 +132,8 @@ pub struct Parsed {
     pub window: usize,
     /// `--bench` subset for `serve-bench` (empty = all).
     pub bench: Vec<String>,
-    /// `--no-check` for `serve-bench`.
-    pub no_check: bool,
     /// `--max-outbound` for `serve`, in bytes.
     pub max_outbound_bytes: usize,
-    /// `--sndbuf` for `serve`, in bytes, if given.
-    pub sndbuf: Option<usize>,
     /// `--tenants` for `tenants`.
     pub tenants: usize,
     /// `--cores` for `tenants`.
@@ -194,9 +190,7 @@ impl Default for Parsed {
             conns: 8,
             window: 64,
             bench: Vec::new(),
-            no_check: false,
             max_outbound_bytes: 256 * 1024,
-            sndbuf: None,
             tenants: 8,
             cores: 2,
             budget_w: None,
@@ -418,9 +412,6 @@ pub static FLAGS: &[Flag] = &[
         takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.max_outbound_bytes = n)),
         help: "per-connection outbound queue cap in bytes\n\
                (default 262144; slow consumers over it are shed)" },
-    Flag { name: "--sndbuf", section: SERVE,
-        takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.sndbuf = Some(n))),
-        help: "socket send-buffer size in bytes" },
     Flag { name: "--log-json", section: SERVE,
         takes: Switch(|p| p.log_json = true),
         help: "emit trace events as JSON lines" },
@@ -433,9 +424,6 @@ pub static FLAGS: &[Flag] = &[
     Flag { name: "--bench", section: SERVE_BENCH,
         takes: Value("<a,b,...>", |p, v| { p.bench = list(v); Ok(()) }),
         help: "benchmark subset (default: all 33)" },
-    Flag { name: "--no-check", section: SERVE_BENCH,
-        takes: Switch(|p| p.no_check = true),
-        help: "skip the in-process oracle agreement pass" },
     Flag { name: "--tenants", section: TENANTS,
         takes: Value("<n>", |p, v| at_least_1(v).map(|n| p.tenants = n)),
         help: "tenant VM count M (default 8)" },
@@ -478,8 +466,7 @@ pub static FLAGS: &[Flag] = &[
                (exit 0 pass/skip, 1 findings, 2 error)" },
     Flag { name: "--multiplier", section: BENCH,
         takes: Value("<x>", |p, v| positive(v, "").map(|x| p.multiplier = Some(x))),
-        help: "gate headroom over the expected ratio\n\
-               (default 5.0; strict CI uses 2.0)" },
+        help: "gate headroom over the expected ratio (default 5.0)" },
     Flag { name: "--profile", section: BENCH,
         takes: Switch(|p| p.profile = true),
         help: "append the timed_span! hot-path table" },
@@ -667,6 +654,12 @@ mod tests {
     fn rejects_unknown_command_and_option() {
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("list --frobnicate")).is_err());
+        // The send buffer and the agreement check are not options.
+        for line in ["serve --sndbuf 8192", "serve-bench 127.0.0.1:1 --no-check"] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err.code(), 2, "{line}: a usage error");
+            assert!(err.message().starts_with("unknown option"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -701,7 +694,7 @@ mod tests {
     #[test]
     fn parses_serve_bench() {
         let p = parse(&argv(
-            "serve-bench 127.0.0.1:9626 --conns 4 --window 32 --bench applu_in,swim_in --no-check",
+            "serve-bench 127.0.0.1:9626 --conns 4 --window 32 --bench applu_in,swim_in",
         ))
         .unwrap();
         assert_eq!(p.command, Command::ServeBench);
@@ -709,7 +702,6 @@ mod tests {
         assert_eq!(p.conns, 4);
         assert_eq!(p.window, 32);
         assert_eq!(p.bench, vec!["applu_in".to_owned(), "swim_in".to_owned()]);
-        assert!(p.no_check);
     }
 
     #[test]
@@ -733,17 +725,14 @@ mod tests {
         assert!(parse(&argv("serve-bench 1.2.3.4:5 --window 0")).is_err());
         assert!(parse(&argv("serve --read-timeout-ms 0")).is_err());
         assert!(parse(&argv("serve --max-outbound 0")).is_err());
-        assert!(parse(&argv("serve --sndbuf 0")).is_err());
     }
 
     #[test]
     fn parses_serve_mode_flags() {
         let p = parse(&argv("serve")).unwrap();
         assert_eq!(p.max_outbound_bytes, 256 * 1024);
-        assert_eq!(p.sndbuf, None);
-        let p = parse(&argv("serve --max-outbound 65536 --sndbuf 8192")).unwrap();
+        let p = parse(&argv("serve --max-outbound 65536")).unwrap();
         assert_eq!(p.max_outbound_bytes, 65_536);
-        assert_eq!(p.sndbuf, Some(8_192));
         let p = parse(&argv("serve-bench 127.0.0.1:9626 --conns 5000")).unwrap();
         assert_eq!(p.conns, 5000);
         assert!(
@@ -896,7 +885,7 @@ mod tests {
             [OPTIONS, SERVE, SERVE_BENCH, TENANTS, BENCH],
             "usage() sections"
         );
-        assert_eq!(FLAGS.len(), 34);
+        assert_eq!(FLAGS.len(), 32);
     }
 
     #[test]

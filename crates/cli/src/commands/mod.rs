@@ -180,28 +180,23 @@ fn bench(parsed: &Parsed) -> Result<String, CliError> {
     }
 
     if parsed.gate {
-        let config = bench::GateConfig {
-            multiplier: parsed
-                .multiplier
-                .unwrap_or(bench::GateConfig::default().multiplier),
-            ..bench::GateConfig::default()
-        };
-        let floored = bench::under_floor(&config, &records);
+        let multiplier = parsed.multiplier.unwrap_or(bench::DEFAULT_MULTIPLIER);
+        let floored = bench::under_floor(&records);
         if !floored.is_empty() {
             let _ = writeln!(
                 out,
                 "\nbench gate: not judged, median at or under the {} ns floor: {}",
-                config.floor_ns,
+                bench::FLOOR_NS,
                 floored.join(", ")
             );
         }
-        match bench::evaluate(&config, &calibration, &records) {
+        match bench::evaluate(multiplier, &calibration, &records) {
             bench::GateOutcome::Pass => {
                 let _ = writeln!(
                     out,
                     "\nbench gate: PASS ({} areas within {:.1}x of their expected ratio)",
                     records.len(),
-                    config.multiplier
+                    multiplier
                 );
             }
             bench::GateOutcome::Skip(reason) => {
@@ -243,7 +238,7 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         engine: livephase_serve::EngineConfig::pentium_m(),
         power: power_model(parsed)?,
         max_outbound_bytes: parsed.max_outbound_bytes,
-        sndbuf: parsed.sndbuf,
+        sndbuf: None,
     };
     let handle = livephase_serve::spawn(config)
         .map_err(|e| CliError::new(format!("cannot bind port {}: {e}", parsed.port)))?;
@@ -310,7 +305,6 @@ fn serve_bench(parsed: &Parsed) -> Result<String, CliError> {
         seed: parsed.seed,
         predictor: parsed.predictor.clone(),
         window: parsed.window,
-        check_agreement: !parsed.no_check,
         timeout: std::time::Duration::from_millis(parsed.read_timeout_ms.max(1_000)),
     };
     let report =

@@ -7,7 +7,6 @@
 
 use crate::phase::PhaseId;
 use crate::predict::{PhaseSample, Predictor};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scale of confidence values reported in basis points: 10 000 means
@@ -19,7 +18,7 @@ use std::fmt;
 pub const CONFIDENCE_SCALE: u16 = 10_000;
 
 /// Aggregate accuracy of one predictor over one phase stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PredictionStats {
     /// Number of scored intervals (stream length minus one).
     pub total: u64,
@@ -150,7 +149,7 @@ impl fmt::Display for PredictionStats {
 
 /// Full per-interval record of an evaluation, for trace-style figures
 /// (Figure 2 plots actual vs predicted phase series for `applu`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EvaluationTrace {
     /// The observed sample at each interval.
     pub observed: Vec<PhaseSample>,
@@ -194,7 +193,7 @@ where
 /// Aggregate accuracy hides *where* a predictor fails; for management the
 /// direction matters — predicting too CPU-bound wastes energy, predicting
 /// too memory-bound costs performance.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// `counts[(actual, predicted)]` over scored intervals.
     counts: livephase_collections::BTreeMap<(u8, u8), u64>,

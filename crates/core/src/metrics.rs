@@ -13,7 +13,6 @@
 //!   with core frequency), which is exactly why the paper refuses to define
 //!   phases on it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Memory bus transactions per retired micro-op.
@@ -26,7 +25,7 @@ use std::fmt;
 /// let r = MemUopRate::new(0.0125);
 /// assert!(r.get() > 0.01 && r.get() < 0.015);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct MemUopRate(f64);
 
 impl MemUopRate {
@@ -87,7 +86,7 @@ impl From<MemUopRate> for f64 {
 /// Derived from the uop PMC and the time stamp counter. See the module
 /// documentation for why this metric must not be used to *define* phases
 /// under dynamic power management.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Upc(f64);
 
 impl Upc {
@@ -147,7 +146,7 @@ impl From<Upc> for f64 {
 ///
 /// This is the complete information the paper's loadable kernel module logs
 /// per 100 M-uop interval: the two programmable counters and the TSC delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IntervalMetrics {
     /// Micro-ops retired in the interval (the PMI granularity, normally 100 M).
     pub uops_retired: u64,

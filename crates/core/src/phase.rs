@@ -16,7 +16,6 @@
 //! [`PhaseMap`] accepts any strictly increasing boundary list.
 
 use crate::metrics::MemUopRate;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -32,7 +31,7 @@ use std::fmt;
 /// assert_eq!(p.get(), 3);
 /// assert!(PhaseId::new(1) < PhaseId::new(6));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhaseId(u8);
 
 impl PhaseId {
@@ -117,7 +116,7 @@ impl Error for PhaseMapError {}
 /// assert_eq!(map.classify(0.005).get(), 2); // boundary -> upper phase
 /// assert_eq!(map.classify(0.12).get(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseMap {
     boundaries: Vec<f64>,
 }

@@ -15,11 +15,10 @@
 
 use crate::phase::PhaseId;
 use livephase_collections::{HashMap, VecDeque};
-use serde::{Deserialize, Serialize};
 
 /// A completed run: a phase and the number of consecutive sampling
 /// intervals it persisted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhaseRun {
     /// The phase of the run.
     pub phase: PhaseId,
@@ -83,7 +82,7 @@ impl RunLengthEncoder {
 }
 
 /// The duration-estimation scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurationScheme {
     /// Predict the last completed duration of the same phase.
     LastDuration,

@@ -35,7 +35,6 @@
 use super::gphr::Gphr;
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
-use serde::{Deserialize, Serialize};
 
 /// Sizing of a [`Gpht`] predictor.
 ///
@@ -44,7 +43,7 @@ use serde::{Deserialize, Serialize};
 /// match the 1024-entry predictor almost exactly); the constants
 /// [`GphtConfig::DEPLOYED`] and [`GphtConfig::REFERENCE`] capture the two
 /// configurations used throughout the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GphtConfig {
     /// Number of past phases held in the global phase history register.
     pub gphr_depth: usize,

@@ -15,10 +15,9 @@ use super::gphr::Gphr;
 use super::gpht::GphtConfig;
 use super::{PhaseSample, Predictor};
 use crate::phase::PhaseId;
-use serde::{Deserialize, Serialize};
 
 /// Sizing of a [`HashedGpht`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashedGphtConfig {
     /// Number of past phases hashed into the index.
     pub gphr_depth: usize,

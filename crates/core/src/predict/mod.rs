@@ -28,7 +28,6 @@ pub mod variable_window;
 
 use crate::metrics::MemUopRate;
 use crate::phase::PhaseId;
-use serde::{Deserialize, Serialize};
 
 /// One observed sampling interval, as presented to a predictor.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// [`MemUopRate`]: phase-granular predictors ignore the rate, while the
 /// variable-window predictor uses it to detect transitions against a raw
 /// Mem/Uop threshold (the paper's 0.005 / 0.030 parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSample {
     /// The observed Mem/Uop rate of the elapsed interval.
     pub rate: MemUopRate,

@@ -11,11 +11,10 @@ use crate::sampler::DaqSample;
 use crate::sense::SenseCircuit;
 use livephase_pmsim::trace::pport;
 use livephase_pmsim::{OperatingPoint, PowerInput, TrainingRecord};
-use serde::{Deserialize, Serialize};
 
 /// Power/duration statistics for one sampling interval (phase), as
 /// reconstructed on the logging machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseMeasurement {
     /// Zero-based phase index (bit-0 toggle count).
     pub index: usize,
@@ -62,14 +61,13 @@ impl RunSums {
 }
 
 /// The measurement log: per-phase statistics plus whole-run aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaqLog {
     sampling_period_s: f64,
     phases: Vec<PhaseMeasurement>,
     total_samples: u64,
     app_samples: u64,
     power_sum: f64,
-    #[serde(skip)]
     current: Option<(u8, Accumulator)>,
 }
 

@@ -2,11 +2,10 @@
 
 use crate::sense::{ChannelVoltages, SenseCircuit};
 use livephase_pmsim::PowerTrace;
-use serde::{Deserialize, Serialize};
 
 /// One raw DAQ sample: the three analog channels plus the digital
 /// parallel-port lines captured at an instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DaqSample {
     /// Sample timestamp in seconds from the start of the capture.
     pub time_s: f64,

@@ -9,11 +9,9 @@
 //! I1 = (V1 − VCPU) / R1,   I2 = (V2 − VCPU) / R2,   P = VCPU · (I1 + I2).
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// The analog voltages present on the three measured channels at one
 /// instant, before conditioning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelVoltages {
     /// Voltage upstream of R1, in volts.
     pub v1: f64,
@@ -24,7 +22,7 @@ pub struct ChannelVoltages {
 }
 
 /// The two-resistor sense network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenseCircuit {
     /// First sense resistor, in ohms.
     pub r1_ohm: f64,

@@ -6,7 +6,6 @@
 //! table" (Section 5.2).
 
 use livephase_core::{PhaseId, PhaseMap};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -63,7 +62,7 @@ impl Error for TranslationTableError {}
 /// assert_eq!(t.setting_for(PhaseId::new(1)), 0); // CPU-bound -> 1500 MHz
 /// assert_eq!(t.setting_for(PhaseId::new(6)), 5); // memory-bound -> 600 MHz
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranslationTable {
     settings: Vec<usize>,
 }

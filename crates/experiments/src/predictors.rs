@@ -3,10 +3,9 @@
 
 use livephase_core::{
     evaluate, FixedWindow, Gpht, GphtConfig, LastValue, PhaseMap, PhaseSample, PredictionStats,
-    Predictor, PredictorSpecError, Selector, VariableWindow,
+    Predictor, Selector, VariableWindow,
 };
-use livephase_engine::{DecisionEngine, EngineConfig, Sample};
-use livephase_workloads::{counter_samples, WorkloadTrace};
+use livephase_workloads::WorkloadTrace;
 
 /// Builds the six predictors compared in Figure 4, in the paper's legend
 /// order: fixed windows 8 and 128, variable windows (128, 0.005) and
@@ -43,37 +42,12 @@ pub fn accuracy_on(predictor: &mut dyn Predictor, trace: &WorkloadTrace) -> Pred
     evaluate(predictor, sample_stream(trace, &map))
 }
 
-/// Evaluates a predictor spec over a trace through the deployment
-/// pipeline itself: the trace's counter stream is batched through a
-/// [`DecisionEngine`] — the same classify → score → predict path the
-/// governor and the serve shards run — and the engine's own scoring is
-/// returned. Agrees exactly with [`accuracy_on`] for the equivalent
-/// predictor (the engine scores the same stream the same way).
-///
-/// # Errors
-///
-/// Returns the spec error if `predictor_spec` does not parse.
-pub fn engine_accuracy_on(
-    predictor_spec: &str,
-    trace: &WorkloadTrace,
-) -> Result<PredictionStats, PredictorSpecError> {
-    let mut engine = DecisionEngine::from_spec(EngineConfig::pentium_m(), predictor_spec)?;
-    let samples: Vec<Sample> = counter_samples(trace)
-        .map(|s| Sample {
-            pid: 0,
-            uops: s.uops,
-            mem_transactions: s.mem_transactions,
-        })
-        .collect();
-    let mut decisions = Vec::with_capacity(samples.len());
-    engine.step_many(&samples, &mut decisions);
-    Ok(engine.stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runs::require_benchmark;
+    use livephase_engine::{DecisionEngine, EngineConfig, Sample};
+    use livephase_workloads::counter_samples;
 
     #[test]
     fn lineup_matches_figure4_legend() {
@@ -113,9 +87,17 @@ mod tests {
     #[test]
     fn engine_scoring_agrees_with_evaluate() {
         // The harness's offline scoring and the deployment pipeline's
-        // own scoring are the same code path; their numbers must agree
-        // exactly, predictor family by predictor family.
+        // own scoring (the trace's counter stream batched through a
+        // DecisionEngine) are the same code path; their numbers must
+        // agree exactly, predictor family by predictor family.
         let trace = require_benchmark("applu_in").with_length(150).generate(7);
+        let samples: Vec<Sample> = counter_samples(&trace)
+            .map(|s| Sample {
+                pid: 0,
+                uops: s.uops,
+                mem_transactions: s.mem_transactions,
+            })
+            .collect();
         for (spec, mut predictor) in [
             (
                 "lastvalue",
@@ -128,9 +110,11 @@ mod tests {
             ),
         ] {
             let offline = accuracy_on(predictor.as_mut(), &trace);
-            let deployed = engine_accuracy_on(spec, &trace).unwrap();
-            assert_eq!(deployed, offline, "{spec} diverged");
+            let mut engine = DecisionEngine::from_spec(EngineConfig::pentium_m(), spec).unwrap();
+            let mut decisions = Vec::with_capacity(samples.len());
+            engine.step_many(&samples, &mut decisions);
+            assert_eq!(engine.stats(), offline, "{spec} diverged");
         }
-        assert!(engine_accuracy_on("bogus", &trace).is_err());
+        assert!(DecisionEngine::from_spec(EngineConfig::pentium_m(), "bogus").is_err());
     }
 }

@@ -19,8 +19,8 @@
 //!   predictor that replays a trace's actual phases;
 //! * [`thermal`], [`dwell`] — the shipped hooks: thermal guard, power
 //!   cap, minimum dwell;
-//! * [`session`] — shared-platform experiment sessions, per-interval
-//!   observers, and the order-preserving parallel sweep primitive;
+//! * [`session`] — shared-platform experiment sessions and the
+//!   order-preserving parallel sweep primitive;
 //! * [`conservative`] — Section 6.3: deriving alternative phase
 //!   definitions that bound worst-case performance degradation;
 //! * [`report`] — run summaries and baseline-normalized comparisons
@@ -70,6 +70,6 @@ pub use estimate::PowerEstimator;
 pub use manager::{AdaptiveSampling, Manager, ManagerConfig};
 pub use policy::{DecisionHook, Environment, Oracle};
 pub use report::{IntervalLog, NormalizedComparison, RunReport};
-pub use session::{par_map, IntervalObserver, Session};
+pub use session::{par_map, Session};
 pub use table::{TranslationTable, TranslationTableError};
 pub use thermal::{PowerCap, ThermalAware};

@@ -28,7 +28,6 @@
 
 use crate::policy::{DecisionHook, Environment};
 use crate::report::{IntervalLog, RunReport};
-use crate::session::IntervalObserver;
 use livephase_core::{DurationPredictor, DurationScheme, PhaseId, PhaseMap, PredictionStats};
 use livephase_engine::{DecisionEngine, EngineConfig, Sample};
 use livephase_pmsim::cpu::{Cpu, PmiRecord};
@@ -239,23 +238,10 @@ impl Manager {
     /// does not have (a translation table validated against the platform
     /// cannot).
     #[must_use]
-    pub fn run(self, workload: impl IntoIntervalSource, platform: &PlatformConfig) -> RunReport {
-        self.run_observed(workload, platform, &mut ())
-    }
-
-    /// [`run`](Self::run) with an [`IntervalObserver`] attached: the
-    /// observer sees every logged interval as it happens (streaming DAQ
-    /// logging, live thermal watchdogs) and the finished report.
-    ///
-    /// # Panics
-    ///
-    /// As [`run`](Self::run).
-    #[must_use]
-    pub fn run_observed(
+    pub fn run(
         mut self,
         workload: impl IntoIntervalSource,
         platform: &PlatformConfig,
-        observer: &mut impl IntervalObserver,
     ) -> RunReport {
         let mut source = workload.into_interval_source();
         let workload_name = source.name().to_owned();
@@ -274,9 +260,6 @@ impl Manager {
 
         while let Some(pmi) = cpu.run_to_pmi_with(|| source.next_interval()) {
             self.handle_pmi(&mut cpu, &pmi, &map, &mut state);
-            if let Some(last) = state.intervals.last() {
-                observer.on_interval(last);
-            }
         }
         // A run that ends off the sampling grid leaves a partial interval:
         // log it (its Mem/Uop ratio is still meaningful) and score the
@@ -290,9 +273,6 @@ impl Manager {
                 standing
             });
             state.log_interval(&pmi, phase, standing);
-            if let Some(last) = state.intervals.last() {
-                observer.on_interval(last);
-            }
         }
         cpu.set_pport_bits(0);
 
@@ -304,7 +284,7 @@ impl Manager {
                 e.flush_metrics();
                 e.stats()
             });
-        let report = RunReport {
+        RunReport {
             workload: workload_name,
             policy,
             totals: cpu.totals(),
@@ -318,9 +298,7 @@ impl Manager {
             } else {
                 None
             },
-        };
-        observer.on_complete(&report);
-        report
+        }
     }
 
     /// One PMI invocation: classify, predict, act.

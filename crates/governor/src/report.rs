@@ -3,12 +3,11 @@
 use livephase_core::{PhaseId, PredictionStats};
 use livephase_pmsim::cpu::RunTotals;
 use livephase_pmsim::trace::PowerTrace;
-use serde::{Deserialize, Serialize};
 
 /// What the kernel log records per sampling interval (Section 5.4: "actual
 /// observed and predicted phases for each sample as well as memory
 /// accesses per Uop and Uops per cycle").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalLog {
     /// Zero-based interval index.
     pub index: usize,
@@ -54,7 +53,7 @@ impl IntervalLog {
 }
 
 /// The complete outcome of one managed (or baseline) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Workload name.
     pub workload: String,
@@ -140,7 +139,7 @@ impl RunReport {
 }
 
 /// A managed run normalized to its baseline, in the units of Figures 11–13.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedComparison {
     /// Managed BIPS / baseline BIPS (≤ 1 in practice).
     pub bips_ratio: f64,

@@ -1,5 +1,5 @@
-//! Experiment sessions: shared-platform runs, per-interval observers, and
-//! deterministic parallel sweeps.
+//! Experiment sessions: shared-platform runs and deterministic parallel
+//! sweeps.
 //!
 //! Every figure and ablation driver repeats the same skeleton: build the
 //! paper's platform once, run one workload under a handful of managed
@@ -8,11 +8,6 @@
 //! clone-per-run) and hands out runs under the standard managers or any
 //! custom [`Manager`].
 //!
-//! [`IntervalObserver`] is the streaming tap: attached to a run it sees
-//! every [`IntervalLog`] the instant the PMI handler files it, which is
-//! how live DAQ logging and thermal watchdogs integrate without waiting
-//! for the report.
-//!
 //! [`par_map`] is the sweep primitive: it fans a work list over scoped
 //! worker threads and returns results **in input order**, so a parallel
 //! sweep is element-for-element identical to the sequential loop it
@@ -20,44 +15,11 @@
 //! only wall-clock time changes.
 
 use crate::manager::{Manager, ManagerConfig};
-use crate::report::{IntervalLog, RunReport};
+use crate::report::RunReport;
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::IntoIntervalSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-
-/// A streaming tap on a managed run.
-///
-/// Both hooks default to no-ops so observers implement only what they
-/// watch; `()` is the null observer.
-pub trait IntervalObserver {
-    /// Called right after the PMI handler logs each interval (including
-    /// the partial tail of a run that ends off the sampling grid).
-    fn on_interval(&mut self, interval: &IntervalLog) {
-        let _ = interval;
-    }
-
-    /// Called once with the finished report.
-    fn on_complete(&mut self, report: &RunReport) {
-        let _ = report;
-    }
-}
-
-/// The null observer.
-impl IntervalObserver for () {}
-
-/// Observers compose by pairing: both see every event, left first.
-impl<A: IntervalObserver, B: IntervalObserver> IntervalObserver for (A, B) {
-    fn on_interval(&mut self, interval: &IntervalLog) {
-        self.0.on_interval(interval);
-        self.1.on_interval(interval);
-    }
-
-    fn on_complete(&mut self, report: &RunReport) {
-        self.0.on_complete(report);
-        self.1.on_complete(report);
-    }
-}
 
 /// A borrowed platform plus a handler configuration: the fixed context an
 /// experiment runs its workloads in.
@@ -120,17 +82,6 @@ impl<'p> Session<'p> {
     #[must_use]
     pub fn run(&self, manager: Manager, workload: impl IntoIntervalSource) -> RunReport {
         manager.run(workload, self.platform)
-    }
-
-    /// [`run`](Self::run) with an [`IntervalObserver`] attached.
-    #[must_use]
-    pub fn run_observed(
-        &self,
-        manager: Manager,
-        workload: impl IntoIntervalSource,
-        observer: &mut impl IntervalObserver,
-    ) -> RunReport {
-        manager.run_observed(workload, self.platform, observer)
     }
 }
 
@@ -219,50 +170,6 @@ mod tests {
             session.gpht(&t),
             Manager::gpht_deployed().run(&t, &platform)
         );
-    }
-
-    #[test]
-    fn observer_sees_every_interval_and_the_report() {
-        struct Counter {
-            intervals: usize,
-            completed: usize,
-        }
-        impl IntervalObserver for Counter {
-            fn on_interval(&mut self, _: &IntervalLog) {
-                self.intervals += 1;
-            }
-            fn on_complete(&mut self, report: &RunReport) {
-                self.completed += 1;
-                assert_eq!(report.intervals.len(), self.intervals);
-            }
-        }
-        let platform = PlatformConfig::pentium_m();
-        let session = Session::new(&platform);
-        let t = trace("swim_in", 25);
-        let mut counter = Counter {
-            intervals: 0,
-            completed: 0,
-        };
-        let report = session.run_observed(Manager::gpht_deployed(), &t, &mut counter);
-        assert_eq!(counter.intervals, report.intervals.len());
-        assert_eq!(counter.completed, 1);
-    }
-
-    #[test]
-    fn paired_observers_both_fire() {
-        let platform = PlatformConfig::pentium_m();
-        let session = Session::new(&platform);
-        let t = trace("swim_in", 5);
-        struct Tally(usize);
-        impl IntervalObserver for Tally {
-            fn on_interval(&mut self, _: &IntervalLog) {
-                self.0 += 1;
-            }
-        }
-        let mut pair = (Tally(0), Tally(0));
-        let _ = session.run_observed(Manager::baseline(), &t, &mut pair);
-        assert_eq!(pair.0 .0, 5);
-        assert_eq!(pair.1 .0, 5);
     }
 
     #[test]

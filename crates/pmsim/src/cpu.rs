@@ -30,12 +30,11 @@ use crate::trace::{PowerSegment, PowerTrace};
 use livephase_collections::VecDeque;
 use livephase_core::IntervalMetrics;
 use livephase_telemetry::{catalogue, Counter, Gauge};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Static configuration of the simulated platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformConfig {
     /// Available DVFS settings, fastest first.
     pub opp_table: OperatingPointTable,
@@ -95,7 +94,7 @@ impl Default for PlatformConfig {
 
 /// What the PMI handler sees when the uop counter overflows: the interval's
 /// counter readings plus the simulator's ground-truth accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmiRecord {
     /// Counter readings for the elapsed interval (the handler's only real
     /// input on the deployed system).
@@ -114,7 +113,7 @@ pub struct PmiRecord {
 }
 
 /// Whole-run ground-truth totals.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunTotals {
     /// Total simulated wall-clock time in seconds.
     pub time_s: f64,
@@ -166,7 +165,7 @@ impl RunTotals {
 /// the counters travel with the tenant, its per-interval Mem/Uop readings
 /// are bit-for-bit identical to a solo run regardless of how execution is
 /// sliced — the property the paper's phase classifier depends on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VcpuContext {
     counters: CounterFile,
     /// Simulated seconds accrued in the tenant's current partial interval.
@@ -334,12 +333,6 @@ impl<'a> Cpu<'a> {
         self.pending.push_back(work);
     }
 
-    /// Queued micro-ops not yet executed.
-    #[must_use]
-    pub fn pending_uops(&self) -> u64 {
-        self.pending.iter().map(|w| w.uops).sum()
-    }
-
     /// Executes queued work until the uop counter overflows, then performs
     /// the handler's stop/read/clear/restart protocol and returns the
     /// interval record. Returns `None` when the queue empties before the
@@ -426,12 +419,6 @@ impl<'a> Cpu<'a> {
             self.stall(stall_s, self.pport_bits);
         }
         Ok(())
-    }
-
-    /// The current operating point.
-    #[must_use]
-    pub fn operating_point(&self) -> OperatingPoint {
-        self.dvfs.current()
     }
 
     /// The current DVFS setting index (0 = fastest).

@@ -8,7 +8,6 @@
 //! the stall anyway so that overheads show up honestly in the results.
 
 use crate::opp::{OperatingPoint, OperatingPointTable};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -44,7 +43,7 @@ impl Error for InvalidSetting {}
 /// assert_eq!(d.request(5).unwrap(), 0.0);        // same setting: no cost
 /// assert_eq!(d.current().frequency.mhz(), 600);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsController {
     table: OperatingPointTable,
     current: usize,

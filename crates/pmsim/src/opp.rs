@@ -12,7 +12,6 @@
 //! | 4       |  800 MHz  | 1116 mV |
 //! | 5       |  600 MHz  |  956 mV |
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -24,7 +23,7 @@ use std::fmt;
 /// assert_eq!(f.mhz(), 1500);
 /// assert_eq!(f.hz(), 1.5e9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency(u32);
 
 impl Frequency {
@@ -65,7 +64,7 @@ impl fmt::Display for Frequency {
 }
 
 /// A core supply voltage, stored in millivolts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Voltage(u32);
 
 impl Voltage {
@@ -100,7 +99,7 @@ impl fmt::Display for Voltage {
 }
 
 /// One DVFS setting: a frequency and the matching supply voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OperatingPoint {
     /// Core clock frequency.
     pub frequency: Frequency,
@@ -160,7 +159,7 @@ impl Error for OppTableError {}
 /// assert_eq!(t.fastest().frequency.mhz(), 1500);
 /// assert_eq!(t.slowest().frequency.mhz(), 600);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperatingPointTable {
     points: Vec<OperatingPoint>,
 }

@@ -9,11 +9,10 @@
 //! stop/read/clear/restart protocol the interrupt handler follows.
 
 use livephase_core::IntervalMetrics;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A hardware event a programmable counter can be configured to count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
     /// Micro-ops retired (`UOPS_RETIRED`).
     UopsRetired,
@@ -35,7 +34,7 @@ impl fmt::Display for Event {
 }
 
 /// Event deltas for a slice of execution, used to advance the counter file.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EventCounts {
     /// Micro-ops retired in the slice.
     pub uops: u64,
@@ -48,7 +47,7 @@ pub struct EventCounts {
 }
 
 /// One programmable performance counter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ProgrammableCounter {
     event: Event,
     value: u64,
@@ -79,7 +78,7 @@ impl ProgrammableCounter {
 /// pmcs.record(&slice);
 /// assert_eq!(pmcs.uops_until_overflow(), Some(40_000_000));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterFile {
     counters: [ProgrammableCounter; 2],
     /// Ground-truth instructions retired this interval. The real Pentium-M
@@ -122,13 +121,6 @@ impl CounterFile {
             tsc_at_reset: 0.0,
             running: true,
         }
-    }
-
-    /// Whether the counters are currently counting (the PMI handler stops
-    /// them on entry and restarts them on exit).
-    #[must_use]
-    pub fn is_running(&self) -> bool {
-        self.running
     }
 
     /// Stops the counters (handler entry).

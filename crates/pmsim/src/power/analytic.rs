@@ -25,10 +25,9 @@
 
 use super::{PowerInput, PowerModel};
 use crate::opp::OperatingPoint;
-use serde::{Deserialize, Serialize};
 
 /// Coefficients of the analytical power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticModel {
     /// Effective switching capacitance coefficient, in watts per V²·GHz at
     /// activity 1.

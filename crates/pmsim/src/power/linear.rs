@@ -29,7 +29,6 @@ use super::{
     UPC_MAX,
 };
 use crate::opp::OperatingPoint;
-use serde::{Deserialize, Serialize};
 
 /// Number of regression weights: bias, V²f, V³, Mem/Uop, UPC.
 const N: usize = 5;
@@ -44,7 +43,7 @@ const OPP_WEIGHTS: [usize; 2] = [1, 2];
 const MIN_RECORDS: usize = N + 1;
 
 /// A fitted least-squares power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearModel {
     /// `[bias, w_v2f, w_v3, w_mem_uop, w_upc]`.
     weights: [f64; N],

@@ -41,7 +41,6 @@ pub use linear::LinearModel;
 pub use tree::TreeModel;
 
 use crate::opp::OperatingPoint;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Upper clamp on the Mem/Uop feature at inference time. The workload
@@ -59,7 +58,7 @@ pub const UPC_MAX: f64 = 8.0;
 /// in simulation); `mem_uop` and `upc` are what real performance
 /// counters expose. The analytic backend reads only `core_fraction`;
 /// the learned backends read only the counter features.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerInput {
     /// Fraction of wall time in core (non-memory-stall) work, in `[0, 1]`.
     pub core_fraction: f64,
@@ -143,7 +142,7 @@ pub trait PowerModel {
 
 /// One `(operating point, observed features, measured watts)` training
 /// example, as produced by `daq::DaqLog::training_records`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingRecord {
     /// Operating point the interval ran at.
     pub opp: OperatingPoint,
@@ -183,7 +182,7 @@ impl std::error::Error for FitError {}
 /// A concrete, owned backend choice — enum dispatch keeps the per-PMI
 /// hot path free of vtable indirection and lets
 /// [`PlatformConfig`](crate::PlatformConfig) stay `Clone + PartialEq`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PowerModelKind {
     /// The analytic `CV²f + leakage` formula (the default).
     Analytic(AnalyticModel),

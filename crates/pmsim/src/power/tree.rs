@@ -25,7 +25,6 @@
 use super::{v2f, v3, validate_records, FitError, PowerInput, PowerModel, TrainingRecord};
 use super::{MEM_UOP_MAX, UPC_MAX};
 use crate::opp::OperatingPoint;
-use serde::{Deserialize, Serialize};
 
 /// Maximum tree depth (root = depth `MAX_DEPTH`, leaves at 0).
 const MAX_DEPTH: usize = 3;
@@ -39,7 +38,7 @@ const MIN_GAIN: f64 = 1e-12;
 /// One tree node. Children are built before their parent, so every
 /// child index is strictly smaller than its parent's — inference walks
 /// strictly downward and always terminates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     /// Internal split: `feature` 0 is Mem/Uop, 1 is UPC; inputs with
     /// `value <= threshold` descend left.
@@ -54,7 +53,7 @@ enum Node {
 }
 
 /// A fitted regression-tree power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeModel {
     /// Non-negative `V²f` coefficient.
     w_dyn: f64,

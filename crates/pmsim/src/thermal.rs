@@ -16,10 +16,8 @@
 //! T(t) = T_ss + (T_0 − T_ss) · e^(−t/τ),   T_ss = T_amb + P·R_th,  τ = R_th·C_th
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// First-order package thermal model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     /// Junction-to-ambient thermal resistance, in °C per watt.
     pub r_th: f64,
@@ -82,7 +80,7 @@ impl Default for ThermalModel {
 }
 
 /// A temperature integrator over a sequence of power segments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalState {
     model: ThermalModel,
     temperature_c: f64,

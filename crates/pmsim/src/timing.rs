@@ -20,14 +20,13 @@
 //! fewer *core cycles* at lower clocks (Figure 7).
 
 use crate::opp::Frequency;
-use serde::{Deserialize, Serialize};
 
 /// A quantum of work presented to the simulated CPU.
 ///
 /// Workload generators emit these; the paper's sampling granularity makes
 /// 100 M-uop chunks the natural unit, but any size works — the CPU splits
 /// chunks at PMI boundaries itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalWork {
     /// Micro-ops retired by this chunk.
     pub uops: u64,
@@ -118,7 +117,7 @@ impl IntervalWork {
 }
 
 /// The result of executing a work chunk at a fixed frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Execution {
     /// Wall-clock time of the chunk.
     pub seconds: f64,
@@ -144,7 +143,7 @@ impl Execution {
 }
 
 /// The platform timing model: the memory subsystem's effective latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Main-memory round-trip latency in nanoseconds (core-clock
     /// independent).

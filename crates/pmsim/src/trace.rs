@@ -13,8 +13,6 @@
 //! * **bit 1** — set while the PMI handler itself runs;
 //! * **bit 2** — set for the duration of the application.
 
-use serde::{Deserialize, Serialize};
-
 /// Parallel-port bit masks (Section 5.4 of the paper).
 pub mod pport {
     /// Toggled each sampling interval (phase marker).
@@ -26,7 +24,7 @@ pub mod pport {
 }
 
 /// A constant-power slice of execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSegment {
     /// Duration of the segment in seconds.
     pub duration_s: f64,
@@ -62,7 +60,7 @@ impl PowerSegment {
 /// assert!((t.total_time_s() - 0.3).abs() < 1e-12);
 /// assert!((t.total_energy_j() - (1.3 + 0.6)).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PowerTrace {
     segments: Vec<PowerSegment>,
 }

@@ -69,9 +69,6 @@ pub struct LoadGenConfig {
     pub predictor: String,
     /// Samples kept in flight per connection between flushes.
     pub window: usize,
-    /// Re-run each stream through an in-process manager and compare
-    /// decisions.
-    pub check_agreement: bool,
     /// Inactivity watchdog: the run aborts when no frame arrives on any
     /// connection for this long.
     pub timeout: Duration,
@@ -87,7 +84,6 @@ impl Default for LoadGenConfig {
             seed: 42,
             predictor: "gpht:8:128".to_owned(),
             window: 64,
-            check_agreement: true,
             timeout: Duration::from_secs(10),
         }
     }
@@ -178,8 +174,8 @@ pub struct BenchmarkOutcome {
     pub connection: usize,
     /// Samples sent (== decisions received).
     pub samples: u64,
-    /// Agreement vs the in-process oracle, when checked.
-    pub agreement: Option<Agreement>,
+    /// Agreement vs the in-process oracle.
+    pub agreement: Agreement,
 }
 
 /// Decision latency percentiles in microseconds, each decision timed
@@ -226,13 +222,10 @@ impl LoadReport {
         }
     }
 
-    /// Whether every checked stream agreed bit-exactly with its oracle.
+    /// Whether every stream agreed bit-exactly with its oracle.
     #[must_use]
     pub fn all_exact(&self) -> bool {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.agreement)
-            .all(|a| a.exact())
+        self.outcomes.iter().all(|o| o.agreement.exact())
     }
 }
 
@@ -258,36 +251,22 @@ impl fmt::Display for LoadReport {
             self.latency.p50_us, self.latency.p90_us, self.latency.p99_us, self.latency.max_us
         )?;
         writeln!(f, "  concurrent connections peak {}", self.peak_connections)?;
-        let checked: Vec<&BenchmarkOutcome> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.agreement.is_some())
-            .collect();
-        if checked.is_empty() {
-            writeln!(f, "  agreement: not checked")?;
-        } else {
-            let exact = checked
-                .iter()
-                .filter(|o| o.agreement.is_some_and(|a| a.exact()))
-                .count();
+        let exact = self.outcomes.iter().filter(|o| o.agreement.exact()).count();
+        writeln!(
+            f,
+            "  agreement: {exact}/{} benchmarks bit-exact vs in-process manager",
+            self.outcomes.len()
+        )?;
+        for o in self.outcomes.iter().filter(|o| !o.agreement.exact()) {
+            let a = o.agreement;
             writeln!(
                 f,
-                "  agreement: {exact}/{} benchmarks bit-exact vs in-process manager",
-                checked.len()
+                "    DIVERGED {}: {}/{} decisions matched ({:.2} %)",
+                o.name,
+                a.matched,
+                a.compared,
+                a.pct()
             )?;
-            for o in &checked {
-                let Some(a) = o.agreement else { continue };
-                if !a.exact() {
-                    writeln!(
-                        f,
-                        "    DIVERGED {}: {}/{} decisions matched ({:.2} %)",
-                        o.name,
-                        a.matched,
-                        a.compared,
-                        a.pct()
-                    )?;
-                }
-            }
         }
         Ok(())
     }
@@ -311,7 +290,7 @@ pub fn run(config: &LoadGenConfig) -> Result<LoadReport, LoadGenError> {
         .map(|s| SpecData {
             name: s.name().to_owned(),
             samples: counter_samples(s.stream(config.seed)).collect(),
-            oracle: config.check_agreement.then(|| oracle_trace(s, config)),
+            oracle: oracle_trace(s, config),
         })
         .collect();
     let plan = Plan {
@@ -365,7 +344,7 @@ fn percentiles(latencies_us: &Histogram) -> LatencyPercentiles {
 struct SpecData {
     name: String,
     samples: Vec<CounterSample>,
-    oracle: Option<Vec<usize>>,
+    oracle: Vec<usize>,
 }
 
 /// The deal: which benchmark each stream replays, on which connection.
@@ -587,8 +566,8 @@ fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenErro
                     Frame::Decision { op_point, .. }
                         if matches!(st.stage, Stage::Streaming) && st.got < st.sent =>
                     {
-                        let want = plan.spec(st.spec_idx).oracle.as_ref();
-                        if want.and_then(|t| t.get(st.got)) == Some(&usize::from(op_point)) {
+                        let want = plan.spec(st.spec_idx).oracle.get(st.got);
+                        if want == Some(&usize::from(op_point)) {
                             st.matched += 1;
                         }
                         if let Some(sent_at) = st.stamps.as_ref().and_then(|s| s.sent_at(st.got)) {
@@ -705,10 +684,10 @@ fn replay_more(st: &mut Session, plan: &Plan, outcomes: &mut Vec<BenchmarkOutcom
             name: d.name.clone(),
             connection: st.conn,
             samples: st.got as u64,
-            agreement: d.oracle.as_ref().map(|t| Agreement {
+            agreement: Agreement {
                 matched: st.matched,
-                compared: t.len() as u64,
-            }),
+                compared: d.oracle.len() as u64,
+            },
         });
         let next = st.stream + plan.conns;
         if next >= plan.streams {

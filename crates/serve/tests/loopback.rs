@@ -81,7 +81,7 @@ fn served_decisions_are_bit_identical_to_manager_runs() {
             assert_eq!(seen, *count, "{name} streams for {conns} x {benches:?}");
         }
         for outcome in &report.outcomes {
-            let agreement = outcome.agreement.expect("agreement checked");
+            let agreement = outcome.agreement;
             assert!(
                 agreement.exact(),
                 "{}: {}/{} decisions matched",

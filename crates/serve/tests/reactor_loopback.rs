@@ -560,13 +560,7 @@ fn loadgen_reports_are_reproducible_across_servers() {
     let digest = |r: &loadgen::LoadReport| -> Vec<(String, u64, bool)> {
         r.outcomes
             .iter()
-            .map(|o| {
-                (
-                    o.name.clone(),
-                    o.samples,
-                    o.agreement.expect("checked").exact(),
-                )
-            })
+            .map(|o| (o.name.clone(), o.samples, o.agreement.exact()))
             .collect()
     };
     assert_eq!(digest(&first), digest(&second));

@@ -51,4 +51,4 @@ pub mod trace;
 pub use catalogue::Metric;
 pub use histogram::Histogram;
 pub use registry::{global, Counter, Gauge, Registry};
-pub use trace::{now_unix_ms, record_span, tracer, Event, Level, Sink, Tracer};
+pub use trace::{json_escape, now_unix_ms, record_span, tracer, Event, Level, Sink, Tracer};

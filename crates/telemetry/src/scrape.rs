@@ -12,6 +12,7 @@
 //! [`Histogram::quantile`](crate::Histogram::quantile) uses, so a
 //! remote scrape answers the same questions an in-process handle would.
 
+use crate::trace::json_escape;
 use std::fmt;
 
 /// One parsed metric family.
@@ -285,25 +286,6 @@ pub fn parse_exposition(text: &str) -> Result<Vec<ScrapedFamily>, ScrapeParseErr
         }
     }
     Ok(families)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn labels_json(labels: &[(String, String)]) -> String {

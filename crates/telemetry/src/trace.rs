@@ -117,7 +117,11 @@ impl Event {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes and control characters. The one escaper behind
+/// `--log-json`, `metrics --json` and the `BENCH_*.json` records.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

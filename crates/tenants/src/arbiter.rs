@@ -60,7 +60,6 @@
 
 use livephase_pmsim::{PlatformConfig, PowerModel};
 use livephase_telemetry::{catalogue, Counter, Histogram};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::fmt;
 use std::sync::Arc;
@@ -73,7 +72,7 @@ const BUDGET_SLACK_W: f64 = 1e-9;
 const NO_KEY: (u32, usize) = (u32::MAX, usize::MAX);
 
 /// How the arbiter divides headroom among competing tenants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArbiterPolicy {
     /// Grant in priority order, fastest affordable setting each.
     Priority,

@@ -1,6 +1,5 @@
 //! Per-tenant and cluster-level run reports.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// FNV-1a offset basis: the seed every digest starts from.
@@ -18,7 +17,7 @@ pub fn fnv1a(mut digest: u64, bytes: &[u8]) -> u64 {
 }
 
 /// One tenant's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Tenant id (0-based).
     pub tenant: u32,
@@ -69,7 +68,7 @@ impl TenantReport {
 }
 
 /// The whole cluster run's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Per-tenant outcomes, tenant id order.
     pub tenants: Vec<TenantReport>,

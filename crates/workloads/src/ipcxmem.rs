@@ -25,10 +25,9 @@ use crate::source::{ConstantSource, IntervalSource};
 use crate::trace::WorkloadTrace;
 use livephase_pmsim::opp::Frequency;
 use livephase_pmsim::timing::TimingModel;
-use serde::{Deserialize, Serialize};
 
 /// A requested coordinate in the (UPC, Mem/Uop) behaviour space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IpcxMemConfig {
     /// Target micro-ops per cycle at the suite's reference frequency.
     pub target_upc: f64,
@@ -46,7 +45,7 @@ impl IpcxMemConfig {
 
 /// The configurable micro-suite: a solver from behaviour-space coordinates
 /// to executable workload levels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpcxMemSuite {
     timing: TimingModel,
     reference: Frequency,

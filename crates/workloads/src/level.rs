@@ -1,7 +1,6 @@
 //! Phase levels: the steady-state operating behaviours a workload visits.
 
 use livephase_pmsim::timing::IntervalWork;
-use serde::{Deserialize, Serialize};
 
 /// One steady-state behaviour of a workload: a target Mem/Uop rate plus the
 /// core-side execution characteristics that determine how time-sensitive
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// headroom: a level with low `mlp` (serialized misses) spends most wall
 /// time waiting on memory and barely slows down at low frequency, while a
 /// high-`mlp` level overlaps its misses and stays core-limited.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseLevel {
     /// Memory bus transactions per micro-op.
     pub mem_uop: f64,

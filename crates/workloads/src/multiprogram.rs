@@ -12,10 +12,9 @@
 use crate::source::IntervalSource;
 use crate::trace::WorkloadTrace;
 use livephase_pmsim::timing::IntervalWork;
-use serde::{Deserialize, Serialize};
 
 /// One program in a mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Process identifier (as the OS scheduler would report at the PMI).
     pub pid: u32,
@@ -33,7 +32,7 @@ impl Job {
 
 /// An interleaved mix: the merged interval stream plus the owning pid of
 /// every sampling interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiProgramTrace {
     trace: WorkloadTrace,
     pids: Vec<u32>,

@@ -11,10 +11,9 @@
 //! movements cycled until the requested trace length is met.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One inner-loop leg: dwell on `level` for `dwell` sampling intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Step {
     /// Index into the benchmark's level table.
     pub level: usize,
@@ -36,7 +35,7 @@ impl Step {
 }
 
 /// An outer loop: a step sequence repeated `repeats` times.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Movement {
     /// The step sequence of one outer-loop iteration.
     pub steps: Vec<Step>,

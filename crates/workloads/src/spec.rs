@@ -28,12 +28,11 @@ use crate::trace::WorkloadTrace;
 use livephase_pmsim::timing::IntervalWork;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The stability / power-savings quadrant a benchmark falls into in the
 /// paper's Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quadrant {
     /// Stable, little to save (most of SPEC).
     Q1,
@@ -59,7 +58,7 @@ impl std::fmt::Display for Quadrant {
 }
 
 /// A calibrated synthetic benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkSpec {
     name: String,
     quadrant: Quadrant,

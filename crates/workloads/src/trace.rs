@@ -1,10 +1,9 @@
 //! Workload traces and their characterization statistics.
 
 use livephase_pmsim::timing::IntervalWork;
-use serde::{Deserialize, Serialize};
 
 /// A generated workload: a named sequence of sampling-interval work chunks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadTrace {
     name: String,
     intervals: Vec<IntervalWork>,
@@ -72,13 +71,6 @@ impl WorkloadTrace {
         self.intervals.iter().map(IntervalWork::mem_uop)
     }
 
-    /// The per-interval Mem/Uop series, materialized — for callers that
-    /// need random access or a slice.
-    #[must_use]
-    pub fn mem_uop_series_vec(&self) -> Vec<f64> {
-        self.mem_uop_series().collect()
-    }
-
     /// Computes the characterization statistics the paper plots in
     /// Figure 3, in one streaming pass.
     #[must_use]
@@ -97,7 +89,7 @@ impl<'a> IntoIterator for &'a WorkloadTrace {
 
 /// Stability / power-saving-potential statistics of a workload, matching
 /// the axes of the paper's Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Average Mem/Uop — "how much potential exists to slow down the CPU":
     /// the x-axis of Figure 3.
