@@ -232,22 +232,20 @@ bench_out=$("$cli" bench --gate --json --out results/bench/ci-latest) \
 echo "$bench_out"
 echo "$bench_out" | grep -Eq 'bench gate: (PASS|SKIP)' \
     || { echo "bench gate: no verdict in output"; exit 1; }
-echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_engine_step_many.json' \
-    || { echo "bench gate: BENCH_*.json records were not written"; exit 1; }
-echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_engine_step.json' \
-    || { echo "bench gate: the engine_step record was not written"; exit 1; }
-echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_power_model_eval.json' \
-    || { echo "bench gate: the power_model_eval record was not written"; exit 1; }
-echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_tenants_arbitrate.json' \
-    || { echo "bench gate: the tenants_arbitrate record was not written"; exit 1; }
-echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_daq_measure.json' \
-    || { echo "bench gate: the daq_measure record was not written"; exit 1; }
-echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_gpht_observe.json' \
-    || { echo "bench gate: the gpht_observe record was not written"; exit 1; }
-echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_window_observe.json' \
-    || { echo "bench gate: the window_observe record was not written"; exit 1; }
-echo "$bench_out" | grep -q 'wrote results/bench/ci-latest/BENCH_pmsim_run_to_pmi.json' \
-    || { echo "bench gate: the pmsim_run_to_pmi record was not written"; exit 1; }
+# Every registered area writes its record and nothing else does. The
+# list names all of them, so renaming, dropping or adding an area fails
+# here until the list follows.
+bench_areas="engine_step engine_step_many gpht_observe window_observe governor_run
+pmsim_run_to_pmi daq_measure wire_encode wire_decode telemetry_record
+telemetry_quantile workload_gen tenants_quantum tenants_arbitrate power_model_eval"
+bench_written=$(echo "$bench_out" \
+    | sed -n 's|^wrote results/bench/ci-latest/BENCH_\(.*\)\.json$|\1|p' | sort | tr '\n' ' ')
+bench_expected=$(printf '%s\n' $bench_areas | sort | tr '\n' ' ')
+[ "$bench_written" = "$bench_expected" ] || {
+    echo "bench gate: records written: $bench_written"
+    echo "bench gate: areas expected:  $bench_expected"
+    exit 1
+}
 
 # Power-model zoo gate. Three claims, each enforced by exit codes and
 # byte-level diffs rather than eyeballs:

@@ -323,16 +323,19 @@ fn run_telemetry_quantile(warmup: usize, iters: usize) -> Vec<u64> {
 }
 
 /// `workload_gen`: synthesize a 256-interval counter trace from the
-/// benchmark registry — the input side of every experiment.
+/// benchmark registry — the input side of every experiment — four
+/// times, so the median (≈90 µs) clears the gate's 20 µs floor.
 fn run_workload_gen(warmup: usize, iters: usize) -> Vec<u64> {
     let mut seed = 0u64;
     timed(warmup, iters, || {
-        seed = seed.wrapping_add(1);
-        let trace = spec::benchmark("applu_in")
-            .expect("applu_in is registered")
-            .with_length(256)
-            .generate(seed);
-        std::hint::black_box(trace.len());
+        for _ in 0..4 {
+            seed = seed.wrapping_add(1);
+            let trace = spec::benchmark("applu_in")
+                .expect("applu_in is registered")
+                .with_length(256)
+                .generate(seed);
+            std::hint::black_box(trace.len());
+        }
     })
 }
 
@@ -513,8 +516,8 @@ pub fn registry() -> &'static [Area] {
         },
         Area {
             name: "workload_gen",
-            what: "synthesize a 256-interval applu_in counter trace",
-            expected_ratio: 0.049,
+            what: "synthesize a 256-interval applu_in counter trace, 4 times",
+            expected_ratio: 0.18,
             run: run_workload_gen,
         },
         Area {

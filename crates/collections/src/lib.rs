@@ -10,6 +10,10 @@
 //! output; iterate a [`BTreeMap`], whose order is the key order.
 //!
 //! Every method forwards to the std method of the same name.
+//!
+//! The crate also holds the workspace's one FNV-1a ([`fnv1a`]): the
+//! engine's pid index hashes with it, the workloads mix benchmark names
+//! into their seeds with it, and the tenants digests fold with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -239,6 +243,22 @@ impl<T> VecDeque<T> {
     pub fn clear(&mut self) {
         self.0.clear();
     }
+}
+
+/// FNV-1a's 64-bit offset basis: the state a fresh hash starts from.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `hash`; start from
+/// [`FNV_OFFSET_BASIS`]. Inlined because the engine probes its pid
+/// index through it on every decision.
+#[inline]
+#[must_use]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! to that run (the equivalence tests pin this down).
 
 use crate::config::EngineConfig;
-use livephase_collections::HashMap;
+use livephase_collections::{fnv1a, HashMap, FNV_OFFSET_BASIS};
 use livephase_core::{
     predictor_from_spec, MemUopRate, PhaseId, PhaseSample, PredictionStats, Predictor,
     PredictorSpecError, StreamScorer,
@@ -259,7 +259,7 @@ impl Drop for TransitionTracker {
 /// `step_many`, never for the newest pid), so
 /// the default SipHash's DoS hardening buys nothing here and costs a
 /// measurable slice of the per-decision budget.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 struct FnvHasher(u64);
 
 impl std::hash::Hasher for FnvHasher {
@@ -268,16 +268,7 @@ impl std::hash::Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        self.0 = h;
+        self.0 = fnv1a(self.0, bytes);
     }
 }
 
@@ -288,7 +279,7 @@ impl std::hash::BuildHasher for FnvBuild {
     type Hasher = FnvHasher;
 
     fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
+        FnvHasher(FNV_OFFSET_BASIS)
     }
 }
 

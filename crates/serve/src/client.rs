@@ -1,24 +1,18 @@
-//! Clients for the `livephase-serve` protocol.
+//! The blocking client for the `livephase-serve` protocol.
 //!
-//! [`Client`] is the blocking session: [`Client::connect`] runs the
-//! version handshake; after that the caller pipelines
-//! [`Client::queue_sample`] + [`Client::flush`] against
+//! [`Client::connect`] runs the version handshake; after that the
+//! caller pipelines [`Client::queue_sample`] + [`Client::flush`] against
 //! [`Client::read_decision`]. Writes are buffered — nothing reaches the
 //! socket until `flush` — so a window of samples costs one syscall, the
-//! same batching discipline the server uses for decisions.
-//!
-//! [`ConnDriver`] is the nonblocking counterpart for many-connection
-//! load generation: one driver per socket, advanced by readiness events
-//! from a caller-owned epoll loop (see `loadgen`), with the same
-//! resumable [`FrameDecoder`] the server uses — so one thread can multiplex tens of thousands of sessions.
+//! same batching discipline the server uses for decisions. Frames go
+//! through [`wire::read_frame`] and [`wire::write_frame`]. The
+//! nonblocking many-connection client is the load generator
+//! ([`crate::loadgen`]), which drives the server's own framed transport.
 
-use crate::wire::{
-    self, ErrorCode, Frame, FrameDecoder, FrameError, StatsSnapshot, PROTOCOL_VERSION,
-};
+use crate::wire::{self, ErrorCode, Frame, FrameError, StatsSnapshot, PROTOCOL_VERSION};
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
 
 /// Why a client call failed.
@@ -259,151 +253,6 @@ impl Client {
     fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
         wire::write_frame(&mut self.writer, frame)?;
         Ok(())
-    }
-}
-
-/// A nonblocking protocol driver: one socket, a resumable decoder, and
-/// an outbound byte queue, advanced by readiness events from a
-/// caller-owned epoll loop.
-///
-/// The driver is transport-only: the caller queues frames with
-/// [`queue`](Self::queue), pumps bytes with [`fill`](Self::fill) /
-/// [`flush`](Self::flush) when its event loop reports readiness, and
-/// drains decoded frames with [`next_frame`](Self::next_frame). Session
-/// logic (handshake tracking, windowed replay, oracle comparison) stays
-/// with the caller, which is what lets one thread drive tens of
-/// thousands of these.
-#[derive(Debug)]
-pub struct ConnDriver {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    outbound: Vec<u8>,
-    sent: usize,
-    peer_gone: bool,
-}
-
-impl ConnDriver {
-    /// Connects (blocking, so callers can pace connect waves), switches
-    /// the socket nonblocking, and queues the `Hello` — the handshake
-    /// completes when the caller's event loop reads the `HelloAck`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/setup failures.
-    pub fn connect(
-        addr: impl ToSocketAddrs,
-        client_id: u64,
-        platform: &str,
-        predictor: &str,
-    ) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        let mut driver = Self {
-            stream,
-            decoder: FrameDecoder::new(),
-            outbound: Vec::new(),
-            sent: 0,
-            peer_gone: false,
-        };
-        driver.queue(&Frame::Hello {
-            version: PROTOCOL_VERSION,
-            client_id,
-            platform: platform.to_owned(),
-            predictor: predictor.to_owned(),
-        });
-        driver.flush();
-        Ok(driver)
-    }
-
-    /// The socket's raw fd, for epoll registration.
-    #[must_use]
-    pub fn as_raw_fd(&self) -> RawFd {
-        self.stream.as_raw_fd()
-    }
-
-    /// Appends one frame to the outbound queue (call
-    /// [`flush`](Self::flush) to push bytes).
-    pub fn queue(&mut self, frame: &Frame) {
-        wire::encode_into(frame, &mut self.outbound);
-    }
-
-    /// Bytes queued outbound and not yet written.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.outbound.len().saturating_sub(self.sent)
-    }
-
-    /// Whether the peer closed or the socket failed.
-    #[must_use]
-    pub fn peer_gone(&self) -> bool {
-        self.peer_gone
-    }
-
-    /// Writes queued bytes until the socket pushes back.
-    pub fn flush(&mut self) {
-        while self.sent < self.outbound.len() {
-            let Some(chunk) = self.outbound.get(self.sent..) else {
-                unreachable!("sent is bounded by outbound.len() by the loop condition")
-            };
-            match self.stream.write(chunk) {
-                Ok(0) => {
-                    self.peer_gone = true;
-                    break;
-                }
-                Ok(n) => self.sent += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.peer_gone = true;
-                    break;
-                }
-            }
-        }
-        if self.sent == self.outbound.len() {
-            self.outbound.clear();
-            self.sent = 0;
-        }
-    }
-
-    /// Reads whatever the socket has into the decoder; drain the decoded
-    /// frames with [`next_frame`](Self::next_frame).
-    pub fn fill(&mut self, scratch: &mut [u8]) {
-        loop {
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    self.peer_gone = true;
-                    break;
-                }
-                Ok(n) => {
-                    let Some(chunk) = scratch.get(..n) else {
-                        unreachable!("read(2) never returns more than the buffer length")
-                    };
-                    self.decoder.feed(chunk);
-                    if n < scratch.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.peer_gone = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Yields the next complete frame banked by [`fill`](Self::fill), or
-    /// `Ok(None)` when the banked bytes end mid-frame.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Frame`] when the server's bytes do not decode.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, ClientError> {
-        self.decoder
-            .next_frame()
-            .map_err(|e| ClientError::Frame(FrameError::Decode(e)))
     }
 }
 

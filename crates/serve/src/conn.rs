@@ -1,14 +1,13 @@
 //! Per-connection state for the epoll reactor.
 //!
-//! A [`Conn`] owns one nonblocking socket, its resumable
-//! [`FrameDecoder`], and its bounded outbound byte queue, and advances a
-//! small phase machine (`Hello` → `Streaming` → `Closing`) as readiness
-//! events arrive. It is driven entirely by its shard's event loop (see
-//! [`crate::shard`]): `on_readable` pulls bytes into the decoder and
-//! walks complete frames, `flush_run` pushes a coalesced run of samples
-//! through the session's [`DecisionEngine::step_many`] and encodes the
-//! decisions in-place with [`wire::encode_into`], and `try_flush` drains
-//! the outbound queue until the socket pushes back.
+//! A [`Conn`] owns one [`Framed`] socket (its decoder and bounded
+//! outbound queue) and advances a small phase machine (`Hello` →
+//! `Streaming` → `Closing`) as readiness events arrive. It is driven
+//! entirely by its shard's event loop (see [`crate::shard`]):
+//! `on_readable` pulls bytes into the decoder and walks complete frames,
+//! `flush_run` pushes a coalesced run of samples through the session's
+//! [`DecisionEngine::step_many`] and queues the decisions, and
+//! `try_flush` drains the outbound queue until the socket pushes back.
 //!
 //! Every refusal is typed: the session gets one terminal
 //! [`Frame::Error`], counted in `serve_errors_total`, and only this
@@ -22,29 +21,20 @@
 //! buffer, and decisions are appended to the connection's reused
 //! outbound `Vec` without intermediate encode allocations.
 
+use crate::reactor::{Epoll, Interest};
 use crate::server::Shared;
 use crate::shard::ReactorMetrics;
-use crate::wire::{self, ErrorCode, Frame, FrameDecoder, PROTOCOL_VERSION};
+use crate::transport::Framed;
+use crate::wire::{self, ErrorCode, Frame, PROTOCOL_VERSION};
 use livephase_engine::{Decision, DecisionEngine, EngineConfig, Sample};
 use livephase_telemetry::{catalogue, trace_event, Level};
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
+use std::os::fd::RawFd;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use crate::reactor::Interest;
-
 /// Tracing target for connection lifecycle events under the reactor.
 const TRACE: &str = "serve::conn";
-
-/// Consecutive `read(2)` calls per readiness event before yielding back
-/// to the event loop; level-triggered registration re-delivers anything
-/// left, so this only bounds per-connection monopoly of the shard.
-const MAX_READS_PER_EVENT: usize = 4;
-
-/// Once this many sent bytes accumulate at the front of the outbound
-/// queue mid-stream, they are compacted away so the buffer cannot creep.
-const OUTBOUND_COMPACT_BYTES: usize = 32 * 1024;
 
 /// Longest a fully flushed, half-closed connection waits for the peer's
 /// EOF before being force-closed. The half-close (FIN after the final
@@ -97,22 +87,16 @@ pub(crate) struct Cx<'a> {
 
 /// One reactor-owned connection.
 pub(crate) struct Conn {
-    stream: TcpStream,
+    io: Framed,
     /// Server-wide connection id (1-based admission order).
     pub(crate) conn_id: u64,
     /// Whether this connection passed the accept gate (refused-busy
     /// connections exist only to flush their `Error{Busy}`).
     pub(crate) admitted: bool,
-    /// The interest currently registered with the shard's epoll.
-    pub(crate) interest: Option<Interest>,
-    decoder: FrameDecoder,
-    outbound: Vec<u8>,
-    sent: usize,
     /// The session's decision engine: per-pid predictors and scoring,
     /// created at `Hello`.
     session: Option<DecisionEngine>,
     phase: Phase,
-    peer_gone: bool,
     fin_sent: bool,
     last_activity: Instant,
     closing_since: Option<Instant>,
@@ -122,16 +106,11 @@ impl Conn {
     /// A connection admitted past the accept gate, awaiting its `Hello`.
     pub(crate) fn admitted(stream: TcpStream, conn_id: u64, now: Instant) -> Self {
         Self {
-            stream,
+            io: Framed::new(stream),
             conn_id,
             admitted: true,
-            interest: None,
-            decoder: FrameDecoder::new(),
-            outbound: Vec::new(),
-            sent: 0,
             session: None,
             phase: Phase::Hello,
-            peer_gone: false,
             fin_sent: false,
             last_activity: now,
             closing_since: None,
@@ -142,21 +121,16 @@ impl Conn {
     /// flushing the queued `Error{Busy}` and closing.
     pub(crate) fn refused(stream: TcpStream, now: Instant) -> Self {
         let mut conn = Self {
-            stream,
+            io: Framed::new(stream),
             conn_id: 0,
             admitted: false,
-            interest: None,
-            decoder: FrameDecoder::new(),
-            outbound: Vec::new(),
-            sent: 0,
             session: None,
             phase: Phase::Closing,
-            peer_gone: false,
             fin_sent: false,
             last_activity: now,
             closing_since: Some(now),
         };
-        conn.queue_frame(&Frame::Error {
+        conn.io.queue(&Frame::Error {
             code: ErrorCode::Busy,
             message: "connection limit reached; retry later".to_owned(),
         });
@@ -165,134 +139,55 @@ impl Conn {
 
     /// Bytes queued outbound and not yet written to the socket.
     pub(crate) fn pending(&self) -> usize {
-        self.outbound.len().saturating_sub(self.sent)
+        self.io.pending()
     }
 
     /// The interest this connection wants registered right now; `None`
-    /// means it is finished and should be closed.
+    /// means it is finished and should be closed. Read interest is kept
+    /// while closing so inbound bytes are drained (and discarded):
+    /// closing with unread data in the receive buffer resets the
+    /// connection, destroying the terminal error frame in flight. After
+    /// the final flush and the half-close, the connection waits for the
+    /// peer's EOF.
     pub(crate) fn desired(&self) -> Option<Interest> {
-        if self.peer_gone {
-            return None;
-        }
-        match self.phase {
-            // Read interest is kept while closing so inbound bytes are
-            // drained (and discarded): closing with unread data in the
-            // receive buffer resets the connection, destroying the
-            // terminal error frame in flight. After the final flush and
-            // the half-close, the connection waits for the peer's EOF.
-            Phase::Closing => Some(if self.pending() > 0 {
-                Interest::ReadWrite
-            } else {
-                Interest::Read
-            }),
-            Phase::Hello | Phase::Streaming => {
-                if self.pending() > 0 {
-                    Some(Interest::ReadWrite)
-                } else {
-                    Some(Interest::Read)
-                }
-            }
-        }
+        (!self.io.peer_gone).then(|| self.io.open_interest())
+    }
+
+    /// Brings the epoll registration in line with [`desired`](Self::desired);
+    /// a finished connection is queued on `to_close`.
+    pub(crate) fn sync(&mut self, epoll: &Epoll, to_close: &mut Vec<RawFd>) {
+        let want = self.desired();
+        self.io.sync(epoll, want, to_close);
     }
 
     /// Handles a readable event: pull bytes into the decoder, walk the
     /// complete frames, flush the resulting run of samples, and make an
-    /// opportunistic write pass.
+    /// opportunistic write pass. While closing (shedding or draining),
+    /// inbound bytes are pulled off the socket and discarded, never
+    /// decoded.
     pub(crate) fn on_readable(&mut self, scratch: &mut [u8], cx: &mut Cx<'_>) {
-        if self.phase == Phase::Closing {
-            // Shedding or draining: inbound frames are no longer decoded,
-            // but the bytes must still be pulled off the socket and
-            // discarded — a close with unread data pending would RST the
-            // connection and take the queued terminal error with it.
-            for _ in 0..MAX_READS_PER_EVENT {
-                match self.stream.read(scratch) {
-                    Ok(0) => {
-                        self.peer_gone = true;
-                        break;
-                    }
-                    Ok(n) if n < scratch.len() => break,
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.peer_gone = true;
-                        break;
-                    }
-                }
-            }
-            self.try_flush(cx.now);
-            return;
+        let closing = self.phase == Phase::Closing;
+        if self.io.read(scratch, closing) > 0 {
+            self.last_activity = cx.now;
         }
-        for _ in 0..MAX_READS_PER_EVENT {
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    self.peer_gone = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.last_activity = cx.now;
-                    let Some(chunk) = scratch.get(..n) else {
-                        unreachable!("read(2) never returns more than the buffer length")
-                    };
-                    self.decoder.feed(chunk);
-                    if n < scratch.len() {
-                        break; // socket drained
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.peer_gone = true;
-                    break;
-                }
-            }
+        if !closing {
+            self.drain_frames(cx);
         }
-        self.drain_frames(cx);
         self.try_flush(cx.now);
     }
 
-    /// Handles a writable event.
-    pub(crate) fn on_writable(&mut self, now: Instant) {
-        self.try_flush(now);
-    }
-
-    /// Writes queued outbound bytes until the socket pushes back, then
-    /// compacts the queue.
+    /// Writes queued outbound bytes until the socket pushes back; once a
+    /// closing connection's queue is empty, half-closes it.
     pub(crate) fn try_flush(&mut self, now: Instant) {
-        while self.sent < self.outbound.len() {
-            let Some(chunk) = self.outbound.get(self.sent..) else {
-                unreachable!("sent is bounded by outbound.len() by the loop condition")
-            };
-            match self.stream.write(chunk) {
-                Ok(0) => {
-                    self.peer_gone = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.sent += n;
-                    self.last_activity = now;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.peer_gone = true;
-                    break;
-                }
-            }
+        if self.io.write() > 0 {
+            self.last_activity = now;
         }
-        if self.sent == self.outbound.len() {
-            self.outbound.clear();
-            self.sent = 0;
-            if self.phase == Phase::Closing && !self.fin_sent {
-                // Everything queued (the terminal error included) is on
-                // the wire: half-close so the peer sees a clean FIN
-                // after the data, and wait for its EOF.
-                let _ = self.stream.shutdown(Shutdown::Write);
-                self.fin_sent = true;
-            }
-        } else if self.sent >= OUTBOUND_COMPACT_BYTES {
-            self.outbound.drain(..self.sent);
-            self.sent = 0;
+        if self.io.pending() == 0 && self.phase == Phase::Closing && !self.fin_sent {
+            // Everything queued (the terminal error included) is on the
+            // wire: half-close so the peer sees a clean FIN after the
+            // data, and wait for its EOF.
+            self.io.shutdown_write();
+            self.fin_sent = true;
         }
     }
 
@@ -314,10 +209,10 @@ impl Conn {
             if self.phase == Phase::Closing {
                 break;
             }
-            match self.decoder.next_frame() {
+            match self.io.next_frame() {
                 Ok(Some(frame)) => {
                     decoded += 1;
-                    let resumes = self.decoder.last_resumes();
+                    let resumes = self.io.last_resumes();
                     if resumes > 0 {
                         cx.metrics.decode_resumes.record(u64::from(resumes));
                     }
@@ -405,7 +300,7 @@ impl Conn {
             Ok(session) => {
                 self.session = Some(session);
                 cx.metrics.shard.sessions.inc();
-                self.queue_frame(&Frame::HelloAck {
+                self.io.queue(&Frame::HelloAck {
                     version: PROTOCOL_VERSION,
                     shard: u32::try_from(cx.shard_index).unwrap_or(u32::MAX),
                     op_points: cx.engine.op_points(),
@@ -449,13 +344,13 @@ impl Conn {
             Frame::StatsRequest => {
                 self.flush_run(cx);
                 let shards = u32::try_from(cx.shards_total).unwrap_or(u32::MAX);
-                self.queue_frame(&Frame::Stats(cx.shared.snapshot(shards)));
+                self.io.queue(&Frame::Stats(cx.shared.snapshot(shards)));
             }
             Frame::MetricsRequest => {
                 self.flush_run(cx);
                 let rendered = livephase_telemetry::Registry::render(livephase_telemetry::global());
                 let text = wire::truncate_metrics_text(&rendered).to_owned();
-                self.queue_frame(&Frame::Metrics { text });
+                self.io.queue(&Frame::Metrics { text });
             }
             Frame::Goodbye => {
                 self.flush_run(cx);
@@ -506,14 +401,11 @@ impl Conn {
             cx.shared.processes.fetch_add(grown, Ordering::Relaxed);
         }
         for d in cx.decisions.iter() {
-            wire::encode_into(
-                &Frame::Decision {
-                    pid: d.pid,
-                    op_point: d.op_point,
-                    confidence: d.confidence,
-                },
-                &mut self.outbound,
-            );
+            self.io.queue(&Frame::Decision {
+                pid: d.pid,
+                op_point: d.op_point,
+                confidence: d.confidence,
+            });
         }
         cx.shared.metrics.frame_encode_us.record_n_saturating(
             (latency_clock() - stepped).as_micros() / u128::from(n),
@@ -601,7 +493,7 @@ impl Conn {
                                 queued = self.pending()
                             );
                         }
-                        self.peer_gone = true;
+                        self.io.peer_gone = true;
                     }
                 }
             }
@@ -631,12 +523,6 @@ impl Conn {
         }
     }
 
-    /// Appends one frame to the outbound queue (no allocation beyond the
-    /// queue's own growth).
-    fn queue_frame(&mut self, frame: &Frame) {
-        wire::encode_into(frame, &mut self.outbound);
-    }
-
     /// Queues a terminal `Error` frame and counts it in
     /// `serve_errors_total` under its code's label.
     fn refuse(&mut self, code: ErrorCode, message: impl Into<String>) {
@@ -645,7 +531,7 @@ impl Conn {
         livephase_telemetry::global()
             .counter(&catalogue::SERVE_ERRORS_TOTAL, &[code.label()])
             .inc();
-        self.queue_frame(&Frame::Error {
+        self.io.queue(&Frame::Error {
             code,
             message: message.into(),
         });

@@ -48,6 +48,7 @@ pub mod loadgen;
 pub mod reactor;
 pub mod server;
 pub(crate) mod shard;
+pub(crate) mod transport;
 pub mod wire;
 
 pub use client::{Client, ClientError, ServedDecision};

@@ -2,13 +2,13 @@
 //!
 //! Replays the synthetic SPEC workloads' counter streams over M
 //! concurrent connections from one thread: each connection is a
-//! nonblocking [`ConnDriver`] multiplexed over epoll, windowed so it
-//! keeps a batch of samples in flight. One rule deals the streams: with
-//! n benchmarks there are max(M, n) streams, and stream k replays
-//! benchmark k % n as pid k % n + 1 on connection k % M. A connection
-//! replays its streams back to back, then sends `Goodbye`. Every session
-//! completes its handshake before any replay starts, so the reported
-//! peak equals M.
+//! nonblocking socket on the shards' own framed transport, multiplexed
+//! over epoll and windowed so it keeps a batch of samples in flight. One
+//! rule deals the streams: with n benchmarks there are max(M, n)
+//! streams, and stream k replays benchmark k % n as pid k % n + 1 on
+//! connection k % M. A connection replays its streams back to back, then
+//! sends `Goodbye`. Every session completes its handshake before any
+//! replay starts, so the reported peak equals M.
 //!
 //! Reports throughput, decision latency percentiles, and — the point of
 //! the exercise — per-stream decision agreement against an in-process
@@ -19,9 +19,10 @@
 //! benchmark, so 50k concurrent sessions need no per-connection decision
 //! storage.
 
-use crate::client::{ClientError, ConnDriver};
+use crate::client::ClientError;
 use crate::reactor::{Epoll, Events, Interest};
-use crate::wire::Frame;
+use crate::transport::{Framed, EVENTS_PER_WAIT, SCRATCH_BYTES};
+use crate::wire::{Frame, FrameError, PROTOCOL_VERSION};
 use livephase_collections::BTreeMap;
 use livephase_core::predictor_from_spec;
 use livephase_engine::{DecisionEngine, EngineConfig};
@@ -31,6 +32,7 @@ use livephase_telemetry::Histogram;
 use livephase_workloads::{counter_samples, spec, CounterSample};
 use std::fmt;
 use std::io;
+use std::net::TcpStream;
 use std::os::fd::RawFd;
 use std::time::{Duration, Instant};
 
@@ -41,12 +43,6 @@ const CONNECT_WINDOW: usize = 256;
 /// Decision latency is sampled on this many connections; sampling every
 /// one of 50k conns would measure the sampler, not the server.
 const LATENCY_TRACKED_CONNS: usize = 256;
-
-/// Shared read scratch for every driver.
-const SCRATCH_BYTES: usize = 64 * 1024;
-
-/// Readiness events drained per wait.
-const EVENTS_PER_WAIT: usize = 1024;
 
 /// Wait timeout, so the connect pacing and the inactivity watchdog run
 /// even when no socket is ready.
@@ -426,7 +422,7 @@ impl FlushStamps {
 
 /// One multiplexed connection's replay state.
 struct Session {
-    driver: ConnDriver,
+    io: Framed,
     conn: usize,
     /// The stream being replayed (k in the deal rule).
     stream: usize,
@@ -436,7 +432,6 @@ struct Session {
     got: usize,
     matched: u64,
     stage: Stage,
-    interest: Interest,
     /// Present on the latency-tracked connections.
     stamps: Option<FlushStamps>,
 }
@@ -451,6 +446,33 @@ impl Session {
         self.got = 0;
         self.matched = 0;
     }
+
+    /// The interest this connection wants registered right now; `None`
+    /// means it is finished and should be closed.
+    fn desired(&self) -> Option<Interest> {
+        match self.stage {
+            Stage::Draining => (self.io.pending() > 0).then_some(Interest::Write),
+            Stage::AwaitAck | Stage::Hold | Stage::Streaming => Some(self.io.open_interest()),
+        }
+    }
+}
+
+/// Connects (blocking, so the caller can pace connect waves), switches
+/// the socket nonblocking, and queues the `Hello`; the handshake
+/// completes when the event loop reads the `HelloAck`.
+fn connect(config: &LoadGenConfig, client_id: u64, platform: &str) -> io::Result<Framed> {
+    let stream = TcpStream::connect(config.addr.as_str())?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    let mut io = Framed::new(stream);
+    io.queue(&Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client_id,
+        platform: platform.to_owned(),
+        predictor: config.predictor.clone(),
+    });
+    io.write();
+    Ok(io)
 }
 
 /// The epoll loop: connects every session (paced), starts the replay
@@ -487,24 +509,11 @@ fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenErro
         // Pace the connect wave: at most CONNECT_WINDOW sessions
         // mid-handshake at once.
         while next_conn < total && pending_acks < CONNECT_WINDOW {
-            let driver = ConnDriver::connect(
-                config.addr.as_str(),
-                next_conn as u64 + 1,
-                deployment.platform(),
-                &config.predictor,
-            )
-            .map_err(|e| io_err(next_conn, e))?;
-            let fd = driver.as_raw_fd();
-            let interest = if driver.pending() > 0 {
-                Interest::ReadWrite
-            } else {
-                Interest::Read
-            };
-            epoll
-                .add(fd, interest, fd as u64)
+            let io = connect(config, next_conn as u64 + 1, deployment.platform())
                 .map_err(|e| io_err(next_conn, e))?;
+            let fd = io.fd();
             let mut session = Session {
-                driver,
+                io,
                 conn: next_conn,
                 stream: 0,
                 spec_idx: 0,
@@ -513,12 +522,18 @@ fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenErro
                 got: 0,
                 matched: 0,
                 stage: Stage::AwaitAck,
-                interest,
                 stamps: (next_conn < LATENCY_TRACKED_CONNS)
                     .then(|| FlushStamps::new(plan.window, started)),
             };
             // Connection c's first stream is stream c.
             session.begin_stream(next_conn, plan);
+            session.io.sync(&epoll, session.desired(), &mut to_close);
+            if !to_close.is_empty() {
+                return Err(io_err(
+                    next_conn,
+                    io::Error::other("registering the socket with epoll failed"),
+                ));
+            }
             conns.insert(fd, session);
             pending_acks += 1;
             next_conn += 1;
@@ -528,10 +543,10 @@ fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenErro
             // Every session is open and acked: the concurrency bar is
             // held; start the replay everywhere.
             streaming = true;
-            for (fd, st) in conns.iter_mut() {
+            for (_, st) in conns.iter_mut() {
                 st.stage = Stage::Streaming;
                 replay_more(st, plan, &mut outcomes);
-                sync(&epoll, *fd, st, &mut to_close);
+                st.io.sync(&epoll, st.desired(), &mut to_close);
             }
         }
 
@@ -549,13 +564,13 @@ fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenErro
                 continue; // closed earlier this wake
             };
             if ev.readable || ev.hangup {
-                st.driver.fill(&mut scratch);
+                st.io.read(&mut scratch, false);
             }
             loop {
                 let frame = st
-                    .driver
+                    .io
                     .next_frame()
-                    .map_err(|source| proto_err(st.conn, source))?;
+                    .map_err(|e| proto_err(st.conn, ClientError::Frame(FrameError::Decode(e))))?;
                 let Some(frame) = frame else { break };
                 match frame {
                     Frame::HelloAck { .. } if matches!(st.stage, Stage::AwaitAck) => {
@@ -592,12 +607,12 @@ fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenErro
                 }
             }
             if ev.writable {
-                st.driver.flush();
+                st.io.write();
             }
             if matches!(st.stage, Stage::Streaming) {
                 replay_more(st, plan, &mut outcomes);
             }
-            if st.driver.peer_gone() {
+            if st.io.peer_gone {
                 match st.stage {
                     Stage::Draining => to_close.push(fd),
                     Stage::Streaming => {
@@ -618,7 +633,7 @@ fn replay(config: &LoadGenConfig, plan: &Plan) -> Result<LoadReport, LoadGenErro
                     }
                 }
             } else {
-                sync(&epoll, fd, st, &mut to_close);
+                st.io.sync(&epoll, st.desired(), &mut to_close);
             }
         }
         for fd in to_close.drain(..) {
@@ -663,7 +678,7 @@ fn replay_more(st: &mut Session, plan: &Plan, outcomes: &mut Vec<BenchmarkOutcom
             let Some(s) = d.samples.get(st.sent) else {
                 break;
             };
-            st.driver.queue(&Frame::Sample {
+            st.io.queue(&Frame::Sample {
                 pid: st.pid,
                 uops: s.uops,
                 mem_trans: s.mem_transactions,
@@ -672,7 +687,7 @@ fn replay_more(st: &mut Session, plan: &Plan, outcomes: &mut Vec<BenchmarkOutcom
             st.sent += 1;
         }
         if st.sent > first {
-            st.driver.flush();
+            st.io.write();
             if let Some(stamps) = st.stamps.as_mut() {
                 stamps.stamp(first, st.sent, Instant::now());
             }
@@ -691,43 +706,12 @@ fn replay_more(st: &mut Session, plan: &Plan, outcomes: &mut Vec<BenchmarkOutcom
         });
         let next = st.stream + plan.conns;
         if next >= plan.streams {
-            st.driver.queue(&Frame::Goodbye);
+            st.io.queue(&Frame::Goodbye);
             st.stage = Stage::Draining;
-            st.driver.flush();
+            st.io.write();
             return;
         }
         st.begin_stream(next, plan);
-    }
-}
-
-/// Reconciles a connection's epoll registration with what it now wants;
-/// a finished connection is queued for closing.
-fn sync(epoll: &Epoll, fd: RawFd, st: &mut Session, to_close: &mut Vec<RawFd>) {
-    let want = match st.stage {
-        Stage::Draining => {
-            if st.driver.pending() > 0 {
-                Some(Interest::Write)
-            } else {
-                None
-            }
-        }
-        Stage::AwaitAck | Stage::Hold | Stage::Streaming => Some(if st.driver.pending() > 0 {
-            Interest::ReadWrite
-        } else {
-            Interest::Read
-        }),
-    };
-    match want {
-        None => to_close.push(fd),
-        Some(want) => {
-            if st.interest != want {
-                if epoll.modify(fd, want, fd as u64).is_ok() {
-                    st.interest = want;
-                } else {
-                    to_close.push(fd);
-                }
-            }
-        }
     }
 }
 

@@ -18,6 +18,7 @@
 
 use crate::conn::{Conn, Cx};
 use crate::server::{ServerConfig, ShardMetrics, Shared};
+use crate::transport::{EVENTS_PER_WAIT, SCRATCH_BYTES};
 use livephase_collections::BTreeMap;
 use livephase_engine::{Decision, EngineConfig, Sample};
 use livephase_pmsim::{OperatingPointTable, PowerModel};
@@ -39,16 +40,9 @@ const TRACE: &str = "serve::shard";
 /// tokens are their raw fds, which the kernel keeps well below this.
 const LISTENER_TOKEN: u64 = u64::MAX;
 
-/// Readiness events drained per `epoll_wait`.
-const EVENTS_PER_WAIT: usize = 1024;
-
 /// Accepts drained per listener readiness event, so one connect storm
 /// cannot starve established connections.
 const ACCEPTS_PER_EVENT: usize = 256;
-
-/// Shared read scratch per shard: reads land here and are fed to the
-/// owning connection's decoder, so serving allocates no per-read buffer.
-const READ_SCRATCH_BYTES: usize = 64 * 1024;
 
 /// Per-shard reactor instruments: the shard's session/decision handles
 /// plus the reactor-specific gauges the tentpole adds.
@@ -82,6 +76,37 @@ impl ReactorMetrics {
             shed_total: reg.counter(&catalogue::SERVE_CONNS_SHED_TOTAL, labels),
             reaped_total: reg.counter(&catalogue::SERVE_CONNS_REAPED_TOTAL, labels),
             decode_resumes: reg.histogram(&catalogue::SERVE_REACTOR_DECODE_RESUMES, labels),
+        }
+    }
+}
+
+/// What a shard lends its connections' event handlers: the engine, the
+/// counters and instruments, and the shard-owned reuse buffers.
+struct Shard<'a> {
+    index: usize,
+    config: &'a ServerConfig,
+    engine: &'a EngineConfig,
+    shared: &'a Shared,
+    metrics: ReactorMetrics,
+    samples: Vec<Sample>,
+    decisions: Vec<Decision>,
+    power_mw: Vec<i64>,
+}
+
+impl Shard<'_> {
+    /// The context one event handler runs with at `now`.
+    fn cx(&mut self, now: Instant) -> Cx<'_> {
+        Cx {
+            engine: self.engine,
+            shared: self.shared,
+            metrics: &self.metrics,
+            shard_index: self.index,
+            shards_total: self.config.shards,
+            max_outbound: self.config.max_outbound_bytes,
+            samples: &mut self.samples,
+            decisions: &mut self.decisions,
+            power_mw: &self.power_mw,
+            now,
         }
     }
 }
@@ -156,7 +181,6 @@ fn shard_reactor_loop(
     engine: &EngineConfig,
     shared: &Shared,
 ) {
-    let metrics = ReactorMetrics::new(index);
     let epoll = match Epoll::new() {
         Ok(ep) => ep,
         Err(e) => {
@@ -190,18 +214,26 @@ fn shard_reactor_loop(
         (config.read_timeout / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
     let mut events = Events::with_capacity(EVENTS_PER_WAIT);
     let mut conns: BTreeMap<RawFd, Conn> = BTreeMap::new();
-    let mut scratch = vec![0u8; READ_SCRATCH_BYTES];
-    // Worst-case milliwatts per operating point, priced once here by the
-    // configured power backend so `flush_run` only indexes by op_point.
-    // Rounded rather than truncated so the analytic default's table
-    // survives a backend swap to any model agreeing within half a mW.
-    let power_mw: Vec<i64> = OperatingPointTable::pentium_m()
-        .points()
-        .iter()
-        .map(|opp| (config.power.worst_case(*opp) * 1000.0).round() as i64)
-        .collect();
-    let mut samples: Vec<Sample> = Vec::new();
-    let mut decisions: Vec<Decision> = Vec::new();
+    let mut scratch = vec![0u8; SCRATCH_BYTES];
+    let mut shard = Shard {
+        index,
+        config,
+        engine,
+        shared,
+        metrics: ReactorMetrics::new(index),
+        samples: Vec::new(),
+        decisions: Vec::new(),
+        // Worst-case milliwatts per operating point, priced once here by
+        // the configured power backend so `flush_run` only indexes by
+        // op_point. Rounded rather than truncated so the analytic
+        // default's table survives a backend swap to any model agreeing
+        // within half a mW.
+        power_mw: OperatingPointTable::pentium_m()
+            .points()
+            .iter()
+            .map(|opp| (config.power.worst_case(*opp) * 1000.0).round() as i64)
+            .collect(),
+    };
     let mut to_close: Vec<RawFd> = Vec::new();
     let mut listener_live = true;
     #[expect(clippy::disallowed_methods, reason = "reaping cadence only")]
@@ -213,33 +245,30 @@ fn shard_reactor_loop(
         }
         #[expect(clippy::disallowed_methods, reason = "one clock read per wake")]
         let now = Instant::now();
-        metrics
+        shard
+            .metrics
             .ready_depth
             .set(i64::try_from(events.len()).unwrap_or(i64::MAX));
         if listener_live && shared.shutdown.load(Ordering::SeqCst) {
             listener_live = false;
             let _ = epoll.delete(listener.as_raw_fd());
-            for (fd, conn) in conns.iter_mut() {
-                let mut cx = Cx {
-                    engine,
-                    shared,
-                    metrics: &metrics,
-                    shard_index: index,
-                    shards_total: config.shards,
-                    max_outbound: config.max_outbound_bytes,
-                    samples: &mut samples,
-                    decisions: &mut decisions,
-                    power_mw: &power_mw,
-                    now,
-                };
-                conn.begin_drain(&mut cx);
-                sync_conn(&epoll, *fd, conn, &mut to_close);
+            for (_, conn) in conns.iter_mut() {
+                conn.begin_drain(&mut shard.cx(now));
+                conn.sync(&epoll, &mut to_close);
             }
         }
         for ev in events.iter() {
             if ev.token == LISTENER_TOKEN {
                 if listener_live {
-                    accept_burst(listener, &epoll, config, shared, &mut conns, now);
+                    accept_burst(
+                        listener,
+                        &epoll,
+                        config,
+                        shared,
+                        &mut conns,
+                        &mut to_close,
+                        now,
+                    );
                 }
                 continue;
             }
@@ -248,49 +277,29 @@ fn shard_reactor_loop(
             let Some(conn) = conns.get_mut(&fd) else {
                 continue; // already closed this wake
             };
-            let mut cx = Cx {
-                engine,
-                shared,
-                metrics: &metrics,
-                shard_index: index,
-                shards_total: config.shards,
-                max_outbound: config.max_outbound_bytes,
-                samples: &mut samples,
-                decisions: &mut decisions,
-                power_mw: &power_mw,
-                now,
-            };
             if ev.readable || ev.hangup {
-                conn.on_readable(&mut scratch, &mut cx);
+                conn.on_readable(&mut scratch, &mut shard.cx(now));
             }
             if ev.writable {
-                conn.on_writable(now);
+                conn.try_flush(now);
             }
             if ev.hangup && conn.pending() == 0 && conn.desired().is_some() {
                 // Peer half is gone and nothing is owed: don't wait for a
                 // read to observe the EOF.
                 to_close.push(fd);
             } else {
-                sync_conn(&epoll, fd, conn, &mut to_close);
+                conn.sync(&epoll, &mut to_close);
             }
         }
         if now.duration_since(last_reap) >= tick {
             last_reap = now;
-            for (fd, conn) in conns.iter_mut() {
-                let mut cx = Cx {
-                    engine,
-                    shared,
-                    metrics: &metrics,
-                    shard_index: index,
-                    shards_total: config.shards,
-                    max_outbound: config.max_outbound_bytes,
-                    samples: &mut samples,
-                    decisions: &mut decisions,
-                    power_mw: &power_mw,
-                    now,
-                };
-                conn.reap(&mut cx, config.read_timeout, config.write_timeout);
-                sync_conn(&epoll, *fd, conn, &mut to_close);
+            for (_, conn) in conns.iter_mut() {
+                conn.reap(
+                    &mut shard.cx(now),
+                    config.read_timeout,
+                    config.write_timeout,
+                );
+                conn.sync(&epoll, &mut to_close);
             }
         }
         for fd in to_close.drain(..) {
@@ -298,7 +307,7 @@ fn shard_reactor_loop(
                 continue; // duplicate close request this wake
             };
             let _ = epoll.delete(fd);
-            conn.finish(shared, &metrics);
+            conn.finish(shared, &shard.metrics);
             if conn.admitted {
                 trace_event!(
                     Level::Debug,
@@ -310,7 +319,8 @@ fn shard_reactor_loop(
             }
             // Dropping the Conn closes the socket.
         }
-        metrics
+        shard
+            .metrics
             .open_fds
             .set(i64::try_from(conns.len() + usize::from(listener_live)).unwrap_or(i64::MAX));
         if !listener_live && conns.is_empty() {
@@ -326,13 +336,16 @@ fn shard_reactor_loop(
     );
 }
 
-/// Drains a burst of pending accepts through the gate.
+/// Drains a burst of pending accepts through the gate. A connection
+/// whose registration fails is queued on `to_close`, which undoes its
+/// admission.
 fn accept_burst(
     listener: &TcpListener,
     epoll: &Epoll,
     config: &ServerConfig,
     shared: &Shared,
     conns: &mut BTreeMap<RawFd, Conn>,
+    to_close: &mut Vec<RawFd>,
     now: Instant,
 ) {
     for _ in 0..ACCEPTS_PER_EVENT {
@@ -363,13 +376,8 @@ fn accept_burst(
             let fd = stream.as_raw_fd();
             let mut conn = Conn::refused(stream, now);
             conn.try_flush(now);
-            if conn.desired().is_none() {
-                continue; // Error{Busy} already flushed; drop closes it
-            }
-            if epoll.add(fd, Interest::Write, fd as u64).is_ok() {
-                conn.interest = Some(Interest::Write);
-                conns.insert(fd, conn);
-            }
+            conn.sync(epoll, to_close);
+            conns.insert(fd, conn);
             continue;
         }
         let _ = stream.set_nodelay(true);
@@ -386,21 +394,8 @@ fn accept_burst(
         trace_event!(Level::Debug, TRACE, "connection accepted", conn = conn_id);
         let fd = stream.as_raw_fd();
         let mut conn = Conn::admitted(stream, conn_id, now);
-        if epoll.add(fd, Interest::Read, fd as u64).is_ok() {
-            conn.interest = Some(Interest::Read);
-            conns.insert(fd, conn);
-        } else {
-            // Registration failed: undo the admission like the blocking
-            // acceptor does when a connection thread cannot spawn.
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-            shared.metrics.connections_active.dec();
-            trace_event!(
-                Level::Warn,
-                TRACE,
-                "registering a connection failed",
-                conn = conn_id
-            );
-        }
+        conn.sync(epoll, to_close);
+        conns.insert(fd, conn);
     }
 }
 
@@ -421,23 +416,6 @@ fn finish_admitted(shared: &Shared, exit_after: Option<u64>, local_addr: Option<
         shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(addr) = local_addr {
             drop(std::net::TcpStream::connect(addr)); // wake the shards
-        }
-    }
-}
-
-/// Reconciles a connection's epoll registration with what it now wants;
-/// a finished (or unregisterable) connection is queued for closing.
-fn sync_conn(epoll: &Epoll, fd: RawFd, conn: &mut Conn, to_close: &mut Vec<RawFd>) {
-    match conn.desired() {
-        None => to_close.push(fd),
-        Some(want) => {
-            if conn.interest != Some(want) {
-                if epoll.modify(fd, want, fd as u64).is_ok() {
-                    conn.interest = Some(want);
-                } else {
-                    to_close.push(fd);
-                }
-            }
         }
     }
 }

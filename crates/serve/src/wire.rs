@@ -652,32 +652,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     Ok(decode_payload(&payload)?)
 }
 
-/// Like [`read_frame`], but also reports how long *decoding* took —
-/// the time from the last payload byte being in memory to a typed
-/// [`Frame`] — so instrumented servers can histogram decode latency
-/// without folding in socket blocking time.
-///
-/// # Errors
-///
-/// As [`read_frame`].
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the client's decode-latency reading; the decoded frame does not depend on it"
-)]
-pub fn read_frame_timed(r: &mut impl Read) -> Result<(Frame, std::time::Duration), FrameError> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len == 0 || len > MAX_FRAME_BYTES {
-        return Err(DecodeError::BadLength(len).into());
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let started = std::time::Instant::now();
-    let frame = decode_payload(&payload)?;
-    Ok((frame, started.elapsed()))
-}
-
 /// Once the consumed prefix of the decode buffer grows past this, the
 /// remaining bytes are shifted to the front so the buffer's capacity
 /// stays bounded by the largest burst, not the lifetime byte count.
@@ -1016,20 +990,6 @@ mod tests {
         // Degenerate: one giant line with no newline under the cap.
         let giant = "x".repeat(MAX_METRICS_TEXT_BYTES + 5);
         assert_eq!(truncate_metrics_text(&giant), "");
-    }
-
-    #[test]
-    fn decode_timing_is_reported_without_breaking_round_trips() {
-        let frame = Frame::Sample {
-            pid: 1,
-            uops: 2,
-            mem_trans: 3,
-            tsc_delta: 4,
-        };
-        let mut cursor = io::Cursor::new(encode(&frame));
-        let (got, elapsed) = read_frame_timed(&mut cursor).unwrap();
-        assert_eq!(got, frame);
-        assert!(elapsed < std::time::Duration::from_secs(1));
     }
 
     #[test]

@@ -2,19 +2,12 @@
 
 use std::fmt;
 
-/// FNV-1a offset basis: the seed every digest starts from.
-pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// Folds bytes into an FNV-1a digest: the deterministic fingerprint of
+/// the per-tenant sample and decision streams.
+pub use livephase_collections::fnv1a;
 
-/// Folds `bytes` into an FNV-1a digest — the deterministic fingerprint
-/// used for per-tenant sample and decision streams.
-#[must_use]
-pub fn fnv1a(mut digest: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(0x0100_0000_01b3);
-    }
-    digest
-}
+/// FNV-1a offset basis: the seed every digest starts from.
+pub const DIGEST_SEED: u64 = livephase_collections::FNV_OFFSET_BASIS;
 
 /// One tenant's outcome.
 #[derive(Debug, Clone, PartialEq)]

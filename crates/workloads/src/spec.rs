@@ -25,6 +25,7 @@ use crate::level::PhaseLevel;
 use crate::pattern::{standard_normal, Movement, Step};
 use crate::source::IntervalSource;
 use crate::trace::WorkloadTrace;
+use livephase_collections::{fnv1a, FNV_OFFSET_BASIS};
 use livephase_pmsim::timing::IntervalWork;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -194,7 +195,7 @@ impl BenchmarkSpec {
     pub fn stream(&self, seed: u64) -> SpecSource<'_> {
         SpecSource {
             spec: self,
-            rng: StdRng::seed_from_u64(seed ^ fnv1a(self.name.as_bytes())),
+            rng: StdRng::seed_from_u64(seed ^ fnv1a(FNV_OFFSET_BASIS, self.name.as_bytes())),
             produced: 0,
             movement: 0,
             repeat: 0,
@@ -300,16 +301,6 @@ impl IntervalSource for SpecSource<'_> {
     fn len_hint(&self) -> Option<usize> {
         Some(self.spec.length - self.produced)
     }
-}
-
-/// FNV-1a, used only to mix benchmark names into RNG seeds.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -915,7 +906,7 @@ mod tests {
     /// reference: the `SpecSource` state machine must consume the RNG in
     /// exactly this order.
     fn reference_generate(spec: &BenchmarkSpec, seed: u64) -> Vec<IntervalWork> {
-        let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(spec.name.as_bytes()));
+        let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(FNV_OFFSET_BASIS, spec.name.as_bytes()));
         let mut intervals = Vec::with_capacity(spec.length);
         'outer: loop {
             for movement in &spec.movements {
