@@ -8,6 +8,7 @@
 
 use crate::format::{num, Table};
 use crate::ShapeViolations;
+use livephase_governor::par_map;
 use livephase_workloads::{registry, Quadrant, TraceStats};
 use std::fmt;
 
@@ -54,20 +55,15 @@ pub struct Figure3 {
     pub points: Vec<Point>,
 }
 
-/// Characterizes every registered benchmark.
+/// Characterizes every registered benchmark, one worker per benchmark,
+/// in registry order.
 #[must_use]
 pub fn run(seed: u64) -> Figure3 {
-    let points = registry()
-        .into_iter()
-        .map(|spec| {
-            let stats = spec.generate(seed).characterize();
-            Point {
-                name: spec.name().to_owned(),
-                intended: spec.quadrant(),
-                stats,
-            }
-        })
-        .collect();
+    let points = par_map(&registry(), |spec| Point {
+        name: spec.name().to_owned(),
+        intended: spec.quadrant(),
+        stats: spec.generate(seed).characterize(),
+    });
     Figure3 { points }
 }
 

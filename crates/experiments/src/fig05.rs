@@ -11,6 +11,7 @@ use crate::predictors::accuracy_on;
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
 use livephase_core::{Gpht, GphtConfig, LastValue};
+use livephase_governor::par_map;
 use livephase_workloads::spec;
 use std::fmt;
 
@@ -68,31 +69,29 @@ pub struct Figure5 {
     pub rows: Vec<BenchmarkRow>,
 }
 
-/// Runs the PHT-size sweep.
+/// Runs the PHT-size sweep, one worker per benchmark, in the paper's
+/// order.
 #[must_use]
 pub fn run(seed: u64) -> Figure5 {
-    let rows = FIGURE5_BENCHMARKS
-        .iter()
-        .map(|name| {
-            let trace = require_benchmark(name).generate(seed);
-            let last_value = accuracy_on(&mut LastValue::new(), &trace).accuracy();
-            let gpht = PHT_SIZES
-                .iter()
-                .map(|&entries| {
-                    let mut p = Gpht::new(GphtConfig {
-                        gphr_depth: 8,
-                        pht_entries: entries,
-                    });
-                    (entries, accuracy_on(&mut p, &trace).accuracy())
-                })
-                .collect();
-            BenchmarkRow {
-                name: (*name).to_owned(),
-                last_value,
-                gpht,
-            }
-        })
-        .collect();
+    let rows = par_map(&FIGURE5_BENCHMARKS, |name| {
+        let trace = require_benchmark(name).generate(seed);
+        let last_value = accuracy_on(&mut LastValue::new(), &trace).accuracy();
+        let gpht = PHT_SIZES
+            .iter()
+            .map(|&entries| {
+                let mut p = Gpht::new(GphtConfig {
+                    gphr_depth: 8,
+                    pht_entries: entries,
+                });
+                (entries, accuracy_on(&mut p, &trace).accuracy())
+            })
+            .collect();
+        BenchmarkRow {
+            name: (*name).to_owned(),
+            last_value,
+            gpht,
+        }
+    });
     Figure5 { rows }
 }
 

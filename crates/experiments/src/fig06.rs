@@ -3,6 +3,7 @@
 
 use crate::format::{num, Table};
 use crate::ShapeViolations;
+use livephase_governor::par_map;
 use livephase_pmsim::{Frequency, TimingModel};
 use livephase_workloads::{registry, IpcxMemSuite};
 use std::fmt;
@@ -35,20 +36,25 @@ pub fn run(seed: u64) -> Figure6 {
     let f_ref = Frequency::from_mhz(1500);
     let suite = IpcxMemSuite::pentium_m();
 
-    let mut spec_points = Vec::new();
-    for spec in registry() {
-        // Sample the realized per-interval behaviour (noise included).
+    // Sample each benchmark's realized per-interval behaviour (noise
+    // included), one worker per benchmark, flattened in registry order.
+    let spec_points = par_map(&registry(), |spec| {
         let trace = spec.generate(seed);
-        for w in trace.iter().step_by(97) {
-            spec_points.push((
-                spec.name().to_owned(),
-                SpacePoint {
+        trace
+            .iter()
+            .step_by(97)
+            .map(|w| {
+                let point = SpacePoint {
                     upc: timing.upc(w, f_ref),
                     mem_uop: w.mem_uop(),
-                },
-            ));
-        }
-    }
+                };
+                (spec.name().to_owned(), point)
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
     let grid = suite
         .grid()

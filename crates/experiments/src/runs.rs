@@ -6,8 +6,11 @@
 //! registry over worker threads with [`par_map`], which preserves registry
 //! order and per-benchmark seeding, so the parallel sweep is
 //! element-for-element identical to the sequential loop it replaced.
+//! Figures 11–13 compare whole runs, so each run is cut down to its
+//! [`RunSummary`] as soon as it returns: the sweep holds no per-interval
+//! log, and a worker's next run reuses the freed log buffer.
 
-use livephase_governor::{par_map, NormalizedComparison, RunReport, Session};
+use livephase_governor::{par_map, NormalizedComparison, RunSummary, Session};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::{registry, spec, BenchmarkSpec};
 
@@ -31,11 +34,11 @@ pub struct Outcome {
     /// Benchmark name.
     pub name: String,
     /// The unmanaged run (always 1500 MHz).
-    pub baseline: RunReport,
+    pub baseline: RunSummary,
     /// Last-value reactive management.
-    pub reactive: RunReport,
+    pub reactive: RunSummary,
     /// GPHT(8, 128) proactive management — the deployed system.
-    pub gpht: RunReport,
+    pub gpht: RunSummary,
 }
 
 impl Outcome {
@@ -55,9 +58,9 @@ impl Outcome {
     pub fn measure_in(session: &Session<'_>, spec: &BenchmarkSpec, seed: u64) -> Self {
         Self {
             name: spec.name().to_owned(),
-            baseline: session.baseline(spec.stream(seed)),
-            reactive: session.reactive(spec.stream(seed)),
-            gpht: session.gpht(spec.stream(seed)),
+            baseline: session.baseline(spec.stream(seed)).into_summary(),
+            reactive: session.reactive(spec.stream(seed)).into_summary(),
+            gpht: session.gpht(spec.stream(seed)).into_summary(),
         }
     }
 
@@ -110,5 +113,9 @@ mod tests {
         assert_eq!(shared.baseline, owned.baseline);
         assert_eq!(shared.reactive, owned.reactive);
         assert_eq!(shared.gpht, owned.gpht);
+        // Each summary is its full report, less the per-interval data.
+        let report = session.gpht(spec.stream(1));
+        assert!(!report.intervals.is_empty());
+        assert_eq!(shared.gpht, report.into_summary());
     }
 }

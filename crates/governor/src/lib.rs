@@ -23,8 +23,9 @@
 //!   order-preserving parallel sweep primitive;
 //! * [`conservative`] — Section 6.3: deriving alternative phase
 //!   definitions that bound worst-case performance degradation;
-//! * [`report`] — run summaries and baseline-normalized comparisons
-//!   (EDP improvement, performance degradation, power/energy savings).
+//! * [`report`] — run reports (with their per-interval log), whole-run
+//!   summaries, and baseline-normalized comparisons (EDP improvement,
+//!   performance degradation, power/energy savings).
 //!
 //! ```
 //! use livephase_governor::{manager::Manager, policy};
@@ -69,7 +70,7 @@ pub use dwell::MinDwell;
 pub use estimate::PowerEstimator;
 pub use manager::{AdaptiveSampling, Manager, ManagerConfig};
 pub use policy::{DecisionHook, Environment, Oracle};
-pub use report::{IntervalLog, NormalizedComparison, RunReport};
+pub use report::{IntervalLog, NormalizedComparison, RunReport, RunSummary};
 pub use session::{par_map, Session};
 pub use table::{TranslationTable, TranslationTableError};
 pub use thermal::{PowerCap, ThermalAware};

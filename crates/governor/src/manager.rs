@@ -230,7 +230,10 @@ impl Manager {
     /// [`IntervalSource`]: a `&WorkloadTrace` (replayed from its buffer,
     /// exactly as before the streaming refactor) or any live source —
     /// intervals are pulled one at a time as the CPU consumes them, so a
-    /// streamed run holds O(1) workload memory however long it is.
+    /// streamed run holds O(1) workload memory however long it is. The
+    /// report's interval log is O(n), one entry per PMI, allocated once
+    /// from the source's [`IntervalSource::len_hint`];
+    /// [`RunReport::into_summary`] drops it when only totals matter.
     ///
     /// # Panics
     ///
@@ -247,8 +250,14 @@ impl Manager {
         let workload_name = source.name().to_owned();
         let mut cpu = Cpu::new(platform);
         let mut state = RunState {
+            // One entry per interval the source announces, plus an
+            // off-grid tail.
+            intervals: Vec::with_capacity(source.len_hint().map_or(0, |n| n + 1)),
             thermal: self.config.thermal.map(livephase_pmsim::ThermalState::new),
-            ..RunState::default()
+            durations: None,
+            // An engine that arrives warm already has a prediction
+            // standing for the first interval.
+            standing: self.engine.as_ref().and_then(|e| e.pending(RUN_PID)),
         };
         // The baseline classifies only for its interval log, under the
         // paper's Table 1 phases.
@@ -267,12 +276,10 @@ impl Manager {
         // over.
         if let Some(pmi) = cpu.flush_partial_interval() {
             let phase = map.classify_rate(pmi.metrics.mem_uop());
-            let standing = self.engine.as_mut().and_then(|engine| {
-                let standing = engine.pending(RUN_PID);
+            if let Some(engine) = &mut self.engine {
                 let _ = engine.score_tail(RUN_PID, phase);
-                standing
-            });
-            state.log_interval(&pmi, phase, standing);
+            }
+            state.log_interval(&pmi, phase);
         }
         cpu.set_pport_bits(0);
 
@@ -309,8 +316,6 @@ impl Manager {
         map: &PhaseMap,
         state: &mut RunState,
     ) {
-        let phase = map.classify_rate(pmi.metrics.mem_uop());
-
         // Integrate the thermal model through the elapsed interval.
         let interval_power_w = if pmi.interval_seconds > 0.0 {
             pmi.interval_energy_j / pmi.interval_seconds
@@ -325,10 +330,11 @@ impl Manager {
         let toggled = cpu.pport_bits() ^ pport::PHASE_TOGGLE;
         cpu.set_pport_bits(toggled);
 
-        let (setting, standing) = match &mut self.engine {
-            None => (0, None),
+        // The engine classifies the interval under the same map, from the
+        // same counts; only the baseline classifies here.
+        let (setting, phase, predicted) = match &mut self.engine {
+            None => (0, map.classify_rate(pmi.metrics.mem_uop()), None),
             Some(engine) => {
-                let standing = engine.pending(RUN_PID);
                 let decision = engine.step(&Sample {
                     pid: RUN_PID,
                     uops: pmi.metrics.uops_retired,
@@ -345,10 +351,11 @@ impl Manager {
                         },
                     ),
                 };
-                (setting, standing)
+                (setting, decision.phase, Some(decision.predicted))
             }
         };
-        state.log_interval(pmi, phase, standing);
+        state.log_interval(pmi, phase);
+        state.standing = predicted;
 
         cpu.service_pmi_overhead(self.config.handler_overhead_s);
         #[expect(
@@ -377,17 +384,21 @@ impl Manager {
 }
 
 /// Book-keeping across PMI invocations.
-#[derive(Default)]
 struct RunState {
     intervals: Vec<IntervalLog>,
     thermal: Option<livephase_pmsim::ThermalState>,
     durations: Option<DurationPredictor>,
+    /// The engine's prediction for the interval now running: the last
+    /// decision's `predicted`, so the handler never probes the engine
+    /// for it.
+    standing: Option<PhaseId>,
 }
 
 impl RunState {
     /// Logs one elapsed interval, classified as `phase`, against the
     /// prediction that was standing when it began.
-    fn log_interval(&mut self, pmi: &PmiRecord, phase: PhaseId, predicted: Option<PhaseId>) {
+    fn log_interval(&mut self, pmi: &PmiRecord, phase: PhaseId) {
+        let predicted = self.standing;
         self.intervals.push(IntervalLog {
             index: self.intervals.len(),
             mem_uop: pmi.metrics.mem_uop().get(),
@@ -473,6 +484,23 @@ mod tests {
         let r = Manager::baseline().run(&trace, &PlatformConfig::pentium_m());
         assert_eq!(r.intervals.len(), 2);
         assert!(r.intervals[1].duration_s < r.intervals[0].duration_s);
+    }
+
+    #[test]
+    fn interval_log_is_sized_once_from_the_source() {
+        let platform = PlatformConfig::pentium_m();
+        let spec = spec::benchmark("applu_in").unwrap().with_length(300);
+        let trace = spec.generate(3);
+        for r in [
+            Manager::gpht_deployed().run(spec.stream(3), &platform),
+            Manager::baseline().run(&trace, &platform),
+        ] {
+            let (len, cap) = (r.intervals.len(), r.intervals.capacity());
+            assert!(
+                cap == len || cap == len + 1,
+                "{len} entries, capacity {cap}"
+            );
+        }
     }
 
     #[test]

@@ -113,28 +113,67 @@ impl RunReport {
             .collect()
     }
 
-    /// Normalizes this run against a baseline run of the same workload.
+    /// Normalizes this run against a baseline run of the same workload;
+    /// see [`NormalizedComparison::between`].
     ///
     /// # Panics
     ///
-    /// Panics if the baseline retired a different instruction count (the
-    /// comparison would be meaningless) or has zero time/energy.
+    /// Panics if the two runs did different work or the baseline has zero
+    /// time/energy.
     #[must_use]
     pub fn compare_to(&self, baseline: &RunReport) -> NormalizedComparison {
-        assert_eq!(
-            self.totals.instructions, baseline.totals.instructions,
-            "compared runs must execute the same work"
-        );
-        assert!(
-            baseline.totals.time_s > 0.0 && baseline.totals.energy_j > 0.0,
-            "baseline must have run"
-        );
-        NormalizedComparison {
-            bips_ratio: self.bips() / baseline.bips(),
-            power_ratio: self.average_power_w() / baseline.average_power_w(),
-            energy_ratio: self.totals.energy_j / baseline.totals.energy_j,
-            edp_ratio: self.edp() / baseline.edp(),
+        NormalizedComparison::between(&self.totals, &baseline.totals)
+    }
+
+    /// The run's whole-run summary, dropping the per-interval log and
+    /// the power waveform.
+    #[must_use]
+    pub fn into_summary(self) -> RunSummary {
+        RunSummary {
+            workload: self.workload,
+            policy: self.policy,
+            totals: self.totals,
+            prediction: self.prediction,
+            dvfs_transitions: self.dvfs_transitions,
+            peak_temperature_c: self.peak_temperature_c,
+            final_temperature_c: self.final_temperature_c,
         }
+    }
+}
+
+/// What a [`RunReport`] says about the run as a whole: everything but
+/// the per-interval log and the power waveform. Whole-run comparisons
+/// (Figures 11–13) need no more, and a summary's size does not grow with
+/// the run's length.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSummary {
+    /// Workload name.
+    pub workload: String,
+    /// Policy name.
+    pub policy: String,
+    /// Ground-truth totals.
+    pub totals: RunTotals,
+    /// Next-phase prediction accuracy over the run.
+    pub prediction: PredictionStats,
+    /// Number of actual DVFS transitions performed.
+    pub dvfs_transitions: u64,
+    /// Peak junction temperature over the run, when tracked.
+    pub peak_temperature_c: Option<f64>,
+    /// Junction temperature at the end of the run, when tracked.
+    pub final_temperature_c: Option<f64>,
+}
+
+impl RunSummary {
+    /// Normalizes this run against a baseline run of the same workload;
+    /// see [`NormalizedComparison::between`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two runs did different work or the baseline has zero
+    /// time/energy.
+    #[must_use]
+    pub fn compare_to(&self, baseline: &RunSummary) -> NormalizedComparison {
+        NormalizedComparison::between(&self.totals, &baseline.totals)
     }
 }
 
@@ -152,6 +191,31 @@ pub struct NormalizedComparison {
 }
 
 impl NormalizedComparison {
+    /// Normalizes one run's totals against a baseline run of the same
+    /// workload: the one place the Figures 11–13 ratios are computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the baseline retired a different instruction count (the
+    /// comparison would be meaningless) or has zero time/energy.
+    #[must_use]
+    pub fn between(run: &RunTotals, baseline: &RunTotals) -> Self {
+        assert_eq!(
+            run.instructions, baseline.instructions,
+            "compared runs must execute the same work"
+        );
+        assert!(
+            baseline.time_s > 0.0 && baseline.energy_j > 0.0,
+            "baseline must have run"
+        );
+        Self {
+            bips_ratio: run.bips() / baseline.bips(),
+            power_ratio: run.average_power_w() / baseline.average_power_w(),
+            energy_ratio: run.energy_j / baseline.energy_j,
+            edp_ratio: run.edp() / baseline.edp(),
+        }
+    }
+
     /// Percent EDP improvement over baseline (positive is better).
     #[must_use]
     pub fn edp_improvement_pct(&self) -> f64 {
@@ -221,6 +285,15 @@ mod tests {
         let c = a.compare_to(&report(1.0, 10.0));
         assert!((c.edp_ratio - 1.0).abs() < 1e-12);
         assert_eq!(c.edp_improvement_pct(), 0.0);
+    }
+
+    #[test]
+    fn summaries_compare_like_their_reports() {
+        let (baseline, managed) = (report(1.0, 10.0), report(1.05, 6.0));
+        let c = managed.compare_to(&baseline);
+        let summary = managed.into_summary();
+        assert_eq!(summary.policy, "test");
+        assert_eq!(summary.compare_to(&baseline.into_summary()), c);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The O(1)-memory interval sources must be indistinguishable — bit for
 //! bit — from the materialized traces they replaced, and the parallel
-//! Figure 11 sweep must reproduce the sequential loop element for element.
+//! Figure 11 sweep must reproduce the sequential loop's run summaries
+//! element for element.
 
 use livephase::experiments::runs::{measure_all, Outcome};
-use livephase::governor::{par_map, RunReport, Session};
+use livephase::governor::{par_map, RunReport, RunSummary, Session};
 use livephase::pmsim::PlatformConfig;
 use livephase::workloads::{registry, IntervalSource};
 
@@ -74,6 +75,37 @@ fn streaming_matches_materialized_for_all_benchmarks() {
     });
 }
 
+/// Two whole-run summaries must agree bit for bit: every total, the
+/// prediction score, the transition count and the temperatures. The
+/// per-interval logs they came from are covered by
+/// `streaming_matches_materialized_for_all_benchmarks`.
+fn assert_summaries_bit_identical(label: &str, a: &RunSummary, b: &RunSummary) {
+    let totals = |s: &RunSummary| {
+        let t = &s.totals;
+        (
+            t.time_s.to_bits(),
+            t.energy_j.to_bits(),
+            t.instructions,
+            t.uops,
+            t.mem_transactions,
+        )
+    };
+    assert_eq!(totals(a), totals(b), "{label}: totals diverged");
+    assert_eq!(a.prediction, b.prediction, "{label}: prediction diverged");
+    assert_eq!(
+        a.dvfs_transitions, b.dvfs_transitions,
+        "{label}: transitions diverged"
+    );
+    let temps = |s: &RunSummary| {
+        (
+            s.peak_temperature_c.map(f64::to_bits),
+            s.final_temperature_c.map(f64::to_bits),
+        )
+    };
+    assert_eq!(temps(a), temps(b), "{label}: temperatures diverged");
+    assert_eq!(a, b, "{label}: summary diverged");
+}
+
 /// The parallel Figure 11 sweep returns exactly what the sequential loop
 /// returns, in registry order.
 #[test]
@@ -89,8 +121,12 @@ fn parallel_figure11_sweep_equals_sequential() {
     assert_eq!(parallel.len(), sequential.len());
     for (p, s) in parallel.iter().zip(&sequential) {
         assert_eq!(p.name, s.name);
-        assert_bit_identical(&format!("{}/baseline", p.name), &p.baseline, &s.baseline);
-        assert_bit_identical(&format!("{}/reactive", p.name), &p.reactive, &s.reactive);
-        assert_bit_identical(&format!("{}/gpht", p.name), &p.gpht, &s.gpht);
+        for (system, a, b) in [
+            ("baseline", &p.baseline, &s.baseline),
+            ("reactive", &p.reactive, &s.reactive),
+            ("gpht", &p.gpht, &s.gpht),
+        ] {
+            assert_summaries_bit_identical(&format!("{}/{system}", p.name), a, b);
+        }
     }
 }
