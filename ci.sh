@@ -150,6 +150,13 @@ echo "$metrics_out" | grep -q '^serve_power_estimate_mw{' \
     || { echo "smoke: power-estimate gauge missing from scrape"; exit 1; }
 echo "$metrics_out" | sed -n 's/^serve_power_estimate_mw{[^}]*} //p' | grep -qv '^0$' \
     || { echo "smoke: no shard priced its last decision"; exit 1; }
+# The scrape is the server's one counter surface. This server process
+# is fresh and the scrape connection sends no samples, so the per-shard
+# sample counters sum to exactly the bench's 60.
+shard_samples=$(echo "$metrics_out" | sed -n 's/^serve_shard_samples_total{[^}]*} //p' \
+    | awk '{ sum += $1 } END { print sum + 0 }')
+[ "$shard_samples" -eq 60 ] \
+    || { echo "smoke: serve_shard_samples_total sums to $shard_samples, expected 60"; exit 1; }
 
 wait "$serve_pid" || { echo "smoke: serve exited non-zero"; exit 1; }
 grep -q 'served 2 connections' serve_smoke.log || { echo "smoke: bad serve summary"; exit 1; }

@@ -4,42 +4,14 @@
 //! hit, miss, evict and reset, and while windows fill, slide, flush on
 //! transitions and reset.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use livephase_core::{
     FixedWindow, Gpht, GphtConfig, HashedGpht, HashedGphtConfig, PhaseId, PhaseSample, Predictor,
     Selector, VariableWindow,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    /// Allocations made by this thread. Const-initialised and without a
-    /// destructor, so the allocator can touch it without allocating.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; counting touches only a thread-local `Cell`.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 /// A period-14 six-phase stream with one sample in eight replaced by
 /// xorshift noise: patterns recur (hits) and keep appearing (misses past

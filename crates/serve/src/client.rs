@@ -9,7 +9,7 @@
 //! nonblocking many-connection client is the load generator
 //! ([`crate::loadgen`]), which drives the server's own framed transport.
 
-use crate::wire::{self, ErrorCode, Frame, FrameError, StatsSnapshot, PROTOCOL_VERSION};
+use crate::wire::{self, ErrorCode, Frame, FrameError, PROTOCOL_VERSION};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -195,31 +195,15 @@ impl Client {
         }
     }
 
-    /// Requests and reads a stats snapshot. Drain pending decisions
-    /// first: the protocol answers in order per stream, but a snapshot
-    /// may overtake decisions still being computed.
-    ///
-    /// # Errors
-    ///
-    /// Transport/decode errors; [`ClientError::Unexpected`] if a
-    /// decision was still in flight.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        self.send(&Frame::StatsRequest)?;
-        self.flush()?;
-        match self.read()? {
-            Frame::Stats(snapshot) => Ok(snapshot),
-            Frame::Error { code, message } => Err(ClientError::Refused { code, message }),
-            other => Err(unexpected("Stats", &other)),
-        }
-    }
-
-    /// Requests and reads a metrics exposition scrape. As with
-    /// [`stats`](Self::stats), drain pending decisions first.
+    /// Requests and reads a metrics exposition scrape. Drain pending
+    /// decisions first: the server answers in order per stream, so a
+    /// decision still in flight arrives before the scrape.
     ///
     /// # Errors
     ///
     /// Transport/decode errors; [`ClientError::Refused`] when the
-    /// server terminates the session instead.
+    /// server terminates the session instead; [`ClientError::Unexpected`]
+    /// if a decision was still in flight.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.send(&Frame::MetricsRequest)?;
         self.flush()?;

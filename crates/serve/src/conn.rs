@@ -68,8 +68,6 @@ pub(crate) struct Cx<'a> {
     pub(crate) metrics: &'a ReactorMetrics,
     /// Which shard owns this connection (echoed in `HelloAck`).
     pub(crate) shard_index: usize,
-    /// Total shard count (echoed in `Stats`).
-    pub(crate) shards_total: usize,
     /// Outbound queue cap; exceeding it sheds the connection.
     pub(crate) max_outbound: usize,
     /// Shard-owned run accumulator: consecutive samples coalesce here
@@ -341,11 +339,6 @@ impl Conn {
                     mem_transactions: mem_trans,
                 });
             }
-            Frame::StatsRequest => {
-                self.flush_run(cx);
-                let shards = u32::try_from(cx.shards_total).unwrap_or(u32::MAX);
-                self.io.queue(&Frame::Stats(cx.shared.snapshot(shards)));
-            }
             Frame::MetricsRequest => {
                 self.flush_run(cx);
                 let rendered = livephase_telemetry::Registry::render(livephase_telemetry::global());
@@ -381,7 +374,6 @@ impl Conn {
             return;
         };
         let n = cx.samples.len() as u64;
-        let before = session.processes();
         // Three chained clock reads time both stages: start, after
         // `step_many`, after encoding. Each stage enters its histogram
         // once, at its batch-amortized per-decision cost weighted by the
@@ -396,10 +388,6 @@ impl Conn {
             .record_n_saturating((stepped - started).as_micros() / u128::from(n), n);
         cx.metrics.shard.samples_total.add(n);
         cx.shared.samples.fetch_add(n, Ordering::Relaxed);
-        let grown = (session.processes() - before) as u64;
-        if grown > 0 {
-            cx.shared.processes.fetch_add(grown, Ordering::Relaxed);
-        }
         for d in cx.decisions.iter() {
             self.io.queue(&Frame::Decision {
                 pid: d.pid,
@@ -513,12 +501,9 @@ impl Conn {
     }
 
     /// Final bookkeeping when the shard closes this connection: the
-    /// session's predictor state (and its process count) retires with it.
-    pub(crate) fn finish(&mut self, shared: &Shared, metrics: &ReactorMetrics) {
-        if let Some(session) = self.session.take() {
-            shared
-                .processes
-                .fetch_sub(session.processes() as u64, Ordering::Relaxed);
+    /// session's predictor state retires with it.
+    pub(crate) fn finish(&mut self, metrics: &ReactorMetrics) {
+        if self.session.take().is_some() {
             metrics.shard.sessions.dec();
         }
     }

@@ -12,7 +12,8 @@
 //!
 //! - [`wire`] — the versioned, length-prefixed binary frame protocol:
 //!   `Hello`/`HelloAck` handshake, `Sample` → `Decision` streaming,
-//!   `Stats`, explicit `Error` frames.
+//!   the in-band `MetricsRequest` → `Metrics` scrape, explicit `Error`
+//!   frames.
 //! - [`server`] — the sharded daemon: N shard owner threads exclusively
 //!   holding predictor state (one `DecisionEngine` per session, its
 //!   queued samples drained through the batched `step_many`), timeouts, a `max_conns` accept gate,
@@ -55,4 +56,4 @@ pub use client::{Client, ClientError, ServedDecision};
 pub use livephase_engine::{Decision, EngineConfig, EngineConfigError, Sample};
 pub use loadgen::{Agreement, LoadGenConfig, LoadGenError, LoadReport};
 pub use server::{spawn, ServerConfig, ServerHandle, ServerSummary};
-pub use wire::{ErrorCode, Frame, StatsSnapshot, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+pub use wire::{ErrorCode, Frame, MAX_FRAME_BYTES, PROTOCOL_VERSION};

@@ -20,7 +20,6 @@
 //! connect; connections are drained — in-flight samples still get their
 //! decisions and queued frames flush — before sockets close.
 
-use crate::wire::StatsSnapshot;
 use livephase_engine::EngineConfig;
 use livephase_telemetry::{catalogue, trace_event, Counter, Gauge, Histogram, Level};
 use std::io;
@@ -143,7 +142,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Final counters reported when the server exits.
+/// A server's counters: read live through [`ServerHandle::summary`],
+/// and reported once more when the server exits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerSummary {
     /// Connections admitted past the accept gate.
@@ -169,7 +169,6 @@ pub(crate) struct Shared {
     pub(crate) poisoned: AtomicU64,
     pub(crate) samples: AtomicU64,
     pub(crate) decisions: AtomicU64,
-    pub(crate) processes: AtomicU64,
     pub(crate) metrics: ServeMetrics,
 }
 
@@ -183,19 +182,7 @@ impl Shared {
             poisoned: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
-            processes: AtomicU64::new(0),
             metrics: ServeMetrics::new(),
-        }
-    }
-
-    pub(crate) fn snapshot(&self, shards: u32) -> StatsSnapshot {
-        StatsSnapshot {
-            samples: self.samples.load(Ordering::Relaxed),
-            decisions: self.decisions.load(Ordering::Relaxed),
-            connections: self.accepted.load(Ordering::Relaxed),
-            active_connections: self.active.load(Ordering::Relaxed),
-            processes: self.processes.load(Ordering::Relaxed),
-            shards,
         }
     }
 
@@ -223,6 +210,14 @@ impl ServerHandle {
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
+    }
+
+    /// This server's counters so far, read live. Unlike the process-wide
+    /// metrics registry, which every server in the process records into,
+    /// these count this server's traffic only.
+    #[must_use]
+    pub fn summary(&self) -> ServerSummary {
+        self.shared.summary()
     }
 
     /// Raises the shutdown flag, pokes the listener awake, and waits for

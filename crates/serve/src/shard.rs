@@ -101,7 +101,6 @@ impl Shard<'_> {
             shared: self.shared,
             metrics: &self.metrics,
             shard_index: self.index,
-            shards_total: self.config.shards,
             max_outbound: self.config.max_outbound_bytes,
             samples: &mut self.samples,
             decisions: &mut self.decisions,
@@ -307,7 +306,7 @@ fn shard_reactor_loop(
                 continue; // duplicate close request this wake
             };
             let _ = epoll.delete(fd);
-            conn.finish(shared, &shard.metrics);
+            conn.finish(&shard.metrics);
             if conn.admitted {
                 trace_event!(
                     Level::Debug,

@@ -28,7 +28,11 @@ use std::io::{self, Read, Write};
 /// The one protocol version this build speaks. A server receiving a
 /// `Hello` with any other version answers [`ErrorCode::VersionMismatch`]
 /// and closes the connection; `HelloAck` carries this version back.
-pub const PROTOCOL_VERSION: u16 = 2;
+///
+/// Version 3 retired tags 5 and 6 (v2's counter snapshot request and
+/// reply); they now decode as [`DecodeError::UnknownTag`]. Every other
+/// tag keeps its v2 byte.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Hard ceiling on the payload length of a single frame.
 ///
@@ -133,23 +137,6 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// Aggregate service counters, shipped in a [`Frame::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Samples ingested since the server started.
-    pub samples: u64,
-    /// Decisions computed since the server started.
-    pub decisions: u64,
-    /// Connections accepted since the server started.
-    pub connections: u64,
-    /// Connections currently open.
-    pub active_connections: u64,
-    /// Logical processes (pid streams) with live predictor state.
-    pub processes: u64,
-    /// Number of shards serving.
-    pub shards: u32,
-}
-
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -200,11 +187,6 @@ pub enum Frame {
         /// of [`CONFIDENCE_SCALE`].
         confidence: u16,
     },
-    /// Client → server: request a [`Frame::Stats`]. Answered in-order
-    /// with the connection's decision stream.
-    StatsRequest,
-    /// Server → client: aggregate service counters.
-    Stats(StatsSnapshot),
     /// Either direction: the connection is being abandoned and why. The
     /// sender closes after this frame.
     Error {
@@ -231,7 +213,8 @@ pub enum Frame {
 /// A frame's one-byte wire tag. Each [`Frame`] variant's tag, wire
 /// value and name live here, once: rustc rejects a duplicate
 /// discriminant, [`Frame::tag`] is an exhaustive `match`, and
-/// [`decode_payload`] dispatches exhaustively on the tag.
+/// [`decode_payload`] dispatches exhaustively on the tag. Bytes 5 and 6
+/// are retired (see [`PROTOCOL_VERSION`]) and must not be reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum Tag {
@@ -239,8 +222,6 @@ pub(crate) enum Tag {
     HelloAck = 2,
     Sample = 3,
     Decision = 4,
-    StatsRequest = 5,
-    Stats = 6,
     Error = 7,
     Goodbye = 8,
     MetricsRequest = 9,
@@ -255,8 +236,6 @@ impl Tag {
             2 => Self::HelloAck,
             3 => Self::Sample,
             4 => Self::Decision,
-            5 => Self::StatsRequest,
-            6 => Self::Stats,
             7 => Self::Error,
             8 => Self::Goodbye,
             9 => Self::MetricsRequest,
@@ -272,8 +251,6 @@ impl Tag {
             Self::HelloAck => "HelloAck",
             Self::Sample => "Sample",
             Self::Decision => "Decision",
-            Self::StatsRequest => "StatsRequest",
-            Self::Stats => "Stats",
             Self::Error => "Error",
             Self::Goodbye => "Goodbye",
             Self::MetricsRequest => "MetricsRequest",
@@ -290,8 +267,6 @@ impl Frame {
             Self::HelloAck { .. } => Tag::HelloAck,
             Self::Sample { .. } => Tag::Sample,
             Self::Decision { .. } => Tag::Decision,
-            Self::StatsRequest => Tag::StatsRequest,
-            Self::Stats(_) => Tag::Stats,
             Self::Error { .. } => Tag::Error,
             Self::Goodbye => Tag::Goodbye,
             Self::MetricsRequest => Tag::MetricsRequest,
@@ -451,20 +426,12 @@ pub fn encode_payload_into(frame: &Frame, buf: &mut Vec<u8>) {
             buf.push(*op_point);
             buf.extend_from_slice(&confidence.to_le_bytes());
         }
-        Frame::Stats(s) => {
-            buf.extend_from_slice(&s.samples.to_le_bytes());
-            buf.extend_from_slice(&s.decisions.to_le_bytes());
-            buf.extend_from_slice(&s.connections.to_le_bytes());
-            buf.extend_from_slice(&s.active_connections.to_le_bytes());
-            buf.extend_from_slice(&s.processes.to_le_bytes());
-            buf.extend_from_slice(&s.shards.to_le_bytes());
-        }
         Frame::Error { code, message } => {
             buf.push(code.to_u8());
             put_str(buf, message);
         }
         Frame::Metrics { text } => put_str(buf, text),
-        Frame::StatsRequest | Frame::Goodbye | Frame::MetricsRequest => {}
+        Frame::Goodbye | Frame::MetricsRequest => {}
     }
 }
 
@@ -594,15 +561,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, DecodeError> {
             op_point: f.u8()?,
             confidence: f.u16()?,
         },
-        Tag::StatsRequest => Frame::StatsRequest,
-        Tag::Stats => Frame::Stats(StatsSnapshot {
-            samples: f.u64()?,
-            decisions: f.u64()?,
-            connections: f.u64()?,
-            active_connections: f.u64()?,
-            processes: f.u64()?,
-            shards: f.u32()?,
-        }),
         Tag::Error => {
             let code = f.u8()?;
             Frame::Error {
@@ -835,15 +793,6 @@ mod tests {
             op_point: 5,
             confidence: 9_876,
         });
-        round_trip(&Frame::StatsRequest);
-        round_trip(&Frame::Stats(StatsSnapshot {
-            samples: 1,
-            decisions: 2,
-            connections: 3,
-            active_connections: 4,
-            processes: 5,
-            shards: 6,
-        }));
         round_trip(&Frame::Error {
             code: ErrorCode::Malformed,
             message: "tag 200 is not a frame".into(),
@@ -858,6 +807,8 @@ mod tests {
     /// Wire compatibility: each tag's byte, and the full encoding of one
     /// instance of every frame variant, as literal bytes. A renumbered
     /// tag changes both sides of a round trip, so only a golden sees it.
+    /// The retired tags 5 and 6 stay unknown: a v2 peer's snapshot
+    /// request decodes as an error, never as another frame.
     #[test]
     fn tags_and_frame_encodings_are_pinned() {
         let tags = [
@@ -865,8 +816,6 @@ mod tests {
             (Tag::HelloAck, 2),
             (Tag::Sample, 3),
             (Tag::Decision, 4),
-            (Tag::StatsRequest, 5),
-            (Tag::Stats, 6),
             (Tag::Error, 7),
             (Tag::Goodbye, 8),
             (Tag::MetricsRequest, 9),
@@ -876,11 +825,16 @@ mod tests {
             assert_eq!(tag as u8, byte, "{tag:?}");
             assert_eq!(Tag::from_u8(byte), Some(tag));
         }
-        assert_eq!(Tag::from_u8(0), None);
-        assert_eq!(Tag::from_u8(11), None);
+        for unknown in [0, 5, 6, 11] {
+            assert_eq!(Tag::from_u8(unknown), None);
+        }
+        // A v2 client's snapshot request (tag 5), whole on the wire.
+        let mut dec = FrameDecoder::new();
+        dec.feed(&[1, 0, 0, 0, 5]);
+        assert_eq!(dec.next_frame(), Err(DecodeError::UnknownTag(5)));
 
         let z7 = [0u8; 7];
-        let cases: [(Frame, Vec<u8>); 10] = [
+        let cases: [(Frame, Vec<u8>); 8] = [
             (
                 Frame::Hello {
                     version: 2,
@@ -925,31 +879,6 @@ mod tests {
                     confidence: 0x1234,
                 },
                 vec![8, 0, 0, 0, 4, 7, 0, 0, 0, 5, 0x34, 0x12],
-            ),
-            (Frame::StatsRequest, vec![1, 0, 0, 0, 5]),
-            (
-                Frame::Stats(StatsSnapshot {
-                    samples: 1,
-                    decisions: 2,
-                    connections: 3,
-                    active_connections: 4,
-                    processes: 5,
-                    shards: 6,
-                }),
-                [
-                    &[45, 0, 0, 0, 6, 1][..],
-                    &z7,
-                    &[2],
-                    &z7,
-                    &[3],
-                    &z7,
-                    &[4],
-                    &z7,
-                    &[5],
-                    &z7,
-                    &[6, 0, 0, 0],
-                ]
-                .concat(),
             ),
             (
                 Frame::Error {

@@ -6,7 +6,7 @@
 
 use livephase_serve::wire::{
     decode_payload, encode, encode_payload, read_frame, DecodeError, ErrorCode, Frame,
-    FrameDecoder, FrameError, StatsSnapshot, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    FrameDecoder, FrameError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -66,27 +66,6 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                 confidence,
             }
         ),
-        Just(Frame::StatsRequest),
-        (
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            0u32..=u32::MAX,
-        )
-            .prop_map(
-                |(samples, decisions, connections, active_connections, processes, shards)| {
-                    Frame::Stats(StatsSnapshot {
-                        samples,
-                        decisions,
-                        connections,
-                        active_connections,
-                        processes,
-                        shards,
-                    })
-                }
-            ),
         (arb_error_code(), arb_string()).prop_map(|(code, message)| Frame::Error { code, message }),
         Just(Frame::Goodbye),
         Just(Frame::MetricsRequest),

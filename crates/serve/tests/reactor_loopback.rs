@@ -497,22 +497,16 @@ fn idle_reap_and_graceful_drain_account_exactly() {
             .expect("queue");
     }
     busy.flush().expect("flush");
-    // Wait until the server has computed all 30 decisions so the
+    // Wait until this server has computed all 30 decisions so the
     // shutdown drains delivery, not computation.
-    let mut observer = connect(&handle, 3);
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = observer.stats().expect("stats");
-        if stats.decisions >= 30 {
-            break;
-        }
+    while handle.summary().decisions < 30 {
         assert!(
             std::time::Instant::now() < deadline,
             "server never ingested the 30 samples"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    observer.goodbye().expect("close observer");
 
     let summary = handle.shutdown();
     for _ in 0..30 {
