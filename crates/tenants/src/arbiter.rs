@@ -28,7 +28,8 @@
 //! while the budget holds, converging to the most even feasible
 //! allocation.
 //!
-//! Neither allocates beyond the returned grant vector. `worst_case` is
+//! Neither allocates once warm: the grants live in an arbiter-owned
+//! buffer that each call refills and lends out. `worst_case` is
 //! non-increasing along the operating-point table for every backend, so
 //! upgrading a grant can only *raise* its core's maximum: the arbiter
 //! keeps the per-core maxima of the current grant vector and prices a
@@ -145,8 +146,11 @@ struct Scratch {
     order: Vec<usize>,
     /// `waterfill`: the cores checked at the current level, in order.
     sweep: Vec<usize>,
-    /// `[granted, denied]` outcome tallies by granted setting.
+    /// `[granted, denied]` outcome tallies by granted setting, of the
+    /// grants last issued.
     outcomes: Vec<[u64; 2]>,
+    /// The grants last issued, one per request, in request order.
+    grants: Vec<Grant>,
 }
 
 /// The per-epoch power-cap arbiter.
@@ -402,8 +406,9 @@ impl Arbiter {
     }
 
     /// Arbitrates one epoch: returns one [`Grant`] per request, in
-    /// request order. Deterministic: ties break by tenant id.
-    pub fn arbitrate(&mut self, requests: &[Request]) -> Vec<Grant> {
+    /// request order. Deterministic: ties break by tenant id. Every call
+    /// arbitrates in full; the grants stay held for [`reissue`](Self::reissue).
+    pub fn arbitrate(&mut self, requests: &[Request]) -> &[Grant] {
         // Built from the fields, not `prices()`, so the scratch vectors
         // can be borrowed alongside.
         let prices = Prices {
@@ -413,7 +418,8 @@ impl Arbiter {
         };
         let slowest = prices.slowest();
         let s = &mut self.scratch;
-        let mut grants = Vec::with_capacity(requests.len());
+        let mut grants = std::mem::take(&mut s.grants);
+        grants.clear();
         prices.open(requests, s, &mut grants);
         if !prices.wants_fit(s) {
             match self.policy {
@@ -435,7 +441,16 @@ impl Arbiter {
                 *n += 1;
             }
         }
-        for op in 0..=slowest {
+        s.grants = grants;
+        self.reissue()
+    }
+
+    /// Issues the last [`arbitrate`](Self::arbitrate) call's grants again,
+    /// for an epoch whose requests equal that call's: they are what it
+    /// would return. Counts their outcomes again, so the grant and denial
+    /// totals stay per epoch.
+    pub fn reissue(&mut self) -> &[Grant] {
+        for op in 0..self.scratch.outcomes.len() {
             let [granted, denied] = self.scratch.outcomes.get(op).copied().unwrap_or_default();
             if granted > 0 {
                 self.count_outcomes(op, false, granted);
@@ -444,7 +459,7 @@ impl Arbiter {
                 self.count_outcomes(op, true, denied);
             }
         }
-        grants
+        &self.scratch.grants
     }
 
     /// Counts `n` grant outcomes at one granted setting: one labelled
@@ -548,7 +563,7 @@ mod tests {
         for policy in [ArbiterPolicy::Priority, ArbiterPolicy::WaterFill] {
             let mut a = arbiter(18.0, policy, 2);
             let reqs = requests(&[(0, 0, 0, 1), (1, 1, 0, 1), (2, 0, 0, 0), (3, 1, 0, 0)]);
-            let grants = a.arbitrate(&reqs);
+            let grants = a.arbitrate(&reqs).to_vec();
             assert!(
                 admitted_cost(&a, &reqs, &grants) <= 18.0 + 1e-9,
                 "{policy}: grant vector exceeds the budget"
@@ -796,7 +811,7 @@ mod tests {
                     for epoch in &epochs {
                         let reqs = requests(epoch);
                         let expected = reference::arbitrate(&a, &reqs);
-                        let grants = a.arbitrate(&reqs);
+                        let grants = a.arbitrate(&reqs).to_vec();
                         prop_assert_eq!(
                             &grants,
                             &expected,
@@ -804,6 +819,14 @@ mod tests {
                             platform.power.kind_name(),
                             policy,
                             reqs
+                        );
+                        // Reissuing hands back the same grants and
+                        // counts every outcome again.
+                        let counted = a.grants_total() + a.denials_total();
+                        prop_assert_eq!(a.reissue(), &expected[..]);
+                        prop_assert_eq!(
+                            a.grants_total() + a.denials_total(),
+                            counted + reqs.len() as u64
                         );
                         if a.floor_feasible(&reqs) {
                             prop_assert!(
@@ -823,6 +846,7 @@ mod tests {
         for policy in [ArbiterPolicy::Priority, ArbiterPolicy::WaterFill] {
             let mut a = arbiter(0.0, policy, 3);
             assert!(a.arbitrate(&[]).is_empty());
+            assert!(a.reissue().is_empty());
             assert!(a.floor_feasible(&[]), "no tenants draw nothing");
             assert_eq!(a.grants_total() + a.denials_total(), 0);
         }
@@ -835,7 +859,7 @@ mod tests {
             // Tenant 5 twice; core 9 folds onto the last core; op 40 is
             // past the table and means "slowest".
             let reqs = requests(&[(5, 9, 40, 1), (5, 0, 0, 1), (1, 1, 2, 0)]);
-            let grants = a.arbitrate(&reqs);
+            let grants = a.arbitrate(&reqs).to_vec();
             let ops: Vec<usize> = grants.iter().map(|g| g.op).collect();
             assert_eq!(ops, vec![a.slowest(), 0, 2], "{policy}");
             assert!(grants.iter().all(|g| !g.denied), "{policy}");

@@ -4,11 +4,19 @@
 //! Execution proceeds in *epochs*. Each epoch the arbiter converts the
 //! tenants' standing DVFS requests into per-tenant grants under the watt
 //! budget, then every core runs each of its resident tenants for one
-//! credit quantum (`quantum_uops × weight` micro-ops). A context switch
+//! credit quantum (`quantum_uops × weight` micro-ops). Arbitration is a
+//! pure function of the request vector, so it runs only on epochs whose
+//! requests changed — the first, and any after a tenant's requested
+//! setting changed or a tenant finished; any other epoch reissues the
+//! last grants, counting their outcomes again. A context switch
 //! is a [`VcpuContext`] save/restore, so each tenant's PMC/TSC deltas —
 //! and therefore its Mem/Uop stream, phase classifications, and
 //! decisions — are bit-for-bit identical to a solo run of the same trace
 //! no matter how the cluster slices it.
+//!
+//! Each tenant streams its workload ([`ScenarioSpec::tenant_workload`])
+//! one interval at a time as its quanta consume it, so a run holds
+//! O(tenants) workload state, not every tenant's whole trace.
 //!
 //! Tenants are pinned to core `tenant % K` and a core runs one tenant at
 //! a time, so the arbiter's per-core worst-case accounting (see
@@ -17,27 +25,27 @@
 //! energy/time deltas and reports any time spent above the budget
 //! (expected: none).
 
-use crate::arbiter::{Arbiter, Grant, Request};
+use crate::arbiter::{Arbiter, Request};
 use crate::report::{fnv1a, ClusterReport, TenantReport, DIGEST_SEED};
 use crate::scenario::{ScenarioError, ScenarioSpec};
 use livephase_engine::{DecisionEngine, EngineConfig, Sample};
 use livephase_pmsim::{Cpu, IntervalWork, PlatformConfig, PmiRecord, VcpuContext};
 use livephase_telemetry::catalogue;
+use livephase_workloads::{BenchmarkSpec, IntervalSource, SpecSource};
 
 /// Tolerance on the measured-power budget comparison: measurement is a
 /// ratio of accumulated f64 sums, so give it a whisker of slack.
 const BUDGET_EPS_W: f64 = 1e-6;
 
 /// One tenant's live scheduling state.
-struct TenantRun {
+struct TenantRun<'w> {
     id: u32,
-    benchmark: String,
     noisy: bool,
     weight: u64,
     core: usize,
     ctx: VcpuContext,
-    work: Vec<IntervalWork>,
-    cursor: usize,
+    /// The tenant's workload, generated as its quanta consume it.
+    source: SpecSource<'w>,
     carry: Option<IntervalWork>,
     /// Operating point the tenant's latest decision requested.
     requested_op: usize,
@@ -55,9 +63,9 @@ struct TenantRun {
     sample_digest: u64,
 }
 
-impl TenantRun {
+impl TenantRun<'_> {
     fn has_work(&self) -> bool {
-        self.carry.is_some() || self.cursor < self.work.len()
+        self.carry.is_some() || self.source.len_hint().is_some_and(|left| left > 0)
     }
 
     /// Takes the next work chunk, capped at `credit` micro-ops; the
@@ -69,11 +77,7 @@ impl TenantRun {
         }
         let chunk = match self.carry.take() {
             Some(c) => c,
-            None => {
-                let c = self.work.get(self.cursor).copied()?;
-                self.cursor += 1;
-                c
-            }
+            None => self.source.next_interval()?,
         };
         if chunk.uops > credit {
             // `credit >= 1` and `credit < chunk.uops`, so the split
@@ -148,19 +152,20 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
         .map_err(|e| ScenarioError::BadPredictor(e.to_string()))?;
     let mut arbiter = Arbiter::new(&platform, spec.budget_w, spec.policy, spec.cores);
 
+    let ids = 0..u32::try_from(spec.tenants).unwrap_or(u32::MAX);
+    let workloads = ids
+        .clone()
+        .map(|id| spec.tenant_workload(id))
+        .collect::<Result<Vec<BenchmarkSpec>, _>>()?;
     let mut tenants = Vec::with_capacity(spec.tenants);
-    for id in 0..u32::try_from(spec.tenants).unwrap_or(u32::MAX) {
-        let trace = spec.tenant_trace(id)?;
-        let (benchmark, work) = trace.into_parts();
+    for (id, workload) in ids.zip(&workloads) {
         tenants.push(TenantRun {
             id,
-            benchmark,
             noisy: spec.is_noisy(id),
             weight: spec.tenant_weight(id),
             core: spec.core_of(id),
             ctx: VcpuContext::new(platform.pmi_granularity_uops),
-            work,
-            cursor: 0,
+            source: workload.stream(spec.tenant_seed(id)),
             carry: None,
             requested_op: 0,
             grant: 0,
@@ -192,35 +197,40 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
     let mut requests = Vec::with_capacity(tenants.len());
     let mut request_owner = Vec::with_capacity(tenants.len());
     let mut epoch_marks = Vec::with_capacity(cpus.len());
+    // Whether the live tenants' requests changed since the last
+    // arbitration; the first epoch has none to reuse.
+    let mut requests_changed = true;
 
     while tenants.iter().any(TenantRun::has_work) {
-        // 1. Collect requests from live tenants and arbitrate.
-        requests.clear();
-        request_owner.clear();
-        for (i, tenant) in tenants.iter().enumerate() {
-            if !tenant.has_work() {
-                continue;
+        // 1. Collect requests from live tenants and arbitrate, or, with
+        // the requests unchanged, reissue the grants every tenant holds.
+        if requests_changed {
+            requests.clear();
+            request_owner.clear();
+            for (i, tenant) in tenants.iter().enumerate() {
+                if !tenant.has_work() {
+                    continue;
+                }
+                requests.push(Request {
+                    tenant: tenant.id,
+                    core: tenant.core,
+                    requested_op: tenant.requested_op,
+                    priority: if tenant.noisy { 0 } else { 1 },
+                });
+                request_owner.push(i);
             }
-            requests.push(Request {
-                tenant: tenant.id,
-                core: tenant.core,
-                requested_op: tenant.requested_op,
-                priority: if tenant.noisy { 0 } else { 1 },
-            });
-            request_owner.push(i);
-        }
-        if epochs == 0 {
-            budget_feasible = arbiter.floor_feasible(&requests);
-        }
-        let grants: Vec<Grant> = arbiter.arbitrate(&requests);
-        for (k, grant) in grants.iter().enumerate() {
-            let Some(&owner) = request_owner.get(k) else {
-                continue;
-            };
-            if let Some(tenant) = tenants.get_mut(owner) {
-                tenant.grant = grant.op;
-                tenant.denied_now = grant.denied;
+            if epochs == 0 {
+                budget_feasible = arbiter.floor_feasible(&requests);
             }
+            for (grant, &owner) in arbiter.arbitrate(&requests).iter().zip(&request_owner) {
+                if let Some(tenant) = tenants.get_mut(owner) {
+                    tenant.grant = grant.op;
+                    tenant.denied_now = grant.denied;
+                }
+            }
+            requests_changed = false;
+        } else {
+            arbiter.reissue();
         }
 
         // 2. Schedule: every core runs its residents for one quantum.
@@ -245,6 +255,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
                     }
                 }
                 cpu.load_vcpu(&tenant.ctx);
+                let requested_before = tenant.requested_op;
                 let quantum_start = cpu.totals();
                 // The incoming tenant pays for any DVFS transition its
                 // effective operating point requires.
@@ -266,6 +277,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
                         step_decision(&mut engine, cpu, tenant, &record);
                     }
                 }
+                // A finished tenant leaves the request vector.
+                requests_changed |= tenant.requested_op != requested_before || !tenant.has_work();
                 let quantum_end = cpu.totals();
                 let dt = quantum_end.time_s - quantum_start.time_s;
                 tenant.time_s += dt;
@@ -336,7 +349,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ClusterReport, ScenarioError>
             let stats = engine.pid_stats(tenant.id).unwrap_or_default();
             TenantReport {
                 tenant: tenant.id,
-                benchmark: tenant.benchmark.clone(),
+                benchmark: tenant.source.name().to_owned(),
                 noisy: tenant.noisy,
                 core: tenant.core,
                 intervals: tenant.intervals,
@@ -401,19 +414,15 @@ mod tests {
 
     #[test]
     fn take_chunk_preserves_uop_totals() {
-        let work = vec![
-            IntervalWork::new(1_000_000, 800_000, 10_000, 0.7, 3.0),
-            IntervalWork::new(500_000, 400_000, 20_000, 0.7, 3.0),
-        ];
+        let workload = ScenarioSpec::new(1, 1).tenant_workload(0).unwrap();
+        let trace = workload.generate(7);
         let mut t = TenantRun {
             id: 0,
-            benchmark: "x".into(),
             noisy: false,
             weight: 1,
             core: 0,
             ctx: VcpuContext::new(1_000_000),
-            work,
-            cursor: 0,
+            source: workload.stream(7),
             carry: None,
             requested_op: 0,
             grant: 0,
@@ -428,13 +437,22 @@ mod tests {
         };
         let mut uops = 0u64;
         let mut mem = 0u64;
-        while let Some(chunk) = t.take_chunk(300_000) {
-            assert!(chunk.uops <= 300_000);
+        while let Some(chunk) = t.take_chunk(30_000_000) {
+            assert!(chunk.uops <= 30_000_000);
             uops += chunk.uops;
             mem += chunk.mem_transactions;
         }
-        assert_eq!(uops, 1_500_000, "splitting loses no uops");
-        assert_eq!(mem, 30_000, "splitting loses no mem transactions");
+        let intervals = trace.intervals();
+        assert_eq!(
+            uops,
+            intervals.iter().map(|w| w.uops).sum::<u64>(),
+            "splitting loses no uops"
+        );
+        assert_eq!(
+            mem,
+            intervals.iter().map(|w| w.mem_transactions).sum::<u64>(),
+            "splitting loses no mem transactions"
+        );
         assert!(!t.has_work());
         assert!(t.take_chunk(0).is_none());
     }

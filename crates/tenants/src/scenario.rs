@@ -9,7 +9,7 @@
 
 use crate::arbiter::ArbiterPolicy;
 use livephase_pmsim::{PlatformConfig, PowerModelKind};
-use livephase_workloads::{benchmark, WorkloadTrace};
+use livephase_workloads::{benchmark, BenchmarkSpec, WorkloadTrace};
 use std::fmt;
 
 /// Default per-tenant, per-epoch scheduling credit in micro-ops: a
@@ -186,17 +186,31 @@ impl ScenarioSpec {
         self.seed ^ GOLDEN.wrapping_mul(u64::from(tenant) + 1)
     }
 
-    /// Materializes tenant `t`'s workload trace.
+    /// Tenant `t`'s workload: its assigned benchmark at the scenario's
+    /// trace length. The runner streams it from
+    /// [`tenant_seed`](Self::tenant_seed), one interval at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::UnknownBenchmark`] if the assigned
+    /// benchmark is not registered.
+    pub fn tenant_workload(&self, tenant: u32) -> Result<BenchmarkSpec, ScenarioError> {
+        let name = self.tenant_benchmark(tenant);
+        let spec = benchmark(&name).ok_or(ScenarioError::UnknownBenchmark(name))?;
+        Ok(spec.with_length(self.intervals))
+    }
+
+    /// Materializes tenant `t`'s workload trace: the interval sequence
+    /// the runner streams from [`tenant_workload`](Self::tenant_workload),
+    /// collected.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::UnknownBenchmark`] if the assigned
     /// benchmark is not registered.
     pub fn tenant_trace(&self, tenant: u32) -> Result<WorkloadTrace, ScenarioError> {
-        let name = self.tenant_benchmark(tenant);
-        let spec = benchmark(&name).ok_or(ScenarioError::UnknownBenchmark(name))?;
-        Ok(spec
-            .with_length(self.intervals)
+        Ok(self
+            .tenant_workload(tenant)?
             .generate(self.tenant_seed(tenant)))
     }
 

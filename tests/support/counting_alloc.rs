@@ -3,7 +3,8 @@
 //! Each crate's `tests/no_alloc.rs` includes this one file with
 //! `#[path]` (a file under a `tests/` subdirectory is not a test target
 //! of its own), so every count test watches allocations the same way:
-//! compare [`allocations`] before and after the code under test.
+//! compare [`allocations`] (or [`allocated_bytes`]) before and after the
+//! code under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,6 +13,8 @@ thread_local! {
     /// Allocations made by this thread. Const-initialised and without a
     /// destructor, so the allocator can touch it without allocating.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for, freed or not.
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -21,6 +24,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -37,4 +41,10 @@ static GLOBAL: Counting = Counting;
 /// Allocations the calling thread has made so far.
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes the calling thread's allocations have asked for so far.
+#[allow(dead_code, reason = "not every count test tallies bytes")]
+pub fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.with(Cell::get)
 }

@@ -161,9 +161,24 @@ fn registry_counters_account_for_every_tally() {
         delivered + report.intervals.len() as u64
     );
 
-    // tenants: the report's own counts.
+    // tenants: the report's own counts. No tenant is noisy, so all five
+    // run equal traces at equal credit and stay live in every epoch, and
+    // a 20 W budget over two cores binds, so both outcomes occur.
     let mut scenario = ScenarioSpec::new(5, 2);
     scenario.intervals = 7;
+    scenario.budget_w = 20.0;
+    let outcomes = || -> [u64; 2] {
+        [
+            &cat::TENANTS_ARBITER_GRANTS_TOTAL,
+            &cat::TENANTS_ARBITER_DENIALS_TOTAL,
+        ]
+        .map(|metric| {
+            (0..6)
+                .map(|op: usize| counter(metric, &[&op.to_string()]))
+                .sum()
+        })
+    };
+    let outcomes_before = outcomes();
     let switches_before = counter(&cat::TENANTS_CONTEXT_SWITCHES_TOTAL, &[]);
     let labels: Vec<String> = (0..5).map(|t: u32| t.to_string()).collect();
     let intervals_before: Vec<u64> = labels
@@ -175,6 +190,15 @@ fn registry_counters_account_for_every_tally() {
     assert_eq!(
         counter(&cat::TENANTS_CONTEXT_SWITCHES_TOTAL, &[]) - switches_before,
         cluster.context_switches
+    );
+    // One outcome per live tenant per epoch, whether the epoch was
+    // arbitrated or reissued the grants of an unchanged request vector.
+    let [granted, denied] = outcomes();
+    assert!(denied > outcomes_before[1], "the 20 W budget binds");
+    assert_eq!(
+        granted + denied - outcomes_before[0] - outcomes_before[1],
+        5 * cluster.epochs,
+        "every epoch counts every tenant's outcome"
     );
     let mut intervals = 0;
     for ((t, label), before) in cluster.tenants.iter().zip(&labels).zip(&intervals_before) {
@@ -215,7 +239,7 @@ fn registry_counters_account_for_every_tally() {
             let totals_before = (arbiter.grants_total(), arbiter.denials_total());
             let grants = arbiter.arbitrate(&requests[round * 8..]);
             let (mut granted, mut denied) = (vec![0u64; 6], vec![0u64; 6]);
-            for g in &grants {
+            for g in grants {
                 if g.denied {
                     denied[g.op] += 1;
                 } else {
