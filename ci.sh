@@ -106,12 +106,17 @@ cargo test -q --workspace
 cargo test -q --test engine_equivalence
 # The exact counts hold in release as well as in debug: the four
 # counting-allocator tests, and the daq unit tests (normals per instant,
-# the lockstep capture against the one-instant chain). The capture's
+# the lockstep capture against the one-instant chain, noise drawn inline
+# and on a producer thread). The capture's
 # speed comes from inlining and register allocation, which only the
 # optimiser does, so its equivalence is checked on the code it makes.
 cargo test -q --release -p livephase-core -p livephase-engine -p livephase-daq \
     -p livephase-tenants --test no_alloc
 cargo test -q --release -p livephase-daq --lib
+# The Figure 10 capture in release: two million sample instants, the
+# pipelined capture's producer thread racing the traces hardest, must
+# still give the pinned logs.
+cargo test -q --release -p livephase-experiments --test fig10_fingerprint
 
 # Loopback smoke test: a real server process, a real load generator, a
 # bit-exactness check against the in-process manager, and a telemetry

@@ -204,9 +204,14 @@ fn run_pmsim_run_to_pmi(warmup: usize, iters: usize) -> Vec<u64> {
 /// `daq_measure`: one `measure_all` pass of the DAQ chain over a
 /// Figure 10-shaped pair of waveforms — applu unmanaged and
 /// GPHT-managed, 8 intervals each: 27 324 + 29 475 samples at 40 µs,
-/// so 29 475 sample instants and 88 425 normals, drawn in 28 blocks of
-/// 1024 instants and one of 803. The two traces are stepped in lockstep
-/// until the shorter one ends; the rest of the longer is fed alone.
+/// so 29 475 sample instants and 88 425 normals. That is past the
+/// 16 384-instant spawn threshold, so on two or more cores a producer
+/// thread draws them in 16 blocks of 1792 instants and one of 803,
+/// through a ring of three buffers, while the calling thread steps the
+/// traces through the block before; on one core they are drawn inline,
+/// in 28 blocks of 1024 and one of 803. The two traces are stepped in
+/// lockstep until the shorter one ends; the rest of the longer is fed
+/// alone.
 fn run_daq_measure(warmup: usize, iters: usize) -> Vec<u64> {
     let bench = spec::benchmark("applu_in")
         .expect("applu_in is registered")

@@ -63,14 +63,39 @@ use livephase_pmsim::PowerTrace;
 use logger::RunSums;
 use sampler::SampleRun;
 use sense::ChannelVoltages;
+use std::num::NonZeroUsize;
+use std::sync::mpsc::{self, SyncSender, TryRecvError};
+use std::thread::Thread;
 
 /// The DAQPad's sampling period, in seconds. The conditioner's filter
 /// coefficient (α = 0.2, a ≈ 160 µs time constant) is tuned for it.
 const SAMPLING_PERIOD_S: f64 = 40e-6;
 
-/// Sample instants per block of channel noise: 24 KiB of draws, read by
-/// every trace still running while they are in cache.
+/// Sample instants per block of channel noise drawn on the calling
+/// thread: 24 KiB of draws, read by every trace still running while they
+/// are in cache.
 const NOISE_BLOCK: usize = 1024;
+
+/// Sample instants per block of channel noise drawn on a producer thread:
+/// 42 KiB of draws, about 18 µs of drawing per handoff.
+const PIPELINE_BLOCK: usize = 1792;
+
+/// Noise buffers a pipelined capture cycles through: while the traces
+/// read one block, the producer may fill the other two. The ring is one
+/// allocation of 126 KiB, under glibc's default 128 KiB mmap threshold,
+/// so it comes from the heap and goes back to it. A 288 KiB ring of
+/// 4096-instant blocks was mapped for the first capture; freeing it
+/// raises that threshold for the rest of the process, and `repro_paper`
+/// peaked at ≈10 % more resident memory. Three 96 KiB buffers instead
+/// were trimmed off the heap after each capture and faulted back in by
+/// the next.
+const RING: usize = 3;
+
+/// The longest capture, in sample instants, whose noise is drawn on the
+/// calling thread whatever the core count: about 0.66 s of signal. Up
+/// to here, starting the producer and handing it blocks costs about
+/// what overlapping the draws saves.
+const PIPELINE_MIN_INSTANTS: u64 = 16_384;
 
 /// The complete measurement chain, configured like the paper's rig.
 #[derive(Debug, Clone)]
@@ -132,17 +157,43 @@ impl DaqSystem {
     /// sums. Each trace keeps its own filter state, log and order of
     /// float operations, and a capture of `N` instants draws exactly
     /// `3N` normals (none on a noise-free chain).
+    ///
+    /// A capture longer than 16 384 instants, on a machine with two or
+    /// more cores, draws its noise on a scoped producer thread instead:
+    /// blocks of 1792 instants, handed over in draw order through a ring
+    /// of three buffers while this thread walks the traces through the
+    /// block before. The logs, and where the generator ends, are the same.
     #[must_use]
     pub fn measure_all(&self, traces: &[&PowerTrace]) -> Vec<DaqLog> {
-        self.capture(traces, &mut self.conditioner.noise.clone(), NOISE_BLOCK)
+        self.capture(traces, &mut self.conditioner.noise.clone(), |instants| {
+            Producer::for_capture(instants, || {
+                std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+            })
+        })
     }
 
-    /// `measure_all` drawing from `noise`, `block` instants at a time.
+    /// [`measure_all`](Self::measure_all) with the noise drawn on a
+    /// producer thread (`threaded`) or on the calling thread, whatever
+    /// the core count and the capture's length: the seam through which
+    /// the allocation-count test pins each path.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn measure_all_threaded(&self, traces: &[&PowerTrace], threaded: bool) -> Vec<DaqLog> {
+        let producer = if threaded {
+            Producer::PIPELINED
+        } else {
+            Producer::INLINE
+        };
+        self.capture(traces, &mut self.conditioner.noise.clone(), |_| producer)
+    }
+
+    /// `measure_all` drawing from `noise`, through the producer that
+    /// `choose` picks for the capture's length in sample instants.
     fn capture(
         &self,
         traces: &[&PowerTrace],
         noise: &mut ChannelNoise,
-        block: usize,
+        choose: impl FnOnce(u64) -> Producer,
     ) -> Vec<DaqLog> {
         let sampler = Sampler::new(SAMPLING_PERIOD_S);
         let runs = |trace| sampler.runs(trace, &self.circuit);
@@ -161,14 +212,7 @@ impl DaqSystem {
                 log: DaqLog::new(SAMPLING_PERIOD_S),
             })
             .collect();
-        let mut buffer = vec![[0.0; 3]; usize::try_from(instants).map_or(block, |n| n.min(block))];
-        let mut left = instants;
-        while left > 0 {
-            let n = usize::try_from(left).map_or(block, |n| n.min(block));
-            let Some(draws) = buffer.get_mut(..n).filter(|draws| !draws.is_empty()) else {
-                break;
-            };
-            noise.fill(draws);
+        let mut feed = |draws: &[[f64; 3]]| {
             for traces in captures.chunks_mut(2) {
                 match traces {
                     [a, b] => Capture::feed_pair(a, b, draws, &sampler, &self.circuit),
@@ -176,7 +220,11 @@ impl DaqSystem {
                     _ => {}
                 }
             }
-            left -= n as u64;
+        };
+        let Producer { block, threaded } = choose(instants);
+        // A producer thread that cannot start leaves the draws to this one.
+        if !(threaded && pipelined(noise, instants, block, &mut feed)) {
+            inline(noise, instants, block, &mut feed);
         }
         captures
             .into_iter()
@@ -186,6 +234,162 @@ impl DaqSystem {
                 log
             })
             .collect()
+    }
+}
+
+/// Where a capture draws its noise, and in blocks of how many sample
+/// instants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Producer {
+    block: usize,
+    /// On a producer thread, rather than on the calling thread.
+    threaded: bool,
+}
+
+impl Producer {
+    /// On the calling thread, between blocks.
+    const INLINE: Self = Self {
+        block: NOISE_BLOCK,
+        threaded: false,
+    };
+
+    /// On a producer thread, ahead of the traces.
+    const PIPELINED: Self = Self {
+        block: PIPELINE_BLOCK,
+        threaded: true,
+    };
+
+    /// `measure_all`'s producer for a capture of `instants`: a thread
+    /// only when the capture is long and `cores` reports two or more.
+    /// `cores` is asked only for a long capture.
+    fn for_capture(instants: u64, cores: impl FnOnce() -> usize) -> Self {
+        if instants > PIPELINE_MIN_INSTANTS && cores() >= 2 {
+            Self::PIPELINED
+        } else {
+            Self::INLINE
+        }
+    }
+}
+
+/// Draws `instants` instants of noise on the calling thread, `block` at
+/// a time into one reused buffer, and hands each block to `feed`.
+fn inline(
+    noise: &mut ChannelNoise,
+    instants: u64,
+    block: usize,
+    feed: &mut impl FnMut(&[[f64; 3]]),
+) {
+    let mut buffer = vec![[0.0; 3]; usize::try_from(instants).map_or(block, |n| n.min(block))];
+    let mut left = instants;
+    while left > 0 {
+        let n = usize::try_from(left).map_or(block, |n| n.min(block));
+        let Some(draws) = buffer.get_mut(..n).filter(|draws| !draws.is_empty()) else {
+            break;
+        };
+        noise.fill(draws);
+        feed(draws);
+        left -= n as u64;
+    }
+}
+
+/// Draws `instants` instants of noise on a scoped producer thread,
+/// `block` at a time into a ring of `RING` buffers, and hands each block
+/// to `feed` on the calling thread in draw order. The ring is one
+/// allocation, cut into `RING` buffers that the calling thread passes
+/// to the producer over one bounded channel; filled blocks come back
+/// over another and go round again once read, so the producer runs at
+/// most `RING - 1` blocks ahead. It returns its generator, so `noise`
+/// ends where drawing inline would leave it. Returns `false`, having
+/// drawn and fed nothing, if the thread cannot be started.
+///
+/// The calling thread waits for a block by parking, not in the channel:
+/// a wait there would register with the channel, which allocates on
+/// some captures and not others, by timing.
+fn pipelined(
+    noise: &mut ChannelNoise,
+    instants: u64,
+    block: usize,
+    feed: &mut impl FnMut(&[[f64; 3]]),
+) -> bool {
+    let len = usize::try_from(instants).map_or(block, |n| n.min(block));
+    let mut ring = vec![[0.0; 3]; RING * len];
+    std::thread::scope(|scope| {
+        let (full_tx, full_rx) = mpsc::sync_channel(RING);
+        let (free_tx, free_rx) = mpsc::sync_channel(RING);
+        for buffer in ring.chunks_mut(len.max(1)) {
+            let _ = free_tx.send(buffer);
+        }
+        let sending = Sending {
+            full: Some(full_tx),
+            consumer: std::thread::current(),
+        };
+        let mut generator = noise.clone();
+        let producer = std::thread::Builder::new().spawn_scoped(scope, move || {
+            let mut left = instants;
+            while left > 0 {
+                let Ok(buffer) = free_rx.recv() else {
+                    break;
+                };
+                let n = usize::try_from(left).map_or(block, |n| n.min(block));
+                let Some(draws) = buffer.get_mut(..n).filter(|draws| !draws.is_empty()) else {
+                    break;
+                };
+                generator.fill(draws);
+                left -= n as u64;
+                if !sending.send(draws) {
+                    break;
+                }
+            }
+            generator
+        });
+        let Ok(producer) = producer else {
+            return false;
+        };
+        loop {
+            match full_rx.try_recv() {
+                Ok(draws) => {
+                    feed(draws);
+                    // The producer stops taking buffers back after its
+                    // last block.
+                    let _ = free_tx.send(draws);
+                }
+                Err(TryRecvError::Empty) => std::thread::park(),
+                Err(TryRecvError::Disconnected) => break,
+            }
+        }
+        match producer.join() {
+            Ok(generator) => *noise = generator,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+        true
+    })
+}
+
+/// The producer's end of a pipelined capture. Each block it sends wakes
+/// the calling thread, and so does dropping it, as the producer returns
+/// or unwinds, once the channel is closed.
+struct Sending<'ring> {
+    full: Option<SyncSender<&'ring mut [[f64; 3]]>>,
+    consumer: Thread,
+}
+
+impl<'ring> Sending<'ring> {
+    /// Hands a filled block over; `false` once the traces have stopped
+    /// reading. The channel holds the whole ring, so this never waits.
+    fn send(&self, draws: &'ring mut [[f64; 3]]) -> bool {
+        let sent = self
+            .full
+            .as_ref()
+            .is_some_and(|full| full.send(draws).is_ok());
+        self.consumer.unpark();
+        sent
+    }
+}
+
+impl Drop for Sending<'_> {
+    fn drop(&mut self) {
+        self.full = None;
+        self.consumer.unpark();
     }
 }
 
@@ -443,18 +647,20 @@ mod tests {
             log
         }
 
-        /// `measure_all` (blocks of `NOISE_BLOCK` instants) or a capture in
-        /// blocks of `block`.
-        fn capture_in_blocks(
+        /// A capture in blocks of `block` instants, drawn on the calling
+        /// thread and on a producer thread.
+        fn producers(block: usize) -> [Producer; 2] {
+            [false, true].map(|threaded| Producer { block, threaded })
+        }
+
+        /// A capture of `traces` through `producer`, whatever the core
+        /// count and the capture's length.
+        fn capture_through(
             system: &DaqSystem,
             traces: &[&PowerTrace],
-            block: usize,
+            producer: Producer,
         ) -> Vec<DaqLog> {
-            if block == NOISE_BLOCK {
-                system.measure_all(traces)
-            } else {
-                system.capture(traces, &mut system.conditioner.noise.clone(), block)
-            }
+            system.capture(traces, &mut system.conditioner.noise.clone(), |_| producer)
         }
 
         proptest! {
@@ -464,13 +670,16 @@ mod tests {
             /// inside or exactly at the end of a block, with runs that
             /// cross block edges, alone, as a pair stepped in lockstep or
             /// as a pair plus a lone trace, beside traces of other lengths
-            /// or a twin of the first, noisy or ideal. Blocks of
-            /// `NOISE_BLOCK` instants are `measure_all` itself.
+            /// or a twin of the first, noisy or ideal, with the noise drawn
+            /// on the calling thread or on a producer thread, and through
+            /// `measure_all` itself.
             #[test]
             fn run_loop_equals_one_instant_at_a_time(
                 shapes in proptest::collection::vec(arb_shape(), 0..5),
                 twin in 0u8..2,
-                block in prop_oneof![Just(1usize), Just(3), Just(64), Just(NOISE_BLOCK)],
+                block in prop_oneof![
+                    Just(1usize), Just(3), Just(64), Just(NOISE_BLOCK), Just(PIPELINE_BLOCK)
+                ],
                 seed in 0u64..1000,
             ) {
                 let mut built: Vec<(PowerTrace, u64)> = shapes.iter().map(|s| s.build(block)).collect();
@@ -486,8 +695,11 @@ mod tests {
                     for (log, (_, samples)) in oracle.iter().zip(&built) {
                         prop_assert_eq!(log.samples_taken(), *samples);
                     }
-                    let logs = capture_in_blocks(&system, &traces, block);
-                    prop_assert_eq!(&logs, &oracle, "blocks of {}", block);
+                    for producer in producers(block) {
+                        let logs = capture_through(&system, &traces, producer);
+                        prop_assert_eq!(&logs, &oracle, "{:?}", producer);
+                    }
+                    prop_assert_eq!(&system.measure_all(&traces), &oracle);
                 }
             }
         }
@@ -506,8 +718,9 @@ mod tests {
         }
 
         /// Every trace's log from a capture of `traces` together equals
-        /// the one-instant-at-a-time chain's, in blocks of 1, 3, 64 and
-        /// `NOISE_BLOCK` instants, noisy and ideal.
+        /// the one-instant-at-a-time chain's, in blocks of 1, 3, 64,
+        /// `NOISE_BLOCK` and `PIPELINE_BLOCK` instants, drawn on the calling
+        /// thread or on a producer thread, noisy and ideal.
         fn assert_each_log_is_the_oracle(traces: &[PowerTrace]) {
             let refs: Vec<&PowerTrace> = traces.iter().collect();
             for system in [DaqSystem::pentium_m(11), DaqSystem::ideal()] {
@@ -515,9 +728,11 @@ mod tests {
                     .iter()
                     .map(|t| one_instant_at_a_time(&system, t))
                     .collect();
-                for block in [1, 3, 64, NOISE_BLOCK] {
-                    let logs = capture_in_blocks(&system, &refs, block);
-                    assert_eq!(logs, oracle, "blocks of {block}");
+                for block in [1, 3, 64, NOISE_BLOCK, PIPELINE_BLOCK] {
+                    for producer in producers(block) {
+                        let logs = capture_through(&system, &refs, producer);
+                        assert_eq!(logs, oracle, "{producer:?}");
+                    }
                 }
             }
         }
@@ -578,15 +793,65 @@ mod tests {
         fn two_identical_traces_get_identical_logs() {
             let trace = trace_of_runs(&[(30, 4.0, A), (1500, 11.0, A | T), (9, 2.0, H)]);
             assert_each_log_is_the_oracle(&[trace.clone(), trace.clone()]);
-            let logs = DaqSystem::pentium_m(5).measure_all(&[&trace, &trace]);
+            let system = DaqSystem::pentium_m(5);
+            let logs = system.measure_all(&[&trace, &trace]);
             assert_eq!(logs.first(), logs.last());
+            let threaded = capture_through(&system, &[&trace, &trace], Producer::PIPELINED);
+            assert_eq!(threaded.first(), threaded.last());
+            assert_eq!(threaded, logs);
+        }
+
+        /// A pipelined capture of several pipeline blocks, more than the
+        /// ring holds, whose traces end inside its last block and inside
+        /// an earlier one: every log is the oracle's.
+        #[test]
+        fn a_pipelined_capture_ending_mid_block() {
+            let block = PIPELINE_BLOCK as u64;
+            let long = trace_of_runs(&[
+                (block - 5, 9.0, A),
+                (2 * block + 10, 4.0, A | T),
+                (block + block / 2, 12.0, H),
+            ]);
+            let short = trace_of_runs(&[(block / 3, 6.0, T), (2 * block, 3.0, A)]);
+            let traces = [long, short];
+            let refs: Vec<&PowerTrace> = traces.iter().collect();
+            for system in [DaqSystem::pentium_m(23), DaqSystem::ideal()] {
+                let oracle: Vec<DaqLog> = traces
+                    .iter()
+                    .map(|t| one_instant_at_a_time(&system, t))
+                    .collect();
+                assert_eq!(oracle[0].samples_taken(), 4 * block + block / 2 + 5);
+                for producer in producers(PIPELINE_BLOCK) {
+                    assert_eq!(capture_through(&system, &refs, producer), oracle);
+                }
+            }
+        }
+
+        /// `measure_all` starts a thread only for a capture longer than
+        /// `PIPELINE_MIN_INSTANTS` on two or more cores, and asks for the
+        /// core count only then.
+        #[test]
+        fn measure_all_threads_only_long_captures_on_several_cores() {
+            for instants in [0, 1, PIPELINE_BLOCK as u64, PIPELINE_MIN_INSTANTS] {
+                let producer = Producer::for_capture(instants, || -> usize {
+                    panic!("core count asked for {instants} instants")
+                });
+                assert_eq!(producer, Producer::INLINE);
+            }
+            for instants in [PIPELINE_MIN_INSTANTS + 1, 29_475, u64::MAX] {
+                assert_eq!(Producer::for_capture(instants, || 1), Producer::INLINE);
+                assert_eq!(Producer::for_capture(instants, || 2), Producer::PIPELINED);
+                assert_eq!(Producer::for_capture(instants, || 64), Producer::PIPELINED);
+            }
         }
 
         /// A capture of `N` instants, its longest trace's sample count,
         /// draws exactly `3N` normals, over several blocks, a partial last
         /// one and traces that end early, whether its traces are two
-        /// pairs, one pair, or a pair and a lone trace; a noise-free chain
-        /// draws none.
+        /// pairs, one pair, or a pair and a lone trace, and whether the
+        /// noise is drawn on the calling thread or on a producer thread
+        /// (in one block shorter than the capture or in many); a
+        /// noise-free chain draws none.
         #[test]
         fn a_capture_draws_three_normals_per_instant() {
             let trace = |periods: f64| -> PowerTrace {
@@ -607,16 +872,25 @@ mod tests {
                     [(DaqSystem::pentium_m(3), 3 * 2500), (DaqSystem::ideal(), 0)]
                 {
                     let seeded = system.conditioner.noise.clone();
-                    let mut noise = seeded.clone();
-                    let logs = system.capture(&refs, &mut noise, NOISE_BLOCK);
-                    let samples: Vec<u64> = logs.iter().map(DaqLog::samples_taken).collect();
-                    assert_eq!(samples, expected);
-                    assert_eq!(
-                        noise,
-                        seeded.after_normals(normals),
-                        "{} traces",
-                        traces.len()
-                    );
+                    for producer in [
+                        Producer::INLINE,
+                        Producer::PIPELINED,
+                        Producer {
+                            block: 64,
+                            threaded: true,
+                        },
+                    ] {
+                        let mut noise = seeded.clone();
+                        let logs = system.capture(&refs, &mut noise, |_| producer);
+                        let samples: Vec<u64> = logs.iter().map(DaqLog::samples_taken).collect();
+                        assert_eq!(samples, expected);
+                        assert_eq!(
+                            noise,
+                            seeded.after_normals(normals),
+                            "{} traces, {producer:?}",
+                            traces.len()
+                        );
+                    }
                 }
             }
         }

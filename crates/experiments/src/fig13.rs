@@ -10,8 +10,9 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_governor::{par_map, ConservativeDerivation, Session, TranslationTable};
+use livephase_governor::{par_map, ConservativeDerivation, RunSummary, Session, TranslationTable};
 use livephase_pmsim::PlatformConfig;
+use livephase_workloads::BenchmarkSpec;
 use std::fmt;
 
 /// The benchmarks of the paper's Figure 13 (those with > 5 % degradation
@@ -56,10 +57,8 @@ pub fn run(seed: u64) -> Figure13 {
     let platform = PlatformConfig::pentium_m();
     let session = Session::new(&platform);
     let rows = par_map(&FIGURE13_BENCHMARKS, |name| {
-        let bench = require_benchmark(name);
-        let baseline = session.baseline(bench.stream(seed));
-        let original = session.gpht(bench.stream(seed));
-        let conservative = session.run(derivation.manager(0.05), bench.stream(seed));
+        let [baseline, original, conservative] =
+            measure(&session, &derivation, &require_benchmark(name), seed);
         let c = conservative.compare_to(&baseline);
         let o = original.compare_to(&baseline);
         ConservativeRow {
@@ -76,6 +75,23 @@ pub fn run(seed: u64) -> Figure13 {
         boundaries: map.boundaries().to_vec(),
         table,
     }
+}
+
+/// One benchmark's baseline, original-GPHT and conservative runs, all
+/// three over one generated trace, each cut to its summary before the
+/// next starts.
+fn measure(
+    session: &Session<'_>,
+    derivation: &ConservativeDerivation,
+    bench: &BenchmarkSpec,
+    seed: u64,
+) -> [RunSummary; 3] {
+    let trace = bench.generate(seed);
+    [
+        session.baseline(&trace).into_summary(),
+        session.gpht(&trace).into_summary(),
+        session.run(derivation.manager(0.05), &trace).into_summary(),
+    ]
 }
 
 /// The paper's claims: every degradation lands well under the 5 % bound,
@@ -162,6 +178,7 @@ impl fmt::Display for Figure13 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use livephase_governor::RunReport;
 
     #[test]
     fn figure13_shape_holds() {
@@ -169,5 +186,40 @@ mod tests {
         let violations = check(&fig);
         assert!(violations.is_empty(), "{violations:#?}");
         assert_eq!(fig.rows.len(), 5);
+    }
+
+    /// The three runs over one generated trace each equal the same run
+    /// straight off the spec's stream, to the bit, at a prime length of
+    /// 203 intervals.
+    #[test]
+    fn one_trace_for_three_runs_equals_three_streamed_runs() {
+        let derivation = ConservativeDerivation::pentium_m();
+        let platform = PlatformConfig::pentium_m();
+        let session = Session::new(&platform);
+        for name in FIGURE13_BENCHMARKS {
+            let bench = require_benchmark(name).with_length(203);
+            let shared = measure(&session, &derivation, &bench, 11);
+            let streamed = [
+                session.baseline(bench.stream(11)),
+                session.gpht(bench.stream(11)),
+                session.run(derivation.manager(0.05), bench.stream(11)),
+            ]
+            .map(RunReport::into_summary);
+            for (summary, alone) in shared.iter().zip(&streamed) {
+                assert_eq!(summary, alone, "{name}");
+                assert_eq!(
+                    summary.totals.time_s.to_bits(),
+                    alone.totals.time_s.to_bits(),
+                    "{name}: {}",
+                    alone.policy
+                );
+                assert_eq!(
+                    summary.totals.energy_j.to_bits(),
+                    alone.totals.energy_j.to_bits(),
+                    "{name}: {}",
+                    alone.policy
+                );
+            }
+        }
     }
 }

@@ -1,14 +1,17 @@
 //! Shared plumbing for the dynamic-management experiments: every benchmark
 //! executed under the three systems the paper compares.
 //!
-//! The sweep streams each benchmark straight into the platform
-//! ([`BenchmarkSpec::stream`]) — no trace is materialized — and fans the
-//! registry over worker threads with [`par_map`], which preserves registry
-//! order and per-benchmark seeding, so the parallel sweep is
-//! element-for-element identical to the sequential loop it replaced.
-//! Figures 11–13 compare whole runs, so each run is cut down to its
-//! [`RunSummary`] as soon as it returns: the sweep holds no per-interval
-//! log, and a worker's next run reuses the freed log buffer.
+//! The sweep generates each benchmark once ([`BenchmarkSpec::generate`],
+//! ≈80 KB at the default 2 000 intervals) and runs all three systems over
+//! that one trace; a run over a generated trace is bit-identical to a run
+//! straight off the spec's stream, since generating *is* collecting the
+//! stream. It fans the registry over worker threads with [`par_map`],
+//! which preserves registry order and per-benchmark seeding, so the
+//! parallel sweep is element-for-element identical to the sequential
+//! loop it replaced. Figures 11–13 compare whole runs, so each run is cut
+//! down to its [`RunSummary`] as soon as it returns: the sweep holds one
+//! trace per worker and no per-interval log, and a worker's next run
+//! reuses the freed log buffer.
 
 use livephase_governor::{par_map, NormalizedComparison, RunSummary, Session};
 use livephase_pmsim::PlatformConfig;
@@ -51,16 +54,17 @@ impl Outcome {
     }
 
     /// Runs one benchmark spec under the three systems in an existing
-    /// session. Each system pulls its own stream of the spec — the
-    /// workload is generated interval-by-interval, three times, and never
-    /// lives in memory whole.
+    /// session. The workload is generated once and the three systems run
+    /// over that trace, each with the summary a run off its own stream
+    /// of the spec would give.
     #[must_use]
     pub fn measure_in(session: &Session<'_>, spec: &BenchmarkSpec, seed: u64) -> Self {
+        let trace = spec.generate(seed);
         Self {
             name: spec.name().to_owned(),
-            baseline: session.baseline(spec.stream(seed)).into_summary(),
-            reactive: session.reactive(spec.stream(seed)).into_summary(),
-            gpht: session.gpht(spec.stream(seed)).into_summary(),
+            baseline: session.baseline(&trace).into_summary(),
+            reactive: session.reactive(&trace).into_summary(),
+            gpht: session.gpht(&trace).into_summary(),
         }
     }
 
@@ -90,6 +94,7 @@ pub fn measure_all(seed: u64) -> Vec<Outcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use livephase_governor::RunReport;
 
     #[test]
     fn outcome_covers_three_systems() {
@@ -117,5 +122,46 @@ mod tests {
         let report = session.gpht(spec.stream(1));
         assert!(!report.intervals.is_empty());
         assert_eq!(shared.gpht, report.into_summary());
+    }
+
+    /// The three systems run over one generated trace each get the
+    /// summary of their own run straight off the spec's stream, to the
+    /// bit. 203 intervals is a prime length, off every power-of-two
+    /// boundary of the predictors' tables and histories; every interval
+    /// is one 100 M-uop PMI window, so a registry trace always ends on
+    /// the PMI grid.
+    #[test]
+    fn one_trace_for_three_systems_equals_three_streamed_runs() {
+        let platform = PlatformConfig::pentium_m();
+        let session = Session::new(&platform);
+        for name in ["applu_in", "mcf_inp", "swim_in"] {
+            let spec = require_benchmark(name).with_length(203);
+            let shared = Outcome::measure_in(&session, &spec, 7);
+            let streamed = [
+                session.baseline(spec.stream(7)),
+                session.reactive(spec.stream(7)),
+                session.gpht(spec.stream(7)),
+            ]
+            .map(RunReport::into_summary);
+            for (summary, alone) in [shared.baseline, shared.reactive, shared.gpht]
+                .iter()
+                .zip(&streamed)
+            {
+                assert_eq!(summary, alone, "{name}");
+                assert_eq!(summary.totals.uops, 203 * 100_000_000, "{name}");
+                assert_eq!(
+                    summary.totals.time_s.to_bits(),
+                    alone.totals.time_s.to_bits(),
+                    "{name}: {}",
+                    alone.policy
+                );
+                assert_eq!(
+                    summary.totals.energy_j.to_bits(),
+                    alone.totals.energy_j.to_bits(),
+                    "{name}: {}",
+                    alone.policy
+                );
+            }
+        }
     }
 }
