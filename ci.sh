@@ -3,6 +3,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Code size, informational only (no threshold): each file's lines before
+# its first column-0 `#[cfg(test)]`, over crates/*/src, src/ and
+# examples/ (ROADMAP's counting rule).
+non_test_lines=$(find crates/*/src src examples -name '*.rs' -exec \
+    awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} + \
+    | awk '{ s += $1 } END { print s + 0 }')
+echo "non-test lines: $non_test_lines"
+
 cargo fmt --all -- --check
 # Every member's lib target is linted in non-test cfg here, so the hot-path
 # invariants the hot-path crates raise in their non-test library code

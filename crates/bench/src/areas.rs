@@ -307,22 +307,22 @@ fn run_telemetry_record(warmup: usize, iters: usize) -> Vec<u64> {
     })
 }
 
-/// `telemetry_quantile`: merge a prefilled histogram into an
-/// accumulator and read p50/p90/p99 — the scrape/render path — ten
-/// times, so the median (≈45 µs) clears the gate's 20 µs floor.
+/// `telemetry_quantile`: read a prefilled histogram the way a scrape
+/// renders it — every non-empty bucket, then p50/p90/p99 — ten times,
+/// so the median (≈37 µs) clears the gate's 20 µs floor.
 fn run_telemetry_quantile(warmup: usize, iters: usize) -> Vec<u64> {
-    let source = Histogram::new();
+    let h = Histogram::new();
     for i in 0..10_000u64 {
-        source.record((i % 50) * (1 << (i % 16)) + 1);
+        h.record((i % 50) * (1 << (i % 16)) + 1);
     }
-    let acc = Histogram::new();
     timed(warmup, iters, || {
         for _ in 0..10 {
-            acc.merge_from(&source);
-            let p50 = acc.quantile(0.50).unwrap_or(0);
-            let p90 = acc.quantile(0.90).unwrap_or(0);
-            let p99 = acc.quantile(0.99).unwrap_or(0);
-            std::hint::black_box(p50 + p90 + p99);
+            let mut buckets = 0u64;
+            h.for_each_nonempty(|upper, n| buckets = buckets.wrapping_add(upper ^ n));
+            let p50 = h.quantile(0.50).unwrap_or(0);
+            let p90 = h.quantile(0.90).unwrap_or(0);
+            let p99 = h.quantile(0.99).unwrap_or(0);
+            std::hint::black_box(buckets.wrapping_add(p50 + p90 + p99));
         }
     })
 }
@@ -515,7 +515,7 @@ pub fn registry() -> &'static [Area] {
         },
         Area {
             name: "telemetry_quantile",
-            what: "10 times: merge a 10k-sample histogram and read p50/p90/p99",
+            what: "10 times: visit a 10k-sample histogram's buckets and read p50/p90/p99",
             expected_ratio: 0.096,
             run: run_telemetry_quantile,
         },

@@ -70,22 +70,6 @@ impl Summary {
             total_ns: sorted.iter().fold(0u64, |acc, &v| acc.saturating_add(v)),
         })
     }
-
-    /// Spread relative to location (`mad / median`), the harness'
-    /// machine-noise figure: a calibration whose samples scatter more
-    /// than a sanity bound is not a machine to gate on. Zero when the
-    /// median is zero.
-    #[must_use]
-    pub fn relative_mad(&self) -> f64 {
-        if self.median_ns == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.mad_ns as f64 / self.median_ns as f64
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +99,6 @@ mod tests {
         assert_eq!(s.median_ns, 7);
         assert_eq!(s.p90_ns, 7);
         assert_eq!(s.mad_ns, 0);
-        assert_eq!(s.relative_mad(), 0.0);
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl StreamScorer {
         self.pending = Some(predicted);
     }
 
-    /// Withdraws any standing prediction without scoring it (used by
-    /// non-predicting policies such as the unmanaged baseline).
-    pub fn clear_pending(&mut self) {
-        self.pending = None;
-    }
-
     /// The prediction currently standing, if any.
     #[must_use]
     pub fn pending(&self) -> Option<PhaseId> {
@@ -448,15 +442,6 @@ mod tests {
         assert_eq!(scorer.stats().total, 2);
         assert_eq!(scorer.stats().correct, 1);
         assert_eq!(scorer.confidence_bp(), CONFIDENCE_SCALE / 2);
-    }
-
-    #[test]
-    fn clear_pending_withdraws_without_scoring() {
-        let mut scorer = StreamScorer::new();
-        scorer.predict(PhaseId::new(5));
-        scorer.clear_pending();
-        assert_eq!(scorer.score(PhaseId::new(5)), None);
-        assert_eq!(scorer.stats().total, 0);
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub use predict::gpht::{Gpht, GphtConfig};
 pub use predict::hashed_gpht::{HashedGpht, HashedGphtConfig};
 pub use predict::last_value::LastValue;
 pub use predict::markov::MarkovPredictor;
-pub use predict::per_process::PerProcess;
 pub use predict::spec::{from_spec as predictor_from_spec, PredictorSpecError};
 pub use predict::variable_window::VariableWindow;
 pub use predict::{PhaseSample, Predictor};

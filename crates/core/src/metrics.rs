@@ -170,18 +170,6 @@ impl IntervalMetrics {
     pub fn upc(&self) -> Upc {
         Upc::from_counts(self.uops_retired, self.cycles)
     }
-
-    /// Available concurrency proxy used by Wu et al.: uops per instruction.
-    ///
-    /// Returns `1.0` for an empty interval.
-    #[must_use]
-    pub fn uops_per_instruction(&self) -> f64 {
-        if self.instructions_retired == 0 {
-            1.0
-        } else {
-            self.uops_retired as f64 / self.instructions_retired as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -228,12 +216,6 @@ mod tests {
         };
         assert!((m.mem_uop().get() - 0.015).abs() < 1e-12);
         assert!((m.upc().get() - 0.5).abs() < 1e-12);
-        assert!((m.uops_per_instruction() - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uops_per_instruction_defaults_to_one() {
-        assert_eq!(IntervalMetrics::default().uops_per_instruction(), 1.0);
     }
 
     #[test]

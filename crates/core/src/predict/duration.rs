@@ -163,12 +163,6 @@ impl DurationPredictor {
         }
     }
 
-    /// Intervals already spent in the current run (0 if idle).
-    #[must_use]
-    pub fn current_run_age(&self) -> u64 {
-        self.encoder.in_progress().map_or(0, |r| r.length)
-    }
-
     /// Remaining intervals the current run is predicted to last (saturated
     /// at zero once it outlives its prediction).
     #[must_use]
@@ -260,7 +254,6 @@ mod tests {
             d.observe(p(ph));
         }
         // Phase-5 history: one completed run of 2; current run age 3.
-        assert_eq!(d.current_run_age(), 3);
         assert_eq!(d.predicted_remaining(), Some(0), "outlived its prediction");
     }
 
@@ -279,7 +272,6 @@ mod tests {
         }
         d.reset();
         assert_eq!(d.predict_duration(p(2)), None);
-        assert_eq!(d.current_run_age(), 0);
     }
 
     #[test]

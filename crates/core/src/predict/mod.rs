@@ -22,7 +22,6 @@ pub mod hashed_gpht;
 pub mod last_value;
 mod majority;
 pub mod markov;
-pub mod per_process;
 pub mod spec;
 pub mod variable_window;
 

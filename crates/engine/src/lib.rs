@@ -3,15 +3,19 @@
 //! The canonical **decision engine** for live phase-driven power
 //! management: classify the elapsed interval, score and update the
 //! per-process predictor, predict the next phase, translate it to an
-//! operating point. One implementation, three consumers:
+//! operating point. One implementation, four consumers:
 //!
 //! * the **governor**'s [`Manager`] steps one engine per run — every
 //!   predictive system, reactive to oracle — and keeps only simulated-CPU,
 //!   interrupt-overhead, thermal and adaptive-sampling concerns;
 //! * the **serve** shards hold an engine per session and drain their
 //!   queues through the batched [`DecisionEngine::step_many`];
-//! * the **experiment** harness scores predictor families through the
-//!   same path it deploys them on.
+//! * the **tenants** cluster steps one engine keyed by tenant pid, one
+//!   sample per PMI;
+//! * the **multiprogram** extension streams its mixes through engines
+//!   stepped under one shared pid or keyed by the owning pid. (The
+//!   harness's offline predictor sweeps use `livephase_core::evaluate`,
+//!   which a test pins to the engine's scoring.)
 //!
 //! [`EngineConfig`] is the deployment context (platform, phase map,
 //! translation table) validated at construction so the per-sample path

@@ -2,21 +2,29 @@
 //!
 //! The deployed system monitors whatever the OS runs. When several
 //! programs timeslice the core, the PMI handler sees their phase streams
-//! spliced together. This experiment quantifies the damage and the fix:
+//! spliced together. This experiment quantifies the damage and the fix,
+//! on the deployed [`DecisionEngine`]:
 //!
-//! * a shared GPHT sees cross-program garbage in its history register;
-//! * a pid-indexed family of GPHTs ([`PerProcess`]) recovers most of each
-//!   program's isolated predictability, since the handler knows the pid.
+//! * an engine stepping every interval under one pid keeps a shared GPHT
+//!   whose history register fills with cross-program garbage;
+//! * an engine keyed by the owning pid keeps one GPHT per process and
+//!   recovers most of each program's isolated predictability, since the
+//!   handler knows the pid.
 
 use crate::format::{pct, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_core::{evaluate, Gpht, GphtConfig, LastValue, PerProcess, PhaseMap, PhaseSample};
-use livephase_workloads::{multiprogram, Job};
+use livephase_core::PredictionStats;
+use livephase_engine::{DecisionEngine, EngineConfig, Sample};
+use livephase_pmsim::IntervalWork;
+use livephase_workloads::{round_robin_source, WorkloadTrace};
 use std::fmt;
 
 /// The mix used: three variable benchmarks, round-robin.
 pub const MIX: [&str; 3] = ["applu_in", "equake_in", "mgrid_in"];
+
+/// The deployed GPHT configuration, as an engine predictor spec.
+const GPHT: &str = "gpht:8:128";
 
 /// Accuracy of one prediction scheme on the mix.
 #[derive(Debug, Clone)]
@@ -40,90 +48,80 @@ pub struct MultiprogramExperiment {
     pub isolated_gpht: f64,
 }
 
+/// A Pentium M engine running `spec` per pid.
+fn engine(spec: &str) -> DecisionEngine {
+    DecisionEngine::from_spec(EngineConfig::pentium_m(), spec).expect("registered predictor spec")
+}
+
+/// The counter sample the PMI handler reads for `pid` at the end of `w`.
+fn sample(pid: u32, w: &IntervalWork) -> Sample {
+    Sample {
+        pid,
+        uops: w.uops,
+        mem_transactions: w.mem_transactions,
+    }
+}
+
+/// The GPHT engine's score on `trace` running alone.
+fn isolated(trace: &WorkloadTrace) -> PredictionStats {
+    let mut solo = engine(GPHT);
+    for w in trace.iter() {
+        solo.step(&sample(0, w));
+    }
+    solo.stats()
+}
+
+/// Streams `traces` (pids 1, 2, …) round-robin through three engines —
+/// shared last value, shared GPHT, per-process GPHT — and returns them
+/// with the number of context switches seen.
+fn step_mix(traces: &[WorkloadTrace], timeslice: usize) -> ([DecisionEngine; 3], usize) {
+    let mut engines = [engine("lastvalue"), engine(GPHT), engine(GPHT)];
+    let members = (1..)
+        .zip(traces.iter().map(WorkloadTrace::stream))
+        .collect();
+    let mut mix = round_robin_source(members, timeslice, "mix3");
+    let (mut context_switches, mut last) = (0, None);
+    while let Some((pid, w)) = mix.next_tagged() {
+        context_switches += usize::from(last.is_some_and(|p| p != pid));
+        last = Some(pid);
+        let [shared_lv, shared_gpht, per_process] = &mut engines;
+        let shared = sample(0, &w);
+        shared_lv.step(&shared);
+        shared_gpht.step(&shared);
+        per_process.step(&sample(pid, &w));
+    }
+    (engines, context_switches)
+}
+
 /// Builds the mix and evaluates the three schemes.
 #[must_use]
 pub fn run(seed: u64) -> MultiprogramExperiment {
     let timeslice = 7;
-    let jobs: Vec<Job> = MIX
+    let traces: Vec<WorkloadTrace> = MIX
         .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            Job::new(
-                u32::try_from(i + 1).expect("small"),
-                require_benchmark(name).with_length(800).generate(seed),
-            )
-        })
+        .map(|name| require_benchmark(name).with_length(800).generate(seed))
         .collect();
-    let mix = multiprogram::round_robin(&jobs, timeslice, "mix3");
-    let map = PhaseMap::pentium_m();
-
-    let samples: Vec<(u32, PhaseSample)> = mix
-        .iter()
-        .map(|(pid, w)| {
-            (
-                pid,
-                PhaseSample::new(w.mem_uop(), map.classify(w.mem_uop())),
-            )
-        })
-        .collect();
-
-    // Shared predictors over the splice.
-    let shared_gpht = evaluate(
-        &mut Gpht::new(GphtConfig::DEPLOYED),
-        samples.iter().map(|&(_, s)| s),
-    )
-    .accuracy();
-    let shared_lv = evaluate(&mut LastValue::new(), samples.iter().map(|&(_, s)| s)).accuracy();
-
-    // Per-process family: score each pid's own stream, exactly as a
-    // pid-aware handler would.
-    let mut family = PerProcess::new(|| Gpht::new(GphtConfig::DEPLOYED));
-    let mut pending: std::collections::HashMap<u32, livephase_core::PhaseId> =
-        std::collections::HashMap::new();
-    let mut total = 0u64;
-    let mut correct = 0u64;
-    for &(pid, s) in &samples {
-        if let Some(&prev) = pending.get(&pid) {
-            total += 1;
-            if prev == s.phase {
-                correct += 1;
-            }
-        }
-        pending.insert(pid, family.next(pid, s));
-    }
-    let per_process = correct as f64 / total as f64;
-
-    // Isolated reference: each program alone.
-    let isolated: f64 = jobs
-        .iter()
-        .map(|j| {
-            let stream = j
-                .trace
-                .iter()
-                .map(|w| PhaseSample::new(w.mem_uop(), map.classify(w.mem_uop())));
-            evaluate(&mut Gpht::new(GphtConfig::DEPLOYED), stream).accuracy()
-        })
-        .sum::<f64>()
-        / jobs.len() as f64;
+    let (engines, context_switches) = step_mix(&traces, timeslice);
+    let schemes = [
+        "shared LastValue",
+        "shared GPHT_8_128",
+        "per-process GPHT_8_128",
+    ];
+    let isolated_gpht =
+        traces.iter().map(|t| isolated(t).accuracy()).sum::<f64>() / traces.len() as f64;
 
     MultiprogramExperiment {
         timeslice,
-        context_switches: mix.context_switches(),
-        rows: vec![
-            SchemeRow {
-                scheme: "shared LastValue".into(),
-                accuracy: shared_lv,
-            },
-            SchemeRow {
-                scheme: "shared GPHT_8_128".into(),
-                accuracy: shared_gpht,
-            },
-            SchemeRow {
-                scheme: "per-process GPHT_8_128".into(),
-                accuracy: per_process,
-            },
-        ],
-        isolated_gpht: isolated,
+        context_switches,
+        rows: schemes
+            .iter()
+            .zip(&engines)
+            .map(|(scheme, e)| SchemeRow {
+                scheme: (*scheme).into(),
+                accuracy: e.stats().accuracy(),
+            })
+            .collect(),
+        isolated_gpht,
     }
 }
 
@@ -183,6 +181,24 @@ impl fmt::Display for MultiprogramExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn per_process_engine_keeps_each_job_isolated() {
+        let traces: Vec<WorkloadTrace> = MIX
+            .iter()
+            .map(|name| require_benchmark(name).with_length(120).generate(3))
+            .collect();
+        let ([.., per_process], switches) = step_mix(&traces, 5);
+        assert!(switches > 0);
+        let mut sum = PredictionStats::default();
+        for (pid, trace) in (1..).zip(&traces) {
+            let solo = isolated(trace);
+            assert_eq!(per_process.pid_stats(pid), Some(solo), "pid {pid}");
+            sum.total += solo.total;
+            sum.correct += solo.correct;
+        }
+        assert_eq!(per_process.stats(), sum);
+    }
 
     #[test]
     fn multiprogram_shape_holds() {

@@ -6,8 +6,9 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_governor::{par_map, Manager, PowerCap, PowerEstimator, Session};
+use livephase_governor::{par_map, Manager, PowerCap, PowerEstimator, RunReport, Session};
 use livephase_pmsim::{PlatformConfig, PowerModelKind};
+use livephase_workloads::WorkloadTrace;
 use std::fmt;
 
 /// Caps swept, in watts.
@@ -43,28 +44,37 @@ pub fn run(seed: u64) -> PowerCapExperiment {
     run_with_model(seed, &PowerModelKind::default())
 }
 
+/// The capped workload: 400 intervals of applu.
+pub(crate) fn workload(seed: u64) -> WorkloadTrace {
+    require_benchmark("applu_in")
+        .with_length(400)
+        .generate(seed)
+}
+
+/// One GPHT-managed run of `trace` under a `cap_w`-watt cap, with
+/// `model` pricing the policy's estimator. The platform physics stays
+/// analytic — only the capping policy's beliefs about per-setting power
+/// change.
+pub(crate) fn capped_run(trace: &WorkloadTrace, model: &PowerModelKind, cap_w: f64) -> RunReport {
+    let estimator = PowerEstimator::for_platform(&PlatformConfig {
+        power: model.clone(),
+        ..PlatformConfig::pentium_m()
+    });
+    Manager::gpht_deployed()
+        .with_hook(Box::new(PowerCap::new(estimator, cap_w)))
+        .run(trace, &PlatformConfig::pentium_m())
+}
+
 /// Runs applu under each cap with the given power backend pricing the
-/// policy's estimator. The platform physics stays analytic — only the
-/// capping policy's beliefs about per-setting power change — so the
-/// measured cap/throughput trade-off isolates the estimator's quality.
+/// policy's estimator, so the measured cap/throughput trade-off isolates
+/// the estimator's quality.
 #[must_use]
 pub fn run_with_model(seed: u64, model: &PowerModelKind) -> PowerCapExperiment {
-    let trace = require_benchmark("applu_in")
-        .with_length(400)
-        .generate(seed);
-    let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
-    let baseline = session.baseline(&trace);
+    let trace = workload(seed);
+    let baseline = Session::new(&PlatformConfig::pentium_m()).baseline(&trace);
 
     let rows = par_map(&CAPS, |&cap_w| {
-        let estimator = PowerEstimator::for_platform(&PlatformConfig {
-            power: model.clone(),
-            ..PlatformConfig::pentium_m()
-        });
-        let report = session.run(
-            Manager::gpht_deployed().with_hook(Box::new(PowerCap::new(estimator, cap_w))),
-            &trace,
-        );
+        let report = capped_run(&trace, model, cap_w);
         let peak = report
             .intervals
             .iter()

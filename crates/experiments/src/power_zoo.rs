@@ -15,11 +15,12 @@
 //! noise, and both fits are deterministic, so the printed table (and the
 //! CI gate built on it) is reproducible bit for bit.
 
+use crate::extensions::power_cap;
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
 use livephase_daq::DaqSystem;
-use livephase_governor::{par_map, Manager, PowerCap, PowerEstimator, Session};
+use livephase_governor::{par_map, Session};
 use livephase_pmsim::{
     LinearModel, OperatingPoint, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
     PowerModelKind, PowerTrace, TrainingRecord, TreeModel,
@@ -186,19 +187,7 @@ fn score(
 /// backend pricing the estimator, on the unmodified analytic platform
 /// (physics stays physics; only the policy's beliefs change).
 fn race_edp(kind: &PowerModelKind, seed: u64) -> (f64, f64) {
-    let trace = require_benchmark("applu_in")
-        .with_length(400)
-        .generate(seed);
-    let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
-    let estimator = PowerEstimator::for_platform(&PlatformConfig {
-        power: kind.clone(),
-        ..PlatformConfig::pentium_m()
-    });
-    let report = session.run(
-        Manager::gpht_deployed().with_hook(Box::new(PowerCap::new(estimator, RACE_CAP_W))),
-        &trace,
-    );
+    let report = power_cap::capped_run(&power_cap::workload(seed), kind, RACE_CAP_W);
     (report.edp(), report.average_power_w())
 }
 

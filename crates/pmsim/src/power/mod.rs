@@ -79,16 +79,6 @@ impl PowerInput {
         }
     }
 
-    /// An input known only by its core fraction (counter features zero).
-    #[must_use]
-    pub fn from_core_fraction(core_fraction: f64) -> Self {
-        Self {
-            core_fraction,
-            mem_uop: 0.0,
-            upc: 0.0,
-        }
-    }
-
     /// An input observed through performance counters alone. The core
     /// fraction is not counter-observable, so it pins to `1.0` — the
     /// worst case for the analytic backend, keeping bound-style
@@ -314,7 +304,7 @@ mod tests {
         assert_eq!(kind.kind_name(), "analytic");
         let table = OperatingPointTable::pentium_m();
         let direct = AnalyticModel::pentium_m();
-        let input = PowerInput::from_core_fraction(0.7);
+        let input = PowerInput::new(0.7, 0.0, 0.0);
         for (_, opp) in table.iter() {
             assert_eq!(kind.power(opp, &input), direct.power(opp, &input));
             assert_eq!(kind.worst_case(opp), direct.worst_case(opp));

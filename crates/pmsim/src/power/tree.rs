@@ -255,12 +255,6 @@ impl TreeModel {
         })
     }
 
-    /// The affine `(w_dyn, w_leak)` coefficients.
-    #[must_use]
-    pub fn affine_weights(&self) -> (f64, f64) {
-        (self.w_dyn, self.w_leak)
-    }
-
     /// Leaves in the residual tree.
     #[must_use]
     pub fn leaf_count(&self) -> usize {
@@ -330,7 +324,7 @@ mod tests {
         let b = TreeModel::fit(&records).unwrap();
         assert_eq!(a, b, "same records, same tree");
         assert!(a.leaf_count() >= 2, "the sweep has residual structure");
-        assert!(a.affine_weights().0 >= 0.0 && a.affine_weights().1 >= 0.0);
+        assert!(a.w_dyn >= 0.0 && a.w_leak >= 0.0);
     }
 
     #[test]

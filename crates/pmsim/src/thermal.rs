@@ -130,14 +130,6 @@ impl ThermalState {
         self.peak_c = self.peak_c.max(slice_peak);
         self.temperature_c = t_end;
     }
-
-    /// Temperature the package would settle at if the given power
-    /// persisted — what a *predictive* thermal manager evaluates before
-    /// committing to a setting.
-    #[must_use]
-    pub fn projected_steady_state(&self, power_w: f64) -> f64 {
-        self.model.steady_state(power_w)
-    }
 }
 
 #[cfg(test)]
@@ -201,12 +193,6 @@ mod tests {
         let before = s.temperature_c();
         s.advance(0.0, 0.001); // brief cooling slice
         assert!((s.peak_c() - before).abs() < 1e-9);
-    }
-
-    #[test]
-    fn projection_matches_model() {
-        let s = ThermalState::new(model());
-        assert_eq!(s.projected_steady_state(10.0), model().steady_state(10.0));
     }
 
     #[test]

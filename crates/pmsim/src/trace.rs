@@ -42,12 +42,6 @@ impl PowerSegment {
     pub fn energy_j(&self) -> f64 {
         self.duration_s * self.power_w
     }
-
-    /// Current drawn from the supply, in amperes (`P / V`).
-    #[must_use]
-    pub fn current_a(&self) -> f64 {
-        self.power_w / self.voltage_v
-    }
 }
 
 /// An append-only waveform of [`PowerSegment`]s.
@@ -191,12 +185,6 @@ mod tests {
         let mut t = PowerTrace::new();
         t.push(seg(0.0, 10.0));
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn current_is_p_over_v() {
-        let s = seg(1.0, 14.84);
-        assert!((s.current_a() - 10.0).abs() < 1e-9);
     }
 
     #[test]

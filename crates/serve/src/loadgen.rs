@@ -324,7 +324,8 @@ fn resolve_specs(config: &LoadGenConfig) -> Result<Vec<spec::BenchmarkSpec>, Loa
         .collect())
 }
 
-/// Derives the report percentiles from the merged latency histogram:
+/// Derives the report percentiles from the latency histogram every
+/// tracked sample was recorded into:
 /// constant space however long the replay, estimates within the
 /// histogram's 1/32 relative-error bound, max exact.
 fn percentiles(latencies_us: &Histogram) -> LatencyPercentiles {

@@ -9,9 +9,8 @@
 //! no allocation, no lock, no resizing, safe for the per-PMI and
 //! per-frame hot paths.
 //!
-//! Because the layout is fixed, two histograms are always mergeable by
-//! bucket-wise addition, which is what lets per-connection and
-//! per-shard recorders combine into one report.
+//! Because the layout is fixed, every histogram renders the same bucket
+//! bounds, whichever layer recorded it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -284,28 +283,6 @@ impl Histogram {
         Some(self.max.load(Ordering::Relaxed))
     }
 
-    /// Adds every bucket of `other` into `self`. Both histograms share
-    /// the fixed global layout, so merging is exact: the merged counts
-    /// equal a histogram that had recorded both streams directly.
-    pub fn merge_from(&self, other: &Self) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.overflow
-            .fetch_add(other.overflow.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Visits every non-empty bucket as `(upper_bound, count)`, in
     /// ascending bucket order. This is the exposition renderer's view.
     pub fn for_each_nonempty(&self, mut f: impl FnMut(u64, u64)) {
@@ -410,18 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_carries_overflow() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record_saturating(u128::MAX);
-        b.record_saturating(u128::MAX);
-        b.record_saturating(3);
-        a.merge_from(&b);
-        assert_eq!(a.overflow(), 2);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
     fn extremes_track_through_the_elided_fast_path() {
         // Monotone runs in both directions force the slow path every
         // record; a constant run afterwards must take only the elided
@@ -452,28 +417,5 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-    }
-
-    #[test]
-    fn merge_equals_direct_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let direct = Histogram::new();
-        for v in [3u64, 77, 1 << 20, 5] {
-            a.record(v);
-            direct.record(v);
-        }
-        for v in [9u64, 1 << 33, 77] {
-            b.record(v);
-            direct.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), direct.count());
-        assert_eq!(a.sum(), direct.sum());
-        assert_eq!(a.max(), direct.max());
-        assert_eq!(a.min(), direct.min());
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), direct.quantile(q), "quantile {q}");
-        }
     }
 }

@@ -1,6 +1,6 @@
-//! Property tests for the histogram: the fixed layout makes merging
-//! exact and associative, quantile estimates stay within the bucket
-//! relative-error bound, and what is recorded is what renders.
+//! Property tests for the histogram: every value lands in a bucket no
+//! wider than the advertised relative error, quantile estimates stay
+//! within that bound, and what is recorded is what renders.
 
 use livephase_telemetry::catalogue::GOVERNOR_DECISION_US;
 use livephase_telemetry::histogram::{bucket_bounds, bucket_index, BUCKETS, SUB_COUNT};
@@ -30,16 +30,6 @@ fn hist_of(values: &[u64]) -> Histogram {
     h
 }
 
-fn assert_same(a: &Histogram, b: &Histogram) {
-    assert_eq!(a.count(), b.count());
-    assert_eq!(a.sum(), b.sum());
-    assert_eq!(a.min(), b.min());
-    assert_eq!(a.max(), b.max());
-    for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-        assert_eq!(a.quantile(q), b.quantile(q));
-    }
-}
-
 proptest! {
     /// Every value lands in a bucket that contains it, and the bucket
     /// is narrow enough for the advertised 1/SUB_COUNT relative error.
@@ -50,34 +40,6 @@ proptest! {
         let (lower, upper) = bucket_bounds(i);
         prop_assert!(lower <= v && v <= upper);
         prop_assert!(upper - lower <= v / SUB_COUNT);
-    }
-
-    /// Merging is associative and order-independent: any bracketing of
-    /// the three streams produces the same histogram as recording the
-    /// concatenation directly.
-    #[test]
-    fn merge_is_associative(
-        xs in arb_values(),
-        ys in arb_values(),
-        zs in arb_values(),
-    ) {
-        // (xs ∪ ys) ∪ zs
-        let left = hist_of(&xs);
-        left.merge_from(&hist_of(&ys));
-        left.merge_from(&hist_of(&zs));
-        // xs ∪ (ys ∪ zs)
-        let rhs = hist_of(&ys);
-        rhs.merge_from(&hist_of(&zs));
-        let right = hist_of(&xs);
-        right.merge_from(&rhs);
-        // direct recording of the concatenation
-        let mut all = xs.clone();
-        all.extend_from_slice(&ys);
-        all.extend_from_slice(&zs);
-        let direct = hist_of(&all);
-
-        assert_same(&left, &right);
-        assert_same(&left, &direct);
     }
 
     /// Quantile estimates never undershoot the true order statistic and

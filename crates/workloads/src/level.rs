@@ -51,12 +51,6 @@ impl PhaseLevel {
         Self::new(0.001, 0.55, 2.0)
     }
 
-    /// A strongly memory-bound level with mostly serialized misses.
-    #[must_use]
-    pub fn memory_bound() -> Self {
-        Self::new(0.035, 0.8, 1.3)
-    }
-
     /// The reference behaviour family: the SPEC-like level observed at a
     /// given memory intensity.
     ///
@@ -139,7 +133,6 @@ mod tests {
     #[test]
     fn presets_are_valid() {
         let _ = PhaseLevel::cpu_bound();
-        let _ = PhaseLevel::memory_bound();
     }
 
     #[test]

@@ -59,9 +59,7 @@ pub mod trace;
 pub use io::{from_csv, stream_csv, to_csv, CsvSource, TraceCsvError};
 pub use ipcxmem::{IpcxMemConfig, IpcxMemSuite};
 pub use level::PhaseLevel;
-pub use multiprogram::{
-    concatenate, round_robin, round_robin_source, Job, MultiProgramTrace, RoundRobinSource,
-};
+pub use multiprogram::{round_robin_source, RoundRobinSource};
 pub use pattern::{Movement, Step};
 pub use source::{
     counter_samples, ConstantSource, CounterSample, CounterSamples, IntervalSource,

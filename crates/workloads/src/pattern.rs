@@ -69,16 +69,6 @@ impl Movement {
         per_pass * u64::from(self.repeats)
     }
 
-    /// Iterates the level indices of the whole movement, interval by
-    /// interval.
-    pub fn level_sequence(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.repeats).flat_map(move |_| {
-            self.steps
-                .iter()
-                .flat_map(|s| std::iter::repeat_n(s.level, s.dwell as usize))
-        })
-    }
-
     /// The largest level index referenced, for validation against a level
     /// table.
     #[must_use]
@@ -113,17 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn level_sequence_expands_dwells_and_repeats() {
-        let m = Movement::new(vec![Step::new(0, 2), Step::new(1, 1)], 2);
-        let seq: Vec<usize> = m.level_sequence().collect();
-        assert_eq!(seq, vec![0, 0, 1, 0, 0, 1]);
-    }
-
-    #[test]
     fn constant_movement() {
         let m = Movement::constant(3, 7);
         assert_eq!(m.intervals(), 7);
-        assert!(m.level_sequence().all(|l| l == 3));
         assert_eq!(m.max_level(), 3);
     }
 

@@ -199,30 +199,30 @@ proptest! {
         lens in proptest::collection::vec(1usize..40, 1..4),
         timeslice in 1usize..10,
     ) {
-        use livephase_workloads::{multiprogram, Job};
         let names = ["applu_in", "swim_in", "crafty_in"];
-        let jobs: Vec<Job> = lens
+        let traces: Vec<_> = lens
             .iter()
             .enumerate()
-            .map(|(i, &len)| Job::new(
-                u32::try_from(i + 1).unwrap(),
+            .map(|(i, &len)| {
                 livephase_workloads::benchmark(names[i % 3])
                     .unwrap()
                     .with_length(len)
-                    .generate(1),
-            ))
+                    .generate(1)
+            })
             .collect();
-        let mix = multiprogram::round_robin(&jobs, timeslice, "mix");
+        let members = (1u32..).zip(traces.iter().map(|t| t.stream())).collect();
+        let mut source = livephase_workloads::round_robin_source(members, timeslice, "mix");
+        let mix: Vec<_> = std::iter::from_fn(|| source.next_tagged()).collect();
         let total: usize = lens.iter().sum();
         prop_assert_eq!(mix.len(), total);
-        for job in &jobs {
+        for (pid, trace) in (1u32..).zip(&traces) {
             // Extract this pid's subsequence: must equal the job's trace.
             let mine: Vec<_> = mix
                 .iter()
-                .filter(|&(pid, _)| pid == job.pid)
-                .map(|(_, w)| *w)
+                .filter(|&&(p, _)| p == pid)
+                .map(|&(_, w)| w)
                 .collect();
-            prop_assert_eq!(mine.as_slice(), job.trace.intervals());
+            prop_assert_eq!(mine.as_slice(), trace.intervals());
         }
     }
 
