@@ -26,6 +26,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # test below).
 cargo build --release --workspace --lib --bins --examples
 
+# The benchmark drives the workspace through its public API from
+# livebench/, a package of its own that no workspace build compiles, so
+# type-check it against this tree. The check runs on a copy: livebench/
+# is never written (its committed Cargo.lock is stale, and any build
+# rewrites it), and the copy's path dependencies point back here.
+lb_check=target/livebench-check
+rm -rf "$lb_check"
+mkdir -p "$lb_check"
+cp -R livebench/Cargo.toml livebench/Cargo.lock livebench/src "$lb_check"/
+sed -i "s|path = \"\.\./crates/|path = \"$PWD/crates/|" "$lb_check/Cargo.toml"
+cargo check --offline --quiet --manifest-path "$lb_check/Cargo.toml" \
+    || { echo "livebench no longer builds against the workspace"; exit 1; }
+
 cli=target/release/livephase-cli
 
 # The simplification bar (ROADMAP): a refactor must leave every published

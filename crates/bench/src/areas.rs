@@ -16,7 +16,7 @@ use livephase_core::{
 };
 use livephase_daq::{DaqLog, DaqSystem};
 use livephase_engine::{Decision, DecisionEngine, EngineConfig};
-use livephase_governor::{Manager, Session};
+use livephase_governor::Manager;
 use livephase_pmsim::{
     AnalyticModel, Cpu, IntervalWork, LinearModel, OperatingPointTable, PlatformConfig, PowerInput,
     PowerModel, TrainingRecord, TreeModel,
@@ -217,10 +217,9 @@ fn run_daq_measure(warmup: usize, iters: usize) -> Vec<u64> {
         .expect("applu_in is registered")
         .with_length(8);
     let platform = PlatformConfig::pentium_m().with_power_trace();
-    let session = Session::new(&platform);
     let reports = [
-        session.baseline(bench.stream(1)),
-        session.gpht(bench.stream(1)),
+        Manager::baseline().run(bench.stream(1), &platform),
+        Manager::gpht_deployed().run(bench.stream(1), &platform),
     ];
     let waveforms = reports
         .each_ref()

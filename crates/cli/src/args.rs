@@ -551,15 +551,15 @@ fn set_compare(p: &mut Parsed, a: &str, b: Option<&str>) -> Result<(), String> {
 /// a value its flag rejects.
 pub fn parse(argv: &[String]) -> Result<Parsed, CliError> {
     let mut parsed = Parsed::default();
+    // `--help` or `-h` anywhere asks for the usage, as no args do.
+    if argv.iter().any(|a| HELP_ALIASES.contains(&a.as_str())) {
+        return Ok(parsed);
+    }
     let mut it = argv.iter();
     let Some(cmd) = it.next() else {
         return Ok(parsed); // no args -> help
     };
-    let name = if HELP_ALIASES.contains(&cmd.as_str()) {
-        "help"
-    } else {
-        cmd.as_str()
-    };
+    let name = cmd.as_str();
     let spec = COMMANDS
         .iter()
         .find(|c| c.name == name)
@@ -648,6 +648,20 @@ mod tests {
     fn empty_is_help() {
         assert_eq!(parse(&[]).unwrap().command, Command::Help);
         assert_eq!(parse(&argv("--help")).unwrap().command, Command::Help);
+    }
+
+    #[test]
+    fn help_flag_after_any_command_is_help() {
+        for c in COMMANDS {
+            for flag in HELP_ALIASES {
+                let line = format!("{} {flag}", c.name);
+                assert_eq!(
+                    parse(&argv(&line)).unwrap().command,
+                    Command::Help,
+                    "{line}"
+                );
+            }
+        }
     }
 
     #[test]

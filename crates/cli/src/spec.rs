@@ -3,7 +3,7 @@
 use crate::args::CliError;
 use livephase_core::{PhaseMap, Predictor};
 use livephase_engine::{DecisionEngine, EngineConfig};
-use livephase_governor::{ConservativeDerivation, Manager, ManagerConfig, Oracle};
+use livephase_governor::{ConservativeDerivation, Manager, Oracle};
 use livephase_workloads::WorkloadTrace;
 
 /// The `--predictor` default: the deployed GPHT(8, 128).
@@ -35,7 +35,7 @@ pub fn manager(
     let engine = DecisionEngine::from_spec(EngineConfig::pentium_m(), predictor_spec)
         .map_err(|e| CliError::new(e.to_string()))?;
     let manager = match policy {
-        "gpht" => return Ok(Manager::with_engine(engine, ManagerConfig::pentium_m())),
+        "gpht" => return Ok(Manager::with_engine(engine)),
         "baseline" => Manager::baseline(),
         "reactive" => Manager::reactive(),
         "oracle" => {
@@ -43,7 +43,7 @@ pub fn manager(
             let engine =
                 DecisionEngine::new(EngineConfig::pentium_m(), move || Box::new(oracle.clone()))
                     .with_name("Oracle");
-            Manager::with_engine(engine, ManagerConfig::pentium_m())
+            Manager::with_engine(engine)
         }
         "conservative" => ConservativeDerivation::pentium_m().manager(0.05),
         other => {

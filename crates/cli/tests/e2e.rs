@@ -38,6 +38,8 @@ fn help_and_no_args_print_usage() {
     assert!(out.contains("USAGE"));
     let out = run_ok(&[]);
     assert!(out.contains("USAGE"));
+    let out = run_ok(&["bench", "--help"]);
+    assert!(out.contains("USAGE"));
 }
 
 #[test]

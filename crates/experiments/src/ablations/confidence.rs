@@ -11,7 +11,7 @@ use crate::runs::require_benchmark;
 use crate::ShapeViolations;
 use livephase_core::{ConfidentPredictor, Gpht, GphtConfig};
 use livephase_engine::{DecisionEngine, EngineConfig};
-use livephase_governor::{par_map, Manager, Session};
+use livephase_governor::{par_map, Manager};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::spec;
 use std::fmt;
@@ -42,11 +42,10 @@ pub struct ConfidenceAblation {
 #[must_use]
 pub fn run(seed: u64) -> ConfidenceAblation {
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
     let rows = par_map(&spec::figure12_set(), |name| {
         let bench = require_benchmark(name);
-        let baseline = session.baseline(bench.stream(seed));
-        let plain = session.gpht(bench.stream(seed));
+        let baseline = Manager::baseline().run(bench.stream(seed), &platform);
+        let plain = Manager::gpht_deployed().run(bench.stream(seed), &platform);
         let gated = DecisionEngine::new(EngineConfig::pentium_m(), || {
             Box::new(ConfidentPredictor::new(
                 Gpht::new(GphtConfig::DEPLOYED),
@@ -54,10 +53,7 @@ pub fn run(seed: u64) -> ConfidenceAblation {
                 2,
             ))
         });
-        let gated = session.run(
-            Manager::with_engine(gated, session.config().clone()),
-            bench.stream(seed),
-        );
+        let gated = Manager::with_engine(gated).run(bench.stream(seed), &platform);
         ConfidenceRow {
             name: (*name).to_owned(),
             plain_acc: plain.prediction.accuracy(),

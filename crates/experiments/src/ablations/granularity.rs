@@ -10,7 +10,7 @@
 use crate::format::{num, pct, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_governor::{par_map, Session};
+use livephase_governor::{par_map, Manager};
 use livephase_pmsim::PlatformConfig;
 use std::fmt;
 
@@ -50,9 +50,8 @@ pub fn run(seed: u64) -> GranularityAblation {
             pmi_granularity_uops: granularity,
             ..PlatformConfig::pentium_m()
         };
-        let session = Session::new(&platform);
-        let baseline = session.baseline(&trace);
-        let managed = session.gpht(&trace);
+        let baseline = Manager::baseline().run(&trace, &platform);
+        let managed = Manager::gpht_deployed().run(&trace, &platform);
         let c = managed.compare_to(&baseline);
         GranularityRow {
             granularity,

@@ -9,7 +9,7 @@ use crate::runs::require_benchmark;
 use crate::ShapeViolations;
 use livephase_core::PhaseMap;
 use livephase_engine::{DecisionEngine, EngineConfig};
-use livephase_governor::{par_map, Manager, Oracle, Session};
+use livephase_governor::{par_map, Manager, Oracle};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::spec;
 use std::fmt;
@@ -48,23 +48,19 @@ pub struct OracleGap {
 #[must_use]
 pub fn run(seed: u64) -> OracleGap {
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
     let map = PhaseMap::pentium_m();
     let rows = par_map(&spec::figure12_set(), |name| {
         let bench = require_benchmark(name);
         // The oracle needs the whole future, so this one driver still
         // materializes the trace.
         let trace = bench.generate(seed);
-        let baseline = session.baseline(&trace);
-        let gpht = session.gpht(&trace);
+        let baseline = Manager::baseline().run(&trace, &platform);
+        let gpht = Manager::gpht_deployed().run(&trace, &platform);
         let oracle = Oracle::from_trace(&trace, &map);
         let oracle =
             DecisionEngine::new(EngineConfig::pentium_m(), move || Box::new(oracle.clone()))
                 .with_name("Oracle");
-        let oracle = session.run(
-            Manager::with_engine(oracle, session.config().clone()),
-            &trace,
-        );
+        let oracle = Manager::with_engine(oracle).run(&trace, &platform);
         OracleRow {
             name: (*name).to_owned(),
             gpht_edp_pct: gpht.compare_to(&baseline).edp_improvement_pct(),

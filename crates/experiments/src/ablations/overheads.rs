@@ -54,22 +54,24 @@ pub fn run(seed: u64) -> OverheadAblation {
         dvfs_transition_s: 0.0,
         ..PlatformConfig::pentium_m()
     };
-    let baseline = Manager::baseline_with(ManagerConfig {
-        handler_overhead_s: 0.0,
-        ..ManagerConfig::pentium_m()
-    })
-    .run(&trace, &base_platform);
+    let baseline = Manager::baseline()
+        .with_config(ManagerConfig {
+            handler_overhead_s: 0.0,
+            ..ManagerConfig::pentium_m()
+        })
+        .run(&trace, &base_platform);
 
     let rows = par_map(&SWEEP, |&(handler_s, transition_s)| {
         let platform = PlatformConfig {
             dvfs_transition_s: transition_s,
             ..PlatformConfig::pentium_m()
         };
-        let report = Manager::gpht_deployed_with(ManagerConfig {
-            handler_overhead_s: handler_s,
-            ..ManagerConfig::pentium_m()
-        })
-        .run(&trace, &platform);
+        let report = Manager::gpht_deployed()
+            .with_config(ManagerConfig {
+                handler_overhead_s: handler_s,
+                ..ManagerConfig::pentium_m()
+            })
+            .run(&trace, &platform);
         let c = report.compare_to(&baseline);
         let overhead_s = handler_s * report.intervals.len() as f64
             + transition_s * report.dvfs_transitions as f64;

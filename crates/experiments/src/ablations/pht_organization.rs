@@ -86,14 +86,14 @@ pub fn check(a: &PhtOrganizationAblation) -> ShapeViolations {
         }
         if r.hashed_4x < r.associative - 0.03 {
             v.push(format!(
-                "{}: 4x-slot hashing ({:.3}) should recover associative                  accuracy ({:.3})",
+                "{}: 4x-slot hashing ({:.3}) should recover associative accuracy ({:.3})",
                 r.name, r.hashed_4x, r.associative
             ));
         }
     }
     if taxed < 3 {
         v.push(format!(
-            "conflict misses should visibly tax equal-storage hashing              (only {taxed}/6 affected)"
+            "conflict misses should visibly tax equal-storage hashing (only {taxed}/6 affected)"
         ));
     }
     v
@@ -135,5 +135,24 @@ mod tests {
         let violations = check(&a);
         assert!(violations.is_empty(), "{violations:#?}");
         assert_eq!(a.rows.len(), 6);
+    }
+
+    /// One row that breaks every claim: each violation reads as one
+    /// sentence, with no run of spaces from a wrapped literal.
+    #[test]
+    fn violation_messages_are_single_spaced() {
+        let a = PhtOrganizationAblation {
+            rows: vec![OrganizationRow {
+                name: "applu_in".to_owned(),
+                associative: 0.95,
+                hashed_equal: 0.80,
+                hashed_4x: 0.85,
+            }],
+        };
+        let violations = check(&a);
+        assert_eq!(violations.len(), 3, "{violations:#?}");
+        for m in &violations {
+            assert!(!m.contains("  "), "{m:?}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_governor::{par_map, AdaptiveSampling, ManagerConfig, Session};
+use livephase_governor::{par_map, AdaptiveSampling, Manager, ManagerConfig};
 use livephase_pmsim::PlatformConfig;
 use std::fmt;
 
@@ -53,16 +53,17 @@ pub const BENCHMARKS: [&str; 3] = ["swim_in", "applu_in", "gzip_log"];
 #[must_use]
 pub fn run(seed: u64) -> AdaptiveSamplingExperiment {
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
-    let adaptive_session = session.clone().with_config(ManagerConfig {
+    let adaptive_config = ManagerConfig {
         adaptive_sampling: Some(AdaptiveSampling::pentium_m()),
         ..ManagerConfig::pentium_m()
-    });
+    };
     let rows = par_map(&BENCHMARKS, |name| {
         let bench = require_benchmark(name).with_length(600);
-        let baseline = session.baseline(bench.stream(seed));
-        let plain = session.gpht(bench.stream(seed));
-        let adaptive = adaptive_session.gpht(bench.stream(seed));
+        let baseline = Manager::baseline().run(bench.stream(seed), &platform);
+        let plain = Manager::gpht_deployed().run(bench.stream(seed), &platform);
+        let adaptive = Manager::gpht_deployed()
+            .with_config(adaptive_config.clone())
+            .run(bench.stream(seed), &platform);
         SamplingRow {
             name: (*name).to_owned(),
             plain_pmis: plain.intervals.len(),

@@ -8,7 +8,7 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_governor::{Manager, ManagerConfig, PowerEstimator, Session, ThermalAware};
+use livephase_governor::{Manager, ManagerConfig, PowerEstimator, ThermalAware};
 use livephase_pmsim::{PlatformConfig, ThermalModel};
 use std::fmt;
 
@@ -40,22 +40,26 @@ pub fn run(seed: u64) -> DtmExperiment {
     let limit_c = 65.0;
     let bench = require_benchmark("crafty_in").with_length(900);
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform).with_config(ManagerConfig {
+    let config = ManagerConfig {
         thermal: Some(ThermalModel::pentium_m()),
         ..ManagerConfig::pentium_m()
-    });
+    };
 
-    let unmanaged = session.baseline(bench.stream(seed));
-    let energy = session.gpht(bench.stream(seed));
+    let unmanaged = Manager::baseline()
+        .with_config(config.clone())
+        .run(bench.stream(seed), &platform);
+    let energy = Manager::gpht_deployed()
+        .with_config(config.clone())
+        .run(bench.stream(seed), &platform);
     let guard = ThermalAware::new(
         PowerEstimator::pentium_m(),
         ThermalModel::pentium_m(),
         limit_c,
     );
-    let dtm = session.run(
-        Manager::gpht_deployed_with(session.config().clone()).with_hook(Box::new(guard)),
-        bench.stream(seed),
-    );
+    let dtm = Manager::gpht_deployed()
+        .with_config(config)
+        .with_hook(Box::new(guard))
+        .run(bench.stream(seed), &platform);
 
     let row = |system: &str, r: &livephase_governor::RunReport| ThermalRow {
         system: system.to_owned(),

@@ -6,7 +6,7 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_governor::{par_map, Manager, PowerCap, PowerEstimator, RunReport, Session};
+use livephase_governor::{par_map, Manager, PowerCap, PowerEstimator, RunReport};
 use livephase_pmsim::{PlatformConfig, PowerModelKind};
 use livephase_workloads::WorkloadTrace;
 use std::fmt;
@@ -71,7 +71,7 @@ pub(crate) fn capped_run(trace: &WorkloadTrace, model: &PowerModelKind, cap_w: f
 #[must_use]
 pub fn run_with_model(seed: u64, model: &PowerModelKind) -> PowerCapExperiment {
     let trace = workload(seed);
-    let baseline = Session::new(&PlatformConfig::pentium_m()).baseline(&trace);
+    let baseline = Manager::baseline().run(&trace, &PlatformConfig::pentium_m());
 
     let rows = par_map(&CAPS, |&cap_w| {
         let report = capped_run(&trace, model, cap_w);

@@ -11,7 +11,7 @@ use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
 use livephase_daq::{DaqLog, DaqSystem};
-use livephase_governor::{RunReport, Session};
+use livephase_governor::{Manager, RunReport};
 use livephase_pmsim::PlatformConfig;
 use std::fmt;
 
@@ -40,9 +40,8 @@ pub fn run(seed: u64) -> Figure10 {
     // covering dozens of phase swings.
     let bench = require_benchmark("applu_in").with_length(600);
     let platform = PlatformConfig::pentium_m().with_power_trace();
-    let session = Session::new(&platform);
-    let baseline = session.baseline(bench.stream(seed));
-    let managed = session.gpht(bench.stream(seed));
+    let baseline = Manager::baseline().run(bench.stream(seed), &platform);
+    let managed = Manager::gpht_deployed().run(bench.stream(seed), &platform);
     // One pass for both captures: they share the noise realisation, so
     // the channel noise is drawn once per sample instant.
     let waveforms = [&baseline, &managed].map(|r| r.power_trace.as_ref().expect("recorded"));

@@ -4,7 +4,7 @@
 use crate::format::{num, Table};
 use crate::runs::{require_benchmark, Outcome};
 use crate::ShapeViolations;
-use livephase_governor::{par_map, Session};
+use livephase_governor::par_map;
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::spec;
 use std::fmt;
@@ -44,10 +44,9 @@ impl Figure12 {
 #[must_use]
 pub fn run(seed: u64) -> Figure12 {
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
     let rows = par_map(&spec::figure12_set(), |name| {
         let bench = require_benchmark(name);
-        let o = Outcome::measure_in(&session, &bench, seed);
+        let o = Outcome::measure(&platform, &bench, seed);
         let r = o.reactive_vs_baseline();
         let g = o.gpht_vs_baseline();
         Head2Head {

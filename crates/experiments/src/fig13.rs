@@ -10,7 +10,7 @@
 use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
-use livephase_governor::{par_map, ConservativeDerivation, RunSummary, Session, TranslationTable};
+use livephase_governor::{par_map, ConservativeDerivation, Manager, RunSummary, TranslationTable};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::BenchmarkSpec;
 use std::fmt;
@@ -55,10 +55,9 @@ pub fn run(seed: u64) -> Figure13 {
     let derivation = ConservativeDerivation::pentium_m();
     let (map, table) = derivation.derive(0.05);
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
     let rows = par_map(&FIGURE13_BENCHMARKS, |name| {
         let [baseline, original, conservative] =
-            measure(&session, &derivation, &require_benchmark(name), seed);
+            measure(&platform, &derivation, &require_benchmark(name), seed);
         let c = conservative.compare_to(&baseline);
         let o = original.compare_to(&baseline);
         ConservativeRow {
@@ -81,17 +80,18 @@ pub fn run(seed: u64) -> Figure13 {
 /// three over one generated trace, each cut to its summary before the
 /// next starts.
 fn measure(
-    session: &Session<'_>,
+    platform: &PlatformConfig,
     derivation: &ConservativeDerivation,
     bench: &BenchmarkSpec,
     seed: u64,
 ) -> [RunSummary; 3] {
     let trace = bench.generate(seed);
     [
-        session.baseline(&trace).into_summary(),
-        session.gpht(&trace).into_summary(),
-        session.run(derivation.manager(0.05), &trace).into_summary(),
+        Manager::baseline(),
+        Manager::gpht_deployed(),
+        derivation.manager(0.05),
     ]
+    .map(|manager| manager.run(&trace, platform).into_summary())
 }
 
 /// The paper's claims: every degradation lands well under the 5 % bound,
@@ -195,14 +195,13 @@ mod tests {
     fn one_trace_for_three_runs_equals_three_streamed_runs() {
         let derivation = ConservativeDerivation::pentium_m();
         let platform = PlatformConfig::pentium_m();
-        let session = Session::new(&platform);
         for name in FIGURE13_BENCHMARKS {
             let bench = require_benchmark(name).with_length(203);
-            let shared = measure(&session, &derivation, &bench, 11);
+            let shared = measure(&platform, &derivation, &bench, 11);
             let streamed = [
-                session.baseline(bench.stream(11)),
-                session.gpht(bench.stream(11)),
-                session.run(derivation.manager(0.05), bench.stream(11)),
+                Manager::baseline().run(bench.stream(11), &platform),
+                Manager::gpht_deployed().run(bench.stream(11), &platform),
+                derivation.manager(0.05).run(bench.stream(11), &platform),
             ]
             .map(RunReport::into_summary);
             for (summary, alone) in shared.iter().zip(&streamed) {

@@ -20,7 +20,7 @@ use crate::format::{num, Table};
 use crate::runs::require_benchmark;
 use crate::ShapeViolations;
 use livephase_daq::DaqSystem;
-use livephase_governor::{par_map, Session};
+use livephase_governor::{par_map, Manager};
 use livephase_pmsim::{
     LinearModel, OperatingPoint, OperatingPointTable, PlatformConfig, PowerInput, PowerModel,
     PowerModelKind, PowerTrace, TrainingRecord, TreeModel,
@@ -100,7 +100,7 @@ fn harvest_set(names: &[&str], seed: u64) -> Vec<TrainingRecord> {
     let platform = PlatformConfig::pentium_m().with_power_trace();
     let reports = par_map(names, |name| {
         let bench = require_benchmark(name).with_length(INTERVALS);
-        Session::new(&platform).gpht(bench.stream(seed))
+        Manager::gpht_deployed().run(bench.stream(seed), &platform)
     });
     let waveforms: Vec<&PowerTrace> = reports
         .iter()

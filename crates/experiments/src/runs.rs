@@ -13,7 +13,7 @@
 //! trace per worker and no per-interval log, and a worker's next run
 //! reuses the freed log buffer.
 
-use livephase_governor::{par_map, NormalizedComparison, RunSummary, Session};
+use livephase_governor::{par_map, Manager, NormalizedComparison, RunSummary};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::{registry, spec, BenchmarkSpec};
 
@@ -45,26 +45,20 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// Runs one benchmark spec under the three systems on its own
-    /// Pentium M platform.
+    /// Runs one benchmark spec under the three systems on `platform`.
+    /// The workload is generated once and the three systems run over
+    /// that trace, each with the summary a run off its own stream of the
+    /// spec would give.
     #[must_use]
-    pub fn measure(spec: &BenchmarkSpec, seed: u64) -> Self {
-        let platform = PlatformConfig::pentium_m();
-        Self::measure_in(&Session::new(&platform), spec, seed)
-    }
-
-    /// Runs one benchmark spec under the three systems in an existing
-    /// session. The workload is generated once and the three systems run
-    /// over that trace, each with the summary a run off its own stream
-    /// of the spec would give.
-    #[must_use]
-    pub fn measure_in(session: &Session<'_>, spec: &BenchmarkSpec, seed: u64) -> Self {
+    pub fn measure(platform: &PlatformConfig, spec: &BenchmarkSpec, seed: u64) -> Self {
         let trace = spec.generate(seed);
         Self {
             name: spec.name().to_owned(),
-            baseline: session.baseline(&trace).into_summary(),
-            reactive: session.reactive(&trace).into_summary(),
-            gpht: session.gpht(&trace).into_summary(),
+            baseline: Manager::baseline().run(&trace, platform).into_summary(),
+            reactive: Manager::reactive().run(&trace, platform).into_summary(),
+            gpht: Manager::gpht_deployed()
+                .run(&trace, platform)
+                .into_summary(),
         }
     }
 
@@ -86,9 +80,8 @@ impl Outcome {
 #[must_use]
 pub fn measure_all(seed: u64) -> Vec<Outcome> {
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
     let specs = registry();
-    par_map(&specs, |spec| Outcome::measure_in(&session, spec, seed))
+    par_map(&specs, |spec| Outcome::measure(&platform, spec, seed))
 }
 
 #[cfg(test)]
@@ -99,7 +92,7 @@ mod tests {
     #[test]
     fn outcome_covers_three_systems() {
         let spec = require_benchmark("swim_in").with_length(100);
-        let o = Outcome::measure(&spec, 1);
+        let o = Outcome::measure(&PlatformConfig::pentium_m(), &spec, 1);
         assert_eq!(o.baseline.policy, "Baseline");
         assert!(o.reactive.policy.contains("Reactive"));
         assert!(o.gpht.policy.contains("GPHT"));
@@ -109,17 +102,16 @@ mod tests {
     }
 
     #[test]
-    fn measure_in_shares_the_session_platform() {
+    fn measure_shares_the_platform() {
         let platform = PlatformConfig::pentium_m();
-        let session = Session::new(&platform);
         let spec = require_benchmark("swim_in").with_length(60);
-        let shared = Outcome::measure_in(&session, &spec, 1);
-        let owned = Outcome::measure(&spec, 1);
+        let shared = Outcome::measure(&platform, &spec, 1);
+        let owned = Outcome::measure(&PlatformConfig::pentium_m(), &spec, 1);
         assert_eq!(shared.baseline, owned.baseline);
         assert_eq!(shared.reactive, owned.reactive);
         assert_eq!(shared.gpht, owned.gpht);
         // Each summary is its full report, less the per-interval data.
-        let report = session.gpht(spec.stream(1));
+        let report = Manager::gpht_deployed().run(spec.stream(1), &platform);
         assert!(!report.intervals.is_empty());
         assert_eq!(shared.gpht, report.into_summary());
     }
@@ -133,14 +125,13 @@ mod tests {
     #[test]
     fn one_trace_for_three_systems_equals_three_streamed_runs() {
         let platform = PlatformConfig::pentium_m();
-        let session = Session::new(&platform);
         for name in ["applu_in", "mcf_inp", "swim_in"] {
             let spec = require_benchmark(name).with_length(203);
-            let shared = Outcome::measure_in(&session, &spec, 7);
+            let shared = Outcome::measure(&platform, &spec, 7);
             let streamed = [
-                session.baseline(spec.stream(7)),
-                session.reactive(spec.stream(7)),
-                session.gpht(spec.stream(7)),
+                Manager::baseline().run(spec.stream(7), &platform),
+                Manager::reactive().run(spec.stream(7), &platform),
+                Manager::gpht_deployed().run(spec.stream(7), &platform),
             ]
             .map(RunReport::into_summary);
             for (summary, alone) in [shared.baseline, shared.reactive, shared.gpht]

@@ -14,7 +14,7 @@
 //! and places the phase boundary at the lowest Mem/Uop from which the
 //! slowdown stays within the bound.
 
-use crate::manager::{Manager, ManagerConfig};
+use crate::manager::Manager;
 use crate::table::TranslationTable;
 use livephase_core::{Gpht, GphtConfig, PhaseMap};
 use livephase_engine::{DecisionEngine, EngineConfig};
@@ -147,7 +147,7 @@ impl ConservativeDerivation {
             Err(_) => unreachable!("derived settings index the platform's few operating points"),
         };
         let engine = DecisionEngine::new(config, || Box::new(Gpht::new(GphtConfig::DEPLOYED)));
-        Manager::with_engine(engine, ManagerConfig::pentium_m())
+        Manager::with_engine(engine)
     }
 
     /// The smallest swept Mem/Uop from which `setting`'s slowdown stays

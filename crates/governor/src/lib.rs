@@ -17,10 +17,9 @@
 //! * [`policy`] — the [`DecisionHook`] that may reshape an engine
 //!   decision with the platform state in view, and the [`Oracle`]
 //!   predictor that replays a trace's actual phases;
-//! * [`thermal`], [`dwell`] — the shipped hooks: thermal guard, power
-//!   cap, minimum dwell;
-//! * [`session`] — shared-platform experiment sessions and the
-//!   order-preserving parallel sweep primitive;
+//! * [`thermal`] — the shipped hooks: thermal guard and power cap;
+//! * [`sweep`] — [`par_map`], the order-preserving parallel sweep
+//!   primitive every experiment fans its runs over;
 //! * [`conservative`] — Section 6.3: deriving alternative phase
 //!   definitions that bound worst-case performance degradation;
 //! * [`report`] — run reports (with their per-interval log), whole-run
@@ -55,22 +54,20 @@
 #![cfg_attr(not(test), warn(clippy::allow_attributes_without_reason))]
 
 pub mod conservative;
-pub mod dwell;
 pub mod estimate;
 pub mod manager;
 pub mod policy;
 pub mod report;
-pub mod session;
+pub mod sweep;
 pub mod thermal;
 
 pub use livephase_engine::table;
 
 pub use conservative::ConservativeDerivation;
-pub use dwell::MinDwell;
 pub use estimate::PowerEstimator;
 pub use manager::{AdaptiveSampling, Manager, ManagerConfig};
 pub use policy::{DecisionHook, Environment, Oracle};
 pub use report::{IntervalLog, NormalizedComparison, RunReport, RunSummary};
-pub use session::{par_map, Session};
+pub use sweep::par_map;
 pub use table::{TranslationTable, TranslationTableError};
 pub use thermal::{PowerCap, ThermalAware};

@@ -16,8 +16,8 @@
 //! what only an in-process run has: the simulated CPU, the PMI cadence,
 //! handler and DVFS-transition overhead accounting, thermal integration
 //! and adaptive sampling. A manager without an engine is the unmanaged
-//! baseline; a [`DecisionHook`] (thermal guard, power cap, minimum
-//! dwell) may reshape the engine's decision before it is applied.
+//! baseline; a [`DecisionHook`] (thermal guard, power cap) may reshape
+//! the engine's decision before it is applied.
 //!
 //! The handler's own execution cost (≈ 10 µs) and any DVFS transition
 //! (≈ 50 µs) are charged to the simulated CPU, so overheads — invisible at
@@ -134,23 +134,34 @@ impl std::fmt::Debug for Manager {
 
 impl Manager {
     /// Creates a manager that delegates every decision to a
-    /// [`DecisionEngine`] — the same pipeline the serve shards run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
+    /// [`DecisionEngine`] — the same pipeline the serve shards run —
+    /// under the deployed handler configuration.
     #[must_use]
-    pub fn with_engine(engine: DecisionEngine, config: ManagerConfig) -> Self {
-        Self::from_parts(Some(engine), config)
+    pub fn with_engine(engine: DecisionEngine) -> Self {
+        Self::new(Some(engine))
     }
 
-    fn from_parts(engine: Option<DecisionEngine>, config: ManagerConfig) -> Self {
-        config.validate();
+    fn new(engine: Option<DecisionEngine>) -> Self {
         Self {
             engine,
             hook: None,
-            config,
+            config: ManagerConfig::pentium_m(),
         }
+    }
+
+    /// Replaces the handler configuration (thermal tracking, adaptive
+    /// sampling, handler cost) for the run (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid: a negative or non-finite
+    /// handler overhead, or an adaptive-sampling window or multiplier of
+    /// zero.
+    #[must_use]
+    pub fn with_config(mut self, config: ManagerConfig) -> Self {
+        config.validate();
+        self.config = config;
+        self
     }
 
     /// Attaches a [`DecisionHook`] that turns each engine decision into
@@ -165,51 +176,29 @@ impl Manager {
     /// The unmanaged baseline system (always full speed).
     #[must_use]
     pub fn baseline() -> Self {
-        Self::baseline_with(ManagerConfig::pentium_m())
-    }
-
-    /// The baseline system under a custom handler configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    #[must_use]
-    pub fn baseline_with(config: ManagerConfig) -> Self {
-        Self::from_parts(None, config)
+        Self::new(None)
     }
 
     /// The reactive (last-value) manager of prior work, over the paper's
     /// Table 2 mapping: a last-value decision engine by another name.
     #[must_use]
     pub fn reactive() -> Self {
-        Self::reactive_with(ManagerConfig::pentium_m())
-    }
-
-    /// The reactive manager under a custom handler configuration.
-    #[must_use]
-    pub fn reactive_with(config: ManagerConfig) -> Self {
         let engine = match DecisionEngine::from_spec(EngineConfig::pentium_m(), "lastvalue") {
             Ok(engine) => engine.with_name("Reactive(LastValue)"),
             Err(_) => unreachable!("lastvalue is a valid predictor spec"),
         };
-        Self::with_engine(engine, config)
+        Self::with_engine(engine)
     }
 
     /// The paper's deployed system: proactive GPHT(8, 128) management over
     /// the Table 2 mapping.
     #[must_use]
     pub fn gpht_deployed() -> Self {
-        Self::gpht_deployed_with(ManagerConfig::pentium_m())
-    }
-
-    /// The deployed GPHT system under a custom handler configuration.
-    #[must_use]
-    pub fn gpht_deployed_with(config: ManagerConfig) -> Self {
         let engine = match DecisionEngine::from_spec(EngineConfig::pentium_m(), "gpht:8:128") {
             Ok(engine) => engine,
             Err(_) => unreachable!("the deployed GPHT spec is valid"),
         };
-        Self::with_engine(engine, config)
+        Self::with_engine(engine)
     }
 
     /// The run's display name: `Baseline`, the engine's name, or the
@@ -511,6 +500,77 @@ mod tests {
         let pt = r.power_trace.expect("trace recorded");
         assert!((pt.total_energy_j() - r.totals.energy_j).abs() < 1e-9);
         assert!((pt.total_time_s() - r.totals.time_s).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_three_systems_run_under_their_names() {
+        let platform = PlatformConfig::pentium_m();
+        let t = short_trace("applu_in", 40);
+        let b = Manager::baseline().run(&t, &platform);
+        let r = Manager::reactive().run(&t, &platform);
+        let g = Manager::gpht_deployed().run(&t, &platform);
+        assert_eq!(b.policy, "Baseline");
+        assert!(r.policy.contains("Reactive"));
+        assert!(g.policy.contains("GPHT"));
+        assert!(g.totals.energy_j < b.totals.energy_j);
+    }
+
+    #[test]
+    fn decision_trace_tracks_interval_settings() {
+        let t = short_trace("applu_in", 50);
+        let r = Manager::gpht_deployed().run(&t, &PlatformConfig::pentium_m());
+        let d = r.decision_trace();
+        assert_eq!(d.len(), r.intervals.len() - 1);
+        assert_eq!(
+            d,
+            r.intervals[1..]
+                .iter()
+                .map(|i| i.dvfs_index)
+                .collect::<Vec<_>>()
+        );
+        assert!(d.iter().any(|&s| s > 0), "applu switches settings");
+    }
+
+    #[test]
+    #[should_panic(expected = "handler overhead must be finite and non-negative")]
+    fn with_config_rejects_a_negative_handler_overhead() {
+        let _ = Manager::baseline().with_config(ManagerConfig {
+            handler_overhead_s: -1e-6,
+            ..ManagerConfig::pentium_m()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "handler overhead must be finite and non-negative")]
+    fn with_config_rejects_a_nan_handler_overhead() {
+        let _ = Manager::gpht_deployed().with_config(ManagerConfig {
+            handler_overhead_s: f64::NAN,
+            ..ManagerConfig::pentium_m()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "base window must be positive")]
+    fn with_config_rejects_a_zero_adaptive_base_window() {
+        let _ = Manager::gpht_deployed().with_config(ManagerConfig {
+            adaptive_sampling: Some(AdaptiveSampling {
+                base_uops: 0,
+                ..AdaptiveSampling::pentium_m()
+            }),
+            ..ManagerConfig::pentium_m()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "multiplier must be at least 1")]
+    fn with_config_rejects_a_zero_adaptive_multiplier() {
+        let _ = Manager::reactive().with_config(ManagerConfig {
+            adaptive_sampling: Some(AdaptiveSampling {
+                max_multiplier: 0,
+                ..AdaptiveSampling::pentium_m()
+            }),
+            ..ManagerConfig::pentium_m()
+        });
     }
 
     #[test]

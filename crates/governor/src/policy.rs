@@ -27,13 +27,13 @@ pub struct Environment {
 /// [`Environment`] in view.
 ///
 /// Classification, prediction and translation stay in the engine; a hook
-/// only reshapes the outcome (throttle for temperature, cap power, hold a
-/// setting). Without a hook the manager applies `decision.op_point`.
+/// only reshapes the outcome (throttle for temperature, cap power).
+/// Without a hook the manager applies `decision.op_point`.
 pub trait DecisionHook {
     /// The DVFS setting index to apply for the next interval.
     fn setting(&mut self, decision: &Decision, env: &Environment) -> usize;
 
-    /// The run's display name, given the engine's (e.g. `MinDwell_2(…)`).
+    /// The run's display name, given the engine's (e.g. `PowerCap_20W(…)`).
     fn name(&self, engine: &str) -> String;
 }
 
@@ -89,7 +89,7 @@ impl Predictor for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::{Manager, ManagerConfig};
+    use crate::manager::Manager;
     use livephase_engine::{DecisionEngine, EngineConfig};
     use livephase_pmsim::PlatformConfig;
     use livephase_workloads::spec;
@@ -104,8 +104,7 @@ mod tests {
         let engine =
             DecisionEngine::new(EngineConfig::pentium_m(), move || Box::new(oracle.clone()))
                 .with_name("Oracle");
-        let report = Manager::with_engine(engine, ManagerConfig::pentium_m())
-            .run(&trace, &PlatformConfig::pentium_m());
+        let report = Manager::with_engine(engine).run(&trace, &PlatformConfig::pentium_m());
         assert_eq!(report.policy, "Oracle");
         assert_eq!(
             report.prediction.correct, report.prediction.total,

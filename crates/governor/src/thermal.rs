@@ -145,7 +145,9 @@ mod tests {
             ThermalModel::pentium_m(),
             limit_c,
         );
-        Manager::gpht_deployed_with(thermal_config()).with_hook(Box::new(guard))
+        Manager::gpht_deployed()
+            .with_config(thermal_config())
+            .with_hook(Box::new(guard))
     }
 
     #[test]
@@ -155,8 +157,9 @@ mod tests {
             .unwrap()
             .with_length(800)
             .generate(1);
-        let baseline =
-            Manager::baseline_with(thermal_config()).run(&trace, &PlatformConfig::pentium_m());
+        let baseline = Manager::baseline()
+            .with_config(thermal_config())
+            .run(&trace, &PlatformConfig::pentium_m());
         let peak = baseline.peak_temperature_c.expect("thermal tracked");
         assert!(peak > 70.0, "baseline peak {peak}");
     }

@@ -3,10 +3,8 @@
 //! comparisons.
 
 use livephase_core::{PhaseId, PhaseMap};
-use livephase_engine::{Decision, DecisionEngine, EngineConfig, Sample};
-use livephase_governor::{
-    ConservativeDerivation, DecisionHook, Environment, Manager, MinDwell, TranslationTable,
-};
+use livephase_engine::{DecisionEngine, EngineConfig, Sample};
+use livephase_governor::{ConservativeDerivation, Manager, TranslationTable};
 use livephase_pmsim::PlatformConfig;
 use livephase_workloads::{registry, PhaseLevel, WorkloadTrace};
 use proptest::prelude::*;
@@ -116,42 +114,6 @@ proptest! {
         prop_assert!(managed.average_power_w() <= base.average_power_w() + 1e-9);
     }
 
-    /// A min-dwell gate can never emit more than one setting change per
-    /// `min_dwell` decisions, on any request stream.
-    #[test]
-    fn min_dwell_bounds_the_switch_rate(
-        phases in proptest::collection::vec(1u8..=6, 10..200),
-        dwell in 1u32..8,
-    ) {
-        let mut p = MinDwell::new(dwell);
-        let env = Environment {
-            temperature_c: None,
-            current_setting: 0,
-            interval_power_w: 0.0,
-        };
-        let mut last = None;
-        let mut switches = 0u32;
-        for &ph in &phases {
-            let decision = Decision {
-                pid: 0,
-                phase: PhaseId::new(ph),
-                predicted: PhaseId::new(ph),
-                op_point: ph - 1,
-                confidence: 0,
-            };
-            let got = p.setting(&decision, &env);
-            if last.is_some_and(|l| l != got) {
-                switches += 1;
-            }
-            last = Some(got);
-        }
-        let bound = (phases.len() as u32).div_ceil(dwell);
-        prop_assert!(
-            switches <= bound,
-            "{switches} switches > bound {bound} at dwell {dwell}"
-        );
-    }
-
     /// Adaptive sampling never loses or duplicates work, whatever the
     /// multiplier cap, and never takes more interrupts than fixed sampling.
     #[test]
@@ -165,7 +127,7 @@ proptest! {
         let trace = spec.generate(7);
         let platform = PlatformConfig::pentium_m();
         let fixed = Manager::gpht_deployed().run(&trace, &platform);
-        let adaptive = Manager::gpht_deployed_with(ManagerConfig {
+        let adaptive = Manager::gpht_deployed().with_config(ManagerConfig {
             adaptive_sampling: Some(AdaptiveSampling {
                 base_uops: 100_000_000,
                 max_multiplier,
@@ -191,7 +153,7 @@ proptest! {
         let spec = registry().swap_remove(idx).with_length(120);
         let trace = spec.generate(3);
         let guard = ThermalAware::new(PowerEstimator::pentium_m(), ThermalModel::pentium_m(), limit);
-        let report = Manager::gpht_deployed_with(ManagerConfig {
+        let report = Manager::gpht_deployed().with_config(ManagerConfig {
             thermal: Some(ThermalModel::pentium_m()),
             ..ManagerConfig::pentium_m()
         })

@@ -26,7 +26,7 @@ use crate::wire::{Frame, FrameError, PROTOCOL_VERSION};
 use livephase_collections::BTreeMap;
 use livephase_core::predictor_from_spec;
 use livephase_engine::{DecisionEngine, EngineConfig};
-use livephase_governor::{Manager, ManagerConfig};
+use livephase_governor::Manager;
 use livephase_pmsim::PlatformConfig;
 use livephase_telemetry::Histogram;
 use livephase_workloads::{counter_samples, spec, CounterSample};
@@ -376,7 +376,7 @@ fn oracle_trace(bench: &spec::BenchmarkSpec, config: &LoadGenConfig) -> Vec<usiz
     let Ok(engine) = DecisionEngine::from_spec(EngineConfig::pentium_m(), &config.predictor) else {
         return Vec::new();
     };
-    Manager::with_engine(engine, ManagerConfig::pentium_m())
+    Manager::with_engine(engine)
         .run(bench.stream(config.seed), &PlatformConfig::pentium_m())
         .decision_trace()
 }

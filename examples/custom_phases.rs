@@ -13,7 +13,7 @@
 
 use livephase::core::{Gpht, GphtConfig, PhaseMap};
 use livephase::engine::{DecisionEngine, EngineConfig};
-use livephase::governor::{ConservativeDerivation, Manager, ManagerConfig, TranslationTable};
+use livephase::governor::{ConservativeDerivation, Manager, TranslationTable};
 use livephase::pmsim::PlatformConfig;
 use livephase::workloads::spec;
 
@@ -33,7 +33,7 @@ fn main() {
     let coarse_config =
         EngineConfig::new("pentium_m", coarse_map, coarse_table).expect("one-byte settings");
     let engine = DecisionEngine::new(coarse_config, || Box::new(Gpht::new(GphtConfig::DEPLOYED)));
-    let coarse = Manager::with_engine(engine, ManagerConfig::pentium_m()).run(&trace, &platform);
+    let coarse = Manager::with_engine(engine).run(&trace, &platform);
 
     // (c) Conservative definitions derived from the IPCxMEM
     //     characterization to bound slowdown by 5 %.

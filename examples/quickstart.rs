@@ -12,7 +12,7 @@
 //! 3. run it under GPHT-guided DVFS (the deployed system);
 //! 4. compare power, performance and energy-delay product.
 
-use livephase::governor::Session;
+use livephase::governor::Manager;
 use livephase::pmsim::PlatformConfig;
 use livephase::workloads::spec;
 
@@ -32,15 +32,14 @@ fn main() {
         applu.generate(42).characterize().mean_mem_uop
     );
 
-    // 2. Baseline: the unmanaged system. A Session borrows the platform
-    //    once and runs any number of workloads on it.
+    // 2. Baseline: the unmanaged system. Every run borrows the one
+    //    platform, so any number of managers can share it.
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
-    let baseline = session.baseline(applu.stream(42));
+    let baseline = Manager::baseline().run(applu.stream(42), &platform);
 
     // 3. The paper's deployed system: GPHT(8, 128) predictions drive the
     //    Table 2 phase -> DVFS translation inside the PMI handler.
-    let managed = session.gpht(applu.stream(42));
+    let managed = Manager::gpht_deployed().run(applu.stream(42), &platform);
 
     // 4. Compare.
     let cmp = managed.compare_to(&baseline);

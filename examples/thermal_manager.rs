@@ -22,7 +22,9 @@ fn main() {
         ..ManagerConfig::pentium_m()
     };
 
-    let unmanaged = Manager::baseline_with(thermal_cfg.clone()).run(&trace, &platform);
+    let unmanaged = Manager::baseline()
+        .with_config(thermal_cfg.clone())
+        .run(&trace, &platform);
 
     // Both guards reshape the deployed GPHT engine's decisions.
     let limit_c = 65.0;
@@ -31,12 +33,14 @@ fn main() {
         ThermalModel::pentium_m(),
         limit_c,
     );
-    let dtm = Manager::gpht_deployed_with(thermal_cfg.clone())
+    let dtm = Manager::gpht_deployed()
+        .with_config(thermal_cfg.clone())
         .with_hook(Box::new(guard))
         .run(&trace, &platform);
 
     let cap_w = 7.0;
-    let capped = Manager::gpht_deployed_with(thermal_cfg)
+    let capped = Manager::gpht_deployed()
+        .with_config(thermal_cfg)
         .with_hook(Box::new(PowerCap::new(PowerEstimator::pentium_m(), cap_w)))
         .run(&trace, &platform);
 

@@ -2,7 +2,7 @@
 
 use livephase::core::{PhaseMap, PredictionStats};
 use livephase::daq::DaqSystem;
-use livephase::governor::{Manager, ManagerConfig};
+use livephase::governor::Manager;
 use livephase::pmsim::PlatformConfig;
 use livephase::workloads::spec;
 
@@ -146,8 +146,7 @@ fn phase_map_reconfiguration_is_isolated() {
     )
     .unwrap();
     let engine = DecisionEngine::new(config, || Box::new(Gpht::new(GphtConfig::DEPLOYED)));
-    let degenerate =
-        Manager::with_engine(engine, ManagerConfig::pentium_m()).run(&trace, &platform);
+    let degenerate = Manager::with_engine(engine).run(&trace, &platform);
     assert_eq!(degenerate.dvfs_transitions, 0);
 
     let baseline = Manager::baseline().run(&trace, &platform);

@@ -19,7 +19,7 @@ use livephase::experiments::extensions::adaptive_sampling::BENCHMARKS as SAMPLIN
 use livephase::experiments::extensions::power_cap::CAPS;
 use livephase::experiments::power_zoo;
 use livephase::governor::{
-    AdaptiveSampling, ConservativeDerivation, Manager, ManagerConfig, MinDwell, Oracle, PowerCap,
+    AdaptiveSampling, ConservativeDerivation, Manager, ManagerConfig, Oracle, PowerCap,
     PowerEstimator, RunReport, ThermalAware, TranslationTable,
 };
 use livephase::pmsim::{PlatformConfig, ThermalModel};
@@ -72,10 +72,7 @@ fn on_engine(
     config: EngineConfig,
     factory: impl Fn() -> Box<dyn Predictor> + Send + 'static,
 ) -> Manager {
-    Manager::with_engine(
-        DecisionEngine::new(config, factory),
-        ManagerConfig::pentium_m(),
-    )
+    Manager::with_engine(DecisionEngine::new(config, factory))
 }
 
 fn thermal_config() -> ManagerConfig {
@@ -110,17 +107,18 @@ fn runs() -> Vec<(String, RunReport)> {
     let applu_400 = trace("applu_in", 400, SEED);
     runs.push((
         "overheads/baseline".into(),
-        Manager::baseline_with(ManagerConfig {
-            handler_overhead_s: 0.0,
-            ..ManagerConfig::pentium_m()
-        })
-        .run(
-            &applu_400,
-            &PlatformConfig {
-                dvfs_transition_s: 0.0,
-                ..PlatformConfig::pentium_m()
-            },
-        ),
+        Manager::baseline()
+            .with_config(ManagerConfig {
+                handler_overhead_s: 0.0,
+                ..ManagerConfig::pentium_m()
+            })
+            .run(
+                &applu_400,
+                &PlatformConfig {
+                    dvfs_transition_s: 0.0,
+                    ..PlatformConfig::pentium_m()
+                },
+            ),
     ));
     for (handler_s, transition_s) in SWEEP {
         let platform = PlatformConfig {
@@ -133,7 +131,9 @@ fn runs() -> Vec<(String, RunReport)> {
         };
         runs.push((
             format!("overheads/{handler_s}/{transition_s}"),
-            Manager::gpht_deployed_with(config).run(&applu_400, &platform),
+            Manager::gpht_deployed()
+                .with_config(config)
+                .run(&applu_400, &platform),
         ));
     }
 
@@ -157,16 +157,21 @@ fn runs() -> Vec<(String, RunReport)> {
     let crafty_900 = trace("crafty_in", 900, SEED);
     runs.push((
         "dtm/unmanaged".into(),
-        Manager::baseline_with(thermal_config()).run(&crafty_900, &pentium_m),
+        Manager::baseline()
+            .with_config(thermal_config())
+            .run(&crafty_900, &pentium_m),
     ));
     runs.push((
         "dtm/energy".into(),
-        Manager::gpht_deployed_with(thermal_config()).run(&crafty_900, &pentium_m),
+        Manager::gpht_deployed()
+            .with_config(thermal_config())
+            .run(&crafty_900, &pentium_m),
     ));
     let guard = ThermalAware::new(PowerEstimator::pentium_m(), ThermalModel::pentium_m(), 65.0);
     runs.push((
         "dtm/thermal".into(),
-        Manager::gpht_deployed_with(thermal_config())
+        Manager::gpht_deployed()
+            .with_config(thermal_config())
             .with_hook(Box::new(guard))
             .run(&crafty_900, &pentium_m),
     ));
@@ -202,18 +207,11 @@ fn runs() -> Vec<(String, RunReport)> {
         };
         runs.push((
             format!("adaptive_sampling/{name}"),
-            Manager::gpht_deployed_with(config).run(&workload, &pentium_m),
+            Manager::gpht_deployed()
+                .with_config(config)
+                .run(&workload, &pentium_m),
         ));
     }
-
-    // Minimum-dwell hysteresis on a noisy workload.
-    let equake_400 = trace("equake_in", 400, 3);
-    runs.push((
-        "min_dwell/equake".into(),
-        Manager::gpht_deployed()
-            .with_hook(Box::new(MinDwell::new(2)))
-            .run(&equake_400, &pentium_m),
-    ));
 
     // A user-defined coarse phase map, and the derived conservative one.
     let equake_42 = trace("equake_in", 400, SEED);
@@ -274,7 +272,6 @@ const PINNED: &[(&str, u64)] = &[
     ("adaptive_sampling/swim_in", 0xa159988de95a6475),
     ("adaptive_sampling/applu_in", 0x341834eabfb691d4),
     ("adaptive_sampling/gzip_log", 0x4801f0bc1603ea14),
-    ("min_dwell/equake", 0xf5aeee6defe89118),
     ("custom_map/coarse", 0x7a31617921aa82f1),
     ("custom_map/conservative", 0x978a3fdd64c34c2a),
 ];

@@ -6,7 +6,7 @@
 //! element for element.
 
 use livephase::experiments::runs::{measure_all, Outcome};
-use livephase::governor::{par_map, RunReport, RunSummary, Session};
+use livephase::governor::{par_map, Manager, RunReport, RunSummary};
 use livephase::pmsim::PlatformConfig;
 use livephase::workloads::{registry, IntervalSource};
 
@@ -41,7 +41,6 @@ fn assert_bit_identical(label: &str, streamed: &RunReport, materialized: &RunRep
 #[test]
 fn streaming_matches_materialized_for_all_benchmarks() {
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
     let specs = registry();
     assert_eq!(specs.len(), 33);
     par_map(&specs, |spec| {
@@ -55,18 +54,18 @@ fn streaming_matches_materialized_for_all_benchmarks() {
         for (system, streamed, materialized) in [
             (
                 "baseline",
-                session.baseline(spec.stream(SEED)),
-                session.baseline(&trace),
+                Manager::baseline().run(spec.stream(SEED), &platform),
+                Manager::baseline().run(&trace, &platform),
             ),
             (
                 "reactive",
-                session.reactive(spec.stream(SEED)),
-                session.reactive(&trace),
+                Manager::reactive().run(spec.stream(SEED), &platform),
+                Manager::reactive().run(&trace, &platform),
             ),
             (
                 "gpht",
-                session.gpht(spec.stream(SEED)),
-                session.gpht(&trace),
+                Manager::gpht_deployed().run(spec.stream(SEED), &platform),
+                Manager::gpht_deployed().run(&trace, &platform),
             ),
         ] {
             let label = format!("{}/{system}", spec.name());
@@ -112,11 +111,10 @@ fn assert_summaries_bit_identical(label: &str, a: &RunSummary, b: &RunSummary) {
 fn parallel_figure11_sweep_equals_sequential() {
     let parallel = measure_all(SEED);
     let platform = PlatformConfig::pentium_m();
-    let session = Session::new(&platform);
     let specs = registry();
     let sequential: Vec<Outcome> = specs
         .iter()
-        .map(|spec| Outcome::measure_in(&session, spec, SEED))
+        .map(|spec| Outcome::measure(&platform, spec, SEED))
         .collect();
     assert_eq!(parallel.len(), sequential.len());
     for (p, s) in parallel.iter().zip(&sequential) {
